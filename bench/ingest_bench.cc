@@ -196,9 +196,9 @@ struct IngestPoint {
   uint64_t sealed_low = 0;
   uint64_t sealed_retry = 0;
   uint64_t backpressured = 0;
-  // Block log accounting (log v4; see src/chain/block_store.h).
+  // Block log accounting (log v5; see src/chain/block_store.h).
   uint64_t blocks = 0;
-  uint64_t raw_bytes = 0;   ///< uncompressed txn-section bytes appended
+  uint64_t raw_bytes = 0;   ///< canonical (EncodeTxn) txn bytes appended
   uint64_t disk_bytes = 0;  ///< record bytes actually written
   obs::MetricsSnapshot metrics;  ///< per-stage histograms (tracing runs)
 };
@@ -257,7 +257,7 @@ IngestPoint RunPoint(size_t producers, size_t txns_per_producer,
         t.args.ints = {rng.UniformRange(0, kKeys - 1), 1};
         if (blob_bytes > 0) {
           // Realistic payloads (receipt memo / contract args): structured,
-          // partially repetitive bytes — what the v4 block log compresses.
+          // partially repetitive bytes — what the block log compresses.
           t.args.blob = "memo:acct-" + std::to_string(t.args.ints[0]) +
                         ";op=increment;pad=";
           t.args.blob.resize(blob_bytes, 'x');
@@ -353,12 +353,13 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------- part 3: block log compression --
-  // Same sealed workload persisted raw (v3-equivalent: v4 envelope, every
-  // section stored uncompressed) vs HLZ-compressed (v4 default), with and
-  // without payload blobs. "disk B/blk" counts full records (framing +
-  // envelope included), so the ratio is what the chain actually saves.
+  // Same sealed workload persisted with every v5 varint section stored
+  // uncompressed vs HLZ-compressed (the default), with and without payload
+  // blobs. "raw B/blk" is the canonical EncodeTxn size and "disk B/blk"
+  // counts full records (framing + envelope included), so the ratio is
+  // what the chain's whole storage encoding saves.
   PrintHeader(
-      "Block log v4: sealed-txn-section compression (4 producers; raw = "
+      "Block log v5: sealed-txn-section compression (4 producers; raw = "
       "Compression::kNone, hlz = the in-tree LZ; 256B structured blobs in "
       "the second pair)",
       {"config", "blocks", "raw B/blk", "disk B/blk", "disk/raw"});

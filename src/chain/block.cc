@@ -1,5 +1,7 @@
 #include "chain/block.h"
 
+#include <unordered_map>
+
 #include "common/codec.h"
 
 namespace harmony {
@@ -16,19 +18,21 @@ void BlockCodec::EncodeTxn(const TxnRequest& t, std::string* out) {
   codec::AppendBytes(out, t.args.blob);
 }
 
-bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out,
-                           uint32_t log_version) {
+size_t BlockCodec::EncodedTxnSize(const TxnRequest& t) {
+  // proc_id, client_id, client_seq, submit_time_us, retries, fee, n_ints,
+  // blob length: 4 + 8 + 8 + 8 + 4 + 8 + 4 + 4.
+  constexpr size_t kFixedBytes = 48;
+  return kFixedBytes + 8 * t.args.ints.size() + t.args.blob.size();
+}
+
+bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out) {
   uint32_t n_ints = 0;
-  out->client_id = 0;
-  out->fee = 0;
-  if (!r->ReadU32(&out->proc_id)) return false;
-  if (log_version >= kLogV2 && !r->ReadU64(&out->client_id)) return false;
-  if (!r->ReadU64(&out->client_seq) || !r->ReadU64(&out->submit_time_us) ||
-      !r->ReadU32(&out->retries)) {
+  if (!r->ReadU32(&out->proc_id) || !r->ReadU64(&out->client_id) ||
+      !r->ReadU64(&out->client_seq) || !r->ReadU64(&out->submit_time_us) ||
+      !r->ReadU32(&out->retries) || !r->ReadU64(&out->fee) ||
+      !r->ReadU32(&n_ints)) {
     return false;
   }
-  if (log_version >= kLogV3 && !r->ReadU64(&out->fee)) return false;
-  if (!r->ReadU32(&n_ints)) return false;
   // Bound the resize by the bytes actually present: a corrupt count must
   // fail the parse, not size a multi-gigabyte allocation.
   if (static_cast<uint64_t>(n_ints) * 8 > r->remaining()) return false;
@@ -39,132 +43,216 @@ bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out,
   return r->ReadBytes(&out->args.blob);
 }
 
-std::string BlockCodec::Encode(const Block& b) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-  for (const TxnRequest& t : b.batch.txns) EncodeTxn(t, &out);
-  return out;
-}
-
 namespace {
 
-/// Parses `count` transactions laid out per `log_version` into the batch.
-Status DecodeTxnSection(codec::Reader* r, uint32_t count,
-                        uint32_t log_version, TxnBatch* batch) {
-  if (static_cast<uint64_t>(count) * 4 > r->remaining() + 4) {
-    // Each txn is at least proc_id + counts (> 4 bytes); a count that the
-    // remaining bytes cannot possibly carry must not size the resize below.
-    return Status::Corruption("txn count implausible");
+void AppendDigest(std::string* out, const Digest& d) {
+  out->append(reinterpret_cast<const char*>(d.data()), d.size());
+}
+
+void AppendZigzag(std::string* out, int64_t v) {
+  codec::AppendVarint(out, codec::ZigzagEncode(v));
+}
+
+/// The v5 txn section: one varint column per field, in docs/FORMATS.md
+/// order. Deltas use wrapping 64-bit arithmetic, so every value — including
+/// 0/UINT64_MAX sequence numbers and submit times after the order time —
+/// round-trips exactly.
+void EncodeTxnSection(const Block& b, std::string* out) {
+  const std::vector<TxnRequest>& txns = b.batch.txns;
+  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.proc_id);
+  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.client_id);
+  // client_seq: delta from the same client's previous txn in this block
+  // (base 0), so a client's consecutive submissions cost one byte each.
+  std::unordered_map<uint64_t, uint64_t> last_seq;
+  for (const TxnRequest& t : txns) {
+    uint64_t& prev = last_seq[t.client_id];
+    AppendZigzag(out, static_cast<int64_t>(t.client_seq - prev));
+    prev = t.client_seq;
   }
-  batch->txns.resize(count);
-  for (uint32_t i = 0; i < count; i++) {
-    if (!BlockCodec::DecodeTxn(r, &batch->txns[i], log_version)) {
-      return Status::Corruption("txn truncated");
+  // submit_time_us: distance back from the block's order time.
+  for (const TxnRequest& t : txns) {
+    AppendZigzag(out, static_cast<int64_t>(b.header.order_time_us -
+                                           t.submit_time_us));
+  }
+  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.retries);
+  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.fee);
+  for (const TxnRequest& t : txns) {
+    codec::AppendVarint(out, t.args.ints.size());
+  }
+  for (const TxnRequest& t : txns) {
+    for (int64_t v : t.args.ints) AppendZigzag(out, v);
+  }
+  for (const TxnRequest& t : txns) {
+    codec::AppendVarint(out, t.args.blob.size());
+  }
+  for (const TxnRequest& t : txns) out->append(t.args.blob);
+}
+
+bool ReadVarintU32(codec::Reader* r, uint32_t* v) {
+  uint64_t wide = 0;
+  if (!r->ReadVarint(&wide) || wide > UINT32_MAX) return false;
+  *v = static_cast<uint32_t>(wide);
+  return true;
+}
+
+bool ReadZigzag(codec::Reader* r, int64_t* v) {
+  uint64_t raw = 0;
+  if (!r->ReadVarint(&raw)) return false;
+  *v = codec::ZigzagDecode(raw);
+  return true;
+}
+
+/// Inverse of EncodeTxnSection. Every entry of every column is at least one
+/// byte, so each count is checked against the bytes still unread before it
+/// sizes anything.
+Status DecodeTxnSection(std::string_view section, uint64_t order_time_us,
+                        uint32_t count, TxnBatch* batch) {
+  const auto malformed = [] {
+    return Status::Corruption("txn section truncated or malformed");
+  };
+  codec::Reader r(section);
+  if (count > r.remaining()) {
+    return Status::Corruption("txn count exceeds the txn section");
+  }
+  std::vector<TxnRequest>& txns = batch->txns;
+  txns.assign(count, TxnRequest{});
+  for (TxnRequest& t : txns) {
+    if (!ReadVarintU32(&r, &t.proc_id)) return malformed();
+  }
+  for (TxnRequest& t : txns) {
+    if (!r.ReadVarint(&t.client_id)) return malformed();
+  }
+  std::unordered_map<uint64_t, uint64_t> last_seq;
+  for (TxnRequest& t : txns) {
+    int64_t delta = 0;
+    if (!ReadZigzag(&r, &delta)) return malformed();
+    uint64_t& prev = last_seq[t.client_id];
+    t.client_seq = prev + static_cast<uint64_t>(delta);
+    prev = t.client_seq;
+  }
+  for (TxnRequest& t : txns) {
+    int64_t back = 0;
+    if (!ReadZigzag(&r, &back)) return malformed();
+    t.submit_time_us = order_time_us - static_cast<uint64_t>(back);
+  }
+  for (TxnRequest& t : txns) {
+    if (!ReadVarintU32(&r, &t.retries)) return malformed();
+  }
+  for (TxnRequest& t : txns) {
+    if (!r.ReadVarint(&t.fee)) return malformed();
+  }
+  uint64_t total_ints = 0;
+  for (TxnRequest& t : txns) {
+    uint32_t n = 0;
+    if (!ReadVarintU32(&r, &n)) return malformed();
+    total_ints += n;
+    if (total_ints > r.remaining()) {
+      return Status::Corruption("int count exceeds the txn section");
     }
+    t.args.ints.resize(n);
+  }
+  for (TxnRequest& t : txns) {
+    for (int64_t& v : t.args.ints) {
+      if (!ReadZigzag(&r, &v)) return malformed();
+    }
+  }
+  uint64_t total_blob = 0;
+  for (TxnRequest& t : txns) {
+    uint64_t len = 0;
+    if (!r.ReadVarint(&len)) return malformed();
+    // Each check bounds its operand by the section size, so the sum
+    // cannot wrap.
+    if (len > r.remaining() || total_blob + len > r.remaining()) {
+      return Status::Corruption("blob bytes exceed the txn section");
+    }
+    total_blob += len;
+    t.args.blob.resize(len);
+  }
+  for (TxnRequest& t : txns) {
+    if (!r.ReadFixed(t.args.blob.data(), t.args.blob.size())) {
+      return malformed();
+    }
+  }
+  if (r.remaining() != 0) {
+    return Status::Corruption("trailing txn-section bytes");
   }
   return Status::OK();
 }
 
 }  // namespace
 
-Status BlockCodec::Decode(std::string_view bytes, Block* out,
-                          uint32_t log_version) {
+std::string BlockCodec::EncodeRecordV5(const Block& b, Compression codec,
+                                       size_t* canonical_section_bytes,
+                                       Compression* used_codec) {
+  std::string out;
+  codec::AppendVarint(&out, b.header.block_id);
+  codec::AppendVarint(&out, b.header.first_tid);
+  codec::AppendVarint(&out, b.header.txn_count);
+  codec::AppendVarint(&out, b.header.order_time_us);
+  AppendDigest(&out, b.header.prev_hash);
+  AppendDigest(&out, b.header.txn_root);
+  AppendDigest(&out, b.header.block_hash);
+  AppendDigest(&out, b.header.signature);
+
+  std::string section;
+  EncodeTxnSection(b, &section);
+  const size_t raw_len = section.size();
+  if (canonical_section_bytes != nullptr) {
+    size_t canonical = 0;
+    for (const TxnRequest& t : b.batch.txns) canonical += EncodedTxnSize(t);
+    *canonical_section_bytes = canonical;
+  }
+  std::string stored;
+  if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
+  // Per-block fallback: a section compression cannot shrink is stored raw,
+  // so the envelope never costs more than its codec byte and raw length.
+  if (codec == Compression::kNone || stored.size() >= section.size()) {
+    codec = Compression::kNone;
+    stored = std::move(section);
+  }
+  if (used_codec != nullptr) *used_codec = codec;
+  codec::AppendU8(&out, static_cast<uint8_t>(codec));
+  codec::AppendVarint(&out, raw_len);
+  out.append(stored);  // the stored section runs to the end of the payload
+  return out;
+}
+
+Status BlockCodec::Decode(std::string_view bytes, Block* out) {
   codec::Reader r(bytes);
   uint64_t block_id = 0, first_tid = 0, order_time = 0;
   uint32_t txn_count = 0;
-  if (!r.ReadU64(&block_id) || !r.ReadU64(&first_tid) ||
-      !r.ReadU32(&txn_count) || !r.ReadU64(&order_time)) {
+  if (!r.ReadVarint(&block_id) || !r.ReadVarint(&first_tid) ||
+      !ReadVarintU32(&r, &txn_count) || !r.ReadVarint(&order_time)) {
     return Status::Corruption("block header truncated");
   }
   out->header.block_id = block_id;
   out->header.first_tid = first_tid;
   out->header.txn_count = txn_count;
   out->header.order_time_us = order_time;
-  // Digests are fixed-width raw bytes.
   for (Digest* d : {&out->header.prev_hash, &out->header.txn_root,
                     &out->header.block_hash, &out->header.signature}) {
-    for (size_t i = 0; i < 32; i += 8) {
-      uint64_t chunk;
-      if (!r.ReadU64(&chunk)) return Status::Corruption("digest truncated");
-      std::memcpy(d->data() + i, &chunk, 8);
+    if (!r.ReadFixed(d->data(), d->size())) {
+      return Status::Corruption("digest truncated");
     }
   }
   out->batch.block_id = block_id;
   out->batch.first_tid = first_tid;
-  if (log_version < kLogV4) {
-    HARMONY_RETURN_NOT_OK(
-        DecodeTxnSection(&r, txn_count, log_version, &out->batch));
-    if (r.remaining() != 0) return Status::Corruption("trailing block bytes");
-    return Status::OK();
-  }
-  // v4: the txn section rides a compression envelope —
-  //   u8 codec, u32 raw_len, u32 stored_len + stored bytes.
+  // Compression envelope: u8 codec, varint raw section length, then the
+  // stored section through the end of the payload.
   uint8_t codec_byte = 0;
-  {
-    uint16_t pair = 0;  // Reader has no ReadU8; the codec byte is padded.
-    if (!r.ReadU16(&pair)) return Status::Corruption("v4 envelope truncated");
-    codec_byte = static_cast<uint8_t>(pair & 0xFF);
-    if ((pair >> 8) != 0) return Status::Corruption("v4 envelope padding");
+  uint64_t raw_len = 0;
+  if (!r.ReadU8(&codec_byte) || !r.ReadVarint(&raw_len)) {
+    return Status::Corruption("compression envelope truncated");
   }
   if (codec_byte > static_cast<uint8_t>(Compression::kHlz)) {
     return Status::Corruption("unknown block compression codec " +
                               std::to_string(codec_byte));
   }
-  uint32_t raw_len = 0;
-  std::string stored;
-  if (!r.ReadU32(&raw_len) || !r.ReadBytes(&stored)) {
-    return Status::Corruption("v4 envelope truncated");
-  }
-  if (r.remaining() != 0) return Status::Corruption("trailing block bytes");
+  const std::string_view stored = bytes.substr(bytes.size() - r.remaining());
   std::string section;
   HARMONY_RETURN_NOT_OK(DecompressPayload(
       static_cast<Compression>(codec_byte), stored, raw_len, &section));
-  codec::Reader sr(section);
-  HARMONY_RETURN_NOT_OK(DecodeTxnSection(&sr, txn_count, kLogV3, &out->batch));
-  if (sr.remaining() != 0) {
-    return Status::Corruption("trailing txn-section bytes");
-  }
-  return Status::OK();
-}
-
-std::string BlockCodec::EncodeRecordV4(const Block& b, Compression codec,
-                                       size_t* raw_section_bytes,
-                                       Compression* used_codec) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-
-  std::string section;
-  for (const TxnRequest& t : b.batch.txns) EncodeTxn(t, &section);
-  const size_t raw_len = section.size();
-  if (raw_section_bytes != nullptr) *raw_section_bytes = raw_len;
-  std::string stored;
-  if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
-  // Per-block fallback: a section compression cannot shrink is stored raw,
-  // so a v4 record is never larger than its v3 equivalent plus the 10-byte
-  // envelope (u16 codec+pad, u32 raw_len, u32 stored_len).
-  if (codec == Compression::kNone || stored.size() >= section.size()) {
-    codec = Compression::kNone;
-    stored = std::move(section);
-  }
-  if (used_codec != nullptr) *used_codec = codec;
-  codec::AppendU16(&out, static_cast<uint16_t>(codec));  // u8 codec + pad
-  codec::AppendU32(&out, static_cast<uint32_t>(raw_len));
-  codec::AppendBytes(&out, stored);
-  return out;
+  return DecodeTxnSection(section, order_time, txn_count, &out->batch);
 }
 
 Digest BlockCodec::TxnRoot(const TxnBatch& batch) {

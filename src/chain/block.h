@@ -10,20 +10,12 @@
 
 namespace harmony {
 
-/// Block log format versions (docs/FORMATS.md has the byte-level reference).
-/// The version governs both the record envelope and the per-transaction
-/// codec inside it; BlockStore stamps the current version into new logs and
-/// migrates older ones on open.
-///  - kLogV1 — seed format: headerless file, txns carry no client_id/fee.
-///  - kLogV2 — magic/version file header; client_id added to the txn codec.
-///  - kLogV3 — priority fee added to the txn codec.
-///  - kLogV4 — the sealed txn section is compressed per block (pluggable
-///             Compression codec, raw fallback); txn codec unchanged from v3.
-inline constexpr uint32_t kLogV1 = 1;
-inline constexpr uint32_t kLogV2 = 2;
-inline constexpr uint32_t kLogV3 = 3;
-inline constexpr uint32_t kLogV4 = 4;
-inline constexpr uint32_t kLogVersion = kLogV4;
+/// Block log format version (docs/FORMATS.md has the byte-level reference
+/// and the version history). v5 stores each block's txn section column-wise
+/// as LEB128 varints under a per-block compression envelope; BlockStore
+/// reads and writes only this version and refuses v1–v4 logs with
+/// NotSupported.
+inline constexpr uint32_t kLogVersion = 5;
 
 /// A ledger block: the ordered transaction batch plus the tamper-evidence
 /// header. Each block carries the hash of its predecessor (Section 4,
@@ -45,33 +37,37 @@ struct Block {
   TxnBatch batch;
 };
 
-/// Serializes / parses transactions and blocks (the logical-log record
-/// format and the ordering-service wire format).
+/// Serializes / parses transactions and blocks. Two encodings:
+///  - the canonical fixed-width txn layout (EncodeTxn): the SUBMIT wire
+///    payload and the input of TxnRoot, so chain identity and signatures
+///    depend only on it;
+///  - the v5 log record (EncodeRecordV5): header varints, the four digests
+///    verbatim, and a column-wise varint txn section under a compression
+///    envelope — the block log and the REPLICATE payload. Purely a storage
+///    encoding: a decoded block re-hashes to the same TxnRoot.
 class BlockCodec {
  public:
-  /// Current (v3+) transaction layout; also the wire SUBMIT payload.
+  /// Canonical transaction layout; also the wire SUBMIT payload.
   static void EncodeTxn(const TxnRequest& t, std::string* out);
-  /// Version-aware parse: kLogV1 has no client_id/fee, kLogV2 no fee,
-  /// kLogV3 and later are the current layout. Missing fields default to 0.
-  static bool DecodeTxn(codec::Reader* r, TxnRequest* out,
-                        uint32_t log_version = kLogVersion);
+  /// Byte length EncodeTxn would produce for `t`, without encoding it.
+  static size_t EncodedTxnSize(const TxnRequest& t);
+  /// Inverse of EncodeTxn (SUBMIT and BATCH_SUBMIT payloads); false on a
+  /// truncated or oversized input.
+  static bool DecodeTxn(codec::Reader* r, TxnRequest* out);
 
-  /// Raw (uncompressed, v3-layout) block bytes: header + txns.
-  static std::string Encode(const Block& b);
-  /// Parses one block-record payload written by the given log version:
-  /// v1–v3 are raw header + per-version txns; v4 wraps the txn section in a
-  /// compression envelope (codec byte + raw length + stored bytes).
-  static Status Decode(std::string_view bytes, Block* out,
-                       uint32_t log_version = kLogV3);
-
-  /// Encodes a v4 record payload, compressing the txn section with `codec`.
+  /// Encodes a v5 record payload, compressing the txn section with `codec`.
   /// Falls back to Compression::kNone per block when compression does not
-  /// shrink the section. `raw_section_bytes` (optional) receives the
-  /// uncompressed txn-section size and `used_codec` the codec actually
-  /// stored, for compression-ratio accounting.
-  static std::string EncodeRecordV4(const Block& b, Compression codec,
-                                    size_t* raw_section_bytes = nullptr,
+  /// shrink the section. `canonical_section_bytes` (optional) receives the
+  /// size of the block's txns in the canonical EncodeTxn layout — the
+  /// common base compression ratios are measured against — and
+  /// `used_codec` the codec actually stored.
+  static std::string EncodeRecordV5(const Block& b, Compression codec,
+                                    size_t* canonical_section_bytes = nullptr,
                                     Compression* used_codec = nullptr);
+  /// Parses one v5 record payload. Every count and length is checked
+  /// against the bytes that remain before anything is sized by it; a
+  /// truncated, overlong, or trailing-garbage payload is Corruption.
+  static Status Decode(std::string_view bytes, Block* out);
 
   /// Digest over the serialized transaction batch.
   static Digest TxnRoot(const TxnBatch& batch);

@@ -15,8 +15,7 @@ namespace harmony {
 
 namespace {
 
-// "HBCL" + the record codec version (kLogV1..kLogV4, chain/block.h). v1
-// logs are headerless; Open() detects and migrates them too.
+// "HBCL" + the record codec version (kLogVersion, chain/block.h).
 constexpr uint32_t kLogMagic = 0x4C434248u;
 constexpr uint64_t kLogHeaderBytes = 8;
 
@@ -26,7 +25,7 @@ constexpr uint64_t kLogHeaderBytes = 8;
 bool ReadRecordAt(int fd, off_t off, std::string* payload, size_t* rec_len) {
   uint32_t len = 0;
   if (::pread(fd, &len, 4, off) != 4) return false;
-  // An absurd length (flipped bits, or a non-log file probed as v1) must
+  // An absurd length (flipped bits, a torn length field) must
   // fail the read, not size a multi-gigabyte allocation.
   if (len > (256u << 20)) return false;
   payload->assign(len, '\0');
@@ -53,12 +52,9 @@ BlockStore::~BlockStore() {
 }
 
 Status BlockStore::Open() {
-  // A crash between Migrate()'s temp write and its rename leaves the temp
-  // behind (the original log is intact and the migration simply redoes);
-  // drop the stale temp so interrupted migrations leave no debris. Same
-  // story for TruncateBefore's temp: the original log survives a crash
-  // before the rename, and the next checkpoint simply truncates again.
-  ::unlink((path_ + ".migrate").c_str());
+  // A crash between TruncateBefore's temp write and its rename leaves the
+  // temp behind; the original log survives and the next checkpoint simply
+  // truncates again, so drop the debris.
   ::unlink((path_ + ".truncate").c_str());
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd_ < 0) return Status::IOError("open block log");
@@ -73,90 +69,28 @@ Status BlockStore::Open() {
         static_cast<ssize_t>(kLogHeaderBytes)) {
       return Status::IOError("write block log header");
     }
-  } else {
-    uint32_t header[2] = {0, 0};
-    if (::pread(fd_, header, kLogHeaderBytes, 0) !=
-        static_cast<ssize_t>(kLogHeaderBytes)) {
-      return Status::IOError("read block log header");
-    }
-    if (header[0] != kLogMagic) {
-      // No header at all: possibly a v1 seed log, whose file begins with a
-      // record length. Migrate() validates that reading at least one v1
-      // record works before committing to the interpretation.
-      return Migrate(kLogV1);
-    }
-    if (header[1] >= kLogV2 && header[1] < kLogV4) {
-      return Migrate(header[1]);
-    }
-    if (header[1] != kLogV4) {
-      return Status::NotSupported("block log format v" +
-                                  std::to_string(header[1]) +
-                                  " (this build writes v" +
-                                  std::to_string(kLogVersion) + "): " + path_);
-    }
+    return ScanAndRepair();
+  }
+  uint32_t header[2] = {0, 0};
+  if (::pread(fd_, header, kLogHeaderBytes, 0) !=
+      static_cast<ssize_t>(kLogHeaderBytes)) {
+    return Status::IOError("read block log header");
+  }
+  // Never guess at an unknown file: treating it as one giant torn tail
+  // would wipe the chain.
+  if (header[0] != kLogMagic) {
+    return Status::NotSupported(
+        "block log has no HBCL header (headerless v1 logs are not supported; "
+        "this build reads only v" +
+        std::to_string(kLogVersion) + "): " + path_);
+  }
+  if (header[1] != kLogVersion) {
+    return Status::NotSupported("block log format v" +
+                                std::to_string(header[1]) +
+                                " (this build reads only v" +
+                                std::to_string(kLogVersion) + "): " + path_);
   }
   return ScanAndRepair();
-}
-
-Status BlockStore::Migrate(uint32_t from_version) {
-  // Stream the old log record-at-a-time into a v4 temp file, so migrating
-  // a multi-GB chain costs O(largest block) memory, not O(chain). A torn
-  // tail stops the copy exactly where ScanAndRepair would have truncated.
-  // Write-temp + rename: a crash mid-migration leaves the original log
-  // untouched and the next Open() simply migrates again.
-  const std::string tmp = path_ + ".migrate";
-  int tfd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (tfd < 0) return Status::IOError("open migration temp");
-  uint32_t header[2] = {kLogMagic, kLogVersion};
-  bool ok = ::pwrite(tfd, header, kLogHeaderBytes, 0) ==
-            static_cast<ssize_t>(kLogHeaderBytes);
-  uint64_t woff = kLogHeaderBytes;
-  size_t migrated = 0;
-  off_t off = from_version == kLogV1 ? 0 : static_cast<off_t>(kLogHeaderBytes);
-  std::string payload;
-  size_t rec_len = 0;
-  while (ok && ReadRecordAt(fd_, off, &payload, &rec_len)) {
-    Block b;
-    if (!BlockCodec::Decode(payload, &b, from_version).ok()) break;
-    off += static_cast<off_t>(rec_len);
-    const std::string p = BlockCodec::EncodeRecordV4(b, compression_);
-    std::string rec;
-    rec.reserve(p.size() + 8);
-    codec::AppendU32(&rec, static_cast<uint32_t>(p.size()));
-    rec.append(p);
-    codec::AppendU32(&rec, Crc32(p));
-    ok = ::pwrite(tfd, rec.data(), rec.size(), static_cast<off_t>(woff)) ==
-         static_cast<ssize_t>(rec.size());
-    woff += rec.size();
-    migrated++;
-  }
-  if (from_version == kLogV1 && migrated == 0) {
-    // The magic check failed AND the headerless interpretation yields
-    // nothing — this is not a block log of any version we know.
-    ::close(tfd);
-    ::unlink(tmp.c_str());
-    return Status::NotSupported(
-        "block log has no recognizable format (magic/header mismatch): " +
-        path_);
-  }
-  if (ok) ok = ::fsync(tfd) == 0;
-  ::close(tfd);
-  if (!ok) return Status::IOError("write migrated block log");
-  ::close(fd_);
-  fd_ = -1;
-  HARMONY_CRASH_POINT("chain.migrate.before_rename");
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IOError("rename migrated block log");
-  }
-  HARMONY_CRASH_POINT("chain.migrate.after_rename");
-  if (events_ != nullptr) {
-    events_->Emit(obs::EventSeverity::kInfo, obs::EventCode::kLogMigrate,
-                  "v" + std::to_string(from_version) + " -> v" +
-                      std::to_string(kLogVersion) + ", " +
-                      std::to_string(migrated) + " blocks: " + path_);
-  }
-  // Reopen: the file is v4 now, so this recursion terminates immediately.
-  return Open();
 }
 
 Status BlockStore::ScanAndRepair() {
@@ -169,7 +103,7 @@ Status BlockStore::ScanAndRepair() {
   size_t rec_len = 0;
   while (ReadRecordAt(fd_, off, &payload, &rec_len)) {
     Block b;
-    if (!BlockCodec::Decode(payload, &b, kLogV4).ok()) break;
+    if (!BlockCodec::Decode(payload, &b).ok()) break;
     if (num_blocks_ == 0) first_block_id_ = b.header.block_id;
     last_block_id_ = b.header.block_id;
     last_record_offset_ = static_cast<uint64_t>(off);
@@ -186,7 +120,7 @@ Status BlockStore::Append(const Block& b) {
   size_t raw_section = 0;
   Compression used = Compression::kNone;
   const std::string payload =
-      BlockCodec::EncodeRecordV4(b, compression_, &raw_section, &used);
+      BlockCodec::EncodeRecordV5(b, compression_, &raw_section, &used);
   std::string rec;
   rec.reserve(payload.size() + 8);
   codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));
@@ -318,7 +252,7 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
       break;
     }
     Block b;
-    if (!BlockCodec::Decode(payload, &b, kLogV4).ok()) {
+    if (!BlockCodec::Decode(payload, &b).ok()) {
       ok = false;
       break;
     }
@@ -390,7 +324,7 @@ Status BlockStore::ReadArchivedBlocks(std::vector<Block>* out) {
   BlockId last_seen = 0;
   while (ReadRecordAt(fd, off, &payload, &rec_len)) {
     Block b;
-    if (!BlockCodec::Decode(payload, &b, kLogV4).ok()) break;
+    if (!BlockCodec::Decode(payload, &b).ok()) break;
     off += static_cast<off_t>(rec_len);
     // Crash-redo duplicates re-archive a prefix already present; the block
     // ids run monotonically within each truncation batch, so a non-
@@ -429,7 +363,7 @@ Status BlockStore::ReadBlocksAfter(BlockId after_block,
       break;
     }
     Block b;
-    result = BlockCodec::Decode(payload, &b, kLogV4);
+    result = BlockCodec::Decode(payload, &b);
     if (!result.ok()) break;
     if (b.header.block_id > after_block) {
       out->push_back(std::move(b));
@@ -458,7 +392,7 @@ Status BlockStore::ReadLast(Block* out) {
   const bool ok = ReadRecordAt(fd, static_cast<off_t>(off), &payload, &rec_len);
   ::close(fd);
   if (!ok) return Status::Corruption("block log tip record");
-  return BlockCodec::Decode(payload, out, kLogV4);
+  return BlockCodec::Decode(payload, out);
 }
 
 BlockId CheckpointManifest::Read() const {

@@ -19,48 +19,40 @@ class EventLog;
 /// execution is deterministic, persisting the *inputs* is sufficient for
 /// recovery — no ARIES-style physical log.
 ///
-/// ## File format (current: block log v4 — docs/FORMATS.md is the
-/// authoritative byte-level reference)
+/// ## File format (block log v5 — docs/FORMATS.md is the authoritative
+/// byte-level reference)
 ///
 /// ```
 ///   offset 0: u32 magic           = 0x4C434248 ("HBCL" read as bytes,
 ///                                   little-endian on disk)
-///   offset 4: u32 format_version  = current kLogVersion (chain/block.h)
+///   offset 4: u32 format_version  = kLogVersion (5, chain/block.h)
 ///   offset 8: records...
 ///
 ///   record:   u32 payload_len
-///             payload             (BlockCodec::EncodeRecordV4 bytes:
-///                                  header fields + compression envelope)
+///             payload             (BlockCodec::EncodeRecordV5 bytes:
+///                                  varint header fields, the four digests,
+///                                  compression envelope over the
+///                                  column-wise varint txn section)
 ///             u32 crc32(payload)  — CRC of the payload *as stored*, i.e.
 ///                                   over the compressed bytes
 /// ```
 ///
-/// All integers are little-endian (the codec's native byte order).
+/// Fixed-width integers are little-endian (the codec's native byte order).
+/// The record encoding is a storage concern only: TxnRoot, block hashes and
+/// signatures are computed over the canonical BlockCodec::EncodeTxn bytes,
+/// which a decoded record reproduces exactly.
 ///
-/// ### Version history (kLogV1..kLogV4, chain/block.h)
-///  - v1 — PR 0 seed; *no header at all* (the file begins with a record
-///         length); txns carry no client_id/fee.
-///  - v2 — PR 1: 8-byte magic/version header introduced; `client_id`
-///         added to the transaction wire format.
-///  - v3 — priority `fee` added to the transaction wire format.
-///  - v4 — the record payload's txn section rides a per-block compression
-///         envelope (u8 codec + u32 raw_len + stored bytes); blocks whose
-///         section does not shrink fall back to Compression::kNone.
-///
-/// ### Older logs: migrated on open
-/// Open() reads v1–v3 logs (the per-version txn codecs are kept in
-/// BlockCodec::DecodeTxn) and transparently rewrites them as v4 — records
-/// re-encoded with the store's compression codec — via write-temp + rename,
-/// so a crash mid-migration leaves the original intact and the next open
-/// redoes it. After Open() the writable file is always v4.
+/// ### One version
+/// Only v5 is read or written. A v1–v4 log (v1 files have no header at all)
+/// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
 /// Torn tails (crash mid-append) are detected by CRC/length and truncated
-/// on Open(). An unrecognized magic or a format version newer than this
-/// build is an explicit NotSupported open error, never a silent truncation
-/// — treating an unknown log as one giant torn tail would wipe the chain.
-/// A record whose CRC passes but whose compressed payload fails to
-/// decompress or parse is Corruption on read (and a torn tail on open).
+/// on Open(). An unrecognized magic or any other format version is an
+/// explicit NotSupported open error, never a silent truncation — treating
+/// an unknown log as one giant torn tail would wipe the chain. A record
+/// whose CRC passes but whose payload fails to decompress or parse is
+/// Corruption on read (and a torn tail on open).
 class BlockStore {
  public:
   /// `sync_latency_us` is the modelled group-commit flush cost charged per
@@ -69,14 +61,13 @@ class BlockStore {
   /// never hard-kills the process, and a real fsync would inject the host
   /// disk's uncontrolled latency into every block. `compression` is the
   /// codec new blocks are stored with (per-block raw fallback; kNone writes
-  /// v4 envelopes with every section raw).
+  /// v5 envelopes with every section raw).
   explicit BlockStore(std::string path, uint64_t sync_latency_us = 150,
                       Compression compression = Compression::kHlz);
   ~BlockStore();
 
-  /// Optional structured event log: Open() emits a log_migrate event when
-  /// it rewrites a pre-v4 log; TruncateBefore emits a log_truncate event.
-  /// Set before Open(); nullptr disables.
+  /// Optional structured event log: TruncateBefore emits a log_truncate
+  /// event. nullptr disables.
   void SetEventLog(obs::EventLog* events) { events_ = events; }
 
   /// When enabled, TruncateBefore appends the records it drops to
@@ -85,8 +76,8 @@ class BlockStore {
   /// the same records twice; ReadArchivedBlocks dedups by block id.
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
-  /// Opens the log and scans it, truncating a torn tail if present;
-  /// migrates pre-v4 logs to v4 first (see class comment).
+  /// Opens the log and scans it, truncating a torn tail if present.
+  /// NotSupported for a file without the v5 header (see class comment).
   Status Open();
 
   /// Appends one block with the modelled group-commit flush. Thread-safe and
@@ -111,11 +102,10 @@ class BlockStore {
   /// Drops every record with block_id < keep_from — the checkpoint-anchored
   /// retention path: once the manifest proves state through block B durable,
   /// records below the retention window are dead weight for recovery.
-  /// Rewrites the log via write-temp (<path>.truncate) + rename, the same
-  /// crash discipline as migrate-on-open: a SIGKILL anywhere yields either
-  /// the old log or the new one, never a torn mix. Waits for in-flight
-  /// appends; the chain tip and last_block_id() are unchanged. No-op when
-  /// nothing falls below keep_from.
+  /// Rewrites the log via write-temp (<path>.truncate) + rename: a SIGKILL
+  /// anywhere yields either the old log or the new one, never a torn mix.
+  /// Waits for in-flight appends; the chain tip and last_block_id() are
+  /// unchanged. No-op when nothing falls below keep_from.
   Status TruncateBefore(BlockId keep_from);
 
   /// Reads <path>.archive (see SetArchiveTruncated): every record ever
@@ -128,7 +118,11 @@ class BlockStore {
   /// Safe against concurrent Append: waits for in-flight record writes.
   Status ReadLast(Block* out);
 
-  BlockId last_block_id() const { return last_block_id_; }
+  /// Locked like first_block_id(): concurrent Appends advance the tip.
+  BlockId last_block_id() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return last_block_id_;
+  }
   /// Lowest block id still present in the live log; 0 when the log is
   /// empty. A value > 1 means older records were truncated (or the log was
   /// rebased by a snapshot install) — a joiner behind first_block_id() - 1
@@ -137,7 +131,10 @@ class BlockStore {
     std::lock_guard<std::mutex> lk(mu_);
     return first_block_id_;
   }
-  size_t num_blocks() const { return num_blocks_; }
+  size_t num_blocks() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return num_blocks_;
+  }
 
   // --- truncation accounting (relaxed, monotonic) -----------------------
   /// Records dropped from the live log across every TruncateBefore.
@@ -156,7 +153,10 @@ class BlockStore {
 
   // --- compression accounting (relaxed, monotonic; bench/ingest_bench.cc
   // reports compressed-vs-raw bytes per block from these) ---------------
-  /// Uncompressed txn-section bytes across every Append on this handle.
+  /// The appended blocks' txns measured in the canonical fixed-width
+  /// BlockCodec::EncodeTxn layout (not the v5 varint section), summed over
+  /// every Append on this handle. A fixed base: disk/raw is the whole
+  /// storage encoding's ratio, varint columns and compression together.
   uint64_t appended_raw_bytes() const {
     return raw_bytes_.load(std::memory_order_relaxed);
   }
@@ -171,8 +171,6 @@ class BlockStore {
 
  private:
   Status ScanAndRepair();
-  /// Rewrites a v1–v3 log as v4 (write-temp + rename) and reopens it.
-  Status Migrate(uint32_t from_version);
 
   std::string path_;
   uint64_t sync_latency_us_;

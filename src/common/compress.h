@@ -8,11 +8,11 @@
 
 namespace harmony {
 
-/// Block-payload compression codecs (block log v4, docs/FORMATS.md). In-tree
+/// Block-payload compression codecs (block log, docs/FORMATS.md). In-tree
 /// and dependency-free on purpose: the container bakes no compression
 /// library, and the sealed-txn sections the block store compresses are small
-/// (tens of KB) and highly repetitive (fixed-width codec fields, shared key
-/// prefixes), so a simple byte-oriented LZ does most of what a real LZ4
+/// (tens of KB) and repetitive (runs of small varints, recurring blob
+/// bytes), so a simple byte-oriented LZ does most of what a real LZ4
 /// would.
 enum class Compression : uint8_t {
   kNone = 0,  ///< stored raw (also the fallback when compression won't help)
@@ -47,12 +47,12 @@ inline constexpr size_t kHlzMaxOffset = 65535;
 
 /// Compresses `src` into `*out` (appended). Always produces a valid stream,
 /// even for incompressible input (it just grows by the literal-run
-/// overhead); callers that want the v4 store's "never worse than raw"
+/// overhead); callers that want the block store's "never worse than raw"
 /// behaviour compare sizes and fall back to Compression::kNone themselves.
 void HlzCompress(std::string_view src, std::string* out);
 
 /// Decompresses a stream produced by HlzCompress into `*out` (overwritten).
-/// `raw_len` is the expected decompressed size (the v4 record stores it);
+/// `raw_len` is the expected decompressed size (the log record stores it);
 /// a stream that decodes to any other size is Corruption.
 Status HlzDecompress(std::string_view src, size_t raw_len, std::string* out);
 

@@ -54,6 +54,7 @@ class Status {
   bool IsIOError() const { return code_ == Code::kIOError; }
   bool IsBusy() const { return code_ == Code::kBusy; }
   bool IsAborted() const { return code_ == Code::kAborted; }
+  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }

@@ -76,9 +76,9 @@ class HarmonyBC {
     size_t block_size = 25;        ///< transactions per sealed block
     size_t checkpoint_every = 10;  ///< blocks between checkpoints
     std::string orderer_secret = "orderer-secret";
-    /// Block log (v4) compression for sealed-txn sections. Per-block raw
+    /// Block log (v5) compression for sealed-txn sections. Per-block raw
     /// fallback keeps incompressible blocks from growing; kNone stores
-    /// every section raw (still a v4 log).
+    /// every section raw (still a v5 log).
     Compression block_compression = Compression::kHlz;
     /// Block-log retention (docs/FORMATS.md): each checkpoint at block B
     /// truncates log records below B - log_retain_blocks + 1, bounding disk
@@ -213,7 +213,7 @@ class HarmonyBC {
   obs::TxnTracer* tracer() { return tracer_.get(); }
   /// This instance's structured event log (always non-null): the discrete
   /// cluster transitions — follower join/leave, reconnects, snapshot
-  /// installs, log migrations, journal recoveries — that metrics cannot
+  /// installs, log truncations, journal recoveries — that metrics cannot
   /// express. Served remotely via the wire EVENTS frame.
   obs::EventLog* events() { return events_.get(); }
   /// Microseconds since Open() returned this instance (HEALTH frames).

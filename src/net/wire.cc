@@ -194,7 +194,7 @@ bool DecodeReplJoin(std::string_view payload, WireReplJoin* out) {
 
 void EncodeReplicate(const Block& b, std::string* out) {
   codec::AppendU64(out, b.header.block_id);
-  codec::AppendBytes(out, BlockCodec::Encode(b));
+  codec::AppendBytes(out, BlockCodec::EncodeRecordV5(b, Compression::kNone));
 }
 
 bool DecodeReplicate(std::string_view payload, Block* out) {
@@ -203,7 +203,7 @@ bool DecodeReplicate(std::string_view payload, Block* out) {
   std::string record;
   if (!r.ReadU64(&id) || !r.ReadBytes(&record)) return false;
   if (r.remaining() != 0) return false;
-  if (!BlockCodec::Decode(record, out, kLogV3).ok()) return false;
+  if (!BlockCodec::Decode(record, out).ok()) return false;
   // The outer id exists so the leader/follower can account for the frame
   // without re-decoding; a disagreement means the frame lies about itself.
   return out->header.block_id == id;

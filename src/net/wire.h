@@ -83,8 +83,9 @@ enum class Opcode : uint8_t {
   kOpReplJoin = 9,      ///< F -> L: WireReplJoin — marks the connection as
                         ///<         a replication peer and reports the
                         ///<         follower's durable chain tip
-  kOpReplicate = 10,    ///< L -> F: WireReplicate — one sealed block (the
-                        ///<         exact v3 record bytes the log persists)
+  kOpReplicate = 10,    ///< L -> F: WireReplicate — one sealed block as a
+                        ///<         block-log v5 record payload (txn
+                        ///<         section stored uncompressed)
   kOpReplicateAck = 11, ///< F -> L: u64 block id, cumulative — "everything
                         ///<         through this id is applied here"
   kOpReplSnapshot = 12, ///< L -> F: WireSnapshot — state rows at a
@@ -166,7 +167,8 @@ Status WireStatus(Status::Code code, std::string msg);
 
 // --- payload codecs ---------------------------------------------------------
 // SUBMIT uses BlockCodec::EncodeTxn/DecodeTxn directly (chain/block.h): the
-// wire ships the exact bytes the block log persists. BATCH_SUBMIT is a u32
+// wire ships the canonical txn bytes the block's TxnRoot is computed over
+// (the log stores them re-encoded column-wise). BATCH_SUBMIT is a u32
 // count followed by that many EncodeTxn encodings back to back.
 
 void EncodeReceipt(const TxnReceipt& r, std::string* out);
@@ -222,12 +224,13 @@ inline constexpr uint32_t kMaxReplNodeName = 256;
 void EncodeReplJoin(const WireReplJoin& j, std::string* out);
 bool DecodeReplJoin(std::string_view payload, WireReplJoin* out);
 
-/// REPLICATE: `u64 block_id` + length-prefixed v3 record bytes
-/// (BlockCodec::Encode — the wire ships the exact bytes the block log
-/// persists, like SUBMIT does for txns). Decode parses the record and
-/// rejects an outer id that disagrees with the decoded header, so a frame
-/// that passes the codec is internally consistent before the follower
-/// touches it.
+/// REPLICATE: `u64 block_id` + a length-prefixed block-log v5 record
+/// payload (BlockCodec::EncodeRecordV5, the log's own encoder) with the txn
+/// section stored under Compression::kNone: the link spends no CPU on HLZ,
+/// and the follower's log compresses with its own codec. Decode parses the
+/// record and rejects an outer id that disagrees with the decoded header,
+/// so a frame that passes the codec is internally consistent before the
+/// follower touches it.
 void EncodeReplicate(const Block& b, std::string* out);
 bool DecodeReplicate(std::string_view payload, Block* out);
 

@@ -28,8 +28,6 @@ std::string EventCodeName(uint16_t code) {
       return "gap_reject";
     case EventCode::kRedirect:
       return "redirect";
-    case EventCode::kLogMigrate:
-      return "log_migrate";
     case EventCode::kJournalRecover:
       return "journal_recover";
     case EventCode::kOverloadSeal:

@@ -2,8 +2,8 @@
 
 // Structured event log: a fixed-capacity lock-free ring of typed events
 // for the discrete transitions metrics cannot express — a follower
-// joining, a reconnect with backoff, a snapshot install, a log migration,
-// a rollback-journal recovery. Counters tell you *how many*; the event
+// joining, a reconnect with backoff, a snapshot install, a log
+// truncation, a rollback-journal recovery. Counters tell you *how many*; the event
 // log tells you *when and which one*.
 //
 // Write side: Emit is wait-free — one fetch_add to claim a sequence
@@ -87,7 +87,7 @@ enum class EventCode : uint16_t {
   kSnapshotInstall = 5,  ///< follower: leader snapshot installed (info)
   kGapReject = 6,        ///< follower: non-contiguous block refused (error)
   kRedirect = 7,         ///< frontend: submit bounced to the leader (info)
-  kLogMigrate = 8,       ///< block store: pre-v4 log migrated (info)
+  // 8 is retired (block-log migration, removed); reserved, never reused.
   kJournalRecover = 9,   ///< storage: rollback journal replayed (warn)
   kOverloadSeal = 10,    ///< net server: write queue overflow seal (warn)
   kCrashPointArm = 11,   ///< testing: a crash point was armed (warn)

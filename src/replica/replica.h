@@ -53,14 +53,14 @@ struct ReplicaOptions {
   std::string orderer_secret = "orderer-secret";
   bool verify_blocks = true;      ///< verify signature/hash chain on receipt
   bool persist_blocks = true;     ///< append input blocks to the logical log
-  /// Codec for the block log's sealed-txn sections (log v4; per-block raw
+  /// Codec for the block log's sealed-txn sections (log v5; per-block raw
   /// fallback when a section does not shrink).
   Compression block_compression = Compression::kHlz;
   /// Optional txn-lifecycle tracer: records per-block execute (Simulate)
   /// and commit durations. Replayed blocks (Recover) are not recorded.
   obs::TxnTracer* tracer = nullptr;
-  /// Optional structured event log (obs/events.h): Open-time transitions —
-  /// block-log migration, rollback-journal recovery — emit typed events
+  /// Optional structured event log (obs/events.h): storage transitions —
+  /// block-log truncation, rollback-journal recovery — emit typed events
   /// here. Mirrors `tracer`; nullptr disables emission.
   obs::EventLog* events = nullptr;
 };

@@ -14,7 +14,7 @@ class EventLog;
 namespace testing {
 
 /// Crash-point hooks for the torture runner (tools/torture.cc): named
-/// points compiled into the seal / append / checkpoint / migrate paths
+/// points compiled into the seal / append / checkpoint / truncate paths
 /// where a process death is most likely to expose a recovery bug. A point
 /// is armed by the environment variable
 ///
@@ -36,8 +36,6 @@ inline constexpr const char* kCrashPointCatalogue[] = {
     "chain.append.before_write",    // BlockStore::Append, record not yet on disk
     "chain.append.torn_write",      // BlockStore::Append, record prefix on disk
     "chain.append.after_write",     // BlockStore::Append, record durable
-    "chain.migrate.before_rename",  // BlockStore::Migrate, temp written
-    "chain.migrate.after_rename",   // BlockStore::Migrate, log replaced
     "chain.truncate.before_rename", // BlockStore::TruncateBefore, temp written
     "chain.truncate.after_rename",  // BlockStore::TruncateBefore, log replaced
     "chain.manifest.before_rename", // CheckpointManifest::Write, temp written

@@ -2,13 +2,15 @@
 
 #include "chain/block.h"
 #include "chain/block_store.h"
-#include "common/codec.h"
 #include "testing/crash_point.h"
 #include "testing/fuzz.h"
 #include "tests/test_util.h"
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include <atomic>
+#include <thread>
 
 namespace harmony {
 namespace {
@@ -21,7 +23,7 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
     TxnRequest t;
     t.proc_id = 7;
     t.client_seq = first_tid + i;
-    t.fee = 10 * i;  // priority fee rides the wire format (log v3)
+    t.fee = 10 * i;  // priority fee rides the canonical txn encoding
     t.args.ints = {static_cast<int64_t>(i), -5, 123456789};
     t.args.blob = "blob-" + std::to_string(i);
     b.txns.push_back(std::move(t));
@@ -32,26 +34,122 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
 TEST(BlockCodec, RoundTrip) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 5), 12345);
-  const std::string bytes = BlockCodec::Encode(b);
+  const std::string bytes = BlockCodec::EncodeRecordV5(b, Compression::kHlz);
   Block d;
   ASSERT_OK(BlockCodec::Decode(bytes, &d));
   EXPECT_EQ(d.header.block_id, 1u);
   EXPECT_EQ(d.header.txn_count, 5u);
+  EXPECT_EQ(d.header.order_time_us, 12345u);
   EXPECT_EQ(d.header.block_hash, b.header.block_hash);
   EXPECT_EQ(d.header.signature, b.header.signature);
   ASSERT_EQ(d.batch.txns.size(), 5u);
   EXPECT_EQ(d.batch.txns[3].args.blob, "blob-3");
   EXPECT_EQ(d.batch.txns[3].args.ints[2], 123456789);
   EXPECT_EQ(d.batch.txns[3].fee, 30u);
+  EXPECT_EQ(BlockCodec::TxnRoot(d.batch), b.header.txn_root);
+}
+
+std::string Hex(const Digest& d) {
+  static const char* kHex = "0123456789abcdef";
+  std::string s;
+  for (uint8_t c : d) {
+    s += kHex[c >> 4];
+    s += kHex[c & 0xF];
+  }
+  return s;
+}
+
+// Chain identity is computed over the canonical EncodeTxn bytes, never over
+// the log record: these digests were produced by the fixed-width v4 build
+// and must not move when the storage encoding does. A decoded v5 record
+// re-derives the same txn_root.
+TEST(BlockCodec, ChainIdentityIsPinnedAcrossRecordFormats) {
+  const char* kWant[2][3] = {
+      {"9f45da9accd52c625782fed817e6fc4dc0e352973ebc1e520d13cf37a0d66cb1",
+       "63ad290ad84a39e048481f7c8f73f643a5c022be7ec5fc8ca270f42f0bd37b01",
+       "e079c7e8a012028c5ef56bf29c6abf6de6ba029dab322663d6cb657e483a0181"},
+      {"79740268d09ac2bd101a56625f44290cf8c1f6f7bd5d361e6ccd975533e8ea78",
+       "7c9da05912cf3158c6d769692e445831cd296e01dadd70363d560a58f8d626f5",
+       "599fde5afd998e8335b74ce01df9d1cbd2286c9fdb25349bc3c93f19977bbb85"}};
+  BlockBuilder builder("orderer-secret");
+  for (BlockId id = 1; id <= 2; id++) {
+    SCOPED_TRACE(id);
+    TxnBatch batch;
+    batch.block_id = id;
+    batch.first_tid = 1 + (id - 1) * 3;
+    for (uint32_t i = 0; i < 3; i++) {
+      TxnRequest t;
+      t.proc_id = 1 + i;
+      t.client_id = 7 + i % 2;
+      t.client_seq = 100 + i + 3 * id;
+      t.submit_time_us = 1'000'000 + 250 * i;
+      t.retries = i;
+      t.fee = 5 * i;
+      t.args.ints = {INT64_MIN, -1, 0, 42, INT64_MAX};
+      t.args.blob = std::string(i * 3, 'b');
+      batch.txns.push_back(t);
+    }
+    const Block b = builder.Seal(batch, 1'000'900);
+    EXPECT_EQ(Hex(b.header.txn_root), kWant[id - 1][0]);
+    EXPECT_EQ(Hex(b.header.block_hash), kWant[id - 1][1]);
+    EXPECT_EQ(Hex(b.header.signature), kWant[id - 1][2]);
+    for (Compression c : {Compression::kNone, Compression::kHlz}) {
+      Block d;
+      ASSERT_OK(BlockCodec::Decode(BlockCodec::EncodeRecordV5(b, c), &d));
+      EXPECT_EQ(Hex(BlockCodec::TxnRoot(d.batch)), kWant[id - 1][0]);
+      EXPECT_EQ(Hex(BlockCodec::HashHeader(d.header)), kWant[id - 1][1]);
+    }
+  }
 }
 
 TEST(BlockCodec, DecodeRejectsTruncation) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 3), 0);
-  std::string bytes = BlockCodec::Encode(b);
-  Block d;
-  EXPECT_FALSE(BlockCodec::Decode(bytes.substr(0, bytes.size() / 2), &d).ok());
-  EXPECT_FALSE(BlockCodec::Decode("", &d).ok());
+  for (Compression c : {Compression::kNone, Compression::kHlz}) {
+    const std::string bytes = BlockCodec::EncodeRecordV5(b, c);
+    Block d;
+    for (size_t cut = 0; cut < bytes.size(); cut++) {
+      EXPECT_FALSE(BlockCodec::Decode(bytes.substr(0, cut), &d).ok()) << cut;
+    }
+  }
+}
+
+TEST(BlockCodec, EncodedTxnSizeMatchesEncodeTxn) {
+  for (const TxnRequest& t : MakeBatch(1, 1, 4).txns) {
+    std::string buf;
+    BlockCodec::EncodeTxn(t, &buf);
+    EXPECT_EQ(BlockCodec::EncodedTxnSize(t), buf.size());
+  }
+}
+
+// A Smallbank-shaped block (a few small account/amount ints, no blob, a
+// handful of clients with consecutive sequence numbers) must cost fewer
+// log bytes than its canonical txn bytes — with or without HLZ on top.
+TEST(BlockStore, DiskBytesBelowCanonicalForSmallbankBlock) {
+  for (Compression c : {Compression::kNone, Compression::kHlz}) {
+    SCOPED_TRACE(CompressionName(c));
+    TempDir dir("bs-smallbank");
+    BlockStore store(dir.path() + "/chain.log", 0, c);
+    ASSERT_OK(store.Open());
+    TxnBatch batch;
+    batch.block_id = 1;
+    batch.first_tid = 1;
+    for (uint64_t i = 0; i < 100; i++) {
+      TxnRequest t;
+      t.proc_id = static_cast<uint32_t>(1 + i % 6);
+      t.client_id = 1 + i % 8;
+      t.client_seq = 1000 + i / 8;
+      t.submit_time_us = 5'000'000 - 300 * (i % 17);
+      t.args.ints = {static_cast<int64_t>((i * 7919) % 20000),
+                     static_cast<int64_t>((i * 104729) % 20000),
+                     static_cast<int64_t>(1 + i % 50)};
+      batch.txns.push_back(std::move(t));
+    }
+    BlockBuilder builder("secret");
+    ASSERT_OK(store.Append(builder.Seal(std::move(batch), 5'000'000)));
+    EXPECT_EQ(store.appended_raw_bytes(), 100u * (48 + 3 * 8));
+    EXPECT_LT(store.appended_disk_bytes(), store.appended_raw_bytes());
+  }
 }
 
 TEST(ChainVerifier, AcceptsHonestChain) {
@@ -126,6 +224,48 @@ TEST(BlockStore, AppendAndReadBack) {
   ASSERT_OK(store.ReadBlocksAfter(4, &after));
   ASSERT_EQ(after.size(), 2u);
   EXPECT_EQ(after[0].header.block_id, 5u);
+}
+
+// Pipelined replicas append from concurrent threads: each thread encodes
+// its blocks off-lock and Append serializes them in id order. Every record
+// must land whole and in order while readers poll the tip.
+TEST(BlockStore, ConcurrentAppendsLandInIdOrder) {
+  TempDir dir("bs-concurrent");
+  BlockStore store(dir.path() + "/chain.log", 0);
+  ASSERT_OK(store.Open());
+  constexpr size_t kBlocks = 64, kThreads = 4, kTxns = 6;
+  BlockBuilder builder("secret");
+  std::vector<Block> blocks;
+  for (BlockId i = 1; i <= kBlocks; i++) {
+    blocks.push_back(builder.Seal(MakeBatch(i, 1 + (i - 1) * kTxns, kTxns), i));
+  }
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      Block tip;
+      Status s = store.ReadLast(&tip);
+      EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+      if (s.ok()) EXPECT_LE(tip.header.block_id, kBlocks);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kThreads; t++) {
+    writers.emplace_back([&, t] {
+      for (size_t i = t; i < kBlocks; i += kThreads) {
+        EXPECT_OK(store.Append(blocks[i]));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  std::vector<Block> all;
+  ASSERT_OK(store.ReadAll(&all));
+  ASSERT_EQ(all.size(), kBlocks);
+  for (size_t i = 0; i < kBlocks; i++) {
+    EXPECT_EQ(all[i].header.block_hash, blocks[i].header.block_hash);
+  }
+  EXPECT_OK(ChainVerifier::VerifyChain(all, "secret"));
 }
 
 TEST(BlockStore, SurvivesReopenAndRepairsTornTail) {
@@ -402,49 +542,6 @@ TEST(BlockStoreTruncate, StaleTempCleanupRegression) {
   EXPECT_FALSE(PathExists(path + ".truncate"));
   ASSERT_OK(store.TruncateBefore(3));  // and truncation still works after
   EXPECT_EQ(store.first_block_id(), 3u);
-}
-
-TEST(BlockStoreTruncate, MixedVersionLogTruncatesEquivalently) {
-  // A migrated v3 log with v4 appends on top must truncate to the same
-  // chain an all-v4 log would: record origin is erased by migration.
-  TempDir dir("trunc-mixed");
-  const std::string path = dir.path() + "/chain.log";
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, 3u};  // kLogV3
-  file.append(reinterpret_cast<const char*>(header), 8);
-  std::vector<Digest> hashes;
-  for (BlockId i = 1; i <= 4; i++) {
-    Block b = builder.Seal(MakeBatch(i, 1 + (i - 1) * 2, 2), 0);
-    hashes.push_back(b.header.block_hash);
-    const std::string payload = BlockCodec::Encode(b);
-    codec::AppendU32(&file, static_cast<uint32_t>(payload.size()));
-    file.append(payload);
-    codec::AppendU32(&file, Crc32(payload));
-  }
-  SpillFile(path, file);
-
-  BlockStore store(path);
-  ASSERT_OK(store.Open());  // migrates v3 -> v4
-  ASSERT_EQ(store.num_blocks(), 4u);
-  FillChain(&store, &builder, 5, 8);
-  ASSERT_OK(store.TruncateBefore(3));  // boundary straddles both origins
-  std::vector<Block> live;
-  ASSERT_OK(store.ReadAll(&live));
-  ASSERT_EQ(live.size(), 6u);
-  EXPECT_EQ(live[0].header.block_id, 3u);
-  EXPECT_EQ(live[0].header.block_hash, hashes[2]);
-  EXPECT_EQ(live[1].header.block_hash, hashes[3]);
-  ASSERT_OK(ChainVerifier::VerifyChain(live, "secret"));
-  // Recovery equivalence across a reopen.
-  BlockStore reopened(path);
-  ASSERT_OK(reopened.Open());
-  std::vector<Block> again;
-  ASSERT_OK(reopened.ReadAll(&again));
-  ASSERT_EQ(again.size(), live.size());
-  for (size_t i = 0; i < live.size(); i++) {
-    EXPECT_EQ(again[i].header.block_hash, live[i].header.block_hash);
-  }
 }
 
 TEST(BlockStoreTruncate, ArchivePreservesDroppedRecords) {

@@ -154,6 +154,102 @@ TEST(Codec, RoundTrip) {
   EXPECT_FALSE(r.ReadU64(&overflow));
 }
 
+TEST(Codec, U8RoundTrip) {
+  std::string buf;
+  codec::AppendU8(&buf, 0);
+  codec::AppendU8(&buf, 0xFF);
+  ASSERT_EQ(buf.size(), 2u);
+  codec::Reader r(buf);
+  uint8_t a = 1, b = 0, c = 0;
+  ASSERT_TRUE(r.ReadU8(&a));
+  ASSERT_TRUE(r.ReadU8(&b));
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 0xFF);
+  EXPECT_FALSE(r.ReadU8(&c));
+}
+
+TEST(Codec, VarintBoundaryValues) {
+  const struct {
+    uint64_t v;
+    size_t bytes;
+  } cases[] = {{0, 1},          {127, 1},        {128, 2},
+               {16383, 2},      {16384, 3},      {UINT32_MAX, 5},
+               {1ULL << 63, 10}, {UINT64_MAX, 10}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.v);
+    std::string buf;
+    codec::AppendVarint(&buf, c.v);
+    EXPECT_EQ(buf.size(), c.bytes);
+    codec::Reader r(buf);
+    uint64_t out = 0;
+    ASSERT_TRUE(r.ReadVarint(&out));
+    EXPECT_EQ(out, c.v);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+  std::string buf;
+  codec::AppendVarint(&buf, 128);
+  EXPECT_EQ(buf, std::string("\x80\x01", 2));
+}
+
+TEST(Codec, ZigzagRoundTrip) {
+  EXPECT_EQ(codec::ZigzagEncode(0), 0u);
+  EXPECT_EQ(codec::ZigzagEncode(-1), 1u);
+  EXPECT_EQ(codec::ZigzagEncode(1), 2u);
+  EXPECT_EQ(codec::ZigzagEncode(INT64_MAX), UINT64_MAX - 1);
+  EXPECT_EQ(codec::ZigzagEncode(INT64_MIN), UINT64_MAX);
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1}, int64_t{-64},
+                    int64_t{63}, INT64_MIN, INT64_MAX, INT64_MIN + 1}) {
+    SCOPED_TRACE(v);
+    EXPECT_EQ(codec::ZigzagDecode(codec::ZigzagEncode(v)), v);
+    std::string buf;
+    codec::AppendVarint(&buf, codec::ZigzagEncode(v));
+    codec::Reader r(buf);
+    uint64_t raw = 0;
+    ASSERT_TRUE(r.ReadVarint(&raw));
+    EXPECT_EQ(codec::ZigzagDecode(raw), v);
+  }
+}
+
+TEST(Codec, VarintRejectsOverlongAndOverflow) {
+  uint64_t v = 0;
+  // Overlong: the same value with a redundant trailing zero group.
+  for (const std::string& bad :
+       {std::string("\x80\x00", 2), std::string("\xFF\x00", 2),
+        std::string("\x80\x80\x80\x00", 4)}) {
+    codec::Reader r(bad);
+    EXPECT_FALSE(r.ReadVarint(&v));
+  }
+  // Eleven bytes: longer than any 64-bit value needs.
+  std::string eleven(10, '\x80');
+  eleven.push_back('\x01');
+  codec::Reader r11(eleven);
+  EXPECT_FALSE(r11.ReadVarint(&v));
+  // A 10th byte carrying bits past 2^64.
+  std::string overflow(9, '\xFF');
+  overflow.push_back('\x02');
+  codec::Reader ro(overflow);
+  EXPECT_FALSE(ro.ReadVarint(&v));
+  // ...while UINT64_MAX itself (10th byte 0x01) is accepted.
+  std::string max(9, '\xFF');
+  max.push_back('\x01');
+  codec::Reader rm(max);
+  ASSERT_TRUE(rm.ReadVarint(&v));
+  EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST(Codec, VarintRejectsTruncation) {
+  uint64_t v = 0;
+  codec::Reader empty("");
+  EXPECT_FALSE(empty.ReadVarint(&v));
+  std::string full;
+  codec::AppendVarint(&full, UINT64_MAX);
+  for (size_t cut = 0; cut < full.size(); cut++) {
+    const std::string prefix = full.substr(0, cut);
+    codec::Reader r(prefix);
+    EXPECT_FALSE(r.ReadVarint(&v)) << cut;
+  }
+}
+
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);

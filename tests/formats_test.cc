@@ -1,6 +1,7 @@
-// Block log format coverage (docs/FORMATS.md): the HLZ codec, v4 record
-// envelopes, migration of v1-v3 logs, mixed-version recovery to identical
-// replica state, and corrupt-compressed-payload rejection.
+// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v5
+// record (column-wise varint txn section under a compression envelope) —
+// seeded round-trips at the codec's edges and hostile hand-built sections —
+// refusal of v1-v4 logs, and corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -108,7 +109,7 @@ TEST(Hlz, GarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- v4 record codec --
+// ------------------------------------------------------- v5 record codec --
 
 TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   TxnBatch b;
@@ -127,86 +128,322 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   return b;
 }
 
-TEST(BlockCodecV4, RecordRoundTripBothCodecs) {
+/// Offset of the compression envelope's codec byte in a record payload:
+/// the four header varints, then the four 32-byte digests.
+size_t EnvelopeOffset(const BlockHeader& h) {
+  std::string head;
+  for (uint64_t v : {h.block_id, h.first_tid, uint64_t{h.txn_count},
+                     h.order_time_us}) {
+    codec::AppendVarint(&head, v);
+  }
+  return head.size() + 4 * 32;
+}
+
+/// Offset of the stored txn section: past the codec byte and the varint
+/// raw length.
+size_t StoredSectionOffset(const std::string& payload, const BlockHeader& h) {
+  codec::Reader r(std::string_view(payload).substr(EnvelopeOffset(h) + 1));
+  uint64_t raw_len = 0;
+  EXPECT_TRUE(r.ReadVarint(&raw_len));
+  return payload.size() - r.remaining();
+}
+
+void ExpectSameTxns(const TxnBatch& got, const TxnBatch& want) {
+  ASSERT_EQ(got.txns.size(), want.txns.size());
+  for (size_t i = 0; i < want.txns.size(); i++) {
+    SCOPED_TRACE(i);
+    const TxnRequest& g = got.txns[i];
+    const TxnRequest& w = want.txns[i];
+    EXPECT_EQ(g.proc_id, w.proc_id);
+    EXPECT_EQ(g.client_id, w.client_id);
+    EXPECT_EQ(g.client_seq, w.client_seq);
+    EXPECT_EQ(g.submit_time_us, w.submit_time_us);
+    EXPECT_EQ(g.retries, w.retries);
+    EXPECT_EQ(g.fee, w.fee);
+    EXPECT_EQ(g.args.ints, w.args.ints);
+    EXPECT_EQ(g.args.blob, w.args.blob);
+  }
+}
+
+TEST(BlockCodecV5, RecordRoundTripBothCodecs) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 20), 777);
   for (Compression c : {Compression::kNone, Compression::kHlz}) {
     SCOPED_TRACE(CompressionName(c));
-    size_t raw = 0;
+    size_t canonical = 0;
     Compression used = Compression::kHlz;
-    const std::string payload = BlockCodec::EncodeRecordV4(b, c, &raw, &used);
-    EXPECT_GT(raw, 0u);
+    const std::string payload =
+        BlockCodec::EncodeRecordV5(b, c, &canonical, &used);
+    size_t expect_canonical = 0;
+    for (const TxnRequest& t : b.batch.txns) {
+      std::string buf;
+      BlockCodec::EncodeTxn(t, &buf);
+      expect_canonical += buf.size();
+    }
+    EXPECT_EQ(canonical, expect_canonical);
+    EXPECT_LT(payload.size(), canonical);
     if (c == Compression::kNone) EXPECT_EQ(used, Compression::kNone);
     Block d;
-    ASSERT_OK(BlockCodec::Decode(payload, &d, kLogV4));
+    ASSERT_OK(BlockCodec::Decode(payload, &d));
     EXPECT_EQ(d.header.block_hash, b.header.block_hash);
-    ASSERT_EQ(d.batch.txns.size(), 20u);
-    EXPECT_EQ(d.batch.txns[3].args.blob, "blob-3");
-    EXPECT_EQ(d.batch.txns[3].fee, 30u);
-    EXPECT_EQ(d.batch.txns[3].client_id, 43u);
-    // The verifier must accept a decompressed block unchanged.
+    EXPECT_EQ(d.header.order_time_us, 777u);
+    ExpectSameTxns(d.batch, b.batch);
+    // The verifier must accept a decoded block unchanged.
     EXPECT_EQ(BlockCodec::TxnRoot(d.batch), b.header.txn_root);
   }
 }
 
-TEST(BlockCodecV4, CorruptEnvelopeRejected) {
+// Seeded random blocks at the codec's edges: extreme ints, sequence numbers
+// at 0 and UINT64_MAX (wrapping deltas, forwards and backwards), submit
+// times after the block's order time, empty and 4 KiB blobs, 0- and 1-txn
+// blocks, and many interleaved clients. Every field must come back exactly,
+// under both codecs.
+TEST(BlockCodecV5, SeededRandomBlocksRoundTripAtTheEdges) {
+  constexpr int64_t kEdgeInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1, 63, -64,
+                                   64};
+  constexpr uint64_t kEdgeU64[] = {0, 1, 127, 128, UINT64_MAX - 1,
+                                   UINT64_MAX};
+  for (uint64_t seed = 1; seed <= 60; seed++) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    TxnBatch batch;
+    batch.block_id = 1 + rng.Uniform(1 << 20);
+    batch.first_tid = rng.Uniform(2) == 0 ? 1 : rng.Next();
+    const size_t n = seed % 10 == 0   ? 0
+                     : seed % 10 == 1 ? 1
+                                      : 1 + rng.Uniform(64);
+    const uint64_t clients = 1 + rng.Uniform(40);
+    const uint64_t order_time = kEdgeU64[rng.Uniform(6)] ^ rng.Uniform(1000);
+    for (size_t i = 0; i < n; i++) {
+      TxnRequest t;
+      t.proc_id = rng.Uniform(8) == 0 ? UINT32_MAX
+                                      : static_cast<uint32_t>(rng.Uniform(9));
+      t.client_id = rng.Uniform(4) == 0 ? UINT64_MAX - rng.Uniform(clients)
+                                        : rng.Uniform(clients);
+      t.client_seq =
+          rng.Uniform(3) == 0 ? kEdgeU64[rng.Uniform(6)] : rng.Next();
+      // Behind, at, or ahead of the order time (a skewed client clock).
+      t.submit_time_us = rng.Uniform(3) == 0 ? kEdgeU64[rng.Uniform(6)]
+                                             : order_time + rng.UniformRange(
+                                                                -5000, 5000);
+      t.retries = rng.Uniform(6) == 0 ? UINT32_MAX
+                                      : static_cast<uint32_t>(rng.Uniform(4));
+      t.fee = rng.Uniform(4) == 0 ? kEdgeU64[rng.Uniform(6)] : rng.Uniform(50);
+      const size_t n_ints = rng.Uniform(12);
+      for (size_t k = 0; k < n_ints; k++) {
+        t.args.ints.push_back(rng.Uniform(2) == 0
+                                  ? kEdgeInts[rng.Uniform(8)]
+                                  : static_cast<int64_t>(rng.Next()));
+      }
+      switch (rng.Uniform(4)) {
+        case 0:
+          break;  // empty blob
+        case 1:
+          t.args.blob = RandomBytes(4 << 10, rng.Next());
+          break;
+        default:
+          t.args.blob = RandomBytes(rng.Uniform(40), rng.Next());
+      }
+      batch.txns.push_back(std::move(t));
+    }
+    BlockBuilder builder("secret");
+    const Block b = builder.Seal(batch, order_time);
+    for (Compression c : {Compression::kNone, Compression::kHlz}) {
+      SCOPED_TRACE(CompressionName(c));
+      Block d;
+      ASSERT_OK(BlockCodec::Decode(BlockCodec::EncodeRecordV5(b, c), &d));
+      EXPECT_EQ(d.header.block_id, b.header.block_id);
+      EXPECT_EQ(d.header.first_tid, b.header.first_tid);
+      EXPECT_EQ(d.header.txn_count, b.header.txn_count);
+      EXPECT_EQ(d.header.order_time_us, b.header.order_time_us);
+      EXPECT_EQ(d.header.prev_hash, b.header.prev_hash);
+      EXPECT_EQ(d.header.signature, b.header.signature);
+      ExpectSameTxns(d.batch, b.batch);
+      EXPECT_EQ(BlockCodec::TxnRoot(d.batch), b.header.txn_root);
+    }
+  }
+}
+
+TEST(BlockCodecV5, CorruptEnvelopeRejected) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 8), 0);
-  std::string payload = BlockCodec::EncodeRecordV4(b, Compression::kHlz);
+  std::string payload = BlockCodec::EncodeRecordV5(b, Compression::kHlz);
+  const size_t env = EnvelopeOffset(b.header);
+  ASSERT_EQ(static_cast<uint8_t>(payload[env]), 1u);  // Compression::kHlz
   Block d;
-  // Unknown codec byte (offset 156 = fixed header fields).
+  // Unknown codec byte.
   std::string bad = payload;
-  bad[156] = 9;
-  EXPECT_TRUE(BlockCodec::Decode(bad, &d, kLogV4).IsCorruption());
+  bad[env] = 9;
+  EXPECT_TRUE(BlockCodec::Decode(bad, &d).IsCorruption());
   // Garbage compressed section of the right stored length.
   bad = payload;
-  for (size_t i = 166; i < bad.size(); i++) bad[i] = static_cast<char>(0xFF);
-  EXPECT_TRUE(BlockCodec::Decode(bad, &d, kLogV4).IsCorruption());
-  // Truncation anywhere.
-  EXPECT_FALSE(BlockCodec::Decode(payload.substr(0, 160), &d, kLogV4).ok());
-  EXPECT_FALSE(
-      BlockCodec::Decode(payload.substr(0, payload.size() - 1), &d, kLogV4)
-          .ok());
+  for (size_t i = StoredSectionOffset(payload, b.header); i < bad.size();
+       i++) {
+    bad[i] = static_cast<char>(0xFF);
+  }
+  EXPECT_TRUE(BlockCodec::Decode(bad, &d).IsCorruption());
+  // Truncation anywhere, and a byte too many.
+  for (size_t cut = 0; cut < payload.size(); cut++) {
+    EXPECT_FALSE(BlockCodec::Decode(payload.substr(0, cut), &d).ok()) << cut;
+  }
+  EXPECT_FALSE(BlockCodec::Decode(payload + '\0', &d).ok());
 }
 
-// ------------------------------------------------- old-log hand encoders --
+// ------------------------------------------- hostile hand-built sections --
 
-void EncodeTxnV1(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
+/// A v5 record payload around a hand-built txn section stored raw.
+std::string RawRecord(uint64_t txn_count, const std::string& section) {
+  std::string p;
+  codec::AppendVarint(&p, 1);  // block_id
+  codec::AppendVarint(&p, 1);  // first_tid
+  codec::AppendVarint(&p, txn_count);
+  codec::AppendVarint(&p, 1000);  // order_time_us
+  p.append(4 * 32, '\0');         // digests
+  codec::AppendU8(&p, static_cast<uint8_t>(Compression::kNone));
+  codec::AppendVarint(&p, section.size());
+  return p + section;
 }
 
-void EncodeTxnV2(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
+/// One txn's columns: proc, client, seq delta, time delta, retries, fee,
+/// then `n_ints`, the ints themselves (`ints` pre-encoded), and `blob_len`
+/// with `blob` bytes.
+std::string OneTxnSection(uint64_t n_ints, const std::string& ints,
+                          uint64_t blob_len, const std::string& blob) {
+  std::string s;
+  for (uint64_t v : {1, 2, 2, 0, 0, 0}) codec::AppendVarint(&s, v);
+  codec::AppendVarint(&s, n_ints);
+  s += ints;
+  codec::AppendVarint(&s, blob_len);
+  return s + blob;
 }
 
-/// Block payload in the pre-v4 layout with a per-version txn codec.
-template <typename TxnEnc>
-std::string EncodeBlockOld(const Block& b, TxnEnc enc) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-  for (const TxnRequest& t : b.batch.txns) enc(t, &out);
-  return out;
+TEST(BlockCodecV5, HandBuiltSectionDecodes) {
+  std::string ints;
+  codec::AppendVarint(&ints, codec::ZigzagEncode(-3));
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(RawRecord(1, OneTxnSection(1, ints, 2, "ab")),
+                               &d));
+  ASSERT_EQ(d.batch.txns.size(), 1u);
+  const TxnRequest& t = d.batch.txns[0];
+  EXPECT_EQ(t.proc_id, 1u);
+  EXPECT_EQ(t.client_id, 2u);
+  EXPECT_EQ(t.client_seq, 1u);  // zigzag(1) = 2, from base 0
+  EXPECT_EQ(t.submit_time_us, 1000u);
+  EXPECT_EQ(t.args.ints, std::vector<int64_t>({-3}));
+  EXPECT_EQ(t.args.blob, "ab");
 }
+
+TEST(BlockCodecV5, HostileCountsFailBeforeAllocating) {
+  Block d;
+  const std::string ok_section = OneTxnSection(0, "", 0, "");
+  // A txn count the section cannot hold (header says ~4 billion).
+  EXPECT_TRUE(
+      BlockCodec::Decode(RawRecord(UINT32_MAX, ok_section), &d).IsCorruption());
+  // A txn count past u32.
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(uint64_t{1} << 40, ok_section), &d)
+                  .IsCorruption());
+  // An int count far beyond the remaining bytes.
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, OneTxnSection(UINT32_MAX, "", 0,
+                                                            "")),
+                                 &d)
+                  .IsCorruption());
+  // An int count past u32.
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, OneTxnSection(uint64_t{1} << 33,
+                                                            "", 0, "")),
+                                 &d)
+                  .IsCorruption());
+  // Blob lengths near 2^64: must not wrap the running total or size a
+  // string.
+  EXPECT_TRUE(
+      BlockCodec::Decode(RawRecord(1, OneTxnSection(0, "", UINT64_MAX, "x")),
+                         &d)
+          .IsCorruption());
+  EXPECT_TRUE(BlockCodec::Decode(
+                  RawRecord(1, OneTxnSection(0, "", uint64_t{1} << 62, "x")),
+                  &d)
+                  .IsCorruption());
+  // Two txns whose blob lengths each fit but together exceed the bytes.
+  std::string two;
+  for (uint64_t v : {1, 1, 2, 2, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2}) {
+    codec::AppendVarint(&two, v);
+  }
+  EXPECT_TRUE(
+      BlockCodec::Decode(RawRecord(2, two + "xy"), &d).IsCorruption());
+  // A proc_id wider than u32.
+  std::string wide;
+  codec::AppendVarint(&wide, uint64_t{1} << 32);
+  wide += ok_section.substr(1);
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, wide), &d).IsCorruption());
+}
+
+TEST(BlockCodecV5, TrailingSectionBytesAreCorruption) {
+  Block d;
+  const std::string section = OneTxnSection(0, "", 1, "z");
+  ASSERT_OK(BlockCodec::Decode(RawRecord(1, section), &d));
+  EXPECT_TRUE(
+      BlockCodec::Decode(RawRecord(1, section + '\0'), &d).IsCorruption());
+  // A 0-txn block carries an empty section; anything in it is trailing.
+  ASSERT_OK(BlockCodec::Decode(RawRecord(0, ""), &d));
+  EXPECT_TRUE(d.batch.txns.empty());
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(0, "\x01"), &d).IsCorruption());
+  // A raw envelope whose declared length disagrees with the stored bytes.
+  std::string lying = RawRecord(1, section);
+  lying.back() = 'z';
+  lying += 'q';
+  EXPECT_TRUE(BlockCodec::Decode(lying, &d).IsCorruption());
+}
+
+TEST(BlockCodecV5, OverlongVarintsAreCorruption) {
+  Block d;
+  // 11 bytes: ten continuation bytes, then a terminator.
+  const std::string eleven = std::string(10, '\x80') + '\x01';
+  // 10 bytes whose last byte carries bits past 2^64.
+  const std::string overflow = std::string(9, '\xFF') + '\x02';
+  // A value that fits but is padded with a zero high group.
+  const std::string padded = "\x81\x00";
+  for (const std::string& bad : {eleven, overflow, padded}) {
+    SCOPED_TRACE(bad.size());
+    // In the header (block_id)...
+    const std::string good = RawRecord(0, "");
+    EXPECT_TRUE(BlockCodec::Decode(bad + good.substr(1), &d).IsCorruption());
+    // ...and as the first entry of the proc_id column.
+    const std::string section = OneTxnSection(0, "", 0, "");
+    EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, bad + section.substr(1)), &d)
+                    .IsCorruption());
+  }
+}
+
+TEST(BlockCodecV5, TruncatedColumnIsCorruption) {
+  // Two txns with ints and blobs, cut at every byte. The envelope declares
+  // the cut length, so each cut reaches the column decoder and must fail
+  // there, whichever column it lands in.
+  std::string ints;
+  for (int64_t v : {INT64_MIN, int64_t{300}}) {
+    codec::AppendVarint(&ints, codec::ZigzagEncode(v));
+  }
+  std::string section;
+  for (uint64_t v : {3, 3, 9, 9, 40, 42, 2, 4, 0, 1, 0, 7}) {
+    codec::AppendVarint(&section, v);  // proc .. fee columns, 2 txns each
+  }
+  codec::AppendVarint(&section, 1);  // n_ints, txn 0
+  codec::AppendVarint(&section, 1);  // n_ints, txn 1
+  section += ints;
+  codec::AppendVarint(&section, 2);  // blob length, txn 0
+  codec::AppendVarint(&section, 3);  // blob length, txn 1
+  section += "abcde";
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(RawRecord(2, section), &d));
+  EXPECT_EQ(d.batch.txns[0].args.ints, std::vector<int64_t>({INT64_MIN}));
+  EXPECT_EQ(d.batch.txns[1].args.blob, "cde");
+  for (size_t cut = 0; cut < section.size(); cut++) {
+    EXPECT_TRUE(
+        BlockCodec::Decode(RawRecord(2, section.substr(0, cut)), &d)
+            .IsCorruption())
+        << cut;
+  }
+}
+
+// --------------------------------------------------------- file helpers --
 
 void AppendRecord(std::string* file, const std::string& payload) {
   codec::AppendU32(file, static_cast<uint32_t>(payload.size()));
@@ -222,15 +459,6 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ::close(fd);
 }
 
-uint32_t FileHeaderVersion(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  EXPECT_GE(fd, 0);
-  uint32_t header[2] = {0, 0};
-  EXPECT_EQ(::pread(fd, header, 8, 0), 8);
-  ::close(fd);
-  return header[1];
-}
-
 std::string ReadFileBytes(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   EXPECT_GE(fd, 0);
@@ -242,179 +470,137 @@ std::string ReadFileBytes(const std::string& path) {
   return out;
 }
 
-bool FileExists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
-
-// ------------------------------------------------------------- migration --
-
-TEST(BlockStoreMigration, ReadsV1HeaderlessLog) {
-  TempDir dir("mig1");
-  const std::string path = dir.path() + "/chain.log";
-  // v1: no file header; txns have no client_id/fee.
-  BlockBuilder builder("secret");
-  std::string file;
-  TxnId tid = 1;
-  std::vector<Digest> hashes;
-  for (BlockId i = 1; i <= 3; i++) {
-    TxnBatch batch = MakeBatch(i, tid, 4);
-    for (auto& t : batch.txns) {
-      t.client_id = 0;  // v1 carries neither field
-      t.fee = 0;
+/// A record payload in a retired fixed-width layout, as the build that
+/// wrote `version` (1-4) laid it out: u64/u32 header fields, the digests,
+/// then the txns (v1 without client_id and fee, v2 without fee); v4 puts
+/// the v3 txns under a compression envelope (u8 codec + pad byte, u32
+/// raw_len, u32 stored_len + stored bytes). v3 txns are exactly today's
+/// canonical EncodeTxn bytes.
+std::string LegacyRecord(const Block& b, uint32_t version) {
+  std::string out;
+  codec::AppendU64(&out, b.header.block_id);
+  codec::AppendU64(&out, b.header.first_tid);
+  codec::AppendU32(&out, b.header.txn_count);
+  codec::AppendU64(&out, b.header.order_time_us);
+  for (const Digest* d : {&b.header.prev_hash, &b.header.txn_root,
+                          &b.header.block_hash, &b.header.signature}) {
+    out.append(reinterpret_cast<const char*>(d->data()), d->size());
+  }
+  std::string section;
+  for (const TxnRequest& t : b.batch.txns) {
+    if (version >= 3) {
+      BlockCodec::EncodeTxn(t, &section);
+      continue;
     }
-    tid += 4;
-    Block b = builder.Seal(std::move(batch), 0);
-    hashes.push_back(b.header.block_hash);
-    AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV1));
+    codec::AppendU32(&section, t.proc_id);
+    if (version == 2) codec::AppendU64(&section, t.client_id);
+    codec::AppendU64(&section, t.client_seq);
+    codec::AppendU64(&section, t.submit_time_us);
+    codec::AppendU32(&section, t.retries);
+    codec::AppendU32(&section, static_cast<uint32_t>(t.args.ints.size()));
+    for (int64_t v : t.args.ints) codec::AppendI64(&section, v);
+    codec::AppendBytes(&section, t.args.blob);
   }
-  WriteFile(path, file);
-
-  BlockStore store(path);
-  ASSERT_OK(store.Open());
-  EXPECT_EQ(store.num_blocks(), 3u);
-  EXPECT_EQ(FileHeaderVersion(path), kLogV4);
-  std::vector<Block> all;
-  ASSERT_OK(store.ReadAll(&all));
-  ASSERT_EQ(all.size(), 3u);
-  for (size_t i = 0; i < 3; i++) {
-    EXPECT_EQ(all[i].header.block_hash, hashes[i]);
-    EXPECT_EQ(all[i].batch.txns[1].args.blob, "blob-1");
-    EXPECT_EQ(all[i].batch.txns[1].fee, 0u);
-  }
+  if (version < 4) return out + section;
+  codec::AppendU16(&out, static_cast<uint16_t>(Compression::kNone));
+  codec::AppendU32(&out, static_cast<uint32_t>(section.size()));
+  codec::AppendBytes(&out, section);
+  return out;
 }
 
-TEST(BlockStoreMigration, GarbageWithoutHeaderIsNotSupported) {
-  TempDir dir("mig-garbage");
+/// A log file as the build that wrote `version` left it: v1 files have no
+/// header at all, v2+ start with "HBCL" + version. Records before v5 use
+/// LegacyRecord; v5 (and a made-up future version) use today's encoder.
+std::string LogFile(uint32_t version, size_t n) {
+  std::string file;
+  if (version >= 2) {
+    codec::AppendU32(&file, 0x4C434248u);  // "HBCL"
+    codec::AppendU32(&file, version);
+  }
+  BlockBuilder builder("secret");
+  for (BlockId i = 1; i <= n; i++) {
+    Block b = builder.Seal(MakeBatch(i, 1 + (i - 1) * 4, 4), 0);
+    AppendRecord(&file,
+                 version < kLogVersion
+                     ? LegacyRecord(b, version)
+                     : BlockCodec::EncodeRecordV5(b, Compression::kHlz));
+  }
+  return file;
+}
+
+// ------------------------------------------------------ retired versions --
+
+TEST(BlockStoreOldVersions, V1HeaderlessLogIsNotSupported) {
+  TempDir dir("old-v1");
+  const std::string path = dir.path() + "/chain.log";
+  const std::string file = LogFile(1, 3);
+  WriteFile(path, file);
+  BlockStore store(path);
+  const Status s = store.Open();
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.message().find("headerless v1"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(ReadFileBytes(path), file);  // refused, never rewritten
+}
+
+TEST(BlockStoreOldVersions, GarbageWithoutHeaderIsNotSupported) {
+  TempDir dir("old-garbage");
   const std::string path = dir.path() + "/chain.log";
   WriteFile(path, RandomBytes(4096, 5));
   BlockStore store(path);
-  EXPECT_FALSE(store.Open().ok());
+  EXPECT_TRUE(store.Open().IsNotSupported());
 }
 
-TEST(BlockStoreMigration, ReadsV2Log) {
-  TempDir dir("mig2");
-  const std::string path = dir.path() + "/chain.log";
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV2};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  TxnBatch batch = MakeBatch(1, 1, 5);
-  for (auto& t : batch.txns) t.fee = 0;  // v2 has client_id but no fee
-  Block b = builder.Seal(std::move(batch), 0);
-  AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV2));
-  WriteFile(path, file);
-
-  BlockStore store(path);
-  ASSERT_OK(store.Open());
-  EXPECT_EQ(store.num_blocks(), 1u);
-  EXPECT_EQ(FileHeaderVersion(path), kLogV4);
-  Block last;
-  ASSERT_OK(store.ReadLast(&last));
-  EXPECT_EQ(last.header.block_hash, b.header.block_hash);
-  EXPECT_EQ(last.batch.txns[2].client_id, 42u);
-}
-
-TEST(BlockStoreMigration, V3ThenV4AppendsAndCompresses) {
-  TempDir dir("mig3");
-  const std::string path = dir.path() + "/chain.log";
-  // A v3 log: current txn codec, uncompressed payloads, v3 header.
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV3};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  TxnId tid = 1;
-  for (BlockId i = 1; i <= 4; i++) {
-    Block b = builder.Seal(MakeBatch(i, tid, 8), 0);
-    tid += 8;
-    AppendRecord(&file, BlockCodec::Encode(b));
-  }
-  WriteFile(path, file);
-
-  {
+TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
+  TempDir dir("old-versions");
+  for (uint32_t v : {2u, 3u, 4u, 6u}) {
+    SCOPED_TRACE(v);
+    const std::string path = dir.path() + "/chain" + std::to_string(v);
+    const std::string file = LogFile(v, 2);
+    WriteFile(path, file);
     BlockStore store(path);
-    ASSERT_OK(store.Open());  // migrates to v4
-    EXPECT_EQ(store.num_blocks(), 4u);
-    // ...followed by v4 (compressed) blocks in the same file.
-    for (BlockId i = 5; i <= 8; i++) {
-      ASSERT_OK(store.Append(builder.Seal(MakeBatch(i, tid, 8), 0)));
-      tid += 8;
+    const Status s = store.Open();
+    EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+    EXPECT_NE(s.message().find("format v" + std::to_string(v)),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(ReadFileBytes(path), file);
+  }
+}
+
+TEST(BlockStoreOldVersions, EveryPrefixOfV4LogIsFreshOrRefused) {
+  // A v4 log cut at any byte: below the 8-byte header it is a torn fresh
+  // log (restamped v5, empty); from the header on it is refused whole.
+  TempDir dir("old-v4-prefix");
+  const std::string full = LogFile(4, 2);
+  const std::string path = dir.path() + "/chain.log";
+  for (size_t cut = 0; cut <= full.size(); cut++) {
+    SCOPED_TRACE(cut);
+    WriteFile(path, full.substr(0, cut));
+    BlockStore store(path);
+    const Status s = store.Open();
+    if (cut < 8) {
+      ASSERT_OK(s);
+      EXPECT_EQ(store.num_blocks(), 0u);
+    } else {
+      EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+      EXPECT_EQ(ReadFileBytes(path), full.substr(0, cut));
     }
-    EXPECT_GT(store.compressed_blocks(), 0u);
-    EXPECT_LT(store.appended_disk_bytes(), store.appended_raw_bytes());
-  }
-  // Reopen: the mixed-origin chain reads back whole and in order.
-  BlockStore store(path);
-  ASSERT_OK(store.Open());
-  EXPECT_EQ(FileHeaderVersion(path), kLogV4);
-  std::vector<Block> all;
-  ASSERT_OK(store.ReadAll(&all));
-  ASSERT_EQ(all.size(), 8u);
-  for (BlockId i = 0; i < 8; i++) {
-    EXPECT_EQ(all[i].header.block_id, i + 1);
-    EXPECT_EQ(all[i].batch.txns.size(), 8u);
-  }
-  EXPECT_OK(ChainVerifier::VerifyChain(all, "secret"));
-}
-
-TEST(BlockStoreMigration, StaleMigrateTempIsCleanedUpOnOpen) {
-  // A crash between writing <log>.migrate and the rename leaves the temp
-  // behind. Open() must remove it — both when no migration is pending (the
-  // crash happened after the rename) and when one is (before the rename),
-  // where a stale half-written temp must not poison the fresh migration.
-  TempDir dir("stale-migrate");
-  const std::string path = dir.path() + "/chain.log";
-  BlockBuilder builder("secret");
-
-  // Case 1: healthy v4 log, orphaned temp beside it.
-  {
-    BlockStore store(path);
-    ASSERT_OK(store.Open());
-    ASSERT_OK(store.Append(builder.Seal(MakeBatch(1, 1, 4), 0)));
-  }
-  WriteFile(path + ".migrate", RandomBytes(512, 11));
-  {
-    BlockStore store(path);
-    ASSERT_OK(store.Open());
-    EXPECT_EQ(store.num_blocks(), 1u);
-    EXPECT_FALSE(FileExists(path + ".migrate"));
-  }
-
-  // Case 2: v2 log still awaiting migration, stale temp from a crashed
-  // earlier attempt sitting beside it.
-  const std::string path2 = dir.path() + "/chain2.log";
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV2};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  TxnBatch batch = MakeBatch(1, 1, 5);
-  for (auto& t : batch.txns) t.fee = 0;
-  Block b = builder.Seal(std::move(batch), 0);
-  AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV2));
-  WriteFile(path2, file);
-  WriteFile(path2 + ".migrate", RandomBytes(256, 13));
-  {
-    BlockStore store(path2);
-    ASSERT_OK(store.Open());
-    EXPECT_EQ(store.num_blocks(), 1u);
-    EXPECT_EQ(FileHeaderVersion(path2), kLogV4);
-    EXPECT_FALSE(FileExists(path2 + ".migrate"));
-    Block last;
-    ASSERT_OK(store.ReadLast(&last));
-    EXPECT_EQ(last.header.block_hash, b.header.block_hash);
   }
 }
 
-// Opens every byte-prefix of `full`: no prefix may crash the store, and any
-// prefix that opens must expose a (block-wise) prefix of the original chain
-// with a consistent count.
+// Opens every byte-prefix of a v5 log: every prefix opens (a cut inside the
+// 8-byte header is a fresh log) and exposes a (block-wise) prefix of the
+// original chain with a consistent count.
 void TruncationSweep(const std::string& dir, const std::string& full,
                      const std::vector<Digest>& hashes) {
   for (size_t cut = 0; cut <= full.size(); cut++) {
     const std::string path = dir + "/trunc.log";
     WriteFile(path, full.substr(0, cut));
     BlockStore store(path);
-    if (!store.Open().ok()) continue;  // clean rejection is fine
-    std::vector<Block> all;
     SCOPED_TRACE(cut);
+    ASSERT_OK(store.Open());
+    std::vector<Block> all;
     ASSERT_OK(store.ReadAll(&all));
     ASSERT_LE(all.size(), hashes.size());
     EXPECT_EQ(store.num_blocks(), all.size());
@@ -429,8 +615,8 @@ void TruncationSweep(const std::string& dir, const std::string& full,
   }
 }
 
-TEST(BlockStoreTruncation, EveryByteOffsetOfV4Log) {
-  TempDir dir("trunc-v4");
+TEST(BlockStoreTruncation, EveryByteOffsetOfV5Log) {
+  TempDir dir("trunc-v5");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   std::vector<Digest> hashes;
@@ -448,28 +634,8 @@ TEST(BlockStoreTruncation, EveryByteOffsetOfV4Log) {
   TruncationSweep(dir.path(), ReadFileBytes(path), hashes);
 }
 
-TEST(BlockStoreTruncation, EveryByteOffsetOfV2LogThroughMigration) {
-  // The same sweep through the migrate-on-open path: prefixes of a v2 log.
-  TempDir dir("trunc-v2");
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV2};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  std::vector<Digest> hashes;
-  TxnId tid = 1;
-  for (BlockId i = 1; i <= 2; i++) {
-    TxnBatch batch = MakeBatch(i, tid, 5);
-    for (auto& t : batch.txns) t.fee = 0;
-    tid += 5;
-    Block b = builder.Seal(std::move(batch), 0);
-    hashes.push_back(b.header.block_hash);
-    AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV2));
-  }
-  TruncationSweep(dir.path(), file, hashes);
-}
-
-TEST(BlockStoreV4, CorruptCompressedPayloadTruncatesWithoutCrash) {
-  TempDir dir("corrupt4");
+TEST(BlockStoreV5, CorruptCompressedPayloadTruncatesWithoutCrash) {
+  TempDir dir("corrupt5");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   size_t good_blocks = 3;
@@ -507,8 +673,12 @@ TEST(BlockStoreV4, CorruptCompressedPayloadTruncatesWithoutCrash) {
     std::string payload(last_len, '\0');
     ASSERT_EQ(::pread(fd, payload.data(), last_len, last_off + 4),
               static_cast<ssize_t>(last_len));
-    ASSERT_EQ(static_cast<uint8_t>(payload[156]), 1u);  // Compression::kHlz
-    for (size_t i = 166; i < payload.size(); i++) {
+    Block intact;
+    ASSERT_OK(BlockCodec::Decode(payload, &intact));
+    ASSERT_EQ(static_cast<uint8_t>(payload[EnvelopeOffset(intact.header)]),
+              1u);  // Compression::kHlz
+    for (size_t i = StoredSectionOffset(payload, intact.header);
+         i < payload.size(); i++) {
       payload[i] = static_cast<char>(0xFF);
     }
     const uint32_t crc = Crc32(payload);
@@ -527,7 +697,7 @@ TEST(BlockStoreV4, CorruptCompressedPayloadTruncatesWithoutCrash) {
   EXPECT_EQ(all.size(), good_blocks);
 }
 
-// ------------------------------------------------ end-to-end v3 recovery --
+// ------------------------------------------- end-to-end v5 / old chains --
 
 Status Increment(TxnContext& ctx, const ProcArgs& a) {
   ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
@@ -568,51 +738,29 @@ void SubmitRange(HarmonyBC* db, uint64_t client, uint64_t seq0, size_t n) {
   ASSERT_OK(db->Sync());
 }
 
-TEST(MixedVersionRecovery, V3ChainThenV4BlocksRecoverIdentically) {
-  TempDir a("mixed-a"), b("mixed-b");
-  // Phase 1 on A: build a chain, then rewrite its log as v3 (uncompressed).
+TEST(OldVersionChain, V5ChainReplaysAndV4StampIsRefused) {
+  TempDir a("v5-replay"), b("v5-control");
+  Digest da;
   {
     auto db = OpenDb(a.path());
     SubmitRange(db.get(), 1, 1, 40);
-  }
-  const std::string chain = a.path() + "/replica.chain";
-  {
-    BlockStore store(chain);
-    ASSERT_OK(store.Open());
-    std::vector<Block> blocks;
-    ASSERT_OK(store.ReadAll(&blocks));
-    ASSERT_GT(blocks.size(), 1u);
-    std::string file;
-    uint32_t header[2] = {0x4C434248u, kLogV3};
-    file.append(reinterpret_cast<const char*>(header), 8);
-    for (const Block& blk : blocks) AppendRecord(&file, BlockCodec::Encode(blk));
-    WriteFile(chain, file);
-  }
-  // The checkpoint predates the rewrite; drop it so recovery replays the
-  // migrated log from genesis (the point of the test).
-  std::remove((a.path() + "/replica.ckpt").c_str());
-
-  // Phase 2 on A: recover from the v3 log (migrates), then append more —
-  // compressed v4 — blocks.
-  Digest da;
-  {
-    auto db = OpenDb(a.path());  // Recover() replays the migrated chain
     SubmitRange(db.get(), 2, 1, 40);
     auto d = db->StateDigest();
     ASSERT_TRUE(d.ok());
     da = *d;
-    ASSERT_OK(db->AuditChain());
   }
-  EXPECT_EQ(FileHeaderVersion(chain), kLogV4);
-  // Phase 3 on A: recover once more over the mixed-origin chain.
+  // The checkpoint predates most blocks; drop it so recovery replays the
+  // whole v5 log from genesis.
+  std::remove((a.path() + "/replica.ckpt").c_str());
   {
     auto db = OpenDb(a.path());
     auto d = db->StateDigest();
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(*d, da);
+    ASSERT_OK(db->AuditChain());
   }
-  // Control on B: the same workload on a pure-v4 chain reaches the same
-  // state digest.
+  // Control: the same workload on a second instance reaches the same
+  // state.
   {
     auto db = OpenDb(b.path());
     SubmitRange(db.get(), 1, 1, 40);
@@ -621,6 +769,18 @@ TEST(MixedVersionRecovery, V3ChainThenV4BlocksRecoverIdentically) {
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(*d, da);
   }
+  // The same directory with its log stamped v4 no longer opens: the
+  // instance refuses with NotSupported and leaves the chain untouched.
+  const std::string chain = a.path() + "/replica.chain";
+  std::string bytes = ReadFileBytes(chain);
+  ASSERT_GT(bytes.size(), 8u);
+  const uint32_t v4 = 4;
+  std::memcpy(bytes.data() + 4, &v4, 4);
+  WriteFile(chain, bytes);
+  auto db = HarmonyBC::Open(DbOpts(a.path()));
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsNotSupported()) << db.status().ToString();
+  EXPECT_EQ(ReadFileBytes(chain), bytes);
 }
 
 }  // namespace

@@ -469,9 +469,8 @@ TEST(BlockStore, RejectsUnversionedLogInsteadOfTruncating) {
   TempDir dir("logver");
   const std::string path = dir.path() + "/chain";
   {
-    // A foreign file: no magic, and not parseable as a headerless v1 log
-    // either (tests/formats_test.cc covers real v1 migration). Open must
-    // refuse, not silently wipe it as a torn tail.
+    // A foreign file: no magic (tests/formats_test.cc covers old-version
+    // logs). Open must refuse, not silently wipe it as a torn tail.
     FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     const char bytes[] = "\x40\x00\x00\x00legacy-block-bytes";

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -522,8 +523,17 @@ TEST(NetServer, CallbackModeDeliversOnReaderThread) {
   });
   TxnReceipt r;
   ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
-  EXPECT_EQ(fired.load(std::memory_order_acquire), 1);
+  // PendingTxn::Resolve wakes waiters before it runs the callback, so the
+  // ticket can resolve a moment before the callback has fired.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(kWaitUs);
+  while (fired.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(fired.load(std::memory_order_acquire), 1);
   EXPECT_EQ(got.outcome, ReceiptOutcome::kCommitted);
+  EXPECT_EQ(r.outcome, ReceiptOutcome::kCommitted);
 }
 
 TEST(NetServer, SessionFlowControlMapsToBusyError) {

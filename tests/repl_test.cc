@@ -361,8 +361,11 @@ TEST(Repl, LoopbackEndToEndDigestIdentical) {
   const BlockId tip = leader.db->height();
   ASSERT_GT(tip, 0u);
 
-  ASSERT_TRUE(WaitUntil([&] { return follower.repl->last_applied() >= tip; }))
-      << "follower stalled at " << follower.repl->last_applied() << "/" << tip;
+  // last_applied() moves in the commit callback, before the follower's
+  // height() does; wait for both before comparing heights.
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() >= tip && follower.db->height() >= tip;
+  })) << "follower stalled at " << follower.repl->last_applied() << "/" << tip;
   EXPECT_EQ(follower.db->height(), tip);
   EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
   EXPECT_TRUE(follower.repl->connected());
@@ -573,8 +576,12 @@ TEST(ReplTruncate, KillRejoinAcrossTruncationExactlyOnce) {
                                                                       &r));
   }
   ASSERT_OK(leader.db->Sync());
+  // The commit callback advances last_applied() before the follower's
+  // height() moves past the block, so wait on both: reading height() on
+  // last_applied() alone can capture tip - 1.
   ASSERT_TRUE(WaitUntil([&] {
-    return follower.repl->last_applied() >= leader.db->height();
+    return follower.repl->last_applied() >= leader.db->height() &&
+           follower.db->height() >= leader.db->height();
   }));
   const BlockId follower_tip = follower.db->height();
   ASSERT_GT(follower_tip, 0u);

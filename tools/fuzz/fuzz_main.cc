@@ -133,58 +133,32 @@ Block MakeBlock(FuzzRng& rng, BlockBuilder& builder, BlockId id,
   return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
 }
 
-// Pre-v4 hand encoders (the production codec only writes the current
-// version; old layouts live here and in tests/formats_test.cc).
-void EncodeTxnV1(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
-}
-
-void EncodeTxnV2(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
-}
-
-std::string EncodeBlockOld(const Block& b, uint32_t version) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-  for (const TxnRequest& t : b.batch.txns) {
-    if (version == kLogV1) {
-      EncodeTxnV1(t, &out);
-    } else {
-      EncodeTxnV2(t, &out);
-    }
+/// A block whose txns sit at the v5 codec's edges: extreme ints, wrapped
+/// sequence deltas, submit times after the order time, empty blocks.
+Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
+  constexpr int64_t kEdgeInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1, 63, -64};
+  constexpr uint64_t kEdgeU64[] = {0, 1, 127, 128, UINT64_MAX};
+  TxnBatch batch;
+  batch.block_id = 1;
+  batch.first_tid = 1;
+  const size_t n = rng.Index(8);  // 0-txn blocks included
+  for (size_t i = 0; i < n; i++) {
+    TxnRequest t = MakeTxn(rng);
+    t.client_id = rng.Index(3);
+    t.client_seq = kEdgeU64[rng.Index(5)];
+    t.submit_time_us = kEdgeU64[rng.Index(5)];
+    t.fee = kEdgeU64[rng.Index(5)];
+    if (rng.Chance(0.2)) t.proc_id = UINT32_MAX;
+    for (int64_t& v : t.args.ints) v = kEdgeInts[rng.Index(7)];
+    batch.txns.push_back(std::move(t));
   }
-  return out;
+  return builder.Seal(std::move(batch), kEdgeU64[rng.Index(5)]);
 }
 
-/// One record-payload encoding for any log version 1..4.
-std::string EncodeRecordFor(FuzzRng& rng, const Block& b, uint32_t version) {
-  if (version == kLogV4) {
-    const Compression c =
-        rng.Chance(0.5) ? Compression::kHlz : Compression::kNone;
-    return BlockCodec::EncodeRecordV4(b, c);
-  }
-  if (version == kLogV3) return BlockCodec::Encode(b);
-  return EncodeBlockOld(b, version);
+/// One v5 record payload, HLZ or raw section.
+std::string EncodeRecord(FuzzRng& rng, const Block& b) {
+  return BlockCodec::EncodeRecordV5(
+      b, rng.Chance(0.5) ? Compression::kHlz : Compression::kNone);
 }
 
 void AppendRecord(std::string* file, const std::string& payload) {
@@ -193,20 +167,18 @@ void AppendRecord(std::string* file, const std::string& payload) {
   codec::AppendU32(file, Crc32(payload));
 }
 
-/// A whole well-formed block-log file of the given version (v1 has no
-/// header), with a freshly chained block sequence.
-std::string BuildLogFile(FuzzRng& rng, uint32_t version, size_t n_blocks) {
+/// A whole well-formed block-log file with a freshly chained block
+/// sequence.
+std::string BuildLogFile(FuzzRng& rng, size_t n_blocks) {
   std::string file;
-  if (version >= kLogV2) {
-    codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
-    codec::AppendU32(&file, version);
-  }
+  codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
+  codec::AppendU32(&file, kLogVersion);
   BlockBuilder builder("fuzz-secret");
   TxnId tid = 1;
   for (size_t i = 0; i < n_blocks; i++) {
     Block b = MakeBlock(rng, builder, static_cast<BlockId>(i + 1), tid);
     tid += b.header.txn_count;
-    AppendRecord(&file, EncodeRecordFor(rng, b, version));
+    AppendRecord(&file, EncodeRecord(rng, b));
   }
   return file;
 }
@@ -414,7 +386,7 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
     case 0: {
       codec::Reader r(payload);
       TxnRequest t;
-      const bool ok = BlockCodec::DecodeTxn(&r, &t, kLogVersion);
+      const bool ok = BlockCodec::DecodeTxn(&r, &t);
       if (!mutated) FUZZ_CHECK(ok, "valid SUBMIT payload rejected");
       break;
     }
@@ -463,34 +435,41 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// BlockCodec::Decode across every log version's record layout.
+/// BlockCodec::Decode on v5 record payloads, ordinary and edge-valued.
+/// Unmutated records must decode to the same txns (same TxnRoot).
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
-  const uint32_t version = static_cast<uint32_t>(1 + rng.Index(4));
   BlockBuilder builder("fuzz-secret");
-  Block b = MakeBlock(rng, builder, 1, 1);
-  std::string payload = EncodeRecordFor(rng, b, version);
+  Block b = rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
+                            : MakeBlock(rng, builder, 1, 1);
+  std::string payload = EncodeRecord(rng, b);
 
   const bool mutated = rng.Chance(0.9);
   if (mutated) ctx.mut.Mutate(rng, &payload);
 
   Block d;
-  Status s = BlockCodec::Decode(payload, &d, version);
+  Status s = BlockCodec::Decode(payload, &d);
   if (!mutated) {
     FUZZ_CHECK(s.ok(), "valid record payload rejected");
     FUZZ_CHECK(d.header.block_hash == b.header.block_hash &&
-                   d.batch.txns.size() == b.batch.txns.size(),
+                   BlockCodec::TxnRoot(d.batch) == b.header.txn_root,
                "valid record decoded differently");
   }
 }
 
 /// BlockStore::Open on whole mutated log files (exercises header/version
-/// detection, migration of v1-v3, torn-tail repair, CRC validation). The
-/// invariant: whatever Open accepts, ReadAll must then parse — "opened"
-/// means every surviving record is readable.
+/// detection, torn-tail repair, CRC validation). The invariant: whatever
+/// Open accepts, ReadAll must then parse — "opened" means every surviving
+/// record is readable. An intact file stamped with a pre-v5 version must
+/// be refused with NotSupported.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
-  const uint32_t version = static_cast<uint32_t>(1 + rng.Index(4));
-  std::string file = BuildLogFile(rng, version, rng.Index(4));
-  if (rng.Chance(0.9)) ctx.mut.Mutate(rng, &file);
+  std::string file = BuildLogFile(rng, rng.Index(4));
+  const bool old_version = rng.Chance(0.1);
+  if (old_version) {
+    const uint32_t v = static_cast<uint32_t>(1 + rng.Index(kLogVersion - 1));
+    std::memcpy(file.data() + 4, &v, 4);
+  }
+  const bool mutated = rng.Chance(0.9);
+  if (mutated) ctx.mut.Mutate(rng, &file);
 
   const std::string path = ctx.tmp_dir + "/log_open.chain";
   {
@@ -505,6 +484,9 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
   {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
+    if (old_version && !mutated) {
+      FUZZ_CHECK(s.IsNotSupported(), "pre-v5 log not refused");
+    }
     if (s.ok()) {
       std::vector<Block> blocks;
       FUZZ_CHECK(store.ReadAll(&blocks).ok(),
@@ -523,7 +505,6 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     }
   }
   ::unlink(path.c_str());
-  ::unlink((path + ".migrate").c_str());
 }
 
 net::WireSnapshot MakeWireSnapshot(FuzzRng& rng) {
@@ -855,7 +836,7 @@ const Target kTargets[] = {
     {"wire_payload", CaseWirePayload,
      "every opcode payload decoder, v1 and v2"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode across log versions v1-v4"},
+     "BlockCodec::Decode on v5 records, incl. edge-valued txns"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
     {"metrics", CaseMetrics, "kOpMetrics snapshot codec round-trips"},
@@ -935,20 +916,28 @@ int WriteCorpus(const std::string& dir) {
 
   BlockBuilder builder("fuzz-secret");
   Block b = MakeBlock(rng, builder, 1, 1);
-  entries.push_back({"block_record_v4.hex",
-                     "# one v4 record payload (HLZ envelope)",
-                     BlockCodec::EncodeRecordV4(b, Compression::kHlz)});
-  entries.push_back({"block_record_v3.hex", "# one v3 (raw) record payload",
-                     BlockCodec::Encode(b)});
+  // Repetitive blobs, so the HLZ seed really stores a compressed section.
+  TxnBatch compressible = b.batch;
+  for (TxnRequest& t : compressible.txns) {
+    t.args.blob = "transfer(acct-12345, acct-67890, amount=100);";
+  }
+  BlockBuilder hlz_builder("fuzz-secret");
+  const Block hb = hlz_builder.Seal(std::move(compressible), 1000);
+  entries.push_back({"block_record_v5.hex",
+                     "# one v5 record payload (HLZ envelope)",
+                     BlockCodec::EncodeRecordV5(hb, Compression::kHlz)});
+  entries.push_back({"block_record_v5_raw.hex",
+                     "# one v5 record payload (section stored raw)",
+                     BlockCodec::EncodeRecordV5(b, Compression::kNone)});
 
   FuzzRng lrng(43);
-  entries.push_back({"log_v4_two_blocks.hex",
-                     "# complete v4 log file: header + 2 records",
-                     BuildLogFile(lrng, kLogV4, 2)});
+  entries.push_back({"log_v5_two_blocks.hex",
+                     "# complete v5 log file: header + 2 records",
+                     BuildLogFile(lrng, 2)});
   FuzzRng l2rng(44);
-  entries.push_back({"log_v2_one_block.hex",
-                     "# complete v2 log file (migrates on open)",
-                     BuildLogFile(l2rng, kLogV2, 1)});
+  entries.push_back({"log_v5_one_block.hex",
+                     "# complete v5 log file: header + 1 record",
+                     BuildLogFile(l2rng, 1)});
 
   std::string hlz;
   HlzCompress("transfer(acct-12345, acct-67890, amount=100);"
@@ -970,7 +959,7 @@ int WriteCorpus(const std::string& dir) {
   std::string repl_payload;
   net::EncodeReplicate(b, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + v3 record bytes",
+                     "# REPLICATE payload: u64 block id + v5 record (raw)",
                      repl_payload});
 
   FuzzRng srng(45);
