@@ -1,7 +1,7 @@
 // Helpers for benches that spawn a real multi-process HarmonyBC cluster:
 // fork/exec `harmonyd serve` nodes (leader + --join followers,
 // docs/REPLICATION.md), parse their serve banner for the ephemeral port,
-// poll chain height over STATS frames, and collect the `state_digest=`
+// poll chain height over HEALTH frames, and collect the `state_digest=`
 // shutdown fingerprint the nodes print for cross-node comparison.
 //
 // Used by bench/net_bench.cc (--replicas) and bench/fig15_16_replicas.cc
@@ -144,14 +144,14 @@ inline std::string LastDigestLine(const std::string& log) {
                                                   : eol - pos);
 }
 
-/// One STATS round-trip; 0 on connect/timeout failure (node down).
+/// One HEALTH round-trip; 0 on connect/timeout failure (node down).
 inline uint64_t NodeHeight(uint16_t port) {
   net::NetClientOptions co;
   co.port = port;
   auto client = net::NetClient::Connect(co);
   if (!client.ok()) return 0;
-  auto stats = (*client)->Stats(/*timeout_us=*/2'000'000);
-  return stats.ok() ? stats->height : 0;
+  auto health = (*client)->Health(/*timeout_us=*/2'000'000);
+  return health.ok() ? health->height : 0;
 }
 
 }  // namespace bench

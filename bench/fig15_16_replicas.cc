@@ -7,7 +7,7 @@
 //
 // --wire swaps the analytic sweep for a ground-truth check: it spawns a
 // real N-process harmonyd cluster (leader + --join followers over the
-// wire-v2 REPLICATE/ACK frames, quorum-ack receipts; docs/REPLICATION.md),
+// wire REPLICATE/ACK frames, quorum-ack receipts; docs/REPLICATION.md),
 // drives the leader with blind increments, and prints the measured
 // cluster throughput/latency next to the Kafka orderer model's columns
 // for the same N — the model the analytic figures lean on, validated
@@ -83,7 +83,7 @@ struct WireLoadResult {
 };
 
 /// Open-loop blind increments against the leader, same shape as
-/// net_bench's wire driver (batched wire-v2 submits, bounded window).
+/// net_bench's wire driver (coalesced BATCH_SUBMITs, bounded window).
 WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
                            size_t window) {
   WireLoadResult res;
@@ -143,7 +143,7 @@ int RunWireFigure(const std::string& harmonyd_flag) {
   const size_t per_conn = ScaledTxns(400);
 
   PrintHeader(
-      "Figures 15/16 ground truth: real N-process cluster over wire-v2 "
+      "Figures 15/16 ground truth: real N-process cluster over wire "
       "REPLICATE/ACK (quorum-ack receipts, blind increments, " +
           std::to_string(conns) + " conns x " + std::to_string(per_conn) +
           " txns) next to the Kafka orderer network model for the same N",

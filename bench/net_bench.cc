@@ -16,9 +16,9 @@
 //                     [--port P]   # drive an external `harmonyd serve`
 //                     [--replicas N [--harmonyd PATH]]  # multi-process cluster
 //
-// The default run reports the wire path twice — one SUBMIT frame per txn
-// (wire v1 behaviour) and client-coalesced BATCH_SUBMIT frames (wire v2,
-// --batch txns per frame) — so the batching win is measured, not asserted.
+// The default run reports the wire path twice — one one-entry BATCH_SUBMIT
+// frame per txn and client-coalesced BATCH_SUBMIT frames (--batch txns per
+// frame) — so the batching win is measured, not asserted.
 // With --port the bench skips the in-process server and in-process baseline
 // and targets a running daemon instead (it must have procedure 2 =
 // increment registered and the keys loaded, as `harmonyd serve` does).
@@ -412,7 +412,7 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
   const uint64_t total = static_cast<uint64_t>(conns) * txns;
   PrintHeader(
       "Cluster replication: " + std::to_string(n_nodes) +
-          "-process leader+followers over wire-v2 REPLICATE/ACK "
+          "-process leader+followers over wire REPLICATE/ACK "
           "(quorum-ack receipts), one follower SIGKILLed and rejoined "
           "mid-run; lag = leader-reported repl.peer.lag_blocks (blocks a "
           "follower trails the leader tip)",

@@ -274,10 +274,10 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
   tracer_->height->Set(static_cast<int64_t>(height()));
   tracer_->pending_receipts->Set(static_cast<int64_t>(pending_receipts()));
   tracer_->queue_depth->Set(static_cast<int64_t>(queue_depth()));
-  // Storage engine instruments are sampled the same way: the pool and the
-  // block log keep their own relaxed counters; this mirrors them into the
-  // registry so one snapshot carries everything. Counters advance by delta
-  // (registry counters are monotonic), gauges overwrite.
+  // Storage and ingest instruments are sampled the same way: the pool, the
+  // block log and admission keep their own relaxed counters; this mirrors
+  // them into the registry so one snapshot carries everything. Counters
+  // advance by delta (registry counters are monotonic), gauges overwrite.
   {
     auto sync = [this](const char* name, uint64_t v) {
       obs::Counter* c = metrics_->GetCounter(name);
@@ -299,6 +299,29 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
     sync(obs::kCounterLogTruncatedBlocks, bs->truncated_blocks());
     metrics_->GetGauge(obs::kGaugeLogLiveBytes)
         ->Set(static_cast<int64_t>(bs->live_log_bytes()));
+    const IngestStats& is = *admission_->stats();
+    auto ingest = [&](const char* name, const std::atomic<uint64_t>& v) {
+      sync(name, v.load(std::memory_order_relaxed));
+    };
+    ingest(obs::kCounterIngestSubmitted, is.submitted);
+    ingest(obs::kCounterIngestAdmitted, is.admitted);
+    ingest(obs::kCounterIngestDuplicates, is.duplicates);
+    ingest(obs::kCounterIngestRejected, is.rejected);
+    ingest(obs::kCounterIngestRateLimited, is.rate_limited);
+    ingest(obs::kCounterIngestDemoted, is.demoted);
+    ingest(obs::kCounterIngestBackpressured, is.backpressured);
+    ingest(obs::kCounterIngestRetriesEnqueued, is.retries_enqueued);
+    ingest(obs::kCounterIngestRetriesDropped, is.retries_dropped);
+    ingest(obs::kCounterIngestSealedBlocks, is.sealed_blocks);
+    ingest(obs::kCounterIngestSealedTxns, is.sealed_txns);
+    const auto& lanes = is.sealed_lane_txns;
+    ingest(obs::kCounterIngestSealedHigh,
+           lanes[static_cast<size_t>(IngestLane::kHigh)]);
+    ingest(obs::kCounterIngestSealedNormal,
+           lanes[static_cast<size_t>(IngestLane::kNormal)]);
+    ingest(obs::kCounterIngestSealedLow,
+           lanes[static_cast<size_t>(IngestLane::kLow)]);
+    ingest(obs::kCounterIngestSealedRetry, is.sealed_retry_txns);
   }
   obs::MetricsSnapshot snap = metrics_->Snapshot();
   snap.slow_txns = tracer_->SlowTxns();

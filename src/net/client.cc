@@ -126,56 +126,49 @@ TxnTicket NetClient::Submit(TxnRequest req, ReceiptCallback cb) {
 
   std::string payload;
   BlockCodec::EncodeTxn(req, &payload);
-  if (batch_max_txns_ > 1) {
-    // Coalescing path: buffer the encoding; the ticket is already
-    // registered, so a connection loss fails it like any sent submit. The
-    // flusher enforces the delay bound; the size bound flushes inline.
-    // Frames are only *collected* under batch_mu_ — the blocking socket
-    // write (and BreakConnection, which runs user receipt callbacks) must
-    // happen after the unlock, or a stalled send would wedge every
-    // concurrent Submit and a callback that re-enters this client would
-    // self-deadlock.
-    std::string to_send[2];
-    size_t n_send = 0;
-    bool notify = false;
-    {
-      std::lock_guard<std::mutex> lk(batch_mu_);
-      // Never let a batch outgrow one frame: ship what's buffered first.
-      if (!batch_buf_.empty() &&
-          4 + batch_buf_.size() + payload.size() > max_frame_payload_) {
-        std::string buf;
-        buf.swap(batch_buf_);
-        to_send[n_send++] = SealBatchPayload(batch_count_, buf);
-        batch_count_ = 0;
-      }
-      batch_buf_.append(payload);
-      batch_count_++;
-      if (batch_count_ == 1) {
-        batch_oldest_us_ = now;
-        notify = true;  // arm the flusher's delay bound
-      }
-      if (batch_count_ >= batch_max_txns_) {
-        std::string buf;
-        buf.swap(batch_buf_);
-        to_send[n_send++] = SealBatchPayload(batch_count_, buf);
-        batch_count_ = 0;
-        notify = false;
-      }
+  // Buffer the encoding; the ticket is already registered, so a connection
+  // loss fails it like any sent submit. The flusher enforces the delay
+  // bound; the size bound (batch_max_txns = 1: every submit) flushes
+  // inline. Frames are only *collected* under batch_mu_ — the blocking
+  // socket write (and BreakConnection, which runs user receipt callbacks)
+  // must happen after the unlock, or a stalled send would wedge every
+  // concurrent Submit and a callback that re-enters this client would
+  // self-deadlock.
+  std::string to_send[2];
+  size_t n_send = 0;
+  bool notify = false;
+  {
+    std::lock_guard<std::mutex> lk(batch_mu_);
+    // Never let a batch outgrow one frame: ship what's buffered first.
+    if (!batch_buf_.empty() &&
+        4 + batch_buf_.size() + payload.size() > max_frame_payload_) {
+      std::string buf;
+      buf.swap(batch_buf_);
+      to_send[n_send++] = SealBatchPayload(batch_count_, buf);
+      batch_count_ = 0;
     }
-    if (notify) batch_cv_.notify_one();
-    for (size_t i = 0; i < n_send; i++) {
-      if (Status s = WriteFrame(Opcode::kOpBatchSubmit, to_send[i]);
-          !s.ok()) {
-        BreakConnection(s);
-        break;
-      }
+    batch_buf_.append(payload);
+    batch_count_++;
+    if (batch_count_ == 1) {
+      batch_oldest_us_ = now;
+      notify = true;  // arm the flusher's delay bound
     }
-    return TxnTicket(std::move(entry), req.client_id, seq);
+    if (batch_count_ >= batch_max_txns_) {
+      std::string buf;
+      buf.swap(batch_buf_);
+      to_send[n_send++] = SealBatchPayload(batch_count_, buf);
+      batch_count_ = 0;
+      notify = false;
+    }
   }
-  if (Status s = WriteFrame(Opcode::kOpSubmit, payload); !s.ok()) {
-    // The write failed mid-connection: everything in flight (this submit
-    // included) is now fate-unknown.
-    BreakConnection(s);
+  if (notify) batch_cv_.notify_one();
+  for (size_t i = 0; i < n_send; i++) {
+    if (Status s = WriteFrame(Opcode::kOpBatchSubmit, to_send[i]); !s.ok()) {
+      // The write failed mid-connection: everything in flight (this submit
+      // included) is now fate-unknown.
+      BreakConnection(s);
+      break;
+    }
   }
   return TxnTicket(std::move(entry), req.client_id, seq);
 }
@@ -222,148 +215,98 @@ void NetClient::FlusherLoop() {
   }
 }
 
-bool NetClient::Sync(uint64_t timeout_us) {
-  // The watermark must cover every Submit that returned before this call —
-  // including ones still sitting in the coalescing buffer.
+Result<std::string> NetClient::Call(Opcode op, std::string_view payload,
+                                    uint64_t timeout_us) {
+  // Ship buffered submits first: SYNC's watermark must cover them, and a
+  // snapshot should reflect them.
   FlushBatch();
-  const uint64_t token =
-      next_sync_token_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::string payload;
-  EncodeSync(token, &payload);
-  if (Status s = WriteFrame(Opcode::kOpSync, payload); !s.ok()) {
-    // A partially written frame desynchronizes the stream — same terminal
-    // handling as Submit().
-    BreakConnection(s);
-    return false;
+  uint16_t id = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (broken_.load(std::memory_order_acquire)) return broken_why_;
+    // Ids are 1..65535; one still reserved (in flight or abandoned) is
+    // skipped.
+    for (uint32_t tries = 0;; tries++) {
+      if (tries == 0xffff) return Status::Busy("no free request id");
+      if (++next_call_id_ == 0) next_call_id_ = 1;
+      if (calls_.try_emplace(next_call_id_).second) break;
+    }
+    id = next_call_id_;
+  }
+  if (Status s = WriteFrame(op, payload, id); !s.ok()) {
+    BreakConnection(s);  // a half-written frame desynchronizes the stream
+    return s;
   }
   std::unique_lock<std::mutex> lk(mu_);
-  const bool acked = cv_.wait_for(
-      lk, std::chrono::microseconds(timeout_us), [&] {
-        return broken_.load(std::memory_order_acquire) ||
-               acked_syncs_.count(token) > 0;
-      });
-  if (!acked || acked_syncs_.erase(token) == 0) return false;
+  // Only this caller erases its slot (or the reader, once it is abandoned),
+  // so the reference stays valid for the whole wait.
+  CallSlot& slot = calls_.at(id);
+  cv_.wait_for(lk, std::chrono::microseconds(timeout_us), [&] {
+    return broken_.load(std::memory_order_acquire) || slot.replied;
+  });
+  if (slot.replied) {
+    std::string reply = std::move(slot.reply);
+    calls_.erase(id);
+    return reply;
+  }
+  if (broken_.load(std::memory_order_acquire)) {
+    calls_.erase(id);
+    return broken_why_;
+  }
+  // The reply may still arrive; the reader frees the id when it does.
+  slot.abandoned = true;
+  return Status::Busy(std::string(OpcodeName(op)) + " timed out");
+}
+
+Status NetClient::BadReply(Opcode op) {
+  const Status s =
+      Status::Corruption(std::string("bad ") + OpcodeName(op) + " payload");
+  BreakConnection(s);
+  return s;
+}
+
+bool NetClient::Sync(uint64_t timeout_us) {
+  auto reply = Call(Opcode::kOpSync, {}, timeout_us);
+  if (!reply.ok()) return false;
+  if (!reply->empty()) {
+    BadReply(Opcode::kOpSync);
+    return false;
+  }
   return true;
 }
 
-Result<WireStats> NetClient::Stats(uint64_t timeout_us) {
-  // Ship buffered submits first so the snapshot reflects them.
-  FlushBatch();
-  // One STATS exchange at a time: the reply carries no correlation id.
-  std::lock_guard<std::mutex> call_lk(stats_call_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_ready_ = false;
-  }
-  if (Status s = WriteFrame(Opcode::kOpStats, {}); !s.ok()) {
-    BreakConnection(s);  // a half-written frame desynchronizes the stream
-    return s;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool got = cv_.wait_for(
-      lk, std::chrono::microseconds(timeout_us), [&] {
-        return broken_.load(std::memory_order_acquire) || stats_ready_;
-      });
-  if (!got || !stats_ready_) {
-    // The reply may still arrive; make sure the reader throws it away
-    // rather than handing it to the next Stats() call as fresh.
-    stats_abandoned_++;
-    return broken_.load(std::memory_order_acquire) && !broken_why_.ok()
-               ? broken_why_
-               : Status::Busy("STATS timed out");
-  }
-  return stats_reply_;
-}
-
 Result<obs::MetricsSnapshot> NetClient::Metrics(uint64_t timeout_us) {
-  // Ship buffered submits first so the snapshot reflects them.
-  FlushBatch();
-  // One METRICS exchange at a time: the reply carries no correlation id.
-  std::lock_guard<std::mutex> call_lk(metrics_call_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    metrics_ready_ = false;
-  }
-  if (Status s = WriteFrame(Opcode::kOpMetrics, {}); !s.ok()) {
-    BreakConnection(s);  // a half-written frame desynchronizes the stream
-    return s;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool got = cv_.wait_for(
-      lk, std::chrono::microseconds(timeout_us), [&] {
-        return broken_.load(std::memory_order_acquire) || metrics_ready_;
-      });
-  if (!got || !metrics_ready_) {
-    // The reply may still arrive; make sure the reader throws it away
-    // rather than handing it to the next Metrics() call as fresh. This is
-    // the METRICS counter on purpose — see the per-opcode note in client.h.
-    metrics_abandoned_++;
-    return broken_.load(std::memory_order_acquire) && !broken_why_.ok()
-               ? broken_why_
-               : Status::Busy("METRICS timed out");
-  }
-  return metrics_reply_;
+  auto reply = Call(Opcode::kOpMetrics, {}, timeout_us);
+  if (!reply.ok()) return reply.status();
+  obs::MetricsSnapshot m;
+  if (!DecodeMetrics(*reply, &m)) return BadReply(Opcode::kOpMetrics);
+  return m;
 }
 
 Result<WireHealth> NetClient::Health(uint64_t timeout_us) {
-  // One HEALTH exchange at a time: the reply carries no correlation id.
-  std::lock_guard<std::mutex> call_lk(health_call_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    health_ready_ = false;
-  }
-  if (Status s = WriteFrame(Opcode::kOpHealth, {}); !s.ok()) {
-    BreakConnection(s);  // a half-written frame desynchronizes the stream
-    return s;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool got = cv_.wait_for(
-      lk, std::chrono::microseconds(timeout_us), [&] {
-        return broken_.load(std::memory_order_acquire) || health_ready_;
-      });
-  if (!got || !health_ready_) {
-    // The reply may still arrive; make sure the reader throws it away
-    // rather than handing it to the next Health() call as fresh.
-    health_abandoned_++;
-    return broken_.load(std::memory_order_acquire) && !broken_why_.ok()
-               ? broken_why_
-               : Status::Busy("HEALTH timed out");
-  }
-  return health_reply_;
+  auto reply = Call(Opcode::kOpHealth, {}, timeout_us);
+  if (!reply.ok()) return reply.status();
+  WireHealth h;
+  if (!DecodeHealth(*reply, &h)) return BadReply(Opcode::kOpHealth);
+  return h;
 }
 
 Result<NetClient::EventsBatch> NetClient::Events(uint64_t cursor,
                                                  uint64_t timeout_us) {
-  // One EVENTS exchange at a time: the reply carries no correlation id.
-  std::lock_guard<std::mutex> call_lk(events_call_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    events_ready_ = false;
-  }
   std::string req;
   EncodeEventsReq(cursor, &req);
-  if (Status s = WriteFrame(Opcode::kOpEvents, req); !s.ok()) {
-    BreakConnection(s);  // a half-written frame desynchronizes the stream
-    return s;
+  auto reply = Call(Opcode::kOpEvents, req, timeout_us);
+  if (!reply.ok()) return reply.status();
+  EventsBatch b;
+  if (!DecodeEvents(*reply, &b.next_cursor, &b.events)) {
+    return BadReply(Opcode::kOpEvents);
   }
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool got = cv_.wait_for(
-      lk, std::chrono::microseconds(timeout_us), [&] {
-        return broken_.load(std::memory_order_acquire) || events_ready_;
-      });
-  if (!got || !events_ready_) {
-    // The reply may still arrive; make sure the reader throws it away
-    // rather than handing it to the next Events() call as fresh.
-    events_abandoned_++;
-    return broken_.load(std::memory_order_acquire) && !broken_why_.ok()
-               ? broken_why_
-               : Status::Busy("EVENTS timed out");
-  }
-  return std::move(events_reply_);
+  return b;
 }
 
-Status NetClient::WriteFrame(Opcode op, std::string_view payload) {
-  const std::string frame = EncodeFrame(op, payload);
+Status NetClient::WriteFrame(Opcode op, std::string_view payload,
+                             uint16_t request_id) {
+  const std::string frame = EncodeFrame(op, payload, request_id);
   std::lock_guard<std::mutex> lk(write_mu_);
   size_t off = 0;
   while (off < frame.size()) {
@@ -421,23 +364,13 @@ void NetClient::ReaderLoop() {
         return;
       }
       switch (frame.opcode) {
-        case Opcode::kOpReceipt: {
-          TxnReceipt r;
-          if (!DecodeReceipt(frame.payload, &r)) {
-            BreakConnection(Status::Corruption("bad RECEIPT payload"));
-            return;
-          }
-          ResolveSeq(r.client_seq, r);
-          break;
-        }
         case Opcode::kOpBatchReceipt: {
           std::vector<TxnReceipt> rs;
           if (!DecodeBatchReceipt(frame.payload, &rs)) {
             BreakConnection(Status::Corruption("bad BATCH_RECEIPT payload"));
             return;
           }
-          // Per-txn fan-out: rejected entries (Busy included) resolve
-          // exactly like a scoped ERROR would have for single submits.
+          // Per-txn fan-out; Busy rejections arrive as kRejected entries.
           for (TxnReceipt& r : rs) ResolveSeq(r.client_seq, r);
           break;
         }
@@ -447,106 +380,34 @@ void NetClient::ReaderLoop() {
             BreakConnection(Status::Corruption("bad ERROR payload"));
             return;
           }
-          if (e.client_seq != 0) {
-            // Scoped to one submit (flow control / admission Busy): the
-            // connection lives on.
-            TxnReceipt r;
-            r.outcome = ReceiptOutcome::kRejected;
-            r.status = WireStatus(e.code, std::move(e.message));
-            r.client_seq = e.client_seq;
-            ResolveSeq(e.client_seq, r);
-            break;
-          }
-          // Connection-level: the server is about to close on us.
+          // The server is about to close on us.
           BreakConnection(WireStatus(e.code, std::move(e.message)));
           return;
         }
-        case Opcode::kOpSync: {
-          uint64_t token = 0;
-          if (!DecodeSync(frame.payload, &token)) {
-            BreakConnection(Status::Corruption("bad SYNC payload"));
-            return;
-          }
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            acked_syncs_.insert(token);
-          }
-          cv_.notify_all();
-          break;
-        }
-        case Opcode::kOpStats: {
-          WireStats s;
-          if (!DecodeStats(frame.payload, &s)) {
-            BreakConnection(Status::Corruption("bad STATS payload"));
-            return;
-          }
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (stats_abandoned_ > 0) {
-              stats_abandoned_--;  // the reply to a timed-out request
-              break;
-            }
-            stats_reply_ = s;
-            stats_ready_ = true;
-          }
-          cv_.notify_all();
-          break;
-        }
-        case Opcode::kOpMetrics: {
-          obs::MetricsSnapshot m;
-          if (!DecodeMetrics(frame.payload, &m)) {
-            BreakConnection(Status::Corruption("bad METRICS payload"));
-            return;
-          }
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (metrics_abandoned_ > 0) {
-              metrics_abandoned_--;  // the reply to a timed-out request
-              break;
-            }
-            metrics_reply_ = std::move(m);
-            metrics_ready_ = true;
-          }
-          cv_.notify_all();
-          break;
-        }
-        case Opcode::kOpHealth: {
-          WireHealth h;
-          if (!DecodeHealth(frame.payload, &h)) {
-            BreakConnection(Status::Corruption("bad HEALTH payload"));
-            return;
-          }
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (health_abandoned_ > 0) {
-              health_abandoned_--;  // the reply to a timed-out request
-              break;
-            }
-            health_reply_ = std::move(h);
-            health_ready_ = true;
-          }
-          cv_.notify_all();
-          break;
-        }
+        case Opcode::kOpSync:
+        case Opcode::kOpMetrics:
+        case Opcode::kOpHealth:
         case Opcode::kOpEvents: {
-          EventsBatch b;
-          if (!DecodeEvents(frame.payload, &b.next_cursor, &b.events)) {
-            BreakConnection(Status::Corruption("bad EVENTS payload"));
-            return;
-          }
+          bool known = false;
           {
             std::lock_guard<std::mutex> lk(mu_);
-            if (events_abandoned_ > 0) {
-              events_abandoned_--;  // the reply to a timed-out request
-              break;
+            auto it = calls_.find(frame.request_id);
+            known = it != calls_.end() && !it->second.replied;
+            if (known && it->second.abandoned) {
+              calls_.erase(it);  // its caller timed out; the id is free again
+            } else if (known) {
+              it->second.reply = std::move(frame.payload);
+              it->second.replied = true;
             }
-            events_reply_ = std::move(b);
-            events_ready_ = true;
+          }
+          if (!known) {
+            BreakConnection(
+                Status::Corruption("reply to an unknown request id"));
+            return;
           }
           cv_.notify_all();
           break;
         }
-        case Opcode::kOpSubmit:
         case Opcode::kOpBatchSubmit:
         case Opcode::kOpReplJoin:
         case Opcode::kOpReplicate:

@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/status.h"
 #include "core/session.h"
@@ -21,15 +20,14 @@ struct NetClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   size_t max_frame_payload = kMaxFramePayload;
-  /// Submit coalescing (wire v2): > 1 buffers Submit()s and ships them as
-  /// one BATCH_SUBMIT frame once this many are pending (clamped to
-  /// kMaxBatchTxns) — or once the oldest buffered submit has waited
-  /// batch_max_delay_us. 1 disables batching (pure wire-v1 traffic; use
-  /// this against pre-batching servers). The Submit -> TxnTicket surface
-  /// is unchanged either way.
+  /// Submit coalescing: Submit()s buffer and ship as one BATCH_SUBMIT frame
+  /// once this many are pending (clamped to [1, kMaxBatchTxns]) — or once
+  /// the oldest buffered submit has waited batch_max_delay_us. 1 frames
+  /// each submit on its own, inline, as a one-entry BATCH_SUBMIT.
   size_t batch_max_txns = 1;
   /// Latency bound on coalescing: a partial batch is flushed once its
-  /// oldest submit is this old. 0 flushes on the next Submit or Sync only.
+  /// oldest submit is this old. 0 flushes only on the next Submit at the size
+  /// bound or the next control call.
   uint64_t batch_max_delay_us = 200;
 };
 
@@ -43,8 +41,9 @@ struct NetClientOptions {
 /// One TCP connection, one server-side session. Submit stamps a
 /// monotonically increasing client_seq (callers may pre-set one; a seq
 /// already in flight on this connection is rejected locally), encodes the
-/// request with the block codec, and frames it onto the socket. A
-/// background reader thread resolves tickets from RECEIPT / ERROR frames.
+/// request with the block codec, and frames it onto the socket inside a
+/// BATCH_SUBMIT. A background reader thread resolves tickets from
+/// BATCH_RECEIPT frames and hands control-call replies to their callers.
 ///
 /// Receipt fidelity: outcome/status/block_id/retries arrive exactly as the
 /// server resolved them. `latency_us` is rewritten to the *wire* round trip
@@ -58,7 +57,8 @@ struct NetClientOptions {
 /// unknown to this client", exactly like the in-process Recover()/shutdown
 /// contract.
 ///
-/// Thread-safe: Submit/Sync/Stats may be called from any thread.
+/// Thread-safe: every method may be called from any thread; concurrent
+/// control calls are told apart by their request ids.
 class NetClient {
  public:
   static Result<std::unique_ptr<NetClient>> Connect(
@@ -77,13 +77,8 @@ class NetClient {
   /// watermark + wire round trip). False on timeout or connection loss.
   bool Sync(uint64_t timeout_us);
 
-  /// Fetches the server's STATS snapshot for this connection's session.
-  Result<WireStats> Stats(uint64_t timeout_us);
-
-  /// Fetches the server's metrics registry snapshot (STATS v2: per-stage
-  /// histograms, slow-txn ring — docs/OBSERVABILITY.md). A v1 server does
-  /// not know the METRICS opcode and closes with ERROR{corrupt}; that
-  /// surfaces here as the connection-loss status, never as a hang.
+  /// Fetches the server's metrics registry snapshot (per-stage histograms,
+  /// slow-txn ring, ingest.* counters — docs/OBSERVABILITY.md).
   Result<obs::MetricsSnapshot> Metrics(uint64_t timeout_us);
 
   /// Fetches the node's HEALTH self-report (role, chain position, peer
@@ -110,12 +105,20 @@ class NetClient {
   void ReaderLoop();
   void FlusherLoop();
   /// Sends the buffered batch now (no-op when empty). Called by Submit at
-  /// the size bound, by the flusher at the delay bound, and by Sync/Stats/
-  /// the destructor so nothing they promise is still sitting local.
+  /// the size bound, by the flusher at the delay bound, and by Call and the
+  /// destructor so nothing they promise is still sitting local.
   void FlushBatch();
-  /// Fails every pending ticket and sync/stats waiter with `why`.
+  /// One control call (SYNC/METRICS/HEALTH/EVENTS): sends `payload` under
+  /// a fresh request id and waits for the reply with that id. Busy on
+  /// timeout; the connection's close reason once it is broken.
+  Result<std::string> Call(Opcode op, std::string_view payload,
+                           uint64_t timeout_us);
+  /// Breaks the connection over a reply that does not decode.
+  Status BadReply(Opcode op);
+  /// Fails every pending ticket and control call with `why`.
   void BreakConnection(const Status& why);
-  Status WriteFrame(Opcode op, std::string_view payload);
+  Status WriteFrame(Opcode op, std::string_view payload,
+                    uint16_t request_id = 0);
   void ResolveSeq(uint64_t client_seq, const TxnReceipt& receipt);
 
   int fd_ = -1;
@@ -124,7 +127,6 @@ class NetClient {
   uint64_t batch_max_delay_us_ = 0;
   std::shared_ptr<SessionStats> stats_;
   std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> next_sync_token_{0};
   std::atomic<bool> broken_{false};
   std::thread reader_;
 
@@ -140,40 +142,25 @@ class NetClient {
   bool flusher_stop_ = false;
   std::thread flusher_;
 
-  std::mutex write_mu_;       ///< serializes whole-frame socket writes
-  std::mutex stats_call_mu_;  ///< one STATS exchange at a time (no corr. id)
-  std::mutex metrics_call_mu_;  ///< likewise for METRICS
-  std::mutex health_call_mu_;   ///< likewise for HEALTH
-  std::mutex events_call_mu_;   ///< likewise for EVENTS
+  std::mutex write_mu_;  ///< serializes whole-frame socket writes
 
-  std::mutex mu_;  ///< pending map + sync/stats/metrics rendezvous
+  std::mutex mu_;  ///< pending_ + calls_ + broken_why_
   std::condition_variable cv_;
   struct PendingEntry {
     std::shared_ptr<PendingTxn> entry;
     uint64_t send_time_us = 0;
   };
   std::unordered_map<uint64_t, PendingEntry> pending_;  ///< by client_seq
-  std::unordered_set<uint64_t> acked_syncs_;
-  bool stats_ready_ = false;
-  bool metrics_ready_ = false;
-  bool health_ready_ = false;
-  bool events_ready_ = false;
-  /// Requests whose caller gave up (timeout): replies arrive in request
-  /// order on the one TCP stream, so the reader discards this many before
-  /// delivering one — a retry after a timeout cannot be satisfied by the
-  /// previous request's stale snapshot. Tracked *per opcode*: STATS,
-  /// METRICS, HEALTH, and EVENTS replies interleave in their own
-  /// per-opcode request order, so an abandoned request of one opcode must
-  /// never eat a fresh reply of another — one shared counter would do
-  /// exactly that when a caller mixes them on one connection.
-  uint32_t stats_abandoned_ = 0;
-  uint32_t metrics_abandoned_ = 0;
-  uint32_t health_abandoned_ = 0;
-  uint32_t events_abandoned_ = 0;
-  WireStats stats_reply_;
-  obs::MetricsSnapshot metrics_reply_;
-  WireHealth health_reply_;
-  EventsBatch events_reply_;
+  /// Control calls by request id. An id stays reserved until its reply
+  /// arrives — even after its caller timed out (`abandoned`) — so a stale
+  /// reply can never satisfy a newer call.
+  struct CallSlot {
+    bool replied = false;
+    bool abandoned = false;
+    std::string reply;
+  };
+  std::unordered_map<uint16_t, CallSlot> calls_;
+  uint16_t next_call_id_ = 0;
   Status broken_why_;
 };
 

@@ -121,9 +121,9 @@ void NetServer::Stop() {
   for (auto& r : reactors_) Wake(*r);
   // Phase 2: drain. Sync() waits on the completion watermark, so every
   // transaction admitted before it returns has resolved its receipt — and
-  // each resolution queued a RECEIPT frame. Then wait for the write queues
-  // to reach the sockets. A reactor mid-dispatch can admit one more batch
-  // after stopping_ flips, hence the loop (the second Sync covers it).
+  // each resolution buffered a BATCH_RECEIPT entry. Then wait for the write
+  // queues to reach the sockets. A reactor mid-dispatch can admit one more
+  // batch after stopping_ flips, hence the loop (the second Sync covers it).
   const uint64_t deadline = NowMicros() + opts_.drain_timeout_us;
   for (;;) {
     (void)db_->Sync();  // Busy (abort livelock) is bounded by the deadline
@@ -362,7 +362,6 @@ void NetServer::HandleReadable(Reactor& r, const std::shared_ptr<Conn>& conn) {
       stats_->corrupt_closes.fetch_add(1, std::memory_order_relaxed);
       WireError e;
       e.code = Status::Code::kCorruption;
-      e.client_seq = 0;
       e.message = st.ToString();
       std::string payload;
       EncodeError(e, &payload);
@@ -381,7 +380,6 @@ void NetServer::HandleReadable(Reactor& r, const std::shared_ptr<Conn>& conn) {
       stats_->corrupt_closes.fetch_add(1, std::memory_order_relaxed);
       WireError e;
       e.code = Status::Code::kInvalidArgument;
-      e.client_seq = 0;
       e.message = "protocol violation";
       std::string payload;
       EncodeError(e, &payload);
@@ -402,14 +400,12 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
   // clients. A deliberate, connection-terminal redirect — not a protocol
   // violation — so a client that dialed the wrong node learns where to go.
   if (!opts_.redirect_addr.empty() &&
-      (frame.opcode == Opcode::kOpSubmit ||
-       frame.opcode == Opcode::kOpBatchSubmit)) {
+      frame.opcode == Opcode::kOpBatchSubmit) {
     c_redirects_->Add(1);
     db_->events()->Emit(obs::EventSeverity::kInfo, obs::EventCode::kRedirect,
                         "submit bounced to " + opts_.redirect_addr);
     WireError e;
     e.code = Status::Code::kNotSupported;
-    e.client_seq = 0;
     e.message = "not leader; redirect to " + opts_.redirect_addr;
     std::string payload;
     EncodeError(e, &payload);
@@ -419,37 +415,18 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
     return true;
   }
   switch (frame.opcode) {
-    case Opcode::kOpSubmit: {
-      TxnRequest req;
-      codec::Reader rd(frame.payload);
-      if (!BlockCodec::DecodeTxn(&rd, &req) || rd.remaining() != 0) {
-        return false;
-      }
-      // The server's clock stamps admission and latency; a caller-supplied
-      // timestamp would skew rate limiting and receipt latency.
-      req.submit_time_us = 0;
-      stats_->submits.fetch_add(1, std::memory_order_relaxed);
-      conn->submitted.fetch_add(1, std::memory_order_acq_rel);
-      std::weak_ptr<Conn> weak = conn;
-      conn->session->Submit(
-          std::move(req),
-          [weak](const TxnReceipt& receipt) { PushReceipt(weak, receipt); });
-      return true;
-    }
     case Opcode::kOpBatchSubmit: {
       std::vector<TxnRequest> txns;
       if (!DecodeBatchSubmit(frame.payload, &txns)) return false;
       const size_t n = txns.size();
       for (TxnRequest& req : txns) {
-        // The server's clock stamps admission and latency, as for SUBMIT.
+        // The server's clock stamps admission and latency; a caller-supplied
+        // timestamp would skew rate limiting and receipt latency.
         req.submit_time_us = 0;
       }
       stats_->submits.fetch_add(n, std::memory_order_relaxed);
       stats_->batch_submits.fetch_add(1, std::memory_order_relaxed);
       conn->submitted.fetch_add(n, std::memory_order_acq_rel);
-      // From now on this connection's receipts coalesce (set before the
-      // submit so no receipt of this batch can race past it).
-      conn->batch_mode.store(true, std::memory_order_release);
       std::weak_ptr<Conn> weak = conn;
       conn->session->SubmitBatch(
           std::move(txns),
@@ -457,79 +434,28 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
       return true;
     }
     case Opcode::kOpSync: {
-      uint64_t token = 0;
-      if (!DecodeSync(frame.payload, &token)) return false;
+      if (!frame.payload.empty()) return false;
       const uint64_t watermark =
           conn->submitted.load(std::memory_order_acquire);
-      std::string payload;
-      EncodeSync(token, &payload);
       std::lock_guard<std::mutex> lk(conn->mu);
       if (conn->resolved.load(std::memory_order_acquire) >= watermark) {
         // Receipts covered by this ack may still sit in the coalescing
         // buffer; they must hit the queue before the ack does.
         PackBatchLocked(*conn);
-        EnqueueLocked(*conn, Opcode::kOpSync, payload);
+        EnqueueLocked(*conn, Opcode::kOpSync, {}, frame.request_id);
       } else {
-        conn->pending_syncs.emplace_back(watermark, token);
+        conn->pending_syncs.emplace_back(watermark, frame.request_id);
       }
       return true;
     }
-    case Opcode::kOpStats: {
-      if (!frame.payload.empty()) return false;
-      WireStats s;
-      const SessionStats& ss = conn->session->stats();
-      s.sess_submitted = ss.submitted.load(std::memory_order_relaxed);
-      s.sess_committed = ss.committed.load(std::memory_order_relaxed);
-      s.sess_logic_aborted = ss.logic_aborted.load(std::memory_order_relaxed);
-      s.sess_dropped = ss.dropped.load(std::memory_order_relaxed);
-      s.sess_rejected = ss.rejected.load(std::memory_order_relaxed);
-      s.sess_latency_sum_us =
-          ss.latency_sum_us.load(std::memory_order_relaxed);
-      s.sess_latency_max_us =
-          ss.latency_max_us.load(std::memory_order_relaxed);
-      s.sess_inflight = ss.inflight.load(std::memory_order_relaxed);
-      const IngestStats& is = db_->ingest_stats();
-      s.ing_submitted = is.submitted.load(std::memory_order_relaxed);
-      s.ing_admitted = is.admitted.load(std::memory_order_relaxed);
-      s.ing_duplicates = is.duplicates.load(std::memory_order_relaxed);
-      s.ing_rejected = is.rejected.load(std::memory_order_relaxed);
-      s.ing_rate_limited = is.rate_limited.load(std::memory_order_relaxed);
-      s.ing_demoted = is.demoted.load(std::memory_order_relaxed);
-      s.ing_backpressured = is.backpressured.load(std::memory_order_relaxed);
-      s.ing_retries_enqueued =
-          is.retries_enqueued.load(std::memory_order_relaxed);
-      s.ing_retries_dropped =
-          is.retries_dropped.load(std::memory_order_relaxed);
-      s.ing_sealed_blocks = is.sealed_blocks.load(std::memory_order_relaxed);
-      s.ing_sealed_txns = is.sealed_txns.load(std::memory_order_relaxed);
-      s.ing_sealed_high =
-          is.sealed_lane_txns[static_cast<size_t>(IngestLane::kHigh)].load(
-              std::memory_order_relaxed);
-      s.ing_sealed_normal =
-          is.sealed_lane_txns[static_cast<size_t>(IngestLane::kNormal)].load(
-              std::memory_order_relaxed);
-      s.ing_sealed_low =
-          is.sealed_lane_txns[static_cast<size_t>(IngestLane::kLow)].load(
-              std::memory_order_relaxed);
-      s.ing_sealed_retry =
-          is.sealed_retry_txns.load(std::memory_order_relaxed);
-      s.height = db_->height();
-      s.pending_receipts = db_->pending_receipts();
-      s.queue_depth = db_->queue_depth();
-      std::string payload;
-      EncodeStats(s, &payload);
-      std::lock_guard<std::mutex> lk(conn->mu);
-      EnqueueLocked(*conn, Opcode::kOpStats, payload);
-      return true;
-    }
     case Opcode::kOpMetrics: {
-      // STATS v2: ship the whole metrics registry snapshot (per-stage
-      // histograms, slow-txn ring). Gauges are refreshed by CollectMetrics.
+      // The whole metrics registry snapshot (per-stage histograms, slow-txn
+      // ring). Gauges and mirrored counters are refreshed by CollectMetrics.
       if (!frame.payload.empty()) return false;
       std::string payload;
       EncodeMetrics(db_->CollectMetrics(), &payload);
       std::lock_guard<std::mutex> lk(conn->mu);
-      EnqueueLocked(*conn, Opcode::kOpMetrics, payload);
+      EnqueueLocked(*conn, Opcode::kOpMetrics, payload, frame.request_id);
       return true;
     }
     case Opcode::kOpHealth: {
@@ -551,7 +477,7 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
       std::string payload;
       EncodeHealth(h, &payload);
       std::lock_guard<std::mutex> lk(conn->mu);
-      EnqueueLocked(*conn, Opcode::kOpHealth, payload);
+      EnqueueLocked(*conn, Opcode::kOpHealth, payload, frame.request_id);
       return true;
     }
     case Opcode::kOpEvents: {
@@ -563,7 +489,7 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
       std::string payload;
       EncodeEvents(next, recs, &payload);
       std::lock_guard<std::mutex> lk(conn->mu);
-      EnqueueLocked(*conn, Opcode::kOpEvents, payload);
+      EnqueueLocked(*conn, Opcode::kOpEvents, payload, frame.request_id);
       return true;
     }
     case Opcode::kOpReplJoin: {
@@ -574,9 +500,10 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
       if (!DecodeReplJoin(frame.payload, &join)) return false;
       conn->is_repl_peer = true;
       conn->peer_node = join.node;
-      // The replicator sends through this closure; it mirrors PushFrame but
-      // stays valid without the NetServer (weak conn + shared owner), and
-      // reports the connection's death so the replicator stops pumping.
+      // The replicator sends through this closure: it queues the frame and
+      // wakes the owning reactor, stays valid without the NetServer (weak
+      // conn + shared owner), and reports the connection's death so the
+      // replicator stops pumping.
       std::weak_ptr<Conn> weak = conn;
       auto send = [weak](Opcode op, std::string_view payload) -> bool {
         std::shared_ptr<Conn> c = weak.lock();
@@ -612,7 +539,6 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
     case Opcode::kOpReplicate:
     case Opcode::kOpReplSnapshot:
       return false;  // leader-to-follower opcodes; never valid inbound
-    case Opcode::kOpReceipt:
     case Opcode::kOpBatchReceipt:
     case Opcode::kOpError:
       return false;  // server-to-client opcodes; a client must not send them
@@ -637,7 +563,6 @@ void NetServer::SealOverloadedLocked(Conn& conn) {
   }
   WireError e;
   e.code = Status::Code::kBusy;
-  e.client_seq = 0;
   e.message = "overloaded: write queue over " + std::to_string(conn.wq_cap) +
               " bytes";
   std::string epayload;
@@ -649,9 +574,9 @@ void NetServer::SealOverloadedLocked(Conn& conn) {
 }
 
 bool NetServer::EnqueueLocked(Conn& conn, Opcode op,
-                              std::string_view payload) {
+                              std::string_view payload, uint16_t request_id) {
   if (conn.closed || conn.overloaded) return false;
-  std::string frame = EncodeFrame(op, payload);
+  std::string frame = EncodeFrame(op, payload, request_id);
   if (conn.out_bytes + conn.batch_entries.size() + frame.size() >
       conn.wq_cap) {
     SealOverloadedLocked(conn);
@@ -697,23 +622,6 @@ void NetServer::PackBatchLocked(Conn& conn) {
   }
 }
 
-void NetServer::PushFrame(const std::shared_ptr<Conn>& conn, Opcode op,
-                          std::string_view payload) {
-  bool wake;
-  {
-    std::lock_guard<std::mutex> lk(conn->mu);
-    wake = EnqueueLocked(*conn, op, payload);
-  }
-  if (wake) {
-    Reactor& r = *conn->owner;
-    {
-      std::lock_guard<std::mutex> lk(r.mu);
-      r.dirty.push_back(conn);
-    }
-    Wake(r);
-  }
-}
-
 void NetServer::PushReceipt(const std::weak_ptr<Conn>& weak,
                             const TxnReceipt& receipt) {
   std::shared_ptr<Conn> conn = weak.lock();
@@ -724,43 +632,25 @@ void NetServer::PushReceipt(const std::weak_ptr<Conn>& weak,
   bool wake = false;
   {
     std::lock_guard<std::mutex> lk(conn->mu);
-    std::string payload;
-    if (conn->batch_mode.load(std::memory_order_acquire)) {
-      // Coalescing path: buffer the entry; the owning reactor packs the
-      // buffer into BATCH_RECEIPT frame(s) on its next flush, so receipts
-      // resolving between flushes share one frame instead of one each.
-      // Busy rejections ride along as kRejected entries — the batch reply
-      // subsumes the single-submit ERROR{busy} mapping.
-      if (!conn->closed && !conn->overloaded) {
-        const size_t before = conn->batch_entries.size();
-        AppendBatchReceiptEntry(receipt, &conn->batch_entries);
-        if (conn->out_bytes + conn->batch_entries.size() > conn->wq_cap) {
-          conn->batch_entries.resize(before);  // dies with the connection
-          SealOverloadedLocked(*conn);
-          wake = !conn->want_write;
-        } else {
-          conn->batch_count++;
-          conn->srv_stats->receipts.fetch_add(1, std::memory_order_relaxed);
-          // One wake per coalescing window: the first buffered entry asks
-          // the reactor to flush; followers are picked up by that flush.
-          wake = conn->batch_count == 1 && !conn->want_write;
-        }
+    // Buffer the entry; the owning reactor packs the buffer into
+    // BATCH_RECEIPT frame(s) on its next flush, so receipts resolving
+    // between flushes share one frame instead of one each. Busy rejections
+    // (session inflight cap, rate limiting, mempool backpressure) ride
+    // along as kRejected entries.
+    if (!conn->closed && !conn->overloaded) {
+      const size_t before = conn->batch_entries.size();
+      AppendBatchReceiptEntry(receipt, &conn->batch_entries);
+      if (conn->out_bytes + conn->batch_entries.size() > conn->wq_cap) {
+        conn->batch_entries.resize(before);  // dies with the connection
+        SealOverloadedLocked(*conn);
+        wake = !conn->want_write;
+      } else {
+        conn->batch_count++;
+        conn->srv_stats->receipts.fetch_add(1, std::memory_order_relaxed);
+        // One wake per coalescing window: the first buffered entry asks
+        // the reactor to flush; followers are picked up by that flush.
+        wake = conn->batch_count == 1 && !conn->want_write;
       }
-    } else if (receipt.outcome == ReceiptOutcome::kRejected &&
-               receipt.status.IsBusy()) {
-      // Flow control (session inflight cap, rate limiting, mempool
-      // backpressure) surfaces as ERROR{busy} scoped to the submit.
-      WireError e;
-      e.code = Status::Code::kBusy;
-      e.client_seq = receipt.client_seq;
-      e.message = receipt.status.message();
-      EncodeError(e, &payload);
-      wake = EnqueueLocked(*conn, Opcode::kOpError, payload);
-      conn->srv_stats->busy_errors.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      EncodeReceipt(receipt, &payload);
-      wake = EnqueueLocked(*conn, Opcode::kOpReceipt, payload);
-      conn->srv_stats->receipts.fetch_add(1, std::memory_order_relaxed);
     }
     // resolved advances under mu so a concurrent SYNC registration either
     // sees the new count or leaves an entry for this flush to ack.
@@ -772,9 +662,9 @@ void NetServer::PushReceipt(const std::weak_ptr<Conn>& weak,
         // it* — flush the coalescing buffer first so the ack cannot
         // overtake receipts still waiting to be packed.
         PackBatchLocked(*conn);
-        std::string ack;
-        EncodeSync(conn->pending_syncs[i].second, &ack);
-        wake = EnqueueLocked(*conn, Opcode::kOpSync, ack) || wake;
+        wake = EnqueueLocked(*conn, Opcode::kOpSync, {},
+                             conn->pending_syncs[i].second) ||
+               wake;
         conn->pending_syncs.erase(conn->pending_syncs.begin() +
                                   static_cast<long>(i));
       } else {

@@ -39,7 +39,7 @@ struct NetServerOptions {
   /// before tearing connections down.
   uint64_t drain_timeout_us = 10'000'000;
   /// Non-empty = this node is a replication follower fronting no ingress:
-  /// SUBMIT/BATCH_SUBMIT are answered with a connection-terminal
+  /// BATCH_SUBMIT is answered with a connection-terminal
   /// ERROR{not_supported, "not leader; redirect to <addr>"} so clients
   /// re-dial the leader (docs/REPLICATION.md).
   std::string redirect_addr;
@@ -53,11 +53,10 @@ struct NetServerStats {
   std::atomic<uint64_t> closed{0};
   std::atomic<uint64_t> frames_in{0};
   std::atomic<uint64_t> frames_out{0};
-  std::atomic<uint64_t> submits{0};            ///< txns (batched included)
+  std::atomic<uint64_t> submits{0};            ///< txns submitted
   std::atomic<uint64_t> batch_submits{0};      ///< BATCH_SUBMIT frames in
   std::atomic<uint64_t> receipts{0};
   std::atomic<uint64_t> batch_receipts{0};     ///< BATCH_RECEIPT frames out
-  std::atomic<uint64_t> busy_errors{0};        ///< ERROR{busy} sent
   std::atomic<uint64_t> overloaded_closes{0};  ///< write queue overflow
   std::atomic<uint64_t> corrupt_closes{0};     ///< bad frames / protocol
 };
@@ -69,16 +68,17 @@ struct NetServerStats {
 ///    and accepted connections are assigned round-robin. Each connection is
 ///    owned by exactly one reactor: all reads, frame dispatch, epoll
 ///    re-arming, and the final close happen on that thread.
-///  - Each connection gets its own HarmonyBC Session. SUBMIT frames are
-///    decoded and pushed through Session::Submit in completion-callback
-///    mode; the receipt callback — running on the replica's commit thread
-///    (or inline on the reactor for synchronous rejections) — encodes the
-///    RECEIPT/ERROR frame into the connection's bounded write queue and
-///    wakes the owning reactor via its eventfd. The queue mutex is the only
-///    cross-thread touch point per connection.
-///  - Busy rejections (session flow-control cap, admission rate limiting,
-///    mempool backpressure) are mapped to ERROR{busy} frames scoped to the
-///    submit's client_seq; every other outcome ships as a full RECEIPT.
+///  - Each connection gets its own HarmonyBC Session. BATCH_SUBMIT frames
+///    are decoded and pushed through Session::SubmitBatch in
+///    completion-callback mode; the receipt callback — running on the
+///    replica's commit thread (or inline on the reactor for synchronous
+///    rejections) — appends a receipt entry to the connection's coalescing
+///    buffer and wakes the owning reactor via its eventfd, whose next flush
+///    packs the buffer into BATCH_RECEIPT frames. The queue mutex is the
+///    only cross-thread touch point per connection.
+///  - Every outcome, Busy rejections included (session flow-control cap,
+///    admission rate limiting, mempool backpressure), ships as a receipt
+///    entry; ERROR frames only ever precede a close.
 ///
 /// Shutdown: Stop() parks all reads, closes the listener, then drains via
 /// the completion watermark (HarmonyBC::Sync) so every admitted transaction
@@ -133,9 +133,6 @@ class NetServer {
     /// Receipts resolved; incremented under mu so SYNC-ack registration
     /// cannot miss the catch-up.
     std::atomic<uint64_t> resolved{0};
-    /// Set (once) when the client sends its first BATCH_SUBMIT: from then
-    /// on receipts coalesce into BATCH_RECEIPT frames packed at flush time.
-    std::atomic<bool> batch_mode{false};
     /// Set when the connection sent REPL_JOIN (owning reactor only): acks
     /// route to the replicator and close unregisters the peer.
     bool is_repl_peer = false;
@@ -158,12 +155,13 @@ class NetServer {
     std::deque<uint64_t> outq_stamps;
     size_t out_bytes = 0;
     size_t out_off = 0;  ///< partial-write offset into outq.front()
-    /// Coalescing buffer (batch mode): length-prefixed receipt entries
-    /// appended by receipt callbacks, packed into one or more BATCH_RECEIPT
-    /// frames by the owning reactor's next flush. Counted against wq_cap.
+    /// Coalescing buffer: length-prefixed receipt entries appended by
+    /// receipt callbacks, packed into one or more BATCH_RECEIPT frames by
+    /// the owning reactor's next flush. Counted against wq_cap.
     std::string batch_entries;
     uint32_t batch_count = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> pending_syncs;  ///< (wm, token)
+    /// SYNCs waiting for receipts: (submitted watermark, request id).
+    std::vector<std::pair<uint64_t, uint16_t>> pending_syncs;
     bool want_write = false;  ///< EPOLLOUT armed
     bool close_after_flush = false;
     bool overloaded = false;
@@ -193,7 +191,8 @@ class NetServer {
   /// Appends a frame to the write queue (overflow -> overloaded seal) and
   /// returns true when the owning reactor must be woken to flush it.
   /// Requires conn.mu.
-  static bool EnqueueLocked(Conn& conn, Opcode op, std::string_view payload);
+  static bool EnqueueLocked(Conn& conn, Opcode op, std::string_view payload,
+                            uint16_t request_id = 0);
   /// Seals the queue with one terminal ERROR{overloaded} frame (slow
   /// consumer); the connection closes once it flushes. Requires conn.mu.
   static void SealOverloadedLocked(Conn& conn);
@@ -201,10 +200,9 @@ class NetServer {
   /// queue, splitting at kMaxBatchTxns / frame-payload bounds. Requires
   /// conn.mu.
   static void PackBatchLocked(Conn& conn);
-  void PushFrame(const std::shared_ptr<Conn>& conn, Opcode op,
-                 std::string_view payload);
-  /// Receipt-callback path: RECEIPT or ERROR{busy}, plus due SYNC acks.
-  /// Static on purpose — must stay valid without the NetServer.
+  /// Receipt-callback path: buffers the receipt entry, then queues due SYNC
+  /// acks behind it. Static on purpose — must stay valid without the
+  /// NetServer.
   static void PushReceipt(const std::weak_ptr<Conn>& weak,
                           const TxnReceipt& r);
   /// Writes until EAGAIN/empty; arms/disarms EPOLLOUT; closes after flush

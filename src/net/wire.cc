@@ -9,14 +9,8 @@ namespace net {
 
 const char* OpcodeName(Opcode op) {
   switch (op) {
-    case Opcode::kOpSubmit:
-      return "SUBMIT";
-    case Opcode::kOpReceipt:
-      return "RECEIPT";
     case Opcode::kOpSync:
       return "SYNC";
-    case Opcode::kOpStats:
-      return "STATS";
     case Opcode::kOpError:
       return "ERROR";
     case Opcode::kOpBatchSubmit:
@@ -38,34 +32,27 @@ const char* OpcodeName(Opcode op) {
     case Opcode::kOpEvents:
       return "EVENTS";
   }
-  return "?";
+  return nullptr;
 }
 
-std::string EncodeFrame(Opcode op, std::string_view payload) {
+bool IsControlCall(Opcode op) {
+  return op == Opcode::kOpSync || op == Opcode::kOpMetrics ||
+         op == Opcode::kOpHealth || op == Opcode::kOpEvents;
+}
+
+std::string EncodeFrame(Opcode op, std::string_view payload,
+                        uint16_t request_id) {
   std::string out;
   out.reserve(kHeaderSize + payload.size());
   codec::AppendU32(&out, kWireMagic);
-  // Stamped per frame so a non-batching exchange is byte-identical to what
-  // a v1 peer speaks (see the negotiation comment in wire.h).
-  out.push_back(static_cast<char>(WireVersionFor(op)));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(op));
-  codec::AppendU16(&out, 0);  // flags
+  codec::AppendU16(&out, request_id);
   codec::AppendU32(&out, static_cast<uint32_t>(payload.size()));
   codec::AppendU32(&out, payload.empty() ? 0 : Crc32(payload));
   codec::AppendU32(&out, Crc32(out.data(), 16));
   out.append(payload.data(), payload.size());
   return out;
-}
-
-void EncodeReceipt(const TxnReceipt& r, std::string* out) {
-  out->push_back(static_cast<char>(r.outcome));
-  out->push_back(static_cast<char>(r.status.code()));
-  codec::AppendBytes(out, r.status.message());
-  codec::AppendU64(out, r.block_id);
-  codec::AppendU64(out, r.client_id);
-  codec::AppendU64(out, r.client_seq);
-  codec::AppendU32(out, r.retries);
-  codec::AppendU64(out, r.latency_us);
 }
 
 Status WireStatus(Status::Code code, std::string msg) {
@@ -91,6 +78,19 @@ Status WireStatus(Status::Code code, std::string msg) {
                             std::to_string(static_cast<int>(code)));
 }
 
+namespace {
+
+void EncodeReceipt(const TxnReceipt& r, std::string* out) {
+  out->push_back(static_cast<char>(r.outcome));
+  out->push_back(static_cast<char>(r.status.code()));
+  codec::AppendBytes(out, r.status.message());
+  codec::AppendU64(out, r.block_id);
+  codec::AppendU64(out, r.client_id);
+  codec::AppendU64(out, r.client_seq);
+  codec::AppendU32(out, r.retries);
+  codec::AppendU64(out, r.latency_us);
+}
+
 bool DecodeReceipt(std::string_view payload, TxnReceipt* out) {
   if (payload.size() < 2) return false;
   const uint8_t outcome = static_cast<uint8_t>(payload[0]);
@@ -109,9 +109,10 @@ bool DecodeReceipt(std::string_view payload, TxnReceipt* out) {
   return r.remaining() == 0;
 }
 
+}  // namespace
+
 void EncodeError(const WireError& e, std::string* out) {
   out->push_back(static_cast<char>(e.code));
-  codec::AppendU64(out, e.client_seq);
   codec::AppendBytes(out, e.message);
 }
 
@@ -120,9 +121,7 @@ bool DecodeError(std::string_view payload, WireError* out) {
   const uint8_t code = static_cast<uint8_t>(payload[0]);
   if (code > static_cast<uint8_t>(Status::Code::kNotSupported)) return false;
   codec::Reader r(payload.substr(1));
-  if (!r.ReadU64(&out->client_seq) || !r.ReadBytes(&out->message)) {
-    return false;
-  }
+  if (!r.ReadBytes(&out->message)) return false;
   out->code = static_cast<Status::Code>(code);
   return r.remaining() == 0;
 }
@@ -321,84 +320,6 @@ bool DecodeEvents(std::string_view payload, uint64_t* next_cursor,
   return r.remaining() == 0;
 }
 
-void EncodeSync(uint64_t token, std::string* out) {
-  codec::AppendU64(out, token);
-}
-
-bool DecodeSync(std::string_view payload, uint64_t* token) {
-  codec::Reader r(payload);
-  return r.ReadU64(token) && r.remaining() == 0;
-}
-
-namespace {
-
-/// The single canonical WireStats field order. Encode and decode both walk
-/// this list, so they cannot drift apart: append new fields at the END
-/// (older peers skip unknown trailing fields; inserting mid-list is a wire
-/// break).
-template <typename Stats, typename Fn>
-void ForEachStatsField(Stats& s, Fn&& fn) {
-  fn(s.sess_submitted);
-  fn(s.sess_committed);
-  fn(s.sess_logic_aborted);
-  fn(s.sess_dropped);
-  fn(s.sess_rejected);
-  fn(s.sess_latency_sum_us);
-  fn(s.sess_latency_max_us);
-  fn(s.sess_inflight);
-  fn(s.ing_submitted);
-  fn(s.ing_admitted);
-  fn(s.ing_duplicates);
-  fn(s.ing_rejected);
-  fn(s.ing_rate_limited);
-  fn(s.ing_demoted);
-  fn(s.ing_backpressured);
-  fn(s.ing_retries_enqueued);
-  fn(s.ing_retries_dropped);
-  fn(s.ing_sealed_blocks);
-  fn(s.ing_sealed_txns);
-  fn(s.ing_sealed_high);
-  fn(s.ing_sealed_normal);
-  fn(s.ing_sealed_low);
-  fn(s.ing_sealed_retry);
-  fn(s.height);
-  fn(s.pending_receipts);
-  fn(s.queue_depth);
-}
-
-uint32_t NumStatsFields() {
-  WireStats s;
-  uint32_t n = 0;
-  ForEachStatsField(s, [&](uint64_t&) { n++; });
-  return n;
-}
-
-}  // namespace
-
-void EncodeStats(const WireStats& s, std::string* out) {
-  codec::AppendU32(out, NumStatsFields());
-  ForEachStatsField(s,
-                    [&](const uint64_t& f) { codec::AppendU64(out, f); });
-}
-
-bool DecodeStats(std::string_view payload, WireStats* out) {
-  codec::Reader r(payload);
-  uint32_t n = 0;
-  if (!r.ReadU32(&n)) return false;
-  // A newer peer may append fields; decode the ones this build knows and
-  // skip the rest. Fewer than we expect is a truncation, not skew.
-  const uint32_t known = NumStatsFields();
-  if (n < known) return false;
-  bool ok = true;
-  ForEachStatsField(*out, [&](uint64_t& f) { ok = ok && r.ReadU64(&f); });
-  if (!ok) return false;
-  for (uint32_t i = known; i < n; i++) {
-    uint64_t skip;
-    if (!r.ReadU64(&skip)) return false;
-  }
-  return r.remaining() == 0;
-}
-
 void EncodeMetrics(const obs::MetricsSnapshot& m, std::string* out) {
   codec::AppendU32(out, static_cast<uint32_t>(m.counters.size()));
   for (const auto& c : m.counters) {
@@ -496,32 +417,28 @@ Status FrameReassembler::Next(Frame* out) {
   const char* h = buf_.data() + pos_;
   codec::Reader r(std::string_view(h, kHeaderSize));
   uint32_t magic = 0, payload_len = 0, payload_crc = 0, header_crc = 0;
-  uint16_t flags = 0;
+  uint16_t request_id = 0;
   uint16_t ver_op = 0;
   r.ReadU32(&magic);
   r.ReadU16(&ver_op);  // version (low byte) + opcode (high byte)
-  r.ReadU16(&flags);
+  r.ReadU16(&request_id);
   r.ReadU32(&payload_len);
   r.ReadU32(&payload_crc);
   r.ReadU32(&header_crc);
   const uint8_t version = static_cast<uint8_t>(ver_op & 0xff);
-  const uint8_t opcode = static_cast<uint8_t>(ver_op >> 8);
+  const Opcode opcode = static_cast<Opcode>(ver_op >> 8);
   if (magic != kWireMagic) return Status::Corruption("bad magic");
   if (header_crc != Crc32(h, 16)) return Status::Corruption("header CRC");
-  if (version != kWireV1 && version != kWireV2) {
+  if (version != kWireVersion) {
     return Status::Corruption("wire version " + std::to_string(version));
   }
-  if (flags != 0) return Status::Corruption("reserved flags set");
-  if (opcode < static_cast<uint8_t>(Opcode::kOpSubmit) ||
-      opcode > static_cast<uint8_t>(Opcode::kOpEvents)) {
-    return Status::Corruption("unknown opcode " + std::to_string(opcode));
+  if (OpcodeName(opcode) == nullptr) {
+    return Status::Corruption("unknown opcode " +
+                              std::to_string(ver_op >> 8));
   }
-  // A batch opcode promises v2 semantics; a v1-stamped frame carrying one
-  // is a peer that doesn't know what it's saying.
-  if (version < WireVersionFor(static_cast<Opcode>(opcode))) {
-    return Status::Corruption("opcode " + std::to_string(opcode) +
-                              " not valid in wire v" +
-                              std::to_string(version));
+  if (request_id != 0 && !IsControlCall(opcode)) {
+    return Status::Corruption(std::string("request id on ") +
+                              OpcodeName(opcode));
   }
   if (payload_len > max_payload_) {
     return Status::Corruption("oversized frame (" +
@@ -533,7 +450,8 @@ Status FrameReassembler::Next(Frame* out) {
   std::string_view payload(buf_.data() + pos_ + kHeaderSize, payload_len);
   const uint32_t crc = payload_len == 0 ? 0 : Crc32(payload);
   if (crc != payload_crc) return Status::Corruption("payload CRC");
-  out->opcode = static_cast<Opcode>(opcode);
+  out->opcode = opcode;
+  out->request_id = request_id;
   out->payload.assign(payload);
   pos_ += kHeaderSize + payload_len;
   return Status::OK();

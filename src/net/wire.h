@@ -20,7 +20,7 @@ struct Block;  // chain/block.h (REPLICATE frames carry whole blocks)
 
 namespace net {
 
-/// HarmonyBC wire protocol v2 — a versioned, length-prefixed binary frame
+/// HarmonyBC wire protocol v3 — a versioned, length-prefixed binary frame
 /// format spoken between NetClient and NetServer (docs/NET.md for the
 /// contracts, docs/FORMATS.md for the authoritative byte-level reference).
 ///
@@ -28,9 +28,9 @@ namespace net {
 ///
 ///   offset  size  field
 ///   0       4     magic        "HBC1" (0x31434248 little-endian)
-///   4       1     version      kWireV1 or kWireV2 (see below)
+///   4       1     version      kWireVersion; older versions are refused
 ///   5       1     opcode       Opcode
-///   6       2     flags        reserved, must be 0
+///   6       2     request_id   control calls only (see below), else 0
 ///   8       4     payload_len  bytes following the header
 ///   12      4     payload_crc  CRC32 of the payload (0 when empty)
 ///   16      4     header_crc   CRC32 of header bytes [0, 16)
@@ -39,46 +39,39 @@ namespace net {
 /// is trusted: a corrupt or misaligned header fails the CRC instead of
 /// committing the reader to a garbage-length read. Payload encodings reuse
 /// the little-endian helpers in common/codec.h (the same codec the block
-/// log uses), and SUBMIT payloads are exactly BlockCodec::EncodeTxn.
+/// log uses), and BATCH_SUBMIT entries are exactly BlockCodec::EncodeTxn.
 ///
-/// ## Version negotiation (v1 ⇄ v2)
-/// The version is stamped *per frame*, by opcode: frames carrying a v1
-/// opcode (SUBMIT..ERROR) are stamped kWireV1, the batch opcodes
-/// (BATCH_SUBMIT/BATCH_RECEIPT) kWireV2. Readers accept both versions, so
-/// a v2 endpoint interoperates with a v1 peer for as long as neither side
-/// batches — a v1 server only ever sees v1 frames from a non-batching v2
-/// client, and a server never sends BATCH_RECEIPT to a connection that has
-/// not itself sent BATCH_SUBMIT. A batch opcode inside a v1-stamped frame
-/// is a protocol violation.
+/// There is one request/reply shape per purpose. Submits are always
+/// BATCH_SUBMIT frames and receipts always BATCH_RECEIPT frames (a Busy
+/// rejection is a kRejected entry), so ERROR always ends the connection.
+/// The control calls — SYNC, METRICS, HEALTH, EVENTS — carry a client-chosen
+/// request id that the reply echoes; on every other opcode a non-zero id is
+/// a protocol error.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireV1 = 1;
-inline constexpr uint8_t kWireV2 = 2;
-inline constexpr uint8_t kWireVersion = kWireV2;
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or
-/// desynchronized peers. Must admit the largest admissible SUBMIT
-/// (AdmissionOptions::max_blob_bytes plus slack), a full BATCH_SUBMIT, and
-/// the STATS snapshot.
+/// desynchronized peers. Must admit a full BATCH_SUBMIT of admissible txns
+/// (AdmissionOptions::max_blob_bytes plus slack) and the METRICS snapshot.
 inline constexpr uint32_t kMaxFramePayload = 2u << 20;
 /// Per-frame bound on BATCH_SUBMIT / BATCH_RECEIPT entry counts; a count
 /// beyond this (or beyond what payload_len can carry) is a protocol error.
 inline constexpr uint32_t kMaxBatchTxns = 4096;
 
+/// Opcodes 1 (SUBMIT), 2 (RECEIPT) and 4 (STATS) are retired: readers
+/// refuse them as unknown, and their numbers are never reused.
 enum class Opcode : uint8_t {
-  kOpSubmit = 1,   ///< C -> S: one TxnRequest (BlockCodec::EncodeTxn)
-  kOpReceipt = 2,  ///< S -> C: the TxnReceipt for one SUBMIT
-  kOpSync = 3,     ///< both ways: token echo once prior receipts delivered
-  kOpStats = 4,    ///< C -> S: empty; S -> C: WireStats
-  kOpError = 5,    ///< S -> C: WireError (busy / overloaded / corrupt)
-  // --- wire v2 ---
+  kOpSync = 3,          ///< C -> S: empty; S -> C: empty, once every prior
+                        ///<         submit's receipt is queued ahead of it
+  kOpError = 5,         ///< S -> C: WireError, then the connection closes
   kOpBatchSubmit = 6,   ///< C -> S: u32 count + count x EncodeTxn
   kOpBatchReceipt = 7,  ///< S -> C: u32 count + count x length-prefixed
                         ///<         receipt entries (coalesced per flush)
   kOpMetrics = 8,       ///< C -> S: empty; S -> C: EncodeMetrics — the
-                        ///<         STATS v2 payload: the server's metrics
-                        ///<         registry snapshot (per-stage histograms,
-                        ///<         slow-txn ring; docs/OBSERVABILITY.md)
+                        ///<         server's metrics registry snapshot
+                        ///<         (per-stage histograms, slow-txn ring;
+                        ///<         docs/OBSERVABILITY.md)
   // --- replication (docs/REPLICATION.md; follower dials the leader) ---
   kOpReplJoin = 9,      ///< F -> L: WireReplJoin — marks the connection as
                         ///<         a replication peer and reports the
@@ -100,95 +93,46 @@ enum class Opcode : uint8_t {
                         ///<         from the instance's event ring
 };
 
+/// The opcode's wire name; nullptr for a number that is not a current
+/// opcode (the retired ones included).
 const char* OpcodeName(Opcode op);
 
-/// The version an Opcode's frames are stamped with (see the negotiation
-/// comment above).
-inline uint8_t WireVersionFor(Opcode op) {
-  return op >= Opcode::kOpBatchSubmit ? kWireV2 : kWireV1;
-}
+/// True for the control calls whose frames carry a request id.
+bool IsControlCall(Opcode op);
 
 struct Frame {
   Opcode opcode = Opcode::kOpError;
+  uint16_t request_id = 0;  ///< control calls only
   std::string payload;
 };
 
-/// ERROR payload. `client_seq` != 0 scopes the error to one in-flight
-/// SUBMIT (e.g. ERROR{busy} from session flow control — the submit was
-/// rejected, the connection lives on); 0 means the connection itself is
-/// being terminated after this frame flushes (overloaded, corrupt,
-/// protocol violation).
+/// ERROR payload: why the server is about to close the connection
+/// (overloaded, corrupt stream, protocol violation, not-leader redirect).
 struct WireError {
   Status::Code code = Status::Code::kAborted;
-  uint64_t client_seq = 0;
   std::string message;
 };
 
-/// STATS payload: the connection's server-side SessionStats snapshot plus
-/// the server-wide IngestStats and chain position, taken relaxed (counters
-/// may be mid-update; they are monotonic, not a consistent cut).
-struct WireStats {
-  // This connection's session.
-  uint64_t sess_submitted = 0;
-  uint64_t sess_committed = 0;
-  uint64_t sess_logic_aborted = 0;
-  uint64_t sess_dropped = 0;
-  uint64_t sess_rejected = 0;
-  uint64_t sess_latency_sum_us = 0;
-  uint64_t sess_latency_max_us = 0;
-  uint64_t sess_inflight = 0;
-  // Server-wide ingress.
-  uint64_t ing_submitted = 0;
-  uint64_t ing_admitted = 0;
-  uint64_t ing_duplicates = 0;
-  uint64_t ing_rejected = 0;
-  uint64_t ing_rate_limited = 0;
-  uint64_t ing_demoted = 0;
-  uint64_t ing_backpressured = 0;
-  uint64_t ing_retries_enqueued = 0;
-  uint64_t ing_retries_dropped = 0;
-  uint64_t ing_sealed_blocks = 0;
-  uint64_t ing_sealed_txns = 0;
-  uint64_t ing_sealed_high = 0;
-  uint64_t ing_sealed_normal = 0;
-  uint64_t ing_sealed_low = 0;
-  uint64_t ing_sealed_retry = 0;
-  // Chain position.
-  uint64_t height = 0;
-  uint64_t pending_receipts = 0;
-  uint64_t queue_depth = 0;
-};
-
-/// Frames one payload: header (magic/version/opcode/len/CRCs) + payload.
-std::string EncodeFrame(Opcode op, std::string_view payload);
+/// Frames one payload: header (magic/version/opcode/request id/len/CRCs) +
+/// payload. `request_id` must be 0 unless IsControlCall(op).
+std::string EncodeFrame(Opcode op, std::string_view payload,
+                        uint16_t request_id = 0);
 
 /// Rebuilds a Status from its wire (code, message) pair.
 Status WireStatus(Status::Code code, std::string msg);
 
 // --- payload codecs ---------------------------------------------------------
-// SUBMIT uses BlockCodec::EncodeTxn/DecodeTxn directly (chain/block.h): the
-// wire ships the canonical txn bytes the block's TxnRoot is computed over
-// (the log stores them re-encoded column-wise). BATCH_SUBMIT is a u32
-// count followed by that many EncodeTxn encodings back to back.
-
-void EncodeReceipt(const TxnReceipt& r, std::string* out);
-bool DecodeReceipt(std::string_view payload, TxnReceipt* out);
+// BATCH_SUBMIT is a u32 count followed by that many BlockCodec::EncodeTxn
+// encodings back to back (chain/block.h): the wire ships the canonical txn
+// bytes the block's TxnRoot is computed over (the log stores them
+// re-encoded column-wise).
 
 void EncodeError(const WireError& e, std::string* out);
 bool DecodeError(std::string_view payload, WireError* out);
 
-void EncodeSync(uint64_t token, std::string* out);
-bool DecodeSync(std::string_view payload, uint64_t* token);
-
-void EncodeStats(const WireStats& s, std::string* out);
-bool DecodeStats(std::string_view payload, WireStats* out);
-
-/// METRICS (STATS v2): a whole obs::MetricsSnapshot. The flat v1 STATS
-/// payload stays frozen — v1 peers keep decoding it — and the registry
-/// rides this separate v2 opcode instead of growing the v1 field list
-/// (named variable-length data cannot hide in trailing u64s). Decode
-/// rejects entry counts beyond kMaxMetricsEntries and bucket indexes
-/// beyond the histogram range before sizing anything.
+/// METRICS: a whole obs::MetricsSnapshot. Decode rejects entry counts
+/// beyond kMaxMetricsEntries and bucket indexes beyond the histogram range
+/// before sizing anything.
 inline constexpr uint32_t kMaxMetricsEntries = 4096;
 void EncodeMetrics(const obs::MetricsSnapshot& m, std::string* out);
 bool DecodeMetrics(std::string_view payload, obs::MetricsSnapshot* out);
@@ -199,7 +143,7 @@ void EncodeBatchSubmit(const std::vector<TxnRequest>& txns, std::string* out);
 bool DecodeBatchSubmit(std::string_view payload,
                        std::vector<TxnRequest>* out);
 
-/// BATCH_RECEIPT entries are length-prefixed EncodeReceipt encodings so the
+/// BATCH_RECEIPT entries are length-prefixed receipt encodings so the
 /// server can append them to a per-connection buffer as receipts resolve
 /// and stamp the count at flush time (see NetServer's coalescing).
 void AppendBatchReceiptEntry(const TxnReceipt& r, std::string* out);
@@ -294,9 +238,9 @@ bool DecodeEvents(std::string_view payload, uint64_t* next_cursor,
 ///
 ///   - OK          -> *out holds one complete, CRC-verified frame
 ///   - NotFound    -> incomplete; Feed() more and retry
-///   - Corruption  -> bad magic/version/flags/CRC or payload_len over the
-///                    cap; the stream is unrecoverable (no resync point) —
-///                    close the connection.
+///   - Corruption  -> bad magic/version/opcode/request id/CRC or
+///                    payload_len over the cap; the stream is unrecoverable
+///                    (no resync point) — close the connection.
 ///
 /// Single-threaded: one reassembler per connection, driven only by that
 /// connection's reader.

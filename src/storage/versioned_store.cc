@@ -4,65 +4,53 @@
 
 namespace harmony {
 
-Status VersionedStore::ReadAtSnapshot(Key key, BlockId snapshot,
-                                      std::optional<std::string>* out) {
+bool VersionedStore::ReadChain(Key key, BlockId snapshot,
+                               std::optional<std::string>* out,
+                               BlockId* version) {
   Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<SpinLock> lk(shard.mu);
-    auto it = shard.chains.find(key);
-    if (it != shard.chains.end()) {
-      const auto& versions = it->second.versions;
-      for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
-        if (rit->block <= snapshot) {
-          *out = rit->value;
-          return Status::OK();
-        }
-      }
-      // A chain always starts with a base version (block 0 <= snapshot), so
-      // falling through here is impossible.
-      assert(false && "version chain without base");
+  std::lock_guard<SpinLock> lk(shard.mu);
+  auto it = shard.chains.find(key);
+  if (it == shard.chains.end()) return false;
+  const auto& versions = it->second.versions;
+  for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
+    if (rit->block <= snapshot) {
+      *out = rit->value;
+      *version = rit->block;
+      return true;
     }
   }
-  // No retained writes: the backend value predates every retained snapshot.
-  std::string v;
-  Status s = backend_->Get(key, &v);
-  if (s.IsNotFound()) {
-    out->reset();
-    return Status::OK();
-  }
-  HARMONY_RETURN_NOT_OK(s);
-  out->emplace(std::move(v));
-  return Status::OK();
+  // A chain always starts with a base version (block 0 <= snapshot), so
+  // falling through here is impossible.
+  assert(false && "version chain without base");
+  return false;
+}
+
+Status VersionedStore::ReadAtSnapshot(Key key, BlockId snapshot,
+                                      std::optional<std::string>* out) {
+  BlockId version = 0;
+  return ReadVersionAtSnapshot(key, snapshot, out, &version);
 }
 
 Status VersionedStore::ReadVersionAtSnapshot(Key key, BlockId snapshot,
                                              std::optional<std::string>* out,
                                              BlockId* version) {
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<SpinLock> lk(shard.mu);
-    auto it = shard.chains.find(key);
-    if (it != shard.chains.end()) {
-      const auto& versions = it->second.versions;
-      for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
-        if (rit->block <= snapshot) {
-          *out = rit->value;
-          *version = rit->block;
-          return Status::OK();
-        }
-      }
-      assert(false && "version chain without base");
-    }
-  }
-  *version = 0;
+  if (ReadChain(key, snapshot, out, version)) return Status::OK();
   std::string v;
   Status s = backend_->Get(key, &v);
+  if (!s.ok() && !s.IsNotFound()) return s;
+  // A commit may have installed a chain and written through while the
+  // backend was being read, so `v` may be newer than `snapshot`. The chain
+  // was installed before the write-through and its base is the pre-image:
+  // if one exists now, it has the answer.
+  if (ReadChain(key, snapshot, out, version)) return Status::OK();
+  // Still no chain: nothing wrote this key since the backend read began,
+  // so the value predates every retained snapshot.
+  *version = 0;
   if (s.IsNotFound()) {
     out->reset();
-    return Status::OK();
+  } else {
+    out->emplace(std::move(v));
   }
-  HARMONY_RETURN_NOT_OK(s);
-  out->emplace(std::move(v));
   return Status::OK();
 }
 

@@ -24,9 +24,15 @@ namespace harmony {
 ///               (block b1, v1), (block b2, v2), ...]
 ///
 /// ReadAtSnapshot(k, s) returns the newest version with block <= s, falling
-/// back to the backend when k has no retained chain (then the backend value
-/// is guaranteed older than any retained snapshot). Prune(t) collapses
+/// back to the backend when k has no retained chain. Prune(t) collapses
 /// versions <= t into the base once no simulation needs snapshots < t.
+///
+/// Invariant: the backend value of a key is older than every retained
+/// snapshot only while the key has no chain. ApplyWrite installs the chain
+/// (base = pre-image) *before* it writes through, and no lock is held across
+/// backend I/O, so a read that found no chain re-checks after its backend
+/// read: a chain that appeared in between answers instead, because the
+/// backend value may already be the new write.
 class VersionedStore {
  public:
   explicit VersionedStore(StateBackend* backend) : backend_(backend) {}
@@ -78,6 +84,9 @@ class VersionedStore {
   };
 
   Shard& ShardFor(Key k) { return shards_[Mix64(k) % kShards]; }
+  /// Answers a snapshot read from k's chain; false when k has none.
+  bool ReadChain(Key key, BlockId snapshot, std::optional<std::string>* out,
+                 BlockId* version);
 
   StateBackend* backend_;
   std::array<Shard, kShards> shards_;

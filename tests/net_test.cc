@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "obs/events.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "txn/txn_context.h"
@@ -28,7 +31,6 @@ using net::Frame;
 using net::FrameReassembler;
 using net::Opcode;
 using net::WireError;
-using net::WireStats;
 
 constexpr uint64_t kWaitUs = 30'000'000;
 
@@ -93,6 +95,63 @@ struct Harness {
   std::unique_ptr<net::NetServer> server;
 };
 
+/// A frame with every header field chosen by the caller (valid CRCs), for
+/// shapes EncodeFrame never produces.
+std::string RawFrame(uint8_t version, uint8_t opcode, uint16_t request_id,
+                     std::string_view payload) {
+  std::string frame;
+  codec::AppendU32(&frame, net::kWireMagic);
+  frame.push_back(static_cast<char>(version));
+  frame.push_back(static_cast<char>(opcode));
+  codec::AppendU16(&frame, request_id);
+  codec::AppendU32(&frame, static_cast<uint32_t>(payload.size()));
+  codec::AppendU32(&frame, payload.empty() ? 0 : Crc32(payload));
+  codec::AppendU32(&frame, Crc32(frame.data(), 16));
+  frame.append(payload.data(), payload.size());
+  return frame;
+}
+
+/// Raw loopback socket to `port` (no NetClient framing); reads time out
+/// after 30 s so a server that never closes fails the test, not hangs it.
+int RawConnect(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 30;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads until EOF; true when the server sent exactly one well-formed ERROR
+/// frame and then closed. `*error` receives its payload.
+bool ReadErrorThenEof(int fd, WireError* error) {
+  FrameReassembler reasm;
+  char buf[4096];
+  int frames = 0;
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) break;
+    if (n < 0) return false;
+    reasm.Feed(buf, static_cast<size_t>(n));
+    Frame f;
+    while (reasm.Next(&f).ok()) {
+      frames++;
+      if (f.opcode != Opcode::kOpError || !net::DecodeError(f.payload, error)) {
+        return false;
+      }
+    }
+  }
+  return frames == 1;
+}
+
 TxnRequest TransferReq(int64_t from, int64_t to, int64_t amount) {
   TxnRequest t;
   t.proc_id = 1;
@@ -102,88 +161,68 @@ TxnRequest TransferReq(int64_t from, int64_t to, int64_t amount) {
 
 // ---------------------------------------------------------------- framing --
 
-TEST(Wire, FrameRoundTripEveryOpcode) {
-  // SUBMIT: a TxnRequest through the block codec.
+TEST(Wire, FrameRoundTripEveryClientOpcode) {
+  // BATCH_SUBMIT: TxnRequests through the block codec.
   TxnRequest req = TransferReq(3, 4, 77);
   req.client_id = 9;
   req.client_seq = 12;
   req.fee = 500;
   std::string submit_payload;
-  BlockCodec::EncodeTxn(req, &submit_payload);
-  // RECEIPT
-  TxnReceipt rc;
-  rc.outcome = ReceiptOutcome::kCommitted;
-  rc.status = Status::OK();
-  rc.block_id = 42;
-  rc.client_id = 9;
-  rc.client_seq = 12;
-  rc.retries = 3;
-  rc.latency_us = 12345;
-  std::string receipt_payload;
-  net::EncodeReceipt(rc, &receipt_payload);
-  // SYNC
-  std::string sync_payload;
-  net::EncodeSync(0xdeadbeefULL, &sync_payload);
-  // STATS
-  WireStats ws;
-  ws.sess_submitted = 5;
-  ws.ing_sealed_blocks = 7;
-  ws.height = 11;
-  std::string stats_payload;
-  net::EncodeStats(ws, &stats_payload);
+  net::EncodeBatchSubmit({req}, &submit_payload);
   // ERROR
   WireError we;
   we.code = Status::Code::kBusy;
-  we.client_seq = 12;
-  we.message = "busy";
+  we.message = "overloaded";
   std::string error_payload;
   net::EncodeError(we, &error_payload);
+  std::string events_payload;
+  net::EncodeEventsReq(42, &events_payload);
 
-  const std::pair<Opcode, std::string> frames[] = {
-      {Opcode::kOpSubmit, submit_payload}, {Opcode::kOpReceipt, receipt_payload},
-      {Opcode::kOpSync, sync_payload},     {Opcode::kOpStats, stats_payload},
-      {Opcode::kOpError, error_payload},
+  struct Sent {
+    Opcode op;
+    uint16_t request_id;
+    std::string payload;
+  };
+  const Sent frames[] = {
+      {Opcode::kOpBatchSubmit, 0, submit_payload},
+      {Opcode::kOpSync, 1, ""},
+      {Opcode::kOpMetrics, 2, ""},
+      {Opcode::kOpHealth, 0xffff, ""},
+      {Opcode::kOpEvents, 3, events_payload},
+      {Opcode::kOpError, 0, error_payload},
   };
   FrameReassembler reasm;
   std::string stream;
-  for (const auto& [op, payload] : frames) {
-    stream += net::EncodeFrame(op, payload);
+  for (const Sent& f : frames) {
+    const std::string frame = net::EncodeFrame(f.op, f.payload, f.request_id);
+    EXPECT_EQ(static_cast<uint8_t>(frame[4]), net::kWireVersion);
+    stream += frame;
   }
   // Feed byte by byte: reassembly must work across arbitrary fragmentation.
   for (char c : stream) reasm.Feed(&c, 1);
-  for (const auto& [op, payload] : frames) {
+  for (const Sent& sent : frames) {
     Frame f;
     ASSERT_OK(reasm.Next(&f));
-    EXPECT_EQ(f.opcode, op);
-    EXPECT_EQ(f.payload, payload);
+    EXPECT_EQ(f.opcode, sent.op);
+    EXPECT_EQ(f.request_id, sent.request_id);
+    EXPECT_EQ(f.payload, sent.payload);
   }
   Frame f;
   EXPECT_TRUE(reasm.Next(&f).IsNotFound());
 
   // Decoded payloads match what went in.
-  TxnRequest req2;
-  codec::Reader r(submit_payload);
-  ASSERT_TRUE(BlockCodec::DecodeTxn(&r, &req2));
-  EXPECT_EQ(req2.client_seq, 12u);
-  EXPECT_EQ(req2.fee, 500u);
-  TxnReceipt rc2;
-  ASSERT_TRUE(net::DecodeReceipt(receipt_payload, &rc2));
-  EXPECT_EQ(rc2.outcome, ReceiptOutcome::kCommitted);
-  EXPECT_EQ(rc2.block_id, 42u);
-  EXPECT_EQ(rc2.retries, 3u);
-  uint64_t token = 0;
-  ASSERT_TRUE(net::DecodeSync(sync_payload, &token));
-  EXPECT_EQ(token, 0xdeadbeefULL);
-  WireStats ws2;
-  ASSERT_TRUE(net::DecodeStats(stats_payload, &ws2));
-  EXPECT_EQ(ws2.sess_submitted, 5u);
-  EXPECT_EQ(ws2.ing_sealed_blocks, 7u);
-  EXPECT_EQ(ws2.height, 11u);
+  std::vector<TxnRequest> txns;
+  ASSERT_TRUE(net::DecodeBatchSubmit(submit_payload, &txns));
+  ASSERT_EQ(txns.size(), 1u);
+  EXPECT_EQ(txns[0].client_seq, 12u);
+  EXPECT_EQ(txns[0].fee, 500u);
   WireError we2;
   ASSERT_TRUE(net::DecodeError(error_payload, &we2));
   EXPECT_EQ(we2.code, Status::Code::kBusy);
-  EXPECT_EQ(we2.client_seq, 12u);
-  EXPECT_EQ(we2.message, "busy");
+  EXPECT_EQ(we2.message, "overloaded");
+  uint64_t cursor = 0;
+  ASSERT_TRUE(net::DecodeEventsReq(events_payload, &cursor));
+  EXPECT_EQ(cursor, 42u);
 }
 
 TEST(Wire, TruncatedFrameIsIncompleteNotCorrupt) {
@@ -227,16 +266,7 @@ TEST(Wire, CorruptFramesRejected) {
   }
   // Unknown opcode.
   {
-    std::string payload = "12345678";
-    std::string frame;
-    codec::AppendU32(&frame, net::kWireMagic);
-    frame.push_back(static_cast<char>(net::kWireVersion));
-    frame.push_back(static_cast<char>(0x7f));
-    codec::AppendU16(&frame, 0);
-    codec::AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-    codec::AppendU32(&frame, Crc32(payload));
-    codec::AppendU32(&frame, Crc32(frame.data(), 16));
-    frame += payload;
+    const std::string frame = RawFrame(net::kWireVersion, 0x7f, 0, "12345678");
     FrameReassembler reasm;
     reasm.Feed(frame.data(), frame.size());
     Frame f;
@@ -247,7 +277,7 @@ TEST(Wire, CorruptFramesRejected) {
     std::string frame;
     codec::AppendU32(&frame, net::kWireMagic);
     frame.push_back(static_cast<char>(net::kWireVersion));
-    frame.push_back(static_cast<char>(Opcode::kOpSubmit));
+    frame.push_back(static_cast<char>(Opcode::kOpBatchSubmit));
     codec::AppendU16(&frame, 0);
     codec::AppendU32(&frame, 64u << 20);
     codec::AppendU32(&frame, 0);
@@ -259,9 +289,52 @@ TEST(Wire, CorruptFramesRejected) {
   }
 }
 
-// ------------------------------------------------------------ wire v2 -----
+TEST(Wire, OldVersionsRetiredOpcodesAndStrayRequestIdsAreCorruption) {
+  std::vector<TxnRequest> txns = {TransferReq(1, 2, 3)};
+  std::string batch;
+  net::EncodeBatchSubmit(txns, &batch);
+  auto refused = [](const std::string& frame) {
+    FrameReassembler reasm;
+    reasm.Feed(frame.data(), frame.size());
+    Frame f;
+    return reasm.Next(&f);
+  };
+  // v1- and v2-stamped frames: older wire versions are refused outright.
+  for (uint8_t version : {1, 2}) {
+    const Status s = refused(RawFrame(
+        version, static_cast<uint8_t>(Opcode::kOpBatchSubmit), 0, batch));
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("wire version " + std::to_string(version)),
+              std::string::npos)
+        << s.ToString();
+  }
+  // Retired opcodes: 1 (SUBMIT), 2 (RECEIPT), 4 (STATS).
+  std::string single;
+  BlockCodec::EncodeTxn(txns[0], &single);
+  for (uint8_t op : {1, 2, 4}) {
+    const Status s = refused(RawFrame(net::kWireVersion, op, 0, single));
+    EXPECT_TRUE(s.IsCorruption()) << "opcode " << int{op};
+    EXPECT_NE(s.ToString().find("unknown opcode"), std::string::npos)
+        << s.ToString();
+  }
+  // A request id belongs to control calls only.
+  for (Opcode op : {Opcode::kOpBatchSubmit, Opcode::kOpBatchReceipt,
+                    Opcode::kOpError, Opcode::kOpReplJoin,
+                    Opcode::kOpReplicate, Opcode::kOpReplicateAck,
+                    Opcode::kOpReplSnapshot}) {
+    EXPECT_TRUE(refused(net::EncodeFrame(op, batch, 5)).IsCorruption())
+        << net::OpcodeName(op);
+    EXPECT_OK(refused(net::EncodeFrame(op, batch, 0)));
+  }
+  for (Opcode op : {Opcode::kOpSync, Opcode::kOpMetrics, Opcode::kOpHealth,
+                    Opcode::kOpEvents}) {
+    EXPECT_OK(refused(net::EncodeFrame(op, "", 5)));
+  }
+}
 
-TEST(WireV2, BatchFrameRoundTrip) {
+// ---------------------------------------------------------- batch codec ----
+
+TEST(WireBatch, BatchFrameRoundTrip) {
   std::vector<TxnRequest> txns;
   for (int i = 0; i < 5; i++) {
     TxnRequest t = TransferReq(i, i + 1, 10 * i);
@@ -273,11 +346,6 @@ TEST(WireV2, BatchFrameRoundTrip) {
   std::string payload;
   net::EncodeBatchSubmit(txns, &payload);
   const std::string frame = net::EncodeFrame(Opcode::kOpBatchSubmit, payload);
-  // Per-opcode version stamping: batch frames are v2, singles stay v1.
-  EXPECT_EQ(static_cast<uint8_t>(frame[4]), net::kWireV2);
-  EXPECT_EQ(
-      static_cast<uint8_t>(net::EncodeFrame(Opcode::kOpSubmit, "x")[4]),
-      net::kWireV1);
 
   FrameReassembler reasm;
   reasm.Feed(frame.data(), frame.size());
@@ -309,7 +377,7 @@ TEST(WireV2, BatchFrameRoundTrip) {
   EXPECT_EQ(receipts[2].client_seq, 202u);
 }
 
-TEST(WireV2, BatchPayloadRejects) {
+TEST(WireBatch, BatchPayloadRejects) {
   std::vector<TxnRequest> out;
   // Empty batch, oversized count, truncation, trailing bytes.
   EXPECT_FALSE(net::DecodeBatchSubmit(net::SealBatchPayload(0, ""), &out));
@@ -327,47 +395,13 @@ TEST(WireV2, BatchPayloadRejects) {
   EXPECT_FALSE(net::DecodeBatchReceipt(net::SealBatchPayload(1, "xx"), &rout));
 }
 
-TEST(WireV2, BatchOpcodeInV1FrameIsProtocolError) {
-  std::vector<TxnRequest> txns = {TransferReq(1, 2, 3)};
-  std::string payload;
-  net::EncodeBatchSubmit(txns, &payload);
-  // Hand-build the frame with the version byte forced to v1.
-  std::string frame;
-  codec::AppendU32(&frame, net::kWireMagic);
-  frame.push_back(static_cast<char>(net::kWireV1));
-  frame.push_back(static_cast<char>(Opcode::kOpBatchSubmit));
-  codec::AppendU16(&frame, 0);
-  codec::AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  codec::AppendU32(&frame, Crc32(payload));
-  codec::AppendU32(&frame, Crc32(frame.data(), 16));
-  frame += payload;
-  FrameReassembler reasm;
-  reasm.Feed(frame.data(), frame.size());
-  Frame f;
-  EXPECT_TRUE(reasm.Next(&f).IsCorruption());
-  // And a v2-stamped single SUBMIT is fine (liberal in what we accept).
-  std::string ok_frame;
-  std::string single;
-  BlockCodec::EncodeTxn(txns[0], &single);
-  codec::AppendU32(&ok_frame, net::kWireMagic);
-  ok_frame.push_back(static_cast<char>(net::kWireV2));
-  ok_frame.push_back(static_cast<char>(Opcode::kOpSubmit));
-  codec::AppendU16(&ok_frame, 0);
-  codec::AppendU32(&ok_frame, static_cast<uint32_t>(single.size()));
-  codec::AppendU32(&ok_frame, Crc32(single));
-  codec::AppendU32(&ok_frame, Crc32(ok_frame.data(), 16));
-  ok_frame += single;
-  FrameReassembler reasm2;
-  reasm2.Feed(ok_frame.data(), ok_frame.size());
-  EXPECT_OK(reasm2.Next(&f));
-}
-
 // ----------------------------------------------------------- end to end ----
 
-TEST(NetServer, LoopbackSubmitReceiptSyncStats) {
+TEST(NetServer, LoopbackSubmitReceiptSync) {
   TempDir dir("net-e2e");
   Harness h(dir.path(), FastOpts(dir.path()));
-  auto client = h.Client();
+  // batch_max_txns = 1: every submit leaves inline as a one-entry batch.
+  auto client = h.Client(/*batch_max_txns=*/1);
 
   TxnTicket t = client->Submit(TransferReq(0, 1, 25));
   ASSERT_TRUE(t.valid());
@@ -393,16 +427,7 @@ TEST(NetServer, LoopbackSubmitReceiptSyncStats) {
 
   // SYNC: all receipts for prior submits are already delivered.
   EXPECT_TRUE(client->Sync(kWaitUs));
-
-  // STATS reflects this connection's session and the server's ingress.
-  auto stats = client->Stats(kWaitUs);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->sess_submitted, 2u);
-  EXPECT_EQ(stats->sess_committed, 1u);
-  EXPECT_EQ(stats->sess_logic_aborted, 1u);
-  EXPECT_EQ(stats->sess_inflight, 0u);
-  EXPECT_GE(stats->ing_admitted, 2u);
-  EXPECT_GE(stats->height, 1u);
+  EXPECT_EQ(h.server->stats().batch_submits.load(), 2u);
 
   // Client-side mirror counters agree.
   EXPECT_EQ(client->stats().submitted.load(), 2u);
@@ -410,14 +435,14 @@ TEST(NetServer, LoopbackSubmitReceiptSyncStats) {
   EXPECT_EQ(client->stats().inflight.load(), 0u);
 }
 
-TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
-  TempDir dir("net-metrics");
+TEST(NetServer, AbandonedControlCallsNeverSatisfyLaterOnes) {
+  TempDir dir("net-calls");
   HarmonyBC::Options o = FastOpts(dir.path());
   o.enable_tracing = true;
   Harness h(dir.path(), o);
   // Coalescing client with a far-off delay bound: submits buffer locally
-  // until the next Sync/Stats/Metrics flushes them, which lets the test
-  // queue real dispatch work ahead of a STATS reply.
+  // until the next control call flushes them, which lets the test queue
+  // real dispatch work ahead of each reply.
   auto client = h.Client(/*batch_max_txns=*/1024,
                          /*batch_max_delay_us=*/60'000'000);
 
@@ -428,57 +453,15 @@ TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
   ASSERT_TRUE(first.WaitFor(kWaitUs, &r));
   EXPECT_EQ(r.outcome, ReceiptOutcome::kCommitted);
   ASSERT_OK(h.db->Sync());
-
-  // Force an abandoned STATS reply: buffer a batch of submits, then issue
-  // a zero-timeout STATS. Stats() flushes the batch first and the reactor
-  // dispatches frames in order, so the reply queues behind the whole
-  // batch's decode+submit work and cannot beat a 0us wait. (Retried for
-  // robustness; a successful call consumes its own reply harmlessly.)
-  bool abandoned = false;
-  for (int i = 0; i < 20 && !abandoned; i++) {
-    for (int j = 0; j < 256; j++) {
-      TxnRequest req;
-      req.proc_id = 2;
-      req.args.ints = {j % 64, 1};
-      client->Submit(std::move(req));
-    }
-    abandoned = !client->Stats(/*timeout_us=*/0).ok();
-  }
-  ASSERT_TRUE(abandoned);
-
-  // An abandoned STATS must not eat the reply of a *different* opcode:
-  // abandoned counts are per opcode, so METRICS resolves with a fresh
-  // snapshot even while a stale STATS reply is still owed on the stream.
-  auto metrics = client->Metrics(kWaitUs);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  bool saw_resolve = false;
-  for (const auto& hist : metrics->histograms) {
-    if (hist.name == obs::kHistResolve && hist.count > 0) saw_resolve = true;
-  }
-  EXPECT_TRUE(saw_resolve);
-  EXPECT_FALSE(metrics->slow_txns.empty());
-
-  // And the next STATS is fresh too: the reader discarded exactly the
-  // stale STATS replies, nothing else.
-  auto stats = client->Stats(kWaitUs);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->sess_submitted, 257u);  // the transfer + one batch
-
-  // HEALTH and EVENTS ride the same stream and the same per-opcode
-  // discipline. Sanity first: both resolve with sane content.
-  auto health = client->Health(kWaitUs);
-  ASSERT_TRUE(health.ok()) << health.status().ToString();
-  EXPECT_EQ(health->role, net::WireHealth::kStandalone);
-  EXPECT_GE(health->height, 1u);
-  EXPECT_GT(health->uptime_us, 0u);
-  EXPECT_EQ(health->peer_count, 0u);
   auto events0 = client->Events(0, kWaitUs);
   ASSERT_TRUE(events0.ok()) << events0.status().ToString();
 
-  // Abandon one request of EVERY snapshot opcode in one shot: buffer a
-  // batch, then zero-timeout all four. Stats() flushes the batch, whose
-  // decode+submit work queues ahead of every reply on the one stream, so
-  // none of them can beat a 0us wait.
+  // Abandon one call of every control opcode: buffer a batch, then
+  // zero-timeout all four. The first call flushes the batch, whose
+  // decode+submit work queues ahead of every reply on the one stream (and
+  // SYNC's ack waits for the batch's receipts), so none can beat a 0us
+  // wait. Retried for robustness; a call that does resolve is harmless.
+  uint64_t submitted = 1;
   bool all_abandoned = false;
   for (int i = 0; i < 20 && !all_abandoned; i++) {
     for (int j = 0; j < 256; j++) {
@@ -487,28 +470,131 @@ TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
       req.args.ints = {j % 64, 1};
       client->Submit(std::move(req));
     }
-    const bool s = !client->Stats(/*timeout_us=*/0).ok();
+    submitted += 256;
+    const bool sy = !client->Sync(/*timeout_us=*/0);
     const bool m = !client->Metrics(/*timeout_us=*/0).ok();
     const bool hl = !client->Health(/*timeout_us=*/0).ok();
     const bool ev = !client->Events(0, /*timeout_us=*/0).ok();
-    all_abandoned = s && m && hl && ev;
+    all_abandoned = sy && m && hl && ev;
   }
   ASSERT_TRUE(all_abandoned);
+  EXPECT_TRUE(client->connected());
 
-  // With a stale reply of each opcode owed on the stream, every opcode
-  // still resolves fresh in its own lane — no cross-opcode theft in any
-  // pairing, not just STATS vs METRICS.
-  auto health2 = client->Health(kWaitUs);
-  ASSERT_TRUE(health2.ok()) << health2.status().ToString();
-  EXPECT_EQ(health2->role, net::WireHealth::kStandalone);
-  auto events2 = client->Events(events0->next_cursor, kWaitUs);
-  ASSERT_TRUE(events2.ok()) << events2.status().ToString();
-  EXPECT_GE(events2->next_cursor, events0->next_cursor);
-  auto metrics2 = client->Metrics(kWaitUs);
-  ASSERT_TRUE(metrics2.ok()) << metrics2.status().ToString();
-  auto stats2 = client->Stats(kWaitUs);
-  ASSERT_TRUE(stats2.ok()) << stats2.status().ToString();
-  EXPECT_GE(stats2->sess_submitted, 513u);  // at least two batches landed
+  // With a stale reply of each opcode owed on the stream, every next call
+  // resolves with its own, fresh reply.
+  ASSERT_TRUE(client->Sync(kWaitUs));
+  EXPECT_EQ(client->stats().inflight.load(), 0u);  // every receipt is in
+  ASSERT_OK(h.db->Sync());
+  const uint64_t height = h.db->height();
+  auto metrics = client->Metrics(kWaitUs);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  uint64_t admitted = 0;
+  bool saw_resolve = false;
+  for (const auto& c : metrics->counters) {
+    if (c.name == obs::kCounterIngestAdmitted) admitted = c.value;
+  }
+  for (const auto& hist : metrics->histograms) {
+    if (hist.name == obs::kHistResolve && hist.count > 0) saw_resolve = true;
+  }
+  EXPECT_GE(admitted, submitted);
+  EXPECT_TRUE(saw_resolve);
+  EXPECT_FALSE(metrics->slow_txns.empty());
+  auto health = client->Health(kWaitUs);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->role, net::WireHealth::kStandalone);
+  EXPECT_GE(health->height, height);
+  EXPECT_GT(health->uptime_us, 0u);
+  EXPECT_EQ(health->peer_count, 0u);
+  auto events = client->Events(events0->next_cursor, kWaitUs);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  EXPECT_GE(events->next_cursor, events0->next_cursor);
+}
+
+TEST(NetServer, ConcurrentControlCallsShareOneConnection) {
+  TempDir dir("net-calls-mt");
+  Harness h(dir.path(), FastOpts(dir.path()));
+  auto client = h.Client(/*batch_max_txns=*/8, /*batch_max_delay_us=*/200);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 25; i++) {
+        client->Submit(TransferReq(t, t + 8, 1));
+        bool ok = false;
+        switch ((t + i) % 4) {
+          case 0:
+            ok = client->Sync(kWaitUs);
+            break;
+          case 1:
+            ok = client->Metrics(kWaitUs).ok();
+            break;
+          case 2:
+            ok = client->Health(kWaitUs).ok();
+            break;
+          default:
+            ok = client->Events(0, kWaitUs).ok();
+            break;
+        }
+        if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(client->Sync(kWaitUs));
+  EXPECT_EQ(client->stats().submitted.load(), 100u);
+  EXPECT_EQ(client->stats().inflight.load(), 0u);
+}
+
+TEST(NetServer, MetricsCarryIngestCounters) {
+  TempDir dir("net-ingest-metrics");
+  Harness h(dir.path(), FastOpts(dir.path()));
+  auto client = h.Client(/*batch_max_txns=*/4);
+  constexpr uint64_t kTxns = 10;
+  std::vector<TxnTicket> tickets;
+  for (uint64_t i = 0; i < kTxns; i++) {
+    const int64_t k = static_cast<int64_t>(2 * i);  // disjoint pairs
+    tickets.push_back(client->Submit(TransferReq(k, k + 1, 1)));
+  }
+  ASSERT_TRUE(client->Sync(kWaitUs));
+  for (auto& t : tickets) {
+    TxnReceipt r;
+    ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
+    ASSERT_EQ(r.outcome, ReceiptOutcome::kCommitted);
+  }
+  auto metrics = client->Metrics(kWaitUs);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  auto counter = [&](const char* name) -> std::optional<uint64_t> {
+    for (const auto& c : metrics->counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::nullopt;
+  };
+  ASSERT_TRUE(counter(obs::kCounterIngestAdmitted).has_value());
+  EXPECT_GE(*counter(obs::kCounterIngestAdmitted), kTxns);
+  EXPECT_GE(counter(obs::kCounterIngestSubmitted).value_or(0), kTxns);
+  EXPECT_GE(counter(obs::kCounterIngestSealedTxns).value_or(0), kTxns);
+  EXPECT_GE(counter(obs::kCounterIngestSealedBlocks).value_or(0), 1u);
+}
+
+TEST(NetServer, RequestIdOnBatchSubmitIsProtocolViolation) {
+  TempDir dir("net-reqid");
+  Harness h(dir.path(), FastOpts(dir.path()));
+  const int fd = RawConnect(h.server->port());
+  ASSERT_GE(fd, 0);
+  std::string payload;
+  net::EncodeBatchSubmit({TransferReq(0, 1, 1)}, &payload);
+  const std::string frame =
+      net::EncodeFrame(Opcode::kOpBatchSubmit, payload, /*request_id=*/9);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  WireError e;
+  EXPECT_TRUE(ReadErrorThenEof(fd, &e));
+  EXPECT_EQ(e.code, Status::Code::kCorruption);
+  EXPECT_NE(e.message.find("request id"), std::string::npos) << e.message;
+  ::close(fd);
+  EXPECT_GE(h.server->stats().corrupt_closes.load(), 1u);
+  EXPECT_EQ(h.server->stats().submits.load(), 0u);  // nothing was admitted
 }
 
 TEST(NetServer, CallbackModeDeliversOnReaderThread) {
@@ -536,18 +622,19 @@ TEST(NetServer, CallbackModeDeliversOnReaderThread) {
   EXPECT_EQ(r.outcome, ReceiptOutcome::kCommitted);
 }
 
-TEST(NetServer, SessionFlowControlMapsToBusyError) {
+TEST(NetServer, SessionFlowControlMapsToBusyRejection) {
   TempDir dir("net-flow");
   HarmonyBC::Options o = FastOpts(dir.path());
   o.block_size = 100;            // nothing seals on size
   o.max_block_delay_us = 50'000; // first txn resolves only after 50ms
   o.max_inflight_per_session = 1;
   Harness h(dir.path(), o);
-  auto client = h.Client();
+  auto client = h.Client(/*batch_max_txns=*/1);
 
   TxnTicket first = client->Submit(TransferReq(0, 1, 1));
   // The first submit holds the only inflight slot; this one must bounce
-  // with ERROR{busy} scoped to its seq — long before the first resolves.
+  // as a Busy kRejected receipt — long before the first resolves — and
+  // the connection lives on.
   TxnTicket second = client->Submit(TransferReq(2, 3, 1));
   TxnReceipt r;
   ASSERT_TRUE(second.WaitFor(kWaitUs, &r));
@@ -555,7 +642,7 @@ TEST(NetServer, SessionFlowControlMapsToBusyError) {
   EXPECT_TRUE(r.status.IsBusy()) << r.status.ToString();
   ASSERT_TRUE(first.WaitFor(kWaitUs, &r));
   EXPECT_EQ(r.outcome, ReceiptOutcome::kCommitted);
-  EXPECT_GE(h.server->stats().busy_errors.load(), 1u);
+  EXPECT_TRUE(client->connected());
 }
 
 TEST(NetServer, CorruptStreamGetsErrorThenClose) {
@@ -563,42 +650,17 @@ TEST(NetServer, CorruptStreamGetsErrorThenClose) {
   Harness h(dir.path(), FastOpts(dir.path()));
 
   // Raw socket: handshake-free protocol, so just connect and write noise.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = RawConnect(h.server->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(h.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   const char garbage[64] = "this is definitely not a wire frame.............";
   ASSERT_EQ(::send(fd, garbage, sizeof(garbage), MSG_NOSIGNAL),
             static_cast<ssize_t>(sizeof(garbage)));
 
   // Expect one well-formed ERROR frame, then EOF — the server must not
   // crash, hang, or stream garbage back.
-  FrameReassembler reasm;
-  char buf[4096];
-  bool got_error = false, got_eof = false;
-  for (int spins = 0; spins < 1000 && !got_eof; spins++) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) {
-      got_eof = true;
-      break;
-    }
-    ASSERT_GT(n, 0);
-    reasm.Feed(buf, static_cast<size_t>(n));
-    Frame f;
-    if (reasm.Next(&f).ok()) {
-      EXPECT_EQ(f.opcode, Opcode::kOpError);
-      WireError e;
-      ASSERT_TRUE(net::DecodeError(f.payload, &e));
-      EXPECT_EQ(e.client_seq, 0u);
-      got_error = true;
-    }
-  }
-  EXPECT_TRUE(got_error);
-  EXPECT_TRUE(got_eof);
+  WireError e;
+  EXPECT_TRUE(ReadErrorThenEof(fd, &e));
+  EXPECT_EQ(e.code, Status::Code::kCorruption);
   ::close(fd);
 
   // The server is still serving healthy connections.
@@ -814,7 +876,7 @@ TEST(NetServerBatch, MixedBatchingAndPlainClients) {
   std::vector<std::thread> threads;
   for (int mode = 0; mode < 2; mode++) {
     threads.emplace_back([&, mode] {
-      // mode 0: plain v1-style singles; mode 1: coalesced BATCH_SUBMITs.
+      // mode 0: one-entry batches sent inline; mode 1: coalesced batches.
       auto client = mode == 0 ? h.Client() : h.Client(8, 300);
       for (size_t i = 0; i < kTxns; i++) {
         TxnRequest t;

@@ -390,29 +390,6 @@ TEST(WireMetricsTest, MutatedPayloadsNeverCrashDecode) {
   EXPECT_EQ(back.counters.size(), 1u);
 }
 
-TEST(WireMetricsTest, StatsV1PayloadStaysFrozen) {
-  // The v1 STATS codec is byte-stable: METRICS rides its own opcode so v1
-  // peers keep decoding STATS exactly as before.
-  net::WireStats s;
-  s.sess_submitted = 11;
-  s.ing_admitted = 22;
-  s.height = 33;
-  std::string payload;
-  net::EncodeStats(s, &payload);
-  net::WireStats back;
-  ASSERT_TRUE(net::DecodeStats(payload, &back));
-  EXPECT_EQ(back.sess_submitted, 11u);
-  EXPECT_EQ(back.ing_admitted, 22u);
-  EXPECT_EQ(back.height, 33u);
-  // A METRICS payload is not a valid STATS payload.
-  MetricsRegistry reg;
-  reg.GetCounter("c")->Add(1);
-  std::string mpayload;
-  net::EncodeMetrics(reg.Snapshot(), &mpayload);
-  net::WireStats bogus;
-  EXPECT_FALSE(net::DecodeStats(mpayload, &bogus));
-}
-
 // ----------------------------------------------------- event log ------------
 
 TEST(EventLogTest, EmitSinceAndDetailTruncation) {

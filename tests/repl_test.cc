@@ -231,18 +231,20 @@ TEST(ReplWire, RoundTripEveryReplOpcode) {
   std::string snap_payload;
   net::EncodeSnapshot(snap, &snap_payload);
 
-  // Replication opcodes are wire v2 by construction.
-  for (Opcode op : {Opcode::kOpReplJoin, Opcode::kOpReplicate,
-                    Opcode::kOpReplicateAck, Opcode::kOpReplSnapshot}) {
-    EXPECT_EQ(net::WireVersionFor(op), net::kWireV2);
-  }
-
-  // Stream all four frames byte-by-byte through the reassembler.
+  // Stream all four frames byte-by-byte through the reassembler. Each is
+  // stamped with the one wire version.
+  const std::pair<Opcode, std::string> sent[] = {
+      {Opcode::kOpReplJoin, join_payload},
+      {Opcode::kOpReplicate, repl_payload},
+      {Opcode::kOpReplicateAck, ack_payload},
+      {Opcode::kOpReplSnapshot, snap_payload},
+  };
   std::string stream;
-  stream += net::EncodeFrame(Opcode::kOpReplJoin, join_payload);
-  stream += net::EncodeFrame(Opcode::kOpReplicate, repl_payload);
-  stream += net::EncodeFrame(Opcode::kOpReplicateAck, ack_payload);
-  stream += net::EncodeFrame(Opcode::kOpReplSnapshot, snap_payload);
+  for (const auto& [op, payload] : sent) {
+    const std::string frame = net::EncodeFrame(op, payload);
+    EXPECT_EQ(static_cast<uint8_t>(frame[4]), net::kWireVersion);
+    stream += frame;
+  }
 
   FrameReassembler reasm;
   std::vector<Frame> frames;

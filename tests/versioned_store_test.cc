@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/thread_pool.h"
 #include "storage/state_backend.h"
 #include "storage/versioned_store.h"
@@ -110,6 +112,51 @@ TEST_F(VersionedStoreTest, ConcurrentReadersDuringApply) {
     }
   });
   EXPECT_EQ(bad.load(), 0);
+}
+
+/// A backend whose next Get first runs a hook — the deterministic stand-in
+/// for a commit that lands while a snapshot read is inside the backend.
+class InterleavingBackend : public MemoryBackend {
+ public:
+  std::function<void()> before_next_get;
+
+  Status Get(Key key, std::string* out) override {
+    if (before_next_get) {
+      auto hook = std::move(before_next_get);
+      before_next_get = nullptr;
+      hook();
+    }
+    return MemoryBackend::Get(key, out);
+  }
+};
+
+TEST(VersionedStoreRace, CommitDuringBackendReadKeepsSnapshot) {
+  // Block 2 installs k's chain and writes through while a snapshot-1 read
+  // that found no chain is reading the backend. The read must still see
+  // the pre-image, not block 2's value.
+  InterleavingBackend backend;
+  VersionedStore store(&backend);
+  const Key k = 7;
+  ASSERT_OK(backend.Put(k, "old", nullptr));
+  for (bool with_version : {false, true}) {
+    store.Clear();
+    ASSERT_OK(backend.Put(k, "old", nullptr));
+    backend.before_next_get = [&] {
+      ASSERT_OK(store.ApplyWrite(k, 2, std::string("new")));
+    };
+    std::optional<std::string> out;
+    BlockId version = 99;
+    if (with_version) {
+      ASSERT_OK(store.ReadVersionAtSnapshot(k, 1, &out, &version));
+      EXPECT_EQ(version, 0u);
+    } else {
+      ASSERT_OK(store.ReadAtSnapshot(k, 1, &out));
+    }
+    EXPECT_EQ(out, "old") << "with_version=" << with_version;
+    ASSERT_OK(store.ReadVersionAtSnapshot(k, 2, &out, &version));
+    EXPECT_EQ(out, "new");
+    EXPECT_EQ(version, 2u);
+  }
 }
 
 TEST_F(VersionedStoreTest, DiskBackedSnapshotFallback) {

@@ -14,8 +14,8 @@
 #     shorthand like src/ingest/mempool.{h,cc} expands to each
 #     alternative. Paths under build/ (binary locations in usage
 #     comments) are skipped.
-#   - opcode / format-version names (kOp<Name>, kLogV<N>, kLogVersion —
-#     e.g. kOpBatchSubmit): each must still have a definition
+#   - opcode / format-version names (kOp<Name>, kLogV<N>, kLogVersion,
+#     kWireVersion — e.g. kOpBatchSubmit): each must still have a definition
 #     (`<token> =`) somewhere under src/.
 #   - metric names in docs/OBSERVABILITY.md (txn.queue_wait_us,
 #     chain.height, ...): each must appear as a string literal under
@@ -71,7 +71,7 @@ for doc in "$root"/docs/*.md "$root"/README.md "$root"/bench/README.md; do
       echo "stale token in ${doc#"$root"/}: $tok (no definition in src/)" >&2
       status=1
     fi
-  done < <(grep -ohE '\bkOp[A-Za-z]+\b|\bkLogV[0-9]+\b|\bkLogVersion\b' "$doc" | sort -u)
+  done < <(grep -ohE '\bkOp[A-Za-z]+\b|\bkLogV[0-9]+\b|\bkLogVersion\b|\bkWireVersion\b' "$doc" | sort -u)
 done
 
 # Metric-name drift: docs/OBSERVABILITY.md catalogues the registry's

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -273,11 +274,22 @@ void CaseWireReassembler(FuzzRng& rng, Ctx& ctx) {
   std::vector<net::Frame> built;
   std::string stream;
   const size_t n_frames = 1 + rng.Index(3);
+  static constexpr net::Opcode kOpcodes[] = {
+      net::Opcode::kOpSync,         net::Opcode::kOpError,
+      net::Opcode::kOpBatchSubmit,  net::Opcode::kOpBatchReceipt,
+      net::Opcode::kOpMetrics,      net::Opcode::kOpReplJoin,
+      net::Opcode::kOpReplicate,    net::Opcode::kOpReplicateAck,
+      net::Opcode::kOpReplSnapshot, net::Opcode::kOpHealth,
+      net::Opcode::kOpEvents,
+  };
   for (size_t i = 0; i < n_frames; i++) {
     net::Frame f;
-    f.opcode = static_cast<net::Opcode>(1 + rng.Index(12));
+    f.opcode = kOpcodes[rng.Index(std::size(kOpcodes))];
+    if (net::IsControlCall(f.opcode)) {
+      f.request_id = static_cast<uint16_t>(rng.U64());
+    }
     f.payload = rng.Bytes(rng.SkewedSize(2048));
-    stream += net::EncodeFrame(f.opcode, f.payload);
+    stream += net::EncodeFrame(f.opcode, f.payload, f.request_id);
     built.push_back(std::move(f));
   }
   const bool mutated = rng.Chance(0.85);
@@ -317,51 +329,32 @@ void CaseWireReassembler(FuzzRng& rng, Ctx& ctx) {
     FUZZ_CHECK(got.size() == built.size(), "valid stream lost frames");
     for (size_t i = 0; i < got.size(); i++) {
       FUZZ_CHECK(got[i].opcode == built[i].opcode &&
+                     got[i].request_id == built[i].request_id &&
                      got[i].payload == built[i].payload,
                  "valid frame decoded differently");
     }
   }
 }
 
-/// Every opcode payload decoder, mutated and unmutated. Decoders return
-/// bool; the invariant is "no crash, no OOB" (sanitizers enforce) plus
-/// unmutated payloads must decode and round-trip.
+/// The client/server payload decoders (ERROR, METRICS, BATCH_SUBMIT,
+/// BATCH_RECEIPT), mutated and unmutated. Decoders return bool; the
+/// invariant is "no crash, no OOB" (sanitizers enforce) plus unmutated
+/// payloads must decode.
 void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
-  const size_t kind = rng.Index(8);
+  const size_t kind = rng.Index(4);
   std::string payload;
   switch (kind) {
-    case 0: {  // SUBMIT: BlockCodec::EncodeTxn
-      TxnRequest t = MakeTxn(rng);
-      BlockCodec::EncodeTxn(t, &payload);
-      break;
-    }
-    case 1: {
-      net::EncodeReceipt(MakeReceipt(rng), &payload);
-      break;
-    }
-    case 2: {
+    case 0: {
       net::WireError e;
       e.code = static_cast<Status::Code>(rng.Index(8));
-      e.client_seq = rng.U64();
       e.message = rng.Bytes(rng.SkewedSize(64));
       net::EncodeError(e, &payload);
       break;
     }
-    case 3:
-      net::EncodeSync(rng.U64(), &payload);
-      break;
-    case 4: {
-      net::WireStats st;
-      st.sess_submitted = rng.U64();
-      st.height = rng.U64();
-      st.queue_depth = rng.U64();
-      net::EncodeStats(st, &payload);
-      break;
-    }
-    case 5:
+    case 1:
       net::EncodeMetrics(MakeSnapshot(rng), &payload);
       break;
-    case 6: {
+    case 2: {
       std::vector<TxnRequest> txns;
       const size_t n = 1 + rng.Index(6);
       for (size_t i = 0; i < n; i++) txns.push_back(MakeTxn(rng));
@@ -384,43 +377,18 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
 
   switch (kind) {
     case 0: {
-      codec::Reader r(payload);
-      TxnRequest t;
-      const bool ok = BlockCodec::DecodeTxn(&r, &t);
-      if (!mutated) FUZZ_CHECK(ok, "valid SUBMIT payload rejected");
-      break;
-    }
-    case 1: {
-      TxnReceipt rcpt;
-      const bool ok = net::DecodeReceipt(payload, &rcpt);
-      if (!mutated) FUZZ_CHECK(ok, "valid RECEIPT payload rejected");
-      break;
-    }
-    case 2: {
       net::WireError e;
       const bool ok = net::DecodeError(payload, &e);
       if (!mutated) FUZZ_CHECK(ok, "valid ERROR payload rejected");
       break;
     }
-    case 3: {
-      uint64_t token = 0;
-      const bool ok = net::DecodeSync(payload, &token);
-      if (!mutated) FUZZ_CHECK(ok, "valid SYNC payload rejected");
-      break;
-    }
-    case 4: {
-      net::WireStats st;
-      const bool ok = net::DecodeStats(payload, &st);
-      if (!mutated) FUZZ_CHECK(ok, "valid STATS payload rejected");
-      break;
-    }
-    case 5: {
+    case 1: {
       obs::MetricsSnapshot m;
       const bool ok = net::DecodeMetrics(payload, &m);
       if (!mutated) FUZZ_CHECK(ok, "valid METRICS payload rejected");
       break;
     }
-    case 6: {
+    case 2: {
       std::vector<TxnRequest> txns;
       const bool ok = net::DecodeBatchSubmit(payload, &txns);
       if (!mutated) FUZZ_CHECK(ok, "valid BATCH_SUBMIT payload rejected");
@@ -834,7 +802,7 @@ const Target kTargets[] = {
     {"wire_reassembler", CaseWireReassembler,
      "frame reassembly over mutated byte streams (net/wire.h)"},
     {"wire_payload", CaseWirePayload,
-     "every opcode payload decoder, v1 and v2"},
+     "ERROR/METRICS/BATCH_SUBMIT/BATCH_RECEIPT payload decoders"},
     {"block_record", CaseBlockRecord,
      "BlockCodec::Decode on v5 records, incl. edge-valued txns"},
     {"log_open", CaseLogOpen,
@@ -865,11 +833,10 @@ int WriteCorpus(const std::string& dir) {
   Ctx ctx;
   std::vector<Entry> entries;
 
-  std::string frame_payload;
-  net::EncodeSync(0x1122334455667788ULL, &frame_payload);
-  entries.push_back({"wire_sync_frame.hex",
-                     "# one complete SYNC frame (header + payload)",
-                     net::EncodeFrame(net::Opcode::kOpSync, frame_payload)});
+  entries.push_back(
+      {"wire_sync_frame.hex",
+       "# one complete SYNC frame (header only: empty payload, request id 7)",
+       net::EncodeFrame(net::Opcode::kOpSync, "", /*request_id=*/7)});
 
   std::vector<TxnRequest> batch;
   for (int i = 0; i < 3; i++) batch.push_back(MakeTxn(rng));
@@ -883,6 +850,11 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeMetrics(MakeSnapshot(rng), &metrics_payload);
   entries.push_back({"wire_metrics.hex",
                      "# METRICS payload: one MetricsSnapshot", metrics_payload});
+  entries.push_back(
+      {"wire_metrics_frame.hex",
+       "# one complete METRICS reply frame (request id 0x0102 + snapshot)",
+       net::EncodeFrame(net::Opcode::kOpMetrics, metrics_payload,
+                        /*request_id=*/0x0102)});
 
   net::WireHealth health;
   health.role = net::WireHealth::kFollower;
@@ -953,7 +925,7 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeReplJoin(join, &join_payload);
   entries.push_back(
       {"repl_join_frame.hex",
-       "# one complete REPL_JOIN frame (wire v2 header + payload)",
+       "# one complete REPL_JOIN frame (wire v3 header + payload)",
        net::EncodeFrame(net::Opcode::kOpReplJoin, join_payload)});
 
   std::string repl_payload;

@@ -65,7 +65,7 @@ mv "$out/BENCH_storage.merged.tmp.json" "$out/BENCH_storage.json"
 rm -f "$out/BENCH_storage.large.tmp.json"
 
 # net_bench --replicas: real 3-process leader+follower cluster over the
-# wire-v2 replication frames (docs/REPLICATION.md), quorum-ack receipts,
+# wire replication frames (docs/REPLICATION.md), quorum-ack receipts,
 # follower kill/rejoin mid-run, digest-identical shutdown.
 if [[ $smoke -eq 1 ]]; then
   "$build/net_bench" --replicas 3 --conns 8 --txns 200 \
