@@ -20,10 +20,9 @@
 
 #include "bench/cluster_util.h"
 #include "bench/harness.h"
-#include "common/histogram.h"
 #include "common/rng.h"
-#include "common/spin_lock.h"
 #include "net/client.h"
+#include "obs/metrics.h"
 #include "workload/smallbank.h"
 #include "workload/ycsb.h"
 
@@ -51,22 +50,14 @@ int RunFigure(const std::string& title,
     for (uint32_t n : {4u, 20u, 40u, 60u, 80u}) {
       NetworkModel net;
       net.nodes = n;
-      net.bandwidth_gbps = 5.0;
-      KafkaOrderer ord("s", net);
-      const ConsensusProfile prof =
-          ord.Profile(p.block_size, workload_meta->avg_txn_bytes());
-      double tput = std::min(base->exec_tps, prof.max_txns_per_sec);
-      double lat = base->mean_latency_ms +
-                   static_cast<double>(prof.block_latency_us) / 1e3;
-      if (sys.sov) {
-        // rw-set distribution to every replica caps SOV throughput and the
-        // endorsement round trip adds latency.
-        const double per_txn_us = static_cast<double>(
-            net.TransferUs(workload_meta->avg_rwset_bytes() * n));
-        if (per_txn_us > 0) tput = std::min(tput, 1e6 / per_txn_us);
-        lat += 2.0 * static_cast<double>(net.lan_one_way_us) / 1e3;
-      }
-      PrintRow({std::to_string(n), sys.label, Fmt(tput, 0), Fmt(lat, 1)});
+      net.bandwidth_gbps = p.bandwidth_gbps;
+      const KafkaOrderer ord("s", net);
+      const EndToEnd e = BehindOrderer(
+          base->exec_tps, base->mean_latency_ms,
+          ord.Profile(p.block_size, workload_meta->avg_txn_bytes()), net,
+          sys.sov ? workload_meta->avg_rwset_bytes() : 0);
+      PrintRow({std::to_string(n), sys.label, Fmt(e.tps, 0),
+                Fmt(e.latency_ms, 1)});
     }
   }
   return 0;
@@ -79,7 +70,7 @@ int RunFigure(const std::string& title,
 struct WireLoadResult {
   double wall_s = 0;
   uint64_t committed = 0;
-  Histogram latency_us;
+  double p50_ms = 0;  ///< submit -> committed receipt (bucket estimate)
 };
 
 /// Open-loop blind increments against the leader, same shape as
@@ -87,8 +78,8 @@ struct WireLoadResult {
 WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
                            size_t window) {
   WireLoadResult res;
-  SpinLock mu;
   std::atomic<uint64_t> committed{0};
+  obs::LatencyHistogram latency_us;
   Timer wall;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < conns; c++) {
@@ -111,8 +102,7 @@ WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
         (*client)->Submit(std::move(t), [&](const TxnReceipt& r) {
           if (r.outcome == ReceiptOutcome::kCommitted) {
             committed.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<SpinLock> lk(mu);
-            res.latency_us.Add(static_cast<double>(r.latency_us));
+            latency_us.Record(r.latency_us);
           }
         });
       }
@@ -122,6 +112,7 @@ WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
   for (auto& t : threads) t.join();
   res.wall_s = wall.ElapsedSeconds();
   res.committed = committed.load();
+  res.p50_ms = latency_us.Snap().Percentile(50) / 1e3;
   return res;
 }
 
@@ -206,7 +197,7 @@ int RunWireFigure(const std::string& harmonyd_flag) {
                       ? static_cast<double>(r.committed) / r.wall_s / 1e3
                       : 0,
                   1),
-              Fmt(r.latency_us.Percentile(50) / 1e3, 2),
+              Fmt(r.p50_ms, 2),
               std::to_string(r.committed)});
     std::filesystem::remove_all(root);
   }

@@ -37,10 +37,10 @@ int RunFigure(const std::string& title,
           std::string(which) == "BFT"
               ? hs.Profile(p.block_size, meta->avg_txn_bytes())
               : kafka.Profile(p.block_size, meta->avg_txn_bytes());
-      const double tput = std::min(base->exec_tps, prof.max_txns_per_sec);
-      const double lat = base->mean_latency_ms +
-                         static_cast<double>(prof.block_latency_us) / 1e3;
-      PrintRow({std::to_string(n), which, Fmt(tput, 0), Fmt(lat, 1)});
+      const EndToEnd e = BehindOrderer(base->exec_tps, base->mean_latency_ms,
+                                       prof, net, /*sov_rwset_bytes=*/0);
+      PrintRow({std::to_string(n), which, Fmt(e.tps, 0),
+                Fmt(e.latency_ms, 1)});
     }
   }
   return 0;

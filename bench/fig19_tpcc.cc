@@ -27,8 +27,8 @@ int main() {
                      r.status().ToString().c_str());
         return 1;
       }
-      PrintRow({std::to_string(wh), sys.label, Fmt(r->end_to_end_tps(), 0),
-                Fmt(r->end_to_end_latency_ms(), 1), Fmt(r->abort_rate, 3)});
+      PrintRow({std::to_string(wh), sys.label, Fmt(r->end_to_end.tps, 0),
+                Fmt(r->end_to_end.latency_ms, 1), Fmt(r->abort_rate, 3)});
     }
   }
   return 0;

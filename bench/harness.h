@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "consensus/orderer.h"
 #include "obs/metrics.h"
-#include "replica/cluster.h"
 #include "workload/workload.h"
 
 namespace harmony {
@@ -47,16 +47,45 @@ struct BenchParams {
   size_t pool_pages = 96;       ///< deliberately smaller than the hot set
   DiskModel disk = DiskModel::Ssd();
   bool in_memory = false;
-  uint32_t total_replicas = 4;
-  ConsensusKind consensus = ConsensusKind::kKafka;
-  bool wan = false;
-  double bandwidth_gbps = 1.0;
+  double bandwidth_gbps = 1.0;  ///< NICs of the modelled 4-node cluster
   bool false_abort_oracle = false;
-  size_t checkpoint_every = 10;
 };
 
-/// Runs one (system, workload, parameters) point and returns the report.
-/// The workload factory is invoked once; its Setup runs on each replica.
+/// A measured execution point as a client of a networked deployment sees
+/// it: the ordering service caps throughput and adds block-delivery
+/// latency on top of the execution figures.
+struct EndToEnd {
+  double tps = 0;
+  double latency_ms = 0;
+};
+
+/// Places an execution point (`exec_tps`, `exec_latency_ms`) behind an
+/// orderer with profile `prof` on network `net`. `sov_rwset_bytes` > 0
+/// marks an SOV system: every transaction's signed read-write set is
+/// broadcast to all `net.nodes` replicas (a second throughput ceiling) and
+/// the client pays the endorsement round trip.
+EndToEnd BehindOrderer(double exec_tps, double exec_latency_ms,
+                       const ConsensusProfile& prof, const NetworkModel& net,
+                       size_t sov_rwset_bytes);
+
+/// What one (system, workload, parameters) point reports — the columns the
+/// paper figures print.
+struct RunReport {
+  double exec_tps = 0;         ///< committed receipts / wall second
+  double mean_latency_ms = 0;  ///< submit -> committed receipt
+  double abort_rate = 0;       ///< cc aborts / simulated txns
+  double false_abort_rate = 0;
+  double dangerous_hit_rate = 0;
+  double cpu_util = 0;         ///< process CPU / (wall * cores)
+  /// Behind a Kafka orderer on the modelled 4-node cluster.
+  EndToEnd end_to_end;
+};
+
+/// Runs one point through a single-node HarmonyBC: the workload's genesis
+/// is loaded and checkpointed, then `total_txns` transactions are submitted
+/// through one Session under a bounded in-flight window and the run ends at
+/// Sync(). CC-aborted transactions retry inside HarmonyBC; a transaction
+/// that exhausts its retries counts as not committed.
 Result<RunReport> RunPoint(const BenchParams& params,
                            const std::function<std::unique_ptr<Workload>()>&
                                make_workload);

@@ -1,37 +1,29 @@
-// Ingress subsystem benchmark — two parts (see bench/README.md):
+// Ingress subsystem benchmark (see bench/README.md):
 //
-//  1. Contended queue comparison: the PR 1 mutex-striped shard mempool
-//     (spin lock + deque per shard, dedup in the same critical section —
-//     reconstructed here as the yardstick) vs the current lock-free MPSC
-//     shard-ring mempool, under 1/2/4/8 producers with one concurrent
-//     drainer. Pure ingest-path cost: no sealer, no replica.
-//
-//  2. Open-loop end-to-end ingress through the *session API*: each producer
+//  1. Open-loop end-to-end ingress through the *session API*: each producer
 //     thread opens a Session and submits blind increments as fast as the
 //     mempool admits them (spinning briefly on Busy backpressure), while
 //     the background sealer cuts blocks on size-or-deadline and pipelines
 //     them into the replica. Latency is honest submit→receipt time per
 //     transaction (completion-callback mode), not wall-clock-over-Sync;
 //     the per-lane seal counters show where each block's txns came from.
+//  2. Block log compression: the same sealed workload stored raw vs HLZ.
+//  3. Txn tracing overhead: the part-1 workload with tracing off vs on.
 //
 //   ./build/ingest_bench
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <filesystem>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/rng.h"
-#include "common/spin_lock.h"
 #include "core/harmonybc.h"
-#include "ingest/mempool.h"
+#include "obs/metrics.h"
 
 using namespace harmony;
 using namespace harmony::bench;
@@ -45,145 +37,7 @@ Status Increment(TxnContext& ctx, const ProcArgs& a) {
 
 constexpr int kKeys = 1024;
 
-// ------------------------------------------------- part 1: queue compare --
-
-/// The PR 1 design, verbatim in spirit: shard-striped spin locks, a
-/// std::deque per shard, and the dedup probe inside the same critical
-/// section as the enqueue. This is what the lock-free rings replaced.
-class MutexMempool {
- public:
-  MutexMempool(size_t capacity, size_t shards)
-      : capacity_(capacity),
-        shards_(shards),
-        mask_(shards - 1),
-        // PR 1's default dedup window, split per shard — keeps the seen
-        // sets bounded exactly like the ring mempool's, so the comparison
-        // measures queue design, not unbounded hash-set growth.
-        dedup_per_shard_((1u << 20) / shards) {}
-
-  Status Add(TxnRequest req) {
-    size_t cur = size_.load(std::memory_order_relaxed);
-    do {
-      if (cur >= capacity_) return Status::Busy("full");
-    } while (!size_.compare_exchange_weak(cur, cur + 1,
-                                          std::memory_order_relaxed));
-    const uint64_t key = Mix64(req.client_id ^ Mix64(req.client_seq));
-    Shard& s = shards_[key & mask_];
-    {
-      std::lock_guard<SpinLock> lk(s.mu);
-      if (!s.seen.insert(key).second) {
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        return Status::InvalidArgument("dup");
-      }
-      s.seen_fifo.push_back(key);
-      if (s.seen_fifo.size() > dedup_per_shard_) {
-        s.seen.erase(s.seen_fifo.front());
-        s.seen_fifo.pop_front();
-      }
-      s.q.push_back(std::move(req));
-    }
-    return Status::OK();
-  }
-
-  size_t TakeBatch(size_t max, std::vector<TxnRequest>* out) {
-    const size_t before = out->size();
-    size_t cursor = cursor_.fetch_add(1, std::memory_order_relaxed);
-    size_t taken = 0;
-    for (size_t i = 0; i < shards_.size() && out->size() - before < max; i++) {
-      Shard& s = shards_[(cursor + i) & mask_];
-      std::lock_guard<SpinLock> lk(s.mu);
-      while (out->size() - before < max && !s.q.empty()) {
-        out->push_back(std::move(s.q.front()));
-        s.q.pop_front();
-        taken++;
-      }
-    }
-    if (taken > 0) size_.fetch_sub(taken, std::memory_order_relaxed);
-    return out->size() - before;
-  }
-
- private:
-  struct Shard {
-    SpinLock mu;
-    std::deque<TxnRequest> q;
-    std::unordered_set<uint64_t> seen;
-    std::deque<uint64_t> seen_fifo;
-  };
-  size_t capacity_;
-  std::vector<Shard> shards_;
-  size_t mask_;
-  size_t dedup_per_shard_;
-  std::atomic<size_t> size_{0};
-  std::atomic<size_t> cursor_{0};
-};
-
-/// Runs `producers` submit threads against `pool` with one concurrent
-/// drainer; returns admitted transactions per second (measured over the
-/// producers' wall time, the contended phase).
-template <typename Pool>
-double QueueThroughput(Pool& pool, size_t producers, size_t per_producer) {
-  std::atomic<uint64_t> drained{0};
-  const uint64_t total = producers * per_producer;
-  std::thread consumer([&] {
-    std::vector<TxnRequest> out;
-    while (drained.load(std::memory_order_relaxed) < total) {
-      out.clear();
-      const size_t n = pool.TakeBatch(256, &out);
-      if (n == 0) {
-        std::this_thread::yield();
-      } else {
-        drained.fetch_add(n, std::memory_order_relaxed);
-      }
-    }
-  });
-
-  Timer wall;
-  std::vector<std::thread> threads;
-  for (size_t p = 0; p < producers; p++) {
-    threads.emplace_back([&, p] {
-      for (size_t i = 1; i <= per_producer;) {
-        TxnRequest t;
-        t.proc_id = 1;
-        t.client_id = p + 1;
-        t.client_seq = i;
-        t.args.ints = {static_cast<int64_t>(i & (kKeys - 1)), 1};
-        if (pool.Add(std::move(t)).ok()) {
-          i++;
-        } else {
-          std::this_thread::yield();  // backpressure
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double s = wall.ElapsedSeconds();
-  consumer.join();
-  return s > 0 ? static_cast<double>(total) / s : 0;
-}
-
-void RunQueueCompare(size_t per_producer) {
-  PrintHeader(
-      "Mempool queue: mutex-striped deques (PR 1) vs lock-free MPSC rings, "
-      "16 shards, one concurrent drainer",
-      {"producers", "mutex ktxn/s", "lock-free ktxn/s", "speedup"});
-  for (size_t producers : {1, 2, 4, 8}) {
-    MutexMempool mutex_pool(1 << 14, 16);
-    const double mutex_tps =
-        QueueThroughput(mutex_pool, producers, per_producer);
-
-    MempoolOptions mo;
-    mo.capacity = 1 << 14;
-    mo.shards = 16;
-    Mempool ring_pool(mo);
-    const double ring_tps = QueueThroughput(ring_pool, producers, per_producer);
-
-    PrintRow({std::to_string(producers), Fmt(mutex_tps / 1e3),
-              Fmt(ring_tps / 1e3),
-              Fmt(mutex_tps > 0 ? ring_tps / mutex_tps : 0, 2) + "x"});
-  }
-}
-
-// --------------------------------------------- part 2: end-to-end ingress --
+// --------------------------------------------- part 1: end-to-end ingress --
 
 struct IngestPoint {
   double admit_ktps = 0;       ///< admitted txns / sec, producers running
@@ -238,10 +92,8 @@ IngestPoint RunPoint(size_t producers, size_t txns_per_producer,
   if (!(*db)->Recover().ok()) std::exit(1);
 
   // Submit→receipt latency of every committed transaction, recorded from
-  // the completion callback (the replica's commit thread; rejections fire
-  // on producer threads but are not recorded — the spin lock covers both).
-  SpinLock lat_mu;
-  Histogram latency_us;
+  // the completion callback on the replica's commit thread.
+  obs::LatencyHistogram latency_us;
 
   std::atomic<uint64_t> admitted{0};
   Timer wall;
@@ -264,9 +116,9 @@ IngestPoint RunPoint(size_t producers, size_t txns_per_producer,
         }
         TxnTicket ticket =
             session->Submit(std::move(t), [&](const TxnReceipt& r) {
-              if (r.outcome != ReceiptOutcome::kCommitted) return;
-              std::lock_guard<SpinLock> lk(lat_mu);
-              latency_us.Add(static_cast<double>(r.latency_us));
+              if (r.outcome == ReceiptOutcome::kCommitted) {
+                latency_us.Record(r.latency_us);
+              }
             });
         // Rejections resolve synchronously; anything else was admitted.
         if (auto r = ticket.TryGet();
@@ -300,8 +152,9 @@ IngestPoint RunPoint(size_t producers, size_t txns_per_producer,
       total_s > 0
           ? static_cast<double>((*db)->stats().committed.load()) / total_s / 1e3
           : 0;
-  pt.p50_ms = latency_us.Percentile(50) / 1e3;
-  pt.p99_ms = latency_us.Percentile(99) / 1e3;
+  const obs::HistogramSnapshot lat = latency_us.Snap();
+  pt.p50_ms = lat.Percentile(50) / 1e3;
+  pt.p99_ms = lat.Percentile(99) / 1e3;
   pt.sealed_high =
       st.sealed_lane_txns[static_cast<size_t>(IngestLane::kHigh)].load();
   pt.sealed_normal =
@@ -331,8 +184,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  RunQueueCompare(ScaledTxns(200000));
-
   const size_t per_producer = ScaledTxns(25000);
   PrintHeader(
       "Ingress via sessions: open-loop Submit -> per-txn receipts, "
@@ -352,7 +203,7 @@ int main(int argc, char** argv) {
               std::to_string(pt.backpressured)});
   }
 
-  // ---------------------------------------- part 3: block log compression --
+  // ---------------------------------------- part 2: block log compression --
   // Same sealed workload persisted with every v5 varint section stored
   // uncompressed vs HLZ-compressed (the default), with and without payload
   // blobs. "raw B/blk" is the canonical EncodeTxn size and "disk B/blk"
@@ -379,12 +230,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --------------------------------------------- part 4: tracing overhead --
+  // --------------------------------------------- part 3: tracing overhead --
   // The same 4-producer open-loop run with txn-lifecycle tracing off vs on
   // (docs/OBSERVABILITY.md): the delta is the whole cost of the per-stage
   // clock reads, histogram updates, and the slow-txn ring on the hot path.
   PrintHeader(
-      "Txn tracing overhead: part-2 workload, 4 producers, "
+      "Txn tracing overhead: part-1 workload, 4 producers, "
       "enable_tracing off vs on (acceptance target: < 2% median admit loss)",
       {"tracing", "admit ktxn/s", "e2e ktxn/s", "overhead"});
   const size_t trace_txns = ScaledTxns(25000);

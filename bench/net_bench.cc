@@ -35,6 +35,7 @@
 // `state_digest=` line.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstring>
@@ -46,13 +47,13 @@
 #include "bench/cluster_util.h"
 #include "bench/harness.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/spin_lock.h"
 #include "core/harmonybc.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/events.h"
+#include "obs/metrics.h"
 
 using namespace harmony;
 using namespace harmony::bench;
@@ -103,7 +104,8 @@ struct RunResult {
   uint64_t dropped = 0;
   uint64_t lost = 0;        ///< submits that never resolved
   uint64_t duplicated = 0;  ///< receipts delivered twice for one seq
-  Histogram latency_us;     ///< submit -> receipt, committed only
+  /// Submit -> receipt, committed only (bucket estimates, <=12.5% error).
+  obs::HistogramSnapshot latency_us;
 };
 
 /// In-process baseline: same connection/txn/window shape, but through
@@ -111,7 +113,7 @@ struct RunResult {
 RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
   auto db = OpenDb("local");
   RunResult res;
-  SpinLock mu;
+  obs::LatencyHistogram latency_us;
   std::atomic<uint64_t> committed{0}, rejected{0}, dropped{0};
   Timer wall;
   std::vector<std::thread> threads;
@@ -129,12 +131,10 @@ RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
         t.args.ints = {rng.UniformRange(0, kKeys - 1), 1};
         session->Submit(std::move(t), [&](const TxnReceipt& r) {
           switch (r.outcome) {
-            case ReceiptOutcome::kCommitted: {
+            case ReceiptOutcome::kCommitted:
               committed.fetch_add(1, std::memory_order_relaxed);
-              std::lock_guard<SpinLock> lk(mu);
-              res.latency_us.Add(static_cast<double>(r.latency_us));
+              latency_us.Record(r.latency_us);
               break;
-            }
             case ReceiptOutcome::kRejected:
               rejected.fetch_add(1, std::memory_order_relaxed);
               break;
@@ -152,6 +152,7 @@ RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
   res.committed = committed.load();
   res.rejected = rejected.load();
   res.dropped = dropped.load();
+  res.latency_us = latency_us.Snap();
   return res;
 }
 
@@ -160,7 +161,7 @@ RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
 RunResult RunWire(uint16_t port, size_t conns, size_t txns_per_conn,
                   size_t window, size_t batch, uint64_t batch_delay_us) {
   RunResult res;
-  SpinLock mu;
+  obs::LatencyHistogram latency_us;
   std::atomic<uint64_t> committed{0}, rejected{0}, dropped{0};
   std::atomic<uint64_t> duplicated{0}, resolved{0};
   Timer wall;
@@ -199,12 +200,10 @@ RunResult RunWire(uint16_t port, size_t conns, size_t txns_per_conn,
           }
           resolved.fetch_add(1, std::memory_order_relaxed);
           switch (r.outcome) {
-            case ReceiptOutcome::kCommitted: {
+            case ReceiptOutcome::kCommitted:
               committed.fetch_add(1, std::memory_order_relaxed);
-              std::lock_guard<SpinLock> lk(mu);
-              res.latency_us.Add(static_cast<double>(r.latency_us));
+              latency_us.Record(r.latency_us);
               break;
-            }
             case ReceiptOutcome::kRejected:
               rejected.fetch_add(1, std::memory_order_relaxed);
               break;
@@ -227,6 +226,7 @@ RunResult RunWire(uint16_t port, size_t conns, size_t txns_per_conn,
   res.rejected = rejected.load();
   res.dropped = dropped.load();
   res.duplicated = duplicated.load();
+  res.latency_us = latency_us.Snap();
   const uint64_t total = static_cast<uint64_t>(conns) * txns_per_conn;
   res.lost = total - resolved.load();
   return res;
@@ -300,7 +300,7 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
   // cross-node clock arithmetic and no bespoke per-height bookkeeping —
   // these are the same numbers `harmonyd cluster-status` scrapes.
   std::atomic<bool> mon_stop{false};
-  Histogram lag_blocks;
+  obs::LatencyHistogram lag_blocks;
   const uint16_t leader_port = nodes[0].port;  // the leader is never killed
   const std::string lag_prefix =
       std::string(obs::kGaugePeerLagBlocks) + ".";
@@ -324,7 +324,8 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
       }
       for (const auto& g : snap->gauges) {
         if (g.name.compare(0, lag_prefix.size(), lag_prefix) == 0)
-          lag_blocks.Add(static_cast<double>(g.value));
+          lag_blocks.Record(
+              static_cast<uint64_t>(std::max<int64_t>(0, g.value)));
       }
       ::usleep(5'000);
     }
@@ -387,6 +388,7 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
   }
   mon_stop.store(true, std::memory_order_release);
   monitor.join();
+  const obs::HistogramSnapshot lag = lag_blocks.Snap();
 
   // Graceful stop (followers first, leader last) so each node drains and
   // prints its `state_digest=` fingerprint.
@@ -424,8 +426,8 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
                     : 0),
             Fmt(r.latency_us.Percentile(50) / 1e3, 2),
             Fmt(r.latency_us.Percentile(99) / 1e3, 2),
-            Fmt(lag_blocks.Percentile(50), 1),
-            Fmt(lag_blocks.Percentile(99), 1),
+            Fmt(lag.Percentile(50), 1),
+            Fmt(lag.Percentile(99), 1),
             std::to_string(r.committed) + "/" + std::to_string(r.rejected) +
                 "/" + std::to_string(r.dropped),
             std::to_string(r.lost) + "/" + std::to_string(r.duplicated),

@@ -36,8 +36,8 @@ inline int RunSystemsAtPoint(const std::string& point_label,
       return 1;
     }
     std::vector<std::string> row = {point_label, sys.label,
-                                    Fmt(r->end_to_end_tps(), 0),
-                                    Fmt(r->end_to_end_latency_ms(), 1)};
+                                    Fmt(r->end_to_end.tps, 0),
+                                    Fmt(r->end_to_end.latency_ms, 1)};
     if (opt.print_aborts) row.push_back(Fmt(r->abort_rate, 3));
     if (opt.print_false_aborts) row.push_back(Fmt(r->false_abort_rate, 3));
     PrintRow(row);

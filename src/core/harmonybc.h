@@ -56,8 +56,9 @@ namespace harmony {
 /// lane automatically; exhausting Options::max_txn_retries resolves the
 /// receipt as dropped.
 ///
-/// For multi-replica deployments and benchmarks use Cluster (replica/),
-/// which feeds several Replica instances the same ordered chain.
+/// The paper-figure benchmarks (bench/harness.cc) run through this same
+/// pipeline. Multi-node deployments replicate its committed blocks to
+/// followers (src/repl/; docs/REPLICATION.md).
 class HarmonyBC {
  public:
   struct Options {

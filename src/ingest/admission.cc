@@ -39,7 +39,7 @@ Status AdmissionController::Admit(const TxnRequest& req, uint64_t now_us,
                                    std::to_string(req.args.blob.size()) +
                                    " bytes)");
   }
-  if (opts_.validate_procedures) {
+  {
     std::lock_guard<SpinLock> lk(procs_mu_);
     if (procs_.find(req.proc_id) == procs_.end()) {
       stats_.rejected.fetch_add(1, std::memory_order_relaxed);

@@ -24,9 +24,6 @@ struct AdmissionOptions {
   /// client keeps making progress, but only in the low lane's weighted
   /// share of each block. Off = classic hard rate limiting.
   bool demote_over_rate = false;
-  /// Reject transactions whose proc_id was never registered. Off only for
-  /// drivers that feed raw workload streams below the procedure layer.
-  bool validate_procedures = true;
   size_t max_args = 256;           ///< max positional ints per request
   size_t max_blob_bytes = 1 << 20; ///< max opaque payload size
 };

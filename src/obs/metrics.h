@@ -3,12 +3,12 @@
 // Lock-free metrics: named counters, gauges, and fixed-bucket log-scale
 // latency histograms behind a registry with a consistent Snapshot().
 //
-// Unlike the bench-grade raw-sample Histogram in common/histogram.h,
-// LatencyHistogram is safe on hot paths: recording is a handful of relaxed
-// atomic ops into cache-line-padded per-thread stripes, memory is fixed at
-// construction (no allocation per sample), and stripes merge on snapshot.
-// Precision is ~12.5% worst-case relative error (4 sub-buckets per octave),
-// which is plenty for p50/p99 stage attribution.
+// LatencyHistogram is the repo's one latency histogram, safe on hot paths:
+// recording is a handful of relaxed atomic ops into cache-line-padded
+// per-thread stripes, memory is fixed at construction (no allocation per
+// sample), and stripes merge on snapshot. Precision is ~12.5% worst-case
+// relative error (4 sub-buckets per octave), which is plenty for p50/p99
+// stage attribution and bench percentiles.
 //
 // Ownership: a MetricsRegistry owns its instruments; Get* returns stable
 // pointers that live as long as the registry. Each HarmonyBC instance owns

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/codec.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/sha256.h"
 #include "common/spin_lock.h"
@@ -296,20 +295,6 @@ TEST(SpinLock, AtomicMinMax) {
   });
   EXPECT_EQ(mn.load(), 0u);
   EXPECT_EQ(mx.load(), 999u);
-}
-
-TEST(Histogram, Percentiles) {
-  Histogram h;
-  for (int i = 1; i <= 100; i++) h.Add(i);
-  EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
-  EXPECT_NEAR(h.Percentile(50), 50.5, 0.6);
-  EXPECT_NEAR(h.Percentile(99), 100, 1.1);
-  EXPECT_EQ(h.Min(), 1);
-  EXPECT_EQ(h.Max(), 100);
-  Histogram other;
-  other.Add(1000);
-  h.Merge(other);
-  EXPECT_EQ(h.Max(), 1000);
 }
 
 }  // namespace

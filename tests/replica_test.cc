@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "consensus/orderer.h"
-#include "replica/cluster.h"
+#include "core/harmonybc.h"
 #include "replica/replica.h"
 #include "tests/test_util.h"
 #include "workload/smallbank.h"
-#include "workload/ycsb.h"
 
 namespace harmony {
 namespace {
@@ -150,39 +151,89 @@ TEST(Replica, RecoveryIsIdempotent) {
   }
 }
 
-class ClusterConsistencyTest : public ::testing::TestWithParam<DccKind> {};
+Status Unset(TxnContext&, const ProcArgs&) {
+  return Status::InvalidArgument("procedure not installed by Workload::Setup");
+}
 
-TEST_P(ClusterConsistencyTest, TwoReplicasStayConsistent) {
-  TempDir dir("cluster");
-  ClusterOptions co;
-  co.dir = dir.path();
-  co.replica = FastOptions(dir.path(), GetParam());
-  co.replica.threads = 4;
-  co.live_replicas = 2;
-  co.block_size = 10;
-  Cluster cluster(co);
+// One leader runs contended Smallbank through the production pipeline
+// (session -> admission -> mempool -> sealer -> replica, CC-abort retries
+// included); three fresh replicas fed the blocks it committed must end in
+// the leader's exact state.
+class ChainDeterminismTest : public ::testing::TestWithParam<DccKind> {};
 
+TEST_P(ChainDeterminismTest, FreshReplicasReplayingTheChainMatchTheLeader) {
+  TempDir leader_dir("det-leader");
   SmallbankConfig sb;
   sb.num_accounts = 200;
   sb.skew = 0.9;  // contentious: aborts + retries exercised
-  auto workload = std::make_shared<SmallbankWorkload>(sb);
-  ASSERT_OK(cluster.Open([&](Replica& r) { return workload->Setup(r); }));
+  constexpr size_t kTxns = 300;
 
-  size_t remaining = 300;
-  auto report = cluster.Run(
-      [&](TxnRequest* out) {
-        if (remaining == 0) return false;
-        remaining--;
-        *out = workload->Next();
-        return true;
-      },
-      workload->avg_txn_bytes());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->committed, 250u);
-  ASSERT_OK(cluster.VerifyConsistency());
+  HarmonyBC::Options o;
+  o.dir = leader_dir.path();
+  o.protocol = GetParam();
+  o.dcc.harmony_inter_block = true;
+  o.disk = DiskModel::RamDisk();
+  o.threads = 4;
+  o.pool_pages = 512;
+  o.checkpoint_every = 5;
+  o.block_size = 10;
+  auto db = HarmonyBC::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  SmallbankWorkload workload(sb);
+  for (uint32_t id : {SmallbankWorkload::kProcAmalgamate,
+                      SmallbankWorkload::kProcBalance,
+                      SmallbankWorkload::kProcDepositChecking,
+                      SmallbankWorkload::kProcSendPayment,
+                      SmallbankWorkload::kProcTransactSavings,
+                      SmallbankWorkload::kProcWriteCheck}) {
+    (*db)->RegisterProcedure(id, "unset", Unset);
+  }
+  ASSERT_OK(workload.Setup(*(*db)->replica()));
+  ASSERT_TRUE((*db)->Recover().ok());
+
+  std::mutex mu;
+  std::vector<Block> chain;
+  (*db)->SetCommittedBlockHook([&](const Block& b) {
+    std::lock_guard<std::mutex> lk(mu);
+    chain.push_back(b);
+  });
+  auto session = (*db)->OpenSession();
+  std::vector<TxnRequest> reqs;
+  for (size_t i = 0; i < kTxns; i++) reqs.push_back(workload.Next());
+  const std::vector<TxnTicket> tickets = session->SubmitBatch(std::move(reqs));
+  ASSERT_OK((*db)->Sync());
+  (*db)->SetCommittedBlockHook(nullptr);
+
+  for (const TxnTicket& t : tickets) {
+    const std::optional<TxnReceipt> r = t.TryGet();
+    ASSERT_TRUE(r.has_value()) << "seq " << t.client_seq() << " not terminal";
+    EXPECT_NE(r->outcome, ReceiptOutcome::kRejected) << r->status.ToString();
+  }
+  const SessionStats& st = session->stats();
+  EXPECT_EQ(st.committed + st.logic_aborted + st.dropped, kTxns);
+  EXPECT_GT(st.committed.load(), 250u);
+  auto leader = (*db)->StateDigest();
+  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+
+  std::lock_guard<std::mutex> lk(mu);
+  ASSERT_EQ(chain.size(), (*db)->height());
+  for (int i = 0; i < 3; i++) {
+    TempDir dir("det-replica");
+    ReplicaOptions ro = FastOptions(dir.path(), GetParam());
+    ro.dcc_cfg.harmony_inter_block = true;
+    Replica r(ro);
+    ASSERT_OK(r.Open());
+    SmallbankWorkload genesis(sb);
+    ASSERT_OK(genesis.Setup(r));
+    for (const Block& b : chain) ASSERT_OK(r.SubmitBlock(b));
+    ASSERT_OK(r.Drain());
+    auto d = r.StateDigest();
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_EQ(DigestToHex(*d), DigestToHex(*leader)) << "replica " << i;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Protocols, ClusterConsistencyTest,
+INSTANTIATE_TEST_SUITE_P(Protocols, ChainDeterminismTest,
                          ::testing::Values(DccKind::kHarmony, DccKind::kAria,
                                            DccKind::kRbc, DccKind::kFabric,
                                            DccKind::kFastFabric),
@@ -193,39 +244,6 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ClusterConsistencyTest,
                            }
                            return s;
                          });
-
-TEST(Cluster, YcsbRunReportsSaneNumbers) {
-  TempDir dir("cluster-y");
-  ClusterOptions co;
-  co.dir = dir.path();
-  co.replica = FastOptions(dir.path(), DccKind::kHarmony);
-  co.live_replicas = 1;
-  co.block_size = 25;
-  Cluster cluster(co);
-
-  YcsbConfig yc;
-  yc.num_keys = 500;
-  yc.skew = 0.6;
-  yc.payload_bytes = 16;
-  auto workload = std::make_shared<YcsbWorkload>(yc);
-  ASSERT_OK(cluster.Open([&](Replica& r) { return workload->Setup(r); }));
-
-  size_t remaining = 500;
-  auto report = cluster.Run(
-      [&](TxnRequest* out) {
-        if (remaining == 0) return false;
-        remaining--;
-        *out = workload->Next();
-        return true;
-      },
-      workload->avg_txn_bytes());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->committed + report->dropped, 500u);
-  EXPECT_GT(report->exec_tps, 0.0);
-  EXPECT_GT(report->consensus_cap_tps, 0.0);
-  EXPECT_GE(report->mean_latency_ms, 0.0);
-  EXPECT_LE(report->p50_latency_ms, report->p99_latency_ms);
-}
 
 }  // namespace
 }  // namespace harmony

@@ -38,8 +38,8 @@ cmake --build "$build" -j"$(nproc)" \
 
 mkdir -p "$out"
 
-# ingest_bench: queue compare, session ingress, compression, tracing
-# overhead (the off-vs-on pair the <2% budget is judged against).
+# ingest_bench: session ingress, compression, tracing overhead (the
+# off-vs-on pair the <2% budget is judged against).
 "$build/ingest_bench" --json-out "$out/BENCH_ingest.json"
 
 # net_bench: wire vs batched-wire vs in-process, plus the per-stage table.
