@@ -50,7 +50,7 @@ struct IngestPoint {
   uint64_t sealed_low = 0;
   uint64_t sealed_retry = 0;
   uint64_t backpressured = 0;
-  // Block log accounting (log v5; see src/chain/block_store.h).
+  // Block log accounting (see src/chain/block_store.h).
   uint64_t blocks = 0;
   uint64_t raw_bytes = 0;   ///< canonical (EncodeTxn) txn bytes appended
   uint64_t disk_bytes = 0;  ///< record bytes actually written
@@ -204,13 +204,13 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------- part 2: block log compression --
-  // Same sealed workload persisted with every v5 varint section stored
+  // Same sealed workload persisted with every varint section stored
   // uncompressed vs HLZ-compressed (the default), with and without payload
   // blobs. "raw B/blk" is the canonical EncodeTxn size and "disk B/blk"
   // counts full records (framing + envelope included), so the ratio is
   // what the chain's whole storage encoding saves.
   PrintHeader(
-      "Block log v5: sealed-txn-section compression (4 producers; raw = "
+      "Block log: sealed-txn-section compression (4 producers; raw = "
       "Compression::kNone, hlz = the in-tree LZ; 256B structured blobs in "
       "the second pair)",
       {"config", "blocks", "raw B/blk", "disk B/blk", "disk/raw"});

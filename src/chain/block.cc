@@ -53,7 +53,7 @@ void AppendZigzag(std::string* out, int64_t v) {
   codec::AppendVarint(out, codec::ZigzagEncode(v));
 }
 
-/// The v5 txn section: one varint column per field, in docs/FORMATS.md
+/// The txn section: one varint column per field, in docs/FORMATS.md
 /// order. Deltas use wrapping 64-bit arithmetic, so every value — including
 /// 0/UINT64_MAX sequence numbers and submit times after the order time —
 /// round-trips exactly.
@@ -179,45 +179,9 @@ Status DecodeTxnSection(std::string_view section, uint64_t order_time_us,
   return Status::OK();
 }
 
-}  // namespace
-
-std::string BlockCodec::EncodeRecordV5(const Block& b, Compression codec,
-                                       size_t* canonical_section_bytes,
-                                       Compression* used_codec) {
-  std::string out;
-  codec::AppendVarint(&out, b.header.block_id);
-  codec::AppendVarint(&out, b.header.first_tid);
-  codec::AppendVarint(&out, b.header.txn_count);
-  codec::AppendVarint(&out, b.header.order_time_us);
-  AppendDigest(&out, b.header.prev_hash);
-  AppendDigest(&out, b.header.txn_root);
-  AppendDigest(&out, b.header.block_hash);
-  AppendDigest(&out, b.header.signature);
-
-  std::string section;
-  EncodeTxnSection(b, &section);
-  const size_t raw_len = section.size();
-  if (canonical_section_bytes != nullptr) {
-    size_t canonical = 0;
-    for (const TxnRequest& t : b.batch.txns) canonical += EncodedTxnSize(t);
-    *canonical_section_bytes = canonical;
-  }
-  std::string stored;
-  if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
-  // Per-block fallback: a section compression cannot shrink is stored raw,
-  // so the envelope never costs more than its codec byte and raw length.
-  if (codec == Compression::kNone || stored.size() >= section.size()) {
-    codec = Compression::kNone;
-    stored = std::move(section);
-  }
-  if (used_codec != nullptr) *used_codec = codec;
-  codec::AppendU8(&out, static_cast<uint8_t>(codec));
-  codec::AppendVarint(&out, raw_len);
-  out.append(stored);  // the stored section runs to the end of the payload
-  return out;
-}
-
-Status BlockCodec::Decode(std::string_view bytes, Block* out) {
+/// Decode without the digest rebuild: header varints, prev_hash, signature,
+/// then the compression envelope over the txn section.
+Status ParseRecord(std::string_view bytes, Block* out) {
   codec::Reader r(bytes);
   uint64_t block_id = 0, first_tid = 0, order_time = 0;
   uint32_t txn_count = 0;
@@ -229,8 +193,7 @@ Status BlockCodec::Decode(std::string_view bytes, Block* out) {
   out->header.first_tid = first_tid;
   out->header.txn_count = txn_count;
   out->header.order_time_us = order_time;
-  for (Digest* d : {&out->header.prev_hash, &out->header.txn_root,
-                    &out->header.block_hash, &out->header.signature}) {
+  for (Digest* d : {&out->header.prev_hash, &out->header.signature}) {
     if (!r.ReadFixed(d->data(), d->size())) {
       return Status::Corruption("digest truncated");
     }
@@ -253,6 +216,53 @@ Status BlockCodec::Decode(std::string_view bytes, Block* out) {
   HARMONY_RETURN_NOT_OK(DecompressPayload(
       static_cast<Compression>(codec_byte), stored, raw_len, &section));
   return DecodeTxnSection(section, order_time, txn_count, &out->batch);
+}
+
+}  // namespace
+
+std::string BlockCodec::EncodeRecord(const Block& b, Compression codec) {
+  std::string out;
+  codec::AppendVarint(&out, b.header.block_id);
+  codec::AppendVarint(&out, b.header.first_tid);
+  codec::AppendVarint(&out, b.header.txn_count);
+  codec::AppendVarint(&out, b.header.order_time_us);
+  AppendDigest(&out, b.header.prev_hash);
+  AppendDigest(&out, b.header.signature);
+
+  std::string section;
+  EncodeTxnSection(b, &section);
+  const size_t raw_len = section.size();
+  std::string stored;
+  if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
+  // Per-block fallback: a section compression cannot shrink is stored raw,
+  // so the envelope never costs more than its codec byte and raw length.
+  if (codec == Compression::kNone || stored.size() >= section.size()) {
+    codec = Compression::kNone;
+    stored = std::move(section);
+  }
+  codec::AppendU8(&out, static_cast<uint8_t>(codec));
+  codec::AppendVarint(&out, raw_len);
+  out.append(stored);  // the stored section runs to the end of the payload
+  return out;
+}
+
+Status BlockCodec::Decode(std::string_view bytes, Block* out) {
+  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, out));
+  out->header.txn_root = TxnRoot(out->batch);
+  out->header.block_hash = HashHeader(out->header);
+  return Status::OK();
+}
+
+Status BlockCodec::Validate(std::string_view bytes, BlockId* id) {
+  Block b;
+  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, &b));
+  *id = b.header.block_id;
+  return Status::OK();
+}
+
+bool BlockCodec::PeekBlockId(std::string_view bytes, BlockId* id) {
+  codec::Reader r(bytes);
+  return r.ReadVarint(id);
 }
 
 Digest BlockCodec::TxnRoot(const TxnBatch& batch) {

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -101,11 +102,11 @@ Status BlockStore::ScanAndRepair() {
   off_t off = kLogHeaderBytes;
   std::string payload;
   size_t rec_len = 0;
+  BlockId id = 0;
   while (ReadRecordAt(fd_, off, &payload, &rec_len)) {
-    Block b;
-    if (!BlockCodec::Decode(payload, &b).ok()) break;
-    if (num_blocks_ == 0) first_block_id_ = b.header.block_id;
-    last_block_id_ = b.header.block_id;
+    if (!BlockCodec::Validate(payload, &id).ok()) break;
+    if (num_blocks_ == 0) first_block_id_ = id;
+    last_block_id_ = id;
     last_record_offset_ = static_cast<uint64_t>(off);
     num_blocks_++;
     off += static_cast<off_t>(rec_len);
@@ -117,20 +118,20 @@ Status BlockStore::ScanAndRepair() {
 }
 
 Status BlockStore::Append(const Block& b) {
-  size_t raw_section = 0;
-  Compression used = Compression::kNone;
-  const std::string payload =
-      BlockCodec::EncodeRecordV5(b, compression_, &raw_section, &used);
+  std::string encoded;
+  if (b.record.empty()) encoded = BlockCodec::EncodeRecord(b, compression_);
+  const std::string& payload = b.record.empty() ? encoded : b.record;
   std::string rec;
   rec.reserve(payload.size() + 8);
   codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));
   rec.append(payload);
   codec::AppendU32(&rec, Crc32(payload));
-  raw_bytes_.fetch_add(raw_section, std::memory_order_relaxed);
-  disk_bytes_.fetch_add(rec.size(), std::memory_order_relaxed);
-  if (used != Compression::kNone) {
-    compressed_blocks_.fetch_add(1, std::memory_order_relaxed);
+  size_t canonical = 0;
+  for (const TxnRequest& t : b.batch.txns) {
+    canonical += BlockCodec::EncodedTxnSize(t);
   }
+  raw_bytes_.fetch_add(canonical, std::memory_order_relaxed);
+  disk_bytes_.fetch_add(rec.size(), std::memory_order_relaxed);
 
   uint64_t off;
   {
@@ -251,19 +252,20 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
       ok = false;
       break;
     }
-    Block b;
-    if (!BlockCodec::Decode(payload, &b).ok()) {
+    // The open scan validated every live record; only the id matters here.
+    BlockId id = 0;
+    if (!BlockCodec::PeekBlockId(payload, &id)) {
       ok = false;
       break;
     }
-    // Re-frame the verified payload verbatim (no re-encode): the record is
+    // Re-frame the payload verbatim (no re-encode): the record is
     // byte-identical in its new home.
     std::string rec;
     rec.reserve(payload.size() + 8);
     codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));
     rec.append(payload);
     codec::AppendU32(&rec, Crc32(payload));
-    if (b.header.block_id < keep_from) {
+    if (id < keep_from) {
       if (afd >= 0) {
         ok = ::pwrite(afd, rec.data(), rec.size(), aoff) ==
              static_cast<ssize_t>(rec.size());
@@ -271,7 +273,7 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
       }
       dropped++;
     } else {
-      if (kept == 0) first_kept = b.header.block_id;
+      if (kept == 0) first_kept = id;
       tip_off = woff;
       ok = ::pwrite(tfd, rec.data(), rec.size(), static_cast<off_t>(woff)) ==
            static_cast<ssize_t>(rec.size());
@@ -340,6 +342,22 @@ Status BlockStore::ReadArchivedBlocks(std::vector<Block>* out) {
 Status BlockStore::ReadBlocksAfter(BlockId after_block,
                                    std::vector<Block>* out) {
   out->clear();
+  std::vector<std::pair<BlockId, std::string>> records;
+  HARMONY_RETURN_NOT_OK(ReadRecordsAfter(after_block, SIZE_MAX, &records));
+  out->reserve(records.size());
+  for (auto& [id, payload] : records) {
+    Block b;
+    HARMONY_RETURN_NOT_OK(BlockCodec::Decode(payload, &b));
+    out->push_back(std::move(b));
+    std::string().swap(payload);  // peak memory: one stored record, not all
+  }
+  return Status::OK();
+}
+
+Status BlockStore::ReadRecordsAfter(
+    BlockId after_block, size_t max_count,
+    std::vector<std::pair<BlockId, std::string>>* out) {
+  out->clear();
   // Snapshot (fd, end) under the lock and read through a dup: TruncateBefore
   // swaps fd_ for the rewritten file, but the dup keeps the pre-truncation
   // inode alive, so an overlapping scan sees a consistent (old) log instead
@@ -356,18 +374,15 @@ Status BlockStore::ReadBlocksAfter(BlockId after_block,
   std::string payload;
   size_t rec_len = 0;
   Status result;
-  while (static_cast<uint64_t>(off) < end) {
-    if (!ReadRecordAt(fd, off, &payload, &rec_len)) {
+  BlockId id = 0;
+  while (static_cast<uint64_t>(off) < end && out->size() < max_count) {
+    if (!ReadRecordAt(fd, off, &payload, &rec_len) ||
+        !BlockCodec::PeekBlockId(payload, &id)) {
       result = Status::Corruption("block log record at offset " +
                                   std::to_string(off));
       break;
     }
-    Block b;
-    result = BlockCodec::Decode(payload, &b);
-    if (!result.ok()) break;
-    if (b.header.block_id > after_block) {
-      out->push_back(std::move(b));
-    }
+    if (id > after_block) out->emplace_back(id, std::move(payload));
     off += static_cast<off_t>(rec_len);
   }
   ::close(fd);

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/block.h"
@@ -19,20 +20,20 @@ class EventLog;
 /// execution is deterministic, persisting the *inputs* is sufficient for
 /// recovery — no ARIES-style physical log.
 ///
-/// ## File format (block log v5 — docs/FORMATS.md is the authoritative
+/// ## File format (block log v6 — docs/FORMATS.md is the authoritative
 /// byte-level reference)
 ///
 /// ```
 ///   offset 0: u32 magic           = 0x4C434248 ("HBCL" read as bytes,
 ///                                   little-endian on disk)
-///   offset 4: u32 format_version  = kLogVersion (5, chain/block.h)
+///   offset 4: u32 format_version  = kLogVersion (6, chain/block.h)
 ///   offset 8: records...
 ///
 ///   record:   u32 payload_len
-///             payload             (BlockCodec::EncodeRecordV5 bytes:
-///                                  varint header fields, the four digests,
-///                                  compression envelope over the
-///                                  column-wise varint txn section)
+///             payload             (BlockCodec::EncodeRecord bytes:
+///                                  varint header fields, prev_hash and
+///                                  signature, compression envelope over
+///                                  the column-wise varint txn section)
 ///             u32 crc32(payload)  — CRC of the payload *as stored*, i.e.
 ///                                   over the compressed bytes
 /// ```
@@ -40,10 +41,10 @@ class EventLog;
 /// Fixed-width integers are little-endian (the codec's native byte order).
 /// The record encoding is a storage concern only: TxnRoot, block hashes and
 /// signatures are computed over the canonical BlockCodec::EncodeTxn bytes,
-/// which a decoded record reproduces exactly.
+/// which a decoded record reproduces exactly (reads rebuild both digests).
 ///
 /// ### One version
-/// Only v5 is read or written. A v1–v4 log (v1 files have no header at all)
+/// Only v6 is read or written. A v1–v5 log (v1 files have no header at all)
 /// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
@@ -52,7 +53,8 @@ class EventLog;
 /// explicit NotSupported open error, never a silent truncation — treating
 /// an unknown log as one giant torn tail would wipe the chain. A record
 /// whose CRC passes but whose payload fails to decompress or parse is
-/// Corruption on read (and a torn tail on open).
+/// Corruption on read (and a torn tail on open). Neither the open scan nor
+/// TruncateBefore rebuilds digests: they need only validity and block ids.
 class BlockStore {
  public:
   /// `sync_latency_us` is the modelled group-commit flush cost charged per
@@ -60,8 +62,8 @@ class BlockStore {
   /// fsync is intentionally not issued on the hot path — the simulation
   /// never hard-kills the process, and a real fsync would inject the host
   /// disk's uncontrolled latency into every block. `compression` is the
-  /// codec new blocks are stored with (per-block raw fallback; kNone writes
-  /// v5 envelopes with every section raw).
+  /// codec Append encodes blocks with when they carry no record yet
+  /// (per-block raw fallback; kNone writes every section raw).
   explicit BlockStore(std::string path, uint64_t sync_latency_us = 150,
                       Compression compression = Compression::kHlz);
   ~BlockStore();
@@ -77,16 +79,25 @@ class BlockStore {
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
   /// Opens the log and scans it, truncating a torn tail if present.
-  /// NotSupported for a file without the v5 header (see class comment).
+  /// NotSupported for a file without the v6 header (see class comment).
   Status Open();
 
-  /// Appends one block with the modelled group-commit flush. Thread-safe and
-  /// strictly ordered: a call for block n+1 waits until block n is appended
-  /// (pipelined replicas append from concurrent simulation threads).
+  /// Appends one block with the modelled group-commit flush: `b.record`
+  /// verbatim when the block carries its record (the caller vouches that
+  /// it encodes `b`), else a fresh BlockCodec::EncodeRecord. Thread-safe
+  /// and strictly ordered: a call for block n+1 waits until block n is
+  /// appended (pipelined replicas append from concurrent simulation
+  /// threads).
   Status Append(const Block& b);
 
   /// Reads every block with id > after_block (recovery replay source).
   Status ReadBlocksAfter(BlockId after_block, std::vector<Block>* out);
+
+  /// Reads the stored record payloads of up to `max_count` blocks with
+  /// id > after_block, in id order, as (block id, payload) pairs — the
+  /// bytes as written, without decoding them (REPLICATE's cold path).
+  Status ReadRecordsAfter(BlockId after_block, size_t max_count,
+                          std::vector<std::pair<BlockId, std::string>>* out);
 
   /// Re-bases an *empty* log so the next Append may be block id+1 — the
   /// snapshot-install path (src/repl/follower.cc): a follower that installs
@@ -154,19 +165,16 @@ class BlockStore {
   // --- compression accounting (relaxed, monotonic; bench/ingest_bench.cc
   // reports compressed-vs-raw bytes per block from these) ---------------
   /// The appended blocks' txns measured in the canonical fixed-width
-  /// BlockCodec::EncodeTxn layout (not the v5 varint section), summed over
+  /// BlockCodec::EncodeTxn layout (not the varint section), summed over
   /// every Append on this handle. A fixed base: disk/raw is the whole
   /// storage encoding's ratio, varint columns and compression together.
   uint64_t appended_raw_bytes() const {
     return raw_bytes_.load(std::memory_order_relaxed);
   }
-  /// Record bytes actually written (framing + envelope + stored section).
+  /// Record bytes actually written (framing + header + envelope + stored
+  /// section).
   uint64_t appended_disk_bytes() const {
     return disk_bytes_.load(std::memory_order_relaxed);
-  }
-  /// Appends whose section the codec actually shrank (vs raw fallback).
-  uint64_t compressed_blocks() const {
-    return compressed_blocks_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -179,7 +187,6 @@ class BlockStore {
   bool archive_truncated_ = false;
   std::atomic<uint64_t> raw_bytes_{0};
   std::atomic<uint64_t> disk_bytes_{0};
-  std::atomic<uint64_t> compressed_blocks_{0};
   std::atomic<uint64_t> truncated_blocks_{0};
   std::atomic<uint64_t> truncations_{0};
   int fd_ = -1;

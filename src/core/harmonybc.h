@@ -77,9 +77,10 @@ class HarmonyBC {
     size_t block_size = 25;        ///< transactions per sealed block
     size_t checkpoint_every = 10;  ///< blocks between checkpoints
     std::string orderer_secret = "orderer-secret";
-    /// Block log (v5) compression for sealed-txn sections. Per-block raw
+    /// Block log compression for sealed-txn sections. Per-block raw
     /// fallback keeps incompressible blocks from growing; kNone stores
-    /// every section raw (still a v5 log).
+    /// every section raw (the same log version). A follower stores the
+    /// leader's records as received, whatever its own setting.
     Compression block_compression = Compression::kHlz;
     /// Block-log retention (docs/FORMATS.md): each checkpoint at block B
     /// truncates log records below B - log_retain_blocks + 1, bounding disk

@@ -191,18 +191,19 @@ bool DecodeReplJoin(std::string_view payload, WireReplJoin* out) {
   return r.remaining() == 0;
 }
 
-void EncodeReplicate(const Block& b, std::string* out) {
-  codec::AppendU64(out, b.header.block_id);
-  codec::AppendBytes(out, BlockCodec::EncodeRecordV5(b, Compression::kNone));
+void EncodeReplicate(BlockId id, std::string_view record, std::string* out) {
+  out->reserve(out->size() + 8 + record.size());
+  codec::AppendU64(out, id);
+  out->append(record.data(), record.size());
 }
 
 bool DecodeReplicate(std::string_view payload, Block* out) {
   codec::Reader r(payload);
   uint64_t id = 0;
-  std::string record;
-  if (!r.ReadU64(&id) || !r.ReadBytes(&record)) return false;
-  if (r.remaining() != 0) return false;
+  if (!r.ReadU64(&id)) return false;
+  const std::string_view record = payload.substr(8);
   if (!BlockCodec::Decode(record, out).ok()) return false;
+  out->record.assign(record.data(), record.size());
   // The outer id exists so the leader/follower can account for the frame
   // without re-decoding; a disagreement means the frame lies about itself.
   return out->header.block_id == id;

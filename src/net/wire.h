@@ -20,7 +20,7 @@ struct Block;  // chain/block.h (REPLICATE frames carry whole blocks)
 
 namespace net {
 
-/// HarmonyBC wire protocol v3 — a versioned, length-prefixed binary frame
+/// HarmonyBC wire protocol v4 — a versioned, length-prefixed binary frame
 /// format spoken between NetClient and NetServer (docs/NET.md for the
 /// contracts, docs/FORMATS.md for the authoritative byte-level reference).
 ///
@@ -48,7 +48,7 @@ namespace net {
 /// request id that the reply echoes; on every other opcode a non-zero id is
 /// a protocol error.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireVersion = 3;
+inline constexpr uint8_t kWireVersion = 4;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or
@@ -76,9 +76,8 @@ enum class Opcode : uint8_t {
   kOpReplJoin = 9,      ///< F -> L: WireReplJoin — marks the connection as
                         ///<         a replication peer and reports the
                         ///<         follower's durable chain tip
-  kOpReplicate = 10,    ///< L -> F: WireReplicate — one sealed block as a
-                        ///<         block-log v5 record payload (txn
-                        ///<         section stored uncompressed)
+  kOpReplicate = 10,    ///< L -> F: one sealed block as the leader's
+                        ///<         stored block-log record, verbatim
   kOpReplicateAck = 11, ///< F -> L: u64 block id, cumulative — "everything
                         ///<         through this id is applied here"
   kOpReplSnapshot = 12, ///< L -> F: WireSnapshot — state rows at a
@@ -168,14 +167,15 @@ inline constexpr uint32_t kMaxReplNodeName = 256;
 void EncodeReplJoin(const WireReplJoin& j, std::string* out);
 bool DecodeReplJoin(std::string_view payload, WireReplJoin* out);
 
-/// REPLICATE: `u64 block_id` + a length-prefixed block-log v5 record
-/// payload (BlockCodec::EncodeRecordV5, the log's own encoder) with the txn
-/// section stored under Compression::kNone: the link spends no CPU on HLZ,
-/// and the follower's log compresses with its own codec. Decode parses the
-/// record and rejects an outer id that disagrees with the decoded header,
-/// so a frame that passes the codec is internally consistent before the
-/// follower touches it.
-void EncodeReplicate(const Block& b, std::string* out);
+/// REPLICATE: `u64 block_id`, then the leader's stored block-log record
+/// for that block (BlockCodec::EncodeRecord bytes, exactly as its log holds
+/// them) through the end of the payload. Nothing is encoded for the link:
+/// the leader ships the record it logged, and the follower's log appends
+/// the same bytes. Decode parses the record (rebuilding its digests), keeps
+/// the bytes in `out->record`, and rejects an outer id that disagrees with
+/// the decoded header, so a frame that passes the codec is internally
+/// consistent before the follower touches it.
+void EncodeReplicate(BlockId id, std::string_view record, std::string* out);
 bool DecodeReplicate(std::string_view payload, Block* out);
 
 /// REPLICATE_ACK: u64 block id, cumulative.

@@ -30,7 +30,8 @@ struct FollowerOptions {
 /// The follower half of networked replication: dials the leader, announces
 /// its durable chain tip with REPL_JOIN, applies the REPLICATE stream
 /// through the local replica's ordinary SubmitBlock path (chain-verified,
-/// persisted, executed — exactly like a locally sealed block), and acks
+/// persisted, executed — exactly like a locally sealed block, except that
+/// the log appends the leader's record bytes as received), and acks
 /// each block from the commit hook once it is applied. A fresh follower too
 /// far behind receives a REPL_SNAPSHOT first and installs it.
 ///

@@ -12,12 +12,12 @@ ReplicationLog::ReplicationLog(BlockStore* store, size_t window_blocks)
 }
 
 void ReplicationLog::Append(const Block& b) {
-  std::string payload;
-  net::EncodeReplicate(b, &payload);
   std::lock_guard<std::mutex> lk(mu_);
   // Replays/duplicates (a Recover re-commit racing attach) must not fork
   // the window's contiguity; the store already holds them.
   if (b.header.block_id <= tip_ && tip_ != 0) return;
+  std::string payload;
+  net::EncodeReplicate(b.header.block_id, b.record, &payload);
   if (!entries_.empty() && entries_.back().first + 1 != b.header.block_id) {
     // Gap (first Append after a store-seeded tip): drop the stale window,
     // the store covers everything below.
@@ -47,15 +47,14 @@ Status ReplicationLog::Fetch(
       return Status::OK();
     }
   }
-  // Cold path: the follower is behind the window — read (and re-encode)
-  // from the persistent log. No lock held across the I/O.
-  std::vector<Block> blocks;
-  HARMONY_RETURN_NOT_OK(store_->ReadBlocksAfter(after, &blocks));
-  for (const Block& b : blocks) {
+  // Cold path: the follower is behind the window — frame the stored
+  // records as the log holds them. No lock held across the I/O.
+  std::vector<std::pair<BlockId, std::string>> records;
+  HARMONY_RETURN_NOT_OK(store_->ReadRecordsAfter(after, max_count, &records));
+  for (const auto& [id, record] : records) {
     std::string payload;
-    net::EncodeReplicate(b, &payload);
-    out->emplace_back(b.header.block_id, std::move(payload));
-    if (out->size() >= max_count) break;
+    net::EncodeReplicate(id, record, &payload);
+    out->emplace_back(id, std::move(payload));
   }
   return Status::OK();
 }

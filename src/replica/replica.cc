@@ -232,7 +232,7 @@ Status Replica::SubmitBlock(Block block) {
       !protocol_->supports_inter_block()) {
     // Logical logging: persist the input block before execution (Section 4).
     // (The pipelined path overlaps this append with simulation instead.)
-    HARMONY_RETURN_NOT_OK(block_store_->Append(block));
+    HARMONY_RETURN_NOT_OK(AppendToLog(&block));
   }
 
   {
@@ -303,7 +303,7 @@ Status Replica::ExecuteBlockPipelined(Block block) {
           : nullptr;
   inflight->sim_thread = std::thread([this, inflight, persist_inflight] {
     if (persist_inflight) {
-      inflight->sim_status = block_store_->Append(inflight->block);
+      inflight->sim_status = AppendToLog(&inflight->block);
       if (!inflight->sim_status.ok()) return;
     }
     // The log append above overlaps simulation conceptually; only the
@@ -357,6 +357,16 @@ void Replica::CommitWorker() {
     }
     cv_.notify_all();
   }
+}
+
+Status Replica::AppendToLog(Block* block) {
+  // The one encode of a locally sealed block: the record stays attached, so
+  // the commit hook can ship the same bytes over REPLICATE. A replicated
+  // block arrives with the leader's record and is appended verbatim.
+  if (block->record.empty()) {
+    block->record = BlockCodec::EncodeRecord(*block, opts_.block_compression);
+  }
+  return block_store_->Append(*block);
 }
 
 Status Replica::AfterCommit(const Block& block, const BlockResult& result) {

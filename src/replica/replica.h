@@ -53,8 +53,9 @@ struct ReplicaOptions {
   std::string orderer_secret = "orderer-secret";
   bool verify_blocks = true;      ///< verify signature/hash chain on receipt
   bool persist_blocks = true;     ///< append input blocks to the logical log
-  /// Codec for the block log's sealed-txn sections (log v5; per-block raw
-  /// fallback when a section does not shrink).
+  /// Codec for the block log's sealed-txn sections (per-block raw fallback
+  /// when a section does not shrink). Applies to blocks this replica
+  /// encodes; a replicated block is stored as the leader encoded it.
   Compression block_compression = Compression::kHlz;
   /// Optional txn-lifecycle tracer: records per-block execute (Simulate)
   /// and commit durations. Replayed blocks (Recover) are not recorded.
@@ -106,7 +107,9 @@ class Replica {
   /// Feeds the next block. With an inter-block-parallel protocol this
   /// returns once the block's simulation has been scheduled (the previous
   /// block may still be committing); otherwise it blocks until commit.
-  /// Blocks must arrive in increasing block-id order.
+  /// Blocks must arrive in increasing block-id order. A block that carries
+  /// its stored record (Block::record) is logged verbatim; any other is
+  /// encoded once and keeps the record for the commit callback.
   Status SubmitBlock(Block block);
 
   /// Waits until every submitted block has committed.
@@ -155,6 +158,9 @@ class Replica {
   Status ExecuteBlockPipelined(Block block);
   Status CommitLoopStep();
   void CommitWorker();
+  /// Appends the block's stored record, encoding (and attaching) it first
+  /// unless the block already carries one.
+  Status AppendToLog(Block* block);
   Status AfterCommit(const Block& block, const BlockResult& result);
   Status ReplayFrom(BlockId checkpointed);
   /// The chain-verifier anchor a snapshot install persists: with no block

@@ -16,13 +16,19 @@ DiskManager::DiskManager(std::string path, DiskModel model)
     : path_(std::move(path)), model_(model) {
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT, 0644);
   if (fd_ < 0) {
-    // Failing to open the backing file is unrecoverable for the node.
-    std::abort();
+    open_errno_ = errno;
+    return;
   }
   struct stat st;
   if (::fstat(fd_, &st) == 0) {
     next_page_.store(static_cast<PageId>(st.st_size / kPageSize));
   }
+}
+
+Status DiskManager::status() const {
+  if (fd_ >= 0) return Status::OK();
+  return Status::IOError("open page file " + path_ + ": " +
+                         std::strerror(open_errno_));
 }
 
 DiskManager::~DiskManager() {

@@ -46,9 +46,13 @@ struct DiskStats {
 /// are independent; allocation is serialized.
 class DiskManager {
  public:
-  /// Opens (creating if necessary) the page file at `path`.
+  /// Opens (creating if necessary) the page file at `path`. A file that
+  /// cannot be opened leaves the manager unusable; status() says why.
   DiskManager(std::string path, DiskModel model);
   ~DiskManager();
+
+  /// OK once the page file is open; IOError naming the path otherwise.
+  Status status() const;
 
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
@@ -88,6 +92,7 @@ class DiskManager {
   std::string path_;
   DiskModel model_;
   int fd_ = -1;
+  int open_errno_ = 0;  ///< errno of the failed open (fd_ < 0)
   std::atomic<PageId> next_page_{0};
   DiskStats stats_;
 

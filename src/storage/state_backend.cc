@@ -33,6 +33,7 @@ DiskBackend::DiskBackend(const std::string& dir, const std::string& name,
       table_(std::make_unique<KvTable>(disk_.get(), pool_.get())) {}
 
 Status DiskBackend::Open(uint64_t committed_epoch) {
+  HARMONY_RETURN_NOT_OK(disk_->status());
   HARMONY_RETURN_NOT_OK(RollbackJournalIfNeeded(committed_epoch));
   return table_->RebuildIndex();
 }

@@ -34,7 +34,7 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
 TEST(BlockCodec, RoundTrip) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 5), 12345);
-  const std::string bytes = BlockCodec::EncodeRecordV5(b, Compression::kHlz);
+  const std::string bytes = BlockCodec::EncodeRecord(b, Compression::kHlz);
   Block d;
   ASSERT_OK(BlockCodec::Decode(bytes, &d));
   EXPECT_EQ(d.header.block_id, 1u);
@@ -61,7 +61,7 @@ std::string Hex(const Digest& d) {
 
 // Chain identity is computed over the canonical EncodeTxn bytes, never over
 // the log record: these digests were produced by the fixed-width v4 build
-// and must not move when the storage encoding does. A decoded v5 record
+// and must not move when the storage encoding does. A decoded v6 record
 // re-derives the same txn_root.
 TEST(BlockCodec, ChainIdentityIsPinnedAcrossRecordFormats) {
   const char* kWant[2][3] = {
@@ -95,7 +95,7 @@ TEST(BlockCodec, ChainIdentityIsPinnedAcrossRecordFormats) {
     EXPECT_EQ(Hex(b.header.signature), kWant[id - 1][2]);
     for (Compression c : {Compression::kNone, Compression::kHlz}) {
       Block d;
-      ASSERT_OK(BlockCodec::Decode(BlockCodec::EncodeRecordV5(b, c), &d));
+      ASSERT_OK(BlockCodec::Decode(BlockCodec::EncodeRecord(b, c), &d));
       EXPECT_EQ(Hex(BlockCodec::TxnRoot(d.batch)), kWant[id - 1][0]);
       EXPECT_EQ(Hex(BlockCodec::HashHeader(d.header)), kWant[id - 1][1]);
     }
@@ -106,7 +106,7 @@ TEST(BlockCodec, DecodeRejectsTruncation) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 3), 0);
   for (Compression c : {Compression::kNone, Compression::kHlz}) {
-    const std::string bytes = BlockCodec::EncodeRecordV5(b, c);
+    const std::string bytes = BlockCodec::EncodeRecord(b, c);
     Block d;
     for (size_t cut = 0; cut < bytes.size(); cut++) {
       EXPECT_FALSE(BlockCodec::Decode(bytes.substr(0, cut), &d).ok()) << cut;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/harmonybc.h"
 #include "tests/test_util.h"
 
@@ -55,6 +57,26 @@ TEST(HarmonyBC, QuickstartFlow) {
   EXPECT_EQ(total, 10000);  // transfers conserve money
   ASSERT_OK((*db)->AuditChain());
   EXPECT_GT((*db)->stats().committed.load(), 0u);
+}
+
+// A directory the engine cannot create its files in is an IOError from
+// Open, not a dead process: the page file used to abort() on open failure.
+TEST(HarmonyBC, OpenOnAnUnusableDirectoryIsIOError) {
+  TempDir dir("bc-baddir");
+  const std::string missing = dir.path() + "/does/not/exist";
+  // A regular file where a directory should be fails even for root.
+  const std::string not_a_dir = dir.path() + "/file";
+  std::ofstream(not_a_dir) << "x";
+  for (const std::string& path : {missing, not_a_dir + "/db"}) {
+    SCOPED_TRACE(path);
+    for (bool in_memory : {false, true}) {
+      HarmonyBC::Options o = FastOpts(path);
+      o.in_memory = in_memory;
+      auto db = HarmonyBC::Open(o);
+      ASSERT_FALSE(db.ok());
+      EXPECT_TRUE(db.status().IsIOError()) << db.status().ToString();
+    }
+  }
 }
 
 TEST(HarmonyBC, RestartRecoversAndExtendsChain) {

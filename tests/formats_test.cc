@@ -1,12 +1,15 @@
-// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v5
-// record (column-wise varint txn section under a compression envelope) —
-// seeded round-trips at the codec's edges and hostile hand-built sections —
-// refusal of v1-v4 logs, and corrupt-compressed-payload rejection.
+// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v6
+// record (prev_hash and signature, then a column-wise varint txn section
+// under a compression envelope) — seeded round-trips at the codec's edges,
+// hostile hand-built sections, and a byte-flip sweep showing every stored
+// byte is covered by the signature or the chain — refusal of v1-v5 logs,
+// and corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -109,7 +112,7 @@ TEST(Hlz, GarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- v5 record codec --
+// ------------------------------------------------------- v6 record codec --
 
 TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   TxnBatch b;
@@ -128,15 +131,20 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   return b;
 }
 
-/// Offset of the compression envelope's codec byte in a record payload:
-/// the four header varints, then the four 32-byte digests.
-size_t EnvelopeOffset(const BlockHeader& h) {
+/// Length of a record's four header varints.
+size_t HeaderVarintBytes(const BlockHeader& h) {
   std::string head;
   for (uint64_t v : {h.block_id, h.first_tid, uint64_t{h.txn_count},
                      h.order_time_us}) {
     codec::AppendVarint(&head, v);
   }
-  return head.size() + 4 * 32;
+  return head.size();
+}
+
+/// Offset of the compression envelope's codec byte in a record payload:
+/// the four header varints, then prev_hash and the signature.
+size_t EnvelopeOffset(const BlockHeader& h) {
+  return HeaderVarintBytes(h) + 2 * 32;
 }
 
 /// Offset of the stored txn section: past the codec byte and the varint
@@ -165,31 +173,36 @@ void ExpectSameTxns(const TxnBatch& got, const TxnBatch& want) {
   }
 }
 
-TEST(BlockCodecV5, RecordRoundTripBothCodecs) {
+TEST(BlockCodecV6, RecordRoundTripBothCodecs) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 20), 777);
+  size_t canonical = 0;
+  for (const TxnRequest& t : b.batch.txns) {
+    std::string buf;
+    BlockCodec::EncodeTxn(t, &buf);
+    canonical += buf.size();
+  }
   for (Compression c : {Compression::kNone, Compression::kHlz}) {
     SCOPED_TRACE(CompressionName(c));
-    size_t canonical = 0;
-    Compression used = Compression::kHlz;
-    const std::string payload =
-        BlockCodec::EncodeRecordV5(b, c, &canonical, &used);
-    size_t expect_canonical = 0;
-    for (const TxnRequest& t : b.batch.txns) {
-      std::string buf;
-      BlockCodec::EncodeTxn(t, &buf);
-      expect_canonical += buf.size();
-    }
-    EXPECT_EQ(canonical, expect_canonical);
+    const std::string payload = BlockCodec::EncodeRecord(b, c);
     EXPECT_LT(payload.size(), canonical);
-    if (c == Compression::kNone) EXPECT_EQ(used, Compression::kNone);
+    EXPECT_EQ(static_cast<uint8_t>(payload[EnvelopeOffset(b.header)]),
+              static_cast<uint8_t>(c));
     Block d;
     ASSERT_OK(BlockCodec::Decode(payload, &d));
+    // Both digests are rebuilt from the record's contents, and the
+    // verifier accepts the decoded block unchanged.
+    EXPECT_EQ(d.header.txn_root, b.header.txn_root);
     EXPECT_EQ(d.header.block_hash, b.header.block_hash);
     EXPECT_EQ(d.header.order_time_us, 777u);
     ExpectSameTxns(d.batch, b.batch);
-    // The verifier must accept a decoded block unchanged.
-    EXPECT_EQ(BlockCodec::TxnRoot(d.batch), b.header.txn_root);
+    ChainVerifier v("secret");
+    EXPECT_OK(v.Verify(d));
+    BlockId id = 0;
+    ASSERT_OK(BlockCodec::Validate(payload, &id));
+    EXPECT_EQ(id, 1u);
+    ASSERT_TRUE(BlockCodec::PeekBlockId(payload, &id));
+    EXPECT_EQ(id, 1u);
   }
 }
 
@@ -198,7 +211,7 @@ TEST(BlockCodecV5, RecordRoundTripBothCodecs) {
 // times after the block's order time, empty and 4 KiB blobs, 0- and 1-txn
 // blocks, and many interleaved clients. Every field must come back exactly,
 // under both codecs.
-TEST(BlockCodecV5, SeededRandomBlocksRoundTripAtTheEdges) {
+TEST(BlockCodecV6, SeededRandomBlocksRoundTripAtTheEdges) {
   constexpr int64_t kEdgeInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1, 63, -64,
                                    64};
   constexpr uint64_t kEdgeU64[] = {0, 1, 127, 128, UINT64_MAX - 1,
@@ -251,7 +264,7 @@ TEST(BlockCodecV5, SeededRandomBlocksRoundTripAtTheEdges) {
     for (Compression c : {Compression::kNone, Compression::kHlz}) {
       SCOPED_TRACE(CompressionName(c));
       Block d;
-      ASSERT_OK(BlockCodec::Decode(BlockCodec::EncodeRecordV5(b, c), &d));
+      ASSERT_OK(BlockCodec::Decode(BlockCodec::EncodeRecord(b, c), &d));
       EXPECT_EQ(d.header.block_id, b.header.block_id);
       EXPECT_EQ(d.header.first_tid, b.header.first_tid);
       EXPECT_EQ(d.header.txn_count, b.header.txn_count);
@@ -264,10 +277,10 @@ TEST(BlockCodecV5, SeededRandomBlocksRoundTripAtTheEdges) {
   }
 }
 
-TEST(BlockCodecV5, CorruptEnvelopeRejected) {
+TEST(BlockCodecV6, CorruptEnvelopeRejected) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 8), 0);
-  std::string payload = BlockCodec::EncodeRecordV5(b, Compression::kHlz);
+  std::string payload = BlockCodec::EncodeRecord(b, Compression::kHlz);
   const size_t env = EnvelopeOffset(b.header);
   ASSERT_EQ(static_cast<uint8_t>(payload[env]), 1u);  // Compression::kHlz
   Block d;
@@ -291,14 +304,14 @@ TEST(BlockCodecV5, CorruptEnvelopeRejected) {
 
 // ------------------------------------------- hostile hand-built sections --
 
-/// A v5 record payload around a hand-built txn section stored raw.
+/// A v6 record payload around a hand-built txn section stored raw.
 std::string RawRecord(uint64_t txn_count, const std::string& section) {
   std::string p;
   codec::AppendVarint(&p, 1);  // block_id
   codec::AppendVarint(&p, 1);  // first_tid
   codec::AppendVarint(&p, txn_count);
   codec::AppendVarint(&p, 1000);  // order_time_us
-  p.append(4 * 32, '\0');         // digests
+  p.append(2 * 32, '\0');         // prev_hash, signature
   codec::AppendU8(&p, static_cast<uint8_t>(Compression::kNone));
   codec::AppendVarint(&p, section.size());
   return p + section;
@@ -317,7 +330,7 @@ std::string OneTxnSection(uint64_t n_ints, const std::string& ints,
   return s + blob;
 }
 
-TEST(BlockCodecV5, HandBuiltSectionDecodes) {
+TEST(BlockCodecV6, HandBuiltSectionDecodes) {
   std::string ints;
   codec::AppendVarint(&ints, codec::ZigzagEncode(-3));
   Block d;
@@ -333,7 +346,7 @@ TEST(BlockCodecV5, HandBuiltSectionDecodes) {
   EXPECT_EQ(t.args.blob, "ab");
 }
 
-TEST(BlockCodecV5, HostileCountsFailBeforeAllocating) {
+TEST(BlockCodecV6, HostileCountsFailBeforeAllocating) {
   Block d;
   const std::string ok_section = OneTxnSection(0, "", 0, "");
   // A txn count the section cannot hold (header says ~4 billion).
@@ -376,7 +389,7 @@ TEST(BlockCodecV5, HostileCountsFailBeforeAllocating) {
   EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, wide), &d).IsCorruption());
 }
 
-TEST(BlockCodecV5, TrailingSectionBytesAreCorruption) {
+TEST(BlockCodecV6, TrailingSectionBytesAreCorruption) {
   Block d;
   const std::string section = OneTxnSection(0, "", 1, "z");
   ASSERT_OK(BlockCodec::Decode(RawRecord(1, section), &d));
@@ -393,7 +406,7 @@ TEST(BlockCodecV5, TrailingSectionBytesAreCorruption) {
   EXPECT_TRUE(BlockCodec::Decode(lying, &d).IsCorruption());
 }
 
-TEST(BlockCodecV5, OverlongVarintsAreCorruption) {
+TEST(BlockCodecV6, OverlongVarintsAreCorruption) {
   Block d;
   // 11 bytes: ten continuation bytes, then a terminator.
   const std::string eleven = std::string(10, '\x80') + '\x01';
@@ -413,7 +426,7 @@ TEST(BlockCodecV5, OverlongVarintsAreCorruption) {
   }
 }
 
-TEST(BlockCodecV5, TruncatedColumnIsCorruption) {
+TEST(BlockCodecV6, TruncatedColumnIsCorruption) {
   // Two txns with ints and blobs, cut at every byte. The envelope declares
   // the cut length, so each cut reaches the column decoder and must fail
   // there, whichever column it lands in.
@@ -459,24 +472,22 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ::close(fd);
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  EXPECT_GE(fd, 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) out.append(buf, n);
-  ::close(fd);
-  return out;
-}
-
-/// A record payload in a retired fixed-width layout, as the build that
-/// wrote `version` (1-4) laid it out: u64/u32 header fields, the digests,
-/// then the txns (v1 without client_id and fee, v2 without fee); v4 puts
-/// the v3 txns under a compression envelope (u8 codec + pad byte, u32
-/// raw_len, u32 stored_len + stored bytes). v3 txns are exactly today's
-/// canonical EncodeTxn bytes.
+/// A record payload in a retired layout, as the build that wrote `version`
+/// (1-5) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
+/// four digests, then the txns (v1 without client_id and fee, v2 without
+/// fee); v4 puts the v3 txns under a compression envelope (u8 codec + pad
+/// byte, u32 raw_len, u32 stored_len + stored bytes). v3 txns are exactly
+/// today's canonical EncodeTxn bytes. v5 is today's record with txn_root
+/// and block_hash stored between prev_hash and the signature.
 std::string LegacyRecord(const Block& b, uint32_t version) {
+  if (version == 5) {
+    std::string v6 = BlockCodec::EncodeRecord(b, Compression::kHlz);
+    std::string digests;
+    for (const Digest* d : {&b.header.txn_root, &b.header.block_hash}) {
+      digests.append(reinterpret_cast<const char*>(d->data()), d->size());
+    }
+    return v6.insert(HeaderVarintBytes(b.header) + 32, digests);
+  }
   std::string out;
   codec::AppendU64(&out, b.header.block_id);
   codec::AppendU64(&out, b.header.first_tid);
@@ -509,8 +520,8 @@ std::string LegacyRecord(const Block& b, uint32_t version) {
 }
 
 /// A log file as the build that wrote `version` left it: v1 files have no
-/// header at all, v2+ start with "HBCL" + version. Records before v5 use
-/// LegacyRecord; v5 (and a made-up future version) use today's encoder.
+/// header at all, v2+ start with "HBCL" + version. Records before v6 use
+/// LegacyRecord; v6 (and a made-up future version) use today's encoder.
 std::string LogFile(uint32_t version, size_t n) {
   std::string file;
   if (version >= 2) {
@@ -523,9 +534,83 @@ std::string LogFile(uint32_t version, size_t n) {
     AppendRecord(&file,
                  version < kLogVersion
                      ? LegacyRecord(b, version)
-                     : BlockCodec::EncodeRecordV5(b, Compression::kHlz));
+                     : BlockCodec::EncodeRecord(b, Compression::kHlz));
   }
   return file;
+}
+
+// v6 drops txn_root and block_hash from the record, so every stored byte
+// must still be covered by something a reader checks. Flip every bit of
+// every byte of a stored record (with the record CRC re-stamped, so the
+// flip gets past the log's framing): each flip must fail Decode, or decode
+// to a block the chain verifier rejects — by the whole-chain audit too.
+TEST(BlockCodecV6, EveryByteOfAStoredRecordIsCovered) {
+  TempDir dir("v6-flip");
+  const std::string path = dir.path() + "/chain.log";
+  BlockBuilder builder("secret");
+  const Block b1 = builder.Seal(MakeBatch(1, 1, 6), 5'000);
+  const Block b2 = builder.Seal(MakeBatch(2, 7, 6), 9'000);
+  {
+    BlockStore store(path);
+    ASSERT_OK(store.Open());
+    ASSERT_OK(store.Append(b1));
+    ASSERT_OK(store.Append(b2));
+  }
+  std::vector<std::pair<BlockId, std::string>> records;
+  {
+    BlockStore store(path);
+    ASSERT_OK(store.Open());
+    ASSERT_OK(store.ReadRecordsAfter(1, 1, &records));
+  }
+  ASSERT_EQ(records.size(), 1u);
+  const std::string stored = records[0].second;
+  ASSERT_EQ(static_cast<uint8_t>(stored[EnvelopeOffset(b2.header)]),
+            static_cast<uint8_t>(Compression::kHlz));
+  Block intact;
+  ASSERT_OK(BlockCodec::Decode(stored, &intact));
+  ChainVerifier v("secret");
+  v.Reset(b1.header.block_hash);
+  ASSERT_OK(v.Verify(intact));
+
+  size_t decode_rejects = 0, verify_rejects = 0;
+  for (size_t i = 0; i < stored.size(); i++) {
+    for (int bit = 0; bit < 8; bit++) {
+      SCOPED_TRACE(::testing::Message() << "byte " << i << " bit " << bit);
+      std::string bad = stored;
+      bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+      Block d;
+      if (!BlockCodec::Decode(bad, &d).ok()) {
+        decode_rejects++;
+        continue;
+      }
+      ChainVerifier fresh("secret");
+      fresh.Reset(b1.header.block_hash);
+      EXPECT_TRUE(fresh.Verify(d).IsCorruption());
+      verify_rejects++;
+      if (bit != 0) continue;
+      // Once per byte, the same flip through the log: re-stamp the CRC and
+      // reopen. The open scan drops a record that does not parse; one that
+      // parses must fail the whole-chain audit.
+      std::string file = ReadFileBytes(path);
+      const size_t at = file.size() - 4 - bad.size();
+      file.replace(at, bad.size(), bad);
+      const uint32_t crc = Crc32(bad);
+      std::memcpy(file.data() + file.size() - 4, &crc, 4);
+      const std::string flipped = dir.path() + "/flipped.log";
+      WriteFile(flipped, file);
+      BlockStore store(flipped);
+      ASSERT_OK(store.Open());
+      ASSERT_EQ(store.num_blocks(), 2u);
+      std::vector<Block> chain;
+      ASSERT_OK(store.ReadAll(&chain));
+      EXPECT_TRUE(ChainVerifier::VerifyChain(chain, "secret").IsCorruption());
+    }
+  }
+  EXPECT_EQ(decode_rejects + verify_rejects, 8 * stored.size());
+  // Both layers take part: header and digest flips parse and fail the
+  // signature or the chain, envelope and section flips mostly fail parsing.
+  EXPECT_GT(decode_rejects, 0u);
+  EXPECT_GT(verify_rejects, 0u);
 }
 
 // ------------------------------------------------------ retired versions --
@@ -553,7 +638,7 @@ TEST(BlockStoreOldVersions, GarbageWithoutHeaderIsNotSupported) {
 
 TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
   TempDir dir("old-versions");
-  for (uint32_t v : {2u, 3u, 4u, 6u}) {
+  for (uint32_t v : {2u, 3u, 4u, 5u, 7u}) {
     SCOPED_TRACE(v);
     const std::string path = dir.path() + "/chain" + std::to_string(v);
     const std::string file = LogFile(v, 2);
@@ -568,28 +653,30 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
   }
 }
 
-TEST(BlockStoreOldVersions, EveryPrefixOfV4LogIsFreshOrRefused) {
-  // A v4 log cut at any byte: below the 8-byte header it is a torn fresh
-  // log (restamped v5, empty); from the header on it is refused whole.
-  TempDir dir("old-v4-prefix");
-  const std::string full = LogFile(4, 2);
+TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
+  // An old log cut at any byte: below the 8-byte header it is a torn fresh
+  // log (restamped v6, empty); from the header on it is refused whole.
+  TempDir dir("old-prefix");
   const std::string path = dir.path() + "/chain.log";
-  for (size_t cut = 0; cut <= full.size(); cut++) {
-    SCOPED_TRACE(cut);
-    WriteFile(path, full.substr(0, cut));
-    BlockStore store(path);
-    const Status s = store.Open();
-    if (cut < 8) {
-      ASSERT_OK(s);
-      EXPECT_EQ(store.num_blocks(), 0u);
-    } else {
-      EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
-      EXPECT_EQ(ReadFileBytes(path), full.substr(0, cut));
+  for (uint32_t version : {4u, 5u}) {
+    const std::string full = LogFile(version, 2);
+    for (size_t cut = 0; cut <= full.size(); cut++) {
+      SCOPED_TRACE(::testing::Message() << "v" << version << " cut " << cut);
+      WriteFile(path, full.substr(0, cut));
+      BlockStore store(path);
+      const Status s = store.Open();
+      if (cut < 8) {
+        ASSERT_OK(s);
+        EXPECT_EQ(store.num_blocks(), 0u);
+      } else {
+        EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+        EXPECT_EQ(ReadFileBytes(path), full.substr(0, cut));
+      }
     }
   }
 }
 
-// Opens every byte-prefix of a v5 log: every prefix opens (a cut inside the
+// Opens every byte-prefix of a v6 log: every prefix opens (a cut inside the
 // 8-byte header is a fresh log) and exposes a (block-wise) prefix of the
 // original chain with a consistent count.
 void TruncationSweep(const std::string& dir, const std::string& full,
@@ -615,8 +702,8 @@ void TruncationSweep(const std::string& dir, const std::string& full,
   }
 }
 
-TEST(BlockStoreTruncation, EveryByteOffsetOfV5Log) {
-  TempDir dir("trunc-v5");
+TEST(BlockStoreTruncation, EveryByteOffsetOfV6Log) {
+  TempDir dir("trunc-v6");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   std::vector<Digest> hashes;
@@ -634,8 +721,8 @@ TEST(BlockStoreTruncation, EveryByteOffsetOfV5Log) {
   TruncationSweep(dir.path(), ReadFileBytes(path), hashes);
 }
 
-TEST(BlockStoreV5, CorruptCompressedPayloadTruncatesWithoutCrash) {
-  TempDir dir("corrupt5");
+TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
+  TempDir dir("corrupt6");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   size_t good_blocks = 3;
@@ -647,7 +734,16 @@ TEST(BlockStoreV5, CorruptCompressedPayloadTruncatesWithoutCrash) {
       ASSERT_OK(store.Append(builder.Seal(MakeBatch(i, tid, 16), 0)));
       tid += 16;
     }
-    ASSERT_EQ(store.compressed_blocks(), good_blocks + 1);
+    // Every record stores its section under HLZ.
+    std::vector<std::pair<BlockId, std::string>> records;
+    ASSERT_OK(store.ReadRecordsAfter(0, SIZE_MAX, &records));
+    ASSERT_EQ(records.size(), good_blocks + 1);
+    for (const auto& [id, record] : records) {
+      Block d;
+      ASSERT_OK(BlockCodec::Decode(record, &d));
+      ASSERT_EQ(static_cast<uint8_t>(record[EnvelopeOffset(d.header)]),
+                static_cast<uint8_t>(Compression::kHlz));
+    }
   }
   // Corrupt the *last* record's compressed section deterministically (all
   // 0xFF is an invalid HLZ stream) and re-stamp the record CRC so the
@@ -697,7 +793,7 @@ TEST(BlockStoreV5, CorruptCompressedPayloadTruncatesWithoutCrash) {
   EXPECT_EQ(all.size(), good_blocks);
 }
 
-// ------------------------------------------- end-to-end v5 / old chains --
+// ------------------------------------------- end-to-end v6 / old chains --
 
 Status Increment(TxnContext& ctx, const ProcArgs& a) {
   ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
@@ -738,8 +834,8 @@ void SubmitRange(HarmonyBC* db, uint64_t client, uint64_t seq0, size_t n) {
   ASSERT_OK(db->Sync());
 }
 
-TEST(OldVersionChain, V5ChainReplaysAndV4StampIsRefused) {
-  TempDir a("v5-replay"), b("v5-control");
+TEST(OldVersionChain, V6ChainReplaysAndV5StampIsRefused) {
+  TempDir a("v6-replay"), b("v6-control");
   Digest da;
   {
     auto db = OpenDb(a.path());
@@ -750,7 +846,7 @@ TEST(OldVersionChain, V5ChainReplaysAndV4StampIsRefused) {
     da = *d;
   }
   // The checkpoint predates most blocks; drop it so recovery replays the
-  // whole v5 log from genesis.
+  // whole v6 log from genesis.
   std::remove((a.path() + "/replica.ckpt").c_str());
   {
     auto db = OpenDb(a.path());
@@ -769,13 +865,13 @@ TEST(OldVersionChain, V5ChainReplaysAndV4StampIsRefused) {
     ASSERT_TRUE(d.ok());
     EXPECT_EQ(*d, da);
   }
-  // The same directory with its log stamped v4 no longer opens: the
+  // The same directory with its log stamped v5 no longer opens: the
   // instance refuses with NotSupported and leaves the chain untouched.
   const std::string chain = a.path() + "/replica.chain";
   std::string bytes = ReadFileBytes(chain);
   ASSERT_GT(bytes.size(), 8u);
-  const uint32_t v4 = 4;
-  std::memcpy(bytes.data() + 4, &v4, 4);
+  const uint32_t v5 = 5;
+  std::memcpy(bytes.data() + 4, &v5, 4);
   WriteFile(chain, bytes);
   auto db = HarmonyBC::Open(DbOpts(a.path()));
   ASSERT_FALSE(db.ok());

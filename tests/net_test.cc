@@ -299,8 +299,9 @@ TEST(Wire, OldVersionsRetiredOpcodesAndStrayRequestIdsAreCorruption) {
     Frame f;
     return reasm.Next(&f);
   };
-  // v1- and v2-stamped frames: older wire versions are refused outright.
-  for (uint8_t version : {1, 2}) {
+  // v1- to v3-stamped frames: older wire versions are refused outright
+  // (v3 is the last version before REPLICATE carried the stored record).
+  for (uint8_t version : {1, 2, 3}) {
     const Status s = refused(RawFrame(
         version, static_cast<uint8_t>(Opcode::kOpBatchSubmit), 0, batch));
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();

@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/status.h"
@@ -29,6 +31,13 @@ class TempDir {
   static inline int counter_ = 0;
   std::filesystem::path path_;
 };
+
+/// A whole file's bytes; empty when the file cannot be opened.
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 #define ASSERT_OK(expr)                                            \
   do {                                                             \

@@ -17,6 +17,10 @@
 #   - opcode / format-version names (kOp<Name>, kLogV<N>, kLogVersion,
 #     kWireVersion — e.g. kOpBatchSubmit): each must still have a definition
 #     (`<token> =`) somewhere under src/.
+#   - version numbers in docs/*.md written beside kLogVersion or
+#     kWireVersion ("version 6 (`kLogVersion`)", "`kWireVersion` (4)",
+#     "= 6 (kLogVersion)"): the number must equal the constant's value in
+#     src/.
 #   - metric names in docs/OBSERVABILITY.md (txn.queue_wait_us,
 #     chain.height, ...): each must appear as a string literal under
 #     src/obs/, so the documented catalogue cannot drift from the
@@ -74,6 +78,30 @@ for doc in "$root"/docs/*.md "$root"/README.md "$root"/bench/README.md; do
   done < <(grep -ohE '\bkOp[A-Za-z]+\b|\bkLogV[0-9]+\b|\bkLogVersion\b|\bkWireVersion\b' "$doc" | sort -u)
 done
 
+# Version-number drift: a number written next to kLogVersion/kWireVersion in
+# docs/ (only spaces, backticks, parentheses, '=' or ',' between them; an
+# optional 'v' prefix) must be the value src/ defines.
+sep_before='[][ `(=]*'
+sep_after='[][ `)(=,]*'
+for const in kLogVersion kWireVersion; do
+  want="$(grep -rhoE "\b${const} = [0-9]+" "$root/src" | head -1 | grep -oE '[0-9]+$')"
+  if [[ -z "$want" ]]; then
+    echo "no numeric definition of $const in src/" >&2
+    status=1
+    continue
+  fi
+  for doc in "$root"/docs/*.md; do
+    while IFS= read -r hit; do
+      [[ -z "$hit" ]] && continue
+      got="$(grep -oE '[0-9]+' <<<"$hit" | head -1)"
+      if [[ "$got" != "$want" ]]; then
+        echo "stale version in ${doc#"$root"/}: '$hit' ($const is $want)" >&2
+        status=1
+      fi
+    done < <(grep -ohE "\b[vV]?[0-9]+${sep_before}${const}\b|\b${const}${sep_after}[0-9]+\b" "$doc")
+  done
+done
+
 # Metric-name drift: docs/OBSERVABILITY.md catalogues the registry's
 # instruments by name; a documented metric with no literal definition in
 # src/obs/ is stale (renames must update the catalogue).
@@ -89,6 +117,6 @@ if [[ -f "$obs_doc" ]]; then
 fi
 
 if [[ $status -eq 0 ]]; then
-  echo "docs_check: all path references, opcode/format tokens, and metric names resolve"
+  echo "docs_check: all path references, opcode/format tokens and versions, and metric names resolve"
 fi
 exit $status

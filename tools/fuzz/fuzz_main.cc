@@ -134,7 +134,7 @@ Block MakeBlock(FuzzRng& rng, BlockBuilder& builder, BlockId id,
   return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
 }
 
-/// A block whose txns sit at the v5 codec's edges: extreme ints, wrapped
+/// A block whose txns sit at the record codec's edges: extreme ints, wrapped
 /// sequence deltas, submit times after the order time, empty blocks.
 Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
   constexpr int64_t kEdgeInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1, 63, -64};
@@ -156,9 +156,9 @@ Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
   return builder.Seal(std::move(batch), kEdgeU64[rng.Index(5)]);
 }
 
-/// One v5 record payload, HLZ or raw section.
+/// One v6 record payload, HLZ or raw section.
 std::string EncodeRecord(FuzzRng& rng, const Block& b) {
-  return BlockCodec::EncodeRecordV5(
+  return BlockCodec::EncodeRecord(
       b, rng.Chance(0.5) ? Compression::kHlz : Compression::kNone);
 }
 
@@ -403,8 +403,10 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// BlockCodec::Decode on v5 record payloads, ordinary and edge-valued.
-/// Unmutated records must decode to the same txns (same TxnRoot).
+/// BlockCodec::Decode on v6 record payloads, ordinary and edge-valued.
+/// Unmutated records must decode to the same txns (same TxnRoot and
+/// rebuilt block hash). Whatever Decode accepts, Validate accepts with the
+/// same block id, and the other way round.
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   BlockBuilder builder("fuzz-secret");
   Block b = rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
@@ -419,15 +421,21 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   if (!mutated) {
     FUZZ_CHECK(s.ok(), "valid record payload rejected");
     FUZZ_CHECK(d.header.block_hash == b.header.block_hash &&
-                   BlockCodec::TxnRoot(d.batch) == b.header.txn_root,
+                   d.header.txn_root == b.header.txn_root,
                "valid record decoded differently");
+  }
+  BlockId id = 0;
+  const Status v = BlockCodec::Validate(payload, &id);
+  FUZZ_CHECK(v.ok() == s.ok(), "Validate and Decode disagree");
+  if (s.ok()) {
+    FUZZ_CHECK(id == d.header.block_id, "Validate returned another block id");
   }
 }
 
 /// BlockStore::Open on whole mutated log files (exercises header/version
 /// detection, torn-tail repair, CRC validation). The invariant: whatever
 /// Open accepts, ReadAll must then parse — "opened" means every surviving
-/// record is readable. An intact file stamped with a pre-v5 version must
+/// record is readable. An intact file stamped with a pre-v6 version must
 /// be refused with NotSupported.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
   std::string file = BuildLogFile(rng, rng.Index(4));
@@ -453,7 +461,7 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
     if (old_version && !mutated) {
-      FUZZ_CHECK(s.IsNotSupported(), "pre-v5 log not refused");
+      FUZZ_CHECK(s.IsNotSupported(), "pre-v6 log not refused");
     }
     if (s.ok()) {
       std::vector<Block> blocks;
@@ -510,7 +518,8 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
       BlockBuilder builder("fuzz-secret");
       blk = MakeBlock(rng, builder, static_cast<BlockId>(rng.Range(1, 1 << 20)),
                       1);
-      net::EncodeReplicate(blk, &payload);
+      net::EncodeReplicate(blk.header.block_id, EncodeRecord(rng, blk),
+                           &payload);
       break;
     }
     case 2:
@@ -541,7 +550,8 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
       if (!mutated) {
         FUZZ_CHECK(ok, "valid REPLICATE payload rejected");
         FUZZ_CHECK(d.header.block_id == blk.header.block_id &&
-                       d.header.block_hash == blk.header.block_hash,
+                       d.header.block_hash == blk.header.block_hash &&
+                       d.record == payload.substr(8),
                    "valid REPLICATE decoded differently");
       }
       break;
@@ -602,7 +612,7 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
       Block b = MakeBlock(rng, builder, id++, tid);
       tid += b.header.txn_count;
       std::string rp;
-      net::EncodeReplicate(b, &rp);
+      net::EncodeReplicate(b.header.block_id, EncodeRecord(rng, b), &rp);
       add(net::Opcode::kOpReplicate, std::move(rp));
     }
   }
@@ -804,7 +814,7 @@ const Target kTargets[] = {
     {"wire_payload", CaseWirePayload,
      "ERROR/METRICS/BATCH_SUBMIT/BATCH_RECEIPT payload decoders"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode on v5 records, incl. edge-valued txns"},
+     "BlockCodec::Decode on v6 records, incl. edge-valued txns"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
     {"metrics", CaseMetrics, "kOpMetrics snapshot codec round-trips"},
@@ -895,20 +905,20 @@ int WriteCorpus(const std::string& dir) {
   }
   BlockBuilder hlz_builder("fuzz-secret");
   const Block hb = hlz_builder.Seal(std::move(compressible), 1000);
-  entries.push_back({"block_record_v5.hex",
-                     "# one v5 record payload (HLZ envelope)",
-                     BlockCodec::EncodeRecordV5(hb, Compression::kHlz)});
-  entries.push_back({"block_record_v5_raw.hex",
-                     "# one v5 record payload (section stored raw)",
-                     BlockCodec::EncodeRecordV5(b, Compression::kNone)});
+  const std::string hlz_record = BlockCodec::EncodeRecord(hb, Compression::kHlz);
+  entries.push_back({"block_record_v6.hex",
+                     "# one v6 record payload (HLZ envelope)", hlz_record});
+  entries.push_back({"block_record_v6_raw.hex",
+                     "# one v6 record payload (section stored raw)",
+                     BlockCodec::EncodeRecord(b, Compression::kNone)});
 
   FuzzRng lrng(43);
-  entries.push_back({"log_v5_two_blocks.hex",
-                     "# complete v5 log file: header + 2 records",
+  entries.push_back({"log_v6_two_blocks.hex",
+                     "# complete v6 log file: header + 2 records",
                      BuildLogFile(lrng, 2)});
   FuzzRng l2rng(44);
-  entries.push_back({"log_v5_one_block.hex",
-                     "# complete v5 log file: header + 1 record",
+  entries.push_back({"log_v6_one_block.hex",
+                     "# complete v6 log file: header + 1 record",
                      BuildLogFile(l2rng, 1)});
 
   std::string hlz;
@@ -925,13 +935,13 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeReplJoin(join, &join_payload);
   entries.push_back(
       {"repl_join_frame.hex",
-       "# one complete REPL_JOIN frame (wire v3 header + payload)",
+       "# one complete REPL_JOIN frame (wire v4 header + payload)",
        net::EncodeFrame(net::Opcode::kOpReplJoin, join_payload)});
 
   std::string repl_payload;
-  net::EncodeReplicate(b, &repl_payload);
+  net::EncodeReplicate(hb.header.block_id, hlz_record, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + v5 record (raw)",
+                     "# REPLICATE payload: u64 block id + stored v6 record",
                      repl_payload});
 
   FuzzRng srng(45);
