@@ -1,5 +1,6 @@
 #include "chain/block.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/codec.h"
@@ -45,6 +46,10 @@ bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out) {
 
 namespace {
 
+/// Envelope byte: the low bits name the codec, this bit says that a varint
+/// reach follows and the section opens with the reference columns.
+constexpr uint8_t kRefsFlag = 0x80;
+
 void AppendDigest(std::string* out, const Digest& d) {
   out->append(reinterpret_cast<const char*>(d.data()), d.size());
 }
@@ -53,39 +58,122 @@ void AppendZigzag(std::string* out, int64_t v) {
   codec::AppendVarint(out, codec::ZigzagEncode(v));
 }
 
-/// The txn section: one varint column per field, in docs/FORMATS.md
-/// order. Deltas use wrapping 64-bit arithmetic, so every value — including
-/// 0/UINT64_MAX sequence numbers and submit times after the order time —
-/// round-trips exactly.
-void EncodeTxnSection(const Block& b, std::string* out) {
+/// True when `later` is `earlier` sealed again after a CC abort: equal
+/// canonical EncodeTxn bytes except retries == earlier's + 1.
+bool IsRetryOf(const TxnRequest& later, const TxnRequest& earlier) {
+  return earlier.retries != UINT32_MAX &&
+         later.retries == earlier.retries + 1 &&
+         later.client_id == earlier.client_id &&
+         later.client_seq == earlier.client_seq &&
+         later.proc_id == earlier.proc_id &&
+         later.submit_time_us == earlier.submit_time_us &&
+         later.fee == earlier.fee && later.args.ints == earlier.args.ints &&
+         later.args.blob == earlier.args.blob;
+}
+
+/// Where a stored reference points: `distance` blocks back (0 = stored in
+/// full), txn `index` of that block.
+struct TxnRef {
+  uint32_t distance = 0;
+  uint32_t index = 0;
+};
+
+struct RetryKey {
+  uint64_t client_id;
+  uint64_t client_seq;
+  uint32_t retries;
+  bool operator==(const RetryKey& o) const {
+    return client_id == o.client_id && client_seq == o.client_seq &&
+           retries == o.retries;
+  }
+};
+
+struct RetryKeyHash {
+  size_t operator()(const RetryKey& k) const {
+    return std::hash<uint64_t>()(k.client_id * 0x9E3779B97F4A7C15ull ^
+                                 k.client_seq) ^
+           k.retries;
+  }
+};
+
+/// The reference for each txn of `b` that repeats a txn in `window`: the
+/// newest earlier incarnation wins, so retries reach back as little as
+/// they can. Only retried txns (retries > 0) are looked up, and the scan
+/// stops once each has found its match.
+std::vector<TxnRef> FindRefs(const Block& b, const RefWindow& window) {
   const std::vector<TxnRequest>& txns = b.batch.txns;
-  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.proc_id);
-  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.client_id);
+  std::vector<TxnRef> refs(txns.size());
+  const BlockId id = b.header.block_id;
+  if (window.empty() || window.front_id() >= id) return refs;
+  // Wanted earlier incarnation -> position in `b` (the first, if a block
+  // holds the same retry twice; the other copy is stored in full).
+  std::unordered_map<RetryKey, uint32_t, RetryKeyHash> wanted;
+  for (uint32_t i = 0; i < txns.size(); i++) {
+    const TxnRequest& t = txns[i];
+    if (t.retries == 0) continue;
+    wanted.emplace(RetryKey{t.client_id, t.client_seq, t.retries - 1}, i);
+  }
+  const BlockId newest = std::min(window.back_id(), id - 1);
+  const BlockId oldest =
+      std::max(window.front_id(), id > kMaxRefReach ? id - kMaxRefReach : 1);
+  for (BlockId src = newest; src >= oldest && !wanted.empty(); src--) {
+    const std::vector<TxnRequest>& earlier = *window.Find(src);
+    for (uint32_t j = 0; j < earlier.size(); j++) {
+      const TxnRequest& e = earlier[j];
+      auto it = wanted.find(RetryKey{e.client_id, e.client_seq, e.retries});
+      if (it == wanted.end() || !IsRetryOf(txns[it->second], e)) continue;
+      refs[it->second] = TxnRef{static_cast<uint32_t>(id - src), j};
+      wanted.erase(it);
+    }
+  }
+  return refs;
+}
+
+/// The txn section: with references, a distance column over every txn and
+/// an index column over the referencing ones; then one varint column per
+/// field over the txns stored in full, in docs/FORMATS.md order. Deltas use
+/// wrapping 64-bit arithmetic, so every value — including 0/UINT64_MAX
+/// sequence numbers and submit times after the order time — round-trips
+/// exactly.
+void EncodeTxnSection(const Block& b, const std::vector<TxnRef>& refs,
+                      uint32_t reach, std::string* out) {
+  std::vector<const TxnRequest*> txns;
+  for (size_t i = 0; i < refs.size(); i++) {
+    if (refs[i].distance == 0) txns.push_back(&b.batch.txns[i]);
+  }
+  if (reach > 0) {
+    for (const TxnRef& r : refs) codec::AppendVarint(out, r.distance);
+    for (const TxnRef& r : refs) {
+      if (r.distance != 0) codec::AppendVarint(out, r.index);
+    }
+  }
+  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->proc_id);
+  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->client_id);
   // client_seq: delta from the same client's previous txn in this block
   // (base 0), so a client's consecutive submissions cost one byte each.
   std::unordered_map<uint64_t, uint64_t> last_seq;
-  for (const TxnRequest& t : txns) {
-    uint64_t& prev = last_seq[t.client_id];
-    AppendZigzag(out, static_cast<int64_t>(t.client_seq - prev));
-    prev = t.client_seq;
+  for (const TxnRequest* t : txns) {
+    uint64_t& prev = last_seq[t->client_id];
+    AppendZigzag(out, static_cast<int64_t>(t->client_seq - prev));
+    prev = t->client_seq;
   }
   // submit_time_us: distance back from the block's order time.
-  for (const TxnRequest& t : txns) {
+  for (const TxnRequest* t : txns) {
     AppendZigzag(out, static_cast<int64_t>(b.header.order_time_us -
-                                           t.submit_time_us));
+                                           t->submit_time_us));
   }
-  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.retries);
-  for (const TxnRequest& t : txns) codec::AppendVarint(out, t.fee);
-  for (const TxnRequest& t : txns) {
-    codec::AppendVarint(out, t.args.ints.size());
+  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->retries);
+  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->fee);
+  for (const TxnRequest* t : txns) {
+    codec::AppendVarint(out, t->args.ints.size());
   }
-  for (const TxnRequest& t : txns) {
-    for (int64_t v : t.args.ints) AppendZigzag(out, v);
+  for (const TxnRequest* t : txns) {
+    for (int64_t v : t->args.ints) AppendZigzag(out, v);
   }
-  for (const TxnRequest& t : txns) {
-    codec::AppendVarint(out, t.args.blob.size());
+  for (const TxnRequest* t : txns) {
+    codec::AppendVarint(out, t->args.blob.size());
   }
-  for (const TxnRequest& t : txns) out->append(t.args.blob);
+  for (const TxnRequest* t : txns) out->append(t->args.blob);
 }
 
 bool ReadVarintU32(codec::Reader* r, uint32_t* v) {
@@ -102,62 +190,116 @@ bool ReadZigzag(codec::Reader* r, int64_t* v) {
   return true;
 }
 
+/// Resolves the reference columns: each referencing txn becomes a copy of
+/// the window txn it names with retries one higher. Appends the txns
+/// stored in full to `literals`. Every distance must lie within `reach`,
+/// the farthest must equal it, and every target must be in `window`.
+Status DecodeRefColumns(codec::Reader* r, BlockId id, uint32_t reach,
+                        const RefWindow* window, std::vector<TxnRequest>* txns,
+                        std::vector<TxnRequest*>* literals) {
+  std::vector<uint32_t> distance(txns->size());
+  uint32_t farthest = 0;
+  for (uint32_t& d : distance) {
+    if (!ReadVarintU32(r, &d)) {
+      return Status::Corruption("reference column truncated or malformed");
+    }
+    if (d > reach) {
+      return Status::Corruption("reference beyond the record's reach");
+    }
+    farthest = std::max(farthest, d);
+  }
+  if (farthest != reach) {
+    return Status::Corruption("reach disagrees with the references");
+  }
+  for (size_t i = 0; i < distance.size(); i++) {
+    TxnRequest& t = (*txns)[i];
+    if (distance[i] == 0) {
+      literals->push_back(&t);
+      continue;
+    }
+    uint32_t index = 0;
+    if (!ReadVarintU32(r, &index)) {
+      return Status::Corruption("reference column truncated or malformed");
+    }
+    const std::vector<TxnRequest>* src =
+        window != nullptr && distance[i] < id ? window->Find(id - distance[i])
+                                              : nullptr;
+    if (src == nullptr || index >= src->size()) {
+      return Status::Corruption("reference to a txn outside the window");
+    }
+    t = (*src)[index];
+    if (t.retries == UINT32_MAX) {
+      return Status::Corruption("referenced txn's retry count overflows");
+    }
+    t.retries++;
+  }
+  return Status::OK();
+}
+
 /// Inverse of EncodeTxnSection. Every entry of every column is at least one
 /// byte, so each count is checked against the bytes still unread before it
 /// sizes anything.
-Status DecodeTxnSection(std::string_view section, uint64_t order_time_us,
-                        uint32_t count, TxnBatch* batch) {
+Status DecodeTxnSection(std::string_view section, const BlockHeader& h,
+                        uint32_t reach, const RefWindow* window,
+                        TxnBatch* batch) {
   const auto malformed = [] {
     return Status::Corruption("txn section truncated or malformed");
   };
   codec::Reader r(section);
-  if (count > r.remaining()) {
+  if (h.txn_count > r.remaining()) {
     return Status::Corruption("txn count exceeds the txn section");
   }
-  std::vector<TxnRequest>& txns = batch->txns;
-  txns.assign(count, TxnRequest{});
-  for (TxnRequest& t : txns) {
-    if (!ReadVarintU32(&r, &t.proc_id)) return malformed();
+  std::vector<TxnRequest>& all = batch->txns;
+  all.assign(h.txn_count, TxnRequest{});
+  std::vector<TxnRequest*> txns;
+  if (reach > 0) {
+    HARMONY_RETURN_NOT_OK(
+        DecodeRefColumns(&r, h.block_id, reach, window, &all, &txns));
+  } else {
+    for (TxnRequest& t : all) txns.push_back(&t);
   }
-  for (TxnRequest& t : txns) {
-    if (!r.ReadVarint(&t.client_id)) return malformed();
+  for (TxnRequest* t : txns) {
+    if (!ReadVarintU32(&r, &t->proc_id)) return malformed();
+  }
+  for (TxnRequest* t : txns) {
+    if (!r.ReadVarint(&t->client_id)) return malformed();
   }
   std::unordered_map<uint64_t, uint64_t> last_seq;
-  for (TxnRequest& t : txns) {
+  for (TxnRequest* t : txns) {
     int64_t delta = 0;
     if (!ReadZigzag(&r, &delta)) return malformed();
-    uint64_t& prev = last_seq[t.client_id];
-    t.client_seq = prev + static_cast<uint64_t>(delta);
-    prev = t.client_seq;
+    uint64_t& prev = last_seq[t->client_id];
+    t->client_seq = prev + static_cast<uint64_t>(delta);
+    prev = t->client_seq;
   }
-  for (TxnRequest& t : txns) {
+  for (TxnRequest* t : txns) {
     int64_t back = 0;
     if (!ReadZigzag(&r, &back)) return malformed();
-    t.submit_time_us = order_time_us - static_cast<uint64_t>(back);
+    t->submit_time_us = h.order_time_us - static_cast<uint64_t>(back);
   }
-  for (TxnRequest& t : txns) {
-    if (!ReadVarintU32(&r, &t.retries)) return malformed();
+  for (TxnRequest* t : txns) {
+    if (!ReadVarintU32(&r, &t->retries)) return malformed();
   }
-  for (TxnRequest& t : txns) {
-    if (!r.ReadVarint(&t.fee)) return malformed();
+  for (TxnRequest* t : txns) {
+    if (!r.ReadVarint(&t->fee)) return malformed();
   }
   uint64_t total_ints = 0;
-  for (TxnRequest& t : txns) {
+  for (TxnRequest* t : txns) {
     uint32_t n = 0;
     if (!ReadVarintU32(&r, &n)) return malformed();
     total_ints += n;
     if (total_ints > r.remaining()) {
       return Status::Corruption("int count exceeds the txn section");
     }
-    t.args.ints.resize(n);
+    t->args.ints.resize(n);
   }
-  for (TxnRequest& t : txns) {
-    for (int64_t& v : t.args.ints) {
+  for (TxnRequest* t : txns) {
+    for (int64_t& v : t->args.ints) {
       if (!ReadZigzag(&r, &v)) return malformed();
     }
   }
   uint64_t total_blob = 0;
-  for (TxnRequest& t : txns) {
+  for (TxnRequest* t : txns) {
     uint64_t len = 0;
     if (!r.ReadVarint(&len)) return malformed();
     // Each check bounds its operand by the section size, so the sum
@@ -166,10 +308,10 @@ Status DecodeTxnSection(std::string_view section, uint64_t order_time_us,
       return Status::Corruption("blob bytes exceed the txn section");
     }
     total_blob += len;
-    t.args.blob.resize(len);
+    t->args.blob.resize(len);
   }
-  for (TxnRequest& t : txns) {
-    if (!r.ReadFixed(t.args.blob.data(), t.args.blob.size())) {
+  for (TxnRequest* t : txns) {
+    if (!r.ReadFixed(t->args.blob.data(), t->args.blob.size())) {
       return malformed();
     }
   }
@@ -179,48 +321,96 @@ Status DecodeTxnSection(std::string_view section, uint64_t order_time_us,
   return Status::OK();
 }
 
-/// Decode without the digest rebuild: header varints, prev_hash, signature,
-/// then the compression envelope over the txn section.
-Status ParseRecord(std::string_view bytes, Block* out) {
-  codec::Reader r(bytes);
-  uint64_t block_id = 0, first_tid = 0, order_time = 0;
+/// Reads the header varints, prev_hash and the signature.
+bool ParseHeader(codec::Reader* r, BlockHeader* h) {
   uint32_t txn_count = 0;
-  if (!r.ReadVarint(&block_id) || !r.ReadVarint(&first_tid) ||
-      !ReadVarintU32(&r, &txn_count) || !r.ReadVarint(&order_time)) {
-    return Status::Corruption("block header truncated");
+  if (!r->ReadVarint(&h->block_id) || !r->ReadVarint(&h->first_tid) ||
+      !ReadVarintU32(r, &txn_count) || !r->ReadVarint(&h->order_time_us)) {
+    return false;
   }
-  out->header.block_id = block_id;
-  out->header.first_tid = first_tid;
-  out->header.txn_count = txn_count;
-  out->header.order_time_us = order_time;
-  for (Digest* d : {&out->header.prev_hash, &out->header.signature}) {
-    if (!r.ReadFixed(d->data(), d->size())) {
-      return Status::Corruption("digest truncated");
-    }
-  }
-  out->batch.block_id = block_id;
-  out->batch.first_tid = first_tid;
-  // Compression envelope: u8 codec, varint raw section length, then the
-  // stored section through the end of the payload.
-  uint8_t codec_byte = 0;
-  uint64_t raw_len = 0;
-  if (!r.ReadU8(&codec_byte) || !r.ReadVarint(&raw_len)) {
+  h->txn_count = txn_count;
+  return r->ReadFixed(h->prev_hash.data(), h->prev_hash.size()) &&
+         r->ReadFixed(h->signature.data(), h->signature.size());
+}
+
+/// Reads the envelope's codec byte and, when flagged, the reach.
+Status ParseEnvelope(codec::Reader* r, Compression* codec, uint32_t* reach) {
+  uint8_t envelope = 0;
+  if (!r->ReadU8(&envelope)) {
     return Status::Corruption("compression envelope truncated");
   }
+  const uint8_t codec_byte = envelope & static_cast<uint8_t>(~kRefsFlag);
   if (codec_byte > static_cast<uint8_t>(Compression::kHlz)) {
     return Status::Corruption("unknown block compression codec " +
                               std::to_string(codec_byte));
   }
+  *codec = static_cast<Compression>(codec_byte);
+  *reach = 0;
+  if ((envelope & kRefsFlag) == 0) return Status::OK();
+  if (!ReadVarintU32(r, reach)) {
+    return Status::Corruption("compression envelope truncated");
+  }
+  if (*reach == 0 || *reach > kMaxRefReach) {
+    return Status::Corruption("reference reach " + std::to_string(*reach) +
+                              " out of range");
+  }
+  return Status::OK();
+}
+
+/// Decode without the digest rebuild: header varints, prev_hash, signature,
+/// then the compression envelope over the txn section.
+Status ParseRecord(std::string_view bytes, const RefWindow* window,
+                   Block* out) {
+  codec::Reader r(bytes);
+  if (!ParseHeader(&r, &out->header)) {
+    return Status::Corruption("block header truncated");
+  }
+  out->batch.block_id = out->header.block_id;
+  out->batch.first_tid = out->header.first_tid;
+  // Compression envelope: the codec byte (with the reference flag), the
+  // reach when flagged, varint raw section length, then the stored section
+  // through the end of the payload.
+  Compression codec = Compression::kNone;
+  uint32_t reach = 0;
+  uint64_t raw_len = 0;
+  HARMONY_RETURN_NOT_OK(ParseEnvelope(&r, &codec, &reach));
+  if (!r.ReadVarint(&raw_len)) {
+    return Status::Corruption("compression envelope truncated");
+  }
   const std::string_view stored = bytes.substr(bytes.size() - r.remaining());
   std::string section;
-  HARMONY_RETURN_NOT_OK(DecompressPayload(
-      static_cast<Compression>(codec_byte), stored, raw_len, &section));
-  return DecodeTxnSection(section, order_time, txn_count, &out->batch);
+  HARMONY_RETURN_NOT_OK(DecompressPayload(codec, stored, raw_len, &section));
+  return DecodeTxnSection(section, out->header, reach, window, &out->batch);
 }
 
 }  // namespace
 
-std::string BlockCodec::EncodeRecord(const Block& b, Compression codec) {
+void RefWindow::Push(const Block& b) {
+  if (blocks_.empty() || b.header.block_id != back_id() + 1) {
+    blocks_.clear();
+    front_id_ = b.header.block_id;
+  }
+  blocks_.push_back(b.batch.txns);
+  // Only the canonical fields matter to a reference; trace stamps are
+  // in-process state a decoded txn never carries.
+  for (TxnRequest& t : blocks_.back()) t.trace = obs::TraceClock{};
+  if (blocks_.size() > kMaxRefReach) DropBefore(front_id_ + 1);
+}
+
+void RefWindow::DropBefore(BlockId id) {
+  while (!blocks_.empty() && front_id_ < id) {
+    blocks_.pop_front();
+    front_id_++;
+  }
+}
+
+const std::vector<TxnRequest>* RefWindow::Find(BlockId id) const {
+  if (blocks_.empty() || id < front_id_ || id > back_id()) return nullptr;
+  return &blocks_[id - front_id_];
+}
+
+std::string BlockCodec::EncodeRecord(const Block& b, Compression codec,
+                                     const RefWindow* refs) {
   std::string out;
   codec::AppendVarint(&out, b.header.block_id);
   codec::AppendVarint(&out, b.header.first_tid);
@@ -229,8 +419,13 @@ std::string BlockCodec::EncodeRecord(const Block& b, Compression codec) {
   AppendDigest(&out, b.header.prev_hash);
   AppendDigest(&out, b.header.signature);
 
+  const std::vector<TxnRef> found = refs != nullptr
+                                        ? FindRefs(b, *refs)
+                                        : std::vector<TxnRef>(b.batch.txns.size());
+  uint32_t reach = 0;
+  for (const TxnRef& r : found) reach = std::max(reach, r.distance);
   std::string section;
-  EncodeTxnSection(b, &section);
+  EncodeTxnSection(b, found, reach, &section);
   const size_t raw_len = section.size();
   std::string stored;
   if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
@@ -240,29 +435,36 @@ std::string BlockCodec::EncodeRecord(const Block& b, Compression codec) {
     codec = Compression::kNone;
     stored = std::move(section);
   }
-  codec::AppendU8(&out, static_cast<uint8_t>(codec));
+  codec::AppendU8(&out, static_cast<uint8_t>(codec) |
+                            (reach > 0 ? kRefsFlag : uint8_t{0}));
+  if (reach > 0) codec::AppendVarint(&out, reach);
   codec::AppendVarint(&out, raw_len);
   out.append(stored);  // the stored section runs to the end of the payload
   return out;
 }
 
-Status BlockCodec::Decode(std::string_view bytes, Block* out) {
-  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, out));
+Status BlockCodec::Decode(std::string_view bytes, Block* out,
+                          const RefWindow* refs) {
+  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, refs, out));
   out->header.txn_root = TxnRoot(out->batch);
   out->header.block_hash = HashHeader(out->header);
   return Status::OK();
 }
 
-Status BlockCodec::Validate(std::string_view bytes, BlockId* id) {
-  Block b;
-  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, &b));
-  *id = b.header.block_id;
-  return Status::OK();
+Status BlockCodec::Validate(std::string_view bytes, Block* out,
+                            const RefWindow* refs) {
+  return ParseRecord(bytes, refs, out);
 }
 
-bool BlockCodec::PeekBlockId(std::string_view bytes, BlockId* id) {
+bool BlockCodec::Peek(std::string_view bytes, BlockId* id, uint32_t* reach) {
   codec::Reader r(bytes);
-  return r.ReadVarint(id);
+  BlockHeader h;
+  Compression codec = Compression::kNone;
+  if (!ParseHeader(&r, &h) || !ParseEnvelope(&r, &codec, reach).ok()) {
+    return false;
+  }
+  *id = h.block_id;
+  return true;
 }
 
 Digest BlockCodec::TxnRoot(const TxnBatch& batch) {

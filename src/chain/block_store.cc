@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -40,13 +41,61 @@ bool ReadRecordAt(int fd, off_t off, std::string* payload, size_t* rec_len) {
   return true;
 }
 
+/// Copies `len` bytes at `from_off` of `from` to `to_off` of `to`, in
+/// bounded chunks.
+bool CopyRange(int from, uint64_t from_off, uint64_t len, int to,
+               uint64_t to_off) {
+  std::string buf;
+  while (len > 0) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(len, 1u << 20));
+    buf.resize(n);
+    if (::pread(from, buf.data(), n, static_cast<off_t>(from_off)) !=
+            static_cast<ssize_t>(n) ||
+        ::pwrite(to, buf.data(), n, static_cast<off_t>(to_off)) !=
+            static_cast<ssize_t>(n)) {
+      return false;
+    }
+    from_off += n;
+    to_off += n;
+    len -= n;
+  }
+  return true;
+}
+
+/// Decodes `n` consecutive records starting at `off` of `fd` (the first a
+/// safe cut, so each reference resolves in the blocks decoded before it)
+/// and keeps the blocks with id > after. Closes `fd`.
+Status DecodeRecords(int fd, uint64_t off, size_t n, BlockId after,
+                     std::vector<Block>* out) {
+  RefWindow window;
+  std::string payload;
+  size_t rec_len = 0;
+  Status s;
+  for (size_t i = 0; i < n; i++) {
+    if (!ReadRecordAt(fd, static_cast<off_t>(off), &payload, &rec_len)) {
+      s = Status::Corruption("block log record at offset " +
+                             std::to_string(off));
+      break;
+    }
+    off += rec_len;
+    Block b;
+    s = BlockCodec::Decode(payload, &b, &window);
+    if (!s.ok()) break;
+    window.Push(b);
+    if (b.header.block_id > after) out->push_back(std::move(b));
+  }
+  ::close(fd);
+  return s;
+}
+
 }  // namespace
 
 BlockStore::BlockStore(std::string path, uint64_t sync_latency_us,
-                       Compression compression)
+                       Compression compression, uint64_t checkpoint_every)
     : path_(std::move(path)),
       sync_latency_us_(sync_latency_us),
-      compression_(compression) {}
+      compression_(compression),
+      interval_(checkpoint_every != 0 ? checkpoint_every : kMaxRefReach) {}
 
 BlockStore::~BlockStore() {
   if (fd_ >= 0) ::close(fd_);
@@ -95,20 +144,28 @@ Status BlockStore::Open() {
 }
 
 Status BlockStore::ScanAndRepair() {
-  append_offset_ = kLogHeaderBytes;
   last_block_id_ = 0;
   first_block_id_ = 0;
-  num_blocks_ = 0;
+  records_.clear();
+  window_.Clear();
   off_t off = kLogHeaderBytes;
   std::string payload;
   size_t rec_len = 0;
-  BlockId id = 0;
   while (ReadRecordAt(fd_, off, &payload, &rec_len)) {
-    if (!BlockCodec::Validate(payload, &id).ok()) break;
-    if (num_blocks_ == 0) first_block_id_ = id;
+    // The log's first record is a safe cut, so decoding in order from it
+    // resolves every reference.
+    Block b;
+    BlockId id = 0;
+    uint32_t reach = 0;
+    if (!BlockCodec::Validate(payload, &b, &window_).ok() ||
+        !BlockCodec::Peek(payload, &id, &reach) ||
+        (!records_.empty() && id != last_block_id_ + 1)) {
+      break;
+    }
+    if (records_.empty()) first_block_id_ = id;
     last_block_id_ = id;
-    last_record_offset_ = static_cast<uint64_t>(off);
-    num_blocks_++;
+    records_.push_back(RecordPos{static_cast<uint64_t>(off), reach});
+    window_.Push(b);
     off += static_cast<off_t>(rec_len);
   }
   append_offset_ = static_cast<uint64_t>(off);
@@ -117,37 +174,84 @@ Status BlockStore::ScanAndRepair() {
   return Status::OK();
 }
 
-Status BlockStore::Append(const Block& b) {
-  std::string encoded;
-  if (b.record.empty()) encoded = BlockCodec::EncodeRecord(b, compression_);
-  const std::string& payload = b.record.empty() ? encoded : b.record;
-  std::string rec;
-  rec.reserve(payload.size() + 8);
-  codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));
-  rec.append(payload);
-  codec::AppendU32(&rec, Crc32(payload));
+BlockId BlockStore::RefFloorLocked(BlockId id) const {
+  if (records_.empty()) return id;
+  BlockId interval_start = id - (id - 1) % interval_;
+  // Longer intervals are split every kMaxRefReach blocks too, which bounds
+  // how far back a reader or a replication session starts decoding.
+  if (interval_ > kMaxRefReach) {
+    interval_start = std::max(interval_start, id - (id - 1) % kMaxRefReach);
+  }
+  return std::max(interval_start, first_block_id_);
+}
+
+BlockId BlockStore::SafeCutLocked(BlockId k) const {
+  // Walk back from the tip, tracking the lowest block any record at or
+  // after j references; j is a safe cut when that is not below j.
+  BlockId lowest = last_block_id_;
+  for (size_t i = records_.size(); i-- > 0;) {
+    const BlockId j = first_block_id_ + i;
+    lowest = std::min(lowest, j - records_[i].reach);
+    if (j <= k && lowest >= j) return j;
+  }
+  return first_block_id_;
+}
+
+BlockId BlockStore::ContextStart(BlockId next) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (records_.empty() || next <= first_block_id_ ||
+      next > last_block_id_ + 1) {
+    return next;
+  }
+  // Later appends reference no further back than next's floor; records
+  // already stored may reach below it, so start at a safe cut under it.
+  return SafeCutLocked(std::min(RefFloorLocked(next), last_block_id_));
+}
+
+Status BlockStore::Append(const Block& b, std::string* stored) {
+  const BlockId id = b.header.block_id;
   size_t canonical = 0;
   for (const TxnRequest& t : b.batch.txns) {
     canonical += BlockCodec::EncodedTxnSize(t);
   }
-  raw_bytes_.fetch_add(canonical, std::memory_order_relaxed);
-  disk_bytes_.fetch_add(rec.size(), std::memory_order_relaxed);
-
+  std::string rec;
   uint64_t off;
   {
     // Strict ordering: block n appends only after block n-1 (fresh stores
-    // have last_block_id_ == 0 and block ids start at 1).
+    // have last_block_id_ == 0 and block ids start at 1). Encoding happens
+    // here, ordered against every other append and TruncateBefore, so the
+    // window holds exactly the blocks a reader decodes before this one.
     std::unique_lock<std::mutex> lk(mu_);
-    order_cv_.wait(lk,
-                   [&] { return last_block_id_ + 1 == b.header.block_id; });
+    order_cv_.wait(lk, [&] { return last_block_id_ + 1 == id; });
+    window_.DropBefore(RefFloorLocked(id));
+    std::string payload;
+    BlockId peek_id = 0;
+    uint32_t reach = 0;
+    if (!b.record.empty() && BlockCodec::Peek(b.record, &peek_id, &reach) &&
+        (reach == 0 ||
+         (reach < id && window_.Find(id - reach) != nullptr))) {
+      payload = b.record;
+    } else {
+      // No record yet, or one whose references reach below this log's
+      // window (a snapshot base, a truncation, a different interval).
+      payload = BlockCodec::EncodeRecord(b, compression_, &window_);
+      BlockCodec::Peek(payload, &peek_id, &reach);
+    }
+    window_.Push(b);
+    rec.reserve(payload.size() + 8);
+    codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));
+    rec.append(payload);
+    codec::AppendU32(&rec, Crc32(payload));
     off = append_offset_;
     append_offset_ += rec.size();
-    last_record_offset_ = off;
-    if (num_blocks_ == 0) first_block_id_ = b.header.block_id;
-    last_block_id_ = b.header.block_id;
-    num_blocks_++;
+    if (records_.empty()) first_block_id_ = id;
+    records_.push_back(RecordPos{off, reach});
+    last_block_id_ = id;
     writes_in_flight_++;
+    if (stored != nullptr) *stored = std::move(payload);
   }
+  raw_bytes_.fetch_add(canonical, std::memory_order_relaxed);
+  disk_bytes_.fetch_add(rec.size(), std::memory_order_relaxed);
   HARMONY_CRASH_POINT("chain.append.before_write");
   if (testing::g_crash_points_armed.load(std::memory_order_relaxed)) {
     double frac = 1.0;
@@ -172,7 +276,7 @@ Status BlockStore::Append(const Block& b) {
     return Status::IOError("append block");
   }
   SimulateDelayMicros(sync_latency_us_);  // modelled group-commit flush
-  // One wake-up for both waiter kinds (successor appends, ReadLast); kept
+  // One wake-up for both waiter kinds (successor appends, readers); kept
   // after the delay so consecutive flushes stay serialized as modelled.
   order_cv_.notify_all();
   return Status::OK();
@@ -180,7 +284,7 @@ Status BlockStore::Append(const Block& b) {
 
 Status BlockStore::ResetTail(BlockId id) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (num_blocks_ != 0) {
+  if (!records_.empty()) {
     if (last_block_id_ >= id) return Status::OK();
     return Status::InvalidArgument(
         "ResetTail(" + std::to_string(id) + ") over a log ending at " +
@@ -189,6 +293,7 @@ Status BlockStore::ResetTail(BlockId id) {
   // An empty log can still be positioned past `id` (everything through the
   // old tip was truncated away); never rewind.
   last_block_id_ = std::max(last_block_id_, id);
+  window_.Clear();
   order_cv_.notify_all();
   return Status::OK();
 }
@@ -196,10 +301,17 @@ Status BlockStore::ResetTail(BlockId id) {
 Status BlockStore::TruncateBefore(BlockId keep_from) {
   std::unique_lock<std::mutex> lk(mu_);
   // The rewrite reads the live file and swaps fd_; wait out reserved
-  // records so every scanned offset is fully on disk. New appends queue on
-  // mu_ for the duration.
+  // records so every copied byte is on disk. New appends queue on mu_ for
+  // the duration.
   order_cv_.wait(lk, [&] { return writes_in_flight_ == 0; });
-  if (num_blocks_ == 0 || keep_from <= first_block_id_) return Status::OK();
+  if (records_.empty() || keep_from <= first_block_id_) return Status::OK();
+  // Kept records stay verbatim, so the cut must not split a reference.
+  const BlockId cut = keep_from > last_block_id_ ? last_block_id_ + 1
+                                                 : SafeCutLocked(keep_from);
+  if (cut <= first_block_id_) return Status::OK();
+  const size_t dropped = cut - first_block_id_;
+  const size_t kept = records_.size() - dropped;
+  const uint64_t cut_off = kept > 0 ? records_[dropped].offset : append_offset_;
 
   const std::string tmp = path_ + ".truncate";
   int tfd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -238,50 +350,14 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
       }
       ok = ok && ::ftruncate(afd, aoff) == 0;
     }
+    // Every dropped record starts at a safe cut of the archive too: the
+    // batch opens with what was the log's first record.
+    ok = ok && CopyRange(fd_, kLogHeaderBytes, cut_off - kLogHeaderBytes,
+                         afd, static_cast<uint64_t>(aoff));
   }
-
-  uint64_t woff = kLogHeaderBytes;
-  uint64_t tip_off = 0;
-  BlockId first_kept = 0;
-  size_t kept = 0, dropped = 0;
-  off_t off = static_cast<off_t>(kLogHeaderBytes);
-  std::string payload;
-  size_t rec_len = 0;
-  while (ok && static_cast<uint64_t>(off) < append_offset_) {
-    if (!ReadRecordAt(fd_, off, &payload, &rec_len)) {
-      ok = false;
-      break;
-    }
-    // The open scan validated every live record; only the id matters here.
-    BlockId id = 0;
-    if (!BlockCodec::PeekBlockId(payload, &id)) {
-      ok = false;
-      break;
-    }
-    // Re-frame the payload verbatim (no re-encode): the record is
-    // byte-identical in its new home.
-    std::string rec;
-    rec.reserve(payload.size() + 8);
-    codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));
-    rec.append(payload);
-    codec::AppendU32(&rec, Crc32(payload));
-    if (id < keep_from) {
-      if (afd >= 0) {
-        ok = ::pwrite(afd, rec.data(), rec.size(), aoff) ==
-             static_cast<ssize_t>(rec.size());
-        aoff += static_cast<off_t>(rec.size());
-      }
-      dropped++;
-    } else {
-      if (kept == 0) first_kept = id;
-      tip_off = woff;
-      ok = ::pwrite(tfd, rec.data(), rec.size(), static_cast<off_t>(woff)) ==
-           static_cast<ssize_t>(rec.size());
-      woff += rec.size();
-      kept++;
-    }
-    off += static_cast<off_t>(rec_len);
-  }
+  // The kept records, byte-identical in their new home.
+  ok = ok && CopyRange(fd_, cut_off, append_offset_ - cut_off, tfd,
+                       kLogHeaderBytes);
   if (ok && afd >= 0) ok = ::fsync(afd) == 0;
   if (afd >= 0) ::close(afd);
   if (ok) ok = ::fsync(tfd) == 0;
@@ -299,10 +375,12 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
   HARMONY_CRASH_POINT("chain.truncate.after_rename");
   fd_ = ::open(path_.c_str(), O_RDWR, 0644);
   if (fd_ < 0) return Status::IOError("reopen truncated block log");
-  append_offset_ = woff;
-  last_record_offset_ = tip_off;
-  first_block_id_ = first_kept;  // 0 when everything was dropped
-  num_blocks_ = kept;
+  const uint64_t shift = cut_off - kLogHeaderBytes;
+  records_.erase(records_.begin(), records_.begin() + dropped);
+  for (RecordPos& p : records_) p.offset -= shift;
+  append_offset_ -= shift;
+  first_block_id_ = kept > 0 ? cut : 0;  // 0 when everything was dropped
+  window_.DropBefore(cut);
   // last_block_id_ is untouched: the tip (and the strict-append ordering
   // anchored on it) is unaffected by retiring the prefix.
   truncated_blocks_.fetch_add(dropped, std::memory_order_relaxed);
@@ -310,7 +388,8 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
   if (events_ != nullptr) {
     events_->Emit(obs::EventSeverity::kInfo, obs::EventCode::kLogTruncate,
                   "dropped " + std::to_string(dropped) + " blocks below " +
-                      std::to_string(keep_from) + ", kept " +
+                      std::to_string(cut) + " (asked " +
+                      std::to_string(keep_from) + "), kept " +
                       std::to_string(kept) + ": " + path_);
   }
   return Status::OK();
@@ -324,15 +403,20 @@ Status BlockStore::ReadArchivedBlocks(std::vector<Block>* out) {
   std::string payload;
   size_t rec_len = 0;
   BlockId last_seen = 0;
+  RefWindow window;
   while (ReadRecordAt(fd, off, &payload, &rec_len)) {
-    Block b;
-    if (!BlockCodec::Decode(payload, &b).ok()) break;
     off += static_cast<off_t>(rec_len);
     // Crash-redo duplicates re-archive a prefix already present; the block
     // ids run monotonically within each truncation batch, so a non-
     // increasing id is a replayed record.
-    if (b.header.block_id <= last_seen) continue;
-    last_seen = b.header.block_id;
+    BlockId id = 0;
+    uint32_t reach = 0;
+    if (!BlockCodec::Peek(payload, &id, &reach)) break;
+    if (id <= last_seen) continue;
+    Block b;
+    if (!BlockCodec::Decode(payload, &b, &window).ok()) break;
+    last_seen = id;
+    window.Push(b);
     out->push_back(std::move(b));
   }
   ::close(fd);
@@ -342,72 +426,88 @@ Status BlockStore::ReadArchivedBlocks(std::vector<Block>* out) {
 Status BlockStore::ReadBlocksAfter(BlockId after_block,
                                    std::vector<Block>* out) {
   out->clear();
-  std::vector<std::pair<BlockId, std::string>> records;
-  HARMONY_RETURN_NOT_OK(ReadRecordsAfter(after_block, SIZE_MAX, &records));
-  out->reserve(records.size());
-  for (auto& [id, payload] : records) {
-    Block b;
-    HARMONY_RETURN_NOT_OK(BlockCodec::Decode(payload, &b));
-    out->push_back(std::move(b));
-    std::string().swap(payload);  // peak memory: one stored record, not all
+  int fd = -1;
+  uint64_t off = 0;
+  size_t n = 0;
+  {
+    // Wait out reserved records so every one read is on disk, and read
+    // through a dup: TruncateBefore swaps fd_ for the rewritten file, but
+    // the dup keeps the pre-truncation inode (and the offsets taken here)
+    // alive.
+    std::unique_lock<std::mutex> lk(mu_);
+    order_cv_.wait(lk, [&] { return writes_in_flight_ == 0; });
+    if (records_.empty() || after_block >= last_block_id_) {
+      return Status::OK();
+    }
+    const BlockId from =
+        SafeCutLocked(std::max(after_block + 1, first_block_id_));
+    off = records_[from - first_block_id_].offset;
+    n = last_block_id_ + 1 - from;
+    fd = fd_ >= 0 ? ::dup(fd_) : -1;
   }
-  return Status::OK();
+  if (fd < 0) return Status::IOError("block log not open");
+  out->reserve(n);
+  return DecodeRecords(fd, off, n, after_block, out);
 }
 
 Status BlockStore::ReadRecordsAfter(
     BlockId after_block, size_t max_count,
     std::vector<std::pair<BlockId, std::string>>* out) {
   out->clear();
-  // Snapshot (fd, end) under the lock and read through a dup: TruncateBefore
-  // swaps fd_ for the rewritten file, but the dup keeps the pre-truncation
-  // inode alive, so an overlapping scan sees a consistent (old) log instead
-  // of a reused descriptor number.
   int fd = -1;
-  uint64_t end = 0;
+  BlockId from = 0;
+  uint64_t off = 0;
+  size_t n = 0;
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    end = append_offset_;
+    std::lock_guard<std::mutex> lk(mu_);  // dup: see ReadBlocksAfter
+    if (records_.empty() || after_block >= last_block_id_) {
+      return Status::OK();
+    }
+    from = std::max(after_block + 1, first_block_id_);
+    off = records_[from - first_block_id_].offset;
+    n = std::min<uint64_t>(max_count, last_block_id_ + 1 - from);
     fd = fd_ >= 0 ? ::dup(fd_) : -1;
   }
   if (fd < 0) return Status::IOError("block log not open");
-  off_t off = kLogHeaderBytes;
   std::string payload;
   size_t rec_len = 0;
   Status result;
-  BlockId id = 0;
-  while (static_cast<uint64_t>(off) < end && out->size() < max_count) {
-    if (!ReadRecordAt(fd, off, &payload, &rec_len) ||
-        !BlockCodec::PeekBlockId(payload, &id)) {
+  for (size_t i = 0; i < n; i++) {
+    if (!ReadRecordAt(fd, static_cast<off_t>(off), &payload, &rec_len)) {
       result = Status::Corruption("block log record at offset " +
                                   std::to_string(off));
       break;
     }
-    if (id > after_block) out->emplace_back(id, std::move(payload));
-    off += static_cast<off_t>(rec_len);
+    out->emplace_back(from + i, std::move(payload));
+    off += rec_len;
   }
   ::close(fd);
   return result;
 }
 
 Status BlockStore::ReadLast(Block* out) {
-  uint64_t off;
   int fd = -1;
+  uint64_t off = 0;
+  size_t n = 0;
+  BlockId last = 0;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    if (num_blocks_ == 0) return Status::NotFound("empty block log");
+    if (records_.empty()) return Status::NotFound("empty block log");
     // An Append publishes its offset before its pwrite lands; wait until no
     // record write is in flight so the tip we read is fully on disk.
     order_cv_.wait(lk, [&] { return writes_in_flight_ == 0; });
-    off = last_record_offset_;
+    last = last_block_id_;
+    const BlockId from = SafeCutLocked(last);
+    off = records_[from - first_block_id_].offset;
+    n = last + 1 - from;
     fd = fd_ >= 0 ? ::dup(fd_) : -1;  // see ReadBlocksAfter: truncation-safe
   }
   if (fd < 0) return Status::IOError("block log not open");
-  std::string payload;
-  size_t rec_len = 0;
-  const bool ok = ReadRecordAt(fd, static_cast<off_t>(off), &payload, &rec_len);
-  ::close(fd);
-  if (!ok) return Status::Corruption("block log tip record");
-  return BlockCodec::Decode(payload, out);
+  std::vector<Block> tip;
+  HARMONY_RETURN_NOT_OK(DecodeRecords(fd, off, n, last - 1, &tip));
+  if (tip.empty()) return Status::Corruption("block log tip record");
+  *out = std::move(tip.back());
+  return Status::OK();
 }
 
 BlockId CheckpointManifest::Read() const {
@@ -427,12 +527,15 @@ Status CheckpointManifest::Write(BlockId block_id) const {
   FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IOError("open manifest tmp");
   const uint32_t crc = Crc32(&block_id, 8);
-  const bool ok = std::fwrite(&block_id, 8, 1, f) == 1 &&
-                  std::fwrite(&crc, 4, 1, f) == 1;
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
-  if (!ok) return Status::IOError("write manifest");
+  bool ok = std::fwrite(&block_id, 8, 1, f) == 1 &&
+            std::fwrite(&crc, 4, 1, f) == 1 && std::fflush(f) == 0 &&
+            ::fsync(::fileno(f)) == 0;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    // Never rename a temp that may not hold the bytes over the good file.
+    ::unlink(tmp.c_str());
+    return Status::IOError("write manifest");
+  }
   HARMONY_CRASH_POINT("chain.manifest.before_rename");
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     return Status::IOError("rename manifest");

@@ -20,13 +20,13 @@ class EventLog;
 /// execution is deterministic, persisting the *inputs* is sufficient for
 /// recovery — no ARIES-style physical log.
 ///
-/// ## File format (block log v6 — docs/FORMATS.md is the authoritative
+/// ## File format (block log v7 — docs/FORMATS.md is the authoritative
 /// byte-level reference)
 ///
 /// ```
 ///   offset 0: u32 magic           = 0x4C434248 ("HBCL" read as bytes,
 ///                                   little-endian on disk)
-///   offset 4: u32 format_version  = kLogVersion (6, chain/block.h)
+///   offset 4: u32 format_version  = kLogVersion (7, chain/block.h)
 ///   offset 8: records...
 ///
 ///   record:   u32 payload_len
@@ -43,8 +43,18 @@ class EventLog;
 /// signatures are computed over the canonical BlockCodec::EncodeTxn bytes,
 /// which a decoded record reproduces exactly (reads rebuild both digests).
 ///
+/// ### References and safe cuts
+/// Append stores a CC retry as a reference to its previous incarnation in
+/// an earlier record of the same *interval* (block ids from one
+/// `id % checkpoint_every == 1` to the next, also split at every
+/// `id % 64 == 1` when longer than 64 blocks or when checkpointing is off)
+/// that is still in the log. A record is a *safe
+/// cut* when no record at or after it references a block before it: the
+/// log's first record and every interval start are. Readers decode in
+/// order from a safe cut, and TruncateBefore cuts only at one.
+///
 /// ### One version
-/// Only v6 is read or written. A v1–v5 log (v1 files have no header at all)
+/// Only v7 is read or written. A v1–v6 log (v1 files have no header at all)
 /// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
@@ -52,9 +62,10 @@ class EventLog;
 /// on Open(). An unrecognized magic or any other format version is an
 /// explicit NotSupported open error, never a silent truncation — treating
 /// an unknown log as one giant torn tail would wipe the chain. A record
-/// whose CRC passes but whose payload fails to decompress or parse is
-/// Corruption on read (and a torn tail on open). Neither the open scan nor
-/// TruncateBefore rebuilds digests: they need only validity and block ids.
+/// whose CRC passes but whose payload fails to decompress or parse, or
+/// whose block id does not follow its predecessor's, is Corruption on read
+/// (and a torn tail on open). Neither the open scan nor TruncateBefore
+/// rebuilds digests.
 class BlockStore {
  public:
   /// `sync_latency_us` is the modelled group-commit flush cost charged per
@@ -62,10 +73,12 @@ class BlockStore {
   /// fsync is intentionally not issued on the hot path — the simulation
   /// never hard-kills the process, and a real fsync would inject the host
   /// disk's uncontrolled latency into every block. `compression` is the
-  /// codec Append encodes blocks with when they carry no record yet
-  /// (per-block raw fallback; kNone writes every section raw).
+  /// codec Append encodes blocks with (per-block raw fallback; kNone writes
+  /// every section raw). `checkpoint_every` is the replica's checkpoint
+  /// period, which bounds references (0: checkpointing off).
   explicit BlockStore(std::string path, uint64_t sync_latency_us = 150,
-                      Compression compression = Compression::kHlz);
+                      Compression compression = Compression::kHlz,
+                      uint64_t checkpoint_every = 0);
   ~BlockStore();
 
   /// Optional structured event log: TruncateBefore emits a log_truncate
@@ -79,18 +92,22 @@ class BlockStore {
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
   /// Opens the log and scans it, truncating a torn tail if present.
-  /// NotSupported for a file without the v6 header (see class comment).
+  /// NotSupported for a file without the v7 header (see class comment).
   Status Open();
 
-  /// Appends one block with the modelled group-commit flush: `b.record`
-  /// verbatim when the block carries its record (the caller vouches that
-  /// it encodes `b`), else a fresh BlockCodec::EncodeRecord. Thread-safe
+  /// Appends one block with the modelled group-commit flush. `b.record`,
+  /// when set (a replicated block: the caller vouches that it encodes `b`),
+  /// is stored verbatim if every block it references is in this log's
+  /// reference window; otherwise, and for a block without a record, Append
+  /// encodes the block itself, storing retries as references where it can.
+  /// `stored`, when non-null, receives the payload written. Thread-safe
   /// and strictly ordered: a call for block n+1 waits until block n is
   /// appended (pipelined replicas append from concurrent simulation
   /// threads).
-  Status Append(const Block& b);
+  Status Append(const Block& b, std::string* stored = nullptr);
 
-  /// Reads every block with id > after_block (recovery replay source).
+  /// Reads every block with id > after_block (recovery replay source),
+  /// decoding from the safe cut at or below after_block + 1.
   Status ReadBlocksAfter(BlockId after_block, std::vector<Block>* out);
 
   /// Reads the stored record payloads of up to `max_count` blocks with
@@ -98,6 +115,14 @@ class BlockStore {
   /// bytes as written, without decoding them (REPLICATE's cold path).
   Status ReadRecordsAfter(BlockId after_block, size_t max_count,
                           std::vector<std::pair<BlockId, std::string>>* out);
+
+  /// The first block a reader must decode to resolve the references of
+  /// block `next` and of every block appended after it: a safe cut at or
+  /// below `next` that no later Append will reference across. A
+  /// replication session sends the records from here through next - 1
+  /// before streaming `next` (docs/REPLICATION.md). Returns `next` when
+  /// nothing below it can be referenced.
+  BlockId ContextStart(BlockId next) const;
 
   /// Re-bases an *empty* log so the next Append may be block id+1 — the
   /// snapshot-install path (src/repl/follower.cc): a follower that installs
@@ -110,13 +135,16 @@ class BlockStore {
   /// Reads the whole chain (audit).
   Status ReadAll(std::vector<Block>* out) { return ReadBlocksAfter(0, out); }
 
-  /// Drops every record with block_id < keep_from — the checkpoint-anchored
-  /// retention path: once the manifest proves state through block B durable,
-  /// records below the retention window are dead weight for recovery.
-  /// Rewrites the log via write-temp (<path>.truncate) + rename: a SIGKILL
-  /// anywhere yields either the old log or the new one, never a torn mix.
-  /// Waits for in-flight appends; the chain tip and last_block_id() are
-  /// unchanged. No-op when nothing falls below keep_from.
+  /// Drops the records below the largest safe cut at or below `keep_from`
+  /// (exactly `keep_from` on a log without references; every record when
+  /// `keep_from` is past the tip) — the checkpoint-anchored retention path:
+  /// once the manifest proves state through block B durable, records below
+  /// the retention window are dead weight for recovery. The kept records
+  /// stay byte-identical. Rewrites the log via write-temp
+  /// (<path>.truncate) + rename: a SIGKILL anywhere yields either the old
+  /// log or the new one, never a torn mix. Waits for in-flight appends; the
+  /// chain tip and last_block_id() are unchanged. No-op when nothing falls
+  /// below the cut.
   Status TruncateBefore(BlockId keep_from);
 
   /// Reads <path>.archive (see SetArchiveTruncated): every record ever
@@ -124,9 +152,10 @@ class BlockStore {
   /// torn tail. OK with an empty vector when no archive exists.
   Status ReadArchivedBlocks(std::vector<Block>* out);
 
-  /// Reads only the chain tip (the highest-id block) in O(1) I/O — the open
-  /// scan remembers the last record's offset. NotFound on an empty log.
-  /// Safe against concurrent Append: waits for in-flight record writes.
+  /// Reads the chain tip (the highest-id block), decoding from the last
+  /// safe cut — a few records, never an O(chain) scan. NotFound on an
+  /// empty log. Safe against concurrent Append: waits for in-flight record
+  /// writes.
   Status ReadLast(Block* out);
 
   /// Locked like first_block_id(): concurrent Appends advance the tip.
@@ -144,7 +173,7 @@ class BlockStore {
   }
   size_t num_blocks() const {
     std::lock_guard<std::mutex> lk(mu_);
-    return num_blocks_;
+    return records_.size();
   }
 
   // --- truncation accounting (relaxed, monotonic) -----------------------
@@ -167,7 +196,8 @@ class BlockStore {
   /// The appended blocks' txns measured in the canonical fixed-width
   /// BlockCodec::EncodeTxn layout (not the varint section), summed over
   /// every Append on this handle. A fixed base: disk/raw is the whole
-  /// storage encoding's ratio, varint columns and compression together.
+  /// storage encoding's ratio, references, varint columns and compression
+  /// together.
   uint64_t appended_raw_bytes() const {
     return raw_bytes_.load(std::memory_order_relaxed);
   }
@@ -178,11 +208,26 @@ class BlockStore {
   }
 
  private:
+  /// Where a live record sits, and how far back its references reach.
+  struct RecordPos {
+    uint64_t offset = 0;
+    uint32_t reach = 0;
+  };
+
   Status ScanAndRepair();
+  /// The largest safe cut at or below `k` (first_block_id_ <= k <=
+  /// last_block_id_). Requires mu_.
+  BlockId SafeCutLocked(BlockId k) const;
+  /// The oldest block a record for block `id` may reference. Requires mu_.
+  BlockId RefFloorLocked(BlockId id) const;
+  /// Decodes the live records from `from` (a safe cut) through the tip,
+  /// keeping the blocks with id > after. Waits for in-flight writes.
+  Status ReadFrom(BlockId from_hint, BlockId after, std::vector<Block>* out);
 
   std::string path_;
   uint64_t sync_latency_us_;
   Compression compression_;
+  uint64_t interval_;  ///< references never cross an id % interval_ == 1
   obs::EventLog* events_ = nullptr;
   bool archive_truncated_ = false;
   std::atomic<uint64_t> raw_bytes_{0};
@@ -193,11 +238,14 @@ class BlockStore {
   mutable std::mutex mu_;
   std::condition_variable order_cv_;
   uint64_t append_offset_ = 0;
-  uint64_t last_record_offset_ = 0;  ///< file offset of the tip's record
   size_t writes_in_flight_ = 0;      ///< records reserved but not yet written
   BlockId last_block_id_ = 0;
   BlockId first_block_id_ = 0;       ///< lowest id in the live log (0 = empty)
-  size_t num_blocks_ = 0;
+  /// One entry per live record, block first_block_id_ + i at index i.
+  std::vector<RecordPos> records_;
+  /// The blocks the next Append may reference: the tail of the live log
+  /// within the next block's interval.
+  RefWindow window_;
 };
 
 /// Tiny atomically-replaced manifest recording the latest checkpointed block

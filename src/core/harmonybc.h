@@ -80,11 +80,13 @@ class HarmonyBC {
     /// Block log compression for sealed-txn sections. Per-block raw
     /// fallback keeps incompressible blocks from growing; kNone stores
     /// every section raw (the same log version). A follower stores the
-    /// leader's records as received, whatever its own setting.
+    /// leader's records as received, whatever its own setting, except
+    /// those whose references reach below its log (re-encoded with it).
     Compression block_compression = Compression::kHlz;
     /// Block-log retention (docs/FORMATS.md): each checkpoint at block B
-    /// truncates log records below B - log_retain_blocks + 1, bounding disk
-    /// at O(retention + checkpoint period). 0 keeps the full chain.
+    /// keeps at least the last log_retain_blocks records, truncating below
+    /// the safe cut at or under B - log_retain_blocks + 1, bounding disk at
+    /// O(retention + checkpoint period). 0 keeps the full chain.
     uint64_t log_retain_blocks = 0;
     /// Archive truncated records to <name>.chain.archive (torture / audit
     /// tooling ground truth; production leaves this off).

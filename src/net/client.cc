@@ -413,6 +413,7 @@ void NetClient::ReaderLoop() {
         case Opcode::kOpReplicate:
         case Opcode::kOpReplicateAck:
         case Opcode::kOpReplSnapshot:
+        case Opcode::kOpReplContext:
           // Client-only requests and replication-plane frames have no
           // business arriving on a client connection.
           BreakConnection(

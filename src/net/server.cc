@@ -538,6 +538,7 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
     }
     case Opcode::kOpReplicate:
     case Opcode::kOpReplSnapshot:
+    case Opcode::kOpReplContext:
       return false;  // leader-to-follower opcodes; never valid inbound
     case Opcode::kOpBatchReceipt:
     case Opcode::kOpError:

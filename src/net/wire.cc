@@ -31,6 +31,8 @@ const char* OpcodeName(Opcode op) {
       return "HEALTH";
     case Opcode::kOpEvents:
       return "EVENTS";
+    case Opcode::kOpReplContext:
+      return "REPL_CONTEXT";
   }
   return nullptr;
 }
@@ -197,12 +199,13 @@ void EncodeReplicate(BlockId id, std::string_view record, std::string* out) {
   out->append(record.data(), record.size());
 }
 
-bool DecodeReplicate(std::string_view payload, Block* out) {
+bool DecodeReplicate(std::string_view payload, Block* out,
+                     const RefWindow* refs) {
   codec::Reader r(payload);
   uint64_t id = 0;
   if (!r.ReadU64(&id)) return false;
   const std::string_view record = payload.substr(8);
-  if (!BlockCodec::Decode(record, out).ok()) return false;
+  if (!BlockCodec::Decode(record, out, refs).ok()) return false;
   out->record.assign(record.data(), record.size());
   // The outer id exists so the leader/follower can account for the frame
   // without re-decoding; a disagreement means the frame lies about itself.

@@ -17,10 +17,11 @@
 namespace harmony {
 
 struct Block;  // chain/block.h (REPLICATE frames carry whole blocks)
+class RefWindow;
 
 namespace net {
 
-/// HarmonyBC wire protocol v4 — a versioned, length-prefixed binary frame
+/// HarmonyBC wire protocol v5 — a versioned, length-prefixed binary frame
 /// format spoken between NetClient and NetServer (docs/NET.md for the
 /// contracts, docs/FORMATS.md for the authoritative byte-level reference).
 ///
@@ -48,7 +49,7 @@ namespace net {
 /// request id that the reply echoes; on every other opcode a non-zero id is
 /// a protocol error.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireVersion = 4;
+inline constexpr uint8_t kWireVersion = 5;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or
@@ -90,6 +91,10 @@ enum class Opcode : uint8_t {
   kOpEvents = 14,       ///< C -> S: u64 cursor; S -> C: next cursor +
                         ///<         count-capped obs::EventRecord entries
                         ///<         from the instance's event ring
+  kOpReplContext = 15,  ///< L -> F: a stored record at or below the
+                        ///<         follower's tip, sent at session start
+                        ///<         so later REPLICATE records' references
+                        ///<         resolve; REPLICATE's payload, not applied
 };
 
 /// The opcode's wire name; nullptr for a number that is not a current
@@ -167,16 +172,19 @@ inline constexpr uint32_t kMaxReplNodeName = 256;
 void EncodeReplJoin(const WireReplJoin& j, std::string* out);
 bool DecodeReplJoin(std::string_view payload, WireReplJoin* out);
 
-/// REPLICATE: `u64 block_id`, then the leader's stored block-log record
-/// for that block (BlockCodec::EncodeRecord bytes, exactly as its log holds
-/// them) through the end of the payload. Nothing is encoded for the link:
-/// the leader ships the record it logged, and the follower's log appends
-/// the same bytes. Decode parses the record (rebuilding its digests), keeps
+/// REPLICATE and REPL_CONTEXT: `u64 block_id`, then the leader's stored
+/// block-log record for that block (BlockCodec::EncodeRecord bytes, exactly
+/// as its log holds them) through the end of the payload. Nothing is
+/// encoded for the link: the leader ships the record it logged, and the
+/// follower's log appends the same bytes where their references resolve.
+/// Decode parses the record, resolving references in `refs` (the session's
+/// earlier blocks; nullptr: none allowed) and rebuilding its digests, keeps
 /// the bytes in `out->record`, and rejects an outer id that disagrees with
 /// the decoded header, so a frame that passes the codec is internally
 /// consistent before the follower touches it.
 void EncodeReplicate(BlockId id, std::string_view record, std::string* out);
-bool DecodeReplicate(std::string_view payload, Block* out);
+bool DecodeReplicate(std::string_view payload, Block* out,
+                     const RefWindow* refs = nullptr);
 
 /// REPLICATE_ACK: u64 block id, cumulative.
 void EncodeReplAck(BlockId id, std::string* out);

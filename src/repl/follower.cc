@@ -114,16 +114,30 @@ Status Follower::RunSession() {
   HARMONY_RETURN_NOT_OK(l->Send(net::Opcode::kOpReplJoin, payload));
   connected_.store(true, std::memory_order_release);
 
+  // This session's recent blocks, context and streamed alike: REPLICATE
+  // records may reference them (docs/REPLICATION.md).
+  RefWindow window;
   for (;;) {
     net::Frame frame;
     HARMONY_RETURN_NOT_OK(l->Recv(&frame));
     switch (frame.opcode) {
+      case net::Opcode::kOpReplContext:
       case net::Opcode::kOpReplicate: {
         Block b;
-        if (!net::DecodeReplicate(frame.payload, &b)) {
-          return Status::Corruption("bad REPLICATE payload");
+        if (!net::DecodeReplicate(frame.payload, &b, &window)) {
+          return Status::Corruption(std::string("bad ") +
+                                    net::OpcodeName(frame.opcode) +
+                                    " payload");
         }
+        window.Push(b);
         const BlockId id = b.header.block_id;
+        if (frame.opcode == net::Opcode::kOpReplContext) {
+          // Context only seeds the window; it is never applied.
+          if (id > tip) {
+            return Status::Corruption("REPL_CONTEXT past the durable tip");
+          }
+          break;
+        }
         if (id <= tip) {
           // Resend of something already durable here (an ack the leader
           // missed): re-ack cumulatively instead of re-applying.

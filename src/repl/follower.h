@@ -31,9 +31,12 @@ struct FollowerOptions {
 /// its durable chain tip with REPL_JOIN, applies the REPLICATE stream
 /// through the local replica's ordinary SubmitBlock path (chain-verified,
 /// persisted, executed — exactly like a locally sealed block, except that
-/// the log appends the leader's record bytes as received), and acks
+/// the log appends the leader's record bytes as received wherever their
+/// references resolve in it), and acks
 /// each block from the commit hook once it is applied. A fresh follower too
-/// far behind receives a REPL_SNAPSHOT first and installs it.
+/// far behind receives a REPL_SNAPSHOT first and installs it. Each session
+/// opens with REPL_CONTEXT records, decoded into the session's reference
+/// window but not applied.
 ///
 /// The fronted HarmonyBC must have Options::follower_mode set: its sealer
 /// never runs and its commit callback must not requeue CC aborts (the

@@ -1,5 +1,7 @@
 #include "repl/repl_log.h"
 
+#include <algorithm>
+
 #include "chain/block.h"
 #include "net/wire.h"
 
@@ -37,6 +39,8 @@ Status ReplicationLog::Fetch(
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (after >= tip_) return Status::OK();
+    // Never past the tip: the store may hold records still being written.
+    max_count = std::min<size_t>(max_count, tip_ - after);
     if (!entries_.empty()) window_front = entries_.front().first;
     if (window_front != 0 && after + 1 >= window_front) {
       for (const auto& [id, payload] : entries_) {

@@ -56,6 +56,7 @@ void Replicator::AddPeer(const std::string& node, BlockId peer_tip,
     }
     p.acked = peer_tip;
     p.sent = peer_tip;
+    ResetContextLocked(p);
     p.send = std::move(send);
     p.send_stamps.clear();  // a rejoin invalidates old send edges
     UpdatePeerGaugesLocked(p);
@@ -89,6 +90,7 @@ void Replicator::AddPeer(const std::string& node, BlockId peer_tip,
               snap.base_block > peer_tip &&
               it->second.send(net::Opcode::kOpReplSnapshot, payload)) {
             it->second.sent = snap.base_block;
+            ResetContextLocked(it->second);
             snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
             c_snapshots_sent_->Add(1);
             sent = true;
@@ -196,11 +198,50 @@ size_t Replicator::num_peers() const {
   return peers_.size();
 }
 
+void Replicator::ResetContextLocked(Peer& p) {
+  const BlockId next = p.sent + 1;
+  const BlockId from = db_->replica()->block_store()->ContextStart(next);
+  p.context_from = from < next ? from : 0;
+}
+
+void Replicator::AbortPeerLocked(Peer& p, const std::string& why) {
+  net::WireError err;
+  err.code = Status::Code::kAborted;
+  err.message = why;
+  std::string payload;
+  net::EncodeError(err, &payload);
+  p.send(net::Opcode::kOpError, payload);
+  p.send = nullptr;  // terminal for this connection; close follows
+  UpdatePeerGaugesLocked(p);
+}
+
 void Replicator::PumpLocked(Peer& p) {
   if (!p.send) return;
   const testing::NetFaultPlan* plan =
       fault_plan_.load(std::memory_order_acquire);
   if (plan != nullptr && plan->Partitioned(/*leader=*/0, p.node_id)) return;
+  if (p.context_from != 0) {
+    // Session start: the stored records from a safe cut through the peer's
+    // start, so the follower can resolve references into them. They are
+    // the same stored bytes REPLICATE would carry; nothing is decoded.
+    const size_t n = p.sent + 1 - p.context_from;
+    std::vector<std::pair<BlockId, std::string>> context;
+    if (!log_.Fetch(p.context_from - 1, n, &context).ok() ||
+        context.size() != n || context.front().first != p.context_from) {
+      AbortPeerLocked(p, "log truncated below " +
+                             std::to_string(p.context_from) +
+                             "; rejoin for a snapshot");
+      return;
+    }
+    for (auto& [id, payload] : context) {
+      if (!p.send(net::Opcode::kOpReplContext, payload)) {
+        p.send = nullptr;  // connection gone; RemovePeer follows from close
+        UpdatePeerGaugesLocked(p);
+        return;
+      }
+    }
+    p.context_from = 0;
+  }
   const BlockId tip = log_.tip();
   while (p.sent < tip && p.sent - p.acked < opts_.send_window) {
     const size_t room = opts_.send_window - (p.sent - p.acked);
@@ -213,16 +254,9 @@ void Replicator::PumpLocked(Peer& p) {
       // (it joined before the tail was dropped). Streaming the gap would
       // desync the follower's chain; tell it to rejoin — the fresh AddPeer
       // sees first_block_id() > peer tip and serves a snapshot instead.
-      net::WireError err;
-      err.code = Status::Code::kAborted;
-      err.message = "log truncated below " +
-                    std::to_string(batch.front().first) +
-                    "; rejoin for a snapshot";
-      std::string payload;
-      net::EncodeError(err, &payload);
-      p.send(net::Opcode::kOpError, payload);
-      p.send = nullptr;  // terminal for this connection; close follows
-      UpdatePeerGaugesLocked(p);
+      AbortPeerLocked(p, "log truncated below " +
+                             std::to_string(batch.front().first) +
+                             "; rejoin for a snapshot");
       return;
     }
     const uint64_t now = NowMicros();  // one stamp per fetched batch

@@ -120,6 +120,10 @@ class Replicator {
     NodeId node_id = 0;  ///< fault-plan id (leader is 0)
     BlockId acked = 0;
     BlockId sent = 0;
+    /// First stored record still owed as REPL_CONTEXT (0: none): the
+    /// session-start records, from a safe cut through `sent`, that later
+    /// REPLICATE records may reference.
+    BlockId context_from = 0;
     SendFn send;
     /// Per-peer instruments (docs/OBSERVABILITY.md), resolved once at
     /// AddPeer — registry names are "<base>.<node>".
@@ -133,9 +137,15 @@ class Replicator {
     std::deque<std::pair<BlockId, uint64_t>> send_stamps;
   };
 
-  /// Streams blocks (sent, tip] to the peer inside the send window.
-  /// Requires mu_.
+  /// Sends any owed REPL_CONTEXT records, then streams blocks (sent, tip]
+  /// to the peer inside the send window. Requires mu_.
   void PumpLocked(Peer& p);
+  /// Owes the peer the context for a session that streams from sent + 1.
+  /// Requires mu_.
+  void ResetContextLocked(Peer& p);
+  /// Ends the peer's stream with a terminal ERROR telling it to rejoin.
+  /// Requires mu_.
+  void AbortPeerLocked(Peer& p, const std::string& why);
   /// Refreshes the peer's ack/lag/window gauges. Requires mu_.
   void UpdatePeerGaugesLocked(Peer& p);
   /// Recomputes the watermark from peer acks and moves due gated closures

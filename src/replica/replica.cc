@@ -55,7 +55,7 @@ Status Replica::Open() {
                            opts_.dcc_cfg);
   block_store_ = std::make_unique<BlockStore>(
       opts_.dir + "/" + opts_.name + ".chain", opts_.disk.fsync_latency_us,
-      opts_.block_compression);
+      opts_.block_compression, opts_.checkpoint_every);
   block_store_->SetEventLog(opts_.events);
   block_store_->SetArchiveTruncated(opts_.archive_truncated);
   HARMONY_RETURN_NOT_OK(block_store_->Open());
@@ -140,12 +140,15 @@ Status Replica::WriteAnchor(const Digest& d) const {
   FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::IOError("open anchor tmp");
   const uint32_t crc = Crc32(d.data(), d.size());
-  const bool ok = std::fwrite(d.data(), d.size(), 1, f) == 1 &&
-                  std::fwrite(&crc, 4, 1, f) == 1;
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
-  if (!ok) return Status::IOError("write anchor");
+  bool ok = std::fwrite(d.data(), d.size(), 1, f) == 1 &&
+            std::fwrite(&crc, 4, 1, f) == 1 && std::fflush(f) == 0 &&
+            ::fsync(::fileno(f)) == 0;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    // Never rename a temp that may not hold the bytes over the good file.
+    ::unlink(tmp.c_str());
+    return Status::IOError("write anchor");
+  }
   if (std::rename(tmp.c_str(), AnchorPath().c_str()) != 0) {
     return Status::IOError("rename anchor");
   }
@@ -360,13 +363,11 @@ void Replica::CommitWorker() {
 }
 
 Status Replica::AppendToLog(Block* block) {
-  // The one encode of a locally sealed block: the record stays attached, so
-  // the commit hook can ship the same bytes over REPLICATE. A replicated
-  // block arrives with the leader's record and is appended verbatim.
-  if (block->record.empty()) {
-    block->record = BlockCodec::EncodeRecord(*block, opts_.block_compression);
-  }
-  return block_store_->Append(*block);
+  // The log stores (and reports back) the block's one encoding, so the
+  // commit hook can ship the same bytes over REPLICATE. A replicated block
+  // arrives with the leader's record, which the log keeps verbatim when its
+  // references resolve here.
+  return block_store_->Append(*block, &block->record);
 }
 
 Status Replica::AfterCommit(const Block& block, const BlockResult& result) {
@@ -382,9 +383,10 @@ Status Replica::AfterCommit(const Block& block, const BlockResult& result) {
     HARMONY_CRASH_POINT("replica.checkpoint.after_manifest");
     if (opts_.log_retain_blocks > 0 && opts_.persist_blocks) {
       // The manifest just proved state through `id` durable; records below
-      // the retention window no longer serve recovery. Keeping at least the
-      // checkpoint block itself means the log is never left empty, so the
-      // recovery audit can always anchor at the first retained record.
+      // the retention window no longer serve recovery. The store cuts at a
+      // safe point at or below keep_from, so at least the checkpoint block
+      // itself is kept: the log is never left empty, and the recovery audit
+      // can always anchor at the first retained record.
       const BlockId keep_from =
           id > opts_.log_retain_blocks ? id - opts_.log_retain_blocks + 1 : 1;
       if (keep_from > 1) {

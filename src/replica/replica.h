@@ -39,9 +39,10 @@ struct ReplicaOptions {
   size_t flush_threads = BufferPool::kDefaultFlushThreads;
   size_t threads = 8;             ///< execution worker threads
 
-  /// Block-log retention: at each checkpoint at block B, drop log records
-  /// below B - log_retain_blocks + 1 (BlockStore::TruncateBefore), bounding
-  /// disk usage at O(retention + checkpoint period) instead of O(chain).
+  /// Block-log retention: at each checkpoint at block B, keep at least the
+  /// last log_retain_blocks records, cutting at the safe point at or below
+  /// B - log_retain_blocks + 1 (BlockStore::TruncateBefore), bounding disk
+  /// usage at O(retention + checkpoint period) instead of O(chain).
   /// Minimum effective retention is 1 block (recovery anchors the chain
   /// audit at the first retained record). 0 disables truncation.
   uint64_t log_retain_blocks = 0;
@@ -55,7 +56,8 @@ struct ReplicaOptions {
   bool persist_blocks = true;     ///< append input blocks to the logical log
   /// Codec for the block log's sealed-txn sections (per-block raw fallback
   /// when a section does not shrink). Applies to blocks this replica
-  /// encodes; a replicated block is stored as the leader encoded it.
+  /// encodes; a replicated block is stored as the leader encoded it unless
+  /// its references reach below this log (BlockStore::Append).
   Compression block_compression = Compression::kHlz;
   /// Optional txn-lifecycle tracer: records per-block execute (Simulate)
   /// and commit durations. Replayed blocks (Recover) are not recorded.
@@ -107,9 +109,10 @@ class Replica {
   /// Feeds the next block. With an inter-block-parallel protocol this
   /// returns once the block's simulation has been scheduled (the previous
   /// block may still be committing); otherwise it blocks until commit.
-  /// Blocks must arrive in increasing block-id order. A block that carries
-  /// its stored record (Block::record) is logged verbatim; any other is
-  /// encoded once and keeps the record for the commit callback.
+  /// Blocks must arrive in increasing block-id order. The block carries its
+  /// stored record (Block::record) to the commit callback: the leader's
+  /// record as received when the log could keep it verbatim, else the one
+  /// the log encoded.
   Status SubmitBlock(Block block);
 
   /// Waits until every submitted block has committed.
@@ -158,8 +161,7 @@ class Replica {
   Status ExecuteBlockPipelined(Block block);
   Status CommitLoopStep();
   void CommitWorker();
-  /// Appends the block's stored record, encoding (and attaching) it first
-  /// unless the block already carries one.
+  /// Appends the block to the log and attaches the record it stored.
   Status AppendToLog(Block* block);
   Status AfterCommit(const Block& block, const BlockResult& result);
   Status ReplayFrom(BlockId checkpointed);

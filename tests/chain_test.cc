@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 
 namespace harmony {
@@ -61,7 +62,7 @@ std::string Hex(const Digest& d) {
 
 // Chain identity is computed over the canonical EncodeTxn bytes, never over
 // the log record: these digests were produced by the fixed-width v4 build
-// and must not move when the storage encoding does. A decoded v6 record
+// and must not move when the storage encoding does. A decoded v7 record
 // re-derives the same txn_root.
 TEST(BlockCodec, ChainIdentityIsPinnedAcrossRecordFormats) {
   const char* kWant[2][3] = {
@@ -226,9 +227,10 @@ TEST(BlockStore, AppendAndReadBack) {
   EXPECT_EQ(after[0].header.block_id, 5u);
 }
 
-// Pipelined replicas append from concurrent threads: each thread encodes
-// its blocks off-lock and Append serializes them in id order. Every record
-// must land whole and in order while readers poll the tip.
+// Pipelined replicas append from concurrent threads, and Append encodes
+// each block in id order against the blocks before it. Every record must
+// land whole and in order — half of each block's txns retries of the
+// previous block's, stored by reference — while readers poll the tip.
 TEST(BlockStore, ConcurrentAppendsLandInIdOrder) {
   TempDir dir("bs-concurrent");
   BlockStore store(dir.path() + "/chain.log", 0);
@@ -237,7 +239,12 @@ TEST(BlockStore, ConcurrentAppendsLandInIdOrder) {
   BlockBuilder builder("secret");
   std::vector<Block> blocks;
   for (BlockId i = 1; i <= kBlocks; i++) {
-    blocks.push_back(builder.Seal(MakeBatch(i, 1 + (i - 1) * kTxns, kTxns), i));
+    TxnBatch batch = MakeBatch(i, 1 + (i - 1) * kTxns, kTxns);
+    for (size_t k = 0; i > 1 && k < kTxns / 2; k++) {
+      batch.txns[k] = blocks.back().batch.txns[kTxns / 2 + k];
+      batch.txns[k].retries++;
+    }
+    blocks.push_back(builder.Seal(std::move(batch), i));
   }
   std::atomic<bool> done{false};
   std::thread reader([&] {
@@ -266,6 +273,14 @@ TEST(BlockStore, ConcurrentAppendsLandInIdOrder) {
     EXPECT_EQ(all[i].header.block_hash, blocks[i].header.block_hash);
   }
   EXPECT_OK(ChainVerifier::VerifyChain(all, "secret"));
+  std::vector<std::pair<BlockId, std::string>> records;
+  ASSERT_OK(store.ReadRecordsAfter(0, SIZE_MAX, &records));
+  for (const auto& [id, record] : records) {
+    BlockId peeked = 0;
+    uint32_t reach = 0;
+    ASSERT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
+    EXPECT_EQ(reach, id % kMaxRefReach == 1 ? 0u : 1u) << id;
+  }
 }
 
 TEST(BlockStore, SurvivesReopenAndRepairsTornTail) {
@@ -605,6 +620,289 @@ TEST(CheckpointManifest, RoundTripAndMissing) {
   EXPECT_EQ(m.Read(), 42u);
   ASSERT_OK(m.Write(100));
   EXPECT_EQ(m.Read(), 100u);
+}
+
+// A symlinked temp that cannot take the bytes (/dev/full fails the flush
+// with ENOSPC) must fail the write and leave the good manifest in place —
+// never rename a half-written temp over it.
+TEST(CheckpointManifest, FailedWriteKeepsThePreviousManifest) {
+  TempDir dir("ckpt-full");
+  const std::string path = dir.path() + "/replica.ckpt";
+  CheckpointManifest m(path);
+  ASSERT_OK(m.Write(7));
+  ASSERT_EQ(::symlink("/dev/full", (path + ".tmp").c_str()), 0);
+  EXPECT_TRUE(m.Write(9).IsIOError());
+  EXPECT_EQ(m.Read(), 7u);
+  EXPECT_FALSE(PathExists(path + ".tmp"));
+  ASSERT_OK(m.Write(9));  // the next write goes through
+  EXPECT_EQ(m.Read(), 9u);
+}
+
+// ------------------------------------------------------------ references --
+
+/// Sealed blocks 1..n whose txns are fresh or CC retries: a sealed txn is
+/// aborted with probability `p_retry` and sealed again (retries + 1) 1..3
+/// blocks later — occasionally more than kMaxRefReach later — so retry
+/// chains of random depth cross blocks, interval starts and the reach
+/// limit. Some retries change their args on the way (no longer the same
+/// canonical txn), and some blocks hold the same txn twice.
+std::vector<Block> RetryChain(uint64_t seed, BlockId n, double p_retry) {
+  Rng rng(seed);
+  BlockBuilder builder("secret");
+  std::multimap<BlockId, TxnRequest> due;  // block -> txn sealed there again
+  std::vector<Block> chain;
+  TxnId tid = 1;
+  uint64_t seq = 1;
+  for (BlockId id = 1; id <= n; id++) {
+    TxnBatch batch;
+    batch.block_id = id;
+    batch.first_tid = tid;
+    for (auto [it, end] = due.equal_range(id); it != end; ++it) {
+      batch.txns.push_back(it->second);
+    }
+    due.erase(id);
+    for (uint64_t k = rng.Uniform(6); k > 0; k--) {
+      TxnRequest t;
+      t.proc_id = 1 + static_cast<uint32_t>(rng.Uniform(3));
+      t.client_id = rng.Uniform(3);
+      t.client_seq = seq++;
+      t.submit_time_us = 1000 * id - rng.Uniform(500);
+      t.args.ints = {static_cast<int64_t>(rng.Uniform(50)), -1};
+      if (rng.Chance(0.2)) {
+        t.args.blob.assign(rng.Uniform(20), static_cast<char>('a' + seq % 26));
+      }
+      batch.txns.push_back(std::move(t));
+    }
+    if (rng.Chance(0.1) && !batch.txns.empty()) {
+      batch.txns.push_back(batch.txns.front());  // the same txn twice
+    }
+    for (const TxnRequest& t : batch.txns) {
+      if (!rng.Chance(p_retry)) continue;
+      TxnRequest again = t;
+      again.retries++;
+      if (rng.Chance(0.1)) again.args.ints.push_back(9);
+      const BlockId later =
+          id + (rng.Chance(0.05) ? kMaxRefReach + rng.Uniform(8)
+                                 : 1 + rng.Uniform(3));
+      due.emplace(later, std::move(again));
+    }
+    tid += batch.txns.size();
+    chain.push_back(builder.Seal(std::move(batch), 1000 * id));
+  }
+  return chain;
+}
+
+/// Canonical equality: the rebuilt block hash covers the header fields and
+/// the txn root, which covers every txn's EncodeTxn bytes.
+void ExpectChainSlice(const std::vector<Block>& got,
+                      const std::vector<Block>& chain, BlockId first) {
+  ASSERT_EQ(got.size(), chain.size() + 1 - first);
+  for (size_t i = 0; i < got.size(); i++) {
+    const Block& want = chain[first - 1 + i];
+    EXPECT_EQ(got[i].header.block_id, want.header.block_id);
+    EXPECT_EQ(got[i].header.block_hash, want.header.block_hash);
+    EXPECT_EQ(BlockCodec::TxnRoot(got[i].batch), want.header.txn_root);
+  }
+}
+
+BlockId IntervalStart(BlockId id, uint64_t checkpoint_every) {
+  const BlockId grid = id - (id - 1) % kMaxRefReach;
+  if (checkpoint_every == 0) return grid;
+  const BlockId start = id - (id - 1) % checkpoint_every;
+  return checkpoint_every > kMaxRefReach ? std::max(start, grid) : start;
+}
+
+/// Every stored record's references stay at or above the log's first
+/// record and inside its own interval. Returns how many records carry any.
+size_t CheckReferenceRules(BlockStore* store, uint64_t checkpoint_every) {
+  std::vector<std::pair<BlockId, std::string>> records;
+  EXPECT_OK(store->ReadRecordsAfter(0, SIZE_MAX, &records));
+  size_t with_refs = 0;
+  for (const auto& [id, record] : records) {
+    BlockId peeked = 0;
+    uint32_t reach = 0;
+    EXPECT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
+    EXPECT_EQ(peeked, id);
+    if (reach == 0) continue;
+    with_refs++;
+    EXPECT_GE(id - reach, store->first_block_id()) << "block " << id;
+    EXPECT_GE(id - reach, IntervalStart(id, checkpoint_every))
+        << "block " << id;
+  }
+  return with_refs;
+}
+
+// Seeded chains with retry chains of random depth under a random
+// checkpoint interval: every read path returns the sealed blocks, before
+// and after random truncations and a reopen, and no stored record reaches
+// below its log's first record or across an interval start.
+TEST(BlockStoreRefs, SeededChainsReadBackThroughEveryPath) {
+  constexpr uint64_t kIntervals[] = {0, 1, 2, 3, 5, 10, 100};
+  size_t total_refs = 0;
+  for (uint64_t seed = 1; seed <= 24; seed++) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 7919);
+    const uint64_t every = kIntervals[rng.Uniform(7)];
+    const BlockId n = 20 + rng.Uniform(80);
+    const std::vector<Block> chain = RetryChain(seed, n, 0.4);
+    TempDir dir("refs-prop");
+    const std::string path = dir.path() + "/chain.log";
+    BlockStore store(path, 0,
+                     rng.Chance(0.5) ? Compression::kHlz : Compression::kNone,
+                     every);
+    store.SetArchiveTruncated(true);
+    ASSERT_OK(store.Open());
+    for (const Block& b : chain) {
+      std::string stored;
+      ASSERT_OK(store.Append(b, &stored));
+      EXPECT_FALSE(stored.empty());
+    }
+    total_refs += CheckReferenceRules(&store, every);
+    std::vector<Block> got;
+    ASSERT_OK(store.ReadAll(&got));
+    ExpectChainSlice(got, chain, 1);
+    for (int k = 0; k < 4; k++) {
+      const BlockId after = rng.Uniform(n + 1);
+      ASSERT_OK(store.ReadBlocksAfter(after, &got));
+      if (after < n) {
+        ExpectChainSlice(got, chain, after + 1);
+      } else {
+        EXPECT_TRUE(got.empty());
+      }
+    }
+    Block last;
+    ASSERT_OK(store.ReadLast(&last));
+    EXPECT_EQ(last.header.block_hash, chain.back().header.block_hash);
+
+    // Random truncations: each cut is a safe cut at or below the ask, the
+    // kept records are unchanged, and archive + live is the whole chain.
+    BlockId keep_from = 1;
+    for (int t = 0; t < 3; t++) {
+      keep_from += rng.Uniform(n / 3 + 1);
+      ASSERT_OK(store.TruncateBefore(keep_from));
+      if (store.num_blocks() > 0) {
+        EXPECT_LE(store.first_block_id(), std::max<BlockId>(keep_from, 1));
+        CheckReferenceRules(&store, every);
+        ASSERT_OK(store.ReadAll(&got));
+        ExpectChainSlice(got, chain, store.first_block_id());
+        ASSERT_OK(store.ReadLast(&last));
+        EXPECT_EQ(last.header.block_hash, chain.back().header.block_hash);
+      }
+      std::vector<Block> archived;
+      ASSERT_OK(store.ReadArchivedBlocks(&archived));
+      ASSERT_OK(store.ReadAll(&got));
+      archived.insert(archived.end(), got.begin(), got.end());
+      ExpectChainSlice(archived, chain, 1);
+    }
+    // The open scan decodes the survivors in order from the first record.
+    const BlockId first = store.first_block_id();
+    BlockStore reopened(path, 0, Compression::kHlz, every);
+    ASSERT_OK(reopened.Open());
+    EXPECT_EQ(reopened.first_block_id(), first);
+    if (first != 0) {
+      ASSERT_OK(reopened.ReadAll(&got));
+      ExpectChainSlice(got, chain, first);
+    }
+  }
+  EXPECT_GT(total_refs, 0u);
+}
+
+// A log without retries never stores a reference, so every record is a
+// safe cut and truncation lands exactly on keep_from.
+TEST(BlockStoreRefs, RetryFreeLogTruncatesExactly) {
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    SCOPED_TRACE(seed);
+    const std::vector<Block> chain = RetryChain(seed, 40, 0.0);
+    TempDir dir("refs-exact");
+    BlockStore store(dir.path() + "/chain.log", 0, Compression::kHlz, 10);
+    ASSERT_OK(store.Open());
+    for (const Block& b : chain) ASSERT_OK(store.Append(b));
+    EXPECT_EQ(CheckReferenceRules(&store, 10), 0u);
+    Rng rng(seed);
+    BlockId keep_from = 1;
+    for (int t = 0; t < 4; t++) {
+      keep_from += 1 + rng.Uniform(9);
+      ASSERT_OK(store.TruncateBefore(keep_from));
+      EXPECT_EQ(store.first_block_id(), keep_from);
+      std::vector<Block> got;
+      ASSERT_OK(store.ReadAll(&got));
+      ExpectChainSlice(got, chain, keep_from);
+    }
+  }
+}
+
+// A replication session starting at block `next` decodes the leader's
+// stored records from ContextStart(next) on, including records appended
+// after the session started; a follower that installed a snapshot at a
+// random base stores the leader's records verbatim wherever their
+// references resolve in its own log, and re-encodes the rest.
+TEST(BlockStoreRefs, SessionContextAndSnapshotBases) {
+  constexpr uint64_t kIntervals[] = {0, 2, 3, 7, 10};
+  for (uint64_t seed = 1; seed <= 24; seed++) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 104729);
+    const uint64_t every = kIntervals[rng.Uniform(5)];
+    const BlockId n = 20 + rng.Uniform(60);
+    const std::vector<Block> chain = RetryChain(seed + 1000, n, 0.4);
+    TempDir dir("refs-session");
+    BlockStore leader(dir.path() + "/leader.log", 0, Compression::kHlz,
+                      every);
+    ASSERT_OK(leader.Open());
+    const BlockId split = 1 + rng.Uniform(n);
+    for (BlockId id = 1; id <= split; id++) {
+      ASSERT_OK(leader.Append(chain[id - 1]));
+    }
+    if (rng.Chance(0.5)) ASSERT_OK(leader.TruncateBefore(rng.Uniform(split)));
+    const BlockId first = leader.first_block_id();
+    const BlockId next = first + rng.Uniform(split + 2 - first);
+    const BlockId from = leader.ContextStart(next);
+    EXPECT_LE(from, next);
+    EXPECT_GE(from, first);
+    for (BlockId id = split + 1; id <= n; id++) {
+      ASSERT_OK(leader.Append(chain[id - 1]));
+    }
+    std::vector<std::pair<BlockId, std::string>> records;
+    ASSERT_OK(leader.ReadRecordsAfter(from - 1, SIZE_MAX, &records));
+    RefWindow session;
+    for (const auto& [id, record] : records) {
+      Block b;
+      SCOPED_TRACE(id);
+      ASSERT_OK(BlockCodec::Decode(record, &b, &session));
+      session.Push(b);
+      EXPECT_EQ(b.header.block_hash, chain[id - 1].header.block_hash);
+    }
+
+    // A follower rebased at `base` (a snapshot install) appends the
+    // leader's blocks with the leader's record bytes attached.
+    const BlockId base = from - 1 + rng.Uniform(n + 2 - from);
+    BlockStore follower(dir.path() + "/follower.log", 0, Compression::kNone,
+                        every);
+    ASSERT_OK(follower.Open());
+    ASSERT_OK(follower.ResetTail(base));
+    size_t verbatim = 0;
+    for (const auto& [id, record] : records) {
+      if (id <= base) continue;
+      Block b = chain[id - 1];
+      b.record = record;
+      std::string stored;
+      ASSERT_OK(follower.Append(b, &stored));
+      BlockId peeked = 0;
+      uint32_t reach = 0;
+      ASSERT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
+      // Only a record reaching below the follower's first block differs.
+      if (id - reach > base) {
+        EXPECT_EQ(stored, record) << "block " << id;
+        verbatim++;
+      }
+    }
+    if (base < n) {
+      EXPECT_GT(verbatim, 0u);
+      CheckReferenceRules(&follower, every);
+      std::vector<Block> got;
+      ASSERT_OK(follower.ReadAll(&got));
+      ExpectChainSlice(got, chain, base + 1);
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v6
-// record (prev_hash and signature, then a column-wise varint txn section
-// under a compression envelope) — seeded round-trips at the codec's edges,
-// hostile hand-built sections, and a byte-flip sweep showing every stored
-// byte is covered by the signature or the chain — refusal of v1-v5 logs,
-// and corrupt-compressed-payload rejection.
+// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v7
+// record (prev_hash and signature, then a column-wise varint txn section,
+// with retries stored as references, under a compression envelope) —
+// seeded round-trips at the codec's edges, hostile hand-built sections and
+// references, and a byte-flip sweep showing every stored byte is covered by
+// the signature or the chain — refusal of v1-v6 logs, and
+// corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -112,7 +113,7 @@ TEST(Hlz, GarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- v6 record codec --
+// ------------------------------------------------------- v7 record codec --
 
 TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   TxnBatch b;
@@ -198,11 +199,14 @@ TEST(BlockCodecV6, RecordRoundTripBothCodecs) {
     ExpectSameTxns(d.batch, b.batch);
     ChainVerifier v("secret");
     EXPECT_OK(v.Verify(d));
+    Block parsed;
+    ASSERT_OK(BlockCodec::Validate(payload, &parsed));
+    ExpectSameTxns(parsed.batch, b.batch);
     BlockId id = 0;
-    ASSERT_OK(BlockCodec::Validate(payload, &id));
+    uint32_t reach = 7;
+    ASSERT_TRUE(BlockCodec::Peek(payload, &id, &reach));
     EXPECT_EQ(id, 1u);
-    ASSERT_TRUE(BlockCodec::PeekBlockId(payload, &id));
-    EXPECT_EQ(id, 1u);
+    EXPECT_EQ(reach, 0u);
   }
 }
 
@@ -304,7 +308,8 @@ TEST(BlockCodecV6, CorruptEnvelopeRejected) {
 
 // ------------------------------------------- hostile hand-built sections --
 
-/// A v6 record payload around a hand-built txn section stored raw.
+/// A v7 record payload (no references) around a hand-built txn section
+/// stored raw.
 std::string RawRecord(uint64_t txn_count, const std::string& section) {
   std::string p;
   codec::AppendVarint(&p, 1);  // block_id
@@ -456,6 +461,79 @@ TEST(BlockCodecV6, TruncatedColumnIsCorruption) {
   }
 }
 
+/// A v7 record payload for block `id` whose raw section opens with the
+/// reference columns, under an envelope flagged with `reach`.
+std::string RefRecord(BlockId id, uint64_t txn_count, uint64_t reach,
+                      const std::string& section) {
+  std::string p;
+  codec::AppendVarint(&p, id);
+  codec::AppendVarint(&p, 1);  // first_tid
+  codec::AppendVarint(&p, txn_count);
+  codec::AppendVarint(&p, 1000);  // order_time_us
+  p.append(2 * 32, '\0');         // prev_hash, signature
+  codec::AppendU8(&p, 0x80 | static_cast<uint8_t>(Compression::kNone));
+  codec::AppendVarint(&p, reach);
+  codec::AppendVarint(&p, section.size());
+  return p + section;
+}
+
+/// Reference columns for one-txn-per-reference sections: each pair is a
+/// (distance, index) reference, in txn order.
+std::string RefColumns(
+    const std::vector<std::pair<uint64_t, uint64_t>>& refs) {
+  std::string s;
+  for (const auto& r : refs) codec::AppendVarint(&s, r.first);
+  for (const auto& r : refs) codec::AppendVarint(&s, r.second);
+  return s;
+}
+
+TEST(BlockCodecV7, HostileReferencesAreCorruption) {
+  // Block 9 holds two txns; the second is at the retry counter's ceiling.
+  Block prev;
+  prev.header.block_id = 9;
+  prev.batch.txns.resize(2);
+  prev.batch.txns[0].client_seq = 77;
+  prev.batch.txns[0].retries = 4;
+  prev.batch.txns[1].retries = UINT32_MAX;
+  RefWindow window;
+  window.Push(prev);
+
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(RefRecord(10, 1, 1, RefColumns({{1, 0}})), &d,
+                               &window));
+  ASSERT_EQ(d.batch.txns.size(), 1u);
+  EXPECT_EQ(d.batch.txns[0].client_seq, 77u);
+  EXPECT_EQ(d.batch.txns[0].retries, 5u);
+
+  const auto bad = [&](BlockId id, uint64_t count, uint64_t reach,
+                       const std::string& section, const RefWindow* w) {
+    return BlockCodec::Decode(RefRecord(id, count, reach, section), &d, w)
+        .IsCorruption();
+  };
+  const std::string one = RefColumns({{1, 0}});
+  EXPECT_TRUE(bad(10, 1, 1, one, nullptr));          // no window at all
+  EXPECT_TRUE(bad(10, 1, 0, one, &window));          // flag with reach 0
+  EXPECT_TRUE(bad(10, 1, kMaxRefReach + 1, one, &window));
+  EXPECT_TRUE(bad(10, 1, uint64_t{1} << 33, one, &window));
+  EXPECT_TRUE(bad(10, 1, 2, one, &window));          // reach past the refs
+  EXPECT_TRUE(bad(10, 1, 1, RefColumns({{2, 0}}), &window));  // past reach
+  EXPECT_TRUE(bad(11, 1, 2, RefColumns({{2, 5}}), &window));  // no such txn
+  EXPECT_TRUE(bad(11, 1, 1, one, &window));          // block 10 not held
+  EXPECT_TRUE(bad(1, 1, 1, one, &window));           // before block 1
+  EXPECT_TRUE(bad(10, 1, 1, RefColumns({{1, 1}}), &window));  // retries wrap
+  EXPECT_TRUE(bad(10, 1, 1, RefColumns({{1, uint64_t{1} << 40}}), &window));
+  // A distance column shorter than the txn count, a missing index, and a
+  // byte past the last column.
+  EXPECT_TRUE(bad(10, 2, 1, one, &window));
+  std::string no_index;
+  codec::AppendVarint(&no_index, 1);
+  EXPECT_TRUE(bad(10, 1, 1, no_index, &window));
+  EXPECT_TRUE(bad(10, 1, 1, one + '\0', &window));
+  // Every reference resolved, none stored in full: the literal columns are
+  // empty, and a txn count of zero cannot carry a reach.
+  EXPECT_TRUE(bad(10, 0, 1, "", &window));
+}
+
 // --------------------------------------------------------- file helpers --
 
 void AppendRecord(std::string* file, const std::string& payload) {
@@ -473,13 +551,15 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 }
 
 /// A record payload in a retired layout, as the build that wrote `version`
-/// (1-5) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
+/// (1-6) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
 /// four digests, then the txns (v1 without client_id and fee, v2 without
 /// fee); v4 puts the v3 txns under a compression envelope (u8 codec + pad
 /// byte, u32 raw_len, u32 stored_len + stored bytes). v3 txns are exactly
-/// today's canonical EncodeTxn bytes. v5 is today's record with txn_root
-/// and block_hash stored between prev_hash and the signature.
+/// today's canonical EncodeTxn bytes. v6 is today's record without
+/// references, and v5 that record with txn_root and block_hash stored
+/// between prev_hash and the signature.
 std::string LegacyRecord(const Block& b, uint32_t version) {
+  if (version == 6) return BlockCodec::EncodeRecord(b, Compression::kHlz);
   if (version == 5) {
     std::string v6 = BlockCodec::EncodeRecord(b, Compression::kHlz);
     std::string digests;
@@ -520,8 +600,8 @@ std::string LegacyRecord(const Block& b, uint32_t version) {
 }
 
 /// A log file as the build that wrote `version` left it: v1 files have no
-/// header at all, v2+ start with "HBCL" + version. Records before v6 use
-/// LegacyRecord; v6 (and a made-up future version) use today's encoder.
+/// header at all, v2+ start with "HBCL" + version. Records before v7 use
+/// LegacyRecord; v7 (and a made-up future version) use today's encoder.
 std::string LogFile(uint32_t version, size_t n) {
   std::string file;
   if (version >= 2) {
@@ -539,17 +619,33 @@ std::string LogFile(uint32_t version, size_t n) {
   return file;
 }
 
-// v6 drops txn_root and block_hash from the record, so every stored byte
-// must still be covered by something a reader checks. Flip every bit of
-// every byte of a stored record (with the record CRC re-stamped, so the
-// flip gets past the log's framing): each flip must fail Decode, or decode
-// to a block the chain verifier rejects — by the whole-chain audit too.
-TEST(BlockCodecV6, EveryByteOfAStoredRecordIsCovered) {
-  TempDir dir("v6-flip");
+/// Block `id`: the first `retried` txns of `prev` sealed again after a CC
+/// abort (retries one higher), then `fresh` new txns.
+TxnBatch RetryBatch(const TxnBatch& prev, BlockId id, TxnId first_tid,
+                    size_t retried, size_t fresh) {
+  TxnBatch b = MakeBatch(id, first_tid, fresh);
+  for (size_t i = 0; i < retried; i++) {
+    TxnRequest t = prev.txns[i];
+    t.retries++;
+    b.txns.insert(b.txns.begin() + static_cast<ptrdiff_t>(i), std::move(t));
+  }
+  return b;
+}
+
+// v7 stores neither txn_root nor block_hash, and stores a retry as a
+// reference to an earlier block's txn, so every stored byte — the reference
+// flag, the reach and the reference columns included — must still be
+// covered by something a reader checks. Flip every bit of every byte of a
+// stored record that references its predecessor (with the record CRC
+// re-stamped, so the flip gets past the log's framing): each flip must fail
+// Decode against the predecessor's window, or decode to a block the chain
+// verifier rejects — by the whole-chain audit too.
+TEST(BlockCodecV7, EveryByteOfAStoredRecordIsCovered) {
+  TempDir dir("v7-flip");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   const Block b1 = builder.Seal(MakeBatch(1, 1, 6), 5'000);
-  const Block b2 = builder.Seal(MakeBatch(2, 7, 6), 9'000);
+  const Block b2 = builder.Seal(RetryBatch(b1.batch, 2, 7, 3, 3), 9'000);
   {
     BlockStore store(path);
     ASSERT_OK(store.Open());
@@ -564,13 +660,24 @@ TEST(BlockCodecV6, EveryByteOfAStoredRecordIsCovered) {
   }
   ASSERT_EQ(records.size(), 1u);
   const std::string stored = records[0].second;
-  ASSERT_EQ(static_cast<uint8_t>(stored[EnvelopeOffset(b2.header)]),
-            static_cast<uint8_t>(Compression::kHlz));
+  BlockId id = 0;
+  uint32_t reach = 0;
+  ASSERT_TRUE(BlockCodec::Peek(stored, &id, &reach));
+  EXPECT_EQ(id, 2u);
+  ASSERT_EQ(reach, 1u);  // the three retries point one block back
+  ASSERT_NE(static_cast<uint8_t>(stored[EnvelopeOffset(b2.header)]) & 0x80,
+            0);
+  RefWindow window;
+  window.Push(b1);
   Block intact;
-  ASSERT_OK(BlockCodec::Decode(stored, &intact));
+  ASSERT_OK(BlockCodec::Decode(stored, &intact, &window));
+  ExpectSameTxns(intact.batch, b2.batch);
   ChainVerifier v("secret");
   v.Reset(b1.header.block_hash);
   ASSERT_OK(v.Verify(intact));
+  // Without its predecessor the record does not decode at all.
+  Block alone;
+  EXPECT_TRUE(BlockCodec::Decode(stored, &alone).IsCorruption());
 
   size_t decode_rejects = 0, verify_rejects = 0;
   for (size_t i = 0; i < stored.size(); i++) {
@@ -579,7 +686,7 @@ TEST(BlockCodecV6, EveryByteOfAStoredRecordIsCovered) {
       std::string bad = stored;
       bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
       Block d;
-      if (!BlockCodec::Decode(bad, &d).ok()) {
+      if (!BlockCodec::Decode(bad, &d, &window).ok()) {
         decode_rejects++;
         continue;
       }
@@ -638,7 +745,7 @@ TEST(BlockStoreOldVersions, GarbageWithoutHeaderIsNotSupported) {
 
 TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
   TempDir dir("old-versions");
-  for (uint32_t v : {2u, 3u, 4u, 5u, 7u}) {
+  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 8u}) {
     SCOPED_TRACE(v);
     const std::string path = dir.path() + "/chain" + std::to_string(v);
     const std::string file = LogFile(v, 2);
@@ -655,10 +762,11 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
 
 TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   // An old log cut at any byte: below the 8-byte header it is a torn fresh
-  // log (restamped v6, empty); from the header on it is refused whole.
+  // log (restamped v7, empty); from the header on it is refused whole. A v6
+  // log's records are valid v7 records, so only its stamp refuses it.
   TempDir dir("old-prefix");
   const std::string path = dir.path() + "/chain.log";
-  for (uint32_t version : {4u, 5u}) {
+  for (uint32_t version : {4u, 5u, 6u}) {
     const std::string full = LogFile(version, 2);
     for (size_t cut = 0; cut <= full.size(); cut++) {
       SCOPED_TRACE(::testing::Message() << "v" << version << " cut " << cut);
@@ -676,7 +784,7 @@ TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   }
 }
 
-// Opens every byte-prefix of a v6 log: every prefix opens (a cut inside the
+// Opens every byte-prefix of a v7 log: every prefix opens (a cut inside the
 // 8-byte header is a fresh log) and exposes a (block-wise) prefix of the
 // original chain with a consistent count.
 void TruncationSweep(const std::string& dir, const std::string& full,
@@ -793,7 +901,7 @@ TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
   EXPECT_EQ(all.size(), good_blocks);
 }
 
-// ------------------------------------------- end-to-end v6 / old chains --
+// ------------------------------------------- end-to-end v7 / old chains --
 
 Status Increment(TxnContext& ctx, const ProcArgs& a) {
   ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
@@ -846,7 +954,7 @@ TEST(OldVersionChain, V6ChainReplaysAndV5StampIsRefused) {
     da = *d;
   }
   // The checkpoint predates most blocks; drop it so recovery replays the
-  // whole v6 log from genesis.
+  // whole v7 log from genesis.
   std::remove((a.path() + "/replica.ckpt").c_str());
   {
     auto db = OpenDb(a.path());

@@ -322,7 +322,7 @@ TEST(Wire, OldVersionsRetiredOpcodesAndStrayRequestIdsAreCorruption) {
   for (Opcode op : {Opcode::kOpBatchSubmit, Opcode::kOpBatchReceipt,
                     Opcode::kOpError, Opcode::kOpReplJoin,
                     Opcode::kOpReplicate, Opcode::kOpReplicateAck,
-                    Opcode::kOpReplSnapshot}) {
+                    Opcode::kOpReplSnapshot, Opcode::kOpReplContext}) {
     EXPECT_TRUE(refused(net::EncodeFrame(op, batch, 5)).IsCorruption())
         << net::OpcodeName(op);
     EXPECT_OK(refused(net::EncodeFrame(op, batch, 0)));

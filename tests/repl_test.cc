@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -87,12 +88,17 @@ bool WaitUntil(const std::function<bool()>& pred,
   return pred();
 }
 
+/// Adjusts a node's options before it opens (nullptr: FastOpts as is).
+using OptionsTweak = std::function<void(HarmonyBC::Options*)>;
+
 /// A leader process in miniature: HarmonyBC + Replicator + NetServer, all
 /// wired the way harmonyd wires them (docs/REPLICATION.md).
 struct LeaderNode {
   LeaderNode(size_t cluster, repl::Durability durability,
-             uint64_t snapshot_after = 64, uint64_t retain_blocks = 0) {
+             uint64_t snapshot_after = 64, uint64_t retain_blocks = 0,
+             const OptionsTweak& tweak = nullptr) {
     HarmonyBC::Options o = FastOpts(dir.path());
+    if (tweak) tweak(&o);
     o.log_retain_blocks = retain_blocks;
     auto opened = HarmonyBC::Open(o);
     EXPECT_TRUE(opened.ok()) << opened.status().ToString();
@@ -143,11 +149,15 @@ struct LeaderNode {
 /// OpenDb/CloseDb are split so tests can kill and restart it on the same
 /// directory (catch-up + recovery paths).
 struct FollowerNode {
-  FollowerNode() { OpenDb(); }
+  explicit FollowerNode(OptionsTweak tweak = nullptr)
+      : tweak_(std::move(tweak)) {
+    OpenDb();
+  }
   ~FollowerNode() { CloseDb(); }
 
   void OpenDb() {
     HarmonyBC::Options o = FastOpts(dir.path());
+    if (tweak_) tweak_(&o);
     o.follower_mode = true;
     auto opened = HarmonyBC::Open(o);
     EXPECT_TRUE(opened.ok()) << opened.status().ToString();
@@ -192,6 +202,7 @@ struct FollowerNode {
   std::unique_ptr<repl::Follower> repl;
 
  private:
+  const OptionsTweak tweak_;
   bool loaded_ = false;
 };
 
@@ -395,19 +406,23 @@ TEST(Repl, LoopbackEndToEndDigestIdentical) {
 }
 
 // REPLICATE ships the leader's stored record and the follower appends it
-// verbatim, so with no retention every node's log is the same file.
+// verbatim, so with no retention every node's log is the same file — also
+// on a contended chain whose records reference earlier CC retries.
 TEST(Repl, FollowerLogsAreByteIdenticalToTheLeaders) {
   LeaderNode leader(3, repl::Durability::kQuorumAck);
   // A probe peer that records every REPLICATE payload the leader ships (it
-  // never acks; the two real followers make the quorum).
+  // never acks; the two real followers make the quorum), decoding each in
+  // the session's reference window as a follower does.
   std::mutex shipped_mu;
   std::map<BlockId, std::string> shipped;
+  RefWindow probe_window;
   leader.replicator->AddPeer(
       "probe", 0, [&](Opcode op, std::string_view payload) {
         if (op != Opcode::kOpReplicate) return true;
-        Block b;
-        EXPECT_TRUE(net::DecodeReplicate(payload, &b));
         std::lock_guard<std::mutex> lk(shipped_mu);
+        Block b;
+        EXPECT_TRUE(net::DecodeReplicate(payload, &b, &probe_window));
+        probe_window.Push(b);
         shipped[b.header.block_id] = b.record;
         return true;
       });
@@ -418,7 +433,9 @@ TEST(Repl, FollowerLogsAreByteIdenticalToTheLeaders) {
   auto session = leader.db->OpenSession();
   std::vector<TxnTicket> tickets;
   for (int i = 0; i < 160; i++) {
-    tickets.push_back(session->Submit(TransferReq(i % 64, (i + 5) % 64, 1)));
+    // Every txn touches account 0 or 1, so blocks CC-abort txns and seal
+    // them again as retries.
+    tickets.push_back(session->Submit(TransferReq(i % 2, 2 + i % 62, 1)));
   }
   for (const TxnTicket& t : tickets) {
     TxnReceipt r;
@@ -438,6 +455,15 @@ TEST(Repl, FollowerLogsAreByteIdenticalToTheLeaders) {
   std::vector<std::pair<BlockId, std::string>> stored;
   ASSERT_OK(store->ReadRecordsAfter(0, SIZE_MAX, &stored));
   ASSERT_EQ(stored.size(), tip);
+  size_t with_refs = 0;
+  for (const auto& [id, record] : stored) {
+    BlockId peeked = 0;
+    uint32_t reach = 0;
+    ASSERT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
+    if (reach > 0) with_refs++;
+  }
+  EXPECT_GT(with_refs, 0u) << "the contended chain stored no retry by "
+                              "reference";
   {
     std::lock_guard<std::mutex> lk(shipped_mu);
     ASSERT_FALSE(shipped.empty());
@@ -705,6 +731,133 @@ TEST(Repl, SnapshotCatchUpAndRestart) {
   ASSERT_TRUE(WaitUntil([&] { return follower.repl->last_applied() >= tip3; }));
   EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
 
+  follower.StopRepl();
+}
+
+/// Submits contended transfers (every one touches account 0 or 1, so
+/// blocks CC-abort txns and seal them again as retries) until stopped.
+class ContendedLoad {
+ public:
+  explicit ContendedLoad(HarmonyBC* db)
+      : thread_([this, db] {
+          auto session = db->OpenSession();
+          for (int round = 0; !stop_.load(); round++) {
+            std::vector<TxnTicket> tickets;
+            for (int i = 0; i < 16; i++) {
+              tickets.push_back(
+                  session->Submit(TransferReq(i % 2, 2 + (round + i) % 62, 1)));
+            }
+            for (const TxnTicket& t : tickets) {
+              TxnReceipt r;
+              EXPECT_TRUE(t.WaitFor(kWaitUs, &r));
+            }
+          }
+        }) {}
+  ~ContendedLoad() { Stop(); }
+  void Stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// Records of `db`'s block log that store some txn by reference.
+size_t RecordsWithRefs(HarmonyBC* db) {
+  std::vector<std::pair<BlockId, std::string>> records;
+  EXPECT_OK(db->replica()->block_store()->ReadRecordsAfter(0, SIZE_MAX,
+                                                           &records));
+  size_t n = 0;
+  for (const auto& [id, record] : records) {
+    BlockId peeked = 0;
+    uint32_t reach = 0;
+    EXPECT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
+    if (reach > 0) n++;
+  }
+  return n;
+}
+
+// A follower joins by snapshot while contended traffic runs, so the base
+// falls inside a reference interval (1000 blocks here) and the leader's
+// next records reference blocks the follower never receives as REPLICATE:
+// the session's REPL_CONTEXT records resolve them, and the follower's log,
+// which starts past the base, stores those records re-encoded. It catches
+// up and passes the audit, and after a kill and restart (more contended
+// traffic meanwhile) rejoins with the leader's state digest.
+//
+// Harmony runs without inter-block pipelining here: with it, the block
+// after a snapshot base reads the leader's snapshot of base - 1 and the
+// base's reservations, which a row snapshot does not carry, so a join at a
+// base that is not a checkpoint barrier can diverge under contention
+// whatever the log format (ROADMAP, "Snapshot joins off a checkpoint
+// barrier").
+TEST(Repl, SnapshotJoinMidIntervalUnderContention) {
+  constexpr size_t kInterval = 1000;
+  const OptionsTweak mid_interval = [](HarmonyBC::Options* o) {
+    o->checkpoint_every = kInterval;
+    o->dcc.harmony_inter_block = false;
+  };
+  LeaderNode leader(2, repl::Durability::kLeaderOnly, /*snapshot_after=*/4,
+                    /*retain_blocks=*/0, mid_interval);
+  ContendedLoad load(leader.db.get());
+  ASSERT_TRUE(WaitUntil([&] { return leader.db->height() > 8; }));
+  FollowerNode follower(mid_interval);
+  follower.Join(leader.port());
+  ASSERT_TRUE(
+      WaitUntil([&] { return follower.repl->snapshots_installed() == 1; }));
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() > leader.db->height() / 2 + 8;
+  }));
+  load.Stop();
+  ASSERT_OK(leader.db->Sync());
+  const BlockId tip = leader.db->height();
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() >= tip && follower.db->height() >= tip;
+  }));
+  const BlockId base =
+      follower.db->replica()->block_store()->first_block_id() - 1;
+  EXPECT_GT(base, 0u);
+  EXPECT_NE(base % kInterval, 0u);
+  EXPECT_GT(RecordsWithRefs(leader.db.get()), 0u);
+  EXPECT_GT(RecordsWithRefs(follower.db.get()), 0u);
+  // The follower keeps the leader's bytes except where they reference
+  // blocks below its log.
+  std::vector<std::pair<BlockId, std::string>> ours, theirs;
+  ASSERT_OK(follower.db->replica()->block_store()->ReadRecordsAfter(
+      0, SIZE_MAX, &ours));
+  ASSERT_OK(leader.db->replica()->block_store()->ReadRecordsAfter(
+      base, SIZE_MAX, &theirs));
+  ASSERT_EQ(ours.size(), theirs.size());
+  for (size_t i = 0; i < ours.size(); i++) {
+    BlockId id = 0;
+    uint32_t reach = 0;
+    ASSERT_TRUE(BlockCodec::Peek(theirs[i].second, &id, &reach));
+    if (id - reach > base) {
+      EXPECT_EQ(ours[i].second, theirs[i].second) << id;
+    }
+  }
+  EXPECT_OK(follower.db->AuditChain());
+  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
+
+  // Kill and restart: recovery decodes the follower's own log, and the
+  // rejoin's context covers the blocks the restarted session references.
+  follower.CloseDb();
+  ContendedLoad more(leader.db.get());
+  ASSERT_TRUE(WaitUntil([&] { return leader.db->height() > tip + 8; }));
+  follower.OpenDb();
+  follower.Join(leader.port(), "f1-restarted");
+  more.Stop();
+  ASSERT_OK(leader.db->Sync());
+  const BlockId tip2 = leader.db->height();
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() >= tip2 &&
+           follower.db->height() >= tip2;
+  }));
+  EXPECT_EQ(follower.repl->snapshots_installed(), 0u);  // a new session
+  EXPECT_OK(follower.db->AuditChain());
+  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
   follower.StopRepl();
 }
 

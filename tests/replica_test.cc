@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <mutex>
 
 #include "consensus/orderer.h"
@@ -71,6 +74,40 @@ TEST(Replica, RejectsTamperedBlock) {
   Block b = NextBlock(ord, {Incr(1, 5)});
   b.batch.txns[0].args.ints[1] = 5000000;  // tamper
   EXPECT_TRUE(r.SubmitBlock(std::move(b)).IsCorruption());
+}
+
+/// Up to `n` leading bytes of a file (bounded: a path that resolves to a
+/// device must not read forever).
+std::string LeadingBytes(const std::string& path, size_t n) {
+  std::string out(n, '\0');
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return "";
+  out.resize(std::fread(out.data(), 1, n, f));
+  std::fclose(f);
+  return out;
+}
+
+// A snapshot install whose anchor temp cannot take the bytes (/dev/full
+// fails the flush with ENOSPC) must fail with IOError and keep the previous
+// anchor: renaming the temp over it would lose the chain position a
+// restart resumes from.
+TEST(Replica, FailedAnchorWriteKeepsThePreviousAnchor) {
+  TempDir dir("rep-anchor");
+  Replica r(FastOptions(dir.path(), DccKind::kHarmony));
+  ASSERT_OK(r.Open());
+  RegisterCounterProc(r);
+  Digest first;
+  first.fill(0x11);
+  ASSERT_OK(r.InstallSnapshot(5, first, {}));
+  const std::string anchor = dir.path() + "/replica.anchor";
+  const std::string before = LeadingBytes(anchor, 64);
+  ASSERT_EQ(before.size(), first.size() + 4);  // digest + CRC
+  ASSERT_EQ(::symlink("/dev/full", (anchor + ".tmp").c_str()), 0);
+  Digest second;
+  second.fill(0x22);
+  EXPECT_TRUE(r.InstallSnapshot(9, second, {}).IsIOError());
+  EXPECT_EQ(LeadingBytes(anchor, 64), before);
+  EXPECT_NE(::access((anchor + ".tmp").c_str(), F_OK), 0);
 }
 
 TEST(Replica, RecoveryReplaysToIdenticalState) {

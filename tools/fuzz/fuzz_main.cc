@@ -156,10 +156,32 @@ Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
   return builder.Seal(std::move(batch), kEdgeU64[rng.Index(5)]);
 }
 
-/// One v6 record payload, HLZ or raw section.
-std::string EncodeRecord(FuzzRng& rng, const Block& b) {
+/// Block `id` after `prev`: some of `prev`'s txns sealed again after a CC
+/// abort (retries one higher), among fresh ones — what a v7 record stores
+/// as references.
+Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev) {
+  TxnBatch batch;
+  batch.block_id = prev.header.block_id + 1;
+  batch.first_tid = prev.header.first_tid + prev.header.txn_count;
+  const size_t n = 1 + rng.Index(8);
+  for (size_t i = 0; i < n; i++) {
+    if (!prev.batch.txns.empty() && rng.Chance(0.6)) {
+      TxnRequest t = prev.batch.txns[rng.Index(prev.batch.txns.size())];
+      t.retries++;
+      batch.txns.push_back(std::move(t));
+    } else {
+      batch.txns.push_back(MakeTxn(rng));
+    }
+  }
+  return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
+}
+
+/// One v7 record payload, HLZ or raw section; with `refs`, retries of the
+/// window's txns are stored as references.
+std::string EncodeRecord(FuzzRng& rng, const Block& b,
+                         const RefWindow* refs = nullptr) {
   return BlockCodec::EncodeRecord(
-      b, rng.Chance(0.5) ? Compression::kHlz : Compression::kNone);
+      b, rng.Chance(0.5) ? Compression::kHlz : Compression::kNone, refs);
 }
 
 void AppendRecord(std::string* file, const std::string& payload) {
@@ -169,17 +191,21 @@ void AppendRecord(std::string* file, const std::string& payload) {
 }
 
 /// A whole well-formed block-log file with a freshly chained block
-/// sequence.
+/// sequence in which later blocks retry earlier blocks' txns, stored by
+/// reference.
 std::string BuildLogFile(FuzzRng& rng, size_t n_blocks) {
   std::string file;
   codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
   codec::AppendU32(&file, kLogVersion);
   BlockBuilder builder("fuzz-secret");
-  TxnId tid = 1;
+  RefWindow window;
+  Block prev;
   for (size_t i = 0; i < n_blocks; i++) {
-    Block b = MakeBlock(rng, builder, static_cast<BlockId>(i + 1), tid);
-    tid += b.header.txn_count;
-    AppendRecord(&file, EncodeRecord(rng, b));
+    Block b = i == 0 ? MakeBlock(rng, builder, 1, 1)
+                     : MakeRetryBlock(rng, builder, prev);
+    AppendRecord(&file, EncodeRecord(rng, b, &window));
+    window.Push(b);
+    prev = std::move(b);
   }
   return file;
 }
@@ -280,7 +306,7 @@ void CaseWireReassembler(FuzzRng& rng, Ctx& ctx) {
       net::Opcode::kOpMetrics,      net::Opcode::kOpReplJoin,
       net::Opcode::kOpReplicate,    net::Opcode::kOpReplicateAck,
       net::Opcode::kOpReplSnapshot, net::Opcode::kOpHealth,
-      net::Opcode::kOpEvents,
+      net::Opcode::kOpEvents,       net::Opcode::kOpReplContext,
   };
   for (size_t i = 0; i < n_frames; i++) {
     net::Frame f;
@@ -403,39 +429,170 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// BlockCodec::Decode on v6 record payloads, ordinary and edge-valued.
-/// Unmutated records must decode to the same txns (same TxnRoot and
-/// rebuilt block hash). Whatever Decode accepts, Validate accepts with the
-/// same block id, and the other way round.
+/// A raw-section v7 record split at its reference fields, so a case can
+/// rewrite one and reassemble the rest verbatim.
+struct RefFields {
+  std::string head;  ///< header varints and digests
+  uint8_t envelope = 0;
+  uint64_t reach = 0;
+  std::vector<uint64_t> distance;  ///< one per txn
+  std::vector<uint64_t> index;     ///< one per referencing txn
+  std::string literals;            ///< the rest of the section
+
+  bool Parse(std::string_view record) {
+    codec::Reader r(record);
+    uint64_t v = 0, raw_len = 0;
+    for (int i = 0; i < 4; i++) {
+      if (!r.ReadVarint(&v)) return false;
+      if (i == 2) distance.resize(v);
+    }
+    std::string digests(64, '\0');
+    if (!r.ReadFixed(digests.data(), 64)) return false;
+    head = std::string(record.substr(0, record.size() - r.remaining()));
+    if (!r.ReadU8(&envelope) || (envelope & 0x80) == 0 ||
+        !r.ReadVarint(&reach) || !r.ReadVarint(&raw_len)) {
+      return false;
+    }
+    for (uint64_t& d : distance) {
+      if (!r.ReadVarint(&d)) return false;
+      if (d != 0) index.push_back(0);
+    }
+    for (uint64_t& i : index) {
+      if (!r.ReadVarint(&i)) return false;
+    }
+    literals = std::string(record.substr(record.size() - r.remaining()));
+    return true;
+  }
+
+  std::string Build() const {
+    std::string section;
+    for (uint64_t d : distance) codec::AppendVarint(&section, d);
+    for (uint64_t i : index) codec::AppendVarint(&section, i);
+    section += literals;
+    std::string out = head;
+    codec::AppendU8(&out, envelope);
+    codec::AppendVarint(&out, reach);
+    codec::AppendVarint(&out, section.size());
+    return out + section;
+  }
+};
+
+/// Rewrites one reference field of a raw-section record with references to
+/// a value the decoder must refuse: a reach of 0, past kMaxRefReach or
+/// unequal to the farthest distance; a distance past the reach or to a block
+/// the window lacks; an index past the referenced block. False when the
+/// record carries no reference to rewrite.
+bool BreakReference(FuzzRng& rng, const RefWindow& window, BlockId id,
+                    std::string* record) {
+  RefFields f;
+  if (!f.Parse(*record) || f.index.empty()) return false;
+  size_t ref = rng.Index(f.index.size());
+  size_t at = 0;  // position of the `ref`-th reference in the distance column
+  for (size_t seen = 0;; at++) {
+    if (f.distance[at] != 0 && seen++ == ref) break;
+  }
+  switch (rng.Index(6)) {
+    case 0:
+      f.reach = 0;
+      break;
+    case 1:
+      f.reach = kMaxRefReach + 1 + rng.Index(1 << 20);
+      break;
+    case 2:
+      f.reach++;
+      break;
+    case 3:
+      f.distance[at] = f.reach + 1 + rng.Index(4);
+      break;
+    case 4:  // a block the window does not hold, within a widened reach
+      f.distance[at] = id - window.front_id() + 1 + rng.Index(2);
+      f.reach = std::max(f.reach, f.distance[at]);
+      if (f.reach > kMaxRefReach) return false;
+      break;
+    default: {
+      const std::vector<TxnRequest>* src = window.Find(id - f.distance[at]);
+      f.index[ref] = (src != nullptr ? src->size() : 0) + rng.Index(1 << 20);
+      break;
+    }
+  }
+  *record = f.Build();
+  return true;
+}
+
+/// BlockCodec::Decode on v7 record payloads, ordinary, edge-valued, and
+/// retries stored as references to the previous block (decoded against
+/// that block's window). Unmutated records must decode to the same txns
+/// (same TxnRoot and rebuilt block hash). Whatever Decode accepts, Validate
+/// accepts with the same block id, and the other way round. A record whose
+/// reach, distance or index is rewritten out of range, or whose referenced
+/// txn's retry count would overflow, must be Corruption.
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   BlockBuilder builder("fuzz-secret");
-  Block b = rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
-                            : MakeBlock(rng, builder, 1, 1);
-  std::string payload = EncodeRecord(rng, b);
+  RefWindow window;
+  Block b;
+  if (rng.Chance(0.5)) {
+    Block prev = MakeBlock(rng, builder, 1 + rng.Index(1 << 20), 1);
+    b = MakeRetryBlock(rng, builder, prev);
+    if (rng.Chance(0.1)) {
+      // Decoded against a window whose earlier incarnations sit at the
+      // retry ceiling, every stored reference would wrap the counter.
+      RefWindow honest;
+      honest.Push(prev);
+      const std::string record =
+          BlockCodec::EncodeRecord(b, Compression::kNone, &honest);
+      BlockId id = 0;
+      uint32_t reach = 0;
+      FUZZ_CHECK(BlockCodec::Peek(record, &id, &reach), "record unreadable");
+      for (TxnRequest& t : prev.batch.txns) t.retries = UINT32_MAX;
+      window.Push(prev);
+      Block d;
+      const Status st = BlockCodec::Decode(record, &d, &window);
+      FUZZ_CHECK(reach == 0 ? st.ok() : st.IsCorruption(),
+                 "a reference wrapping the retry counter was not Corruption");
+      return;
+    }
+    window.Push(prev);
+  } else {
+    b = rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
+                        : MakeBlock(rng, builder, 1, 1);
+  }
+  std::string payload = EncodeRecord(rng, b, &window);
+
+  if (rng.Chance(0.2)) {
+    std::string broken = BlockCodec::EncodeRecord(b, Compression::kNone,
+                                                  &window);
+    if (BreakReference(rng, window, b.header.block_id, &broken)) {
+      Block d;
+      FUZZ_CHECK(BlockCodec::Decode(broken, &d, &window).IsCorruption(),
+                 "an out-of-range reference was not Corruption");
+      return;
+    }
+  }
 
   const bool mutated = rng.Chance(0.9);
   if (mutated) ctx.mut.Mutate(rng, &payload);
 
   Block d;
-  Status s = BlockCodec::Decode(payload, &d);
+  Status s = BlockCodec::Decode(payload, &d, &window);
   if (!mutated) {
     FUZZ_CHECK(s.ok(), "valid record payload rejected");
     FUZZ_CHECK(d.header.block_hash == b.header.block_hash &&
                    d.header.txn_root == b.header.txn_root,
                "valid record decoded differently");
   }
-  BlockId id = 0;
-  const Status v = BlockCodec::Validate(payload, &id);
+  Block parsed;
+  const Status v = BlockCodec::Validate(payload, &parsed, &window);
   FUZZ_CHECK(v.ok() == s.ok(), "Validate and Decode disagree");
   if (s.ok()) {
-    FUZZ_CHECK(id == d.header.block_id, "Validate returned another block id");
+    FUZZ_CHECK(parsed.header.block_id == d.header.block_id,
+               "Validate returned another block id");
   }
 }
 
 /// BlockStore::Open on whole mutated log files (exercises header/version
 /// detection, torn-tail repair, CRC validation). The invariant: whatever
 /// Open accepts, ReadAll must then parse — "opened" means every surviving
-/// record is readable. An intact file stamped with a pre-v6 version must
+/// record is readable. An intact file stamped with a pre-v7 version must
 /// be refused with NotSupported.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
   std::string file = BuildLogFile(rng, rng.Index(4));
@@ -461,7 +618,7 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
     if (old_version && !mutated) {
-      FUZZ_CHECK(s.IsNotSupported(), "pre-v6 log not refused");
+      FUZZ_CHECK(s.IsNotSupported(), "pre-v7 log not refused");
     }
     if (s.ok()) {
       std::vector<Block> blocks;
@@ -497,8 +654,9 @@ net::WireSnapshot MakeWireSnapshot(FuzzRng& rng) {
   return s;
 }
 
-/// Replication payload codecs (JOIN / REPLICATE / ACK / SNAPSHOT): mutated
-/// and unmutated. These payloads cross process boundaries from a peer that
+/// Replication payload codecs (JOIN / REPLICATE / ACK / SNAPSHOT; a
+/// REPLICATE record references the session's previous block): mutated and
+/// unmutated. These payloads cross process boundaries from a peer that
 /// may be arbitrarily broken, so the decoders carry the same no-crash
 /// contract as the client-facing ones — plus REPLICATE's outer-id/header
 /// consistency check.
@@ -506,6 +664,7 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
   const size_t kind = rng.Index(4);
   std::string payload;
   Block blk;
+  RefWindow window;
   switch (kind) {
     case 0: {
       net::WireReplJoin j;
@@ -515,11 +674,15 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
       break;
     }
     case 1: {
+      // A block retrying txns of the session's previous block: the stored
+      // record references it, and decodes only against its window.
       BlockBuilder builder("fuzz-secret");
-      blk = MakeBlock(rng, builder, static_cast<BlockId>(rng.Range(1, 1 << 20)),
-                      1);
-      net::EncodeReplicate(blk.header.block_id, EncodeRecord(rng, blk),
-                           &payload);
+      const Block prev = MakeBlock(
+          rng, builder, static_cast<BlockId>(rng.Range(1, 1 << 20)), 1);
+      window.Push(prev);
+      blk = MakeRetryBlock(rng, builder, prev);
+      net::EncodeReplicate(blk.header.block_id,
+                           EncodeRecord(rng, blk, &window), &payload);
       break;
     }
     case 2:
@@ -546,7 +709,7 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
     }
     case 1: {
       Block d;
-      const bool ok = net::DecodeReplicate(payload, &d);
+      const bool ok = net::DecodeReplicate(payload, &d, &window);
       if (!mutated) {
         FUZZ_CHECK(ok, "valid REPLICATE payload rejected");
         FUZZ_CHECK(d.header.block_id == blk.header.block_id &&
@@ -575,8 +738,8 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// A whole replication session's byte stream (JOIN, then interleaved
-/// REPLICATE / SNAPSHOT / ACK frames) through the FrameReassembler in
+/// A whole replication session's byte stream (JOIN, a REPL_CONTEXT record,
+/// then interleaved REPLICATE / SNAPSHOT / ACK frames) through the FrameReassembler in
 /// random chunk sizes — what PeerLink::Recv and the leader's reactor
 /// actually see from a hostile or corrupted peer. Unmutated streams must
 /// reassemble every frame AND payload-decode them.
@@ -595,9 +758,17 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
   net::EncodeReplJoin(join, &jp);
   add(net::Opcode::kOpReplJoin, std::move(jp));
 
+  // The session opens with a context record (the follower's tip block),
+  // then streams blocks that retry earlier ones, stored by reference.
   BlockBuilder builder("fuzz-secret");
-  TxnId tid = 1;
-  BlockId id = join.last_block_id + 1;
+  RefWindow leader_window;
+  Block prev = MakeBlock(rng, builder, join.last_block_id, 1);
+  {
+    std::string cp;
+    net::EncodeReplicate(prev.header.block_id, EncodeRecord(rng, prev), &cp);
+    add(net::Opcode::kOpReplContext, std::move(cp));
+    leader_window.Push(prev);
+  }
   const size_t n = 1 + rng.Index(4);
   for (size_t i = 0; i < n; i++) {
     if (rng.Chance(0.2)) {
@@ -609,11 +780,13 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
       net::EncodeReplAck(rng.Index(1 << 20), &ap);
       add(net::Opcode::kOpReplicateAck, std::move(ap));
     } else {
-      Block b = MakeBlock(rng, builder, id++, tid);
-      tid += b.header.txn_count;
+      Block b = MakeRetryBlock(rng, builder, prev);
       std::string rp;
-      net::EncodeReplicate(b.header.block_id, EncodeRecord(rng, b), &rp);
+      net::EncodeReplicate(b.header.block_id,
+                           EncodeRecord(rng, b, &leader_window), &rp);
       add(net::Opcode::kOpReplicate, std::move(rp));
+      leader_window.Push(b);
+      prev = std::move(b);
     }
   }
 
@@ -643,7 +816,10 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
   }
 
   // Whatever reassembled — even from a mutated stream — goes through the
-  // payload decoders, like a real session would. No decoder may crash.
+  // payload decoders, like a real session would, block records against the
+  // session's window. No decoder may crash; an unmutated stream decodes.
+  RefWindow session;
+  bool records_ok = true;
   for (const net::Frame& f : got) {
     switch (f.opcode) {
       case net::Opcode::kOpReplJoin: {
@@ -651,9 +827,14 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
         (void)net::DecodeReplJoin(f.payload, &j);
         break;
       }
+      case net::Opcode::kOpReplContext:
       case net::Opcode::kOpReplicate: {
         Block b;
-        (void)net::DecodeReplicate(f.payload, &b);
+        if (net::DecodeReplicate(f.payload, &b, &session)) {
+          session.Push(b);
+        } else {
+          records_ok = false;
+        }
         break;
       }
       case net::Opcode::kOpReplicateAck: {
@@ -673,6 +854,7 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
 
   if (!mutated) {
     FUZZ_CHECK(!corrupted, "valid repl stream reported Corruption");
+    FUZZ_CHECK(records_ok, "valid repl stream's records did not decode");
     FUZZ_CHECK(got.size() == built.size(), "valid repl stream lost frames");
     for (size_t i = 0; i < got.size(); i++) {
       FUZZ_CHECK(got[i].opcode == built[i].first &&
@@ -814,7 +996,7 @@ const Target kTargets[] = {
     {"wire_payload", CaseWirePayload,
      "ERROR/METRICS/BATCH_SUBMIT/BATCH_RECEIPT payload decoders"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode on v6 records, incl. edge-valued txns"},
+     "BlockCodec::Decode on v7 records, incl. edge values and references"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
     {"metrics", CaseMetrics, "kOpMetrics snapshot codec round-trips"},
@@ -906,19 +1088,28 @@ int WriteCorpus(const std::string& dir) {
   BlockBuilder hlz_builder("fuzz-secret");
   const Block hb = hlz_builder.Seal(std::move(compressible), 1000);
   const std::string hlz_record = BlockCodec::EncodeRecord(hb, Compression::kHlz);
-  entries.push_back({"block_record_v6.hex",
-                     "# one v6 record payload (HLZ envelope)", hlz_record});
-  entries.push_back({"block_record_v6_raw.hex",
-                     "# one v6 record payload (section stored raw)",
+  entries.push_back({"block_record_v7.hex",
+                     "# one v7 record payload (HLZ envelope, no references)",
+                     hlz_record});
+  entries.push_back({"block_record_v7_raw.hex",
+                     "# one v7 record payload (section stored raw)",
                      BlockCodec::EncodeRecord(b, Compression::kNone)});
+  RefWindow window;
+  window.Push(b);
+  const Block rb = MakeRetryBlock(rng, builder, b);
+  entries.push_back(
+      {"block_record_v7_refs.hex",
+       "# one v7 record payload whose retries reference the raw seed's block",
+       BlockCodec::EncodeRecord(rb, Compression::kNone, &window)});
 
   FuzzRng lrng(43);
-  entries.push_back({"log_v6_two_blocks.hex",
-                     "# complete v6 log file: header + 2 records",
-                     BuildLogFile(lrng, 2)});
+  entries.push_back({"log_v7_three_blocks.hex",
+                     "# complete v7 log file: header + 3 records, later ones "
+                     "storing retries by reference",
+                     BuildLogFile(lrng, 3)});
   FuzzRng l2rng(44);
-  entries.push_back({"log_v6_one_block.hex",
-                     "# complete v6 log file: header + 1 record",
+  entries.push_back({"log_v7_one_block.hex",
+                     "# complete v7 log file: header + 1 record",
                      BuildLogFile(l2rng, 1)});
 
   std::string hlz;
@@ -935,13 +1126,13 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeReplJoin(join, &join_payload);
   entries.push_back(
       {"repl_join_frame.hex",
-       "# one complete REPL_JOIN frame (wire v4 header + payload)",
+       "# one complete REPL_JOIN frame (wire v5 header + payload)",
        net::EncodeFrame(net::Opcode::kOpReplJoin, join_payload)});
 
   std::string repl_payload;
   net::EncodeReplicate(hb.header.block_id, hlz_record, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + stored v6 record",
+                     "# REPLICATE payload: u64 block id + stored v7 record",
                      repl_payload});
 
   FuzzRng srng(45);

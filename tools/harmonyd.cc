@@ -107,7 +107,9 @@ struct Args {
   int64_t balance = 100000;
   uint64_t max_inflight = 0;
   double rate = 0;
-  uint64_t retain_blocks = 0;  ///< block-log retention; 0 keeps everything
+  /// Block-log retention: keep at least N blocks, cut at a safe point;
+  /// 0 keeps everything.
+  uint64_t retain_blocks = 0;
   size_t flush_threads = BufferPool::kDefaultFlushThreads;
   bool in_memory = false;
   bool json = false;

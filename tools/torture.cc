@@ -313,6 +313,7 @@ Schedule PlanSchedule(uint64_t run_seed, uint64_t k, bool truncate_mode) {
         std::strncmp(s.point.c_str(), "repl.", 5) == 0 || rng.Chance(0.35);
     return s;
   }
+  s.txns = rng.Range(48, 120);
   s.point = testing::kCrashPointCatalogue[rng.Index(testing::kNumCrashPoints)];
   s.hit = 1 + rng.Index(10);
   if (s.point == "chain.append.torn_write") {
@@ -325,6 +326,11 @@ Schedule PlanSchedule(uint64_t run_seed, uint64_t k, bool truncate_mode) {
   s.repl = std::strncmp(s.point.c_str(), "repl.", 5) == 0 || rng.Chance(0.2);
   return s;
 }
+
+/// Live records verified across schedules, and how many of them store a
+/// CC retry as a reference to an earlier record (the summary reports both).
+uint64_t g_live_records = 0;
+uint64_t g_ref_records = 0;
 
 /// Recovers the schedule's directory and checks it against an independent
 /// replay of its full persisted chain — archive + live log in truncate
@@ -357,9 +363,19 @@ bool VerifySchedule(const std::string& dir,
   }
   BlockStore* store = (*db)->replica()->block_store();
   std::vector<Block> live;
-  if (Status s = store->ReadAll(&live); !s.ok()) {
+  std::vector<std::pair<BlockId, std::string>> records;
+  if (Status s = store->ReadAll(&live); !s.ok() ||
+      !(s = store->ReadRecordsAfter(0, SIZE_MAX, &records)).ok()) {
     std::fprintf(stderr, "chain read failed: %s\n", s.ToString().c_str());
     return false;
+  }
+  for (const auto& [id, record] : records) {
+    BlockId peeked = 0;
+    uint32_t reach = 0;
+    g_live_records++;
+    if (BlockCodec::Peek(record, &peeked, &reach) && reach > 0) {
+      g_ref_records++;
+    }
   }
   // Full chain = everything retention archived below the live log's first
   // record, then the live log. A crash between archive-append and rename
@@ -643,8 +659,10 @@ int TortureMain(int argc, char** argv) {
     std::filesystem::remove_all(dir, ec);
   }
   std::printf("torture%s: %" PRIu64 " schedule(s) passed (seed %" PRIu64
-              ", digests verified against reference replay)\n",
-              truncate_mode ? " (truncate mode)" : "", last - first, seed);
+              ", digests verified against reference replay; %" PRIu64
+              " of %" PRIu64 " live records store a retry by reference)\n",
+              truncate_mode ? " (truncate mode)" : "", last - first, seed,
+              g_ref_records, g_live_records);
   return 0;
 }
 
