@@ -6,7 +6,10 @@
 // reaching the identical state, and tamper detection on the persisted
 // chain.
 //
-//   ./build/bank_audit
+//   ./build/bank_audit [dir]
+//
+// `dir` must be empty or absent; without it the example wipes and reuses
+// a directory under the system temp dir.
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -44,10 +47,14 @@ struct TellerReport {
 
 }  // namespace
 
-int main() {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "harmonybc-bank").string();
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  std::string dir;
+  if (argc > 1) {
+    dir = argv[1];
+  } else {
+    dir = (std::filesystem::temp_directory_path() / "harmonybc-bank").string();
+    std::filesystem::remove_all(dir);
+  }
   std::filesystem::create_directories(dir);
 
   HarmonyBC::Options opt;

@@ -3,9 +3,13 @@
 // last checkpoint from DRAM), restarts, and deterministically re-executes
 // the logged blocks to the exact pre-crash state.
 //
-//   ./build/examples/crash_recovery
+//   ./build/crash_recovery [dir]
+//
+// `dir` must be empty or absent; without it the example wipes and reuses
+// a directory under the system temp dir.
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "core/harmonybc.h"
 
@@ -18,6 +22,12 @@ Status Increment(TxnContext& ctx, const ProcArgs& a) {
   return Status::OK();
 }
 
+/// Admission rejections resolve a ticket synchronously.
+bool Rejected(const TxnTicket& t) {
+  std::optional<TxnReceipt> r = t.TryGet();
+  return r && r->outcome == ReceiptOutcome::kRejected;
+}
+
 HarmonyBC::Options Opts(const std::string& dir) {
   HarmonyBC::Options o;
   o.dir = dir;
@@ -28,10 +38,14 @@ HarmonyBC::Options Opts(const std::string& dir) {
 
 }  // namespace
 
-int main() {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "harmonybc-crash").string();
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  std::string dir;
+  if (argc > 1) {
+    dir = argv[1];
+  } else {
+    dir = (std::filesystem::temp_directory_path() / "harmonybc-crash").string();
+    std::filesystem::remove_all(dir);
+  }
   std::filesystem::create_directories(dir);
 
   Digest pre_crash;
@@ -45,11 +59,12 @@ int main() {
     }
     if (!(*db)->Recover().ok()) return 1;
 
+    auto session = (*db)->OpenSession();
     for (int i = 0; i < 55; i++) {
       TxnRequest t;
       t.proc_id = 1;
       t.args.ints = {i % 8, 1};
-      if (!(*db)->Submit(std::move(t)).ok()) return 1;
+      if (Rejected(session->Submit(std::move(t)))) return 1;
     }
     if (!(*db)->Sync().ok()) return 1;
     pre_height = (*db)->height();
@@ -89,7 +104,10 @@ int main() {
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {0, 100};
-    if (!(*db)->Submit(std::move(t)).ok() || !(*db)->Sync().ok()) return 1;
+    if (Rejected((*db)->OpenSession()->Submit(std::move(t))) ||
+        !(*db)->Sync().ok()) {
+      return 1;
+    }
     std::optional<Value> v;
     if (!(*db)->Query(0, &v).ok() || !v.has_value()) return 1;
     std::printf("post-recovery txn committed: key0=%lld, height=%llu\n",

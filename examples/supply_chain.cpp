@@ -7,9 +7,13 @@
 // sites), Restock (pure increment — Harmony coalesces concurrent restocks
 // on the same SKU without aborts).
 //
-//   ./build/examples/supply_chain
+//   ./build/supply_chain [dir]
+//
+// `dir` must be empty or absent; without it the example wipes and reuses
+// a directory under the system temp dir.
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 
 #include "core/harmonybc.h"
 
@@ -60,10 +64,15 @@ Status Restock(TxnContext& ctx, const ProcArgs& a) {
 
 }  // namespace
 
-int main() {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "harmonybc-supply").string();
-  std::filesystem::remove_all(dir);
+int main(int argc, char** argv) {
+  std::string dir;
+  if (argc > 1) {
+    dir = argv[1];
+  } else {
+    dir =
+        (std::filesystem::temp_directory_path() / "harmonybc-supply").string();
+    std::filesystem::remove_all(dir);
+  }
   std::filesystem::create_directories(dir);
 
   HarmonyBC::Options opt;
@@ -87,11 +96,15 @@ int main() {
   }
   if (!(*db)->Recover().ok()) return 1;
 
+  // Submits one contract call; false when admission rejected it (such a
+  // rejection resolves the ticket synchronously).
+  auto session = (*db)->OpenSession();
   auto submit = [&](uint32_t proc, std::vector<int64_t> ints) {
     TxnRequest t;
     t.proc_id = proc;
     t.args.ints = std::move(ints);
-    return (*db)->Submit(std::move(t));
+    std::optional<TxnReceipt> r = session->Submit(std::move(t)).TryGet();
+    return !(r && r->outcome == ReceiptOutcome::kRejected);
   };
 
   // A day of trading: each round places orders and restocks a hot SKU, then
@@ -102,17 +115,17 @@ int main() {
   for (int round = 0; round < 10; round++) {
     const int64_t round_first = next_order;
     for (int i = 0; i < 6; i++) {
-      if (!submit(1, {next_order++, i % kSites, (i * 3) % kSkus, 10}).ok())
+      if (!submit(1, {next_order++, i % kSites, (i * 3) % kSkus, 10}))
         return 1;
     }
     // Everyone restocks SKU 0 at site 0 at once (hotspot): pure commands.
     for (int i = 0; i < 6; i++) {
-      if (!submit(3, {0, 0, 5}).ok()) return 1;
+      if (!submit(3, {0, 0, 5})) return 1;
     }
     total_units += 6 * 5;
     // Ship last round's orders.
     for (int64_t o = prev_round_first; o < round_first; o++) {
-      if (!submit(2, {o, (o + 1) % kSites}).ok()) return 1;
+      if (!submit(2, {o, (o + 1) % kSites})) return 1;
     }
     if (Status s = (*db)->Sync(); !s.ok()) {
       std::fprintf(stderr, "sync: %s\n", s.ToString().c_str());

@@ -33,7 +33,8 @@ void PendingTxn::Resolve(TxnReceipt receipt) {
     // Wait/TryGet reads it under mu_), so `ticket.Wait()` followed by a
     // stats read sees this receipt already counted.
     if (session_ != nullptr) {
-      // Balances the increment in Session::Submit (and NetClient::Submit);
+      // Balances the increment at submit (HarmonyBC's admission path, or
+      // NetClient::Submit);
       // frees a flow-control slot the moment the fate is known.
       session_->inflight.fetch_sub(1, std::memory_order_acq_rel);
       switch (receipt_.outcome) {

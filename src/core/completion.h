@@ -66,8 +66,9 @@ struct SessionStats {
   std::atomic<uint64_t> latency_max_us{0};
   /// Transactions submitted but not yet resolved; the session flow-control
   /// cap (Options::max_inflight_per_session) gates on this. Incremented by
-  /// Session::Submit, decremented by PendingTxn::Resolve — every submit,
-  /// including the Busy-rejected ones, passes through both sides.
+  /// the admission path (and NetClient::Submit), decremented by
+  /// PendingTxn::Resolve — every submit, including the Busy-rejected ones,
+  /// passes through both sides.
   std::atomic<uint64_t> inflight{0};
   /// Submits bounced by the flow-control cap (a subset of `rejected`).
   std::atomic<uint64_t> flow_rejected{0};

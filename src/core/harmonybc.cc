@@ -7,6 +7,14 @@
 
 namespace harmony {
 
+namespace {
+
+/// Seal+drain rounds before Sync gives up on transactions that keep
+/// CC-aborting.
+constexpr uint32_t kMaxSyncRounds = 200;
+
+}  // namespace
+
 Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
   auto db = std::unique_ptr<HarmonyBC>(new HarmonyBC());
   db->opts_ = options;
@@ -52,10 +60,7 @@ Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
 
   MempoolOptions mo;
   mo.capacity = options.mempool_capacity;
-  mo.shards = options.mempool_shards;
-  mo.ring_capacity = options.mempool_ring_capacity;
   mo.high_fee_threshold = options.high_fee_threshold;
-  mo.lane_weights = options.lane_weights;
   db->mempool_ = std::make_unique<Mempool>(mo);
 
   // The commit callback (replica commit thread, block order) settles every
@@ -89,84 +94,46 @@ Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
         if (raw->opts_.follower_mode) return;
         IngestStats* stats = raw->admission_->stats();
         const uint64_t now = NowMicros();
-        bool enqueued = false;
+        const BlockId id = blk.header.block_id;
         // Under a commit gate, committed/logic-aborted receipts wait for the
         // cluster durability decision; retries and drops are leader-local
-        // and resolve inline either way.
-        std::vector<std::pair<size_t, bool>> deferred;  // (txn idx, committed)
-        for (size_t i = 0; i < res.outcomes.size(); i++) {
-          const TxnRequest& t = blk.batch.txns[i];
-          switch (res.outcomes[i]) {
-            case TxnOutcome::kCommitted:
-              if (gate) {
-                deferred.emplace_back(i, true);
-                break;
-              }
-              raw->completion_->Resolve(t, ReceiptOutcome::kCommitted,
-                                        Status::OK(), blk.header.block_id,
-                                        now);
-              break;
-            case TxnOutcome::kLogicAborted:
-              if (gate) {
-                deferred.emplace_back(i, false);
-                break;
-              }
-              raw->completion_->Resolve(
-                  t, ReceiptOutcome::kLogicAborted,
-                  Status::Aborted("procedure aborted"), blk.header.block_id,
-                  now);
-              break;
-            case TxnOutcome::kCcAborted:
-              if (t.retries < raw->opts_.max_txn_retries) {
-                TxnRequest retry = t;
-                retry.retries++;
-                // Re-entering the retry lane is a fresh admit for stage
-                // attribution: queue_wait measures time *in queue* per
-                // attempt, while the receipt's latency_us keeps covering
-                // submit -> final resolution end to end.
-                retry.trace.admit_us = now;
-                retry.trace.dequeue_us = 0;
-                raw->mempool_->AddRetry(std::move(retry));
-                stats->retries_enqueued.fetch_add(1,
-                                                  std::memory_order_relaxed);
-                enqueued = true;
-              } else {
-                raw->dropped_.fetch_add(1, std::memory_order_relaxed);
-                stats->retries_dropped.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                raw->completion_->Resolve(
-                    t, ReceiptOutcome::kDropped,
-                    Status::Busy("dropped after " +
-                                 std::to_string(t.retries) + " CC aborts"),
-                    blk.header.block_id, now);
-              }
-              break;
-          }
-        }
-        if (gate && !deferred.empty()) {
-          // The closure must not capture blk (the commit pipeline recycles
-          // it); copy the settled requests out. The gate may run `resolve`
-          // inline (leader_only, or the watermark already covers this
-          // block) or hold it until enough follower acks arrive.
-          std::vector<std::pair<TxnRequest, bool>> settled;
-          settled.reserve(deferred.size());
-          for (const auto& [i, committed] : deferred) {
-            settled.emplace_back(blk.batch.txns[i], committed);
-          }
-          const BlockId id = blk.header.block_id;
-          gate(id, [raw, id, settled = std::move(settled)]() {
-            const uint64_t rnow = NowMicros();
-            for (const auto& [t, committed] : settled) {
-              if (committed) {
-                raw->completion_->Resolve(t, ReceiptOutcome::kCommitted,
-                                          Status::OK(), id, rnow);
-              } else {
-                raw->completion_->Resolve(t, ReceiptOutcome::kLogicAborted,
-                                          Status::Aborted("procedure aborted"),
-                                          id, rnow);
-              }
-            }
+        // and resolve inline either way. The gate's closure must not
+        // capture blk (the commit pipeline recycles it), so it copies the
+        // batch; the gate may run it inline (leader_only, or the watermark
+        // already covers this block) or hold it until enough follower acks
+        // arrive.
+        if (gate) {
+          gate(id, [raw, id, txns = blk.batch.txns, outcomes = res.outcomes] {
+            raw->ResolveExecuted(txns, outcomes, id, NowMicros());
           });
+        } else {
+          raw->ResolveExecuted(blk.batch.txns, res.outcomes, id, now);
+        }
+        bool enqueued = false;
+        for (size_t i = 0; i < res.outcomes.size(); i++) {
+          if (res.outcomes[i] != TxnOutcome::kCcAborted) continue;
+          const TxnRequest& t = blk.batch.txns[i];
+          if (t.retries < raw->opts_.max_txn_retries) {
+            TxnRequest retry = t;
+            retry.retries++;
+            // Re-entering the retry lane is a fresh admit for stage
+            // attribution: queue_wait measures time *in queue* per attempt,
+            // while the receipt's latency_us keeps covering submit -> final
+            // resolution end to end.
+            retry.trace.admit_us = now;
+            retry.trace.dequeue_us = 0;
+            raw->mempool_->AddRetry(std::move(retry));
+            stats->retries_enqueued.fetch_add(1, std::memory_order_relaxed);
+            enqueued = true;
+          } else {
+            raw->dropped_.fetch_add(1, std::memory_order_relaxed);
+            stats->retries_dropped.fetch_add(1, std::memory_order_relaxed);
+            raw->completion_->Resolve(
+                t, ReceiptOutcome::kDropped,
+                Status::Busy("dropped after " + std::to_string(t.retries) +
+                             " CC aborts"),
+                id, now);
+          }
         }
         // Without this wake a retry landing in an otherwise idle pool would
         // sit until the next Submit or Sync instead of sealing on deadline.
@@ -181,10 +148,6 @@ Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
       [raw](Block block) { return raw->replica_->SubmitBlock(std::move(block)); },
       db->tracer_.get());
   db->sealer_->Start();
-  // The legacy Submit/Sync surface rides a pass-through session (client_id
-  // 0 keeps each request's own client identity).
-  db->default_session_ =
-      std::unique_ptr<Session>(new Session(raw, /*client_id=*/0));
   return db;
 }
 
@@ -233,7 +196,8 @@ Result<BlockId> HarmonyBC::Recover() {
   // from just before the call is drained here rather than dropped.
   HARMONY_RETURN_NOT_OK(replica_->Drain());
   recovering_.store(true, std::memory_order_release);
-  auto tip = replica_->Recover();
+  BlockHeader last;  // block_id stays 0 unless the log holds a record
+  auto tip = replica_->Recover(&last);
   recovering_.store(false, std::memory_order_release);
   // Tickets that were in flight when Recover() was called cannot be settled
   // against the replayed state — fail them instead of letting Wait() hang.
@@ -245,18 +209,13 @@ Result<BlockId> HarmonyBC::Recover() {
     // (a crash before the first periodic checkpoint must not lose it).
     HARMONY_RETURN_NOT_OK(replica_->Checkpoint());
   }
-  if (*tip != 0) {
-    // Resume the embedded orderer from the recovered chain tip so future
-    // blocks extend the same hash chain. Only the tip block matters — an
-    // O(1) tail read, not an O(chain) scan.
-    Block last;
-    BlockStore store(opts_.dir + "/replica.chain", /*sync_latency_us=*/150,
-                     opts_.block_compression);
-    HARMONY_RETURN_NOT_OK(store.Open());
-    HARMONY_RETURN_NOT_OK(store.ReadLast(&last));
-    orderer_->ResumeFrom(last.header.block_id,
-                         last.header.first_tid + last.header.txn_count,
-                         last.header.block_hash);
+  if (last.block_id != 0) {
+    // Resume the embedded orderer from the tip record the replay decoded,
+    // so future blocks extend the same hash chain. A snapshot-installed
+    // follower may have no record yet; it never seals, so there is nothing
+    // to resume.
+    orderer_->ResumeFrom(last.block_id, last.first_tid + last.txn_count,
+                         last.block_hash);
   }
   return *tip;
 }
@@ -328,167 +287,128 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
   return snap;
 }
 
-std::shared_ptr<PendingTxn> HarmonyBC::SubmitWithReceipt(
-    TxnRequest req, ReceiptCallback cb,
-    std::shared_ptr<SessionStats> session) {
-  IngestStats* stats = admission_->stats();
-  stats->submitted.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t now = NowMicros();
-  if (req.submit_time_us == 0) req.submit_time_us = now;
-  // Admit stamp for txn-lifecycle tracing: a plain store of a clock value
-  // already read, so it is unconditional (see docs/OBSERVABILITY.md).
-  req.trace.admit_us = now;
-
-  // The request's identity, kept past the std::move into the mempool so
-  // rejection receipts never read a moved-from req.
-  TxnRequest identity;
-  identity.client_id = req.client_id;
-  identity.client_seq = req.client_seq;
-  identity.retries = req.retries;
-
-  // Resolves a not-(or no-longer-)registered entry as rejected.
-  auto reject = [&](std::shared_ptr<PendingTxn> entry, Status why) {
-    ResolvePending(entry.get(), identity, ReceiptOutcome::kRejected,
-                   std::move(why), /*block_id=*/0, NowMicros());
-    return entry;
-  };
-
-  // Register before the mempool sees the request: the commit path can only
-  // resolve receipts it can find, and a sealed block can commit within
-  // microseconds of Add().
-  bool duplicate = false;
-  std::shared_ptr<PendingTxn> entry = completion_->Register(
-      req, std::move(cb), std::move(session), &duplicate);
-  if (duplicate) {
-    // The same (client_id, client_seq) is still in flight; its receipt
-    // belongs to the original submission. `entry` is detached (never
-    // routed) but still carries this call's callback and session stats.
-    stats->duplicates.fetch_add(1, std::memory_order_relaxed);
-    return reject(std::move(entry),
-                  Status::InvalidArgument(
-                      "duplicate transaction in flight (client " +
-                      std::to_string(identity.client_id) + ", seq " +
-                      std::to_string(identity.client_seq) + ")"));
-  }
-
-  // Rate limiting must run on the server's clock — submit_time_us is
-  // caller-supplied, and a forged future timestamp would refill (or
-  // permanently poison) the client's token bucket.
-  bool demote = false;
-  if (Status s = admission_->Admit(req, now, &demote); !s.ok()) {
-    completion_->Discard(identity.client_id, identity.client_seq);
-    return reject(std::move(entry), std::move(s));
-  }
-
-  // Demotion overrides the fee: an over-budget client cannot buy its way
-  // back into the high lane mid-burst.
-  Status s = demote ? mempool_->Add(std::move(req), IngestLane::kLow)
-                    : mempool_->Add(std::move(req));
-  if (!s.ok()) {
-    if (s.IsBusy()) {
-      stats->backpressured.fetch_add(1, std::memory_order_relaxed);
-    } else if (s.IsInvalidArgument()) {
-      // Duplicate within the mempool's dedup window (e.g. a replay of a
-      // client_seq whose receipt already resolved).
-      stats->duplicates.fetch_add(1, std::memory_order_relaxed);
-    }
-    completion_->Discard(identity.client_id, identity.client_seq);
-    return reject(std::move(entry), std::move(s));
-  }
-  stats->admitted.fetch_add(1, std::memory_order_relaxed);
-  sealer_->Notify();
-  return entry;
-}
-
-std::vector<std::shared_ptr<PendingTxn>> HarmonyBC::SubmitBatchWithReceipt(
+std::vector<TxnTicket> HarmonyBC::SubmitBatchWithReceipt(
     std::vector<TxnRequest> reqs, const ReceiptCallback& cb,
     const std::shared_ptr<SessionStats>& session) {
   IngestStats* stats = admission_->stats();
   const size_t n = reqs.size();
-  stats->submitted.fetch_add(n, std::memory_order_relaxed);
   const uint64_t now = NowMicros();
+  const uint64_t cap = opts_.max_inflight_per_session;
+  session->submitted.fetch_add(n, std::memory_order_relaxed);
 
-  std::vector<std::shared_ptr<PendingTxn>> entries(n);
-  // Request identities, kept past the moves below so rejection receipts
-  // never read a moved-from req (same discipline as SubmitWithReceipt).
-  std::vector<TxnRequest> ids(n);
-  auto reject = [&](size_t i, Status why) {
-    ResolvePending(entries[i].get(), ids[i], ReceiptOutcome::kRejected,
+  std::vector<TxnTicket> tickets(n);
+  // Resolves request i's entry as rejected. `req` is intact: the mempool
+  // moves from a request only when it enqueues it.
+  auto reject = [&](size_t i, const TxnRequest& req, Status why) {
+    ResolvePending(tickets[i].state_.get(), req, ReceiptOutcome::kRejected,
                    std::move(why), /*block_id=*/0, NowMicros());
   };
 
-  // Phase 1 — register + admit each request, collecting survivors (and the
-  // lane admission chose for them) for the one-pass mempool enqueue.
-  std::vector<size_t> live;
-  std::vector<TxnRequest> to_enqueue;
+  // Phase 1 — per request: flow control, register, admit. Survivors are
+  // compacted to the front of `reqs` for the one-pass mempool enqueue;
+  // `ticket_of[j]` maps survivor j back to its ticket, and `lanes[j]` is
+  // the lane admission chose for it.
+  std::vector<size_t> ticket_of;
   std::vector<IngestLane> lanes;
-  live.reserve(n);
-  to_enqueue.reserve(n);
+  ticket_of.reserve(n);
   lanes.reserve(n);
+  size_t reached_admission = 0;
   for (size_t i = 0; i < n; i++) {
     TxnRequest& req = reqs[i];
     if (req.submit_time_us == 0) req.submit_time_us = now;
+    // Admit stamp for txn-lifecycle tracing: a plain store of a clock value
+    // already read, so it is unconditional (see docs/OBSERVABILITY.md).
     req.trace.admit_us = now;
-    ids[i].client_id = req.client_id;
-    ids[i].client_seq = req.client_seq;
-    ids[i].retries = req.retries;
 
-    bool duplicate = false;
-    entries[i] = completion_->Register(req, cb, session, &duplicate);
-    if (duplicate) {
-      stats->duplicates.fetch_add(1, std::memory_order_relaxed);
-      reject(i, Status::InvalidArgument(
-                    "duplicate transaction in flight (client " +
-                    std::to_string(ids[i].client_id) + ", seq " +
-                    std::to_string(ids[i].client_seq) + ")"));
+    // Session flow control: every submit takes an inflight slot that
+    // PendingTxn::Resolve releases. Past the cap the request never reaches
+    // admission.
+    const uint64_t inflight =
+        session->inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (cap != 0 && inflight > cap) {
+      session->flow_rejected.fetch_add(1, std::memory_order_relaxed);
+      tickets[i] = TxnTicket(
+          std::make_shared<PendingTxn>(now, /*ticket=*/0, cb, session),
+          req.client_id, req.client_seq);
+      reject(i, req,
+             Status::Busy("session inflight cap (" + std::to_string(cap) +
+                          ") reached"));
       continue;
     }
+    reached_admission++;
+
+    // Register before the mempool sees the request: the commit path can
+    // only resolve receipts it can find, and a sealed block can commit
+    // within microseconds of the enqueue.
+    bool duplicate = false;
+    tickets[i] =
+        TxnTicket(completion_->Register(req, cb, session, &duplicate),
+                  req.client_id, req.client_seq);
+    if (duplicate) {
+      // The same (client_id, client_seq) is still in flight; its receipt
+      // belongs to the original submission. This entry is detached (never
+      // routed) but still carries this call's callback and session stats.
+      stats->duplicates.fetch_add(1, std::memory_order_relaxed);
+      reject(i, req,
+             Status::InvalidArgument(
+                 "duplicate transaction in flight (client " +
+                 std::to_string(req.client_id) + ", seq " +
+                 std::to_string(req.client_seq) + ")"));
+      continue;
+    }
+    // Rate limiting must run on the server's clock — submit_time_us is
+    // caller-supplied, and a forged future timestamp would refill (or
+    // permanently poison) the client's token bucket.
     bool demote = false;
     if (Status s = admission_->Admit(req, now, &demote); !s.ok()) {
-      completion_->Discard(ids[i].client_id, ids[i].client_seq);
-      reject(i, std::move(s));
+      completion_->Discard(req.client_id, req.client_seq);
+      reject(i, req, std::move(s));
       continue;
     }
-    live.push_back(i);
+    // Demotion overrides the fee: an over-budget client cannot buy its way
+    // back into the high lane mid-burst.
     lanes.push_back(demote ? IngestLane::kLow : mempool_->LaneFor(req));
-    to_enqueue.push_back(std::move(req));
+    if (ticket_of.size() != i) reqs[ticket_of.size()] = std::move(req);
+    ticket_of.push_back(i);
   }
+  stats->submitted.fetch_add(reached_admission, std::memory_order_relaxed);
+  if (ticket_of.empty()) return tickets;
 
-  // Phase 2 — single-reservation enqueue; per-request failures resolve
-  // exactly like their SubmitWithReceipt equivalents.
-  size_t enqueued = 0;
-  if (!to_enqueue.empty()) {
-    std::vector<Status> statuses;
-    enqueued = mempool_->AddBatch(&to_enqueue, lanes, &statuses);
-    for (size_t j = 0; j < live.size(); j++) {
-      if (statuses[j].ok()) continue;
-      const size_t i = live[j];
-      if (statuses[j].IsBusy()) {
-        stats->backpressured.fetch_add(1, std::memory_order_relaxed);
-      } else if (statuses[j].IsInvalidArgument()) {
-        stats->duplicates.fetch_add(1, std::memory_order_relaxed);
-      }
-      completion_->Discard(ids[i].client_id, ids[i].client_seq);
-      reject(i, std::move(statuses[j]));
+  // Phase 2 — one capacity reservation for every survivor.
+  reqs.resize(ticket_of.size());
+  std::vector<Status> statuses;
+  const size_t enqueued = mempool_->AddBatch(&reqs, lanes, &statuses);
+  for (size_t j = 0; j < ticket_of.size(); j++) {
+    if (statuses[j].ok()) continue;
+    if (statuses[j].IsBusy()) {
+      stats->backpressured.fetch_add(1, std::memory_order_relaxed);
+    } else if (statuses[j].IsInvalidArgument()) {
+      // Duplicate within the mempool's dedup window (e.g. a replay of a
+      // client_seq whose receipt already resolved).
+      stats->duplicates.fetch_add(1, std::memory_order_relaxed);
     }
+    completion_->Discard(reqs[j].client_id, reqs[j].client_seq);
+    reject(ticket_of[j], reqs[j], std::move(statuses[j]));
   }
   if (enqueued > 0) {
     stats->admitted.fetch_add(enqueued, std::memory_order_relaxed);
     sealer_->Notify();
   }
-  return entries;
+  return tickets;
 }
 
-Status HarmonyBC::Submit(TxnRequest req) {
-  TxnTicket ticket = default_session_->Submit(std::move(req));
-  // Rejections resolve synchronously: surface them as the admission Status
-  // (source compatibility with the fire-and-forget contract). Any other
-  // state — still in flight, or already terminal — means it was admitted.
-  if (std::optional<TxnReceipt> r = ticket.TryGet();
-      r.has_value() && r->outcome == ReceiptOutcome::kRejected) {
-    return r->status;
+void HarmonyBC::ResolveExecuted(const std::vector<TxnRequest>& txns,
+                                const std::vector<TxnOutcome>& outcomes,
+                                BlockId id, uint64_t now) {
+  for (size_t i = 0; i < outcomes.size(); i++) {
+    if (outcomes[i] == TxnOutcome::kCommitted) {
+      completion_->Resolve(txns[i], ReceiptOutcome::kCommitted, Status::OK(),
+                           id, now);
+    } else if (outcomes[i] == TxnOutcome::kLogicAborted) {
+      completion_->Resolve(txns[i], ReceiptOutcome::kLogicAborted,
+                           Status::Aborted("procedure aborted"), id, now);
+    }
   }
-  return Status::OK();
 }
 
 Status HarmonyBC::Sync() {
@@ -500,7 +420,7 @@ Status HarmonyBC::Sync() {
   // handshake could not cover).
   const uint64_t watermark = completion_->watermark();
   uint32_t round = 0;
-  while (round < opts_.max_sync_rounds) {
+  while (round < kMaxSyncRounds) {
     HARMONY_RETURN_NOT_OK(SealPending());
     HARMONY_RETURN_NOT_OK(replica_->Drain());
     if (!completion_->HasPendingBefore(watermark)) {
@@ -519,7 +439,7 @@ Status HarmonyBC::Sync() {
   }
   return Status::Busy(
       "transactions kept aborting after " +
-      std::to_string(opts_.max_sync_rounds) + " rounds (" +
+      std::to_string(kMaxSyncRounds) + " rounds (" +
       std::to_string(dropped_.load(std::memory_order_relaxed)) +
       " dropped, " + std::to_string(queue_depth()) + " still pending)");
 }

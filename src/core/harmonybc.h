@@ -41,18 +41,18 @@ namespace harmony {
 ///   db->Query(key, &v);
 ///   db->AuditChain();                  // tamper check, end to end
 ///
-/// Sessions (core/session.h) are the production surface: every submitted
+/// Sessions (core/session.h) are the only way in: every submitted
 /// transaction gets an authoritative per-txn receipt, resolved from the
-/// replica's commit results in block order. The legacy fire-and-forget
-/// Submit/Sync pair below is kept source-compatible as a thin wrapper over
-/// a default pass-through session.
+/// replica's commit results in block order. A single submit and a batch
+/// take the same admission path (a single submit is a batch of one).
 ///
-/// Submit is thread-safe and non-blocking: transactions pass admission
+/// Submission is thread-safe and non-blocking: transactions pass admission
 /// control (procedure validation, optional per-client rate limiting), land
 /// in a shard-striped bounded mempool (duplicate (client_id, client_seq)
 /// pairs rejected, Status::Busy backpressure when full), and a background
 /// sealer cuts blocks on size *or* deadline and pipelines them into the
-/// replica. CC-aborted transactions re-enter through the mempool's retry
+/// replica. Admission rejections resolve the receipt synchronously as
+/// kRejected. CC-aborted transactions re-enter through the mempool's retry
 /// lane automatically; exhausting Options::max_txn_retries resolves the
 /// receipt as dropped.
 ///
@@ -101,24 +101,18 @@ class HarmonyBC {
     /// sub-block_size tail (e.g. the last few retries) seals only on Sync.
     uint64_t max_block_delay_us = 0;
     size_t mempool_capacity = 1 << 16;  ///< Busy backpressure beyond this
-    size_t mempool_shards = 16;
-    /// Slots per shard-lane lock-free ring; 0 derives from capacity/shards.
-    size_t mempool_ring_capacity = 0;
     /// Transactions with fee >= this ride the mempool's high-priority lane;
     /// 0 disables fee-based prioritization.
     uint64_t high_fee_threshold = 0;
-    /// Weighted-drain shares for the {high, normal, low} mempool lanes.
-    LaneWeights lane_weights = kDefaultLaneWeights;
     /// Per-client admission rate (txns/sec); 0 = unlimited.
     double admit_rate_per_client = 0;
     /// Over-budget clients are demoted to the low lane instead of bounced
     /// with Busy (soft rate limiting; needs admit_rate_per_client > 0).
     bool demote_over_rate = false;
     uint32_t max_txn_retries = 50;  ///< CC-abort resubmissions per txn
-    uint32_t max_sync_rounds = 200; ///< seal+drain rounds before Sync gives up
-    /// Session-level flow control: a Session::Submit past this many
-    /// unresolved receipts on the same session resolves synchronously as a
-    /// Busy rejection (the network frontend maps it to ERROR{busy}).
+    /// Session-level flow control: a submit past this many unresolved
+    /// receipts on the same session resolves synchronously as a Busy
+    /// rejection (the network frontend sends it as a rejected receipt).
     /// 0 = unlimited. The slot frees when the receipt resolves.
     uint64_t max_inflight_per_session = 0;
     /// Follower mode (src/repl/follower.cc): this node's blocks arrive
@@ -138,7 +132,7 @@ class HarmonyBC {
   };
 
   /// Opens (or creates) the chain directory. Call RegisterProcedure and
-  /// (on first boot) Load before Recover/Submit.
+  /// (on first boot) Load before Recover and the first submit.
   static Result<std::unique_ptr<HarmonyBC>> Open(const Options& options);
 
   ~HarmonyBC();
@@ -166,14 +160,6 @@ class HarmonyBC {
   /// outlive this HarmonyBC.
   std::unique_ptr<Session> OpenSession(uint64_t client_id = 0);
 
-  /// Legacy fire-and-forget admission (thread-safe): the default session
-  /// submits the request and the ticket is discarded. Assigns a client_seq
-  /// if the caller left it 0; keeps the caller's client_id. Returns
-  /// InvalidArgument for duplicates/validation failures and Busy under
-  /// backpressure or rate limiting. Use OpenSession()->Submit for
-  /// per-transaction receipts.
-  Status Submit(TxnRequest req);
-
   /// Waits until every transaction admitted before this call has reached a
   /// terminal receipt (committed, logic-aborted, or dropped), sealing
   /// partial blocks as needed. Safe under concurrent Submits: transactions
@@ -195,10 +181,6 @@ class HarmonyBC {
   const ProtocolStats& stats() const { return replica_->protocol_stats(); }
   /// Ingress counters (admitted / duplicates / backpressured / seals...).
   const IngestStats& ingest_stats() const { return *admission_->stats(); }
-  /// Aggregate receipt counters for the legacy Submit/Sync surface.
-  const SessionStats& default_session_stats() const {
-    return default_session_->stats();
-  }
   /// Transactions dropped after exhausting max_txn_retries.
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
   /// In-flight transactions holding an unresolved receipt.
@@ -259,20 +241,22 @@ class HarmonyBC {
 
   Status SealPending();
 
-  /// The single submission path (sessions and the legacy wrapper both land
-  /// here): register the receipt, run admission + mempool, resolve
-  /// rejections synchronously. Always returns a non-null PendingTxn.
-  std::shared_ptr<PendingTxn> SubmitWithReceipt(
-      TxnRequest req, ReceiptCallback cb,
-      std::shared_ptr<SessionStats> session);
-
-  /// Batch twin of SubmitWithReceipt (Session::SubmitBatch): same
-  /// per-transaction semantics, but one clock read and a single-reservation
-  /// Mempool::AddBatch enqueue + one sealer wake for the whole batch.
-  /// Returns one (always non-null) entry per request, in order.
-  std::vector<std::shared_ptr<PendingTxn>> SubmitBatchWithReceipt(
+  /// The one admission path (Session::Submit and Session::SubmitBatch both
+  /// land here, with identities already stamped): per request, session
+  /// flow control, receipt registration, duplicate check, and admission;
+  /// then one Mempool::AddBatch enqueue and one sealer wake for the
+  /// survivors. Rejections resolve synchronously as kRejected. Returns one
+  /// valid ticket per request, in order.
+  std::vector<TxnTicket> SubmitBatchWithReceipt(
       std::vector<TxnRequest> reqs, const ReceiptCallback& cb,
       const std::shared_ptr<SessionStats>& session);
+
+  /// Resolves the receipts a block's execution settled — committed and
+  /// logic-aborted outcomes; CC aborts are retried or dropped by the
+  /// commit callback itself.
+  void ResolveExecuted(const std::vector<TxnRequest>& txns,
+                       const std::vector<TxnOutcome>& outcomes, BlockId id,
+                       uint64_t now);
 
   Options opts_;
   /// Declared before everything that records into them: the sealer thread
@@ -290,7 +274,6 @@ class HarmonyBC {
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<Mempool> mempool_;
   std::unique_ptr<BlockSealer> sealer_;
-  std::unique_ptr<Session> default_session_;
   std::atomic<uint64_t> next_client_id_{0};
   std::atomic<uint64_t> dropped_{0};
   /// Guards the two replication hooks; the commit callback copies them

@@ -1,12 +1,11 @@
 #include "core/session.h"
 
-#include "common/clock.h"
 #include "core/harmonybc.h"
 
 namespace harmony {
 
 void Session::StampIdentity(TxnRequest* req) {
-  if (client_id_ != 0) req->client_id = client_id_;
+  req->client_id = client_id_;
   if (req->client_seq == 0) {
     req->client_seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     return;
@@ -20,84 +19,16 @@ void Session::StampIdentity(TxnRequest* req) {
   }
 }
 
-TxnTicket Session::TryTakeInflightSlot(const TxnRequest& req,
-                                       const ReceiptCallback& cb,
-                                       uint64_t now) {
-  // Session-level flow control: every submit takes an inflight slot that
-  // PendingTxn::Resolve releases. Past the cap the submit never reaches
-  // admission — it resolves synchronously as a Busy rejection (the network
-  // frontend maps this to ERROR{busy} / a rejected batch entry).
-  const uint64_t cap = db_->opts_.max_inflight_per_session;
-  const uint64_t inflight =
-      stats_->inflight.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (cap == 0 || inflight <= cap) return TxnTicket();  // slot taken
-  stats_->flow_rejected.fetch_add(1, std::memory_order_relaxed);
-  auto entry = std::make_shared<PendingTxn>(now, /*ticket=*/0, cb, stats_);
-  TxnRequest identity;
-  identity.client_id = req.client_id;
-  identity.client_seq = req.client_seq;
-  identity.retries = req.retries;
-  ResolvePending(entry.get(), identity, ReceiptOutcome::kRejected,
-                 Status::Busy("session inflight cap (" + std::to_string(cap) +
-                              ") reached"),
-                 /*block_id=*/0, now);
-  return TxnTicket(std::move(entry), identity.client_id, identity.client_seq);
-}
-
 TxnTicket Session::Submit(TxnRequest req, ReceiptCallback cb) {
-  StampIdentity(&req);
-  stats_->submitted.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t client_id = req.client_id;
-  const uint64_t client_seq = req.client_seq;
-
-  if (TxnTicket bounced = TryTakeInflightSlot(req, cb, NowMicros());
-      bounced.valid()) {
-    return bounced;
-  }
-  return TxnTicket(
-      db_->SubmitWithReceipt(std::move(req), std::move(cb), stats_),
-      client_id, client_seq);
+  std::vector<TxnRequest> one;
+  one.push_back(std::move(req));
+  return std::move(SubmitBatch(std::move(one), std::move(cb)).front());
 }
 
 std::vector<TxnTicket> Session::SubmitBatch(std::vector<TxnRequest> reqs,
                                             ReceiptCallback cb) {
-  const size_t n = reqs.size();
-  std::vector<TxnTicket> tickets(n);
-  if (n == 0) return tickets;
-  stats_->submitted.fetch_add(n, std::memory_order_relaxed);
-  const uint64_t now = NowMicros();
-
-  // Phase 1 — stamp identities and apply session flow control. Requests
-  // that survive are forwarded as one batch; `fwd_idx` maps them back to
-  // their ticket slots.
-  std::vector<TxnRequest> fwd;
-  std::vector<size_t> fwd_idx;
-  fwd.reserve(n);
-  fwd_idx.reserve(n);
-  for (size_t i = 0; i < n; i++) {
-    TxnRequest& req = reqs[i];
-    StampIdentity(&req);
-    if (TxnTicket bounced = TryTakeInflightSlot(req, cb, now);
-        bounced.valid()) {
-      tickets[i] = std::move(bounced);
-      continue;
-    }
-    fwd_idx.push_back(i);
-    fwd.push_back(std::move(req));
-  }
-
-  // Phase 2 — one pass through admission + mempool for the whole batch.
-  std::vector<uint64_t> ids(fwd.size()), seqs(fwd.size());
-  for (size_t j = 0; j < fwd.size(); j++) {
-    ids[j] = fwd[j].client_id;
-    seqs[j] = fwd[j].client_seq;
-  }
-  std::vector<std::shared_ptr<PendingTxn>> entries =
-      db_->SubmitBatchWithReceipt(std::move(fwd), cb, stats_);
-  for (size_t j = 0; j < entries.size(); j++) {
-    tickets[fwd_idx[j]] = TxnTicket(std::move(entries[j]), ids[j], seqs[j]);
-  }
-  return tickets;
+  for (TxnRequest& req : reqs) StampIdentity(&req);
+  return db_->SubmitBatchWithReceipt(std::move(reqs), cb, stats_);
 }
 
 }  // namespace harmony

@@ -44,7 +44,7 @@ class TxnTicket {
   uint64_t client_seq() const { return client_seq_; }
 
  private:
-  friend class Session;
+  friend class HarmonyBC;       ///< issues every in-process ticket
   friend class net::NetClient;  ///< wire tickets share the same state type
   TxnTicket(std::shared_ptr<PendingTxn> state, uint64_t client_id,
             uint64_t client_seq)
@@ -87,21 +87,20 @@ class Session {
   /// Completion-callback mode: `cb` fires exactly once with the receipt —
   /// on the submitting thread for synchronous rejections, on the replica's
   /// commit thread otherwise. It must not block. The ticket is still
-  /// returned for callers that also want to poll/wait.
+  /// returned for callers that also want to poll/wait. A batch of one.
   TxnTicket Submit(TxnRequest req, ReceiptCallback cb);
 
-  /// Batch submission (the BATCH_SUBMIT fast path): semantically identical
-  /// to calling Submit once per request — every request gets its own ticket
-  /// and exactly one receipt, `cb` (shared, may be null) fires once per
-  /// request — but the whole batch pays one clock read, one admission pass
-  /// per txn into a *single* mempool capacity reservation, and one sealer
-  /// wake. Per-request failures (flow-control cap, duplicate, Busy) resolve
-  /// synchronously as kRejected without disturbing the rest of the batch.
+  /// Batch submission — the one submit path: every request gets its own
+  /// ticket and exactly one receipt, `cb` (shared, may be null) fires once
+  /// per request, and the whole batch pays one clock read, one admission
+  /// pass per txn into a *single* mempool capacity reservation, and one
+  /// sealer wake. Per-request failures (flow-control cap, duplicate, Busy)
+  /// resolve synchronously as kRejected without disturbing the rest of the
+  /// batch.
   std::vector<TxnTicket> SubmitBatch(std::vector<TxnRequest> reqs,
                                      ReceiptCallback cb = nullptr);
 
-  /// 0 for the facade's default (pass-through) session, which keeps each
-  /// request's own client_id.
+  /// Stamped on every request this session submits (never 0).
   uint64_t client_id() const { return client_id_; }
 
   const SessionStats& stats() const { return *stats_; }
@@ -113,13 +112,8 @@ class Session {
         stats_(std::make_shared<SessionStats>()) {}
 
   /// Stamps the session's client_id and auto-assigns (or advances past) the
-  /// request's client_seq — shared by Submit and SubmitBatch.
+  /// request's client_seq.
   void StampIdentity(TxnRequest* req);
-  /// Takes one inflight slot; over the flow-control cap it resolves a Busy
-  /// rejection synchronously and returns its ticket (invalid ticket = slot
-  /// taken, proceed).
-  TxnTicket TryTakeInflightSlot(const TxnRequest& req, const ReceiptCallback& cb,
-                                uint64_t now);
 
   HarmonyBC* db_;
   const uint64_t client_id_;

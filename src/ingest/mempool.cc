@@ -23,7 +23,7 @@ Mempool::Mempool(MempoolOptions opts) : opts_(opts) {
     // preallocate their slots (shards * lanes * cap cells), so the derived
     // size is capped, and lanes that cannot carry full traffic don't pay
     // for full rings: with fee promotion off the high lane is reachable
-    // only through the explicit-lane Add, and the low lane is a weight-1
+    // only through an explicit lane, and the low lane is a weight-1
     // trickle by design. A pool whose capacity outruns the cap leans on
     // ring-full Busy under extreme single-lane skew; callers with measured
     // needs set ring_capacity explicitly.
@@ -43,26 +43,6 @@ Mempool::Mempool(MempoolOptions opts) : opts_(opts) {
 
 size_t Mempool::ring_capacity() const {
   return shards_[0]->lanes[static_cast<size_t>(IngestLane::kNormal)].capacity();
-}
-
-Status Mempool::Add(TxnRequest req) {
-  const IngestLane lane = LaneFor(req);
-  return Add(std::move(req), lane);
-}
-
-Status Mempool::Add(TxnRequest req, IngestLane lane) {
-  // Reserve a capacity slot optimistically; duplicates give it back.
-  size_t cur = size_.load(std::memory_order_relaxed);
-  do {
-    if (cur >= opts_.capacity) {
-      return Status::Busy("mempool full (" + std::to_string(cur) + " / " +
-                          std::to_string(opts_.capacity) + ")");
-    }
-  } while (!size_.compare_exchange_weak(cur, cur + 1,
-                                        std::memory_order_relaxed));
-  Status s = AddWithSlot(std::move(req), lane);
-  if (!s.ok()) size_.fetch_sub(1, std::memory_order_relaxed);
-  return s;
 }
 
 size_t Mempool::AddBatch(std::vector<TxnRequest>* reqs,
@@ -91,7 +71,7 @@ size_t Mempool::AddBatch(std::vector<TxnRequest>* reqs,
                        std::to_string(opts_.capacity) + ")");
       continue;
     }
-    Status s = AddWithSlot(std::move((*reqs)[i]), lanes[i]);
+    Status s = AddWithSlot(&(*reqs)[i], lanes[i]);
     if (s.ok()) {
       slots--;  // the slot is now owned by the enqueued request
       enqueued++;
@@ -102,16 +82,16 @@ size_t Mempool::AddBatch(std::vector<TxnRequest>* reqs,
   return enqueued;
 }
 
-Status Mempool::AddWithSlot(TxnRequest req, IngestLane lane) {
-  const bool dedup = req.client_seq != 0;
-  const uint64_t key = DedupKey(req);
+Status Mempool::AddWithSlot(TxnRequest* req, IngestLane lane) {
+  const bool dedup = req->client_seq != 0;
+  const uint64_t key = DedupKey(*req);
   Shard& s = shard_for(key);
   if (dedup) {
     std::lock_guard<SpinLock> lk(s.dedup_mu);
     if (!s.seen.insert(key).second) {
       return Status::InvalidArgument(
-          "duplicate transaction (client " + std::to_string(req.client_id) +
-          ", seq " + std::to_string(req.client_seq) + ")");
+          "duplicate transaction (client " + std::to_string(req->client_id) +
+          ", seq " + std::to_string(req->client_seq) + ")");
     }
     if (dedup_per_shard_ != 0) {
       s.seen_fifo.push_back(key);
@@ -123,7 +103,8 @@ Status Mempool::AddWithSlot(TxnRequest req, IngestLane lane) {
   }
 
   // The deadline anchor must be read before the push moves the request away.
-  const uint64_t t = req.submit_time_us != 0 ? req.submit_time_us : NowMicros();
+  const uint64_t t =
+      req->submit_time_us != 0 ? req->submit_time_us : NowMicros();
   const size_t li = static_cast<size_t>(lane);
   // Count into the lane *before* the push: the consumer can pop a pushed
   // item instantly, and its fetch_sub must never run ahead of this
@@ -132,7 +113,7 @@ Status Mempool::AddWithSlot(TxnRequest req, IngestLane lane) {
   if (lane_size_[li].fetch_add(1, std::memory_order_relaxed) == 0) {
     lane_since_us_[li].store(t, std::memory_order_relaxed);
   }
-  if (!s.lanes[li].TryPush(req)) {
+  if (!s.lanes[li].TryPush(*req)) {
     // Ring full (pathological shard/lane skew, or a deliberately tiny
     // ring). Roll the admission back so the client may retry: un-remember
     // the dedup key. The matching seen_fifo entry stays behind — if the key

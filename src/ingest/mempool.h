@@ -51,11 +51,12 @@ struct MempoolOptions {
 /// they get here; workload generators number their own).
 ///
 /// Lane assignment: fee >= high_fee_threshold -> high lane; admission-
-/// demoted clients -> low lane (via the explicit-lane Add overload);
-/// everything else -> normal. TakeBatch drains lanes by weighted shares
-/// (MempoolOptions::lane_weights), so high-fee traffic is served first but
-/// a sustained high-lane flood cannot starve the low lane: every non-empty
-/// lane is guaranteed its weighted fraction of each batch (>= 1 slot).
+/// demoted clients -> low lane (the caller passes each request's lane to
+/// AddBatch); everything else -> normal. TakeBatch drains lanes by
+/// weighted shares (MempoolOptions::lane_weights), so high-fee traffic is
+/// served first but a sustained high-lane flood cannot starve the low lane:
+/// every non-empty lane is guaranteed its weighted fraction of each batch
+/// (>= 1 slot).
 ///
 /// CC-aborted transactions re-enter through a separate unbounded retry
 /// lane: they already passed admission once, must not be double-rejected as
@@ -64,7 +65,7 @@ struct MempoolOptions {
 /// the retry lane first, before any priority lane (clients resubmit aborted
 /// work before new work).
 ///
-/// Thread-safety: Add/AddRetry from any number of producer threads, and
+/// Thread-safety: AddBatch/AddRetry from any number of producer threads, and
 /// AddRetry from the replica's commit thread, all concurrently with one
 /// drainer. TakeBatch and oldest-age accounting assume a *single logical
 /// consumer*: concurrent TakeBatch callers must serialize externally (the
@@ -76,27 +77,21 @@ class Mempool {
   Mempool(const Mempool&) = delete;
   Mempool& operator=(const Mempool&) = delete;
 
-  /// Admits one fresh transaction into the lane its fee selects. Returns:
+  /// Enqueues fresh transactions (the only fresh-admission entry point; a
+  /// single submit is a batch of one). A *single* capacity reservation CAS
+  /// covers the whole batch, then each request runs the dedup + ring push
+  /// into its caller-chosen lane (LaneFor, or IngestLane::kLow for an
+  /// admission-demoted client). Per-request statuses:
   ///  - OK               -> enqueued;
   ///  - InvalidArgument  -> duplicate (client_id, client_seq) within the
   ///                        dedup window;
-  ///  - Busy             -> pool at capacity, or this shard-lane's ring is
+  ///  - Busy             -> capacity the batch could not reserve (the
+  ///                        trailing requests), or this shard-lane's ring is
   ///                        full (backpressure: retry later).
-  Status Add(TxnRequest req);
-
-  /// Same, but into an explicit lane — the admission controller's demotion
-  /// path (over-budget clients land in IngestLane::kLow instead of being
-  /// bounced with Busy).
-  Status Add(TxnRequest req, IngestLane lane);
-
-  /// One-pass batch enqueue (the BATCH_SUBMIT fast path): a *single*
-  /// capacity reservation CAS covers the whole batch, then each request
-  /// runs the usual dedup + ring push into its caller-chosen lane. Capacity
-  /// the batch could not reserve surfaces as Busy on the trailing requests;
-  /// per-request failures (duplicate, ring full) free their slot back to
-  /// the batch's local credit, so one rejected request cannot starve the
-  /// rest. `reqs`, `lanes`, and `statuses` are parallel arrays; returns the
-  /// number enqueued. Requests are consumed (moved from) on success.
+  /// A failed request frees its slot back to the batch's local credit, so
+  /// one rejected request cannot starve the rest. `reqs`, `lanes`, and
+  /// `statuses` are parallel arrays; returns the number enqueued. A request
+  /// is moved from only when it is enqueued.
   size_t AddBatch(std::vector<TxnRequest>* reqs,
                   const std::vector<IngestLane>& lanes,
                   std::vector<Status>* statuses);
@@ -189,8 +184,8 @@ class Mempool {
 
   /// Dedup + ring push with the capacity slot already reserved by the
   /// caller. Does NOT touch size_ — on failure the caller keeps (or
-  /// refunds) the slot.
-  Status AddWithSlot(TxnRequest req, IngestLane lane);
+  /// refunds) the slot. Moves from *req only on success.
+  Status AddWithSlot(TxnRequest* req, IngestLane lane);
 
   MempoolOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

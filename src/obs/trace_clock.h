@@ -15,7 +15,7 @@ namespace obs {
 /// completion path needs to split a receipt's latency into queue wait
 /// (admit -> lane dequeue) and commit lag (lane dequeue -> resolution).
 struct TraceClock {
-  uint64_t admit_us = 0;    ///< stamped by HarmonyBC::Submit*WithReceipt
+  uint64_t admit_us = 0;    ///< stamped by HarmonyBC's admission path
   uint64_t dequeue_us = 0;  ///< stamped by the sealer after Mempool::TakeBatch
 };
 

@@ -76,16 +76,16 @@ void Replica::RegisterProcedure(uint32_t proc_id, std::string name,
   procs_.Register(proc_id, std::move(name), std::move(fn));
 }
 
-Result<BlockId> Replica::Recover() {
+Result<BlockId> Replica::Recover(BlockHeader* tip_record) {
   const BlockId checkpointed = manifest_->Read();
-  HARMONY_RETURN_NOT_OK(ReplayFrom(checkpointed));
+  HARMONY_RETURN_NOT_OK(ReplayFrom(checkpointed, tip_record));
   // A snapshot-installed follower can be checkpointed past its (possibly
   // empty) block log — the records below the snapshot base never existed
   // here. The recovered tip is whichever is further along.
   return std::max(block_store_->last_block_id(), checkpointed);
 }
 
-Status Replica::ReplayFrom(BlockId checkpointed) {
+Status Replica::ReplayFrom(BlockId checkpointed, BlockHeader* tip_record) {
   std::vector<Block> blocks;
   HARMONY_RETURN_NOT_OK(block_store_->ReadAll(&blocks));
   // Audit the whole chain before trusting it, then fast-forward the live
@@ -102,6 +102,7 @@ Status Replica::ReplayFrom(BlockId checkpointed) {
   }
   if (!blocks.empty()) {
     verifier_->Reset(blocks.back().header.block_hash);
+    if (tip_record != nullptr) *tip_record = blocks.back().header;
   } else if (checkpointed != 0) {
     // Snapshot installed, no blocks appended since: the persisted anchor is
     // the only record of what the next block must chain from.
@@ -227,7 +228,7 @@ Status Replica::ScanState(std::vector<std::pair<Key, std::string>>* out) {
 
 Status Replica::SubmitBlock(Block block) {
   const BlockId id = block.header.block_id;
-  if (opts_.verify_blocks && !replaying_) {
+  if (!replaying_) {
     // Incremental verification against the replica's view of the chain head.
     HARMONY_RETURN_NOT_OK(verifier_->Verify(block));
   }

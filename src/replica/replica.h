@@ -52,7 +52,6 @@ struct ReplicaOptions {
 
   size_t checkpoint_every = 10;   ///< checkpoint period p, in blocks
   std::string orderer_secret = "orderer-secret";
-  bool verify_blocks = true;      ///< verify signature/hash chain on receipt
   bool persist_blocks = true;     ///< append input blocks to the logical log
   /// Codec for the block log's sealed-txn sections (per-block raw fallback
   /// when a section does not shrink). Applies to blocks this replica
@@ -99,8 +98,11 @@ class Replica {
   /// Crash recovery: loads the checkpoint manifest and deterministically
   /// re-executes every logged block after it. Call after Open() and
   /// procedure registration (and after genesis loading on first boot —
-  /// replay is a no-op then). Returns the recovered chain tip.
-  Result<BlockId> Recover();
+  /// replay is a no-op then). Returns the recovered chain tip. When the log
+  /// holds a record, `tip_record` (optional) receives the last one's header;
+  /// otherwise it is left untouched (a fresh chain, or a snapshot-installed
+  /// follower that has appended nothing since the install).
+  Result<BlockId> Recover(BlockHeader* tip_record = nullptr);
 
   /// Registers a stored procedure (smart contract). All replicas of a chain
   /// must register the same set.
@@ -164,7 +166,7 @@ class Replica {
   /// Appends the block to the log and attaches the record it stored.
   Status AppendToLog(Block* block);
   Status AfterCommit(const Block& block, const BlockResult& result);
-  Status ReplayFrom(BlockId checkpointed);
+  Status ReplayFrom(BlockId checkpointed, BlockHeader* tip_record);
   /// The chain-verifier anchor a snapshot install persists: with no block
   /// records below the snapshot base, the tip hash must survive restarts
   /// somewhere, or the next replicated block could not be chain-checked.

@@ -39,11 +39,12 @@ TEST(HarmonyBC, QuickstartFlow) {
   ASSERT_TRUE(tip.ok());
   EXPECT_EQ(*tip, 0u);
 
+  auto session = (*db)->OpenSession();
   for (int i = 0; i < 40; i++) {
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {i % 10, (i + 1) % 10, 10};
-    ASSERT_OK((*db)->Submit(std::move(t)));
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   ASSERT_OK((*db)->Sync());
   EXPECT_GE((*db)->height(), 5u);
@@ -88,11 +89,12 @@ TEST(HarmonyBC, RestartRecoversAndExtendsChain) {
     (*db)->RegisterProcedure(1, "transfer", Transfer);
     for (Key k = 0; k < 4; k++) ASSERT_OK((*db)->Load(k, Value({500})));
     ASSERT_OK((*db)->Recover().status());
+    auto session = (*db)->OpenSession();
     for (int i = 0; i < 20; i++) {
       TxnRequest t;
       t.proc_id = 1;
       t.args.ints = {i % 4, (i + 1) % 4, 5};
-      ASSERT_OK((*db)->Submit(std::move(t)));
+      ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
     }
     ASSERT_OK((*db)->Sync());
     auto d = (*db)->StateDigest();
@@ -112,10 +114,11 @@ TEST(HarmonyBC, RestartRecoversAndExtendsChain) {
     EXPECT_EQ(DigestToHex(*d), DigestToHex(before));
 
     // The chain keeps extending after recovery.
+    auto session = (*db)->OpenSession();
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {0, 1, 1};
-    ASSERT_OK((*db)->Submit(std::move(t)));
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
     ASSERT_OK((*db)->Sync());
     ASSERT_OK((*db)->AuditChain());
   }
@@ -131,11 +134,12 @@ TEST(HarmonyBC, AllProtocolsViaFacade) {
     ASSERT_TRUE(db.ok());
     (*db)->RegisterProcedure(1, "transfer", Transfer);
     for (Key k = 0; k < 6; k++) ASSERT_OK((*db)->Load(k, Value({100})));
+    auto session = (*db)->OpenSession();
     for (int i = 0; i < 24; i++) {
       TxnRequest t;
       t.proc_id = 1;
       t.args.ints = {i % 6, (i + 2) % 6, 3};
-      ASSERT_OK((*db)->Submit(std::move(t)));
+      ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
     }
     ASSERT_OK((*db)->Sync());
     int64_t total = 0;

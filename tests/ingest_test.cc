@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,16 @@ TxnRequest FeeReq(uint64_t client_id, uint64_t seq, uint64_t fee) {
   TxnRequest t = Req(client_id, seq);
   t.fee = fee;
   return t;
+}
+
+/// One request through Mempool::AddBatch, into `lane` or the one its fee
+/// selects.
+Status Add(Mempool& pool, TxnRequest req,
+           std::optional<IngestLane> lane = std::nullopt) {
+  std::vector<TxnRequest> one{req};
+  std::vector<Status> st;
+  pool.AddBatch(&one, {lane.value_or(pool.LaneFor(req))}, &st);
+  return st[0];
 }
 
 // -------------------------------------------------------------- MPSC ring --
@@ -124,24 +135,24 @@ TEST(MpscRing, EightProducersNoLossThroughTinyRing) {
 
 TEST(Mempool, RejectsDuplicateClientIdSeqPairs) {
   Mempool pool(MempoolOptions{});
-  ASSERT_OK(pool.Add(Req(7, 1)));
-  Status dup = pool.Add(Req(7, 1));
+  ASSERT_OK(Add(pool, Req(7, 1)));
+  Status dup = Add(pool, Req(7, 1));
   EXPECT_TRUE(dup.IsInvalidArgument()) << dup.ToString();
   // Same seq under a different client is a different transaction.
-  ASSERT_OK(pool.Add(Req(8, 1)));
-  ASSERT_OK(pool.Add(Req(7, 2)));
+  ASSERT_OK(Add(pool, Req(8, 1)));
+  ASSERT_OK(Add(pool, Req(7, 2)));
   EXPECT_EQ(pool.size(), 3u);
 
   // Dedup keys survive TakeBatch: a replay after sealing is still rejected.
   std::vector<TxnRequest> out;
   EXPECT_EQ(pool.TakeBatch(10, &out), 3u);
-  EXPECT_TRUE(pool.Add(Req(7, 1)).IsInvalidArgument());
+  EXPECT_TRUE(Add(pool, Req(7, 1)).IsInvalidArgument());
 }
 
 TEST(Mempool, SeqZeroBypassesDedup) {
   Mempool pool(MempoolOptions{});
-  ASSERT_OK(pool.Add(Req(0, 0)));
-  ASSERT_OK(pool.Add(Req(0, 0)));  // no identity -> no dedup
+  ASSERT_OK(Add(pool, Req(0, 0)));
+  ASSERT_OK(Add(pool, Req(0, 0)));  // no identity -> no dedup
   EXPECT_EQ(pool.size(), 2u);
 }
 
@@ -150,14 +161,14 @@ TEST(Mempool, CapacityBackpressure) {
   mo.capacity = 4;
   mo.shards = 2;
   Mempool pool(mo);
-  for (uint64_t i = 1; i <= 4; i++) ASSERT_OK(pool.Add(Req(1, i)));
-  Status full = pool.Add(Req(1, 5));
+  for (uint64_t i = 1; i <= 4; i++) ASSERT_OK(Add(pool, Req(1, i)));
+  Status full = Add(pool, Req(1, 5));
   EXPECT_TRUE(full.IsBusy()) << full.ToString();
 
   // Draining frees capacity again.
   std::vector<TxnRequest> out;
   EXPECT_EQ(pool.TakeBatch(2, &out), 2u);
-  ASSERT_OK(pool.Add(Req(1, 5)));
+  ASSERT_OK(Add(pool, Req(1, 5)));
 }
 
 TEST(Mempool, AddBatchSingleReservationAndPerTxnFailures) {
@@ -165,7 +176,7 @@ TEST(Mempool, AddBatchSingleReservationAndPerTxnFailures) {
   mo.capacity = 6;
   mo.shards = 2;
   Mempool pool(mo);
-  ASSERT_OK(pool.Add(Req(9, 99)));  // pre-occupy one slot
+  ASSERT_OK(Add(pool, Req(9, 99)));  // pre-occupy one slot
 
   // 8 requests into 5 remaining slots, one of them a duplicate: the dup
   // frees its slot back to the batch's credit, so 5 distinct requests fit
@@ -204,8 +215,8 @@ TEST(Mempool, RetryLaneDrainsFirstAndSkipsChecks) {
   MempoolOptions mo;
   mo.capacity = 2;
   Mempool pool(mo);
-  ASSERT_OK(pool.Add(Req(1, 1)));
-  ASSERT_OK(pool.Add(Req(1, 2)));
+  ASSERT_OK(Add(pool, Req(1, 1)));
+  ASSERT_OK(Add(pool, Req(1, 2)));
   // Retries ignore both the capacity bound and the dedup window.
   pool.AddRetry(Req(1, 1));
   EXPECT_EQ(pool.retry_size(), 1u);
@@ -223,11 +234,11 @@ TEST(Mempool, DedupWindowForgetsOldest) {
   mo.shards = 1;
   mo.dedup_window = 2;
   Mempool pool(mo);
-  ASSERT_OK(pool.Add(Req(1, 1)));
-  ASSERT_OK(pool.Add(Req(1, 2)));
-  ASSERT_OK(pool.Add(Req(1, 3)));  // evicts (1,1) from the window
-  EXPECT_TRUE(pool.Add(Req(1, 3)).IsInvalidArgument());
-  ASSERT_OK(pool.Add(Req(1, 1)));  // forgotten, admitted again
+  ASSERT_OK(Add(pool, Req(1, 1)));
+  ASSERT_OK(Add(pool, Req(1, 2)));
+  ASSERT_OK(Add(pool, Req(1, 3)));  // evicts (1,1) from the window
+  EXPECT_TRUE(Add(pool, Req(1, 3)).IsInvalidArgument());
+  ASSERT_OK(Add(pool, Req(1, 1)));  // forgotten, admitted again
 }
 
 TEST(Mempool, ShardRingFullIsBusyAndRollsBackDedup) {
@@ -236,15 +247,15 @@ TEST(Mempool, ShardRingFullIsBusyAndRollsBackDedup) {
   mo.ring_capacity = 4;  // tiny ring; global capacity stays huge
   Mempool pool(mo);
   EXPECT_EQ(pool.ring_capacity(), 4u);
-  for (uint64_t i = 1; i <= 4; i++) ASSERT_OK(pool.Add(Req(1, i)));
-  Status full = pool.Add(Req(1, 5));
+  for (uint64_t i = 1; i <= 4; i++) ASSERT_OK(Add(pool, Req(1, i)));
+  Status full = Add(pool, Req(1, 5));
   EXPECT_TRUE(full.IsBusy()) << full.ToString();
 
   // The failed admission must not leave (1,5) behind as a dedup key, or the
   // client's retry after backpressure would bounce as a duplicate.
   std::vector<TxnRequest> out;
   EXPECT_EQ(pool.TakeBatch(4, &out), 4u);
-  ASSERT_OK(pool.Add(Req(1, 5)));
+  ASSERT_OK(Add(pool, Req(1, 5)));
 }
 
 // ------------------------------------------------------ mempool lanes -----
@@ -253,8 +264,8 @@ TEST(Mempool, FeeSelectsLaneAndHighDrainsMostly) {
   MempoolOptions mo;
   mo.high_fee_threshold = 100;  // lane_weights default {8, 3, 1}
   Mempool pool(mo);
-  for (uint64_t i = 1; i <= 8; i++) ASSERT_OK(pool.Add(FeeReq(1, i, 0)));
-  for (uint64_t i = 1; i <= 8; i++) ASSERT_OK(pool.Add(FeeReq(2, i, 200)));
+  for (uint64_t i = 1; i <= 8; i++) ASSERT_OK(Add(pool, FeeReq(1, i, 0)));
+  for (uint64_t i = 1; i <= 8; i++) ASSERT_OK(Add(pool, FeeReq(2, i, 200)));
   EXPECT_EQ(pool.lane_size(IngestLane::kHigh), 8u);
   EXPECT_EQ(pool.lane_size(IngestLane::kNormal), 8u);
 
@@ -273,12 +284,12 @@ TEST(Mempool, LowLaneNeverStarvesUnderSustainedHighLoad) {
   MempoolOptions mo;
   mo.high_fee_threshold = 100;
   Mempool pool(mo);
-  // 10 low-lane transactions (the admission demotion path uses the explicit
-  // lane overload), then a sustained high-fee flood: every round refills
+  // 10 low-lane transactions (the admission demotion path picks the low
+  // lane explicitly), then a sustained high-fee flood: every round refills
   // the high lane to a full block before the sealer drains one block.
   constexpr uint64_t kLow = 10;
   for (uint64_t i = 1; i <= kLow; i++) {
-    ASSERT_OK(pool.Add(FeeReq(9, i, 0), IngestLane::kLow));
+    ASSERT_OK(Add(pool, FeeReq(9, i, 0), IngestLane::kLow));
   }
   EXPECT_EQ(pool.lane_size(IngestLane::kLow), kLow);
 
@@ -288,7 +299,7 @@ TEST(Mempool, LowLaneNeverStarvesUnderSustainedHighLoad) {
   while (low_taken < kLow) {
     ASSERT_LT(rounds++, 2 * kLow) << "low lane starved";
     while (pool.lane_size(IngestLane::kHigh) < 8) {
-      ASSERT_OK(pool.Add(FeeReq(1, next_high_seq++, 500)));
+      ASSERT_OK(Add(pool, FeeReq(1, next_high_seq++, 500)));
     }
     std::vector<TxnRequest> out;
     ASSERT_EQ(pool.TakeBatch(8, &out), 8u);
@@ -307,7 +318,7 @@ TEST(Mempool, RetryLaneOutranksEveryPriorityLane) {
   MempoolOptions mo;
   mo.high_fee_threshold = 100;
   Mempool pool(mo);
-  ASSERT_OK(pool.Add(FeeReq(1, 1, 500)));  // high lane
+  ASSERT_OK(Add(pool, FeeReq(1, 1, 500)));  // high lane
   pool.AddRetry(FeeReq(2, 7, 0));          // CC-aborted, fee irrelevant
   std::vector<TxnRequest> out;
   EXPECT_EQ(pool.TakeBatch(2, &out), 2u);
@@ -332,8 +343,8 @@ TEST(Mempool, EightProducersLanesConcurrentDrain) {
       for (uint64_t i = 1; i <= kPerProducer;) {
         TxnRequest t = FeeReq(p + 1, i, (i % 3 == 0) ? 200 : 0);
         Status s = (i % 5 == 0)
-                       ? pool.Add(std::move(t), IngestLane::kLow)
-                       : pool.Add(std::move(t));
+                       ? Add(pool, std::move(t), IngestLane::kLow)
+                       : Add(pool, std::move(t));
         if (s.ok()) {
           i++;
         } else {
@@ -524,22 +535,43 @@ TEST(HarmonyBCIngest, DuplicateSubmitRejected) {
   for (Key k = 0; k < 2; k++) ASSERT_OK((*db)->Load(k, Value({100})));
   ASSERT_OK((*db)->Recover().status());
 
+  auto session = (*db)->OpenSession(42);
   TxnRequest t;
   t.proc_id = 1;
-  t.client_id = 42;
   t.client_seq = 9;
   t.args.ints = {0, 1, 5};
-  ASSERT_OK((*db)->Submit(t));
-  Status dup = (*db)->Submit(t);
+  TxnTicket first = session->Submit(t);
+  ASSERT_OK(AdmitStatus(first));
+  Status dup = AdmitStatus(session->Submit(t));
   EXPECT_TRUE(dup.IsInvalidArgument()) << dup.ToString();
   EXPECT_EQ((*db)->ingest_stats().duplicates.load(), 1u);
 
   // Unregistered procedures are rejected at admission, not at execution.
   TxnRequest bad;
   bad.proc_id = 77;
-  EXPECT_TRUE((*db)->Submit(bad).IsInvalidArgument());
+  EXPECT_TRUE(AdmitStatus(session->Submit(bad)).IsInvalidArgument());
   EXPECT_EQ((*db)->ingest_stats().rejected.load(), 1u);
   ASSERT_OK((*db)->Sync());
+  EXPECT_EQ(first.Wait().outcome, ReceiptOutcome::kCommitted);
+  EXPECT_EQ((*db)->pending_receipts(), 0u);
+
+  // A replay after the original's receipt resolved: no receipt holds the
+  // key any more, so the mempool's dedup window must catch it — as a
+  // synchronous rejection, and without executing the transfer again.
+  TxnTicket replay = session->Submit(t);
+  std::optional<TxnReceipt> r = replay.TryGet();
+  ASSERT_TRUE(r.has_value()) << "a replay must resolve synchronously";
+  EXPECT_EQ(r->outcome, ReceiptOutcome::kRejected);
+  EXPECT_TRUE(r->status.IsInvalidArgument()) << r->status.ToString();
+  EXPECT_EQ(r->status.ToString().find("in flight"), std::string::npos)
+      << r->status.ToString();
+  EXPECT_EQ((*db)->ingest_stats().duplicates.load(), 2u);
+  ASSERT_OK((*db)->Sync());
+  std::optional<Value> from, to;
+  ASSERT_OK((*db)->Query(0, &from));
+  ASSERT_OK((*db)->Query(1, &to));
+  EXPECT_EQ(from->field(0), 95);
+  EXPECT_EQ(to->field(0), 105);
 }
 
 TEST(HarmonyBCIngest, MempoolBackpressureSurfacesAsBusy) {
@@ -553,12 +585,13 @@ TEST(HarmonyBCIngest, MempoolBackpressureSurfacesAsBusy) {
   ASSERT_OK((*db)->Load(0, Value({0})));
   ASSERT_OK((*db)->Recover().status());
 
+  auto session = (*db)->OpenSession();
   int busy = 0;
   for (int i = 0; i < 6; i++) {
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {0, 1};
-    Status s = (*db)->Submit(std::move(t));
+    Status s = AdmitStatus(session->Submit(std::move(t)));
     if (s.IsBusy()) busy++;
   }
   EXPECT_EQ(busy, 2);
@@ -585,11 +618,12 @@ TEST(HarmonyBCIngest, DeadlineSealsPartialBlockWithoutSync) {
   ASSERT_OK((*db)->Load(0, Value({0})));
   ASSERT_OK((*db)->Recover().status());
 
+  auto session = (*db)->OpenSession();
   for (int i = 0; i < 3; i++) {
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {0, 1};
-    ASSERT_OK((*db)->Submit(std::move(t)));
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   // The background sealer must cut a partial block on the deadline — no
   // Sync() here. Poll the committed height with a generous timeout.
@@ -620,12 +654,12 @@ TEST(HarmonyBCIngest, MultiThreadedSubmitMatchesSerialDigest) {
     for (Key k = 0; k < kKeys; k++) ASSERT_OK((*db)->Load(k, Value({0})));
     ASSERT_OK((*db)->Recover().status());
     for (int t = 0; t < kThreads; t++) {
+      auto session = (*db)->OpenSession(static_cast<uint64_t>(t + 1));
       for (int i = 0; i < kPerThread; i++) {
         TxnRequest req;
         req.proc_id = 1;
-        req.client_id = static_cast<uint64_t>(t + 1);
         req.args.ints = {(t * kPerThread + i) % kKeys, t + i + 1};
-        ASSERT_OK((*db)->Submit(std::move(req)));
+        ASSERT_OK(AdmitStatus(session->Submit(std::move(req))));
       }
     }
     ASSERT_OK((*db)->Sync());
@@ -648,14 +682,14 @@ TEST(HarmonyBCIngest, MultiThreadedSubmitMatchesSerialDigest) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; t++) {
       threads.emplace_back([&, t] {
+        auto session = (*db)->OpenSession(static_cast<uint64_t>(t + 1));
         for (int i = 0; i < kPerThread; i++) {
           TxnRequest req;
           req.proc_id = 1;
-          req.client_id = static_cast<uint64_t>(t + 1);
           req.args.ints = {(t * kPerThread + i) % kKeys, t + i + 1};
           // Busy (backpressure) would need a retry loop; the default
           // capacity is far above this volume, so any failure is a bug.
-          if (!(*db)->Submit(std::move(req)).ok()) failures++;
+          if (!AdmitStatus(session->Submit(std::move(req))).ok()) failures++;
         }
       });
     }
@@ -684,11 +718,12 @@ TEST(HarmonyBCIngest, CcAbortsRetryThroughMempool) {
   ASSERT_OK((*db)->Recover().status());
 
   // Every transfer touches account 0: heavy conflicts, guaranteed aborts.
+  auto session = (*db)->OpenSession();
   for (int i = 0; i < 32; i++) {
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {0, 1 + (i % 3), 1};
-    ASSERT_OK((*db)->Submit(std::move(t)));
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   ASSERT_OK((*db)->Sync());
   EXPECT_GT((*db)->ingest_stats().retries_enqueued.load(), 0u);
@@ -723,13 +758,15 @@ TEST(HarmonyBCIngest, LowLaneSealsUnderSustainedHighFeeFlood) {
   std::atomic<bool> stop{false};
   std::atomic<bool> flooding{true};
   std::thread flood([&] {
+    auto flooder = (*db)->OpenSession(1);
     while (!stop.load()) {
       TxnRequest t;
       t.proc_id = 1;
-      t.client_id = 1;
       t.fee = 500;
       t.args.ints = {0, 1};
-      if (!(*db)->Submit(std::move(t)).ok()) std::this_thread::yield();
+      if (!AdmitStatus(flooder->Submit(std::move(t))).ok()) {
+        std::this_thread::yield();
+      }
     }
     flooding.store(false);
   });
@@ -737,12 +774,12 @@ TEST(HarmonyBCIngest, LowLaneSealsUnderSustainedHighFeeFlood) {
   // Normal-fee (lower-lane) burst from a second client, submitted while the
   // high lane is saturated. Spin out mempool backpressure like any client.
   constexpr int kVictims = 8;
+  auto victim = (*db)->OpenSession(2);
   for (int i = 0; i < kVictims;) {
     TxnRequest t;
     t.proc_id = 1;
-    t.client_id = 2;
     t.args.ints = {1, 1};
-    Status s = (*db)->Submit(std::move(t));
+    Status s = AdmitStatus(victim->Submit(std::move(t)));
     if (s.ok()) {
       i++;
     } else {
@@ -782,12 +819,13 @@ TEST(HarmonyBCIngest, OverBudgetClientDemotedButStillCommits) {
   ASSERT_OK((*db)->Recover().status());
 
   constexpr int kTxns = 30;
+  auto session = (*db)->OpenSession(7);
   for (int i = 0; i < kTxns; i++) {
     TxnRequest t;
     t.proc_id = 1;
-    t.client_id = 7;
     t.args.ints = {0, 1};
-    ASSERT_OK((*db)->Submit(std::move(t)));  // never Busy with demotion on
+    // Never Busy with demotion on.
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   const IngestStats& st = (*db)->ingest_stats();
   EXPECT_GT(st.demoted.load(), 0u);
@@ -811,12 +849,13 @@ TEST(HarmonyBCIngest, PerLaneSealCountsAccountForEverySealedTxn) {
   for (Key k = 0; k < 4; k++) ASSERT_OK((*db)->Load(k, Value({1000})));
   ASSERT_OK((*db)->Recover().status());
 
+  auto session = (*db)->OpenSession();
   for (int i = 0; i < 24; i++) {
     TxnRequest t;
     t.proc_id = 1;
     t.fee = (i % 2 == 0) ? 500 : 0;  // half rides the high lane
     t.args.ints = {0, 1 + (i % 3), 1};
-    ASSERT_OK((*db)->Submit(std::move(t)));
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   ASSERT_OK((*db)->Sync());
 
@@ -849,11 +888,12 @@ TEST(HarmonyBCIngest, SyncBusyReportsDroppedCount) {
   for (Key k = 0; k < 4; k++) ASSERT_OK((*db)->Load(k, Value({1000})));
   ASSERT_OK((*db)->Recover().status());
 
+  auto session = (*db)->OpenSession();
   for (int i = 0; i < 16; i++) {
     TxnRequest t;
     t.proc_id = 1;
     t.args.ints = {0, 1, 1};
-    ASSERT_OK((*db)->Submit(std::move(t)));
+    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   ASSERT_OK((*db)->Sync());  // no retries pending -> still OK
   EXPECT_GT((*db)->dropped(), 0u);

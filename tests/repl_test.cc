@@ -172,7 +172,9 @@ struct FollowerNode {
       }
       loaded_ = true;
     }
-    EXPECT_TRUE(db->Recover().ok());
+    auto tip = db->Recover();
+    EXPECT_TRUE(tip.ok()) << tip.status().ToString();
+    recovered_tip = tip.ok() ? *tip : 0;
   }
 
   void Join(uint16_t leader_port, const std::string& node = "f1") {
@@ -200,6 +202,7 @@ struct FollowerNode {
   TempDir dir{"repl-follower"};
   std::unique_ptr<HarmonyBC> db;
   std::unique_ptr<repl::Follower> repl;
+  BlockId recovered_tip = 0;  ///< what the last OpenDb's Recover() returned
 
  private:
   const OptionsTweak tweak_;
@@ -701,6 +704,17 @@ TEST(Repl, SnapshotCatchUpAndRestart) {
   EXPECT_EQ(leader.replicator->snapshots_sent(), 1u);
   EXPECT_EQ(follower.repl->snapshots_installed(), 1u);
   EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
+
+  // Restart before any block lands on the snapshot: the log is empty and
+  // the checkpoint sits at the base. Recover() must return the base, not
+  // fail looking for a tip record to resume the orderer from (a follower
+  // never seals).
+  ASSERT_EQ(follower.db->replica()->block_store()->num_blocks(), 0u);
+  follower.CloseDb();
+  follower.OpenDb();
+  EXPECT_EQ(follower.recovered_tip, tip);
+  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
+  follower.Join(leader.port(), "f1-restarted");
 
   // More traffic streams normally on top of the installed snapshot.
   for (int i = 0; i < 20; i++) {

@@ -450,8 +450,9 @@ TEST(Session, RecoveryReplayDoesNotRequeueRetries) {
     (*db)->RegisterProcedure(1, "transfer", Transfer);
     for (Key k = 0; k < 4; k++) ASSERT_OK((*db)->Load(k, Value({1000})));
     ASSERT_OK((*db)->Recover().status());
+    auto session = (*db)->OpenSession();
     for (int i = 0; i < 32; i++) {
-      ASSERT_OK((*db)->Submit(TransferReq(0, 1 + (i % 3), 1)));
+      ASSERT_OK(AdmitStatus(session->Submit(TransferReq(0, 1 + (i % 3), 1))));
     }
     ASSERT_OK((*db)->Sync());
     ASSERT_GT((*db)->ingest_stats().retries_enqueued.load(), 0u);

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/session.h"
 
 namespace harmony {
 
@@ -37,6 +38,15 @@ inline std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// A submit's admission verdict: a rejection resolves its receipt
+/// synchronously, so a ticket still in flight (or already settled) was
+/// admitted.
+inline Status AdmitStatus(const TxnTicket& t) {
+  std::optional<TxnReceipt> r = t.TryGet();
+  return r && r->outcome == ReceiptOutcome::kRejected ? r->status
+                                                      : Status::OK();
 }
 
 #define ASSERT_OK(expr)                                            \

@@ -41,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -198,6 +199,9 @@ int RunChild(const std::string& dir, uint64_t wseed, uint64_t txns,
     // the snapshot path, not a plain log stream.
     if (retain == 0 && !boot_follower()) return 1;
   }
+  // One session per client id 1..4; the workload numbers client_seq itself.
+  std::unique_ptr<Session> sessions[4];
+  for (uint64_t c = 0; c < 4; c++) sessions[c] = (*db)->OpenSession(c + 1);
   Rng rng(wseed);
   for (uint64_t i = 0; i < txns; i++) {
     if (repl && retain > 0 && follower == nullptr && i == txns / 2) {
@@ -219,10 +223,12 @@ int RunChild(const std::string& dir, uint64_t wseed, uint64_t txns,
       const int64_t to = static_cast<int64_t>(rng.Uniform(kAccounts));
       t.args.ints = {from, to, rng.UniformRange(1, 50)};
     }
-    t.client_id = 1 + rng.Uniform(4);
+    Session& session = *sessions[rng.Uniform(4)];
     t.client_seq = i + 1;
-    if (Status s = (*db)->Submit(std::move(t)); !s.ok()) {
-      std::fprintf(stderr, "child submit: %s\n", s.ToString().c_str());
+    // Admission rejections resolve synchronously.
+    if (std::optional<TxnReceipt> r = session.Submit(std::move(t)).TryGet();
+        r && r->outcome == ReceiptOutcome::kRejected) {
+      std::fprintf(stderr, "child submit: %s\n", r->status.ToString().c_str());
       return 1;
     }
     if ((i + 1) % 16 == 0) {
