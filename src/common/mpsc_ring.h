@@ -1,8 +1,10 @@
 #pragma once
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <utility>
 
 namespace harmony {
@@ -17,20 +19,31 @@ namespace harmony {
 ///  - each slot carries a `seq` ticket. `seq == pos` means "free for the
 ///    producer claiming position pos"; `seq == pos + 1` means "filled, ready
 ///    for the consumer at position pos"; after the consumer empties it the
-///    slot is re-ticketed `pos + capacity` for the next lap.
+///    slot is re-ticketed `pos + capacity` for the next lap. A slot stores
+///    its ticket minus its own index, so a never-touched slot (zero bytes)
+///    reads as "free on lap 0".
 ///  - producers: `tail` is claimed with a relaxed CAS (the ticket, not the
-///    tail, orders the payload); the payload write is published by the
-///    *release* store of `seq = pos + 1`, which the consumer's *acquire*
-///    load of `seq` synchronizes with.
+///    tail, orders the payload); the payload construction is published by
+///    the *release* store of `seq = pos + 1`, which the consumer's
+///    *acquire* load of `seq` synchronizes with.
 ///  - consumer: reads the payload only after the acquire load observes
 ///    `seq == pos + 1`; the *release* store of `seq = pos + capacity` hands
 ///    the slot back, and a producer's *acquire* load of that ticket orders
-///    its payload overwrite after the consumer's move-out.
+///    its payload construction after the consumer's destruction.
+///
+/// Slots materialise on first use: the slot array is zero-filled anonymous
+/// memory, the push that fills a slot constructs its payload in place and
+/// the pop that empties it destroys it, and the destructor destroys
+/// whatever is still queued. A ring that is never pushed to costs no page
+/// faults; a busy one faults its pages in during its first lap, one write
+/// fault per page: on lap 0 neither side reads a slot before a producer
+/// has claimed it.
 ///
 /// TryPop (and Peek-style accessors, if added) must be called by one thread
 /// at a time — callers with several draining threads must serialize them
 /// externally (the sealer does so under its seal mutex). TryPush is safe
-/// from any number of threads concurrently with the consumer.
+/// from any number of threads concurrently with the consumer. Neither may
+/// race the destructor.
 ///
 /// Capacity is rounded up to a power of two. Slots are cache-line aligned
 /// so two producers filling adjacent slots never false-share, and the
@@ -42,10 +55,19 @@ class MpscRing {
     size_t cap = 1;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;
-    cells_ = std::make_unique<Cell[]>(cap);
-    for (size_t i = 0; i < cap; i++) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
+    void* mem = ::mmap(nullptr, cap * sizeof(Cell), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED) throw std::bad_alloc();
+    cells_ = static_cast<Cell*>(mem);
+  }
+
+  ~MpscRing() {
+    const uint64_t tail = tail_.load(std::memory_order_relaxed);
+    for (uint64_t pos = head_.load(std::memory_order_relaxed); pos != tail;
+         pos++) {
+      cells_[pos & mask_].payload()->~T();
     }
+    ::munmap(cells_, capacity() * sizeof(Cell));
   }
 
   MpscRing(const MpscRing&) = delete;
@@ -56,16 +78,22 @@ class MpscRing {
   bool TryPush(T& v) {
     uint64_t pos = tail_.load(std::memory_order_relaxed);
     while (true) {
-      Cell& c = cells_[pos & mask_];
-      const uint64_t seq = c.seq.load(std::memory_order_acquire);
+      const size_t idx = pos & mask_;
+      Cell& c = cells_[idx];
+      // On lap 0 the slot is free by construction and the ring cannot be
+      // full, so the claim skips the ticket read: the first touch of a
+      // fresh page is then this write, not a read that maps the shared
+      // zero page and a copy-on-write fault after it.
+      const uint64_t seq =
+          pos <= mask_ ? pos : c.seq.load(std::memory_order_acquire) + idx;
       const int64_t dif = static_cast<int64_t>(seq) - static_cast<int64_t>(pos);
       if (dif == 0) {
         // Slot is free this lap; claim it. The CAS can be relaxed: payload
         // visibility rides on the seq ticket, not on the tail counter.
         if (tail_.compare_exchange_weak(pos, pos + 1,
                                         std::memory_order_relaxed)) {
-          c.val = std::move(v);
-          c.seq.store(pos + 1, std::memory_order_release);
+          new (c.storage) T(std::move(v));
+          c.seq.store(pos + 1 - idx, std::memory_order_release);
           return true;
         }
         // CAS refreshed pos with the current tail; retry there.
@@ -82,12 +110,7 @@ class MpscRing {
     }
   }
 
-  bool TryPush(T&& v) {
-    T tmp = std::move(v);
-    if (TryPush(tmp)) return true;
-    v = std::move(tmp);  // full: hand the value back, honouring the
-    return false;        // leave-untouched retry contract above
-  }
+  bool TryPush(T&& v) { return TryPush(v); }
 
   /// Single-consumer dequeue. Returns false when empty. A slot whose
   /// producer has claimed but not yet published (CAS done, release store
@@ -95,12 +118,19 @@ class MpscRing {
   /// later, never out of order with earlier pushes by the same producer.
   bool TryPop(T* out) {
     const uint64_t pos = head_.load(std::memory_order_relaxed);
-    Cell& c = cells_[pos & mask_];
-    const uint64_t seq = c.seq.load(std::memory_order_acquire);
+    // Never read a lap-0 slot no producer has claimed: it may sit on a
+    // page nobody has touched yet (see TryPush).
+    if (pos <= mask_ && pos == tail_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    const size_t idx = pos & mask_;
+    Cell& c = cells_[idx];
+    const uint64_t seq = c.seq.load(std::memory_order_acquire) + idx;
     if (seq != pos + 1) return false;  // empty (or mid-publish)
-    *out = std::move(c.val);
-    c.val = T();  // drop payload-owned memory now, not a full lap later
-    c.seq.store(pos + mask_ + 1, std::memory_order_release);
+    T* val = c.payload();
+    *out = std::move(*val);
+    val->~T();  // drop payload-owned memory now, not a full lap later
+    c.seq.store(pos + mask_ + 1 - idx, std::memory_order_release);
     head_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
@@ -116,12 +146,16 @@ class MpscRing {
   size_t capacity() const { return mask_ + 1; }
 
  private:
+  /// Never constructed: the zero bytes of fresh anonymous memory are a
+  /// valid cell (ticket offset 0, no payload).
   struct alignas(64) Cell {
-    std::atomic<uint64_t> seq{0};
-    T val{};
+    std::atomic<uint64_t> seq;  ///< ticket minus this cell's index
+    alignas(T) unsigned char storage[sizeof(T)];
+
+    T* payload() { return std::launder(reinterpret_cast<T*>(storage)); }
   };
 
-  std::unique_ptr<Cell[]> cells_;
+  Cell* cells_ = nullptr;
   size_t mask_ = 0;
   alignas(64) std::atomic<uint64_t> tail_{0};  ///< producers CAS this
   alignas(64) std::atomic<uint64_t> head_{0};  ///< consumer-only

@@ -20,11 +20,12 @@ Mempool::Mempool(MempoolOptions opts) : opts_(opts) {
   } else {
     // 2x the uniform per-shard share, so one lane absorbing *all* traffic
     // still has ring headroom beyond the global capacity bound. Rings
-    // preallocate their slots (shards * lanes * cap cells), so the derived
-    // size is capped, and lanes that cannot carry full traffic don't pay
-    // for full rings: with fee promotion off the high lane is reachable
-    // only through an explicit lane, and the low lane is a weight-1
-    // trickle by design. A pool whose capacity outruns the cap leans on
+    // reserve their slots up front (shards * lanes * cap cells of address
+    // space, resident only once filled), so the derived size is capped,
+    // and lanes that cannot carry full traffic get small rings: with fee
+    // promotion off the high lane is reachable only through an explicit
+    // lane, and the low lane is a weight-1 trickle by design. A pool whose
+    // capacity outruns the cap leans on
     // ring-full Busy under extreme single-lane skew; callers with measured
     // needs set ring_capacity explicitly.
     const size_t base = std::clamp<size_t>(

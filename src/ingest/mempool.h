@@ -27,8 +27,8 @@ struct MempoolOptions {
   /// headroom for skewed key distributions, so the global `capacity` check,
   /// not the rings, is what normally produces Busy — and lanes that the
   /// configuration makes unreachable or trickle-only (high with fee
-  /// promotion disabled; low always, by its weight-1 role) get small rings
-  /// instead of a full preallocation (slots are allocated up front).
+  /// promotion disabled; low always, by its weight-1 role) get small rings.
+  /// Ring slots are reserved up front but materialise on first use.
   size_t ring_capacity = 0;
   /// Transactions with fee >= this ride the high-priority lane. 0 disables
   /// fee-based promotion (every fresh txn lands in the normal lane).

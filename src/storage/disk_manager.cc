@@ -110,4 +110,18 @@ Status DiskManager::Sync() {
 
 PageId DiskManager::AllocatePage() { return next_page_.fetch_add(1); }
 
+Result<PageId> DiskManager::FilePages() const {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return Status::IOError(std::strerror(errno));
+  return static_cast<PageId>(st.st_size / kPageSize);
+}
+
+Status DiskManager::Truncate(PageId pages) {
+  if (::ftruncate(fd_, static_cast<off_t>(pages) * kPageSize) != 0) {
+    return Status::IOError("truncate " + path_ + ": " + std::strerror(errno));
+  }
+  next_page_.store(pages);
+  return Status::OK();
+}
+
 }  // namespace harmony

@@ -73,6 +73,16 @@ class DiskManager {
   /// Number of pages ever allocated (== file length in pages after sync).
   PageId num_pages() const { return next_page_.load(); }
 
+  /// The file's length in whole pages. Pages reach the file only through a
+  /// checkpoint flush (the pool is no-steal), so outside a checkpoint this
+  /// is the last checkpointed image; num_pages() also counts allocations
+  /// not yet written.
+  Result<PageId> FilePages() const;
+
+  /// Cuts the file back to `pages` pages and forgets every allocation past
+  /// them (a torn checkpoint's rollback to its image).
+  Status Truncate(PageId pages);
+
   const DiskStats& stats() const { return stats_; }
   const DiskModel& model() const { return model_; }
   const std::string& path() const { return path_; }

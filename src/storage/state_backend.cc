@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "obs/events.h"
@@ -12,16 +14,28 @@
 namespace harmony {
 
 namespace {
-// Journal format v1 (legacy): magic1 | count | entries | magic1. Retired
-// eagerly at the end of Checkpoint() — which leaves a crash window against
-// an external commit record (see Checkpoint below); kept readable so a log
-// written by an older build still rolls back.
-constexpr uint64_t kJournalMagic = 0x4841524d4f4e5931ULL;  // "HARMONY1"
 // Journal format v2: magic2 | epoch | count | entries | magic2. The epoch
-// (checkpointed block id + 1, so always >= 1) ties the journal to the
-// caller's commit record; rollback happens iff the epoch never committed.
+// (checkpointed block id + 1, so always >= 1; 0 = standalone) ties the
+// journal to the caller's commit record; rollback happens iff the epoch
+// never committed. Its writer journaled every dirty page, including zero
+// pre-images for pages the file never had; kept readable so a journal left
+// by that build still rolls back.
 constexpr uint64_t kJournalMagic2 = 0x4841524d4f4e5932ULL;  // "HARMONY2"
+// Journal format v3: v2 plus the image's page count after the epoch
+// (see WriteJournal).
+constexpr uint64_t kJournalMagic3 = 0x4841524d4f4e5933ULL;  // "HARMONY3"
+// Bytes per journal entry: u64 page id, then the page image.
+constexpr off_t kJournalEntryBytes = 8 + static_cast<off_t>(kPageSize);
+
+// Writes `n` bytes at `off`; false with errno set on a failed or short
+// write (EIO for a short one).
+bool PwriteAll(int fd, const void* buf, size_t n, off_t off) {
+  const ssize_t w = ::pwrite(fd, buf, n, off);
+  if (w == static_cast<ssize_t>(n)) return true;
+  if (w >= 0) errno = EIO;
+  return false;
 }
+}  // namespace
 
 DiskBackend::DiskBackend(const std::string& dir, const std::string& name,
                          DiskModel model, size_t pool_pages,
@@ -52,95 +66,125 @@ Status DiskBackend::Erase(Key key, std::optional<std::string>* old_value) {
 }
 
 Status DiskBackend::WriteJournal(uint64_t commit_epoch) {
-  // Journal v2: magic2 | epoch | count | count * (page_id, page image) |
-  // magic2. The trailing magic commits the journal; a torn journal is
-  // ignored.
-  std::vector<PageId> dirty;
-  {
-    // The buffer pool does not expose dirty ids directly; conservatively
-    // journal the pre-image of every allocated page that differs... To keep
-    // the journal proportional to the dirty set, we reuse FlushAll's
-    // contract: pages that were written since the last checkpoint are dirty
-    // in the pool. We read their *on-disk* pre-images before FlushAll
-    // overwrites them.
-    dirty = pool_->DirtyPageIds();
-  }
+  // Journal v3: magic3 | epoch | image_pages | count | count * (page_id,
+  // page image) | magic3. image_pages is the page file's length, which
+  // outside a checkpoint is the last checkpointed image (the pool is
+  // no-steal). Only a dirty page below it has a pre-image; a page at or
+  // past it is new since the image, and rollback drops it by truncating
+  // the file back to image_pages. The trailing magic commits the journal;
+  // a torn journal is ignored.
+  const std::vector<PageId> dirty = pool_->DirtyPageIds();
   if (dirty.empty()) return Status::OK();
-  int fd = ::open(journal_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Status::IOError("open journal");
-  const uint64_t count = dirty.size();
-  ::pwrite(fd, &kJournalMagic2, 8, 0);
-  ::pwrite(fd, &commit_epoch, 8, 8);
-  ::pwrite(fd, &count, 8, 16);
-  off_t off = 24;
-  Page img;
+  Result<PageId> image_pages = disk_->FilePages();
+  HARMONY_RETURN_NOT_OK(image_pages.status());
+  std::vector<PageId> journaled;
   for (PageId pid : dirty) {
+    if (pid < *image_pages) journaled.push_back(pid);
+  }
+  int fd = ::open(journal_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::IOError("open journal " + journal_path_ + ": " +
+                           std::strerror(errno));
+  }
+  auto write_failed = [&] {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError("write journal " + journal_path_ + ": " +
+                           std::strerror(err));
+  };
+  const uint64_t header[4] = {kJournalMagic3, commit_epoch, *image_pages,
+                              journaled.size()};
+  if (!PwriteAll(fd, header, sizeof(header), 0)) return write_failed();
+  off_t off = sizeof(header);
+  Page img;
+  for (PageId pid : journaled) {
     // Pre-image straight from disk, bypassing the pool and the device
     // latency model (see DiskManager::ReadPageRaw).
-    HARMONY_RETURN_NOT_OK(disk_->ReadPageRaw(pid, &img));
-    uint64_t pid64 = pid;
-    ::pwrite(fd, &pid64, 8, off);
-    ::pwrite(fd, img.data, kPageSize, off + 8);
-    off += 8 + static_cast<off_t>(kPageSize);
+    Status st = disk_->ReadPageRaw(pid, &img);
+    if (!st.ok()) {
+      ::close(fd);
+      return st;
+    }
+    const uint64_t pid64 = pid;
+    if (!PwriteAll(fd, &pid64, 8, off) ||
+        !PwriteAll(fd, img.data, kPageSize, off + 8)) {
+      return write_failed();
+    }
+    off += kJournalEntryBytes;
   }
   // Trailing magic marks the journal complete (modelled flush; see
   // DiskManager::Sync).
-  ::pwrite(fd, &kJournalMagic2, 8, off);
-  ::close(fd);
+  if (!PwriteAll(fd, &kJournalMagic3, 8, off)) return write_failed();
+  if (::close(fd) != 0) {
+    return Status::IOError("close journal " + journal_path_ + ": " +
+                           std::strerror(errno));
+  }
   return Status::OK();
 }
 
 Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
   int fd = ::open(journal_path_.c_str(), O_RDONLY);
   if (fd < 0) return Status::OK();  // no journal, nothing to do
-  uint64_t magic = 0, epoch = 0, count = 0;
-  if (::pread(fd, &magic, 8, 0) != 8 ||
-      (magic != kJournalMagic && magic != kJournalMagic2)) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();  // torn/empty journal: previous checkpoint completed
-  }
-  const bool v2 = magic == kJournalMagic2;
-  const off_t count_off = v2 ? 16 : 8;
-  if ((v2 && ::pread(fd, &epoch, 8, 8) != 8) ||
-      ::pread(fd, &count, 8, count_off) != 8) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();
-  }
+  auto read_u64 = [fd](uint64_t* v, off_t off) {
+    return ::pread(fd, v, 8, off) == 8;
+  };
+  // A v2 journal has no image page count: it journaled every dirty page,
+  // so restoring its entries is the whole rollback.
+  uint64_t magic = 0, epoch = 0, image_pages = 0, count = 0, trailer = 0;
+  bool complete = read_u64(&magic, 0) &&
+                  (magic == kJournalMagic2 || magic == kJournalMagic3);
+  const bool v3 = magic == kJournalMagic3;
+  const off_t count_off = v3 ? 24 : 16;
   const off_t body = count_off + 8;
-  const off_t tail = body + static_cast<off_t>(count) * (8 + kPageSize);
-  uint64_t trailer = 0;
-  if (::pread(fd, &trailer, 8, tail) != 8 || trailer != magic) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();  // incomplete journal: checkpoint never started
-  }
-  // Complete journal. A v2 journal whose epoch the caller's commit record
-  // covers belongs to a *committed* checkpoint (the crash hit between the
-  // flush and the journal's lazy retirement): keep the pages, drop the
-  // journal. Only an uncommitted epoch rolls back. Legacy v1 journals have
-  // no epoch and always roll back (their writers retired them eagerly, so
-  // a surviving complete journal means an interrupted flush).
-  if (v2 && epoch <= committed_epoch) {
+  complete = complete && read_u64(&epoch, 8) &&
+             (!v3 || read_u64(&image_pages, 16)) &&
+             read_u64(&count, count_off) &&
+             count <= static_cast<uint64_t>(
+                          (std::numeric_limits<off_t>::max() - body - 8) /
+                          kJournalEntryBytes) &&
+             read_u64(&trailer,
+                      body + static_cast<off_t>(count) * kJournalEntryBytes) &&
+             trailer == magic;
+  // A torn or empty journal means its checkpoint never started flushing.
+  // Otherwise the journal is complete, and an epoch the caller's commit
+  // record covers belongs to a *committed* checkpoint (the crash hit
+  // between the flush and the journal's lazy retirement): keep the pages,
+  // drop the journal. Epoch 0 is a standalone checkpoint, which has no
+  // commit record and retires its journal as soon as the flush completes,
+  // so a complete one that survived is an interrupted flush: it rolls
+  // back like any uncommitted epoch.
+  if (!complete || (epoch != 0 && epoch <= committed_epoch)) {
     ::close(fd);
     ::unlink(journal_path_.c_str());
     return Status::OK();
+  }
+  if (image_pages > std::numeric_limits<PageId>::max()) {
+    ::close(fd);
+    return Status::Corruption("journal image page count out of range");
   }
   off_t off = body;
   Page img;
   for (uint64_t i = 0; i < count; i++) {
     uint64_t pid64 = 0;
-    if (::pread(fd, &pid64, 8, off) != 8 ||
+    if (!read_u64(&pid64, off) ||
         ::pread(fd, img.data, kPageSize, off + 8) !=
             static_cast<ssize_t>(kPageSize)) {
       ::close(fd);
       return Status::Corruption("journal body truncated");
     }
-    HARMONY_RETURN_NOT_OK(disk_->WritePage(static_cast<PageId>(pid64), img));
-    off += 8 + static_cast<off_t>(kPageSize);
+    Status st = disk_->WritePage(static_cast<PageId>(pid64), img);
+    if (!st.ok()) {
+      ::close(fd);
+      return st;
+    }
+    off += kJournalEntryBytes;
   }
   ::close(fd);
+  // Pages the torn flush appended past the image hold rows the image never
+  // had: cut them off, so neither the file nor the allocator sees them.
+  if (v3) {
+    HARMONY_RETURN_NOT_OK(disk_->Truncate(static_cast<PageId>(image_pages)));
+  }
   HARMONY_RETURN_NOT_OK(disk_->Sync());
   ::unlink(journal_path_.c_str());
   if (events_ != nullptr) {

@@ -50,7 +50,8 @@ class StateBackend {
   /// after the journal retired but before the manifest advanced would
   /// replay already-applied blocks onto the new checkpoint (double-apply).
   /// commit_epoch == 0 is standalone mode — no external commit record, the
-  /// journal retires as soon as the flush completes.
+  /// journal retires as soon as the flush completes, and a crash before
+  /// that rolls back on the next Open().
   virtual Status Checkpoint(uint64_t commit_epoch = 0) = 0;
 
   virtual size_t size() const = 0;

@@ -91,6 +91,63 @@ TEST(MpscRing, FailedRvaluePushHandsTheValueBack) {
   EXPECT_TRUE(ring.TryPush(std::move(v)));
 }
 
+// Payload that counts its constructions and destructions, so a test can see
+// exactly which slots the ring materialises.
+struct CountedPayload {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  uint64_t v = 0;
+
+  explicit CountedPayload(uint64_t x = 0) : v(x) { constructed++; }
+  CountedPayload(CountedPayload&& o) noexcept : v(o.v) { constructed++; }
+  CountedPayload& operator=(CountedPayload&& o) noexcept {
+    v = o.v;
+    return *this;
+  }
+  ~CountedPayload() { destroyed++; }
+};
+
+TEST(MpscRing, SlotsMaterialiseOnPushAndDieOnPop) {
+  CountedPayload::constructed = CountedPayload::destroyed = 0;
+  {
+    MpscRing<CountedPayload> big(1 << 20);
+    EXPECT_EQ(big.capacity(), size_t{1} << 20);
+    EXPECT_EQ(CountedPayload::constructed, 0);  // no slot built up front
+  }
+  EXPECT_EQ(CountedPayload::destroyed, 0);
+
+  CountedPayload item(0);
+  CountedPayload out;
+  CountedPayload::constructed = CountedPayload::destroyed = 0;
+  {
+    MpscRing<CountedPayload> ring(4);
+    uint64_t pushed = 0, popped = 0;
+    // Twelve pushes through the 4-slot ring (three laps), keeping two items
+    // queued across each wrap: FIFO must hold, every push builds one payload
+    // in its slot and every pop destroys one.
+    for (int lap = 0; lap < 5; lap++) {
+      for (int i = 0; i < 4; i++) {
+        if (ring.size() == ring.capacity()) break;
+        item.v = pushed++;
+        const int before = CountedPayload::constructed;
+        ASSERT_TRUE(ring.TryPush(item));
+        EXPECT_EQ(CountedPayload::constructed, before + 1);
+      }
+      while (ring.size() > 2) {
+        const int before = CountedPayload::destroyed;
+        ASSERT_TRUE(ring.TryPop(&out));
+        EXPECT_EQ(out.v, popped++);
+        EXPECT_EQ(CountedPayload::destroyed, before + 1);
+      }
+    }
+    EXPECT_EQ(pushed, 12u);
+    EXPECT_EQ(ring.size(), 2u);
+    EXPECT_EQ(CountedPayload::constructed - CountedPayload::destroyed, 2);
+  }
+  // The ring's destructor destroys exactly the two items still queued.
+  EXPECT_EQ(CountedPayload::constructed, CountedPayload::destroyed);
+}
+
 TEST(MpscRing, EightProducersNoLossThroughTinyRing) {
   // 8 producers hammer a 64-slot ring (constant wraparound + full-ring
   // backoff) while one consumer drains. Every element must arrive exactly

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -8,6 +13,7 @@
 #include "storage/kv_table.h"
 #include "storage/slotted_page.h"
 #include "storage/state_backend.h"
+#include "testing/crash_point.h"
 #include "tests/test_util.h"
 
 namespace harmony {
@@ -295,19 +301,177 @@ TEST(StateBackend, JournalRollsBackTornCheckpoint) {
     ASSERT_OK(b.Open());
     ASSERT_OK(b.Put(1, "committed", nullptr));
     ASSERT_OK(b.Checkpoint());
+    // Never checkpointed: the no-steal pool keeps it off the page file.
     ASSERT_OK(b.Put(1, "uncheckpointed", nullptr));
-    // Simulate a crash mid-checkpoint: journal written (complete), dirty
-    // pages partially flushed, no journal retirement.
-    // We emulate by writing the journal then flushing, but NOT unlinking.
-    // (Reach into the same files a real crash would leave.)
-    // Write journal equivalent: copy current on-disk page images.
   }
-  // After "crash" without checkpoint, reopen: state must be the checkpoint.
+  // Reopen without a checkpoint: state must be the checkpoint. A checkpoint
+  // torn mid-flush is the death test below.
   DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 64);
   ASSERT_OK(b.Open());
   std::string v;
   ASSERT_OK(b.Get(1, &v));
   EXPECT_EQ(v, "committed");
+}
+
+// A rollback journal that cannot take its bytes (/dev/full fails every
+// write with ENOSPC) must fail the checkpoint before any page is flushed:
+// a flush over the image with no journal behind it could not be rolled
+// back by a crash before the commit record.
+TEST(StateBackend, FailedJournalWriteFailsTheCheckpointBeforeTheFlush) {
+  TempDir dir("journal-full");
+  const std::string tbl = dir.path() + "/s.tbl";
+  DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 64);
+  ASSERT_OK(b.Open());
+  ASSERT_OK(b.Put(1, "committed", nullptr));
+  ASSERT_OK(b.Checkpoint(1));
+  const std::string image = ReadFileBytes(tbl);
+  ASSERT_EQ(image.size(), kPageSize);
+  ASSERT_OK(b.Put(1, "uncheckpointed", nullptr));
+  const std::string journal = dir.path() + "/s.journal";
+  ::unlink(journal.c_str());
+  ASSERT_EQ(::symlink("/dev/full", journal.c_str()), 0);
+  Status st = b.Checkpoint(2);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_TRUE(ReadFileBytes(tbl) == image) << "the flush overwrote the image";
+  EXPECT_EQ(b.pool()->DirtyPageIds().size(), 1u);  // still owed a flush
+}
+
+// A journal in the previous format (v2: no image page count, written by
+// builds before v3) still rolls a torn checkpoint back.
+TEST(StateBackend, V2JournalStillRollsBack) {
+  TempDir dir("journal-v2");
+  const std::string tbl = dir.path() + "/s.tbl";
+  std::string image;
+  {
+    DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 64);
+    ASSERT_OK(b.Open());
+    ASSERT_OK(b.Put(1, "committed", nullptr));
+    ASSERT_OK(b.Checkpoint());
+    image = ReadFileBytes(tbl);
+    // The torn flush: the next state reaches the page file.
+    ASSERT_OK(b.Put(1, "torn", nullptr));
+    ASSERT_OK(b.pool()->FlushAll());
+  }
+  ASSERT_EQ(image.size(), kPageSize);
+  // v2: magic2 | epoch | count | (page id, pre-image) | magic2.
+  const uint64_t kMagic2 = 0x4841524d4f4e5932ULL;  // "HARMONY2"
+  std::string journal;
+  auto put64 = [&journal](uint64_t v) {
+    journal.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put64(kMagic2);
+  put64(/*epoch=*/5);
+  put64(/*count=*/1);
+  put64(/*page id=*/0);
+  journal += image;
+  put64(kMagic2);
+  {
+    std::ofstream out(dir.path() + "/s.journal", std::ios::binary);
+    out << journal;
+  }
+  DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 64);
+  ASSERT_OK(b.Open(/*committed_epoch=*/4));
+  std::string v;
+  ASSERT_OK(b.Get(1, &v));
+  EXPECT_EQ(v, "committed");
+  EXPECT_TRUE(ReadFileBytes(tbl) == image);
+}
+
+constexpr Key kImageRows = 30;
+constexpr Key kAppendedRows = 60;
+
+std::string RowValue(Key k, char tag) {
+  return std::string(1, tag) + std::string(199, static_cast<char>('a' + k % 26));
+}
+
+DiskBackend TornTestBackend(const std::string& dir) {
+  // One flush thread: the torn flush writes pages in a fixed order.
+  return DiskBackend(dir, "s", DiskModel::RamDisk(), 64,
+                     BufferPool::kDefaultStripes, 1);
+}
+
+// Child half of the torn-checkpoint test: rewrites every row of the image
+// and appends pages of new rows, then checkpoints with the flush armed to
+// SIGKILL the process after all but one dirty page is written. Returns only
+// on a failure (the kill never returns).
+Status RunTornCheckpoint(const std::string& dir) {
+  DiskBackend b = TornTestBackend(dir);
+  HARMONY_RETURN_NOT_OK(b.Open());
+  for (Key k = 0; k < kImageRows; k++) {
+    HARMONY_RETURN_NOT_OK(b.Put(k, RowValue(k, 'N'), nullptr));
+  }
+  for (Key k = 0; k < kAppendedRows; k++) {
+    HARMONY_RETURN_NOT_OK(b.Put(1000 + k, RowValue(k, 'A'), nullptr));
+  }
+  const size_t dirty = b.pool()->DirtyPageIds().size();
+  if (dirty < 4) return Status::InvalidArgument("too few dirty pages");
+  testing::ArmCrashPointForTest("storage.flush.mid", dirty - 1, nullptr);
+  HARMONY_RETURN_NOT_OK(b.Checkpoint());
+  return Status::Aborted("checkpoint survived the armed crash point");
+}
+
+// A checkpoint killed mid-flush must roll back to its image exactly: the
+// rewritten pages get their pre-images back, and the pages the flush
+// appended are cut off the file and out of the allocator. The child shares
+// the parent's temp dir, so this needs gtest's default ("fast", fork-only)
+// death-test style.
+TEST(StateBackendDeathTest, TornCheckpointRollsBackToTheImage) {
+  TempDir dir("journal-torn");
+  const std::string tbl = dir.path() + "/s.tbl";
+  {
+    DiskBackend b = TornTestBackend(dir.path());
+    ASSERT_OK(b.Open());
+    for (Key k = 0; k < kImageRows; k++) {
+      ASSERT_OK(b.Put(k, RowValue(k, 'I'), nullptr));
+    }
+    ASSERT_OK(b.Checkpoint());
+    ASSERT_EQ(b.disk()->num_pages(), 2u);
+  }
+  const std::string image = ReadFileBytes(tbl);
+  ASSERT_EQ(image.size(), 2 * kPageSize);
+
+  EXPECT_EXIT(
+      {
+        Status st = RunTornCheckpoint(dir.path());
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+        std::_Exit(1);
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+
+  // The tear is real: an image page was overwritten and the file grew.
+  const std::string torn = ReadFileBytes(tbl);
+  ASSERT_GT(torn.size(), image.size());
+  EXPECT_FALSE(torn.compare(0, image.size(), image) == 0);
+
+  {
+    DiskBackend b = TornTestBackend(dir.path());
+    ASSERT_OK(b.Open());
+    const std::string rolled_back = ReadFileBytes(tbl);
+    EXPECT_EQ(rolled_back.size(), image.size());
+    EXPECT_TRUE(rolled_back == image) << "the image's pages were not restored";
+    EXPECT_EQ(b.disk()->num_pages(), 2u);
+    EXPECT_EQ(b.size(), kImageRows);
+    std::string v;
+    Key not_image = 0;
+    for (Key k = 0; k < kImageRows; k++) {
+      ASSERT_OK(b.Get(k, &v));
+      if (v != RowValue(k, 'I')) not_image++;
+    }
+    EXPECT_EQ(not_image, 0u) << "rows holding the torn checkpoint's values";
+    EXPECT_TRUE(b.Get(1000, &v).IsNotFound());
+    // The rolled-back backend keeps working: a new row checkpoints and
+    // survives a reopen.
+    ASSERT_OK(b.Put(7000, "after", nullptr));
+    ASSERT_OK(b.Checkpoint());
+  }
+  DiskBackend b = TornTestBackend(dir.path());
+  ASSERT_OK(b.Open());
+  std::string v;
+  ASSERT_OK(b.Get(7000, &v));
+  EXPECT_EQ(v, "after");
+  ASSERT_OK(b.Get(0, &v));
+  EXPECT_EQ(v, RowValue(0, 'I'));
+  EXPECT_EQ(b.size(), kImageRows + 1);
 }
 
 }  // namespace

@@ -61,6 +61,7 @@
 #include <thread>
 #include <vector>
 
+#include "chain/block_store.h"
 #include "core/harmonybc.h"
 #include "obs/events.h"
 #include "net/client.h"
@@ -239,10 +240,13 @@ int Serve(const Args& args) {
     return 1;
   }
   // Genesis loads only on first boot: a restart recovers state from its own
-  // checkpoint + log, and re-loading would clobber the evolved rows.
-  std::error_code empty_ec;
+  // checkpoint + log, and re-loading would clobber the evolved rows. A boot
+  // is first until its genesis checkpoint commits a manifest: one that died
+  // before then left files but no manifest, and its torn genesis
+  // checkpoint rolls back on open, so genesis must load again.
   const bool first_boot =
-      args.in_memory || std::filesystem::is_empty(args.dir, empty_ec);
+      args.in_memory ||
+      !CheckpointManifest(args.dir + "/replica.ckpt").Exists();
 
   HarmonyBC::Options o;
   o.dir = args.dir;
@@ -276,7 +280,10 @@ int Serve(const Args& args) {
   // replaces these rows wholesale.
   if (first_boot) {
     for (uint64_t k = 0; k < args.accounts; k++) {
-      (void)(*db)->Load(k, Value({args.balance}));
+      if (Status s = (*db)->Load(k, Value({args.balance})); !s.ok()) {
+        std::fprintf(stderr, "genesis: %s\n", s.ToString().c_str());
+        return 1;
+      }
     }
   }
   auto tip = (*db)->Recover();
