@@ -1,12 +1,10 @@
 // Helpers for benches that spawn a real multi-process HarmonyBC cluster:
 // fork/exec `harmonyd serve` nodes (leader + --join followers,
 // docs/REPLICATION.md), parse their serve banner for the ephemeral port,
-// poll chain height over HEALTH frames, and collect the `state_digest=`
-// shutdown fingerprint the nodes print for cross-node comparison.
+// and reap them.
 //
-// Used by bench/net_bench.cc (--replicas) and bench/fig15_16_replicas.cc
-// (--wire). Everything is bench-grade: failures print and exit rather than
-// propagate Status.
+// Used by bench/fig15_16_replicas.cc (--wire). Everything is bench-grade:
+// failures print and exit rather than propagate Status.
 #pragma once
 
 #include <fcntl.h>
@@ -22,13 +20,11 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "net/client.h"
 
 namespace harmony {
 namespace bench {
 
-/// One spawned `harmonyd serve` process. `port`/`pid` are rewritten when a
-/// killed follower is respawned, so concurrent readers must synchronise.
+/// One spawned `harmonyd serve` process.
 struct NodeProc {
   std::string name;
   std::string dir;
@@ -53,9 +49,7 @@ inline std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// fork/exec `harmonyd serve` with stdout+stderr appended to n->log (append,
-/// so a respawn keeps the earlier boot's lines for post-mortems; readers
-/// track a byte offset to only see the current boot).
+/// fork/exec `harmonyd serve` with stdout+stderr appended to n->log.
 inline void SpawnNode(const std::string& harmonyd, NodeProc* n) {
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -86,28 +80,21 @@ inline void SpawnNode(const std::string& harmonyd, NodeProc* n) {
 }
 
 /// Waits for the node's "harmonyd: serving ... on HOST:PORT (..." banner
-/// past `from_off` (content written by *this* boot) and returns the port.
-inline uint16_t WaitForServePort(const NodeProc& n, size_t from_off,
-                                 double timeout_s) {
+/// and returns the port.
+inline uint16_t WaitForServePort(const NodeProc& n, double timeout_s) {
   Timer t;
   while (t.ElapsedSeconds() < timeout_s) {
-    const std::string all = ReadFile(n.log);
-    if (all.size() > from_off) {
-      const std::string tail = all.substr(from_off);
-      const size_t line = tail.rfind("harmonyd: serving ");
-      if (line != std::string::npos) {
-        const size_t eol = tail.find('\n', line);
-        if (eol != std::string::npos) {
-          // Last ':' in the banner line precedes the port.
-          const std::string banner = tail.substr(line, eol - line);
-          const size_t colon = banner.rfind(':');
-          if (colon != std::string::npos) {
-            const int port = std::atoi(banner.c_str() + colon + 1);
-            if (port > 0 && port <= 65535) {
-              return static_cast<uint16_t>(port);
-            }
-          }
-        }
+    const std::string log = ReadFile(n.log);
+    const size_t line = log.rfind("harmonyd: serving ");
+    const size_t eol =
+        line == std::string::npos ? line : log.find('\n', line);
+    if (eol != std::string::npos) {
+      // Last ':' in the banner line precedes the port.
+      const std::string banner = log.substr(line, eol - line);
+      const size_t colon = banner.rfind(':');
+      if (colon != std::string::npos) {
+        const int port = std::atoi(banner.c_str() + colon + 1);
+        if (port > 0 && port <= 65535) return static_cast<uint16_t>(port);
       }
     }
     ::usleep(20'000);
@@ -132,26 +119,6 @@ inline int WaitExit(pid_t pid, double timeout_s) {
   ::kill(pid, SIGKILL);
   ::waitpid(pid, &st, 0);
   return -1;
-}
-
-/// Last `state_digest=...` line a node printed (its shutdown fingerprint).
-inline std::string LastDigestLine(const std::string& log) {
-  const std::string all = ReadFile(log);
-  const size_t pos = all.rfind("state_digest=");
-  if (pos == std::string::npos) return "";
-  const size_t eol = all.find('\n', pos);
-  return all.substr(pos, eol == std::string::npos ? std::string::npos
-                                                  : eol - pos);
-}
-
-/// One HEALTH round-trip; 0 on connect/timeout failure (node down).
-inline uint64_t NodeHeight(uint16_t port) {
-  net::NetClientOptions co;
-  co.port = port;
-  auto client = net::NetClient::Connect(co);
-  if (!client.ok()) return 0;
-  auto health = (*client)->Health(/*timeout_us=*/2'000'000);
-  return health.ok() ? health->height : 0;
 }
 
 }  // namespace bench

@@ -73,8 +73,8 @@ struct WireLoadResult {
   double p50_ms = 0;  ///< submit -> committed receipt (bucket estimate)
 };
 
-/// Open-loop blind increments against the leader, same shape as
-/// net_bench's wire driver (coalesced BATCH_SUBMITs, bounded window).
+/// Open-loop blind increments against the leader: coalesced BATCH_SUBMITs
+/// under a bounded per-connection window.
 WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
                            size_t window) {
   WireLoadResult res;
@@ -161,7 +161,7 @@ int RunWireFigure(const std::string& harmonyd_flag) {
     nodes[0].log = root + "/leader.log";
     nodes[0].role_flags = {"--leader", std::to_string(n), "--quorum-ack"};
     SpawnNode(harmonyd, &nodes[0]);
-    nodes[0].port = WaitForServePort(nodes[0], 0, 15.0);
+    nodes[0].port = WaitForServePort(nodes[0], 15.0);
     const std::string leader_addr =
         "127.0.0.1:" + std::to_string(nodes[0].port);
     for (uint32_t i = 1; i < n; i++) {
@@ -170,7 +170,7 @@ int RunWireFigure(const std::string& harmonyd_flag) {
       nodes[i].log = root + "/" + nodes[i].name + ".log";
       nodes[i].role_flags = {"--join", leader_addr, "--node", nodes[i].name};
       SpawnNode(harmonyd, &nodes[i]);
-      nodes[i].port = WaitForServePort(nodes[i], 0, 15.0);
+      nodes[i].port = WaitForServePort(nodes[i], 15.0);
     }
 
     const WireLoadResult r =
@@ -212,7 +212,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; i++) {
     if (!std::strcmp(argv[i], "--wire")) wire = true;
     else if (!std::strcmp(argv[i], "--harmonyd") && i + 1 < argc) harmonyd_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--json-out") && i + 1 < argc) SetJsonOut(argv[++i]);
     else { std::fprintf(stderr, "unknown flag %s\n", argv[i]); return 2; }
   }
   if (wire) return RunWireFigure(harmonyd_path);

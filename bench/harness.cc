@@ -18,77 +18,6 @@
 namespace harmony {
 namespace bench {
 
-namespace {
-
-/// Mirror of the printed tables, flushed as JSON at exit when a path was
-/// set (SetJsonOut / HARMONY_BENCH_JSON). Tables are recorded whether or
-/// not a path is set yet, so a --json-out parsed after the first header
-/// still captures everything.
-struct JsonTable {
-  std::string title;
-  std::vector<std::string> cols;
-  std::vector<std::vector<std::string>> rows;
-};
-
-struct JsonRecorder {
-  std::mutex mu;
-  std::string path;
-  bool atexit_armed = false;
-  std::vector<JsonTable> tables;
-};
-
-JsonRecorder& Recorder() {
-  static JsonRecorder* r = new JsonRecorder();  // never destroyed: atexit use
-  return *r;
-}
-
-void FlushJson() {
-  JsonRecorder& r = Recorder();
-  std::lock_guard<std::mutex> lk(r.mu);
-  if (r.path.empty()) return;
-  std::string out = "{\"schema\":1,\"scale\":" + Fmt(Scale(), 3);
-  out += ",\"tables\":[";
-  for (size_t t = 0; t < r.tables.size(); t++) {
-    const JsonTable& tab = r.tables[t];
-    if (t > 0) out += ",";
-    out += "{\"title\":\"" + obs::JsonEscape(tab.title) + "\",\"cols\":[";
-    for (size_t c = 0; c < tab.cols.size(); c++) {
-      if (c > 0) out += ",";
-      out += "\"" + obs::JsonEscape(tab.cols[c]) + "\"";
-    }
-    out += "],\"rows\":[";
-    for (size_t i = 0; i < tab.rows.size(); i++) {
-      if (i > 0) out += ",";
-      out += "[";
-      for (size_t c = 0; c < tab.rows[i].size(); c++) {
-        if (c > 0) out += ",";
-        out += "\"" + obs::JsonEscape(tab.rows[i][c]) + "\"";
-      }
-      out += "]";
-    }
-    out += "]}";
-  }
-  out += "]}\n";
-  if (FILE* f = std::fopen(r.path.c_str(), "w")) {
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "bench: cannot write %s\n", r.path.c_str());
-  }
-}
-
-void MaybeAdoptEnvJsonPath() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    if (const char* p = std::getenv("HARMONY_BENCH_JSON");
-        p != nullptr && *p != '\0') {
-      SetJsonOut(p);
-    }
-  });
-}
-
-}  // namespace
-
 double Scale() {
   const char* s = std::getenv("HARMONY_BENCH_SCALE");
   if (s == nullptr) return 1.0;
@@ -311,9 +240,8 @@ Result<RunReport> RunPoint(
 }
 
 namespace {
-// Cells pad to 14 columns; a cell that is already that wide (long stage
-// names) still gets a two-space separator instead of running into the
-// next column.
+// Cells pad to 14 columns; a cell that is already that wide still gets a
+// two-space separator instead of running into the next column.
 void PrintCell(const std::string& c) {
   if (c.size() >= 14) {
     std::printf("%s  ", c.c_str());
@@ -325,12 +253,6 @@ void PrintCell(const std::string& c) {
 
 void PrintHeader(const std::string& title,
                  const std::vector<std::string>& cols) {
-  MaybeAdoptEnvJsonPath();
-  {
-    JsonRecorder& r = Recorder();
-    std::lock_guard<std::mutex> lk(r.mu);
-    r.tables.push_back({title, cols, {}});
-  }
   std::printf("\n=== %s ===\n", title.c_str());
   for (const auto& c : cols) PrintCell(c);
   std::printf("\n");
@@ -340,34 +262,9 @@ void PrintHeader(const std::string& title,
 }
 
 void PrintRow(const std::vector<std::string>& cells) {
-  {
-    JsonRecorder& r = Recorder();
-    std::lock_guard<std::mutex> lk(r.mu);
-    if (!r.tables.empty()) r.tables.back().rows.push_back(cells);
-  }
   for (const auto& c : cells) PrintCell(c);
   std::printf("\n");
   std::fflush(stdout);
-}
-
-void SetJsonOut(const std::string& path) {
-  JsonRecorder& r = Recorder();
-  std::lock_guard<std::mutex> lk(r.mu);
-  r.path = path;
-  if (!r.atexit_armed) {
-    r.atexit_armed = true;
-    std::atexit(FlushJson);
-  }
-}
-
-void PrintStageTable(const obs::MetricsSnapshot& snap) {
-  PrintHeader("per-stage latency (us)",
-              {"stage", "count", "p50", "p99", "max"});
-  for (const auto& h : snap.histograms) {
-    if (h.count == 0) continue;
-    PrintRow({h.name, std::to_string(h.count), Fmt(h.Percentile(50), 0),
-              Fmt(h.Percentile(99), 0), std::to_string(h.max)});
-  }
 }
 
 std::string Fmt(double v, int prec) {

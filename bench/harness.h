@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "consensus/orderer.h"
-#include "obs/metrics.h"
 #include "workload/workload.h"
 
 namespace harmony {
@@ -90,22 +89,10 @@ Result<RunReport> RunPoint(const BenchParams& params,
                            const std::function<std::unique_ptr<Workload>()>&
                                make_workload);
 
-/// Formatted output helpers (every bench prints paper-style series). Every
-/// table also lands in an in-memory recorder; SetJsonOut (or the
-/// HARMONY_BENCH_JSON env var) flushes the recorder to a machine-readable
-/// BENCH_*.json file at process exit — schema in docs/OBSERVABILITY.md:
-///   {"schema": 1, "scale": S, "tables": [{"title", "cols", "rows"}, ...]}
+/// Formatted output helpers (every bench prints paper-style series).
 void PrintHeader(const std::string& title, const std::vector<std::string>& cols);
 void PrintRow(const std::vector<std::string>& cells);
 std::string Fmt(double v, int prec = 1);
-
-/// Routes a JSON copy of every table printed by this process to `path`,
-/// written once at exit (tables printed before the call are included too).
-void SetJsonOut(const std::string& path);
-
-/// Prints the per-stage latency breakdown table (one row per non-empty
-/// histogram in the snapshot: count / p50 / p99 / max in microseconds).
-void PrintStageTable(const obs::MetricsSnapshot& snap);
 
 }  // namespace bench
 }  // namespace harmony

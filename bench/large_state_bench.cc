@@ -237,8 +237,6 @@ int main(int argc, char** argv) {
       accounts = std::strtoul(next(i), nullptr, 10);
     else if (!std::strcmp(argv[i], "--txns"))
       txns = std::strtoul(next(i), nullptr, 10);
-    else if (!std::strcmp(argv[i], "--json-out"))
-      SetJsonOut(next(i));
     else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;

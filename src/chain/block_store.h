@@ -191,8 +191,8 @@ class BlockStore {
     return append_offset_;
   }
 
-  // --- compression accounting (relaxed, monotonic; bench/ingest_bench.cc
-  // reports compressed-vs-raw bytes per block from these) ---------------
+  // --- compression accounting (relaxed, monotonic; harmonybench reports
+  // chain.log_bytes_per_txn and chain.compress_ratio from these) ---------
   /// The appended blocks' txns measured in the canonical fixed-width
   /// BlockCodec::EncodeTxn layout (not the varint section), summed over
   /// every Append on this handle. A fixed base: disk/raw is the whole

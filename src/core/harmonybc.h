@@ -125,9 +125,10 @@ class HarmonyBC {
     /// Txn-lifecycle tracing (docs/OBSERVABILITY.md): per-stage latency
     /// histograms (queue wait, seal, execute, commit, commit lag, resolve)
     /// plus a slowest-N txn ring, all readable via CollectMetrics(). Off by
-    /// default; <2% ingest throughput overhead when on (see
-    /// bench/ingest_bench.cc). The metrics registry itself always exists —
-    /// this only gates the per-txn clock reads and histogram records.
+    /// default; the overhead budget when on is <2% of closed-loop
+    /// throughput (harmonybench's trace.overhead_pct). The metrics registry
+    /// itself always exists — this only gates the per-txn clock reads and
+    /// histogram records.
     bool enable_tracing = false;
   };
 

@@ -29,6 +29,9 @@ class HarmonyProtocol : public DccProtocol {
   bool supports_inter_block() const override {
     return cfg_.harmony_inter_block;
   }
+  bool carries_state_across_blocks() const override {
+    return cfg_.harmony_inter_block;
+  }
 
   Status Simulate(const TxnBatch& batch) override;
   Status Commit(const TxnBatch& batch, BlockResult* result) override;

@@ -28,8 +28,7 @@ Status DccProtocol::SimulateBatch(const TxnBatch& batch, BlockId snapshot,
   const size_t n = batch.size();
   out->records.assign(n, SimRecord{});
   if (register_reservations) {
-    out->reservations =
-        std::make_unique<ReservationTable>(cfg_.reservation_shards);
+    out->reservations = std::make_unique<ReservationTable>();
   }
 
   std::atomic<bool> failed{false};

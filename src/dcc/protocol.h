@@ -31,8 +31,6 @@ std::string_view DccKindName(DccKind k);
 /// Tuning/ablation switches. Defaults reproduce each protocol as evaluated
 /// in the paper; the harmony_* flags drive the Figure 20 ablation.
 struct DccConfig {
-  size_t reservation_shards = 64;
-
   /// Build the per-block rw-subgraph and count CC aborts that are not part
   /// of any rw-cycle (Figure 13). Costs an extra SCC pass per block.
   bool enable_false_abort_oracle = false;
@@ -119,6 +117,19 @@ class DccProtocol {
 
   /// Whether Simulate(i) may run concurrently with Commit(i-1).
   virtual bool supports_inter_block() const { return false; }
+
+  /// Whether executing block i+1 depends on more than the committed state
+  /// at block i: reads of older snapshots or inter-block dependencies.
+  virtual bool carries_state_across_blocks() const { return false; }
+
+  /// Whether the committed state at `block` alone decides how every later
+  /// block executes, so that a state snapshot taken there is exact. A
+  /// protocol that carries state across blocks reaches that point only at a
+  /// checkpoint barrier.
+  bool IsExactSnapshotBase(BlockId block) const {
+    return !carries_state_across_blocks() ||
+           (cfg_.barrier_every != 0 && block % cfg_.barrier_every == 0);
+  }
 
   virtual Status Simulate(const TxnBatch& batch) = 0;
   virtual Status Commit(const TxnBatch& batch, BlockResult* result) = 0;

@@ -14,6 +14,9 @@ class SovProtocolBase : public DccProtocol {
   using DccProtocol::DccProtocol;
 
   Status Simulate(const TxnBatch& batch) override;
+  bool carries_state_across_blocks() const override {
+    return cfg_.sov_endorsement_lag > 0;
+  }
 
  protected:
   /// Applies a committed transaction's endorsed write values at `block`.

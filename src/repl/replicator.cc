@@ -1,6 +1,7 @@
 #include "repl/replicator.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "chain/block.h"
 #include "common/clock.h"
@@ -11,10 +12,15 @@
 namespace harmony {
 namespace repl {
 
+namespace {
+/// Per-peer in-flight bound: blocks sent but not yet acked.
+constexpr size_t kSendWindow = 64;
+}  // namespace
+
 Replicator::Replicator(HarmonyBC* db, ReplicatorOptions opts)
     : db_(db),
       opts_(opts),
-      log_(db->replica()->block_store(), opts.log_window) {
+      log_(db->replica()->block_store()) {
   obs::MetricsRegistry* reg = db_->metrics();
   g_peers_connected_ = reg->GetGauge(obs::kGaugePeersConnected);
   c_snapshots_sent_ = reg->GetCounter(obs::kCounterSnapshotsSent);
@@ -40,7 +46,8 @@ void Replicator::Detach() {
 
 void Replicator::AddPeer(const std::string& node, BlockId peer_tip,
                          SendFn send) {
-  bool want_snapshot = false;
+  uint64_t gen;
+  bool want_snapshot;
   {
     std::lock_guard<std::mutex> lk(mu_);
     Peer& p = peers_[node];
@@ -69,45 +76,51 @@ void Replicator::AddPeer(const std::string& node, BlockId peer_tip,
     want_snapshot =
         (peer_tip == 0 && log_.tip() > opts_.snapshot_after) ||
         (first > 1 && peer_tip + 1 < first);
+    gen = p.join_gen = ++last_join_gen_;
+    // Hold the stream until the snapshot is sent or given up; otherwise the
+    // commit hook would stream the peer from its tip in the meantime.
+    p.awaiting_snapshot = want_snapshot;
   }
   db_->events()->Emit(obs::EventSeverity::kInfo,
                       obs::EventCode::kFollowerJoin,
                       node + " @ tip " + std::to_string(peer_tip));
-  if (want_snapshot) {
-    net::WireSnapshot snap;
-    if (BuildSnapshot(&snap).ok()) {
-      std::string payload;
-      net::EncodeSnapshot(snap, &payload);
-      if (payload.size() <= net::kMaxFramePayload) {
-        bool sent = false;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          auto it = peers_.find(node);
-          // The peer may have dropped (or re-joined at a new tip) while the
-          // snapshot was building; only a peer that has not been streamed
-          // anything since its join gets it.
-          if (it != peers_.end() && it->second.sent == peer_tip &&
-              snap.base_block > peer_tip &&
-              it->second.send(net::Opcode::kOpReplSnapshot, payload)) {
-            it->second.sent = snap.base_block;
-            ResetContextLocked(it->second);
-            snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
-            c_snapshots_sent_->Add(1);
-            sent = true;
-          }
-        }
-        if (sent) {
-          db_->events()->Emit(
-              obs::EventSeverity::kInfo, obs::EventCode::kSnapshotSent,
-              node + " @ base " + std::to_string(snap.base_block));
-        }
-      }
-      // Oversized snapshot: fall through, the log tail covers it.
-    }
+  net::WireSnapshot snap;
+  std::string payload;
+  // A failed build or an oversized payload gives the snapshot up: the log
+  // tail covers the peer instead.
+  bool have_snapshot = false;
+  if (want_snapshot && BuildSnapshot(&snap).ok() &&
+      snap.base_block > peer_tip) {
+    net::EncodeSnapshot(snap, &payload);
+    have_snapshot = payload.size() <= net::kMaxFramePayload;
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = peers_.find(node);
-  if (it != peers_.end()) PumpLocked(it->second);
+  bool sent = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = peers_.find(node);
+    // The peer may have dropped, or re-joined and so belong to a newer
+    // AddPeer, while the snapshot was building.
+    if (it == peers_.end() || it->second.join_gen != gen) return;
+    Peer& p = it->second;
+    p.awaiting_snapshot = false;
+    if (have_snapshot && p.send) {
+      if (p.send(net::Opcode::kOpReplSnapshot, payload)) {
+        p.sent = snap.base_block;
+        ResetContextLocked(p);
+        snapshots_sent_.fetch_add(1, std::memory_order_relaxed);
+        c_snapshots_sent_->Add(1);
+        sent = true;
+      } else {
+        p.send = nullptr;  // connection gone; RemovePeer follows from close
+      }
+    }
+    PumpLocked(p);
+  }
+  if (sent) {
+    db_->events()->Emit(obs::EventSeverity::kInfo,
+                        obs::EventCode::kSnapshotSent,
+                        node + " @ base " + std::to_string(snap.base_block));
+  }
 }
 
 void Replicator::RemovePeer(const std::string& node) {
@@ -160,6 +173,7 @@ void Replicator::OnAck(const std::string& node, BlockId acked) {
 void Replicator::OnCommitted(const Block& b) {
   HARMONY_CRASH_POINT("repl.leader.before_fanout");
   log_.Append(b);
+  MaybeCaptureSnapshot(b);
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& [node, p] : peers_) PumpLocked(p);
 }
@@ -216,7 +230,7 @@ void Replicator::AbortPeerLocked(Peer& p, const std::string& why) {
 }
 
 void Replicator::PumpLocked(Peer& p) {
-  if (!p.send) return;
+  if (!p.send || p.awaiting_snapshot) return;
   const testing::NetFaultPlan* plan =
       fault_plan_.load(std::memory_order_acquire);
   if (plan != nullptr && plan->Partitioned(/*leader=*/0, p.node_id)) return;
@@ -243,8 +257,8 @@ void Replicator::PumpLocked(Peer& p) {
     p.context_from = 0;
   }
   const BlockId tip = log_.tip();
-  while (p.sent < tip && p.sent - p.acked < opts_.send_window) {
-    const size_t room = opts_.send_window - (p.sent - p.acked);
+  while (p.sent < tip && p.sent - p.acked < kSendWindow) {
+    const size_t room = kSendWindow - (p.sent - p.acked);
     std::vector<std::pair<BlockId, std::string>> batch;
     // Store reads under mu_ stall fan-out, not commits' durability — the
     // commit thread only enters here after the block is locally durable.
@@ -311,10 +325,19 @@ Status Replicator::BuildSnapshot(net::WireSnapshot* out) {
   // (a commit in flight during the scan finishes inside the second Drain
   // and bumps the tip, which we would see). Bounded retries; a leader too
   // busy to hold still just streams the log tail instead.
+  bool idle_at_tip = false;
   for (int attempt = 0; attempt < 5; attempt++) {
     HARMONY_RETURN_NOT_OK(rep->Drain());
     const BlockId before = rep->last_committed();
     if (before == 0) return Status::NotFound("nothing to snapshot");
+    if (!idle_at_tip && !rep->protocol()->IsExactSnapshotBase(before)) {
+      // The follower could not execute the next block exactly from this
+      // state. Take the next exact base if blocks keep coming.
+      Status s = AwaitCapturedSnapshot(out);
+      if (!s.IsBusy()) return s;
+      idle_at_tip = true;
+      continue;
+    }
     out->rows.clear();
     HARMONY_RETURN_NOT_OK(rep->ScanState(&out->rows));
     HARMONY_RETURN_NOT_OK(rep->Drain());
@@ -331,6 +354,55 @@ Status Replicator::BuildSnapshot(net::WireSnapshot* out) {
     return Status::OK();
   }
   return Status::Busy("leader too busy for a stable snapshot");
+}
+
+Status Replicator::AwaitCapturedSnapshot(net::WireSnapshot* out) {
+  Replica* rep = db_->replica();
+  std::unique_lock<std::mutex> lk(capture_mu_);
+  const uint64_t gen = capture_gen_;
+  capture_waiters_.fetch_add(1, std::memory_order_acq_rel);
+  bool captured = false;
+  BlockId seen = rep->last_committed();
+  // Wait while the leader keeps committing; a slice without a commit means
+  // it went idle short of an exact base.
+  for (int slice = 0; slice < 50 && !captured; slice++) {
+    captured = capture_cv_.wait_for(lk, std::chrono::milliseconds(200),
+                                    [&] { return capture_gen_ != gen; });
+    const BlockId now = rep->last_committed();
+    if (now == seen) break;
+    seen = now;
+  }
+  capture_waiters_.fetch_sub(1, std::memory_order_acq_rel);
+  if (!captured) {
+    return Status::Busy("leader idle short of an exact snapshot base");
+  }
+  HARMONY_RETURN_NOT_OK(capture_status_);
+  *out = captured_;
+  out->leader_tip = log_.tip();
+  return Status::OK();
+}
+
+void Replicator::MaybeCaptureSnapshot(const Block& b) {
+  if (capture_waiters_.load(std::memory_order_acquire) == 0) return;
+  Replica* rep = db_->replica();
+  const BlockId id = b.header.block_id;
+  if (!rep->protocol()->IsExactSnapshotBase(id)) return;
+  // Commits run one at a time on this thread, so the backend holds exactly
+  // the state at `id` until this returns.
+  net::WireSnapshot snap;
+  Status s = rep->ScanState(&snap.rows);
+  if (s.ok() && snap.rows.size() > net::kMaxSnapshotRows) {
+    s = Status::NotSupported("state too large for a snapshot frame");
+  }
+  snap.base_block = id;
+  snap.tip_hash = b.header.block_hash;
+  {
+    std::lock_guard<std::mutex> lk(capture_mu_);
+    capture_status_ = s;
+    captured_ = std::move(snap);
+    capture_gen_++;
+  }
+  capture_cv_.notify_all();
 }
 
 }  // namespace repl

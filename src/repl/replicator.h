@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,10 +34,6 @@ struct ReplicatorOptions {
   /// Total voting nodes, leader included; quorum = cluster_size / 2 + 1.
   size_t cluster_size = 1;
   Durability durability = Durability::kLeaderOnly;
-  /// Per-peer in-flight bound: blocks sent but not yet acked.
-  size_t send_window = 64;
-  /// In-memory pre-encoded payload window (ReplicationLog).
-  size_t log_window = 256;
   /// A fresh follower (tip 0) joining more than this many blocks behind is
   /// offered a state snapshot instead of the whole block log.
   uint64_t snapshot_after = 64;
@@ -124,6 +121,11 @@ class Replicator {
     /// session-start records, from a safe cut through `sent`, that later
     /// REPLICATE records may reference.
     BlockId context_from = 0;
+    /// Which AddPeer call owns the peer (unique per join, never reused).
+    uint64_t join_gen = 0;
+    /// Set while that AddPeer builds the peer's snapshot: PumpLocked sends
+    /// nothing, so the stream cannot start from the peer's tip first.
+    bool awaiting_snapshot = false;
     SendFn send;
     /// Per-peer instruments (docs/OBSERVABILITY.md), resolved once at
     /// AddPeer — registry names are "<base>.<node>".
@@ -151,9 +153,19 @@ class Replicator {
   /// Recomputes the watermark from peer acks and moves due gated closures
   /// into `due` (id order). Requires mu_.
   void AdvanceWatermarkLocked(std::vector<std::function<void()>>* due);
-  /// Builds a stable state snapshot (drain / scan / drain; bounded
-  /// retries). Any non-OK means "stream the log tail instead".
+  /// Builds a state snapshot at an exact base
+  /// (DccProtocol::IsExactSnapshotBase): the drained tip when it is one,
+  /// else the next one the commit thread captures while blocks keep
+  /// coming. An idle leader stopped short of one is snapshotted at its tip.
+  /// Any non-OK means "stream the log tail instead".
   Status BuildSnapshot(net::WireSnapshot* out);
+  /// Waits for MaybeCaptureSnapshot while the leader keeps committing.
+  /// Busy once a wait slice passes without a commit (idle leader).
+  Status AwaitCapturedSnapshot(net::WireSnapshot* out);
+  /// Scans the state at committed block `b` for waiting BuildSnapshot
+  /// calls when `b` is an exact base. Commit thread only, after `b`'s
+  /// writes and before the next block's.
+  void MaybeCaptureSnapshot(const Block& b);
 
   HarmonyBC* db_;
   const ReplicatorOptions opts_;
@@ -169,8 +181,17 @@ class Replicator {
   mutable std::mutex mu_;
   std::map<std::string, Peer> peers_;
   NodeId next_node_id_ = 1;
+  uint64_t last_join_gen_ = 0;
   BlockId quorum_wm_ = 0;
   std::map<BlockId, std::vector<std::function<void()>>> pending_;
+
+  /// Snapshots captured on the commit thread (MaybeCaptureSnapshot).
+  std::mutex capture_mu_;
+  std::condition_variable capture_cv_;
+  std::atomic<size_t> capture_waiters_{0};
+  uint64_t capture_gen_ = 0;  ///< bumped per capture; guarded by capture_mu_
+  Status capture_status_;
+  net::WireSnapshot captured_;
 };
 
 }  // namespace repl

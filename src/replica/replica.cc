@@ -27,6 +27,13 @@ Status Replica::Open() {
   // Checkpoint barriers and the checkpoint period must agree (see
   // DccConfig::barrier_every).
   opts_.dcc_cfg.barrier_every = opts_.checkpoint_every;
+  // The memory engine's checkpoint is a no-op, so its whole log is its only
+  // durable state: retention would cut the records recovery replays.
+  if (opts_.in_memory && opts_.log_retain_blocks > 0) {
+    return Status::InvalidArgument(
+        "log_retain_blocks needs the disk engine: an in-memory replica "
+        "recovers by replaying its whole log");
+  }
 
   // The manifest is read before storage opens: its block id is the proof of
   // which checkpoint epoch committed, which decides whether a surviving
@@ -77,6 +84,19 @@ void Replica::RegisterProcedure(uint32_t proc_id, std::string name,
 }
 
 Result<BlockId> Replica::Recover(BlockHeader* tip_record) {
+  if (opts_.in_memory) {
+    // The reloaded genesis plus the whole log is the state, unless a
+    // snapshot install re-based the log: the rows below its base lived only
+    // in memory.
+    Digest anchor{};
+    if (block_store_->first_block_id() > 1 || ReadAnchor(&anchor)) {
+      return Status::NotSupported(
+          "in-memory replica: a snapshot install re-based its block log, so "
+          "the rows below the snapshot base cannot be rebuilt from genesis");
+    }
+    HARMONY_RETURN_NOT_OK(ReplayFrom(0, tip_record));
+    return block_store_->last_block_id();
+  }
   const BlockId checkpointed = manifest_->Read();
   HARMONY_RETURN_NOT_OK(ReplayFrom(checkpointed, tip_record));
   // A snapshot-installed follower can be checkpointed past its (possibly
@@ -215,6 +235,8 @@ Status Replica::InstallSnapshot(
   }
   // Make the installed state durable under a manifest at `base`: a restart
   // then replays only blocks after the snapshot, exactly like a checkpoint.
+  // The memory engine cannot, so its Recover refuses a re-based log.
+  if (opts_.in_memory) return Status::OK();
   HARMONY_RETURN_NOT_OK(backend_->Checkpoint(base + 1));
   return manifest_->Write(base);
 }
@@ -373,7 +395,10 @@ Status Replica::AppendToLog(Block* block) {
 
 Status Replica::AfterCommit(const Block& block, const BlockResult& result) {
   const BlockId id = block.header.block_id;
-  if (opts_.checkpoint_every != 0 && id % opts_.checkpoint_every == 0) {
+  // A memory-engine checkpoint saves nothing, so it must not write a
+  // manifest: recovery would skip blocks whose effects were never saved.
+  if (!opts_.in_memory && opts_.checkpoint_every != 0 &&
+      id % opts_.checkpoint_every == 0) {
     // Epoch id+1 keeps the journal alive until the manifest write below
     // lands; a crash between the two rolls the flush back instead of
     // leaving state@id under a manifest that says an older block — which
@@ -436,6 +461,7 @@ Result<Digest> Replica::StateDigest() {
 
 Status Replica::Checkpoint() {
   HARMONY_RETURN_NOT_OK(Drain());
+  if (opts_.in_memory) return Status::OK();  // see AfterCommit
   const BlockId id = last_committed();
   HARMONY_RETURN_NOT_OK(backend_->Checkpoint(id + 1));
   return manifest_->Write(id);

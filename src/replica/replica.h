@@ -29,7 +29,10 @@ struct ReplicaOptions {
   DccKind dcc = DccKind::kHarmony;
   DccConfig dcc_cfg;
 
-  bool in_memory = false;         ///< Section 5.8 memory engine
+  /// Section 5.8 memory engine. Its checkpoint saves nothing, so it writes
+  /// no manifest and recovery replays the whole log over the genesis rows
+  /// the caller reloads.
+  bool in_memory = false;
   DiskModel disk = DiskModel::Ssd();
   size_t pool_pages = 4096;       ///< buffer pool capacity (16 MiB default)
   /// Buffer-pool stripes (page table / latch shards; small pools collapse
@@ -44,7 +47,8 @@ struct ReplicaOptions {
   /// B - log_retain_blocks + 1 (BlockStore::TruncateBefore), bounding disk
   /// usage at O(retention + checkpoint period) instead of O(chain).
   /// Minimum effective retention is 1 block (recovery anchors the chain
-  /// audit at the first retained record). 0 disables truncation.
+  /// audit at the first retained record). 0 disables truncation. Disk
+  /// engine only: Open() rejects it with in_memory.
   uint64_t log_retain_blocks = 0;
   /// Copy truncated records to <name>.chain.archive before dropping them
   /// (tooling/torture ground truth; production leaves this off).
@@ -101,7 +105,9 @@ class Replica {
   /// replay is a no-op then). Returns the recovered chain tip. When the log
   /// holds a record, `tip_record` (optional) receives the last one's header;
   /// otherwise it is left untouched (a fresh chain, or a snapshot-installed
-  /// follower that has appended nothing since the install).
+  /// follower that has appended nothing since the install). An in-memory
+  /// replica reloads genesis on every boot and replays the whole log;
+  /// NotSupported once a snapshot install re-based that log.
   Result<BlockId> Recover(BlockHeader* tip_record = nullptr);
 
   /// Registers a stored procedure (smart contract). All replicas of a chain
@@ -145,7 +151,8 @@ class Replica {
   /// SHA-256 over the sorted latest state — the replica-consistency check.
   Result<Digest> StateDigest();
 
-  /// Forces a checkpoint now (flush + manifest).
+  /// Forces a checkpoint now (flush + manifest). On the memory engine it
+  /// only drains.
   Status Checkpoint();
 
   /// Reads the whole chain back and verifies hashes + signatures.

@@ -124,6 +124,62 @@ TEST(HarmonyBC, RestartRecoversAndExtendsChain) {
   }
 }
 
+// The memory engine's checkpoint saves nothing, so a restarted in-memory
+// node must rebuild its state from the reloaded genesis plus the whole log,
+// including the blocks at and below its checkpoint barriers.
+TEST(HarmonyBC, InMemoryRestartReplaysWholeLog) {
+  TempDir dir("bc-mem-restart");
+  HarmonyBC::Options o = FastOpts(dir.path());
+  o.in_memory = true;
+  auto load = [](HarmonyBC* db) {
+    db->RegisterProcedure(1, "transfer", Transfer);
+    for (Key k = 0; k < 8; k++) ASSERT_OK(db->Load(k, Value({1000})));
+  };
+  Digest before;
+  BlockId height = 0;
+  {
+    auto db = HarmonyBC::Open(o);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    load(db->get());
+    ASSERT_OK((*db)->Recover().status());
+    auto session = (*db)->OpenSession();
+    for (int i = 0; (*db)->height() < 12; i++) {
+      TxnRequest t;
+      t.proc_id = 1;
+      t.args.ints = {i % 8, (i + 3) % 8, 1 + i % 5};
+      ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
+      if (i % 8 == 7) ASSERT_OK((*db)->Sync());
+    }
+    ASSERT_OK((*db)->Sync());
+    height = (*db)->height();
+    auto d = (*db)->StateDigest();
+    ASSERT_TRUE(d.ok());
+    before = *d;
+  }
+  ASSERT_GE(height, 12u);  // three checkpoint barriers at checkpoint_every 4
+  auto db = HarmonyBC::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  load(db->get());
+  auto tip = (*db)->Recover();
+  ASSERT_TRUE(tip.ok()) << tip.status().ToString();
+  EXPECT_EQ(*tip, height);
+  EXPECT_EQ((*db)->height(), height);
+  auto d = (*db)->StateDigest();
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(DigestToHex(*d), DigestToHex(before));
+}
+
+// Retention would cut the log an in-memory node recovers from.
+TEST(HarmonyBC, InMemoryRejectsLogRetention) {
+  TempDir dir("bc-mem-retain");
+  HarmonyBC::Options o = FastOpts(dir.path());
+  o.in_memory = true;
+  o.log_retain_blocks = 8;
+  auto db = HarmonyBC::Open(o);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
+}
+
 TEST(HarmonyBC, AllProtocolsViaFacade) {
   for (DccKind kind : {DccKind::kHarmony, DccKind::kAria, DccKind::kRbc,
                        DccKind::kFabric, DccKind::kFastFabric}) {

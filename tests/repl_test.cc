@@ -803,10 +803,9 @@ size_t RecordsWithRefs(HarmonyBC* db) {
 //
 // Harmony runs without inter-block pipelining here: with it, the block
 // after a snapshot base reads the leader's snapshot of base - 1 and the
-// base's reservations, which a row snapshot does not carry, so a join at a
-// base that is not a checkpoint barrier can diverge under contention
-// whatever the log format (ROADMAP, "Snapshot joins off a checkpoint
-// barrier").
+// base's reservations, which a row snapshot does not carry, so a busy
+// leader snapshots only at a checkpoint barrier and the base could not fall
+// inside an interval (see SnapshotJoinUnderLoadWithPipeliningLandsOnABarrier).
 TEST(Repl, SnapshotJoinMidIntervalUnderContention) {
   constexpr size_t kInterval = 1000;
   const OptionsTweak mid_interval = [](HarmonyBC::Options* o) {
@@ -870,6 +869,37 @@ TEST(Repl, SnapshotJoinMidIntervalUnderContention) {
            follower.db->height() >= tip2;
   }));
   EXPECT_EQ(follower.repl->snapshots_installed(), 0u);  // a new session
+  EXPECT_OK(follower.db->AuditChain());
+  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
+  follower.StopRepl();
+}
+
+// With inter-block pipelining on, the block after a snapshot base reads the
+// leader's snapshot of base - 1 and the base's reservations, which a row
+// snapshot does not carry, unless the base is a checkpoint barrier. A join
+// while blocks keep committing must therefore land on a barrier, and the
+// follower must then match the leader.
+TEST(Repl, SnapshotJoinUnderLoadWithPipeliningLandsOnABarrier) {
+  LeaderNode leader(2, repl::Durability::kLeaderOnly, /*snapshot_after=*/4);
+  ContendedLoad load(leader.db.get());
+  ASSERT_TRUE(WaitUntil([&] { return leader.db->height() > 8; }));
+  FollowerNode follower;
+  follower.Join(leader.port());
+  ASSERT_TRUE(
+      WaitUntil([&] { return follower.repl->snapshots_installed() == 1; }));
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() > leader.db->height() / 2 + 8;
+  }));
+  load.Stop();
+  ASSERT_OK(leader.db->Sync());
+  const BlockId tip = leader.db->height();
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() >= tip && follower.db->height() >= tip;
+  }));
+  const BlockId base =
+      follower.db->replica()->block_store()->first_block_id() - 1;
+  EXPECT_GT(base, 0u);
+  EXPECT_EQ(base % FastOpts("").checkpoint_every, 0u) << base;
   EXPECT_OK(follower.db->AuditChain());
   EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
   follower.StopRepl();
@@ -1138,8 +1168,8 @@ TEST(ReplObs, LagGaugeConvergesToZeroAfterCatchUp) {
   // Build a real backlog before anyone is listening, then watch the
   // leader's per-peer gauges drain as the follower catches up: the lag
   // gauge must converge to exactly 0 and the ack watermark to the tip —
-  // these are the numbers `harmonyd cluster-status` and net_bench
-  // --replicas scrape, so "0 means caught up" is a contract, not a vibe.
+  // these are the numbers `harmonyd cluster-status` scrapes, so "0 means
+  // caught up" is a contract, not a vibe.
   LeaderNode leader(2, repl::Durability::kLeaderOnly);
   auto session = leader.db->OpenSession();
   for (int i = 0; i < 60; i++) {

@@ -188,6 +188,50 @@ TEST(Replica, RecoveryIsIdempotent) {
   }
 }
 
+// An in-memory replica recovers by replaying its whole log over the genesis
+// rows it reloads. After a snapshot install the rows below the snapshot
+// base lived only in memory, so Recover must refuse, not replay the tail
+// onto genesis.
+TEST(Replica, InMemoryRestartAfterSnapshotInstallIsRefused) {
+  TempDir dir("rep-mem-snap");
+  ReplicaOptions ro = FastOptions(dir.path(), DccKind::kHarmony);
+  ro.in_memory = true;
+  KafkaOrderer ord("orderer-secret", NetworkModel{});
+  Digest base_hash{};
+  for (int b = 0; b < 5; b++) {
+    base_hash = NextBlock(ord, {Incr(1, 1)}).header.block_hash;
+  }
+  {
+    Replica r(ro);
+    ASSERT_OK(r.Open());
+    RegisterCounterProc(r);
+    ASSERT_OK(r.InstallSnapshot(5, base_hash, {{1, Value({5}).Encode()}}));
+    for (int b = 0; b < 3; b++) {
+      ASSERT_OK(r.SubmitBlock(NextBlock(ord, {Incr(1, 1)})));
+    }
+    ASSERT_OK(r.Drain());
+    std::optional<Value> v;
+    ASSERT_OK(r.Query(1, &v));
+    ASSERT_EQ(v->field(0), 8);
+  }
+  // Either trace of the install refuses: the log's first record past block
+  // 1, or (with nothing appended yet) the persisted chain anchor alone.
+  for (bool with_log : {true, false}) {
+    SCOPED_TRACE(with_log);
+    if (!with_log) {
+      ASSERT_EQ(std::remove((dir.path() + "/replica.chain").c_str()), 0);
+    }
+    Replica r(ro);
+    ASSERT_OK(r.Open());
+    RegisterCounterProc(r);
+    ASSERT_OK(r.LoadRow(1, Value({0})));  // genesis
+    auto tip = r.Recover();
+    ASSERT_FALSE(tip.ok());
+    EXPECT_TRUE(tip.status().IsNotSupported()) << tip.status().ToString();
+    EXPECT_NE(tip.status().ToString().find("snapshot"), std::string::npos);
+  }
+}
+
 Status Unset(TxnContext&, const ProcArgs&) {
   return Status::InvalidArgument("procedure not installed by Workload::Setup");
 }
