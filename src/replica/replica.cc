@@ -74,8 +74,8 @@ Status Replica::Open() {
   return Status::OK();
 }
 
-Status Replica::LoadRow(Key key, const Value& v) {
-  return backend_->Put(key, v.Encode(), nullptr);
+Status Replica::LoadRow(Key key, std::string_view encoded) {
+  return backend_->Load(key, encoded);
 }
 
 void Replica::RegisterProcedure(uint32_t proc_id, std::string name,
@@ -218,7 +218,7 @@ Status Replica::InstallSnapshot(
   // simulation may still need.
   store_->Clear();
   for (const auto& [k, v] : rows) {
-    HARMONY_RETURN_NOT_OK(backend_->Put(k, v, nullptr));
+    HARMONY_RETURN_NOT_OK(backend_->Load(k, v));
   }
   if (block_store_->last_block_id() < base && block_store_->num_blocks() > 0) {
     // Rejoin path: local records at or below `base` describe a history the

@@ -96,8 +96,13 @@ class Replica {
   /// "block 0"). Must precede any SubmitBlock. Call Checkpoint() after the
   /// last LoadRow to make genesis durable — recovery replays blocks on top
   /// of the latest checkpoint, so an uncheckpointed genesis is lost by a
-  /// crash before the first periodic checkpoint.
-  Status LoadRow(Key key, const Value& v);
+  /// crash before the first periodic checkpoint. On the disk engine rows
+  /// append through the backend's load cursor (StateBackend::Load), which
+  /// keeps the heap's tail page pinned until the next checkpoint releases
+  /// it. `encoded` is a Value::Encode() image: a caller loading many alike
+  /// rows encodes once and patches fields in place.
+  Status LoadRow(Key key, std::string_view encoded);
+  Status LoadRow(Key key, const Value& v) { return LoadRow(key, v.Encode()); }
 
   /// Crash recovery: loads the checkpoint manifest and deterministically
   /// re-executes every logged block after it. Call after Open() and

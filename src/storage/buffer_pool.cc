@@ -95,7 +95,9 @@ size_t BufferPool::PickVictimLocked(Stripe& s) {
   }
   // CLOCK sweep over clean, unpinned, non-loading frames. Two full sweeps:
   // the first clears reference bits, the second takes the first candidate.
-  const size_t n = s.frames.size();
+  // A stripe whose every frame is dirty has none, so it skips the sweep
+  // (a bulk load would otherwise sweep the whole stripe per new page).
+  const size_t n = s.dirty_frames < s.frames.size() ? s.frames.size() : 0;
   for (size_t step = 0; step < 2 * n; step++) {
     Frame& f = *s.frames[s.clock_hand];
     const size_t idx = s.clock_hand;
@@ -172,6 +174,7 @@ Result<PageGuard> BufferPool::NewPage(PageId page_id) {
   f.pin_count = 1;
   f.loading = false;
   f.dirty = true;  // a new page must reach disk eventually
+  s.dirty_frames++;  // victims are clean
   f.dirty_gen++;
   f.referenced = true;
   f.page.Zero();
@@ -191,6 +194,7 @@ Status BufferPool::FlushAll() {
   struct Item {
     Stripe* stripe;
     Frame* frame;
+    PageId page_id;
     uint64_t gen;
   };
   std::vector<Item> dirty;
@@ -198,19 +202,29 @@ Status BufferPool::FlushAll() {
     std::lock_guard<std::mutex> lk(sp->mu);
     for (Frame* f : sp->frames) {
       if (f->page_id != kInvalidPageId && f->dirty) {
-        dirty.push_back(Item{sp.get(), f, f->dirty_gen});
+        dirty.push_back(Item{sp.get(), f, f->page_id, f->dirty_gen});
       }
     }
   }
+  // Page order turns the dirty set into runs of consecutive pages, each
+  // one write call.
+  std::sort(dirty.begin(), dirty.end(), [](const Item& a, const Item& b) {
+    return a.page_id < b.page_id;
+  });
 
   Status first_error;
   std::mutex err_mu;
   auto flush_range = [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; i++) {
-      Stripe& s = *dirty[i].stripe;
-      Frame& f = *dirty[i].frame;
-      Status st = disk_->WritePage(f.page_id, f.page);
-      // Between any two page write-backs the on-disk image mixes two
+    std::vector<const Page*> run;
+    for (size_t i = lo; i < hi;) {
+      size_t end = i + 1;
+      while (end < hi && dirty[end].page_id == dirty[end - 1].page_id + 1) {
+        end++;
+      }
+      run.clear();
+      for (size_t j = i; j < end; j++) run.push_back(&dirty[j].frame->page);
+      Status st = disk_->WritePages(dirty[i].page_id, run.data(), run.size());
+      // Between any two write calls the on-disk image mixes two
       // checkpoints — the window the rollback journal exists for.
       HARMONY_CRASH_POINT("storage.flush.mid");
       if (!st.ok()) {
@@ -218,8 +232,15 @@ Status BufferPool::FlushAll() {
         if (first_error.ok()) first_error = st;
         return;
       }
-      std::lock_guard<std::mutex> lk(s.mu);
-      if (f.dirty_gen == dirty[i].gen) f.dirty = false;
+      for (; i < end; i++) {
+        Stripe& s = *dirty[i].stripe;
+        Frame& f = *dirty[i].frame;
+        std::lock_guard<std::mutex> lk(s.mu);
+        if (f.dirty_gen == dirty[i].gen) {
+          f.dirty = false;
+          s.dirty_frames--;
+        }
+      }
     }
   };
 
@@ -276,8 +297,10 @@ void BufferPool::Unpin(size_t stripe, size_t frame) {
 void BufferPool::MarkDirtyFrame(size_t stripe, size_t frame) {
   Stripe& s = *stripes_[stripe];
   std::lock_guard<std::mutex> lk(s.mu);
-  s.frames[frame]->dirty = true;
-  s.frames[frame]->dirty_gen++;
+  Frame& f = *s.frames[frame];
+  if (!f.dirty) s.dirty_frames++;
+  f.dirty = true;
+  f.dirty_gen++;
 }
 
 }  // namespace harmony

@@ -68,9 +68,12 @@ struct BufferPoolStats {
 /// the last checkpoint — the precondition for deterministic logical-log
 /// replay (Section 4, "Recovery"). FlushAll() shrinks the stripes back.
 ///
-/// FlushAll() is a parallel group flush: the dirty set is partitioned across
-/// `flush_threads` writers over the DiskManager, turning the checkpoint
-/// stall from O(dirty) serial writes into O(dirty / flush_threads).
+/// FlushAll() is a parallel group flush: the dirty set, sorted by page id,
+/// is split into `flush_threads` contiguous ranges, and each writer writes
+/// every run of consecutive pages in its range with one
+/// DiskManager::WritePages call. The checkpoint stall falls from O(dirty)
+/// serial writes to O(dirty / flush_threads) modelled page writes, and a
+/// freshly appended heap costs a few syscalls instead of one per page.
 class BufferPool {
  public:
   static constexpr size_t kDefaultStripes = 8;
@@ -135,6 +138,9 @@ class BufferPool {
     std::unordered_map<PageId, size_t> page_table;
     size_t clock_hand = 0;
     size_t capacity = 0;
+    /// Frames with `dirty` set. When it equals frames.size(), no-steal
+    /// leaves no victim, so PickVictimLocked grows without sweeping.
+    size_t dirty_frames = 0;
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> dirty_evictions{0};

@@ -2,10 +2,14 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <vector>
 
 #include "common/clock.h"
 #include "testing/fault.h"
@@ -76,25 +80,52 @@ Status DiskManager::ReadPageRaw(PageId page_id, Page* out) {
 }
 
 Status DiskManager::WritePage(PageId page_id, const Page& page) {
-  IoSlot slot(this);
-  const off_t off = static_cast<off_t>(page_id) * kPageSize;
-  if (model_.fault != nullptr) {
-    size_t persist = 0;
-    Status s = model_.fault->OnWrite(kPageSize, &persist);
-    if (!s.ok()) {
-      // A short-write fault persists a prefix of the page before failing,
-      // modelling power-loss-like torn sectors for the journal to repair.
-      if (persist > 0) (void)::pwrite(fd_, page.data, persist, off);
-      return s;
+  const Page* p = &page;
+  return WritePages(page_id, &p, 1);
+}
+
+Status DiskManager::WritePages(PageId first, const Page* const* pages,
+                               size_t n) {
+  // Admit the pages one at a time, as n single-page writes would be; the
+  // first fault stops the run, and a short-write fault still persists a
+  // prefix of its page, modelling power-loss-like torn sectors for the
+  // journal to repair.
+  Status st;
+  size_t whole = 0;
+  size_t prefix = 0;
+  for (; whole < n; whole++) {
+    IoSlot slot(this);
+    if (model_.fault != nullptr) {
+      st = model_.fault->OnWrite(kPageSize, &prefix);
+      if (!st.ok()) break;
     }
+    SimulateDelayMicros(model_.write_latency_us);
   }
-  SimulateDelayMicros(model_.write_latency_us);
-  ssize_t n = ::pwrite(fd_, page.data, kPageSize, off);
-  if (n != static_cast<ssize_t>(kPageSize)) {
-    return Status::IOError(std::strerror(errno));
+  if (st.ok()) prefix = 0;
+  const size_t total = whole * kPageSize + prefix;
+  const off_t base = static_cast<off_t>(first) * kPageSize;
+  std::vector<iovec> iov;
+  iov.reserve(std::min<size_t>(whole + 1, IOV_MAX));
+  for (size_t done = 0; done < total;) {
+    iov.clear();
+    for (size_t at = done; at < total && iov.size() < IOV_MAX;) {
+      const size_t in_page = at % kPageSize;
+      const size_t len = std::min(kPageSize - in_page, total - at);
+      iov.push_back(iovec{const_cast<char*>(pages[at / kPageSize]->data) +
+                              in_page,
+                          len});
+      at += len;
+    }
+    const ssize_t w = ::pwritev(fd_, iov.data(), static_cast<int>(iov.size()),
+                                base + static_cast<off_t>(done));
+    if (w <= 0) {
+      return st.ok() ? Status::IOError(std::strerror(w < 0 ? errno : EIO))
+                     : st;
+    }
+    done += static_cast<size_t>(w);
   }
-  stats_.page_writes.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  stats_.page_writes.fetch_add(whole, std::memory_order_relaxed);
+  return st;
 }
 
 Status DiskManager::Sync() {

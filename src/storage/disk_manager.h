@@ -59,6 +59,14 @@ class DiskManager {
 
   Status ReadPage(PageId page_id, Page* out);
   Status WritePage(PageId page_id, const Page& page);
+  /// Writes `n` consecutive pages starting at `first` (pages[i] goes to
+  /// page first + i) with pwritev, in chunks of IOV_MAX. Each page still
+  /// takes its own queue slot, device-latency charge and fault-injector
+  /// consultation, so the modelled cost and fault semantics equal n
+  /// WritePage calls: a fault at page k persists pages [0, k) (plus the
+  /// prefix of page k on a short write) and returns the error.
+  /// `page_writes` counts the whole pages written.
+  Status WritePages(PageId first, const Page* const* pages, size_t n);
   Status Sync();
 
   /// Reads a page without charging device latency or occupying a queue

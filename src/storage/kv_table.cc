@@ -1,5 +1,6 @@
 #include "storage/kv_table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace harmony {
@@ -11,7 +12,9 @@ Status KvTable::RebuildIndex() {
   std::unique_lock<std::shared_mutex> ilk(index_mu_);
   index_.clear();
   std::lock_guard<std::mutex> alk(alloc_mu_);
+  ReleaseLoadCursorLocked();
   free_pages_.clear();
+  older_free_max_ = kPageSize;  // unknown until the next full scan
   const PageId n = disk_->num_pages();
   for (PageId p = 0; p < n; p++) {
     auto guard = pool_->FetchPage(p);
@@ -45,24 +48,45 @@ Status KvTable::Get(Key key, std::string* out) {
   return Status::OK();
 }
 
-Result<Rid> KvTable::InsertRecord(Key key, std::string_view value) {
+Result<Rid> KvTable::InsertRecord(Key key, std::string_view value,
+                                  bool load) {
   const size_t need = slotted::kRecordHeader + value.size() + slotted::kSlotSize;
   std::lock_guard<std::mutex> alk(alloc_mu_);
-  // Try recently allocated pages first (they have the most room).
-  for (size_t attempt = 0; attempt < free_pages_.size(); attempt++) {
-    auto& [pid, free_est] = free_pages_[free_pages_.size() - 1 - attempt];
-    if (free_est < need) continue;
-    auto guard = pool_->FetchPage(pid);
-    HARMONY_RETURN_NOT_OK(guard.status());
-    std::lock_guard<SpinLock> latch(PageLatch(pid));
-    const int slot = slotted::Insert(guard->data(), key, value);
-    free_est = slotted::TotalFree(guard->data());
-    if (slot >= 0) {
-      guard->MarkDirty();
-      return Rid{pid, static_cast<uint16_t>(slot)};
+  // Try recently allocated pages first (they have the most room). When no
+  // older page can have room, try only the newest: a bulk load would
+  // otherwise rescan every page for each new one.
+  const size_t n = free_pages_.size();
+  const size_t tries = older_free_max_ < need ? std::min<size_t>(n, 1) : n;
+  size_t older_max = 0;
+  for (size_t attempt = 0; attempt < tries; attempt++) {
+    auto& [pid, free_est] = free_pages_[n - 1 - attempt];
+    if (free_est >= need) {
+      PageGuard fetched;
+      PageGuard* guard = &load_guard_;
+      if (pid != load_page_) {
+        auto g = pool_->FetchPage(pid);
+        HARMONY_RETURN_NOT_OK(g.status());
+        fetched = std::move(*g);
+        guard = &fetched;
+      }
+      std::lock_guard<SpinLock> latch(PageLatch(pid));
+      const int slot = slotted::Insert(guard->data(), key, value);
+      free_est = slotted::TotalFree(guard->data());
+      if (slot >= 0) {
+        if (attempt > 0) older_free_max_ = std::max(older_free_max_, free_est);
+        // A load into the cursor's page skips the mark: the cursor marks
+        // it when it moves on.
+        if (!load || guard == &fetched) guard->MarkDirty();
+        return Rid{pid, static_cast<uint16_t>(slot)};
+      }
     }
+    if (attempt > 0) older_max = std::max(older_max, free_est);
   }
+  if (tries == n) older_free_max_ = older_max;  // a full scan is exact
   // No page fits: allocate a new one.
+  if (n > 0) {
+    older_free_max_ = std::max(older_free_max_, free_pages_.back().second);
+  }
   const PageId pid = disk_->AllocatePage();
   auto guard = pool_->NewPage(pid);
   HARMONY_RETURN_NOT_OK(guard.status());
@@ -72,7 +96,40 @@ Result<Rid> KvTable::InsertRecord(Key key, std::string_view value) {
   if (slot < 0) return Status::InvalidArgument("record too large for a page");
   guard->MarkDirty();
   free_pages_.emplace_back(pid, slotted::TotalFree(guard->data()));
+  if (load) {
+    ReleaseLoadCursorLocked();
+    load_guard_ = std::move(*guard);
+    load_page_ = pid;
+  }
   return Rid{pid, static_cast<uint16_t>(slot)};
+}
+
+Status KvTable::Load(Key key, std::string_view value) {
+  std::unique_lock<std::shared_mutex> lk(index_mu_);
+  auto [it, fresh] = index_.try_emplace(key);
+  if (!fresh) {
+    lk.unlock();
+    return Put(key, value);
+  }
+  auto rid = InsertRecord(key, value, /*load=*/true);
+  if (!rid.ok()) {
+    index_.erase(it);
+    return rid.status();
+  }
+  it->second = *rid;
+  return Status::OK();
+}
+
+void KvTable::ReleaseLoadCursor() {
+  std::lock_guard<std::mutex> alk(alloc_mu_);
+  ReleaseLoadCursorLocked();
+}
+
+void KvTable::ReleaseLoadCursorLocked() {
+  if (!load_guard_.valid()) return;
+  load_guard_.MarkDirty();
+  load_guard_.Release();
+  load_page_ = kInvalidPageId;
 }
 
 Status KvTable::Put(Key key, std::string_view value,

@@ -39,6 +39,17 @@ class KvTable {
   Status Put(Key key, std::string_view value,
              std::optional<std::string>* old_value = nullptr);
 
+  /// Bulk-load append (genesis, snapshot install): inserts a new key
+  /// through a load cursor that keeps the heap's tail page pinned across
+  /// calls, so a run of loads costs one NewPage per page instead of a
+  /// fetch, dirty mark and unpin per row. Rows land on exactly the pages
+  /// and slots Put would pick. A key that already exists falls back to Put.
+  /// Other calls may interleave; Checkpoint must ReleaseLoadCursor first.
+  Status Load(Key key, std::string_view value);
+
+  /// Marks the cursor's page dirty and unpins it. Idempotent.
+  void ReleaseLoadCursor();
+
   /// Removes the key (no-op if absent). Pre-image reported like Put.
   Status Erase(Key key, std::optional<std::string>* old_value = nullptr);
 
@@ -52,8 +63,9 @@ class KvTable {
   SpinLock& PageLatch(PageId id) { return latches_[id % kLatchCount]; }
 
   /// Inserts into some page with room; returns the Rid. Caller must not hold
-  /// page latches.
-  Result<Rid> InsertRecord(Key key, std::string_view value);
+  /// page latches. With `load`, a new page becomes the load cursor.
+  Result<Rid> InsertRecord(Key key, std::string_view value, bool load = false);
+  void ReleaseLoadCursorLocked();
 
   static constexpr size_t kLatchCount = 1024;
 
@@ -66,6 +78,12 @@ class KvTable {
   std::mutex alloc_mu_;
   /// Pages with estimated free space, most-recently-allocated last.
   std::vector<std::pair<PageId, size_t>> free_pages_;
+  /// Upper bound on the estimate of every free page but the newest.
+  size_t older_free_max_ = kPageSize;
+  /// Load cursor: the page the last Load allocated, kept pinned (and dirty)
+  /// until ReleaseLoadCursor. Guarded by alloc_mu_.
+  PageGuard load_guard_;
+  PageId load_page_ = kInvalidPageId;
 
   std::array<SpinLock, kLatchCount> latches_;
 };

@@ -196,6 +196,8 @@ Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
 }
 
 Status DiskBackend::Checkpoint(uint64_t commit_epoch) {
+  // The load cursor's page joins the dirty set the journal and flush see.
+  table_->ReleaseLoadCursor();
   HARMONY_RETURN_NOT_OK(WriteJournal(commit_epoch));
   HARMONY_CRASH_POINT("storage.checkpoint.after_journal");
   HARMONY_RETURN_NOT_OK(pool_->FlushAll());

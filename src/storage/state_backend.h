@@ -36,6 +36,13 @@ class StateBackend {
   virtual Status Put(Key key, std::string_view value,
                      std::optional<std::string>* old_value) = 0;
 
+  /// Bulk-load write (genesis rows, snapshot install): same result as
+  /// Put(key, value, nullptr), possibly through a cheaper append path that
+  /// Checkpoint closes.
+  virtual Status Load(Key key, std::string_view value) {
+    return Put(key, value, nullptr);
+  }
+
   /// Deletes the key; pre-image like Put.
   virtual Status Erase(Key key, std::optional<std::string>* old_value) = 0;
 
@@ -100,6 +107,9 @@ class DiskBackend : public StateBackend {
   Status Get(Key key, std::string* out) override;
   Status Put(Key key, std::string_view value,
              std::optional<std::string>* old_value) override;
+  Status Load(Key key, std::string_view value) override {
+    return table_->Load(key, value);
+  }
   Status Erase(Key key, std::optional<std::string>* old_value) override;
   Status Checkpoint(uint64_t commit_epoch = 0) override;
   size_t size() const override { return table_->size(); }

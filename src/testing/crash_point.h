@@ -42,7 +42,7 @@ inline constexpr const char* kCrashPointCatalogue[] = {
     "replica.checkpoint.before_manifest",  // state flushed, manifest stale
     "replica.checkpoint.after_manifest",   // checkpoint fully committed
     "storage.checkpoint.after_journal",    // journal durable, pages unflushed
-    "storage.flush.mid",            // BufferPool::FlushAll, partial flush
+    "storage.flush.mid",            // BufferPool::FlushAll, after a write call
     "ingest.seal.before_deliver",   // block sealed, never delivered
     "repl.leader.before_fanout",    // block committed locally, not yet shipped
     "repl.follower.before_apply",   // REPLICATE decoded, block not yet applied

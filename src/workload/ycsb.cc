@@ -1,5 +1,6 @@
 #include "workload/ycsb.h"
 
+#include <cstring>
 #include <string>
 
 #include "txn/txn_context.h"
@@ -46,10 +47,13 @@ Status YcsbTxn(TxnContext& ctx, const ProcArgs& args) {
 
 Status YcsbWorkload::Setup(Replica& r) {
   r.RegisterProcedure(kProcTxn, "ycsb_txn", YcsbTxn);
-  const std::string filler(cfg_.payload_bytes, 'y');
+  // Row k is Value({k}, filler): encode once, then patch field 0, which
+  // follows the u16 field count (Value::Encode).
+  std::string row = Value({0}, std::string(cfg_.payload_bytes, 'y')).Encode();
   for (uint64_t k = 0; k < cfg_.num_keys; k++) {
-    Value v({static_cast<int64_t>(k)}, filler);
-    HARMONY_RETURN_NOT_OK(r.LoadRow(MakeKey(kTable, k), v));
+    const int64_t field = static_cast<int64_t>(k);
+    std::memcpy(row.data() + 2, &field, sizeof(field));
+    HARMONY_RETURN_NOT_OK(r.LoadRow(MakeKey(kTable, k), row));
   }
   return Status::OK();
 }

@@ -3,8 +3,10 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -14,6 +16,7 @@
 #include "storage/slotted_page.h"
 #include "storage/state_backend.h"
 #include "testing/crash_point.h"
+#include "testing/fault.h"
 #include "tests/test_util.h"
 
 namespace harmony {
@@ -110,6 +113,69 @@ TEST(DiskManager, UnwrittenPageReadsAsZero) {
   for (size_t i = 0; i < kPageSize; i++) ASSERT_EQ(r.data[i], 0);
 }
 
+// Page i of a test run: its index in every byte.
+Page RunPage(size_t i) {
+  Page p;
+  std::memset(p.data, static_cast<int>('a' + i), kPageSize);
+  return p;
+}
+
+TEST(DiskManager, WritePagesWritesARunAndCountsPages) {
+  TempDir dir("disk-run");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  std::vector<Page> pages;
+  std::vector<const Page*> run;
+  for (size_t i = 0; i < 5; i++) pages.push_back(RunPage(i));
+  for (const Page& p : pages) run.push_back(&p);
+  ASSERT_OK(dm.WritePages(2, run.data(), run.size()));
+  EXPECT_EQ(dm.stats().page_writes.load(), 5u);
+  const std::string file = ReadFileBytes(dir.path() + "/t.db");
+  ASSERT_EQ(file.size(), 7 * kPageSize);
+  for (size_t i = 0; i < 5; i++) {
+    EXPECT_EQ(file.compare((2 + i) * kPageSize, kPageSize, pages[i].data,
+                           kPageSize),
+              0)
+        << "page " << 2 + i;
+  }
+}
+
+// A short-write fault at page k of a run persists pages [0, k) and the
+// prefix of page k, fails the call, and counts only the k whole pages.
+TEST(DiskManager, WritePagesShortWriteAtPageKPersistsThePrefix) {
+  constexpr size_t kRun = 8;
+  testing::FaultInjector::Options o;
+  o.seed = 5;  // faults at page 5 of 8
+  o.short_write_prob = 0.25;
+  // A twin injector with the same seed predicts where the fault lands:
+  // WritePages consults its injector once per page, in order.
+  testing::FaultInjector twin(o);
+  size_t k = 0;
+  size_t prefix = 0;
+  while (twin.OnWrite(kPageSize, &prefix).ok()) k++;
+  ASSERT_GE(k, 1u) << "pick a seed that faults inside the run";
+  ASSERT_LT(k, kRun) << "pick a seed that faults inside the run";
+
+  TempDir dir("disk-run-short");
+  testing::FaultInjector inj(o);
+  DiskModel model = DiskModel::RamDisk();
+  model.fault = &inj;
+  DiskManager dm(dir.path() + "/t.db", model);
+  std::vector<Page> pages;
+  std::vector<const Page*> run;
+  for (size_t i = 0; i < kRun; i++) pages.push_back(RunPage(i));
+  for (const Page& p : pages) run.push_back(&p);
+  EXPECT_TRUE(dm.WritePages(0, run.data(), run.size()).IsIOError());
+  EXPECT_EQ(dm.stats().page_writes.load(), k);
+  EXPECT_EQ(inj.stats().short_writes.load(), 1u);
+  const std::string file = ReadFileBytes(dir.path() + "/t.db");
+  ASSERT_EQ(file.size(), k * kPageSize + prefix);
+  for (size_t i = 0; i <= k; i++) {
+    const size_t len = i < k ? kPageSize : prefix;
+    EXPECT_EQ(file.compare(i * kPageSize, len, pages[i].data, len), 0)
+        << "page " << i;
+  }
+}
+
 TEST(BufferPool, HitAndMissAccounting) {
   TempDir dir("bp");
   DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
@@ -147,6 +213,43 @@ TEST(BufferPool, NoStealGrowsInsteadOfWritingDirty) {
   EXPECT_EQ(dm.stats().page_writes.load(), 3u);
   // After the flush the pool shrinks back to capacity.
   EXPECT_LE(pool.num_frames(), 2u);
+}
+
+// The group flush writes each run of consecutive dirty pages with one
+// write call (one storage.flush.mid hit) and still counts pages.
+TEST(BufferPool, FlushAllWritesRunsOfConsecutivePages) {
+  TempDir dir("bp-runs");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 64, BufferPool::kDefaultStripes, 1);
+  for (PageId p = 0; p < 12; p++) {
+    auto g = pool.NewPage(dm.AllocatePage());
+    ASSERT_TRUE(g.ok());
+    g->data()[0] = static_cast<char>('a' + p);
+  }
+  ASSERT_OK(pool.FlushAll());
+  EXPECT_EQ(dm.stats().page_writes.load(), 12u);
+  // Dirty {1, 2, 3, 7, 8, 11}: three runs.
+  for (PageId p : {1, 2, 3, 7, 8, 11}) {
+    auto g = pool.FetchPage(p);
+    ASSERT_TRUE(g.ok());
+    g->data()[1] = 'x';
+    g->MarkDirty();
+  }
+  testing::ArmCrashPointForTest("storage.flush.mid", 1000, [] {});
+  ASSERT_OK(pool.FlushAll());
+  EXPECT_EQ(testing::CrashPointHits("storage.flush.mid"), 3u);
+  testing::DisarmCrashPoints();
+  EXPECT_EQ(dm.stats().page_writes.load(), 18u);
+  EXPECT_EQ(pool.stats().flushed_pages, 18u);
+  EXPECT_TRUE(pool.DirtyPageIds().empty());
+  const std::string file = ReadFileBytes(dir.path() + "/t.db");
+  ASSERT_EQ(file.size(), 12 * kPageSize);
+  for (PageId p = 0; p < 12; p++) {
+    EXPECT_EQ(file[p * kPageSize], static_cast<char>('a' + p));
+    const bool rewritten = p == 1 || p == 2 || p == 3 || p == 7 || p == 8 ||
+                           p == 11;
+    EXPECT_EQ(file[p * kPageSize + 1], rewritten ? 'x' : '\0') << p;
+  }
 }
 
 TEST(BufferPool, EvictsCleanPagesUnderPressure) {
@@ -260,6 +363,124 @@ TEST(KvTable, ConcurrentDistinctKeys) {
   std::string v;
   ASSERT_OK(t.Get(123, &v));
   EXPECT_EQ(v, "updated-123");
+}
+
+// Rows of uneven size, so a short row can still fit an older page after
+// the tail page turned a longer one away: the load cursor must pick the
+// same page as Put.
+std::string LoadRowValue(Key k) {
+  return std::string(20 + (k * 37) % 300, static_cast<char>('a' + k % 26));
+}
+
+// Loads rows [0, n) into a fresh backend under `dir`, through Load or one
+// Put at a time, and checkpoints; returns the page file.
+std::string LoadedPageFile(const std::string& dir, Key n, bool cursor) {
+  DiskBackend b(dir, "s", DiskModel::RamDisk(), 16);
+  EXPECT_OK(b.Open());
+  for (Key k = 0; k < n; k++) {
+    EXPECT_OK(cursor ? b.Load(k, LoadRowValue(k))
+                     : b.Put(k, LoadRowValue(k), nullptr));
+  }
+  EXPECT_OK(b.Checkpoint());
+  return ReadFileBytes(dir + "/s.tbl");
+}
+
+TEST(KvTable, LoadCursorWritesThePagesPutWould) {
+  TempDir put_dir("load-put");
+  TempDir load_dir("load-cursor");
+  const std::string by_put = LoadedPageFile(put_dir.path(), 2000, false);
+  const std::string by_load = LoadedPageFile(load_dir.path(), 2000, true);
+  ASSERT_GT(by_put.size(), 16 * kPageSize);  // past the pool: it grew
+  EXPECT_TRUE(by_load == by_put) << "the page files differ";
+
+  DiskBackend b(load_dir.path(), "s", DiskModel::RamDisk(), 16);
+  ASSERT_OK(b.Open());
+  EXPECT_EQ(b.size(), 2000u);
+  std::string v;
+  ASSERT_OK(b.Get(1999, &v));
+  EXPECT_EQ(v, LoadRowValue(1999));
+}
+
+// A row the newest page cannot take goes to an older page with room
+// before a new page is allocated.
+TEST(KvTable, LoadFillsAnOlderPageBeforeAllocating) {
+  TempDir dir("load-older");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 16);
+  KvTable t(&dm, &pool);
+  // 950-byte values take 964 bytes with key and slot: four fill a page to
+  // 234 bytes free. Page 0 keeps them; page 1 also takes a 214-byte row.
+  for (Key k = 0; k < 8; k++) ASSERT_OK(t.Load(k, std::string(950, 'b')));
+  ASSERT_OK(t.Load(8, std::string(200, 'm')));
+  ASSERT_EQ(dm.num_pages(), 2u);
+  // 114 bytes: too many for page 1 (20 free), enough for page 0.
+  ASSERT_OK(t.Load(9, std::string(100, 's')));
+  EXPECT_EQ(dm.num_pages(), 2u);
+  std::string v;
+  ASSERT_OK(t.Get(9, &v));
+  EXPECT_EQ(v, std::string(100, 's'));
+}
+
+TEST(KvTable, LoadOfAnExistingKeyUpdatesItLikePut) {
+  TempDir dir("load-dup");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 16);
+  KvTable t(&dm, &pool);
+  ASSERT_OK(t.Load(1, "first"));
+  ASSERT_OK(t.Load(2, "two"));
+  ASSERT_OK(t.Load(1, "second"));
+  ASSERT_OK(t.Load(2, std::string(600, 'L')));  // outgrows: relocates
+  EXPECT_EQ(t.size(), 2u);
+  std::string v;
+  ASSERT_OK(t.Get(1, &v));
+  EXPECT_EQ(v, "second");
+  ASSERT_OK(t.Get(2, &v));
+  EXPECT_EQ(v, std::string(600, 'L'));
+}
+
+// Put, Get and Erase interleaved with a run of loads see and keep every
+// row, across the cursor's page turns and a checkpoint and reopen.
+TEST(KvTable, PutGetEraseBetweenLoadsStayCorrect) {
+  TempDir dir("load-mixed");
+  std::map<Key, std::string> model;
+  {
+    DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 16);
+    ASSERT_OK(b.Open());
+    std::string v;
+    for (Key k = 0; k < 600; k++) {
+      ASSERT_OK(b.Load(k, LoadRowValue(k)));
+      model[k] = LoadRowValue(k);
+      if (k % 7 == 3) {
+        ASSERT_OK(b.Erase(k - 2, nullptr));
+        model.erase(k - 2);
+      }
+      if (k % 11 == 5) {  // a longer value relocates, maybe to the cursor
+        ASSERT_OK(b.Put(k - 4, LoadRowValue(k) + "-put", nullptr));
+        model[k - 4] = LoadRowValue(k) + "-put";
+      }
+      if (k % 13 == 0) {
+        ASSERT_OK(b.Put(100000 + k, "fresh", nullptr));
+        model[100000 + k] = "fresh";
+      }
+      const Key probe = k - k % 5;
+      const auto it = model.find(probe);
+      if (it == model.end()) {
+        EXPECT_TRUE(b.Get(probe, &v).IsNotFound());
+      } else {
+        ASSERT_OK(b.Get(probe, &v));
+        EXPECT_EQ(v, it->second);
+      }
+    }
+    ASSERT_OK(b.Checkpoint());
+    EXPECT_TRUE(b.pool()->DirtyPageIds().empty());
+    EXPECT_EQ(b.size(), model.size());
+  }
+  DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 16);
+  ASSERT_OK(b.Open());
+  std::map<Key, std::string> stored;
+  ASSERT_OK(b.ScanAll(
+      [&](Key k, std::string_view v) { stored[k] = std::string(v); }));
+  EXPECT_TRUE(stored == model);
 }
 
 TEST(StateBackend, MemoryBackendBasics) {
@@ -390,10 +611,23 @@ DiskBackend TornTestBackend(const std::string& dir) {
                      BufferPool::kDefaultStripes, 1);
 }
 
+// Write calls a one-thread flush makes for `dirty`: one per run of
+// consecutive page ids.
+size_t FlushWriteCalls(std::vector<PageId> dirty) {
+  std::sort(dirty.begin(), dirty.end());
+  size_t runs = 0;
+  for (size_t i = 0; i < dirty.size(); i++) {
+    if (i == 0 || dirty[i] != dirty[i - 1] + 1) runs++;
+  }
+  return runs;
+}
+
 // Child half of the torn-checkpoint test: rewrites every row of the image
 // and appends pages of new rows, then checkpoints with the flush armed to
-// SIGKILL the process after all but one dirty page is written. Returns only
-// on a failure (the kill never returns).
+// SIGKILL the process after its last write call. The dirty pages form one
+// run, so every page is on disk at the kill, but the checkpoint never
+// syncs or retires its journal. Returns only on a failure (the kill never
+// returns).
 Status RunTornCheckpoint(const std::string& dir) {
   DiskBackend b = TornTestBackend(dir);
   HARMONY_RETURN_NOT_OK(b.Open());
@@ -403,9 +637,10 @@ Status RunTornCheckpoint(const std::string& dir) {
   for (Key k = 0; k < kAppendedRows; k++) {
     HARMONY_RETURN_NOT_OK(b.Put(1000 + k, RowValue(k, 'A'), nullptr));
   }
-  const size_t dirty = b.pool()->DirtyPageIds().size();
-  if (dirty < 4) return Status::InvalidArgument("too few dirty pages");
-  testing::ArmCrashPointForTest("storage.flush.mid", dirty - 1, nullptr);
+  const std::vector<PageId> dirty = b.pool()->DirtyPageIds();
+  if (dirty.size() < 4) return Status::InvalidArgument("too few dirty pages");
+  testing::ArmCrashPointForTest("storage.flush.mid", FlushWriteCalls(dirty),
+                                nullptr);
   HARMONY_RETURN_NOT_OK(b.Checkpoint());
   return Status::Aborted("checkpoint survived the armed crash point");
 }
@@ -472,6 +707,76 @@ TEST(StateBackendDeathTest, TornCheckpointRollsBackToTheImage) {
   ASSERT_OK(b.Get(0, &v));
   EXPECT_EQ(v, RowValue(0, 'I'));
   EXPECT_EQ(b.size(), kImageRows + 1);
+}
+
+constexpr Key kRowsPerPage = 19;  // RowValue rows: 214 bytes with slot
+constexpr Key kThreePageImageRows = 3 * kRowsPerPage;
+
+// Child half of the two-run test: rewrites the rows of image pages 0 and
+// 2 (not 1), so the dirty set is two runs, and kills the checkpoint after
+// its first write call.
+Status RunTwoRunTornCheckpoint(const std::string& dir) {
+  DiskBackend b = TornTestBackend(dir);
+  HARMONY_RETURN_NOT_OK(b.Open());
+  for (Key k = 0; k < kThreePageImageRows; k++) {
+    if (k / kRowsPerPage == 1) continue;
+    HARMONY_RETURN_NOT_OK(b.Put(k, RowValue(k, 'N'), nullptr));
+  }
+  std::vector<PageId> dirty = b.pool()->DirtyPageIds();
+  std::sort(dirty.begin(), dirty.end());
+  if (dirty != std::vector<PageId>{0, 2}) {
+    return Status::InvalidArgument("dirty set is not pages {0, 2}");
+  }
+  testing::ArmCrashPointForTest("storage.flush.mid", 1, nullptr);
+  HARMONY_RETURN_NOT_OK(b.Checkpoint());
+  return Status::Aborted("checkpoint survived the armed crash point");
+}
+
+// A flush killed between its two write calls leaves one rewritten image
+// page on disk and another not yet rewritten; reopening restores the
+// image byte for byte.
+TEST(StateBackendDeathTest, TornCheckpointBetweenRunsRollsBackToTheImage) {
+  TempDir dir("journal-two-runs");
+  const std::string tbl = dir.path() + "/s.tbl";
+  {
+    DiskBackend b = TornTestBackend(dir.path());
+    ASSERT_OK(b.Open());
+    for (Key k = 0; k < kThreePageImageRows; k++) {
+      ASSERT_OK(b.Put(k, RowValue(k, 'I'), nullptr));
+    }
+    ASSERT_OK(b.Checkpoint());
+    ASSERT_EQ(b.disk()->num_pages(), 3u);
+  }
+  const std::string image = ReadFileBytes(tbl);
+  ASSERT_EQ(image.size(), 3 * kPageSize);
+
+  EXPECT_EXIT(
+      {
+        Status st = RunTwoRunTornCheckpoint(dir.path());
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+        std::_Exit(1);
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+
+  const std::string torn = ReadFileBytes(tbl);
+  ASSERT_EQ(torn.size(), image.size());
+  EXPECT_NE(torn.compare(0, kPageSize, image, 0, kPageSize), 0)
+      << "the first run (page 0) was not written";
+  EXPECT_EQ(torn.compare(kPageSize, 2 * kPageSize, image, kPageSize,
+                         2 * kPageSize),
+            0)
+      << "pages 1 and 2 changed before the second write call";
+
+  DiskBackend b = TornTestBackend(dir.path());
+  ASSERT_OK(b.Open());
+  EXPECT_TRUE(ReadFileBytes(tbl) == image)
+      << "the image's pages were not restored";
+  EXPECT_EQ(b.size(), kThreePageImageRows);
+  std::string v;
+  for (Key k = 0; k < kThreePageImageRows; k++) {
+    ASSERT_OK(b.Get(k, &v));
+    EXPECT_EQ(v, RowValue(k, 'I')) << k;
+  }
 }
 
 }  // namespace

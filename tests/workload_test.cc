@@ -117,6 +117,68 @@ TEST(Smallbank, MoneyNeverCreatedBySendPayment) {
                        cfg.initial_balance);
 }
 
+// Genesis encodes each workload's rows once and patches them; the state
+// must equal loading one separately encoded Value per row. The disk engine
+// also takes the rows through its load cursor.
+Result<Digest> GenesisDigest(const std::string& dir, Workload* w) {
+  ReplicaOptions ro = MemOptions(dir);
+  ro.in_memory = false;
+  ro.disk = DiskModel::RamDisk();
+  ro.pool_pages = 64;
+  Replica r(ro);
+  HARMONY_RETURN_NOT_OK(r.Open());
+  HARMONY_RETURN_NOT_OK(w->Setup(r));
+  return r.StateDigest();
+}
+
+Result<Digest> PerRowDigest(const std::string& dir,
+                            const std::vector<std::pair<Key, Value>>& rows) {
+  ReplicaOptions ro = MemOptions(dir);
+  Replica r(ro);
+  HARMONY_RETURN_NOT_OK(r.Open());
+  for (const auto& [k, v] : rows) HARMONY_RETURN_NOT_OK(r.LoadRow(k, v));
+  return r.StateDigest();
+}
+
+TEST(Smallbank, GenesisDigestEqualsPerRowEncoding) {
+  TempDir a("wl-sb-genesis"), b("wl-sb-rows");
+  SmallbankConfig cfg;
+  cfg.num_accounts = 700;
+  SmallbankWorkload w(cfg);
+  auto loaded = GenesisDigest(a.path(), &w);
+  ASSERT_OK(loaded.status());
+  std::vector<std::pair<Key, Value>> rows;
+  for (uint64_t acct = 0; acct < cfg.num_accounts; acct++) {
+    for (uint8_t table :
+         {SmallbankWorkload::kSavings, SmallbankWorkload::kChecking}) {
+      rows.emplace_back(MakeKey(table, acct),
+                        Value({cfg.initial_balance},
+                              std::string(cfg.payload_bytes, 'b')));
+    }
+  }
+  auto expected = PerRowDigest(b.path(), rows);
+  ASSERT_OK(expected.status());
+  EXPECT_TRUE(*loaded == *expected);
+}
+
+TEST(Ycsb, GenesisDigestEqualsPerRowEncoding) {
+  TempDir a("wl-ycsb-genesis"), b("wl-ycsb-rows");
+  YcsbConfig cfg;
+  cfg.num_keys = 1500;
+  YcsbWorkload w(cfg);
+  auto loaded = GenesisDigest(a.path(), &w);
+  ASSERT_OK(loaded.status());
+  std::vector<std::pair<Key, Value>> rows;
+  for (uint64_t k = 0; k < cfg.num_keys; k++) {
+    rows.emplace_back(MakeKey(YcsbWorkload::kTable, k),
+                      Value({static_cast<int64_t>(k)},
+                            std::string(cfg.payload_bytes, 'y')));
+  }
+  auto expected = PerRowDigest(b.path(), rows);
+  ASSERT_OK(expected.status());
+  EXPECT_TRUE(*loaded == *expected);
+}
+
 class TpccFixture : public ::testing::Test {
  protected:
   void SetUp() override {
