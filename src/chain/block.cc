@@ -46,8 +46,12 @@ bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out) {
 
 namespace {
 
-/// Envelope byte: the low bits name the codec, this bit says that a varint
-/// reach follows and the section opens with the reference columns.
+/// The flags byte after block_id: the low bits name the section's codec,
+/// kDerivedFlag says the header is derived from the predecessor's, and
+/// kRefsFlag that a varint reach follows the signature and the section
+/// opens with the reference columns.
+constexpr uint8_t kCodecMask = 0x3F;
+constexpr uint8_t kDerivedFlag = 0x40;
 constexpr uint8_t kRefsFlag = 0x80;
 
 void AppendDigest(std::string* out, const Digest& d) {
@@ -321,66 +325,107 @@ Status DecodeTxnSection(std::string_view section, const BlockHeader& h,
   return Status::OK();
 }
 
-/// Reads the header varints, prev_hash and the signature.
-bool ParseHeader(codec::Reader* r, BlockHeader* h) {
-  uint32_t txn_count = 0;
-  if (!r->ReadVarint(&h->block_id) || !r->ReadVarint(&h->first_tid) ||
-      !ReadVarintU32(r, &txn_count) || !r->ReadVarint(&h->order_time_us)) {
-    return false;
-  }
-  h->txn_count = txn_count;
-  return r->ReadFixed(h->prev_hash.data(), h->prev_hash.size()) &&
-         r->ReadFixed(h->signature.data(), h->signature.size());
-}
+/// A record's prefix: everything before the stored section. A derived
+/// header holds its first_tid and order_time_us deltas until
+/// ResolveHeader applies them to the predecessor's.
+struct Prefix {
+  BlockHeader header;
+  Compression codec = Compression::kNone;
+  RecordShape shape;
+  int64_t tid_delta = 0;
+  int64_t time_delta = 0;
+  uint64_t raw_len = 0;
+};
 
-/// Reads the envelope's codec byte and, when flagged, the reach.
-Status ParseEnvelope(codec::Reader* r, Compression* codec, uint32_t* reach) {
-  uint8_t envelope = 0;
-  if (!r->ReadU8(&envelope)) {
-    return Status::Corruption("compression envelope truncated");
-  }
-  const uint8_t codec_byte = envelope & static_cast<uint8_t>(~kRefsFlag);
+/// Reads block_id, the flags byte, the full or derived header fields, the
+/// signature, the reach when flagged, and the raw section length.
+Status ParsePrefix(std::string_view bytes, Prefix* p) {
+  const auto truncated = [] {
+    return Status::Corruption("block header truncated");
+  };
+  codec::Reader r(bytes);
+  BlockHeader& h = p->header;
+  uint8_t flags = 0;
+  if (!r.ReadVarint(&h.block_id) || !r.ReadU8(&flags)) return truncated();
+  const uint8_t codec_byte = flags & kCodecMask;
   if (codec_byte > static_cast<uint8_t>(Compression::kHlz)) {
     return Status::Corruption("unknown block compression codec " +
                               std::to_string(codec_byte));
   }
-  *codec = static_cast<Compression>(codec_byte);
-  *reach = 0;
-  if ((envelope & kRefsFlag) == 0) return Status::OK();
-  if (!ReadVarintU32(r, reach)) {
+  p->codec = static_cast<Compression>(codec_byte);
+  p->shape.block_id = h.block_id;
+  p->shape.derived = (flags & kDerivedFlag) != 0;
+  if (p->shape.derived) {
+    if (!ReadZigzag(&r, &p->tid_delta) ||
+        !ReadVarintU32(&r, &p->shape.txn_count) ||
+        !ReadZigzag(&r, &p->time_delta)) {
+      return truncated();
+    }
+  } else if (!r.ReadVarint(&h.first_tid) ||
+             !ReadVarintU32(&r, &p->shape.txn_count) ||
+             !r.ReadVarint(&h.order_time_us) ||
+             !r.ReadFixed(h.prev_hash.data(), h.prev_hash.size())) {
+    return truncated();
+  }
+  h.txn_count = p->shape.txn_count;
+  if (!r.ReadFixed(h.signature.data(), h.signature.size())) return truncated();
+  uint32_t& reach = p->shape.ref_reach;
+  if ((flags & kRefsFlag) != 0) {
+    if (!ReadVarintU32(&r, &reach)) return truncated();
+    if (reach == 0 || reach > kMaxRefReach) {
+      return Status::Corruption("reference reach " + std::to_string(reach) +
+                                " out of range");
+    }
+  }
+  if (!r.ReadVarint(&p->raw_len)) {
     return Status::Corruption("compression envelope truncated");
   }
-  if (*reach == 0 || *reach > kMaxRefReach) {
-    return Status::Corruption("reference reach " + std::to_string(*reach) +
-                              " out of range");
-  }
+  p->shape.section_offset = bytes.size() - r.remaining();
   return Status::OK();
 }
 
-/// Decode without the digest rebuild: header varints, prev_hash, signature,
-/// then the compression envelope over the txn section.
-Status ParseRecord(std::string_view bytes, const RefWindow* window,
-                   Block* out) {
-  codec::Reader r(bytes);
-  if (!ParseHeader(&r, &out->header)) {
-    return Status::Corruption("block header truncated");
+/// Derives a derived header's first_tid, order_time_us and prev_hash from
+/// its predecessor in `window`; a full header needs nothing. With
+/// `need_hash` (Decode) the predecessor's block_hash must have been
+/// computed: deriving from a zero one would rebuild a wrong digest.
+Status ResolveHeader(const RefWindow* window, bool need_hash, Prefix* p) {
+  if (!p->shape.derived) return Status::OK();
+  BlockHeader& h = p->header;
+  const BlockHeader* prev = window != nullptr && h.block_id > 1
+                                ? window->Header(h.block_id - 1)
+                                : nullptr;
+  if (prev == nullptr) {
+    return Status::Corruption("derived header without its predecessor");
   }
+  if (need_hash && prev->block_hash == Digest{}) {
+    return Status::Corruption(
+        "derived header over a predecessor whose hash was never computed");
+  }
+  // Wrapping arithmetic, as in the encoder: every value round-trips.
+  h.first_tid = prev->first_tid + prev->txn_count +
+                static_cast<uint64_t>(p->tid_delta);
+  h.order_time_us = prev->order_time_us + static_cast<uint64_t>(p->time_delta);
+  h.prev_hash = prev->block_hash;
+  return Status::OK();
+}
+
+/// Decode without the digest rebuild (`need_hash` only makes a derived
+/// header insist on a computed predecessor hash): the prefix, the resolved
+/// header, then the compression envelope over the txn section.
+Status ParseRecord(std::string_view bytes, const RefWindow* window,
+                   bool need_hash, Block* out) {
+  Prefix p;
+  HARMONY_RETURN_NOT_OK(ParsePrefix(bytes, &p));
+  HARMONY_RETURN_NOT_OK(ResolveHeader(window, need_hash, &p));
+  out->header = p.header;
   out->batch.block_id = out->header.block_id;
   out->batch.first_tid = out->header.first_tid;
-  // Compression envelope: the codec byte (with the reference flag), the
-  // reach when flagged, varint raw section length, then the stored section
-  // through the end of the payload.
-  Compression codec = Compression::kNone;
-  uint32_t reach = 0;
-  uint64_t raw_len = 0;
-  HARMONY_RETURN_NOT_OK(ParseEnvelope(&r, &codec, &reach));
-  if (!r.ReadVarint(&raw_len)) {
-    return Status::Corruption("compression envelope truncated");
-  }
-  const std::string_view stored = bytes.substr(bytes.size() - r.remaining());
+  // The stored section runs through the end of the payload.
   std::string section;
-  HARMONY_RETURN_NOT_OK(DecompressPayload(codec, stored, raw_len, &section));
-  return DecodeTxnSection(section, out->header, reach, window, &out->batch);
+  HARMONY_RETURN_NOT_OK(DecompressPayload(
+      p.codec, bytes.substr(p.shape.section_offset), p.raw_len, &section));
+  return DecodeTxnSection(section, out->header, p.shape.ref_reach, window,
+                          &out->batch);
 }
 
 }  // namespace
@@ -390,10 +435,10 @@ void RefWindow::Push(const Block& b) {
     blocks_.clear();
     front_id_ = b.header.block_id;
   }
-  blocks_.push_back(b.batch.txns);
+  blocks_.push_back(Entry{b.header, b.batch.txns});
   // Only the canonical fields matter to a reference; trace stamps are
   // in-process state a decoded txn never carries.
-  for (TxnRequest& t : blocks_.back()) t.trace = obs::TraceClock{};
+  for (TxnRequest& t : blocks_.back().txns) t.trace = obs::TraceClock{};
   if (blocks_.size() > kMaxRefReach) DropBefore(front_id_ + 1);
 }
 
@@ -404,21 +449,30 @@ void RefWindow::DropBefore(BlockId id) {
   }
 }
 
-const std::vector<TxnRequest>* RefWindow::Find(BlockId id) const {
+const RefWindow::Entry* RefWindow::At(BlockId id) const {
   if (blocks_.empty() || id < front_id_ || id > back_id()) return nullptr;
   return &blocks_[id - front_id_];
 }
 
+const std::vector<TxnRequest>* RefWindow::Find(BlockId id) const {
+  const Entry* e = At(id);
+  return e != nullptr ? &e->txns : nullptr;
+}
+
+const BlockHeader* RefWindow::Header(BlockId id) const {
+  const Entry* e = At(id);
+  return e != nullptr ? &e->header : nullptr;
+}
+
+bool RefWindow::Follows(const BlockHeader& h) const {
+  const BlockHeader* prev = h.block_id > 1 ? Header(h.block_id - 1) : nullptr;
+  return prev != nullptr && prev->block_hash != Digest{} &&
+         prev->block_hash == h.prev_hash;
+}
+
 std::string BlockCodec::EncodeRecord(const Block& b, Compression codec,
                                      const RefWindow* refs) {
-  std::string out;
-  codec::AppendVarint(&out, b.header.block_id);
-  codec::AppendVarint(&out, b.header.first_tid);
-  codec::AppendVarint(&out, b.header.txn_count);
-  codec::AppendVarint(&out, b.header.order_time_us);
-  AppendDigest(&out, b.header.prev_hash);
-  AppendDigest(&out, b.header.signature);
-
+  const BlockHeader& h = b.header;
   const std::vector<TxnRef> found = refs != nullptr
                                         ? FindRefs(b, *refs)
                                         : std::vector<TxnRef>(b.batch.txns.size());
@@ -430,13 +484,34 @@ std::string BlockCodec::EncodeRecord(const Block& b, Compression codec,
   std::string stored;
   if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
   // Per-block fallback: a section compression cannot shrink is stored raw,
-  // so the envelope never costs more than its codec byte and raw length.
+  // so the envelope never costs more than its codec bits and raw length.
   if (codec == Compression::kNone || stored.size() >= section.size()) {
     codec = Compression::kNone;
     stored = std::move(section);
   }
+
+  const bool derived = refs != nullptr && refs->Follows(h);
+  std::string out;
+  codec::AppendVarint(&out, h.block_id);
   codec::AppendU8(&out, static_cast<uint8_t>(codec) |
+                            (derived ? kDerivedFlag : uint8_t{0}) |
                             (reach > 0 ? kRefsFlag : uint8_t{0}));
+  if (derived) {
+    // prev_hash is the predecessor's block_hash; first_tid and the order
+    // time are deltas from where the predecessor leaves them (wrapping).
+    const BlockHeader& prev = *refs->Header(h.block_id - 1);
+    AppendZigzag(&out, static_cast<int64_t>(
+                           h.first_tid - (prev.first_tid + prev.txn_count)));
+    codec::AppendVarint(&out, h.txn_count);
+    AppendZigzag(&out,
+                 static_cast<int64_t>(h.order_time_us - prev.order_time_us));
+  } else {
+    codec::AppendVarint(&out, h.first_tid);
+    codec::AppendVarint(&out, h.txn_count);
+    codec::AppendVarint(&out, h.order_time_us);
+    AppendDigest(&out, h.prev_hash);
+  }
+  AppendDigest(&out, h.signature);
   if (reach > 0) codec::AppendVarint(&out, reach);
   codec::AppendVarint(&out, raw_len);
   out.append(stored);  // the stored section runs to the end of the payload
@@ -445,7 +520,7 @@ std::string BlockCodec::EncodeRecord(const Block& b, Compression codec,
 
 Status BlockCodec::Decode(std::string_view bytes, Block* out,
                           const RefWindow* refs) {
-  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, refs, out));
+  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, refs, /*need_hash=*/true, out));
   out->header.txn_root = TxnRoot(out->batch);
   out->header.block_hash = HashHeader(out->header);
   return Status::OK();
@@ -453,17 +528,21 @@ Status BlockCodec::Decode(std::string_view bytes, Block* out,
 
 Status BlockCodec::Validate(std::string_view bytes, Block* out,
                             const RefWindow* refs) {
-  return ParseRecord(bytes, refs, out);
+  return ParseRecord(bytes, refs, /*need_hash=*/false, out);
+}
+
+bool BlockCodec::Peek(std::string_view bytes, RecordShape* out) {
+  Prefix p;
+  if (!ParsePrefix(bytes, &p).ok()) return false;
+  *out = p.shape;
+  return true;
 }
 
 bool BlockCodec::Peek(std::string_view bytes, BlockId* id, uint32_t* reach) {
-  codec::Reader r(bytes);
-  BlockHeader h;
-  Compression codec = Compression::kNone;
-  if (!ParseHeader(&r, &h) || !ParseEnvelope(&r, &codec, reach).ok()) {
-    return false;
-  }
-  *id = h.block_id;
+  RecordShape shape;
+  if (!Peek(bytes, &shape)) return false;
+  *id = shape.block_id;
+  *reach = shape.reach();
   return true;
 }
 

@@ -13,16 +13,19 @@
 namespace harmony {
 
 /// Block log format version (docs/FORMATS.md has the byte-level reference
-/// and the version history). v7 stores each block's txn section column-wise
+/// and the version history). v8 stores each block's txn section column-wise
 /// as LEB128 varints under a per-block compression envelope, and of the
-/// header digests only prev_hash and the signature: txn_root and block_hash
-/// are rebuilt on decode. A CC retry may be stored as a reference to its
-/// previous incarnation in an earlier block (see RefWindow). BlockStore
-/// reads and writes only this version and refuses v1–v6 logs with
-/// NotSupported.
-inline constexpr uint32_t kLogVersion = 7;
+/// header digests only the signature, plus prev_hash when the record has no
+/// predecessor to derive it from: txn_root and block_hash are rebuilt on
+/// decode. A record whose predecessor the encoder holds stores a *derived
+/// header* (prev_hash from the predecessor's block_hash, first_tid and
+/// order_time_us as deltas from its), and a CC retry may be stored as a
+/// reference to its previous incarnation in an earlier block (see
+/// RefWindow). BlockStore reads and writes only this version and refuses
+/// v1–v7 logs with NotSupported.
+inline constexpr uint32_t kLogVersion = 8;
 
-/// Furthest back, in blocks, a v7 record may reference; decoders keep at
+/// Furthest back, in blocks, a v8 record may reference; decoders keep at
 /// most this many earlier blocks.
 inline constexpr uint32_t kMaxRefReach = 64;
 
@@ -56,15 +59,19 @@ struct Block {
   std::string record;
 };
 
-/// The earlier blocks a v7 record may reference: the txns of up to
-/// kMaxRefReach consecutive blocks, oldest first. A reader fills one in
+/// The earlier blocks a v8 record may reference: the headers and txns of up
+/// to kMaxRefReach consecutive blocks, oldest first. A reader fills one in
 /// block order from a safe cut (docs/FORMATS.md, "References"), and
-/// BlockStore::Append keeps one for its encoder.
+/// BlockStore::Append keeps one for its encoder. A record with a derived
+/// header needs its predecessor's header here, and Decode its block_hash: a
+/// zero block_hash marks a header whose digests were never computed
+/// (BlockCodec::Validate leaves them zero), which Decode refuses to derive
+/// from.
 class RefWindow {
  public:
-  /// Adds `b`'s txns as the newest block. A block that does not directly
-  /// follow the newest one restarts the window at it; past kMaxRefReach
-  /// blocks the oldest is dropped.
+  /// Adds `b`'s header and txns as the newest block. A block that does not
+  /// directly follow the newest one restarts the window at it; past
+  /// kMaxRefReach blocks the oldest is dropped.
   void Push(const Block& b);
   /// Drops every block below `id`.
   void DropBefore(BlockId id);
@@ -75,22 +82,49 @@ class RefWindow {
   BlockId back_id() const { return front_id_ + blocks_.size() - 1; }
   /// The txns of block `id`, or nullptr when the window does not hold it.
   const std::vector<TxnRequest>* Find(BlockId id) const;
+  /// The header of block `id`, or nullptr when the window does not hold it.
+  const BlockHeader* Header(BlockId id) const;
+  /// True when `h`'s predecessor is held with a computed block_hash equal
+  /// to h.prev_hash: the encoder may then derive h's header from it.
+  bool Follows(const BlockHeader& h) const;
 
  private:
+  struct Entry {
+    BlockHeader header;
+    std::vector<TxnRequest> txns;
+  };
+  const Entry* At(BlockId id) const;
+
   BlockId front_id_ = 0;
-  std::deque<std::vector<TxnRequest>> blocks_;
+  std::deque<Entry> blocks_;
+};
+
+/// What a record's prefix states, read without a window and without
+/// decompressing anything (BlockCodec::Peek).
+struct RecordShape {
+  BlockId block_id = 0;
+  uint32_t txn_count = 0;
+  bool derived = false;       ///< header derived from block block_id - 1's
+  uint32_t ref_reach = 0;     ///< farthest txn reference back; 0: none
+  size_t section_offset = 0;  ///< payload offset of the stored txn section
+  /// How many blocks back a reader must hold to decode the record: a
+  /// derived header needs its predecessor, so it counts as reach 1.
+  uint32_t reach() const {
+    return derived && ref_reach == 0 ? 1 : ref_reach;
+  }
 };
 
 /// Serializes / parses transactions and blocks. Two encodings:
 ///  - the canonical fixed-width txn layout (EncodeTxn): the SUBMIT wire
 ///    payload and the input of TxnRoot, so chain identity and signatures
 ///    depend only on it;
-///  - the v7 log record (EncodeRecord): header varints, prev_hash and the
-///    signature, and a column-wise varint txn section under a compression
-///    envelope — the block log and the REPLICATE payload. Purely a storage
-///    encoding: a reference decodes to the exact canonical txn it stands
-///    for, and decoding rebuilds txn_root and block_hash from the record's
-///    contents, so a changed byte surfaces as a signature or chain mismatch.
+///  - the v8 log record (EncodeRecord): block id and flags, a full or
+///    derived header, the signature, and a column-wise varint txn section
+///    under a compression envelope — the block log and the REPLICATE
+///    payload. Purely a storage encoding: a derived header and a reference
+///    decode to the exact header and canonical txn they stand for, and
+///    decoding rebuilds txn_root and block_hash from the record's contents,
+///    so a changed byte surfaces as a signature or chain mismatch.
 class BlockCodec {
  public:
   /// Canonical transaction layout; also the wire SUBMIT payload.
@@ -101,29 +135,37 @@ class BlockCodec {
   /// truncated or oversized input.
   static bool DecodeTxn(codec::Reader* r, TxnRequest* out);
 
-  /// Encodes a v7 record payload, compressing the txn section with `codec`.
+  /// Encodes a v8 record payload, compressing the txn section with `codec`.
   /// Falls back to Compression::kNone per block when compression does not
-  /// shrink the section. With `refs`, each txn whose canonical bytes equal a
-  /// window txn's except that `retries` is one higher is stored as a
-  /// reference to the newest such txn; the decoder must hold the same
-  /// blocks. Without, every txn is stored in full.
+  /// shrink the section. With `refs`, the header is derived from the
+  /// predecessor's when `refs` Follows it, and each txn whose canonical
+  /// bytes equal a window txn's except that `retries` is one higher is
+  /// stored as a reference to the newest such txn; the decoder must hold
+  /// the same blocks. Without, the header and every txn are stored in full.
   static std::string EncodeRecord(const Block& b, Compression codec,
                                   const RefWindow* refs = nullptr);
-  /// Parses one v7 record payload, resolving its references in `refs`
-  /// (nullptr: the record must carry none), and rebuilds txn_root and
-  /// block_hash. Every count and length is checked against the bytes that
-  /// remain before anything is sized by it; a truncated, overlong, or
-  /// trailing-garbage payload, or a reference outside the window or past
-  /// the reach, is Corruption. Leaves `out->record` untouched.
+  /// Parses one v8 record payload, resolving its derived header and its
+  /// references in `refs` (nullptr: the record must carry neither), and
+  /// rebuilds txn_root and block_hash. Every count and length is checked
+  /// against the bytes that remain before anything is sized by it; a
+  /// truncated, overlong, or trailing-garbage payload, a derived header
+  /// whose predecessor `refs` lacks or holds without its hash, or a
+  /// reference outside the window or past the reach, is Corruption. Leaves
+  /// `out->record` untouched.
   static Status Decode(std::string_view bytes, Block* out,
                        const RefWindow* refs = nullptr);
-  /// Decode without the digest rebuild: the log's open scan needs only to
-  /// know that a record parses, and its txns for the next record's window.
+  /// Decode without the digest rebuild (txn_root and block_hash are left
+  /// zero, and a derived header's prev_hash is the predecessor's, computed
+  /// or not): the log's open scan needs only to know that a record parses,
+  /// and its header and txns for the next record's window.
   static Status Validate(std::string_view bytes, Block* out,
                          const RefWindow* refs = nullptr);
-  /// Reads only a record's block id and reference reach (0: the record
-  /// references nothing; else its farthest reference is `reach` blocks
-  /// back), without decompressing anything. False on a truncated prefix.
+  /// Reads a record's block id, header shape and reference reach, without
+  /// a window and without decompressing anything. False on a truncated or
+  /// malformed prefix.
+  static bool Peek(std::string_view bytes, RecordShape* out);
+  /// Peek's block id and RecordShape::reach(): 0 when the record decodes
+  /// alone, else how many blocks back a reader must hold.
   static bool Peek(std::string_view bytes, BlockId* id, uint32_t* reach);
 
   /// Digest over the serialized transaction batch.

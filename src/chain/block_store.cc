@@ -62,6 +62,25 @@ bool CopyRange(int from, uint64_t from_off, uint64_t len, int to,
   return true;
 }
 
+/// NotSupported unless `header` is the HBCL magic and this build's version:
+/// never guess at an unknown file — treating it as one giant torn tail
+/// would wipe the chain.
+Status CheckHeader(const uint32_t header[2], const std::string& path) {
+  if (header[0] != kLogMagic) {
+    return Status::NotSupported(
+        "block log has no HBCL header (headerless v1 logs are not supported; "
+        "this build reads only v" +
+        std::to_string(kLogVersion) + "): " + path);
+  }
+  if (header[1] != kLogVersion) {
+    return Status::NotSupported("block log format v" +
+                                std::to_string(header[1]) +
+                                " (this build reads only v" +
+                                std::to_string(kLogVersion) + "): " + path);
+  }
+  return Status::OK();
+}
+
 /// Decodes `n` consecutive records starting at `off` of `fd` (the first a
 /// safe cut, so each reference resolves in the blocks decoded before it)
 /// and keeps the blocks with id > after. Closes `fd`.
@@ -126,21 +145,31 @@ Status BlockStore::Open() {
       static_cast<ssize_t>(kLogHeaderBytes)) {
     return Status::IOError("read block log header");
   }
-  // Never guess at an unknown file: treating it as one giant torn tail
-  // would wipe the chain.
-  if (header[0] != kLogMagic) {
-    return Status::NotSupported(
-        "block log has no HBCL header (headerless v1 logs are not supported; "
-        "this build reads only v" +
-        std::to_string(kLogVersion) + "): " + path_);
-  }
-  if (header[1] != kLogVersion) {
-    return Status::NotSupported("block log format v" +
-                                std::to_string(header[1]) +
-                                " (this build reads only v" +
-                                std::to_string(kLogVersion) + "): " + path_);
-  }
+  HARMONY_RETURN_NOT_OK(CheckHeader(header, path_));
   return ScanAndRepair();
+}
+
+Status BlockStore::ScanRecords(
+    const std::string& path, const std::function<void(std::string_view)>& fn) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IOError("open block log " + path);
+  uint32_t header[2] = {0, 0};
+  Status s;
+  if (::pread(fd, header, kLogHeaderBytes, 0) !=
+      static_cast<ssize_t>(kLogHeaderBytes)) {
+    s = Status::IOError("read block log header: " + path);
+  } else {
+    s = CheckHeader(header, path);
+  }
+  off_t off = static_cast<off_t>(kLogHeaderBytes);
+  std::string payload;
+  size_t rec_len = 0;
+  while (s.ok() && ReadRecordAt(fd, off, &payload, &rec_len)) {
+    fn(payload);
+    off += static_cast<off_t>(rec_len);
+  }
+  ::close(fd);
+  return s;
 }
 
 Status BlockStore::ScanAndRepair() {
@@ -171,6 +200,19 @@ Status BlockStore::ScanAndRepair() {
   append_offset_ = static_cast<uint64_t>(off);
   // Drop any torn tail so future appends start from a clean record boundary.
   if (::ftruncate(fd_, off) != 0) return Status::IOError("truncate block log");
+  // The scan rebuilt no digest, but Append derives the next header from the
+  // tip's block_hash: decode the last safe cut through the tip again, with
+  // digests (at most one interval of records).
+  window_.Clear();
+  if (records_.empty()) return Status::OK();
+  const BlockId from = SafeCutLocked(last_block_id_);
+  const int fd = ::dup(fd_);
+  if (fd < 0) return Status::IOError("dup block log");
+  std::vector<Block> tail;
+  HARMONY_RETURN_NOT_OK(DecodeRecords(
+      fd, records_[from - first_block_id_].offset, last_block_id_ + 1 - from,
+      from - 1, &tail));
+  for (const Block& b : tail) window_.Push(b);
   return Status::OK();
 }
 
@@ -225,18 +267,21 @@ Status BlockStore::Append(const Block& b, std::string* stored) {
     order_cv_.wait(lk, [&] { return last_block_id_ + 1 == id; });
     window_.DropBefore(RefFloorLocked(id));
     std::string payload;
-    BlockId peek_id = 0;
-    uint32_t reach = 0;
-    if (!b.record.empty() && BlockCodec::Peek(b.record, &peek_id, &reach) &&
-        (reach == 0 ||
-         (reach < id && window_.Find(id - reach) != nullptr))) {
+    RecordShape shape;
+    const bool peeked =
+        !b.record.empty() && BlockCodec::Peek(b.record, &shape);
+    const uint32_t need = shape.reach();
+    if (peeked &&
+        (need == 0 || (need < id && window_.Find(id - need) != nullptr)) &&
+        (!shape.derived || window_.Follows(b.header))) {
       payload = b.record;
     } else {
-      // No record yet, or one whose references reach below this log's
-      // window (a snapshot base, a truncation, a different interval).
+      // No record yet, or one that reaches below this log's window (a
+      // snapshot base, a truncation, a different interval).
       payload = BlockCodec::EncodeRecord(b, compression_, &window_);
-      BlockCodec::Peek(payload, &peek_id, &reach);
+      BlockCodec::Peek(payload, &shape);
     }
+    const uint32_t reach = shape.reach();
     window_.Push(b);
     rec.reserve(payload.size() + 8);
     codec::AppendU32(&rec, static_cast<uint32_t>(payload.size()));

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,20 +22,22 @@ class EventLog;
 /// execution is deterministic, persisting the *inputs* is sufficient for
 /// recovery — no ARIES-style physical log.
 ///
-/// ## File format (block log v7 — docs/FORMATS.md is the authoritative
+/// ## File format (block log v8 — docs/FORMATS.md is the authoritative
 /// byte-level reference)
 ///
 /// ```
 ///   offset 0: u32 magic           = 0x4C434248 ("HBCL" read as bytes,
 ///                                   little-endian on disk)
-///   offset 4: u32 format_version  = kLogVersion (7, chain/block.h)
+///   offset 4: u32 format_version  = kLogVersion (8, chain/block.h)
 ///   offset 8: records...
 ///
 ///   record:   u32 payload_len
 ///             payload             (BlockCodec::EncodeRecord bytes:
-///                                  varint header fields, prev_hash and
-///                                  signature, compression envelope over
-///                                  the column-wise varint txn section)
+///                                  block id and flags, a full header or
+///                                  one derived from the previous block's,
+///                                  the signature, compression envelope
+///                                  over the column-wise varint txn
+///                                  section)
 ///             u32 crc32(payload)  — CRC of the payload *as stored*, i.e.
 ///                                   over the compressed bytes
 /// ```
@@ -43,18 +47,21 @@ class EventLog;
 /// signatures are computed over the canonical BlockCodec::EncodeTxn bytes,
 /// which a decoded record reproduces exactly (reads rebuild both digests).
 ///
-/// ### References and safe cuts
-/// Append stores a CC retry as a reference to its previous incarnation in
-/// an earlier record of the same *interval* (block ids from one
-/// `id % checkpoint_every == 1` to the next, also split at every
-/// `id % 64 == 1` when longer than 64 blocks or when checkpointing is off)
-/// that is still in the log. A record is a *safe
-/// cut* when no record at or after it references a block before it: the
-/// log's first record and every interval start are. Readers decode in
-/// order from a safe cut, and TruncateBefore cuts only at one.
+/// ### Derived headers, references and safe cuts
+/// Within an *interval* (block ids from one `id % checkpoint_every == 1` to
+/// the next, also split at every `id % 64 == 1` when longer than 64 blocks
+/// or when checkpointing is off), Append derives each record's header from
+/// the previous record's when that record is still in the log (no
+/// prev_hash; first_tid and the order time as deltas), and stores a CC
+/// retry as a reference to its previous incarnation in an earlier record.
+/// A derived header counts as a reference of reach 1. A record is a *safe
+/// cut* when no record at or after it references a block before it: those
+/// are exactly the full-header records, the log's first record and every
+/// interval start. Readers decode in order from a safe cut, and
+/// TruncateBefore cuts only at one.
 ///
 /// ### One version
-/// Only v7 is read or written. A v1–v6 log (v1 files have no header at all)
+/// Only v8 is read or written. A v1–v7 log (v1 files have no header at all)
 /// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
@@ -65,7 +72,9 @@ class EventLog;
 /// whose CRC passes but whose payload fails to decompress or parse, or
 /// whose block id does not follow its predecessor's, is Corruption on read
 /// (and a torn tail on open). Neither the open scan nor TruncateBefore
-/// rebuilds digests.
+/// rebuilds digests, except that Open decodes the last safe cut through
+/// the tip with digests once, so the next Append can derive its header
+/// from the tip's block_hash.
 class BlockStore {
  public:
   /// `sync_latency_us` is the modelled group-commit flush cost charged per
@@ -92,14 +101,24 @@ class BlockStore {
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
   /// Opens the log and scans it, truncating a torn tail if present.
-  /// NotSupported for a file without the v7 header (see class comment).
+  /// NotSupported for a file without the v8 header (see class comment).
   Status Open();
+
+  /// Calls `fn` with the stored payload of each whole record of the log at
+  /// `path`, in order, reading only: nothing is repaired, and the scan ends
+  /// quietly at a torn or CRC-failing tail. NotSupported for a file without
+  /// the v8 header, like Open; IOError when the file cannot be read.
+  static Status ScanRecords(const std::string& path,
+                            const std::function<void(std::string_view)>& fn);
 
   /// Appends one block with the modelled group-commit flush. `b.record`,
   /// when set (a replicated block: the caller vouches that it encodes `b`),
-  /// is stored verbatim if every block it references is in this log's
-  /// reference window; otherwise, and for a block without a record, Append
-  /// encodes the block itself, storing retries as references where it can.
+  /// is stored verbatim if every block it references — its predecessor,
+  /// for a derived header — is in this log's reference window; otherwise,
+  /// and for a block without a record, Append encodes the block itself,
+  /// deriving its header and storing retries as references where it can.
+  /// A block's header.block_hash must be its real hash (Seal and Decode
+  /// set it): the next block's derived header is taken from it.
   /// `stored`, when non-null, receives the payload written. Thread-safe
   /// and strictly ordered: a call for block n+1 waits until block n is
   /// appended (pipelined replicas append from concurrent simulation
@@ -136,8 +155,9 @@ class BlockStore {
   Status ReadAll(std::vector<Block>* out) { return ReadBlocksAfter(0, out); }
 
   /// Drops the records below the largest safe cut at or below `keep_from`
-  /// (exactly `keep_from` on a log without references; every record when
-  /// `keep_from` is past the tip) — the checkpoint-anchored retention path:
+  /// (the start of keep_from's interval, or the log's first record if that
+  /// is later; every record when `keep_from` is past the tip) — the
+  /// checkpoint-anchored retention path:
   /// once the manifest proves state through block B durable, records below
   /// the retention window are dead weight for recovery. The kept records
   /// stay byte-identical. Rewrites the log via write-temp

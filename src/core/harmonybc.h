@@ -81,12 +81,14 @@ class HarmonyBC {
     /// fallback keeps incompressible blocks from growing; kNone stores
     /// every section raw (the same log version). A follower stores the
     /// leader's records as received, whatever its own setting, except
-    /// those whose references reach below its log (re-encoded with it).
+    /// those whose derived header or references reach below its log
+    /// (re-encoded with it).
     Compression block_compression = Compression::kHlz;
     /// Block-log retention (docs/FORMATS.md): each checkpoint at block B
     /// keeps at least the last log_retain_blocks records, truncating below
-    /// the safe cut at or under B - log_retain_blocks + 1, bounding disk at
-    /// O(retention + checkpoint period). 0 keeps the full chain.
+    /// the safe cut at or under B - log_retain_blocks + 1 (the start of
+    /// that block's interval, so up to one interval more stays), bounding
+    /// disk at O(retention + checkpoint period). 0 keeps the full chain.
     uint64_t log_retain_blocks = 0;
     /// Archive truncated records to <name>.chain.archive (torture / audit
     /// tooling ground truth; production leaves this off).

@@ -21,7 +21,7 @@ class RefWindow;
 
 namespace net {
 
-/// HarmonyBC wire protocol v5 — a versioned, length-prefixed binary frame
+/// HarmonyBC wire protocol v6 — a versioned, length-prefixed binary frame
 /// format spoken between NetClient and NetServer (docs/NET.md for the
 /// contracts, docs/FORMATS.md for the authoritative byte-level reference).
 ///
@@ -49,7 +49,7 @@ namespace net {
 /// request id that the reply echoes; on every other opcode a non-zero id is
 /// a protocol error.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireVersion = 5;
+inline constexpr uint8_t kWireVersion = 6;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or
@@ -177,8 +177,9 @@ bool DecodeReplJoin(std::string_view payload, WireReplJoin* out);
 /// as its log holds them) through the end of the payload. Nothing is
 /// encoded for the link: the leader ships the record it logged, and the
 /// follower's log appends the same bytes where their references resolve.
-/// Decode parses the record, resolving references in `refs` (the session's
-/// earlier blocks; nullptr: none allowed) and rebuilding its digests, keeps
+/// Decode parses the record, resolving its derived header and references
+/// in `refs` (the session's earlier blocks; nullptr: neither allowed) and
+/// rebuilding its digests, keeps
 /// the bytes in `out->record`, and rejects an outer id that disagrees with
 /// the decoded header, so a frame that passes the codec is internally
 /// consistent before the follower touches it.

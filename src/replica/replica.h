@@ -44,8 +44,10 @@ struct ReplicaOptions {
 
   /// Block-log retention: at each checkpoint at block B, keep at least the
   /// last log_retain_blocks records, cutting at the safe point at or below
-  /// B - log_retain_blocks + 1 (BlockStore::TruncateBefore), bounding disk
-  /// usage at O(retention + checkpoint period) instead of O(chain).
+  /// B - log_retain_blocks + 1 (BlockStore::TruncateBefore: the start of
+  /// that block's interval, so fewer than log_retain_blocks + one interval
+  /// of at most 64 blocks stay), bounding disk usage at O(retention +
+  /// checkpoint period) instead of O(chain).
   /// Minimum effective retention is 1 block (recovery anchors the chain
   /// audit at the first retained record). 0 disables truncation. Disk
   /// engine only: Open() rejects it with in_memory.
@@ -60,7 +62,8 @@ struct ReplicaOptions {
   /// Codec for the block log's sealed-txn sections (per-block raw fallback
   /// when a section does not shrink). Applies to blocks this replica
   /// encodes; a replicated block is stored as the leader encoded it unless
-  /// its references reach below this log (BlockStore::Append).
+  /// its derived header or references reach below this log
+  /// (BlockStore::Append).
   Compression block_compression = Compression::kHlz;
   /// Optional txn-lifecycle tracer: records per-block execute (Simulate)
   /// and commit durations. Replayed blocks (Recover) are not recorded.

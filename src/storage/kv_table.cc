@@ -158,11 +158,11 @@ Status KvTable::Put(Key key, std::string_view value,
       }
       if (old_value != nullptr) old_value->emplace(v.data(), v.size());
       in_place = slotted::UpdateInPlace(guard->data(), rid.slot, value);
-      if (!in_place) slotted::Erase(guard->data(), rid.slot);
-      guard->MarkDirty();
+      if (in_place) guard->MarkDirty();
     }
     if (in_place) return Status::OK();
     // Relocate: record no longer fits its allocation.
+    EraseSlot(rid, *guard);
     auto new_rid = InsertRecord(key, value);
     HARMONY_RETURN_NOT_OK(new_rid.status());
     std::unique_lock<std::shared_mutex> lk(index_mu_);
@@ -188,17 +188,32 @@ Status KvTable::Erase(Key key, std::optional<std::string>* old_value) {
   }
   auto guard = pool_->FetchPage(rid.page);
   HARMONY_RETURN_NOT_OK(guard.status());
-  std::lock_guard<SpinLock> latch(PageLatch(rid.page));
   if (old_value != nullptr) {
+    std::lock_guard<SpinLock> latch(PageLatch(rid.page));
     Key k;
     std::string_view v;
     if (slotted::Read(guard->data(), rid.slot, &k, &v) && k == key) {
       old_value->emplace(v.data(), v.size());
     }
   }
-  slotted::Erase(guard->data(), rid.slot);
-  guard->MarkDirty();
+  EraseSlot(rid, *guard);
   return Status::OK();
+}
+
+void KvTable::EraseSlot(Rid rid, PageGuard& guard) {
+  std::lock_guard<std::mutex> alk(alloc_mu_);
+  std::lock_guard<SpinLock> latch(PageLatch(rid.page));
+  slotted::Erase(guard.data(), rid.slot);
+  guard.MarkDirty();
+  if (rid.page >= free_pages_.size() ||
+      free_pages_[rid.page].first != rid.page) {
+    return;  // a page this table never listed
+  }
+  size_t& free_est = free_pages_[rid.page].second;
+  free_est = slotted::TotalFree(guard.data());
+  if (rid.page + 1 != free_pages_.size()) {
+    older_free_max_ = std::max(older_free_max_, free_est);
+  }
 }
 
 size_t KvTable::size() const {

@@ -66,6 +66,11 @@ class KvTable {
   /// page latches. With `load`, a new page becomes the load cursor.
   Result<Rid> InsertRecord(Key key, std::string_view value, bool load = false);
   void ReleaseLoadCursorLocked();
+  /// Erases `rid`'s slot from its pinned page and returns the freed room to
+  /// the page's free-space estimate (and the bound on older pages), so the
+  /// next inserts reuse it. Takes alloc_mu_, then the page latch — the
+  /// order InsertRecord takes them in.
+  void EraseSlot(Rid rid, PageGuard& guard);
 
   static constexpr size_t kLatchCount = 1024;
 
@@ -76,7 +81,9 @@ class KvTable {
   std::unordered_map<Key, Rid> index_;
 
   std::mutex alloc_mu_;
-  /// Pages with estimated free space, most-recently-allocated last.
+  /// Pages with estimated free space, most-recently-allocated last. Every
+  /// page is allocated through this table and RebuildIndex lists them all,
+  /// so entry i is page i.
   std::vector<std::pair<PageId, size_t>> free_pages_;
   /// Upper bound on the estimate of every free page but the newest.
   size_t older_free_max_ = kPageSize;

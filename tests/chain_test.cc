@@ -347,6 +347,23 @@ bool PathExists(const std::string& path) {
   return ::access(path.c_str(), F_OK) == 0;
 }
 
+/// The first block of `id`'s reference interval (docs/FORMATS.md,
+/// "References"): the largest safe cut at or below `id` on a log one
+/// encoder wrote without gaps.
+BlockId IntervalStart(BlockId id, uint64_t checkpoint_every) {
+  const BlockId grid = id - (id - 1) % kMaxRefReach;
+  if (checkpoint_every == 0) return grid;
+  const BlockId start = id - (id - 1) % checkpoint_every;
+  return checkpoint_every > kMaxRefReach ? std::max(start, grid) : start;
+}
+
+/// checkpoint_every for a store whose every block starts an interval: no
+/// record derives its header or references another, so every record is a
+/// safe cut and TruncateBefore cuts exactly where asked. The rewrite,
+/// crash-window and archive tests below use it; BlockStoreTruncate
+/// .EveryBoundary and BlockStoreRefs cover cuts between derived records.
+constexpr uint64_t kEveryBlockACut = 1;
+
 /// Appends blocks first_id..last_id (2 txns each) to an open store.
 void FillChain(BlockStore* store, BlockBuilder* builder, BlockId first_id,
                BlockId last_id) {
@@ -356,65 +373,71 @@ void FillChain(BlockStore* store, BlockBuilder* builder, BlockId first_id,
 }
 
 TEST(BlockStoreTruncate, EveryBoundary) {
-  // TruncateBefore at every keep_from in [0, tip+1]: the live log must hold
-  // exactly the records >= keep_from, stay audit-clean, survive a reopen,
-  // and keep accepting appends at the (unchanged) tip.
+  // TruncateBefore at every keep_from in [0, tip+1], with every block an
+  // interval start and with 3-block intervals: the live log must hold
+  // exactly the records from the largest safe cut at or below keep_from
+  // (keep_from itself when every record is one), stay audit-clean, survive
+  // a reopen, and keep accepting appends at the (unchanged) tip.
   constexpr BlockId kTip = 8;
-  for (BlockId keep_from = 0; keep_from <= kTip + 1; keep_from++) {
-    SCOPED_TRACE(keep_from);
-    TempDir dir("trunc-bound");
-    const std::string path = dir.path() + "/chain.log";
-    BlockBuilder builder("secret");
-    {
-      BlockStore store(path);
+  for (uint64_t every : {kEveryBlockACut, uint64_t{3}}) {
+    for (BlockId keep_from = 0; keep_from <= kTip + 1; keep_from++) {
+      SCOPED_TRACE(::testing::Message() << "every " << every << " keep_from "
+                                        << keep_from);
+      TempDir dir("trunc-bound");
+      const std::string path = dir.path() + "/chain.log";
+      BlockBuilder builder("secret");
+      const BlockId cut = keep_from == 0      ? 1
+                          : keep_from > kTip ? kTip + 1
+                                             : IntervalStart(keep_from, every);
+      const size_t expect_kept = kTip + 1 - cut;
+      {
+        BlockStore store(path, 150, Compression::kHlz, every);
+        ASSERT_OK(store.Open());
+        FillChain(&store, &builder, 1, kTip);
+        ASSERT_OK(store.TruncateBefore(keep_from));
+        EXPECT_EQ(store.num_blocks(), expect_kept);
+        EXPECT_EQ(store.last_block_id(), kTip);
+        EXPECT_EQ(store.first_block_id(), expect_kept > 0 ? cut : 0u);
+        if (cut > 1) {
+          EXPECT_EQ(store.truncations(), 1u);
+          EXPECT_EQ(store.truncated_blocks(), static_cast<uint64_t>(cut - 1));
+        } else {
+          EXPECT_EQ(store.truncations(), 0u);  // no-op keeps the file alone
+        }
+        std::vector<Block> live;
+        ASSERT_OK(store.ReadAll(&live));
+        ASSERT_EQ(live.size(), expect_kept);
+        for (size_t i = 0; i < live.size(); i++) {
+          EXPECT_EQ(live[i].header.block_id, cut + i);
+        }
+        ASSERT_OK(ChainVerifier::VerifyChain(live, "secret"));
+      }
+      // Reopen: the rewrite is the durable truth, not handle state.
+      BlockStore store(path, 150, Compression::kHlz, every);
       ASSERT_OK(store.Open());
-      FillChain(&store, &builder, 1, kTip);
-      ASSERT_OK(store.TruncateBefore(keep_from));
-      const BlockId eff = keep_from == 0 ? 1 : keep_from;
-      const size_t expect_kept = kTip + 1 >= eff ? kTip + 1 - eff : 0;
       EXPECT_EQ(store.num_blocks(), expect_kept);
-      EXPECT_EQ(store.last_block_id(), kTip);
-      EXPECT_EQ(store.first_block_id(), expect_kept > 0 ? eff : 0u);
-      if (keep_from > 1) {
-        EXPECT_EQ(store.truncations(), 1u);
-        EXPECT_EQ(store.truncated_blocks(), static_cast<uint64_t>(eff - 1));
-      } else {
-        EXPECT_EQ(store.truncations(), 0u);  // no-op keeps the file alone
+      EXPECT_EQ(store.first_block_id(), expect_kept > 0 ? cut : 0u);
+      if (expect_kept > 0) {
+        // Appends continue at the durable tip.
+        Block last;
+        ASSERT_OK(store.ReadLast(&last));
+        EXPECT_EQ(last.header.block_id, kTip);
+        BlockBuilder more("secret");
+        more.ResumeFrom(last.header.block_hash);
+        ASSERT_OK(store.Append(more.Seal(MakeBatch(kTip + 1, 1000, 2), 0)));
+        EXPECT_EQ(store.last_block_id(), kTip + 1);
+        std::vector<Block> live;
+        ASSERT_OK(store.ReadAll(&live));
+        ASSERT_OK(ChainVerifier::VerifyChain(live, "secret"));
       }
-      std::vector<Block> live;
-      ASSERT_OK(store.ReadAll(&live));
-      ASSERT_EQ(live.size(), expect_kept);
-      for (size_t i = 0; i < live.size(); i++) {
-        EXPECT_EQ(live[i].header.block_id, eff + i);
-      }
-      ASSERT_OK(ChainVerifier::VerifyChain(live, "secret"));
-    }
-    // Reopen: the rewrite is the durable truth, not handle state.
-    BlockStore store(path);
-    ASSERT_OK(store.Open());
-    const BlockId eff = keep_from == 0 ? 1 : keep_from;
-    const size_t expect_kept = kTip + 1 >= eff ? kTip + 1 - eff : 0;
-    EXPECT_EQ(store.num_blocks(), expect_kept);
-    EXPECT_EQ(store.first_block_id(), expect_kept > 0 ? eff : 0u);
-    if (expect_kept > 0) {
-      // Appends continue at the durable tip.
-      Block last;
-      ASSERT_OK(store.ReadLast(&last));
-      EXPECT_EQ(last.header.block_id, kTip);
-      BlockBuilder more("secret");
-      more.ResumeFrom(last.header.block_hash);
-      ASSERT_OK(store.Append(more.Seal(MakeBatch(kTip + 1, 1000, 2), 0)));
-      EXPECT_EQ(store.last_block_id(), kTip + 1);
-      std::vector<Block> live;
-      ASSERT_OK(store.ReadAll(&live));
-      ASSERT_OK(ChainVerifier::VerifyChain(live, "secret"));
     }
   }
 }
 
 TEST(BlockStoreTruncate, DiskBytesShrink) {
   TempDir dir("trunc-bytes");
-  BlockStore store(dir.path() + "/chain.log");
+  BlockStore store(dir.path() + "/chain.log", 150, Compression::kHlz,
+                   kEveryBlockACut);
   ASSERT_OK(store.Open());
   BlockBuilder builder("secret");
   FillChain(&store, &builder, 1, 32);
@@ -426,7 +449,8 @@ TEST(BlockStoreTruncate, DiskBytesShrink) {
 
 TEST(BlockStoreTruncate, CrashPointsFireDuringRewrite) {
   TempDir dir("trunc-cp");
-  BlockStore store(dir.path() + "/chain.log");
+  BlockStore store(dir.path() + "/chain.log", 150, Compression::kHlz,
+                   kEveryBlockACut);
   ASSERT_OK(store.Open());
   BlockBuilder builder("secret");
   FillChain(&store, &builder, 1, 6);
@@ -449,7 +473,7 @@ TEST(BlockStoreTruncate, CrashBeforeRenameKeepsOldLog) {
   const std::string path = dir.path() + "/chain.log";
   std::string truncated_bytes;
   {
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     BlockBuilder builder("secret");
     FillChain(&store, &builder, 1, 6);
@@ -459,13 +483,13 @@ TEST(BlockStoreTruncate, CrashBeforeRenameKeepsOldLog) {
   {
     // Rebuild the full log, then plant the would-be temp beside it.
     ASSERT_EQ(::unlink(path.c_str()), 0);
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     BlockBuilder builder("secret");
     FillChain(&store, &builder, 1, 6);
   }
   SpillFile(path + ".truncate", truncated_bytes);
-  BlockStore store(path);
+  BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
   ASSERT_OK(store.Open());
   EXPECT_EQ(store.num_blocks(), 6u);
   EXPECT_EQ(store.first_block_id(), 1u);
@@ -476,14 +500,14 @@ TEST(BlockStoreTruncate, CrashAfterRenameServesNewLog) {
   TempDir dir("trunc-after");
   const std::string path = dir.path() + "/chain.log";
   {
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     BlockBuilder builder("secret");
     FillChain(&store, &builder, 1, 6);
     ASSERT_OK(store.TruncateBefore(4));
     // A crash here (post-rename) loses only the handle, not the rewrite.
   }
-  BlockStore store(path);
+  BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
   ASSERT_OK(store.Open());
   EXPECT_EQ(store.num_blocks(), 3u);
   EXPECT_EQ(store.first_block_id(), 4u);
@@ -500,7 +524,7 @@ TEST(BlockStoreTruncate, TornTempSweepNeverCorruptsLiveLog) {
   const std::string path = dir.path() + "/chain.log";
   std::string temp_base;
   {
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     BlockBuilder builder("secret");
     FillChain(&store, &builder, 1, 6);
@@ -510,7 +534,7 @@ TEST(BlockStoreTruncate, TornTempSweepNeverCorruptsLiveLog) {
   ASSERT_EQ(::unlink(path.c_str()), 0);
   std::string live_bytes;
   {
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     BlockBuilder builder("secret");
     FillChain(&store, &builder, 1, 6);
@@ -529,7 +553,7 @@ TEST(BlockStoreTruncate, TornTempSweepNeverCorruptsLiveLog) {
     }
     SpillFile(path, live_bytes);
     SpillFile(path + ".truncate", mutant);
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     EXPECT_EQ(store.num_blocks(), 6u);
     EXPECT_EQ(store.first_block_id(), 1u);
@@ -545,13 +569,13 @@ TEST(BlockStoreTruncate, StaleTempCleanupRegression) {
   TempDir dir("trunc-stale");
   const std::string path = dir.path() + "/chain.log";
   {
-    BlockStore store(path);
+    BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
     ASSERT_OK(store.Open());
     BlockBuilder builder("secret");
     FillChain(&store, &builder, 1, 3);
   }
   SpillFile(path + ".truncate", "not a block log at all");
-  BlockStore store(path);
+  BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
   ASSERT_OK(store.Open());
   EXPECT_EQ(store.num_blocks(), 3u);
   EXPECT_FALSE(PathExists(path + ".truncate"));
@@ -562,7 +586,7 @@ TEST(BlockStoreTruncate, StaleTempCleanupRegression) {
 TEST(BlockStoreTruncate, ArchivePreservesDroppedRecords) {
   TempDir dir("trunc-arch");
   const std::string path = dir.path() + "/chain.log";
-  BlockStore store(path);
+  BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
   store.SetArchiveTruncated(true);
   ASSERT_OK(store.Open());
   BlockBuilder builder("secret");
@@ -589,7 +613,7 @@ TEST(BlockStoreTruncate, ArchiveSurvivesTornArchiveTail) {
   // repair it and the reader must still return every whole record once.
   TempDir dir("trunc-arch-torn");
   const std::string path = dir.path() + "/chain.log";
-  BlockStore store(path);
+  BlockStore store(path, 150, Compression::kHlz, kEveryBlockACut);
   store.SetArchiveTruncated(true);
   ASSERT_OK(store.Open());
   BlockBuilder builder("secret");
@@ -705,29 +729,31 @@ void ExpectChainSlice(const std::vector<Block>& got,
   }
 }
 
-BlockId IntervalStart(BlockId id, uint64_t checkpoint_every) {
-  const BlockId grid = id - (id - 1) % kMaxRefReach;
-  if (checkpoint_every == 0) return grid;
-  const BlockId start = id - (id - 1) % checkpoint_every;
-  return checkpoint_every > kMaxRefReach ? std::max(start, grid) : start;
-}
-
-/// Every stored record's references stay at or above the log's first
-/// record and inside its own interval. Returns how many records carry any.
+/// Every stored record's references and derived header stay at or above
+/// the log's first record and inside its own interval, and a record stores
+/// a full header exactly when it is a safe cut (no record at or after it
+/// reaches below it). Returns how many records store a txn by reference.
 size_t CheckReferenceRules(BlockStore* store, uint64_t checkpoint_every) {
   std::vector<std::pair<BlockId, std::string>> records;
   EXPECT_OK(store->ReadRecordsAfter(0, SIZE_MAX, &records));
+  std::vector<RecordShape> shapes(records.size());
   size_t with_refs = 0;
-  for (const auto& [id, record] : records) {
-    BlockId peeked = 0;
-    uint32_t reach = 0;
-    EXPECT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
-    EXPECT_EQ(peeked, id);
-    if (reach == 0) continue;
-    with_refs++;
-    EXPECT_GE(id - reach, store->first_block_id()) << "block " << id;
-    EXPECT_GE(id - reach, IntervalStart(id, checkpoint_every))
+  for (size_t i = 0; i < records.size(); i++) {
+    const BlockId id = records[i].first;
+    RecordShape& shape = shapes[i];
+    EXPECT_TRUE(BlockCodec::Peek(records[i].second, &shape));
+    EXPECT_EQ(shape.block_id, id);
+    if (shape.ref_reach > 0) with_refs++;
+    if (shape.reach() == 0) continue;
+    EXPECT_GE(id - shape.reach(), store->first_block_id()) << "block " << id;
+    EXPECT_GE(id - shape.reach(), IntervalStart(id, checkpoint_every))
         << "block " << id;
+  }
+  BlockId lowest = records.empty() ? 0 : records.back().first;
+  for (size_t i = records.size(); i-- > 0;) {
+    const BlockId id = records[i].first;
+    lowest = std::min(lowest, id - shapes[i].reach());
+    EXPECT_EQ(!shapes[i].derived, lowest >= id) << "block " << id;
   }
   return with_refs;
 }
@@ -794,7 +820,9 @@ TEST(BlockStoreRefs, SeededChainsReadBackThroughEveryPath) {
       archived.insert(archived.end(), got.begin(), got.end());
       ExpectChainSlice(archived, chain, 1);
     }
-    // The open scan decodes the survivors in order from the first record.
+    // The open scan decodes the survivors in order from the first record,
+    // and the reopened store derives the next block's header from the tip
+    // (its digests rebuilt at Open) unless that block starts an interval.
     const BlockId first = store.first_block_id();
     BlockStore reopened(path, 0, Compression::kHlz, every);
     ASSERT_OK(reopened.Open());
@@ -802,33 +830,85 @@ TEST(BlockStoreRefs, SeededChainsReadBackThroughEveryPath) {
     if (first != 0) {
       ASSERT_OK(reopened.ReadAll(&got));
       ExpectChainSlice(got, chain, first);
+      const Block next = RetryChain(seed, n + 1, 0.4).back();
+      std::string stored;
+      ASSERT_OK(reopened.Append(next, &stored));
+      RecordShape shape;
+      ASSERT_TRUE(BlockCodec::Peek(stored, &shape));
+      EXPECT_EQ(shape.derived, IntervalStart(n + 1, every) <= n);
+      CheckReferenceRules(&reopened, every);
+      ASSERT_OK(reopened.ReadLast(&last));
+      EXPECT_EQ(last.header.block_hash, next.header.block_hash);
     }
   }
   EXPECT_GT(total_refs, 0u);
 }
 
-// A log without retries never stores a reference, so every record is a
-// safe cut and truncation lands exactly on keep_from.
-TEST(BlockStoreRefs, RetryFreeLogTruncatesExactly) {
+// A log without retries never stores a reference, but every record whose
+// predecessor is in its interval derives its header from it, so the safe
+// cuts are exactly the interval starts (and the log's first record), and
+// truncation lands on the largest interval start at or below keep_from —
+// never above it, so the retention contract ("keep at least N") holds.
+TEST(BlockStoreRefs, RetryFreeLogCutsAtTheIntervalStart) {
+  constexpr uint64_t kEvery = 10;
   for (uint64_t seed = 1; seed <= 8; seed++) {
     SCOPED_TRACE(seed);
     const std::vector<Block> chain = RetryChain(seed, 40, 0.0);
     TempDir dir("refs-exact");
-    BlockStore store(dir.path() + "/chain.log", 0, Compression::kHlz, 10);
+    BlockStore store(dir.path() + "/chain.log", 0, Compression::kHlz, kEvery);
     ASSERT_OK(store.Open());
     for (const Block& b : chain) ASSERT_OK(store.Append(b));
-    EXPECT_EQ(CheckReferenceRules(&store, 10), 0u);
+    EXPECT_EQ(CheckReferenceRules(&store, kEvery), 0u);
     Rng rng(seed);
     BlockId keep_from = 1;
     for (int t = 0; t < 4; t++) {
       keep_from += 1 + rng.Uniform(9);
+      const BlockId was = store.first_block_id();
       ASSERT_OK(store.TruncateBefore(keep_from));
-      EXPECT_EQ(store.first_block_id(), keep_from);
+      const BlockId cut = std::max(was, IntervalStart(keep_from, kEvery));
+      EXPECT_EQ(store.first_block_id(), cut);
+      EXPECT_LE(store.first_block_id(), keep_from);
+      EXPECT_EQ(CheckReferenceRules(&store, kEvery), 0u);
       std::vector<Block> got;
       ASSERT_OK(store.ReadAll(&got));
-      ExpectChainSlice(got, chain, keep_from);
+      ExpectChainSlice(got, chain, cut);
     }
   }
+}
+
+// A replicated record is stored verbatim only when it decodes to the block
+// handed to Append in this log: a derived header over a predecessor that
+// is not the block's parent (a log that forked from the leader's) would
+// take another prev_hash, so the store re-encodes it with the full header.
+TEST(BlockStoreRefs, DerivedRecordOverAnotherParentIsReencoded) {
+  const std::vector<Block> chain = RetryChain(5, 3, 0.0);
+  RefWindow leader;
+  leader.Push(chain[0]);
+  leader.Push(chain[1]);
+  Block b3 = chain[2];
+  b3.record = BlockCodec::EncodeRecord(b3, Compression::kHlz, &leader);
+  RecordShape shape;
+  ASSERT_TRUE(BlockCodec::Peek(b3.record, &shape));
+  ASSERT_TRUE(shape.derived);
+
+  TempDir dir("refs-fork");
+  BlockStore store(dir.path() + "/chain.log", 0, Compression::kHlz, 10);
+  ASSERT_OK(store.Open());
+  ASSERT_OK(store.Append(chain[0]));
+  BlockBuilder other("secret");
+  other.ResumeFrom(chain[0].header.block_hash);
+  TxnBatch fork = chain[1].batch;
+  fork.txns.emplace_back();
+  ASSERT_OK(store.Append(other.Seal(std::move(fork), 2000)));
+  std::string stored;
+  ASSERT_OK(store.Append(b3, &stored));
+  EXPECT_NE(stored, b3.record);
+  ASSERT_TRUE(BlockCodec::Peek(stored, &shape));
+  EXPECT_FALSE(shape.derived);
+  Block last;
+  ASSERT_OK(store.ReadLast(&last));
+  EXPECT_EQ(last.header.prev_hash, b3.header.prev_hash);
+  EXPECT_EQ(last.header.block_hash, b3.header.block_hash);
 }
 
 // A replication session starting at block `next` decodes the leader's
@@ -838,6 +918,7 @@ TEST(BlockStoreRefs, RetryFreeLogTruncatesExactly) {
 // references resolve in its own log, and re-encodes the rest.
 TEST(BlockStoreRefs, SessionContextAndSnapshotBases) {
   constexpr uint64_t kIntervals[] = {0, 2, 3, 7, 10};
+  size_t verbatim = 0;
   for (uint64_t seed = 1; seed <= 24; seed++) {
     SCOPED_TRACE(seed);
     Rng rng(seed * 104729);
@@ -879,7 +960,6 @@ TEST(BlockStoreRefs, SessionContextAndSnapshotBases) {
                         every);
     ASSERT_OK(follower.Open());
     ASSERT_OK(follower.ResetTail(base));
-    size_t verbatim = 0;
     for (const auto& [id, record] : records) {
       if (id <= base) continue;
       Block b = chain[id - 1];
@@ -889,20 +969,23 @@ TEST(BlockStoreRefs, SessionContextAndSnapshotBases) {
       BlockId peeked = 0;
       uint32_t reach = 0;
       ASSERT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
-      // Only a record reaching below the follower's first block differs.
+      // Exactly the records reaching below the follower's first block (its
+      // derived header or a reference) are re-encoded.
       if (id - reach > base) {
         EXPECT_EQ(stored, record) << "block " << id;
         verbatim++;
+      } else {
+        EXPECT_NE(stored, record) << "block " << id;
       }
     }
     if (base < n) {
-      EXPECT_GT(verbatim, 0u);
       CheckReferenceRules(&follower, every);
       std::vector<Block> got;
       ASSERT_OK(follower.ReadAll(&got));
       ExpectChainSlice(got, chain, base + 1);
     }
   }
+  EXPECT_GT(verbatim, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v7
-// record (prev_hash and signature, then a column-wise varint txn section,
-// with retries stored as references, under a compression envelope) —
-// seeded round-trips at the codec's edges, hostile hand-built sections and
-// references, and a byte-flip sweep showing every stored byte is covered by
-// the signature or the chain — refusal of v1-v6 logs, and
-// corrupt-compressed-payload rejection.
+// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v8
+// record (a full header with prev_hash, or one derived from the previous
+// block's; the signature; then a column-wise varint txn section, with
+// retries stored as references, under a compression envelope) — seeded
+// round-trips at the codec's edges, derived headers, hostile hand-built
+// sections, headers and references, and a byte-flip sweep showing every
+// stored byte is covered by the signature or the chain — refusal of v1-v7
+// logs, and corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -113,7 +114,7 @@ TEST(Hlz, GarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- v7 record codec --
+// ------------------------------------------------------- v8 record codec --
 
 TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   TxnBatch b;
@@ -132,29 +133,25 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   return b;
 }
 
-/// Length of a record's four header varints.
-size_t HeaderVarintBytes(const BlockHeader& h) {
+/// The flags byte's bits (docs/FORMATS.md): the codec, a derived header,
+/// stored references.
+constexpr uint8_t kCodecBits = 0x3F;
+constexpr uint8_t kDerivedBit = 0x40;
+constexpr uint8_t kRefsBit = 0x80;
+
+/// Offset of a record's flags byte: right after the block_id varint.
+size_t FlagsOffset(BlockId id) {
   std::string head;
-  for (uint64_t v : {h.block_id, h.first_tid, uint64_t{h.txn_count},
-                     h.order_time_us}) {
-    codec::AppendVarint(&head, v);
-  }
+  codec::AppendVarint(&head, id);
   return head.size();
 }
 
-/// Offset of the compression envelope's codec byte in a record payload:
-/// the four header varints, then prev_hash and the signature.
-size_t EnvelopeOffset(const BlockHeader& h) {
-  return HeaderVarintBytes(h) + 2 * 32;
-}
-
-/// Offset of the stored txn section: past the codec byte and the varint
-/// raw length.
-size_t StoredSectionOffset(const std::string& payload, const BlockHeader& h) {
-  codec::Reader r(std::string_view(payload).substr(EnvelopeOffset(h) + 1));
-  uint64_t raw_len = 0;
-  EXPECT_TRUE(r.ReadVarint(&raw_len));
-  return payload.size() - r.remaining();
+/// Offset of the stored txn section, past the header, the signature, the
+/// reach and the varint raw length.
+size_t StoredSectionOffset(const std::string& payload) {
+  RecordShape shape;
+  EXPECT_TRUE(BlockCodec::Peek(payload, &shape));
+  return shape.section_offset;
 }
 
 void ExpectSameTxns(const TxnBatch& got, const TxnBatch& want) {
@@ -187,7 +184,7 @@ TEST(BlockCodecV6, RecordRoundTripBothCodecs) {
     SCOPED_TRACE(CompressionName(c));
     const std::string payload = BlockCodec::EncodeRecord(b, c);
     EXPECT_LT(payload.size(), canonical);
-    EXPECT_EQ(static_cast<uint8_t>(payload[EnvelopeOffset(b.header)]),
+    EXPECT_EQ(static_cast<uint8_t>(payload[FlagsOffset(b.header.block_id)]),
               static_cast<uint8_t>(c));
     Block d;
     ASSERT_OK(BlockCodec::Decode(payload, &d));
@@ -285,7 +282,7 @@ TEST(BlockCodecV6, CorruptEnvelopeRejected) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 8), 0);
   std::string payload = BlockCodec::EncodeRecord(b, Compression::kHlz);
-  const size_t env = EnvelopeOffset(b.header);
+  const size_t env = FlagsOffset(b.header.block_id);
   ASSERT_EQ(static_cast<uint8_t>(payload[env]), 1u);  // Compression::kHlz
   Block d;
   // Unknown codec byte.
@@ -294,8 +291,7 @@ TEST(BlockCodecV6, CorruptEnvelopeRejected) {
   EXPECT_TRUE(BlockCodec::Decode(bad, &d).IsCorruption());
   // Garbage compressed section of the right stored length.
   bad = payload;
-  for (size_t i = StoredSectionOffset(payload, b.header); i < bad.size();
-       i++) {
+  for (size_t i = StoredSectionOffset(payload); i < bad.size(); i++) {
     bad[i] = static_cast<char>(0xFF);
   }
   EXPECT_TRUE(BlockCodec::Decode(bad, &d).IsCorruption());
@@ -308,16 +304,16 @@ TEST(BlockCodecV6, CorruptEnvelopeRejected) {
 
 // ------------------------------------------- hostile hand-built sections --
 
-/// A v7 record payload (no references) around a hand-built txn section
-/// stored raw.
+/// A v8 record payload (full header, no references) around a hand-built
+/// txn section stored raw.
 std::string RawRecord(uint64_t txn_count, const std::string& section) {
   std::string p;
   codec::AppendVarint(&p, 1);  // block_id
+  codec::AppendU8(&p, static_cast<uint8_t>(Compression::kNone));  // flags
   codec::AppendVarint(&p, 1);  // first_tid
   codec::AppendVarint(&p, txn_count);
   codec::AppendVarint(&p, 1000);  // order_time_us
   p.append(2 * 32, '\0');         // prev_hash, signature
-  codec::AppendU8(&p, static_cast<uint8_t>(Compression::kNone));
   codec::AppendVarint(&p, section.size());
   return p + section;
 }
@@ -461,17 +457,17 @@ TEST(BlockCodecV6, TruncatedColumnIsCorruption) {
   }
 }
 
-/// A v7 record payload for block `id` whose raw section opens with the
-/// reference columns, under an envelope flagged with `reach`.
+/// A v8 record payload for block `id` (full header) whose raw section
+/// opens with the reference columns, flagged with `reach`.
 std::string RefRecord(BlockId id, uint64_t txn_count, uint64_t reach,
                       const std::string& section) {
   std::string p;
   codec::AppendVarint(&p, id);
+  codec::AppendU8(&p, kRefsBit | static_cast<uint8_t>(Compression::kNone));
   codec::AppendVarint(&p, 1);  // first_tid
   codec::AppendVarint(&p, txn_count);
   codec::AppendVarint(&p, 1000);  // order_time_us
   p.append(2 * 32, '\0');         // prev_hash, signature
-  codec::AppendU8(&p, 0x80 | static_cast<uint8_t>(Compression::kNone));
   codec::AppendVarint(&p, reach);
   codec::AppendVarint(&p, section.size());
   return p + section;
@@ -487,7 +483,7 @@ std::string RefColumns(
   return s;
 }
 
-TEST(BlockCodecV7, HostileReferencesAreCorruption) {
+TEST(BlockCodecV8, HostileReferencesAreCorruption) {
   // Block 9 holds two txns; the second is at the retry counter's ceiling.
   Block prev;
   prev.header.block_id = 9;
@@ -534,6 +530,188 @@ TEST(BlockCodecV7, HostileReferencesAreCorruption) {
   EXPECT_TRUE(bad(10, 0, 1, "", &window));
 }
 
+// ------------------------------------------------------- derived headers --
+
+/// Block `prev.block_id + 1` chained onto `prev` (prev_hash = its
+/// block_hash), with the given first_tid and order time.
+Block NextBlock(const Block& prev, TxnId first_tid, uint64_t order_time_us,
+                size_t n = 3) {
+  BlockBuilder builder("secret");
+  builder.ResumeFrom(prev.header.block_hash);
+  return builder.Seal(MakeBatch(prev.header.block_id + 1, first_tid, n),
+                      order_time_us);
+}
+
+void ExpectSameHeader(const BlockHeader& got, const BlockHeader& want) {
+  EXPECT_EQ(got.block_id, want.block_id);
+  EXPECT_EQ(got.first_tid, want.first_tid);
+  EXPECT_EQ(got.txn_count, want.txn_count);
+  EXPECT_EQ(got.order_time_us, want.order_time_us);
+  EXPECT_EQ(got.prev_hash, want.prev_hash);
+  EXPECT_EQ(got.txn_root, want.txn_root);
+  EXPECT_EQ(got.block_hash, want.block_hash);
+  EXPECT_EQ(got.signature, want.signature);
+}
+
+// A record whose predecessor the encoder holds derives its header from it:
+// no prev_hash, first_tid and the order time as zigzag deltas. Every header
+// field comes back exactly — a first_tid that follows (one byte), one after
+// a gap or behind, an order time that goes backwards or wraps — under both
+// codecs, and the derived record is smaller than the full one: by at least
+// the 32-byte prev_hash when the block follows on.
+TEST(BlockCodecV8, DerivedHeadersRoundTrip) {
+  BlockBuilder builder("secret");
+  const Block prev = builder.Seal(MakeBatch(5, 100, 3), 50'000);
+  RefWindow window;
+  window.Push(prev);
+  const struct {
+    TxnId first_tid;
+    uint64_t order_time_us;
+  } kCases[] = {{103, 50'900},  {110, 51'000}, {90, 50'900},
+                {103, 10},      {103, 50'000}, {1, UINT64_MAX},
+                {UINT64_MAX, 0}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(::testing::Message() << c.first_tid << " " << c.order_time_us);
+    const Block b = NextBlock(prev, c.first_tid, c.order_time_us);
+    for (Compression codec : {Compression::kNone, Compression::kHlz}) {
+      const std::string derived = BlockCodec::EncodeRecord(b, codec, &window);
+      const std::string full = BlockCodec::EncodeRecord(b, codec);
+      RecordShape shape;
+      ASSERT_TRUE(BlockCodec::Peek(derived, &shape));
+      EXPECT_TRUE(shape.derived);
+      EXPECT_EQ(shape.ref_reach, 0u);
+      EXPECT_EQ(shape.reach(), 1u);
+      EXPECT_EQ(shape.txn_count, 3u);
+      ASSERT_TRUE(BlockCodec::Peek(full, &shape));
+      EXPECT_FALSE(shape.derived);
+      EXPECT_EQ(shape.reach(), 0u);
+      EXPECT_LT(derived.size(), full.size());
+      Block d;
+      ASSERT_OK(BlockCodec::Decode(derived, &d, &window));
+      ExpectSameHeader(d.header, b.header);
+      ExpectSameTxns(d.batch, b.batch);
+      EXPECT_EQ(d.batch.first_tid, b.header.first_tid);
+      ChainVerifier v("secret");
+      v.Reset(prev.header.block_hash);
+      EXPECT_OK(v.Verify(d));
+      // Validate resolves the same header fields, without digests.
+      Block parsed;
+      ASSERT_OK(BlockCodec::Validate(derived, &parsed, &window));
+      EXPECT_EQ(parsed.header.first_tid, b.header.first_tid);
+      EXPECT_EQ(parsed.header.order_time_us, b.header.order_time_us);
+      EXPECT_EQ(parsed.header.prev_hash, b.header.prev_hash);
+      EXPECT_EQ(parsed.header.block_hash, Digest{});
+      ExpectSameTxns(parsed.batch, b.batch);
+    }
+  }
+  // A first_tid that follows costs one byte, as does a zero time delta.
+  const Block follows = NextBlock(prev, 103, 50'000);
+  const std::string rec = BlockCodec::EncodeRecord(follows, Compression::kNone,
+                                                   &window);
+  const size_t flags_at = FlagsOffset(follows.header.block_id);
+  EXPECT_EQ(static_cast<uint8_t>(rec[flags_at + 1]), 0u);
+  EXPECT_EQ(static_cast<uint8_t>(rec[flags_at + 3]), 0u);
+  EXPECT_LE(rec.size() + 32,
+            BlockCodec::EncodeRecord(follows, Compression::kNone).size());
+}
+
+// The encoder derives a header only from a predecessor it holds with a
+// computed hash equal to the block's prev_hash; otherwise the record keeps
+// the full header and decodes alone.
+TEST(BlockCodecV8, FullHeaderWithoutAUsablePredecessor) {
+  BlockBuilder builder("secret");
+  const Block b4 = builder.Seal(MakeBatch(4, 90, 2), 1'000);
+  const Block prev = builder.Seal(MakeBatch(5, 92, 3), 2'000);
+  const Block b = NextBlock(prev, 95, 3'000);
+  // Its predecessor is not in the window: no window, one ending at block 4,
+  // one holding only a later block.
+  RefWindow only_b4;
+  only_b4.Push(b4);
+  RefWindow later;
+  later.Push(NextBlock(b, 98, 4'000));
+  // The predecessor held, but not usable: a hash that never was computed
+  // (the open scan's Validate), or a prev_hash that names another block.
+  RefWindow hashless;
+  {
+    Block parsed;
+    ASSERT_OK(BlockCodec::Validate(
+        BlockCodec::EncodeRecord(prev, Compression::kNone), &parsed));
+    ASSERT_EQ(parsed.header.block_hash, Digest{});
+    hashless.Push(parsed);
+  }
+  RefWindow holds_prev;
+  holds_prev.Push(prev);
+  Block forked = b;
+  forked.header.prev_hash = b4.header.block_hash;
+  forked.header.block_hash = BlockCodec::HashHeader(forked.header);
+  for (const auto& [block, w] :
+       std::vector<std::pair<const Block*, const RefWindow*>>{
+           {&b, nullptr},
+           {&b, &only_b4},
+           {&b, &later},
+           {&b, &hashless},
+           {&forked, &holds_prev}}) {
+    const std::string rec =
+        BlockCodec::EncodeRecord(*block, Compression::kHlz, w);
+    RecordShape shape;
+    ASSERT_TRUE(BlockCodec::Peek(rec, &shape));
+    EXPECT_FALSE(shape.derived);
+    EXPECT_EQ(shape.reach(), 0u);
+    Block d;
+    ASSERT_OK(BlockCodec::Decode(rec, &d));
+    ExpectSameHeader(d.header, block->header);
+  }
+}
+
+// A derived header that cannot be resolved is Corruption: no window, a
+// window without the predecessor, block 1 (it has none), and a predecessor
+// whose hash was never computed — Decode must never rebuild a digest from
+// a zero hash, while Validate, which rebuilds none, accepts it.
+TEST(BlockCodecV8, UnresolvableDerivedHeadersAreCorruption) {
+  BlockBuilder builder("secret");
+  const Block prev = builder.Seal(MakeBatch(5, 100, 3), 50'000);
+  const Block b = NextBlock(prev, 103, 51'000);
+  RefWindow window;
+  window.Push(prev);
+  const std::string rec = BlockCodec::EncodeRecord(b, Compression::kNone,
+                                                   &window);
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(rec, &d, &window));
+  EXPECT_TRUE(BlockCodec::Decode(rec, &d).IsCorruption());
+  RefWindow empty;
+  EXPECT_TRUE(BlockCodec::Decode(rec, &d, &empty).IsCorruption());
+  RefWindow gap;  // holds block 4, not 5
+  gap.Push(builder.Seal(MakeBatch(4, 90, 2), 0));
+  EXPECT_TRUE(BlockCodec::Decode(rec, &d, &gap).IsCorruption());
+  RefWindow ahead;  // holds blocks 6.. only
+  ahead.Push(b);
+  EXPECT_TRUE(BlockCodec::Decode(rec, &d, &ahead).IsCorruption());
+
+  Block parsed;
+  ASSERT_OK(BlockCodec::Validate(BlockCodec::EncodeRecord(prev,
+                                                          Compression::kNone),
+                                 &parsed));
+  RefWindow hashless;
+  hashless.Push(parsed);
+  EXPECT_TRUE(BlockCodec::Decode(rec, &d, &hashless).IsCorruption());
+  EXPECT_OK(BlockCodec::Validate(rec, &d, &hashless));
+
+  // The derived flag on block 1, which has no predecessor to derive from.
+  const Block one = BlockBuilder("secret").Seal(MakeBatch(1, 1, 2), 0);
+  std::string first = BlockCodec::EncodeRecord(one, Compression::kNone);
+  first[FlagsOffset(one.header.block_id)] =
+      static_cast<char>(first[FlagsOffset(one.header.block_id)] | kDerivedBit);
+  RefWindow holds_one;
+  holds_one.Push(one);
+  EXPECT_TRUE(BlockCodec::Decode(first, &d, &holds_one).IsCorruption());
+  // Truncated derived headers, at every byte before the section.
+  for (size_t cut = 0; cut < StoredSectionOffset(rec); cut++) {
+    EXPECT_TRUE(
+        BlockCodec::Decode(rec.substr(0, cut), &d, &window).IsCorruption())
+        << cut;
+  }
+}
+
 // --------------------------------------------------------- file helpers --
 
 void AppendRecord(std::string* file, const std::string& payload) {
@@ -550,31 +728,61 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ::close(fd);
 }
 
+/// Block `id`: the first `retried` txns of `prev` sealed again after a CC
+/// abort (retries one higher), then `fresh` new txns.
+TxnBatch RetryBatch(const TxnBatch& prev, BlockId id, TxnId first_tid,
+                    size_t retried, size_t fresh) {
+  TxnBatch b = MakeBatch(id, first_tid, fresh);
+  for (size_t i = 0; i < retried; i++) {
+    TxnRequest t = prev.txns[i];
+    t.retries++;
+    b.txns.insert(b.txns.begin() + static_cast<ptrdiff_t>(i), std::move(t));
+  }
+  return b;
+}
+
 /// A record payload in a retired layout, as the build that wrote `version`
-/// (1-6) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
+/// (1-7) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
 /// four digests, then the txns (v1 without client_id and fee, v2 without
 /// fee); v4 puts the v3 txns under a compression envelope (u8 codec + pad
 /// byte, u32 raw_len, u32 stored_len + stored bytes). v3 txns are exactly
-/// today's canonical EncodeTxn bytes. v6 is today's record without
-/// references, and v5 that record with txn_root and block_hash stored
-/// between prev_hash and the signature.
-std::string LegacyRecord(const Block& b, uint32_t version) {
-  if (version == 6) return BlockCodec::EncodeRecord(b, Compression::kHlz);
-  if (version == 5) {
-    std::string v6 = BlockCodec::EncodeRecord(b, Compression::kHlz);
-    std::string digests;
-    for (const Digest* d : {&b.header.txn_root, &b.header.block_hash}) {
-      digests.append(reinterpret_cast<const char*>(d->data()), d->size());
-    }
-    return v6.insert(HeaderVarintBytes(b.header) + 32, digests);
-  }
+/// today's canonical EncodeTxn bytes. v7 is today's full-header record
+/// with the flags byte (codec and reference bits; v7 had no derived
+/// header) after the signature instead of after block_id, storing retries
+/// of `refs`' txns by reference; v6 is a v7 record without references, and
+/// v5 that record with txn_root and block_hash stored between prev_hash and
+/// the signature.
+std::string LegacyRecord(const Block& b, uint32_t version,
+                         const RefWindow* refs = nullptr) {
+  const BlockHeader& h = b.header;
   std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  for (const Digest* d : {&b.header.prev_hash, &b.header.txn_root,
-                          &b.header.block_hash, &b.header.signature}) {
+  if (version >= 5) {
+    const std::string v8 = BlockCodec::EncodeRecord(
+        b, Compression::kHlz, version == 7 ? refs : nullptr);
+    for (uint64_t v :
+         {h.block_id, h.first_tid, uint64_t{h.txn_count}, h.order_time_us}) {
+      codec::AppendVarint(&out, v);
+    }
+    std::vector<const Digest*> digests = {&h.prev_hash};
+    if (version == 5) digests.insert(digests.end(), {&h.txn_root, &h.block_hash});
+    digests.push_back(&h.signature);
+    for (const Digest* d : digests) {
+      out.append(reinterpret_cast<const char*>(d->data()), d->size());
+    }
+    // The reach, raw length and stored section follow the signature as in
+    // v8.
+    const std::string sig(reinterpret_cast<const char*>(h.signature.data()),
+                          h.signature.size());
+    const size_t tail = v8.find(sig, FlagsOffset(h.block_id)) + sig.size();
+    out += static_cast<char>(v8[FlagsOffset(h.block_id)] & ~kDerivedBit);
+    return out + v8.substr(tail);
+  }
+  codec::AppendU64(&out, h.block_id);
+  codec::AppendU64(&out, h.first_tid);
+  codec::AppendU32(&out, h.txn_count);
+  codec::AppendU64(&out, h.order_time_us);
+  for (const Digest* d : {&h.prev_hash, &h.txn_root, &h.block_hash,
+                          &h.signature}) {
     out.append(reinterpret_cast<const char*>(d->data()), d->size());
   }
   std::string section;
@@ -600,8 +808,10 @@ std::string LegacyRecord(const Block& b, uint32_t version) {
 }
 
 /// A log file as the build that wrote `version` left it: v1 files have no
-/// header at all, v2+ start with "HBCL" + version. Records before v7 use
-/// LegacyRecord; v7 (and a made-up future version) use today's encoder.
+/// header at all, v2+ start with "HBCL" + version. Blocks 2.. retry two of
+/// their predecessor's txns, which v7 and later store by reference; records
+/// before v8 use LegacyRecord, v8 (and a made-up future version) today's
+/// encoder, which also derives their headers.
 std::string LogFile(uint32_t version, size_t n) {
   std::string file;
   if (version >= 2) {
@@ -609,39 +819,35 @@ std::string LogFile(uint32_t version, size_t n) {
     codec::AppendU32(&file, version);
   }
   BlockBuilder builder("secret");
+  RefWindow window;
+  Block prev;
   for (BlockId i = 1; i <= n; i++) {
-    Block b = builder.Seal(MakeBatch(i, 1 + (i - 1) * 4, 4), 0);
+    const TxnId tid = 1 + (i - 1) * 4;
+    Block b = builder.Seal(
+        i == 1 ? MakeBatch(i, tid, 4) : RetryBatch(prev.batch, i, tid, 2, 2),
+        0);
     AppendRecord(&file,
                  version < kLogVersion
-                     ? LegacyRecord(b, version)
-                     : BlockCodec::EncodeRecord(b, Compression::kHlz));
+                     ? LegacyRecord(b, version, &window)
+                     : BlockCodec::EncodeRecord(b, Compression::kHlz, &window));
+    window.Push(b);
+    prev = std::move(b);
   }
   return file;
 }
 
-/// Block `id`: the first `retried` txns of `prev` sealed again after a CC
-/// abort (retries one higher), then `fresh` new txns.
-TxnBatch RetryBatch(const TxnBatch& prev, BlockId id, TxnId first_tid,
-                    size_t retried, size_t fresh) {
-  TxnBatch b = MakeBatch(id, first_tid, fresh);
-  for (size_t i = 0; i < retried; i++) {
-    TxnRequest t = prev.txns[i];
-    t.retries++;
-    b.txns.insert(b.txns.begin() + static_cast<ptrdiff_t>(i), std::move(t));
-  }
-  return b;
-}
-
-// v7 stores neither txn_root nor block_hash, and stores a retry as a
-// reference to an earlier block's txn, so every stored byte — the reference
-// flag, the reach and the reference columns included — must still be
-// covered by something a reader checks. Flip every bit of every byte of a
-// stored record that references its predecessor (with the record CRC
+// v8 stores neither txn_root nor block_hash, derives a record's header —
+// prev_hash, first_tid and the order time — from its predecessor's, and
+// stores a retry as a reference to an earlier block's txn, so every stored
+// byte — the flags, the derived header's deltas, the reach and the
+// reference columns included — must still be covered by something a reader
+// checks. Flip every bit of every byte of a stored record that derives its
+// header from its predecessor and references it (with the record CRC
 // re-stamped, so the flip gets past the log's framing): each flip must fail
 // Decode against the predecessor's window, or decode to a block the chain
 // verifier rejects — by the whole-chain audit too.
-TEST(BlockCodecV7, EveryByteOfAStoredRecordIsCovered) {
-  TempDir dir("v7-flip");
+TEST(BlockCodecV8, EveryByteOfAStoredRecordIsCovered) {
+  TempDir dir("v8-flip");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   const Block b1 = builder.Seal(MakeBatch(1, 1, 6), 5'000);
@@ -664,14 +870,17 @@ TEST(BlockCodecV7, EveryByteOfAStoredRecordIsCovered) {
   uint32_t reach = 0;
   ASSERT_TRUE(BlockCodec::Peek(stored, &id, &reach));
   EXPECT_EQ(id, 2u);
-  ASSERT_EQ(reach, 1u);  // the three retries point one block back
-  ASSERT_NE(static_cast<uint8_t>(stored[EnvelopeOffset(b2.header)]) & 0x80,
-            0);
+  ASSERT_EQ(reach, 1u);  // the header and three retries point one block back
+  const uint8_t flags =
+      static_cast<uint8_t>(stored[FlagsOffset(b2.header.block_id)]);
+  ASSERT_NE(flags & kRefsBit, 0);
+  ASSERT_NE(flags & kDerivedBit, 0);
   RefWindow window;
   window.Push(b1);
   Block intact;
   ASSERT_OK(BlockCodec::Decode(stored, &intact, &window));
   ExpectSameTxns(intact.batch, b2.batch);
+  EXPECT_EQ(intact.header.prev_hash, b1.header.block_hash);
   ChainVerifier v("secret");
   v.Reset(b1.header.block_hash);
   ASSERT_OK(v.Verify(intact));
@@ -745,10 +954,25 @@ TEST(BlockStoreOldVersions, GarbageWithoutHeaderIsNotSupported) {
 
 TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
   TempDir dir("old-versions");
-  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 8u}) {
+  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     SCOPED_TRACE(v);
     const std::string path = dir.path() + "/chain" + std::to_string(v);
     const std::string file = LogFile(v, 2);
+    if (v == 7) {
+      // A genuine v7 log: its second record stores retries by reference,
+      // flagged in the envelope byte after the four header varints and the
+      // two digests.
+      uint32_t len1 = 0;
+      std::memcpy(&len1, file.data() + 8, 4);
+      codec::Reader r(std::string_view(file).substr(8 + 8 + len1 + 4));
+      uint64_t field = 0;
+      for (int i = 0; i < 4; i++) ASSERT_TRUE(r.ReadVarint(&field));
+      std::string digests(64, '\0');
+      ASSERT_TRUE(r.ReadFixed(digests.data(), digests.size()));
+      uint8_t envelope = 0;
+      ASSERT_TRUE(r.ReadU8(&envelope));
+      EXPECT_EQ(envelope, kRefsBit | static_cast<uint8_t>(Compression::kHlz));
+    }
     WriteFile(path, file);
     BlockStore store(path);
     const Status s = store.Open();
@@ -762,11 +986,12 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
 
 TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   // An old log cut at any byte: below the 8-byte header it is a torn fresh
-  // log (restamped v7, empty); from the header on it is refused whole. A v6
-  // log's records are valid v7 records, so only its stamp refuses it.
+  // log (restamped v8, empty); from the header on it is refused whole, also
+  // a v6 or v7 log, whose records differ from v8's only in where the flags
+  // byte sits.
   TempDir dir("old-prefix");
   const std::string path = dir.path() + "/chain.log";
-  for (uint32_t version : {4u, 5u, 6u}) {
+  for (uint32_t version : {4u, 5u, 6u, 7u}) {
     const std::string full = LogFile(version, 2);
     for (size_t cut = 0; cut <= full.size(); cut++) {
       SCOPED_TRACE(::testing::Message() << "v" << version << " cut " << cut);
@@ -784,7 +1009,7 @@ TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   }
 }
 
-// Opens every byte-prefix of a v7 log: every prefix opens (a cut inside the
+// Opens every byte-prefix of a v8 log: every prefix opens (a cut inside the
 // 8-byte header is a fresh log) and exposes a (block-wise) prefix of the
 // original chain with a consistent count.
 void TruncationSweep(const std::string& dir, const std::string& full,
@@ -846,10 +1071,13 @@ TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
     std::vector<std::pair<BlockId, std::string>> records;
     ASSERT_OK(store.ReadRecordsAfter(0, SIZE_MAX, &records));
     ASSERT_EQ(records.size(), good_blocks + 1);
+    RefWindow window;
     for (const auto& [id, record] : records) {
       Block d;
-      ASSERT_OK(BlockCodec::Decode(record, &d));
-      ASSERT_EQ(static_cast<uint8_t>(record[EnvelopeOffset(d.header)]),
+      ASSERT_OK(BlockCodec::Decode(record, &d, &window));
+      window.Push(d);
+      ASSERT_EQ(static_cast<uint8_t>(record[FlagsOffset(d.header.block_id)]) &
+                    kCodecBits,
                 static_cast<uint8_t>(Compression::kHlz));
     }
   }
@@ -877,12 +1105,13 @@ TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
     std::string payload(last_len, '\0');
     ASSERT_EQ(::pread(fd, payload.data(), last_len, last_off + 4),
               static_cast<ssize_t>(last_len));
-    Block intact;
-    ASSERT_OK(BlockCodec::Decode(payload, &intact));
-    ASSERT_EQ(static_cast<uint8_t>(payload[EnvelopeOffset(intact.header)]),
+    RecordShape shape;
+    ASSERT_TRUE(BlockCodec::Peek(payload, &shape));
+    ASSERT_EQ(shape.block_id, good_blocks + 1);
+    ASSERT_EQ(static_cast<uint8_t>(payload[FlagsOffset(shape.block_id)]) &
+                  kCodecBits,
               1u);  // Compression::kHlz
-    for (size_t i = StoredSectionOffset(payload, intact.header);
-         i < payload.size(); i++) {
+    for (size_t i = shape.section_offset; i < payload.size(); i++) {
       payload[i] = static_cast<char>(0xFF);
     }
     const uint32_t crc = Crc32(payload);
@@ -901,7 +1130,7 @@ TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
   EXPECT_EQ(all.size(), good_blocks);
 }
 
-// ------------------------------------------- end-to-end v7 / old chains --
+// ------------------------------------------- end-to-end v8 / old chains --
 
 Status Increment(TxnContext& ctx, const ProcArgs& a) {
   ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
@@ -954,7 +1183,7 @@ TEST(OldVersionChain, V6ChainReplaysAndV5StampIsRefused) {
     da = *d;
   }
   // The checkpoint predates most blocks; drop it so recovery replays the
-  // whole v7 log from genesis.
+  // whole v8 log from genesis.
   std::remove((a.path() + "/replica.ckpt").c_str());
   {
     auto db = OpenDb(a.path());

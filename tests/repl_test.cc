@@ -785,10 +785,9 @@ size_t RecordsWithRefs(HarmonyBC* db) {
                                                            &records));
   size_t n = 0;
   for (const auto& [id, record] : records) {
-    BlockId peeked = 0;
-    uint32_t reach = 0;
-    EXPECT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
-    if (reach > 0) n++;
+    RecordShape shape;
+    EXPECT_TRUE(BlockCodec::Peek(record, &shape));
+    if (shape.ref_reach > 0) n++;
   }
   return n;
 }

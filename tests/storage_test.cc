@@ -322,6 +322,39 @@ TEST(KvTable, PutGetEraseAndRelocation) {
   EXPECT_EQ(t.size(), 1u);
 }
 
+// The room an erase frees goes back to the page's free-space estimate, so
+// later inserts reuse it instead of growing the file: 1000 rows put, erased
+// and put again fill exactly the pages the first 1000 took (without the
+// estimate update the file grew from 29 to 57 pages, and a follower's
+// snapshot install, which erases every row before loading, doubled its
+// page file). A relocating update frees its old slot the same way.
+TEST(KvTable, ErasedRoomIsReused) {
+  TempDir dir("kv-reuse");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 64);
+  KvTable t(&dm, &pool);
+  const std::string row(100, 'r');
+  for (Key k = 0; k < 1000; k++) ASSERT_OK(t.Put(k, row));
+  const PageId pages = dm.num_pages();
+  EXPECT_EQ(pages, 29u);
+  for (Key k = 0; k < 1000; k++) ASSERT_OK(t.Erase(k));
+  EXPECT_EQ(t.size(), 0u);
+  for (Key k = 1000; k < 2000; k++) ASSERT_OK(t.Put(k, row));
+  EXPECT_EQ(dm.num_pages(), pages);
+
+  // Every row outgrows its slot and relocates: the file grows only by the
+  // extra bytes, not by a second copy of every row.
+  const std::string longer(140, 'l');
+  for (Key k = 1000; k < 2000; k++) ASSERT_OK(t.Put(k, longer));
+  EXPECT_LE(dm.num_pages(), pages * 140 / 100 + 2);
+  std::string v;
+  for (Key k = 1000; k < 2000; k += 97) {
+    ASSERT_OK(t.Get(k, &v));
+    EXPECT_EQ(v, longer);
+  }
+  EXPECT_EQ(t.size(), 1000u);
+}
+
 TEST(KvTable, ManyKeysSpanPagesAndRebuild) {
   TempDir dir("kv2");
   {

@@ -8,7 +8,8 @@
 # (exactly-once receipt ledger: any lost or duplicated receipt fails the
 # run), waits for both followers to reach the leader's height, then shuts
 # everything down and compares the three `state_digest=` lines — the
-# replica-consistency check across real process boundaries.
+# replica-consistency check across real process boundaries. Last, it sizes
+# the leader's block log with `harmonyd log-stats`.
 #
 # Registered as the cluster_smoke ctest (tier-1).
 set -euo pipefail
@@ -149,5 +150,14 @@ if [ "$D_LEADER" != "$D_F1" ] || [ "$D_LEADER" != "$D_F2" ]; then
   echo "  follower2 $D_F2" >&2
   exit 1
 fi
+echo "== leader block log (read-only)"
+"$HARMONYD" log-stats "$TMP/leader" | tee "$TMP/log_stats.out"
+# Every record but the interval starts derives its header from the block
+# before it, so a chain of more than one block holds derived records.
+grep -q '^records=[0-9]* derived=[1-9]' "$TMP/log_stats.out" || {
+  echo "FAIL: log-stats found no derived-header records" >&2
+  exit 1
+}
+
 echo "PASS: 3-node cluster, exactly-once receipts, identical digests"
 echo "  digest $D_LEADER @ height $H_LEADER"

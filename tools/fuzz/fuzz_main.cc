@@ -156,9 +156,9 @@ Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
   return builder.Seal(std::move(batch), kEdgeU64[rng.Index(5)]);
 }
 
-/// Block `id` after `prev`: some of `prev`'s txns sealed again after a CC
-/// abort (retries one higher), among fresh ones — what a v7 record stores
-/// as references.
+/// Block `id` after `prev`, chained onto it: some of `prev`'s txns sealed
+/// again after a CC abort (retries one higher), among fresh ones — what a
+/// v8 record stores as references, under a header derived from `prev`'s.
 Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev) {
   TxnBatch batch;
   batch.block_id = prev.header.block_id + 1;
@@ -176,8 +176,9 @@ Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev) {
   return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
 }
 
-/// One v7 record payload, HLZ or raw section; with `refs`, retries of the
-/// window's txns are stored as references.
+/// One v8 record payload, HLZ or raw section; with `refs`, the header is
+/// derived from the window's previous block and retries of the window's
+/// txns are stored as references.
 std::string EncodeRecord(FuzzRng& rng, const Block& b,
                          const RefWindow* refs = nullptr) {
   return BlockCodec::EncodeRecord(
@@ -190,24 +191,53 @@ void AppendRecord(std::string* file, const std::string& payload) {
   codec::AppendU32(file, Crc32(payload));
 }
 
-/// A whole well-formed block-log file with a freshly chained block
-/// sequence in which later blocks retry earlier blocks' txns, stored by
-/// reference.
-std::string BuildLogFile(FuzzRng& rng, size_t n_blocks) {
-  std::string file;
-  codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
-  codec::AppendU32(&file, kLogVersion);
+/// Offset of a record's flags byte (codec bits, kDerivedFlag, kRefsFlag)
+/// in the payload of block `id`: right after the block_id varint.
+constexpr uint8_t kDerivedFlag = 0x40;
+size_t FlagsOffset(BlockId id) {
+  std::string head;
+  codec::AppendVarint(&head, id);
+  return head.size();
+}
+
+/// The record payloads of a freshly chained block sequence 1..n in which
+/// later blocks derive their headers from the one before and retry earlier
+/// blocks' txns, stored by reference.
+std::vector<std::string> BuildLogRecords(FuzzRng& rng, size_t n_blocks) {
+  std::vector<std::string> records;
   BlockBuilder builder("fuzz-secret");
   RefWindow window;
   Block prev;
   for (size_t i = 0; i < n_blocks; i++) {
     Block b = i == 0 ? MakeBlock(rng, builder, 1, 1)
                      : MakeRetryBlock(rng, builder, prev);
-    AppendRecord(&file, EncodeRecord(rng, b, &window));
+    records.push_back(EncodeRecord(rng, b, &window));
     window.Push(b);
     prev = std::move(b);
   }
+  return records;
+}
+
+/// A whole block-log file: the v8 header, then `records` framed.
+std::string LogFileOf(const std::vector<std::string>& records) {
+  std::string file;
+  codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
+  codec::AppendU32(&file, kLogVersion);
+  for (const std::string& r : records) AppendRecord(&file, r);
   return file;
+}
+
+std::string BuildLogFile(FuzzRng& rng, size_t n_blocks) {
+  return LogFileOf(BuildLogRecords(rng, n_blocks));
+}
+
+/// True when a record decoded from a tampered payload still passes the
+/// chain verifier as the block after `prev_hash` — which no tampering may
+/// achieve.
+bool VerifiesAfter(const Block& d, const Digest& prev_hash) {
+  ChainVerifier v("fuzz-secret");
+  v.Reset(prev_hash);
+  return v.Verify(d).ok();
 }
 
 obs::MetricsSnapshot MakeSnapshot(FuzzRng& rng) {
@@ -429,30 +459,33 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// A raw-section v7 record split at its reference fields, so a case can
+/// A raw-section v8 record split at its reference fields, so a case can
 /// rewrite one and reassemble the rest verbatim.
 struct RefFields {
-  std::string head;  ///< header varints and digests
-  uint8_t envelope = 0;
+  std::string head;  ///< block_id, flags, header fields and the signature
   uint64_t reach = 0;
   std::vector<uint64_t> distance;  ///< one per txn
   std::vector<uint64_t> index;     ///< one per referencing txn
   std::string literals;            ///< the rest of the section
 
   bool Parse(std::string_view record) {
-    codec::Reader r(record);
-    uint64_t v = 0, raw_len = 0;
-    for (int i = 0; i < 4; i++) {
-      if (!r.ReadVarint(&v)) return false;
-      if (i == 2) distance.resize(v);
-    }
-    std::string digests(64, '\0');
-    if (!r.ReadFixed(digests.data(), 64)) return false;
-    head = std::string(record.substr(0, record.size() - r.remaining()));
-    if (!r.ReadU8(&envelope) || (envelope & 0x80) == 0 ||
-        !r.ReadVarint(&reach) || !r.ReadVarint(&raw_len)) {
+    RecordShape shape;
+    if (!BlockCodec::Peek(record, &shape) || shape.ref_reach == 0) {
       return false;
     }
+    reach = shape.ref_reach;
+    const std::string_view section = record.substr(shape.section_offset);
+    // The reach and the raw length precede a raw section; a compressed one
+    // would store another length.
+    std::string lengths;
+    codec::AppendVarint(&lengths, reach);
+    codec::AppendVarint(&lengths, section.size());
+    if (lengths.size() > shape.section_offset) return false;
+    const size_t head_len = shape.section_offset - lengths.size();
+    if (record.substr(head_len, lengths.size()) != lengths) return false;
+    head = std::string(record.substr(0, head_len));
+    distance.resize(shape.txn_count);
+    codec::Reader r(section);
     for (uint64_t& d : distance) {
       if (!r.ReadVarint(&d)) return false;
       if (d != 0) index.push_back(0);
@@ -460,7 +493,7 @@ struct RefFields {
     for (uint64_t& i : index) {
       if (!r.ReadVarint(&i)) return false;
     }
-    literals = std::string(record.substr(record.size() - r.remaining()));
+    literals = std::string(section.substr(section.size() - r.remaining()));
     return true;
   }
 
@@ -470,7 +503,6 @@ struct RefFields {
     for (uint64_t i : index) codec::AppendVarint(&section, i);
     section += literals;
     std::string out = head;
-    codec::AppendU8(&out, envelope);
     codec::AppendVarint(&out, reach);
     codec::AppendVarint(&out, section.size());
     return out + section;
@@ -519,19 +551,25 @@ bool BreakReference(FuzzRng& rng, const RefWindow& window, BlockId id,
   return true;
 }
 
-/// BlockCodec::Decode on v7 record payloads, ordinary, edge-valued, and
-/// retries stored as references to the previous block (decoded against
-/// that block's window). Unmutated records must decode to the same txns
-/// (same TxnRoot and rebuilt block hash). Whatever Decode accepts, Validate
-/// accepts with the same block id, and the other way round. A record whose
-/// reach, distance or index is rewritten out of range, or whose referenced
-/// txn's retry count would overflow, must be Corruption.
+/// BlockCodec::Decode on v8 record payloads, ordinary, edge-valued, and
+/// retries stored as references to the previous block under a header
+/// derived from it (decoded against that block's window). Unmutated records
+/// must decode to the same txns (same TxnRoot and rebuilt block hash).
+/// Whatever Decode accepts, Validate accepts with the same block id, and
+/// the other way round. A record whose reach, distance or index is
+/// rewritten out of range, or whose referenced txn's retry count would
+/// overflow, must be Corruption; so must a derived header whose predecessor
+/// the window lacks or holds without its hash. A record whose derived-
+/// header flag is flipped must be Corruption or decode to a block the chain
+/// verifier rejects.
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   BlockBuilder builder("fuzz-secret");
   RefWindow window;
   Block b;
-  if (rng.Chance(0.5)) {
-    Block prev = MakeBlock(rng, builder, 1 + rng.Index(1 << 20), 1);
+  Block prev;
+  const bool has_prev = rng.Chance(0.5);
+  if (has_prev) {
+    prev = MakeBlock(rng, builder, 1 + rng.Index(1 << 20), 1);
     b = MakeRetryBlock(rng, builder, prev);
     if (rng.Chance(0.1)) {
       // Decoded against a window whose earlier incarnations sit at the
@@ -540,14 +578,13 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
       honest.Push(prev);
       const std::string record =
           BlockCodec::EncodeRecord(b, Compression::kNone, &honest);
-      BlockId id = 0;
-      uint32_t reach = 0;
-      FUZZ_CHECK(BlockCodec::Peek(record, &id, &reach), "record unreadable");
+      RecordShape shape;
+      FUZZ_CHECK(BlockCodec::Peek(record, &shape), "record unreadable");
       for (TxnRequest& t : prev.batch.txns) t.retries = UINT32_MAX;
       window.Push(prev);
       Block d;
       const Status st = BlockCodec::Decode(record, &d, &window);
-      FUZZ_CHECK(reach == 0 ? st.ok() : st.IsCorruption(),
+      FUZZ_CHECK(shape.ref_reach == 0 ? st.ok() : st.IsCorruption(),
                  "a reference wrapping the retry counter was not Corruption");
       return;
     }
@@ -567,6 +604,39 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
                  "an out-of-range reference was not Corruption");
       return;
     }
+  }
+
+  if (rng.Chance(0.2)) {
+    RecordShape shape;
+    FUZZ_CHECK(BlockCodec::Peek(payload, &shape), "record unreadable");
+    FUZZ_CHECK(shape.derived == has_prev,
+               "a header was not derived from the window's previous block");
+    Block d;
+    std::string flipped = payload;
+    flipped[FlagsOffset(b.header.block_id)] ^= static_cast<char>(kDerivedFlag);
+    const Status st = BlockCodec::Decode(flipped, &d, &window);
+    FUZZ_CHECK(!st.ok() || !VerifiesAfter(d, b.header.prev_hash),
+               "a flipped derived-header flag decoded to a valid block");
+    if (!st.ok()) {
+      FUZZ_CHECK(st.IsCorruption(), "a flipped flag failed as non-Corruption");
+    }
+    if (has_prev) {
+      // The predecessor dropped from the window, or held without the hash
+      // the open scan never computes.
+      RefWindow dropped;
+      FUZZ_CHECK(BlockCodec::Decode(payload, &d, &dropped).IsCorruption() &&
+                     BlockCodec::Decode(payload, &d).IsCorruption(),
+                 "a derived header without its predecessor was not Corruption");
+      Block hashless = prev;
+      hashless.header.block_hash = Digest{};
+      RefWindow unhashed;
+      unhashed.Push(hashless);
+      FUZZ_CHECK(BlockCodec::Decode(payload, &d, &unhashed).IsCorruption(),
+                 "a derived header over an unhashed predecessor decoded");
+      FUZZ_CHECK(BlockCodec::Validate(payload, &d, &unhashed).ok(),
+                 "Validate refused an unhashed predecessor");
+    }
+    return;
   }
 
   const bool mutated = rng.Chance(0.9);
@@ -592,16 +662,33 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
 /// BlockStore::Open on whole mutated log files (exercises header/version
 /// detection, torn-tail repair, CRC validation). The invariant: whatever
 /// Open accepts, ReadAll must then parse — "opened" means every surviving
-/// record is readable. An intact file stamped with a pre-v7 version must
-/// be refused with NotSupported.
+/// record is readable. An intact file stamped with a pre-v8 version must
+/// be refused with NotSupported. Structural breaks with valid CRCs: a
+/// record dropped from the middle orphans its successor's derived header
+/// (Corruption), so the opened log ends before it; a record whose derived-
+/// header flag is flipped either ends the log there or fails the audit.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
-  std::string file = BuildLogFile(rng, rng.Index(4));
-  const bool old_version = rng.Chance(0.1);
+  std::vector<std::string> records = BuildLogRecords(rng, rng.Index(4));
+  enum class Break { kNone, kFlip, kDrop } brk = Break::kNone;
+  size_t at = 0;
+  if (records.size() >= 2 && rng.Chance(0.2)) {
+    if (rng.Chance(0.5)) {
+      brk = Break::kFlip;
+      at = rng.Index(records.size());
+      records[at][FlagsOffset(at + 1)] ^= static_cast<char>(kDerivedFlag);
+    } else {
+      brk = Break::kDrop;
+      at = rng.Index(records.size() - 1);
+      records.erase(records.begin() + static_cast<ptrdiff_t>(at));
+    }
+  }
+  std::string file = LogFileOf(records);
+  const bool old_version = brk == Break::kNone && rng.Chance(0.1);
   if (old_version) {
     const uint32_t v = static_cast<uint32_t>(1 + rng.Index(kLogVersion - 1));
     std::memcpy(file.data() + 4, &v, 4);
   }
-  const bool mutated = rng.Chance(0.9);
+  const bool mutated = brk == Break::kNone && rng.Chance(0.9);
   if (mutated) ctx.mut.Mutate(rng, &file);
 
   const std::string path = ctx.tmp_dir + "/log_open.chain";
@@ -618,14 +705,23 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
     if (old_version && !mutated) {
-      FUZZ_CHECK(s.IsNotSupported(), "pre-v7 log not refused");
+      FUZZ_CHECK(s.IsNotSupported(), "pre-v8 log not refused");
     }
+    if (brk != Break::kNone) FUZZ_CHECK(s.ok(), "a v8 log did not open");
     if (s.ok()) {
       std::vector<Block> blocks;
       FUZZ_CHECK(store.ReadAll(&blocks).ok(),
                  "Open() accepted a log ReadAll cannot parse");
       FUZZ_CHECK(blocks.size() == store.num_blocks(),
                  "ReadAll count disagrees with open scan");
+      if (brk == Break::kDrop) {
+        FUZZ_CHECK(blocks.size() == at,
+                   "a record whose predecessor was dropped was served");
+      }
+      if (brk == Break::kFlip && blocks.size() > at) {
+        FUZZ_CHECK(!ChainVerifier::VerifyChain(blocks, "fuzz-secret").ok(),
+                   "a flipped derived-header flag passed the chain audit");
+      }
       Block tip;
       Status last = store.ReadLast(&tip);
       if (blocks.empty()) {
@@ -675,7 +771,8 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
     }
     case 1: {
       // A block retrying txns of the session's previous block: the stored
-      // record references it, and decodes only against its window.
+      // record derives its header from it and references it, and decodes
+      // only against its window.
       BlockBuilder builder("fuzz-secret");
       const Block prev = MakeBlock(
           rng, builder, static_cast<BlockId>(rng.Range(1, 1 << 20)), 1);
@@ -716,6 +813,17 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
                        d.header.block_hash == blk.header.block_hash &&
                        d.record == payload.substr(8),
                    "valid REPLICATE decoded differently");
+        // A session without the previous block cannot resolve the derived
+        // header; a flipped flag never yields a block the verifier takes.
+        RefWindow empty;
+        FUZZ_CHECK(!net::DecodeReplicate(payload, &d, &empty),
+                   "a REPLICATE record decoded without its predecessor");
+        std::string flipped = payload;
+        flipped[8 + FlagsOffset(blk.header.block_id)] ^=
+            static_cast<char>(kDerivedFlag);
+        FUZZ_CHECK(!net::DecodeReplicate(flipped, &d, &window) ||
+                       !VerifiesAfter(d, blk.header.prev_hash),
+                   "a flipped derived-header flag decoded to a valid block");
       }
       break;
     }
@@ -759,7 +867,8 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
   add(net::Opcode::kOpReplJoin, std::move(jp));
 
   // The session opens with a context record (the follower's tip block),
-  // then streams blocks that retry earlier ones, stored by reference.
+  // then streams blocks that derive their headers from the one before and
+  // retry earlier ones, stored by reference.
   BlockBuilder builder("fuzz-secret");
   RefWindow leader_window;
   Block prev = MakeBlock(rng, builder, join.last_block_id, 1);
@@ -860,6 +969,16 @@ void CaseReplReassembler(FuzzRng& rng, Ctx& ctx) {
       FUZZ_CHECK(got[i].opcode == built[i].first &&
                      got[i].payload == built[i].second,
                  "valid repl frame decoded differently");
+    }
+    // Without the context record the session holds no predecessor for the
+    // first REPLICATE's derived header.
+    RefWindow no_context;
+    for (const net::Frame& f : got) {
+      if (f.opcode != net::Opcode::kOpReplicate) continue;
+      Block b;
+      FUZZ_CHECK(!net::DecodeReplicate(f.payload, &b, &no_context),
+                 "a REPLICATE record decoded without the context record");
+      break;
     }
   }
 }
@@ -996,7 +1115,7 @@ const Target kTargets[] = {
     {"wire_payload", CaseWirePayload,
      "ERROR/METRICS/BATCH_SUBMIT/BATCH_RECEIPT payload decoders"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode on v7 records, incl. edge values and references"},
+     "BlockCodec::Decode on v8 records: edge values, derived headers, refs"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
     {"metrics", CaseMetrics, "kOpMetrics snapshot codec round-trips"},
@@ -1088,28 +1207,30 @@ int WriteCorpus(const std::string& dir) {
   BlockBuilder hlz_builder("fuzz-secret");
   const Block hb = hlz_builder.Seal(std::move(compressible), 1000);
   const std::string hlz_record = BlockCodec::EncodeRecord(hb, Compression::kHlz);
-  entries.push_back({"block_record_v7.hex",
-                     "# one v7 record payload (HLZ envelope, no references)",
+  entries.push_back({"block_record_v8.hex",
+                     "# one v8 record payload (full header, HLZ section)",
                      hlz_record});
-  entries.push_back({"block_record_v7_raw.hex",
-                     "# one v7 record payload (section stored raw)",
+  entries.push_back({"block_record_v8_raw.hex",
+                     "# one v8 record payload (full header, section raw)",
                      BlockCodec::EncodeRecord(b, Compression::kNone)});
   RefWindow window;
   window.Push(b);
   const Block rb = MakeRetryBlock(rng, builder, b);
   entries.push_back(
-      {"block_record_v7_refs.hex",
-       "# one v7 record payload whose retries reference the raw seed's block",
+      {"block_record_v8_derived.hex",
+       "# one v8 record payload whose header is derived from the raw seed's "
+       "block and whose retries reference it",
        BlockCodec::EncodeRecord(rb, Compression::kNone, &window)});
 
   FuzzRng lrng(43);
-  entries.push_back({"log_v7_three_blocks.hex",
-                     "# complete v7 log file: header + 3 records, later ones "
-                     "storing retries by reference",
+  entries.push_back({"log_v8_three_blocks.hex",
+                     "# complete v8 log file: header + 3 records, later ones "
+                     "deriving their headers and storing retries by "
+                     "reference",
                      BuildLogFile(lrng, 3)});
   FuzzRng l2rng(44);
-  entries.push_back({"log_v7_one_block.hex",
-                     "# complete v7 log file: header + 1 record",
+  entries.push_back({"log_v8_one_block.hex",
+                     "# complete v8 log file: header + 1 record",
                      BuildLogFile(l2rng, 1)});
 
   std::string hlz;
@@ -1126,13 +1247,13 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeReplJoin(join, &join_payload);
   entries.push_back(
       {"repl_join_frame.hex",
-       "# one complete REPL_JOIN frame (wire v5 header + payload)",
+       "# one complete REPL_JOIN frame (wire v6 header + payload)",
        net::EncodeFrame(net::Opcode::kOpReplJoin, join_payload)});
 
   std::string repl_payload;
   net::EncodeReplicate(hb.header.block_id, hlz_record, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + stored v7 record",
+                     "# REPLICATE payload: u64 block id + stored v8 record",
                      repl_payload});
 
   FuzzRng srng(45);

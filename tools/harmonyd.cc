@@ -48,6 +48,14 @@
 //
 // metrics/health accept --watch S (re-print every S seconds until
 // SIGINT); events --follow tails the server's event ring via its cursor.
+//
+// Size a chain directory's block log, read-only (docs/FORMATS.md):
+//
+//   ./build/harmonyd log-stats /tmp/chain
+//   Prints its records (how many store a derived header), txns, bytes per
+//   txn, and the mean bytes per record outside the txn section (framing,
+//   header, signature, envelope), over all records and split by full and
+//   derived headers. The log is never opened for writing.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -143,7 +151,8 @@ int Usage() {
                "       harmonyd health [--host A] [--port N] [--watch S]\n"
                "       harmonyd events [--host A] [--port N] [--json] "
                "[--follow]\n"
-               "       harmonyd cluster-status --nodes H:P,H:P,...\n");
+               "       harmonyd cluster-status --nodes H:P,H:P,...\n"
+               "       harmonyd log-stats DIR\n");
   return 2;
 }
 
@@ -185,6 +194,7 @@ bool Parse(int argc, char** argv, Args* out) {
     else if (a == "--node") out->node = next("--node");
     else if (a == "--conns") out->conns = std::strtoul(next("--conns"), nullptr, 10);
     else if (a == "--txns") out->txns = std::strtoull(next("--txns"), nullptr, 10);
+    else if (out->mode == "log-stats" && out->dir.empty() && a[0] != '-') out->dir = a;
     else {
       std::fprintf(stderr, "unknown flag %s\n", a.c_str());
       return false;
@@ -716,6 +726,57 @@ int ClusterStatusCli(const Args& args) {
   return all_reachable && consistent ? 0 : 1;
 }
 
+/// Read-only block-log sizing: what each record costs outside its txn
+/// section, the figure the record header's encoding decides.
+int LogStatsCli(const Args& args) {
+  if (args.dir.empty()) return Usage();
+  const std::string path = args.dir + "/replica.chain";
+  struct Tally {
+    uint64_t records = 0;
+    uint64_t fixed_bytes = 0;  ///< framing + everything before the section
+  };
+  Tally full, derived;
+  uint64_t txns = 0, bytes = 0, unreadable = 0;
+  const Status s = BlockStore::ScanRecords(path, [&](std::string_view p) {
+    RecordShape shape;
+    if (!BlockCodec::Peek(p, &shape)) {
+      unreadable++;
+      return;
+    }
+    Tally& t = shape.derived ? derived : full;
+    t.records++;
+    t.fixed_bytes += 8 + shape.section_offset;  // u32 length + u32 CRC
+    txns += shape.txn_count;
+    bytes += 8 + p.size();
+  });
+  if (!s.ok()) {
+    std::fprintf(stderr, "log-stats %s: %s\n", path.c_str(),
+                 s.ToString().c_str());
+    return 1;
+  }
+  const auto mean = [](uint64_t sum, uint64_t n) {
+    return n == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(n);
+  };
+  const uint64_t records = full.records + derived.records;
+  std::printf("log-stats %s: block log v%u\n", path.c_str(), kLogVersion);
+  std::printf("records=%llu derived=%llu txns=%llu bytes=%llu "
+              "bytes_per_txn=%.2f\n",
+              static_cast<unsigned long long>(records),
+              static_cast<unsigned long long>(derived.records),
+              static_cast<unsigned long long>(txns),
+              static_cast<unsigned long long>(bytes), mean(bytes, txns));
+  std::printf("fixed_bytes_per_record=%.1f full=%.1f derived=%.1f\n",
+              mean(full.fixed_bytes + derived.fixed_bytes, records),
+              mean(full.fixed_bytes, full.records),
+              mean(derived.fixed_bytes, derived.records));
+  if (unreadable > 0) {
+    std::fprintf(stderr, "log-stats: %llu records with an unreadable header\n",
+                 static_cast<unsigned long long>(unreadable));
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -727,5 +788,6 @@ int main(int argc, char** argv) {
   if (args.mode == "health") return HealthCli(args);
   if (args.mode == "events") return EventsCli(args);
   if (args.mode == "cluster-status") return ClusterStatusCli(args);
+  if (args.mode == "log-stats") return LogStatsCli(args);
   return Usage();
 }

@@ -376,10 +376,9 @@ bool VerifySchedule(const std::string& dir,
     return false;
   }
   for (const auto& [id, record] : records) {
-    BlockId peeked = 0;
-    uint32_t reach = 0;
+    RecordShape shape;
     g_live_records++;
-    if (BlockCodec::Peek(record, &peeked, &reach) && reach > 0) {
+    if (BlockCodec::Peek(record, &shape) && shape.ref_reach > 0) {
       g_ref_records++;
     }
   }
