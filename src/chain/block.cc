@@ -133,12 +133,132 @@ std::vector<TxnRef> FindRefs(const Block& b, const RefWindow& window) {
   return refs;
 }
 
+/// The fixed integer columns of the txn section, in stored order (the
+/// blob bytes follow the last); bit i of the section's first byte says
+/// column i is bit-packed. The position columns of args.ints sit between
+/// kNInts and kBlobLen.
+enum FixedColumn {
+  kProcId,
+  kClientId,
+  kClientSeq,
+  kSubmitTime,
+  kRetries,
+  kFee,
+  kNInts,
+  kBlobLen,
+  kFixedColumns,
+};
+
+/// How a column's values read: plain unsigned; signed (int64 bits, zigzag
+/// as a varint and for a packed column's base); or client_seq, which its
+/// varint mode stores as zigzag per-client deltas and its packed mode raw.
+enum class ColumnKind { kUnsigned, kSigned, kSeq };
+
+/// One integer column as the encoder holds it: `n` values (int64 bits for
+/// a signed column) in a buffer the section encoder owns.
+struct IntColumn {
+  ColumnKind kind = ColumnKind::kUnsigned;
+  const uint64_t* values = nullptr;
+  size_t n = 0;
+  const uint64_t* deltas = nullptr;  ///< kSeq: each entry's varint value
+
+  uint64_t VarintAt(size_t i) const {
+    switch (kind) {
+      case ColumnKind::kSigned:
+        return codec::ZigzagEncode(static_cast<int64_t>(values[i]));
+      case ColumnKind::kSeq:
+        return deltas[i];
+      default:
+        return values[i];
+    }
+  }
+  /// The stored form of a packed column's base.
+  uint64_t StoredBase(uint64_t base) const {
+    return kind == ColumnKind::kSigned
+               ? codec::ZigzagEncode(static_cast<int64_t>(base))
+               : base;
+  }
+};
+
+/// A column's packed layout: every entry is `base + offset`, each offset
+/// `width` bits.
+struct Packing {
+  bool packed = false;
+  uint64_t base = 0;
+  uint8_t width = 0;
+};
+
+/// Sizes both modes of `c` in one pass and keeps the smaller; a tie, and an
+/// empty column, stay varint.
+Packing ChoosePacking(const IntColumn& c) {
+  Packing p;
+  if (c.n == 0) return p;
+  // Flipping the sign bit orders int64 bits as unsigned values.
+  const uint64_t flip = c.kind == ColumnKind::kSigned ? uint64_t{1} << 63 : 0;
+  uint64_t lo = c.values[0] ^ flip, hi = lo;
+  for (size_t i = 1; i < c.n; i++) {
+    lo = std::min(lo, c.values[i] ^ flip);
+    hi = std::max(hi, c.values[i] ^ flip);
+  }
+  size_t varint_bytes = 0;
+  for (size_t i = 0; i < c.n; i++) {
+    varint_bytes += codec::VarintSize(c.VarintAt(i));
+  }
+  p.base = lo ^ flip;
+  const uint64_t range = hi - lo;
+  p.width = static_cast<uint8_t>(range == 0 ? 0 : 64 - __builtin_clzll(range));
+  const size_t packed_bytes = codec::VarintSize(c.StoredBase(p.base)) + 1 +
+                              (c.n * p.width + 7) / 8;
+  p.packed = packed_bytes < varint_bytes;
+  return p;
+}
+
+void AppendColumn(const IntColumn& c, const Packing& p, std::string* out) {
+  if (!p.packed) {
+    for (size_t i = 0; i < c.n; i++) codec::AppendVarint(out, c.VarintAt(i));
+    return;
+  }
+  codec::AppendVarint(out, c.StoredBase(p.base));
+  codec::AppendU8(out, p.width);
+  // Each `v - base` in `width` bits, LSB-first, through an accumulator
+  // that holds fewer than 8 pending bits between values; the padding bits
+  // of the last byte stay zero.
+  const size_t start = out->size();
+  out->resize(start + (c.n * p.width + 7) / 8);
+  uint8_t* bits = reinterpret_cast<uint8_t*>(out->data() + start);
+  unsigned __int128 acc = 0;
+  unsigned pending = 0;
+  for (size_t i = 0; i < c.n; i++) {
+    acc |= static_cast<unsigned __int128>(c.values[i] - p.base) << pending;
+    for (pending += p.width; pending >= 8; pending -= 8, acc >>= 8) {
+      *bits++ = static_cast<uint8_t>(acc);
+    }
+  }
+  if (pending > 0) *bits = static_cast<uint8_t>(acc);
+}
+
+/// Chooses each column's mode and appends the mode bitmap: bit i % 8 of
+/// byte i / 8 set when column i is bit-packed, the padding bits zero.
+std::vector<Packing> AppendModes(const std::vector<IntColumn>& cols,
+                                 std::string* out) {
+  std::vector<Packing> packing(cols.size());
+  std::string bitmap((cols.size() + 7) / 8, '\0');
+  for (size_t i = 0; i < cols.size(); i++) {
+    packing[i] = ChoosePacking(cols[i]);
+    if (packing[i].packed) bitmap[i / 8] |= static_cast<char>(1 << (i % 8));
+  }
+  out->append(bitmap);
+  return packing;
+}
+
 /// The txn section: with references, a distance column over every txn and
-/// an index column over the referencing ones; then one varint column per
-/// field over the txns stored in full, in docs/FORMATS.md order. Deltas use
-/// wrapping 64-bit arithmetic, so every value — including 0/UINT64_MAX
-/// sequence numbers and submit times after the order time — round-trips
-/// exactly.
+/// an index column over the referencing ones; then the integer columns of
+/// the txns stored in full, in docs/FORMATS.md order, each as varints or
+/// bit-packed (a mode bitmap ahead of the fixed columns, another ahead of
+/// the args.ints position columns), then the blob bytes. Deltas and packed
+/// offsets use wrapping 64-bit arithmetic, so every value — including
+/// 0/UINT64_MAX sequence numbers and submit times after the order time —
+/// round-trips exactly.
 void EncodeTxnSection(const Block& b, const std::vector<TxnRef>& refs,
                       uint32_t reach, std::string* out) {
   std::vector<const TxnRequest*> txns;
@@ -151,32 +271,76 @@ void EncodeTxnSection(const Block& b, const std::vector<TxnRef>& refs,
       if (r.distance != 0) codec::AppendVarint(out, r.index);
     }
   }
-  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->proc_id);
-  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->client_id);
-  // client_seq: delta from the same client's previous txn in this block
-  // (base 0), so a client's consecutive submissions cost one byte each.
+  if (txns.empty()) return;
+  // One buffer holds every fixed column, then client_seq's varint deltas.
+  const size_t n = txns.size();
+  std::vector<uint64_t> cells((kFixedColumns + 1) * n);
+  std::vector<IntColumn> fixed(kFixedColumns);
+  for (int c = 0; c < kFixedColumns; c++) {
+    fixed[c].values = &cells[c * n];
+    fixed[c].n = n;
+  }
+  fixed[kClientSeq].kind = ColumnKind::kSeq;
+  fixed[kClientSeq].deltas = &cells[kFixedColumns * n];
+  fixed[kSubmitTime].kind = ColumnKind::kSigned;
+  const auto cell = [&cells, n](int column, size_t i) -> uint64_t& {
+    return cells[column * n + i];
+  };
+  // client_seq's varint mode stores the delta from the same client's
+  // previous txn in this block (base 0), so a client's consecutive
+  // submissions cost one byte each; submit_time_us is stored as the
+  // distance back from the block's order time.
   std::unordered_map<uint64_t, uint64_t> last_seq;
-  for (const TxnRequest* t : txns) {
+  std::vector<size_t> per_position;  // entries of each position column
+  for (size_t i = 0; i < n; i++) {
+    const TxnRequest* t = txns[i];
+    cell(kProcId, i) = t->proc_id;
+    cell(kClientId, i) = t->client_id;
+    cell(kClientSeq, i) = t->client_seq;
     uint64_t& prev = last_seq[t->client_id];
-    AppendZigzag(out, static_cast<int64_t>(t->client_seq - prev));
+    cell(kFixedColumns, i) =
+        codec::ZigzagEncode(static_cast<int64_t>(t->client_seq - prev));
     prev = t->client_seq;
+    cell(kSubmitTime, i) = b.header.order_time_us - t->submit_time_us;
+    cell(kRetries, i) = t->retries;
+    cell(kFee, i) = t->fee;
+    cell(kNInts, i) = t->args.ints.size();
+    cell(kBlobLen, i) = t->args.blob.size();
+    if (t->args.ints.size() > per_position.size()) {
+      per_position.resize(t->args.ints.size());
+    }
+    for (size_t p = 0; p < t->args.ints.size(); p++) per_position[p]++;
   }
-  // submit_time_us: distance back from the block's order time.
-  for (const TxnRequest* t : txns) {
-    AppendZigzag(out, static_cast<int64_t>(b.header.order_time_us -
-                                           t->submit_time_us));
+  // One bitmap covers the fixed columns; the blob lengths follow the
+  // position columns, which carry their own.
+  const std::vector<Packing> packing = AppendModes(fixed, out);
+  for (int c = 0; c < kBlobLen; c++) AppendColumn(fixed[c], packing[c], out);
+  if (!per_position.empty()) {
+    // Column p: ints[p] of every txn with more than p ints, in block order,
+    // the columns one after another in one buffer.
+    std::vector<IntColumn> columns(per_position.size());
+    std::vector<size_t> next(per_position.size());
+    size_t total = 0;
+    for (size_t p = 0; p < columns.size(); p++) {
+      next[p] = total;
+      total += per_position[p];
+    }
+    std::vector<uint64_t> ints(total);
+    for (size_t p = 0; p < columns.size(); p++) {
+      columns[p] = IntColumn{ColumnKind::kSigned, &ints[next[p]],
+                             per_position[p], nullptr};
+    }
+    for (const TxnRequest* t : txns) {
+      for (size_t p = 0; p < t->args.ints.size(); p++) {
+        ints[next[p]++] = static_cast<uint64_t>(t->args.ints[p]);
+      }
+    }
+    const std::vector<Packing> int_packing = AppendModes(columns, out);
+    for (size_t p = 0; p < columns.size(); p++) {
+      AppendColumn(columns[p], int_packing[p], out);
+    }
   }
-  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->retries);
-  for (const TxnRequest* t : txns) codec::AppendVarint(out, t->fee);
-  for (const TxnRequest* t : txns) {
-    codec::AppendVarint(out, t->args.ints.size());
-  }
-  for (const TxnRequest* t : txns) {
-    for (int64_t v : t->args.ints) AppendZigzag(out, v);
-  }
-  for (const TxnRequest* t : txns) {
-    codec::AppendVarint(out, t->args.blob.size());
-  }
+  AppendColumn(fixed[kBlobLen], packing[kBlobLen], out);
   for (const TxnRequest* t : txns) out->append(t->args.blob);
 }
 
@@ -240,19 +404,200 @@ Status DecodeRefColumns(codec::Reader* r, BlockId id, uint32_t reach,
   return Status::OK();
 }
 
-/// Inverse of EncodeTxnSection. Every entry of every column is at least one
-/// byte, so each count is checked against the bytes still unread before it
-/// sizes anything.
-Status DecodeTxnSection(std::string_view section, const BlockHeader& h,
-                        uint32_t reach, const RefWindow* window,
-                        TxnBatch* batch) {
+/// Reads `width`-bit values LSB-first from `bits`.
+class BitReader {
+ public:
+  BitReader(std::string_view bits, uint8_t width)
+      : bits_(bits), width_(width) {}
+  uint64_t Get() {
+    uint64_t v = 0;
+    for (unsigned got = 0; got < width_;) {
+      const unsigned take = std::min<unsigned>(width_ - got, 8 - shift_);
+      const uint64_t byte = static_cast<uint8_t>(bits_[pos_]) >> shift_;
+      v |= (byte & ((1u << take) - 1)) << got;
+      got += take;
+      shift_ += take;
+      if (shift_ == 8) {
+        shift_ = 0;
+        pos_++;
+      }
+    }
+    return v;
+  }
+  /// True when the bits past the last value read are all zero.
+  bool PaddingIsZero() const {
+    return shift_ == 0 || (static_cast<uint8_t>(bits_[pos_]) >> shift_) == 0;
+  }
+
+ private:
+  std::string_view bits_;
+  uint8_t width_;
+  size_t pos_ = 0;
+  unsigned shift_ = 0;
+};
+
+/// Reads `n` entries of one column in the given mode into `out`, as
+/// IntColumn holds them: a kSigned column yields int64 bits either way, and
+/// a kSeq column its zigzag-decoded deltas in varint mode and raw values
+/// when packed. A packed column is its base, a width of at most 64 and
+/// ⌈n·width/8⌉ bytes whose padding bits are zero.
+bool ReadColumn(codec::Reader* r, bool packed, ColumnKind kind, size_t n,
+                std::vector<uint64_t>* out) {
+  out->resize(n);
+  if (!packed) {
+    for (uint64_t& v : *out) {
+      if (!r->ReadVarint(&v)) return false;
+      if (kind != ColumnKind::kUnsigned) {
+        v = static_cast<uint64_t>(codec::ZigzagDecode(v));
+      }
+    }
+    return true;
+  }
+  uint64_t base = 0;
+  uint8_t width = 0;
+  if (!r->ReadVarint(&base) || !r->ReadU8(&width) || width > 64) return false;
+  if (kind == ColumnKind::kSigned) {
+    base = static_cast<uint64_t>(codec::ZigzagDecode(base));
+  }
+  std::string_view bits;
+  if (!r->ReadView((n * width + 7) / 8, &bits)) return false;
+  BitReader reader(bits, width);
+  for (uint64_t& v : *out) v = base + reader.Get();
+  return reader.PaddingIsZero();
+}
+
+/// Reads a mode bitmap over `n` columns; its padding bits must be zero.
+bool ReadModes(codec::Reader* r, size_t n, std::vector<bool>* packed) {
+  std::string_view bitmap;
+  if (!r->ReadView((n + 7) / 8, &bitmap)) return false;
+  packed->resize(n);
+  for (size_t i = 0; i < n; i++) {
+    (*packed)[i] = ((static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1) != 0;
+  }
+  return n % 8 == 0 ||
+         (static_cast<uint8_t>(bitmap.back()) >> (n % 8)) == 0;
+}
+
+/// The literal columns of `txns`, the txns stored in full (at least one).
+/// Their count is at most kMaxBlockTxns (ParsePrefix), and the int total is
+/// checked against kMaxBlockInts before any txn's ints are sized: a packed
+/// column may store no bytes per entry, so only the number of position
+/// columns and the blob lengths are bounded by the bytes still unread.
+Status DecodeLiteralColumns(codec::Reader* r, const BlockHeader& h,
+                            const std::vector<TxnRequest*>& txns,
+                            SectionStats* stats) {
   const auto malformed = [] {
     return Status::Corruption("txn section truncated or malformed");
   };
-  codec::Reader r(section);
-  if (h.txn_count > r.remaining()) {
-    return Status::Corruption("txn count exceeds the txn section");
+  std::vector<bool> packed;
+  if (!ReadModes(r, kFixedColumns, &packed)) return malformed();
+  std::vector<uint64_t> col;
+  const auto read = [&](int c, ColumnKind kind) {
+    return ReadColumn(r, packed[c], kind, txns.size(), &col);
+  };
+  const auto fits_u32 = [&col] {
+    return std::all_of(col.begin(), col.end(),
+                       [](uint64_t v) { return v <= UINT32_MAX; });
+  };
+  if (!read(kProcId, ColumnKind::kUnsigned) || !fits_u32()) {
+    return malformed();
   }
+  for (size_t i = 0; i < txns.size(); i++) {
+    txns[i]->proc_id = static_cast<uint32_t>(col[i]);
+  }
+  if (!read(kClientId, ColumnKind::kUnsigned)) return malformed();
+  for (size_t i = 0; i < txns.size(); i++) txns[i]->client_id = col[i];
+  if (!read(kClientSeq, ColumnKind::kSeq)) return malformed();
+  std::unordered_map<uint64_t, uint64_t> last_seq;
+  for (size_t i = 0; i < txns.size(); i++) {
+    TxnRequest* t = txns[i];
+    if (packed[kClientSeq]) {
+      t->client_seq = col[i];
+      continue;
+    }
+    uint64_t& prev = last_seq[t->client_id];
+    t->client_seq = prev + col[i];
+    prev = t->client_seq;
+  }
+  if (!read(kSubmitTime, ColumnKind::kSigned)) return malformed();
+  for (size_t i = 0; i < txns.size(); i++) {
+    txns[i]->submit_time_us = h.order_time_us - col[i];
+  }
+  if (!read(kRetries, ColumnKind::kUnsigned) || !fits_u32()) {
+    return malformed();
+  }
+  for (size_t i = 0; i < txns.size(); i++) {
+    txns[i]->retries = static_cast<uint32_t>(col[i]);
+  }
+  if (!read(kFee, ColumnKind::kUnsigned)) return malformed();
+  for (size_t i = 0; i < txns.size(); i++) txns[i]->fee = col[i];
+  if (!read(kNInts, ColumnKind::kUnsigned) || !fits_u32()) {
+    return malformed();
+  }
+  uint64_t total_ints = 0, positions = 0;
+  for (uint64_t n : col) {
+    total_ints += n;
+    positions = std::max(positions, n);
+  }
+  if (total_ints > kMaxBlockInts) {
+    return Status::Corruption("int count exceeds the block limit");
+  }
+  // Every position column costs at least one byte.
+  if (positions > r->remaining()) {
+    return Status::Corruption("int count exceeds the txn section");
+  }
+  std::vector<TxnRequest*> active;
+  for (size_t i = 0; i < txns.size(); i++) {
+    txns[i]->args.ints.resize(col[i]);
+    if (col[i] > 0) active.push_back(txns[i]);
+  }
+  std::vector<bool> int_packed;
+  if (!ReadModes(r, positions, &int_packed)) return malformed();
+  for (size_t p = 0; p < positions; p++) {
+    if (!ReadColumn(r, int_packed[p], ColumnKind::kSigned, active.size(),
+                    &col)) {
+      return malformed();
+    }
+    for (size_t i = 0; i < active.size(); i++) {
+      active[i]->args.ints[p] = static_cast<int64_t>(col[i]);
+    }
+    // Txns with no int past p drop out of the later columns.
+    active.erase(std::remove_if(active.begin(), active.end(),
+                                [p](const TxnRequest* t) {
+                                  return t->args.ints.size() == p + 1;
+                                }),
+                 active.end());
+  }
+  if (!read(kBlobLen, ColumnKind::kUnsigned)) return malformed();
+  uint64_t total_blob = 0;
+  for (size_t i = 0; i < txns.size(); i++) {
+    // Each check bounds its operand by the section size, so the sum
+    // cannot wrap.
+    if (col[i] > r->remaining() || total_blob + col[i] > r->remaining()) {
+      return Status::Corruption("blob bytes exceed the txn section");
+    }
+    total_blob += col[i];
+    txns[i]->args.blob.resize(col[i]);
+  }
+  for (TxnRequest* t : txns) {
+    if (!r->ReadFixed(t->args.blob.data(), t->args.blob.size())) {
+      return malformed();
+    }
+  }
+  if (stats != nullptr) {
+    stats->columns = kFixedColumns + static_cast<uint32_t>(positions);
+    stats->packed_columns = static_cast<uint32_t>(
+        std::count(packed.begin(), packed.end(), true) +
+        std::count(int_packed.begin(), int_packed.end(), true));
+  }
+  return Status::OK();
+}
+
+/// Inverse of EncodeTxnSection.
+Status DecodeTxnSection(std::string_view section, const BlockHeader& h,
+                        uint32_t reach, const RefWindow* window,
+                        TxnBatch* batch, SectionStats* stats) {
+  codec::Reader r(section);
   std::vector<TxnRequest>& all = batch->txns;
   all.assign(h.txn_count, TxnRequest{});
   std::vector<TxnRequest*> txns;
@@ -262,62 +607,9 @@ Status DecodeTxnSection(std::string_view section, const BlockHeader& h,
   } else {
     for (TxnRequest& t : all) txns.push_back(&t);
   }
-  for (TxnRequest* t : txns) {
-    if (!ReadVarintU32(&r, &t->proc_id)) return malformed();
-  }
-  for (TxnRequest* t : txns) {
-    if (!r.ReadVarint(&t->client_id)) return malformed();
-  }
-  std::unordered_map<uint64_t, uint64_t> last_seq;
-  for (TxnRequest* t : txns) {
-    int64_t delta = 0;
-    if (!ReadZigzag(&r, &delta)) return malformed();
-    uint64_t& prev = last_seq[t->client_id];
-    t->client_seq = prev + static_cast<uint64_t>(delta);
-    prev = t->client_seq;
-  }
-  for (TxnRequest* t : txns) {
-    int64_t back = 0;
-    if (!ReadZigzag(&r, &back)) return malformed();
-    t->submit_time_us = h.order_time_us - static_cast<uint64_t>(back);
-  }
-  for (TxnRequest* t : txns) {
-    if (!ReadVarintU32(&r, &t->retries)) return malformed();
-  }
-  for (TxnRequest* t : txns) {
-    if (!r.ReadVarint(&t->fee)) return malformed();
-  }
-  uint64_t total_ints = 0;
-  for (TxnRequest* t : txns) {
-    uint32_t n = 0;
-    if (!ReadVarintU32(&r, &n)) return malformed();
-    total_ints += n;
-    if (total_ints > r.remaining()) {
-      return Status::Corruption("int count exceeds the txn section");
-    }
-    t->args.ints.resize(n);
-  }
-  for (TxnRequest* t : txns) {
-    for (int64_t& v : t->args.ints) {
-      if (!ReadZigzag(&r, &v)) return malformed();
-    }
-  }
-  uint64_t total_blob = 0;
-  for (TxnRequest* t : txns) {
-    uint64_t len = 0;
-    if (!r.ReadVarint(&len)) return malformed();
-    // Each check bounds its operand by the section size, so the sum
-    // cannot wrap.
-    if (len > r.remaining() || total_blob + len > r.remaining()) {
-      return Status::Corruption("blob bytes exceed the txn section");
-    }
-    total_blob += len;
-    t->args.blob.resize(len);
-  }
-  for (TxnRequest* t : txns) {
-    if (!r.ReadFixed(t->args.blob.data(), t->args.blob.size())) {
-      return malformed();
-    }
+  if (stats != nullptr) *stats = SectionStats{};
+  if (!txns.empty()) {
+    HARMONY_RETURN_NOT_OK(DecodeLiteralColumns(&r, h, txns, stats));
   }
   if (r.remaining() != 0) {
     return Status::Corruption("trailing txn-section bytes");
@@ -334,7 +626,6 @@ struct Prefix {
   RecordShape shape;
   int64_t tid_delta = 0;
   int64_t time_delta = 0;
-  uint64_t raw_len = 0;
 };
 
 /// Reads block_id, the flags byte, the full or derived header fields, the
@@ -367,6 +658,11 @@ Status ParsePrefix(std::string_view bytes, Prefix* p) {
              !r.ReadFixed(h.prev_hash.data(), h.prev_hash.size())) {
     return truncated();
   }
+  if (p->shape.txn_count > kMaxBlockTxns) {
+    return Status::Corruption("txn count " +
+                              std::to_string(p->shape.txn_count) +
+                              " exceeds the block limit");
+  }
   h.txn_count = p->shape.txn_count;
   if (!r.ReadFixed(h.signature.data(), h.signature.size())) return truncated();
   uint32_t& reach = p->shape.ref_reach;
@@ -377,7 +673,7 @@ Status ParsePrefix(std::string_view bytes, Prefix* p) {
                                 " out of range");
     }
   }
-  if (!r.ReadVarint(&p->raw_len)) {
+  if (!r.ReadVarint(&p->shape.raw_len)) {
     return Status::Corruption("compression envelope truncated");
   }
   p->shape.section_offset = bytes.size() - r.remaining();
@@ -413,7 +709,7 @@ Status ResolveHeader(const RefWindow* window, bool need_hash, Prefix* p) {
 /// header insist on a computed predecessor hash): the prefix, the resolved
 /// header, then the compression envelope over the txn section.
 Status ParseRecord(std::string_view bytes, const RefWindow* window,
-                   bool need_hash, Block* out) {
+                   bool need_hash, Block* out, SectionStats* stats) {
   Prefix p;
   HARMONY_RETURN_NOT_OK(ParsePrefix(bytes, &p));
   HARMONY_RETURN_NOT_OK(ResolveHeader(window, need_hash, &p));
@@ -423,9 +719,10 @@ Status ParseRecord(std::string_view bytes, const RefWindow* window,
   // The stored section runs through the end of the payload.
   std::string section;
   HARMONY_RETURN_NOT_OK(DecompressPayload(
-      p.codec, bytes.substr(p.shape.section_offset), p.raw_len, &section));
+      p.codec, bytes.substr(p.shape.section_offset), p.shape.raw_len,
+      &section));
   return DecodeTxnSection(section, out->header, p.shape.ref_reach, window,
-                          &out->batch);
+                          &out->batch, stats);
 }
 
 }  // namespace
@@ -520,15 +817,16 @@ std::string BlockCodec::EncodeRecord(const Block& b, Compression codec,
 
 Status BlockCodec::Decode(std::string_view bytes, Block* out,
                           const RefWindow* refs) {
-  HARMONY_RETURN_NOT_OK(ParseRecord(bytes, refs, /*need_hash=*/true, out));
+  HARMONY_RETURN_NOT_OK(
+      ParseRecord(bytes, refs, /*need_hash=*/true, out, nullptr));
   out->header.txn_root = TxnRoot(out->batch);
   out->header.block_hash = HashHeader(out->header);
   return Status::OK();
 }
 
 Status BlockCodec::Validate(std::string_view bytes, Block* out,
-                            const RefWindow* refs) {
-  return ParseRecord(bytes, refs, /*need_hash=*/false, out);
+                            const RefWindow* refs, SectionStats* stats) {
+  return ParseRecord(bytes, refs, /*need_hash=*/false, out, stats);
 }
 
 bool BlockCodec::Peek(std::string_view bytes, RecordShape* out) {

@@ -13,21 +13,33 @@
 namespace harmony {
 
 /// Block log format version (docs/FORMATS.md has the byte-level reference
-/// and the version history). v8 stores each block's txn section column-wise
-/// as LEB128 varints under a per-block compression envelope, and of the
-/// header digests only the signature, plus prev_hash when the record has no
-/// predecessor to derive it from: txn_root and block_hash are rebuilt on
-/// decode. A record whose predecessor the encoder holds stores a *derived
-/// header* (prev_hash from the predecessor's block_hash, first_tid and
-/// order_time_us as deltas from its), and a CC retry may be stored as a
-/// reference to its previous incarnation in an earlier block (see
-/// RefWindow). BlockStore reads and writes only this version and refuses
-/// v1–v7 logs with NotSupported.
-inline constexpr uint32_t kLogVersion = 8;
+/// and the version history). v9 stores each block's txn section column-wise
+/// under a per-block compression envelope, every integer column either as
+/// LEB128 varints or bit-packed at the record's width over the column's
+/// smallest value, whichever is smaller, with args.ints split into one
+/// column per argument position. Of the header digests it stores only the
+/// signature, plus prev_hash when the record has no predecessor to derive
+/// it from: txn_root and block_hash are rebuilt on decode. A record whose
+/// predecessor the encoder holds stores a *derived header* (prev_hash from
+/// the predecessor's block_hash, first_tid and order_time_us as deltas from
+/// its), and a CC retry may be stored as a reference to its previous
+/// incarnation in an earlier block (see RefWindow). BlockStore reads and
+/// writes only this version and refuses v1–v8 logs with NotSupported.
+inline constexpr uint32_t kLogVersion = 9;
 
-/// Furthest back, in blocks, a v8 record may reference; decoders keep at
-/// most this many earlier blocks.
+/// Furthest back, in blocks, a record may reference; decoders keep at most
+/// this many earlier blocks.
 inline constexpr uint32_t kMaxRefReach = 64;
+
+/// Most txns one block may hold. A bit-packed column of equal values takes
+/// no bytes per entry, so the decoder cannot bound a txn count by the bytes
+/// it has; it refuses a larger count before sizing anything, and
+/// HarmonyBC::Open refuses a larger block_size.
+inline constexpr uint32_t kMaxBlockTxns = 1 << 14;
+
+/// Most args.ints one block may hold in all: kMaxBlockTxns txns at
+/// admission's default limit of 256 args each. Checked like kMaxBlockTxns.
+inline constexpr uint64_t kMaxBlockInts = uint64_t{kMaxBlockTxns} * 256;
 
 /// A ledger block: the ordered transaction batch plus the tamper-evidence
 /// header. Each block carries the hash of its predecessor (Section 4,
@@ -59,7 +71,7 @@ struct Block {
   std::string record;
 };
 
-/// The earlier blocks a v8 record may reference: the headers and txns of up
+/// The earlier blocks a record may reference: the headers and txns of up
 /// to kMaxRefReach consecutive blocks, oldest first. A reader fills one in
 /// block order from a safe cut (docs/FORMATS.md, "References"), and
 /// BlockStore::Append keeps one for its encoder. A record with a derived
@@ -107,6 +119,7 @@ struct RecordShape {
   bool derived = false;       ///< header derived from block block_id - 1's
   uint32_t ref_reach = 0;     ///< farthest txn reference back; 0: none
   size_t section_offset = 0;  ///< payload offset of the stored txn section
+  uint64_t raw_len = 0;       ///< txn-section size before compression
   /// How many blocks back a reader must hold to decode the record: a
   /// derived header needs its predecessor, so it counts as reach 1.
   uint32_t reach() const {
@@ -114,15 +127,22 @@ struct RecordShape {
   }
 };
 
+/// How a decoded record stored its txn section (BlockCodec::Validate).
+struct SectionStats {
+  uint32_t columns = 0;         ///< integer columns, positions included
+  uint32_t packed_columns = 0;  ///< of those, stored bit-packed
+};
+
 /// Serializes / parses transactions and blocks. Two encodings:
 ///  - the canonical fixed-width txn layout (EncodeTxn): the SUBMIT wire
 ///    payload and the input of TxnRoot, so chain identity and signatures
 ///    depend only on it;
-///  - the v8 log record (EncodeRecord): block id and flags, a full or
-///    derived header, the signature, and a column-wise varint txn section
-///    under a compression envelope — the block log and the REPLICATE
-///    payload. Purely a storage encoding: a derived header and a reference
-///    decode to the exact header and canonical txn they stand for, and
+///  - the v9 log record (EncodeRecord): block id and flags, a full or
+///    derived header, the signature, and a column-wise txn section of
+///    varint or bit-packed integer columns under a compression envelope —
+///    the block log and the REPLICATE payload. Purely a storage encoding:
+///    a derived header and a reference decode to the exact header and
+///    canonical txn they stand for, and
 ///    decoding rebuilds txn_root and block_hash from the record's contents,
 ///    so a changed byte surfaces as a signature or chain mismatch.
 class BlockCodec {
@@ -135,7 +155,7 @@ class BlockCodec {
   /// truncated or oversized input.
   static bool DecodeTxn(codec::Reader* r, TxnRequest* out);
 
-  /// Encodes a v8 record payload, compressing the txn section with `codec`.
+  /// Encodes a v9 record payload, compressing the txn section with `codec`.
   /// Falls back to Compression::kNone per block when compression does not
   /// shrink the section. With `refs`, the header is derived from the
   /// predecessor's when `refs` Follows it, and each txn whose canonical
@@ -144,22 +164,26 @@ class BlockCodec {
   /// the same blocks. Without, the header and every txn are stored in full.
   static std::string EncodeRecord(const Block& b, Compression codec,
                                   const RefWindow* refs = nullptr);
-  /// Parses one v8 record payload, resolving its derived header and its
+  /// Parses one v9 record payload, resolving its derived header and its
   /// references in `refs` (nullptr: the record must carry neither), and
   /// rebuilds txn_root and block_hash. Every count and length is checked
-  /// against the bytes that remain before anything is sized by it; a
-  /// truncated, overlong, or trailing-garbage payload, a derived header
-  /// whose predecessor `refs` lacks or holds without its hash, or a
-  /// reference outside the window or past the reach, is Corruption. Leaves
-  /// `out->record` untouched.
+  /// against the bytes that remain, or against kMaxBlockTxns and
+  /// kMaxBlockInts where a packed column stores no bytes per entry, before
+  /// anything is sized by it; a truncated, overlong, or trailing-garbage
+  /// payload, a packed column wider than 64 bits or with non-zero padding,
+  /// a derived header whose predecessor `refs` lacks or holds without its
+  /// hash, or a reference outside the window or past the reach, is
+  /// Corruption. Leaves `out->record` untouched.
   static Status Decode(std::string_view bytes, Block* out,
                        const RefWindow* refs = nullptr);
   /// Decode without the digest rebuild (txn_root and block_hash are left
   /// zero, and a derived header's prev_hash is the predecessor's, computed
   /// or not): the log's open scan needs only to know that a record parses,
-  /// and its header and txns for the next record's window.
+  /// and its header and txns for the next record's window. `stats`, when
+  /// non-null, receives how the section stored its columns.
   static Status Validate(std::string_view bytes, Block* out,
-                         const RefWindow* refs = nullptr);
+                         const RefWindow* refs = nullptr,
+                         SectionStats* stats = nullptr);
   /// Reads a record's block id, header shape and reference reach, without
   /// a window and without decompressing anything. False on a truncated or
   /// malformed prefix.

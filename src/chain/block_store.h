@@ -22,13 +22,13 @@ class EventLog;
 /// execution is deterministic, persisting the *inputs* is sufficient for
 /// recovery — no ARIES-style physical log.
 ///
-/// ## File format (block log v8 — docs/FORMATS.md is the authoritative
+/// ## File format (block log v9 — docs/FORMATS.md is the authoritative
 /// byte-level reference)
 ///
 /// ```
 ///   offset 0: u32 magic           = 0x4C434248 ("HBCL" read as bytes,
 ///                                   little-endian on disk)
-///   offset 4: u32 format_version  = kLogVersion (8, chain/block.h)
+///   offset 4: u32 format_version  = kLogVersion (9, chain/block.h)
 ///   offset 8: records...
 ///
 ///   record:   u32 payload_len
@@ -36,8 +36,8 @@ class EventLog;
 ///                                  block id and flags, a full header or
 ///                                  one derived from the previous block's,
 ///                                  the signature, compression envelope
-///                                  over the column-wise varint txn
-///                                  section)
+///                                  over the column-wise txn section of
+///                                  varint or bit-packed columns)
 ///             u32 crc32(payload)  — CRC of the payload *as stored*, i.e.
 ///                                   over the compressed bytes
 /// ```
@@ -61,7 +61,7 @@ class EventLog;
 /// TruncateBefore cuts only at one.
 ///
 /// ### One version
-/// Only v8 is read or written. A v1–v7 log (v1 files have no header at all)
+/// Only v9 is read or written. A v1–v8 log (v1 files have no header at all)
 /// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
@@ -101,13 +101,13 @@ class BlockStore {
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
   /// Opens the log and scans it, truncating a torn tail if present.
-  /// NotSupported for a file without the v8 header (see class comment).
+  /// NotSupported for a file without the v9 header (see class comment).
   Status Open();
 
   /// Calls `fn` with the stored payload of each whole record of the log at
   /// `path`, in order, reading only: nothing is repaired, and the scan ends
   /// quietly at a torn or CRC-failing tail. NotSupported for a file without
-  /// the v8 header, like Open; IOError when the file cannot be read.
+  /// the v9 header, like Open; IOError when the file cannot be read.
   static Status ScanRecords(const std::string& path,
                             const std::function<void(std::string_view)>& fn);
 

@@ -44,6 +44,10 @@ inline void AppendVarint(std::string* out, uint64_t v) {
   }
   out->push_back(static_cast<char>(v));
 }
+/// Bytes AppendVarint takes for `v`: one per started 7-bit group.
+inline size_t VarintSize(uint64_t v) {
+  return static_cast<size_t>(70 - __builtin_clzll(v | 1)) / 7;
+}
 /// Zigzag maps signed values of small magnitude to small unsigned ones
 /// (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...) so they varint-encode short.
 inline uint64_t ZigzagEncode(int64_t v) {
@@ -91,6 +95,13 @@ class Reader {
   }
   /// Fixed-width raw copy (e.g. 32-byte digests embedded without a length).
   bool ReadFixed(void* v, size_t n) { return ReadRaw(v, n); }
+  /// The next `n` bytes, borrowed from the buffer without a copy.
+  bool ReadView(size_t n, std::string_view* out) {
+    if (buf_.size() - pos_ < n) return false;
+    *out = buf_.substr(pos_, n);
+    pos_ += n;
+    return true;
+  }
   size_t remaining() const { return buf_.size() - pos_; }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "chain/block.h"
 #include "common/clock.h"
 #include "testing/crash_point.h"
 
@@ -16,6 +17,14 @@ constexpr uint32_t kMaxSyncRounds = 200;
 }  // namespace
 
 Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
+  // A sealed block must stay decodable: the log refuses records past
+  // kMaxBlockTxns.
+  if (options.block_size > kMaxBlockTxns) {
+    return Status::InvalidArgument(
+        "block_size " + std::to_string(options.block_size) +
+        " exceeds the block log's limit of " + std::to_string(kMaxBlockTxns) +
+        " txns");
+  }
   auto db = std::unique_ptr<HarmonyBC>(new HarmonyBC());
   db->opts_ = options;
   db->open_time_us_ = NowMicros();

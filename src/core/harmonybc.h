@@ -74,7 +74,8 @@ class HarmonyBC {
     /// Writer threads for the checkpoint's parallel group flush (1 = serial).
     size_t flush_threads = BufferPool::kDefaultFlushThreads;
     size_t threads = 8;
-    size_t block_size = 25;        ///< transactions per sealed block
+    /// Transactions per sealed block; Open refuses more than kMaxBlockTxns.
+    size_t block_size = 25;
     size_t checkpoint_every = 10;  ///< blocks between checkpoints
     std::string orderer_secret = "orderer-secret";
     /// Block log compression for sealed-txn sections. Per-block raw

@@ -49,7 +49,7 @@ namespace net {
 /// request id that the reply echoes; on every other opcode a non-zero id is
 /// a protocol error.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireVersion = 6;
+inline constexpr uint8_t kWireVersion = 7;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or

@@ -29,23 +29,49 @@ Status KvTable::RebuildIndex() {
 }
 
 Status KvTable::Get(Key key, std::string* out) {
-  Rid rid;
-  {
-    std::shared_lock<std::shared_mutex> lk(index_mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) return Status::NotFound();
-    rid = it->second;
+  for (;;) {
+    Rid rid;
+    HARMONY_RETURN_NOT_OK(Lookup(key, &rid));
+    auto guard = pool_->FetchPage(rid.page);
+    HARMONY_RETURN_NOT_OK(guard.status());
+    Key k;
+    std::string_view v;
+    {
+      std::lock_guard<SpinLock> latch(PageLatch(rid.page));
+      if (slotted::Read(guard->data(), rid.slot, &k, &v) && k == key) {
+        out->assign(v.data(), v.size());
+        return Status::OK();
+      }
+    }
+    // A writer moved or erased the key after the lookup: retry where the
+    // index points now.
+    HARMONY_RETURN_NOT_OK(CheckMoved(key, rid, *guard));
   }
-  auto guard = pool_->FetchPage(rid.page);
-  HARMONY_RETURN_NOT_OK(guard.status());
+}
+
+Status KvTable::Lookup(Key key, Rid* rid) const {
+  std::shared_lock<std::shared_mutex> lk(index_mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return Status::NotFound();
+  *rid = it->second;
+  return Status::OK();
+}
+
+Status KvTable::CheckMoved(Key key, Rid rid, PageGuard& guard) {
+  // Under the index lock no writer can move or erase the key (both change
+  // the index first, and relocation holds it exclusively throughout), so
+  // an index that still names the slot must find the key there.
+  std::shared_lock<std::shared_mutex> lk(index_mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return Status::NotFound();
+  if (!(it->second == rid)) return Status::OK();
   std::lock_guard<SpinLock> latch(PageLatch(rid.page));
   Key k;
   std::string_view v;
-  if (!slotted::Read(guard->data(), rid.slot, &k, &v) || k != key) {
-    return Status::Corruption("index points at stale slot");
+  if (slotted::Read(guard.data(), rid.slot, &k, &v) && k == key) {
+    return Status::OK();
   }
-  out->assign(v.data(), v.size());
-  return Status::OK();
+  return Status::Corruption("index points at stale slot");
 }
 
 Result<Rid> KvTable::InsertRecord(Key key, std::string_view value,
@@ -134,44 +160,51 @@ void KvTable::ReleaseLoadCursorLocked() {
 
 Status KvTable::Put(Key key, std::string_view value,
                     std::optional<std::string>* old_value) {
-  if (old_value != nullptr) old_value->reset();
-  Rid rid;
-  bool exists = false;
-  {
-    std::shared_lock<std::shared_mutex> lk(index_mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      rid = it->second;
-      exists = true;
-    }
-  }
-  if (exists) {
+  for (;;) {
+    if (old_value != nullptr) old_value->reset();
+    Rid rid;
+    Status s = Lookup(key, &rid);
+    if (s.IsNotFound()) break;
     auto guard = pool_->FetchPage(rid.page);
     HARMONY_RETURN_NOT_OK(guard.status());
-    bool in_place = false;
+    bool held = false;
     {
       std::lock_guard<SpinLock> latch(PageLatch(rid.page));
       Key k;
       std::string_view v;
-      if (!slotted::Read(guard->data(), rid.slot, &k, &v) || k != key) {
-        return Status::Corruption("index points at stale slot");
+      held = slotted::Read(guard->data(), rid.slot, &k, &v) && k == key;
+      if (held) {
+        if (old_value != nullptr) old_value->emplace(v.data(), v.size());
+        if (slotted::UpdateInPlace(guard->data(), rid.slot, value)) {
+          guard->MarkDirty();
+          return Status::OK();
+        }
       }
-      if (old_value != nullptr) old_value->emplace(v.data(), v.size());
-      in_place = slotted::UpdateInPlace(guard->data(), rid.slot, value);
-      if (in_place) guard->MarkDirty();
     }
-    if (in_place) return Status::OK();
-    // Relocate: record no longer fits its allocation.
-    EraseSlot(rid, *guard);
-    auto new_rid = InsertRecord(key, value);
-    HARMONY_RETURN_NOT_OK(new_rid.status());
-    std::unique_lock<std::shared_mutex> lk(index_mu_);
-    index_[key] = *new_rid;
-    return Status::OK();
+    if (held) return Relocate(key, value, rid, *guard);
+    // The key moved or went away after the lookup: look again.
+    s = CheckMoved(key, rid, *guard);
+    if (s.IsNotFound()) break;
+    HARMONY_RETURN_NOT_OK(s);
   }
   auto new_rid = InsertRecord(key, value);
   HARMONY_RETURN_NOT_OK(new_rid.status());
   std::unique_lock<std::shared_mutex> lk(index_mu_);
+  index_[key] = *new_rid;
+  return Status::OK();
+}
+
+Status KvTable::Relocate(Key key, std::string_view value, Rid rid,
+                         PageGuard& guard) {
+  // The record no longer fits its allocation. Its slot is freed first, so
+  // the new record may take the room it leaves (the page file grows by the
+  // extra bytes only), and the index lock is held until the index names
+  // the new slot: a reader that finds the old slot empty re-checks the
+  // index under that lock (CheckMoved) and follows the key.
+  std::unique_lock<std::shared_mutex> lk(index_mu_);
+  EraseSlot(rid, guard);
+  auto new_rid = InsertRecord(key, value);
+  HARMONY_RETURN_NOT_OK(new_rid.status());
   index_[key] = *new_rid;
   return Status::OK();
 }

@@ -23,7 +23,10 @@ namespace harmony {
 ///
 /// Thread-safety: concurrent Get/Put/Erase on distinct keys are safe
 /// (per-page latches serialize byte-level page access); Puts that allocate
-/// serialize on the allocation mutex.
+/// serialize on the allocation mutex. A Get or Put that finds its key's
+/// slot moved or erased by another key's writer after its index lookup
+/// follows the index again (CheckMoved); lock order is index, then
+/// allocation, then page latch.
 class KvTable {
  public:
   KvTable(DiskManager* disk, BufferPool* pool);
@@ -61,6 +64,18 @@ class KvTable {
 
  private:
   SpinLock& PageLatch(PageId id) { return latches_[id % kLatchCount]; }
+
+  /// The key's Rid, or NotFound.
+  Status Lookup(Key key, Rid* rid) const;
+  /// After a read of `rid` (pinned by `guard`) found another key or none:
+  /// NotFound when the key is gone, OK when the index now names another
+  /// slot or the slot holds the key again (the caller looks again), and
+  /// Corruption only when the index still names `rid` and it does not hold
+  /// the key.
+  Status CheckMoved(Key key, Rid rid, PageGuard& guard);
+  /// Moves a record that outgrew its slot: frees the slot, inserts the new
+  /// value and repoints the index, all under the exclusive index lock.
+  Status Relocate(Key key, std::string_view value, Rid rid, PageGuard& guard);
 
   /// Inserts into some page with room; returns the Rid. Caller must not hold
   /// page latches. With `load`, a new page becomes the load cursor.

@@ -14,16 +14,13 @@
 namespace harmony {
 
 namespace {
-// Journal format v2: magic2 | epoch | count | entries | magic2. The epoch
-// (checkpointed block id + 1, so always >= 1; 0 = standalone) ties the
-// journal to the caller's commit record; rollback happens iff the epoch
-// never committed. Its writer journaled every dirty page, including zero
-// pre-images for pages the file never had; kept readable so a journal left
-// by that build still rolls back.
-constexpr uint64_t kJournalMagic2 = 0x4841524d4f4e5932ULL;  // "HARMONY2"
-// Journal format v3: v2 plus the image's page count after the epoch
-// (see WriteJournal).
+// Journal format v3 (see WriteJournal). The epoch (checkpointed block id
+// + 1, so always >= 1; 0 = standalone) ties the journal to the caller's
+// commit record; rollback happens iff the epoch never committed.
 constexpr uint64_t kJournalMagic3 = 0x4841524d4f4e5933ULL;  // "HARMONY3"
+// Journal format v2, which had no image page count and journaled every
+// dirty page; no build writes it any more, and Open refuses one.
+constexpr uint64_t kJournalMagic2 = 0x4841524d4f4e5932ULL;  // "HARMONY2"
 // Bytes per journal entry: u64 page id, then the page image.
 constexpr off_t kJournalEntryBytes = 8 + static_cast<off_t>(kPageSize);
 
@@ -128,23 +125,23 @@ Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
   auto read_u64 = [fd](uint64_t* v, off_t off) {
     return ::pread(fd, v, 8, off) == 8;
   };
-  // A v2 journal has no image page count: it journaled every dirty page,
-  // so restoring its entries is the whole rollback.
   uint64_t magic = 0, epoch = 0, image_pages = 0, count = 0, trailer = 0;
-  bool complete = read_u64(&magic, 0) &&
-                  (magic == kJournalMagic2 || magic == kJournalMagic3);
-  const bool v3 = magic == kJournalMagic3;
-  const off_t count_off = v3 ? 24 : 16;
-  const off_t body = count_off + 8;
-  complete = complete && read_u64(&epoch, 8) &&
-             (!v3 || read_u64(&image_pages, 16)) &&
-             read_u64(&count, count_off) &&
-             count <= static_cast<uint64_t>(
-                          (std::numeric_limits<off_t>::max() - body - 8) /
-                          kJournalEntryBytes) &&
-             read_u64(&trailer,
-                      body + static_cast<off_t>(count) * kJournalEntryBytes) &&
-             trailer == magic;
+  const bool has_magic = read_u64(&magic, 0);
+  if (has_magic && magic == kJournalMagic2) {
+    ::close(fd);
+    return Status::NotSupported(
+        "checkpoint journal v2 (this build reads v3): " + journal_path_);
+  }
+  constexpr off_t kBody = 32;  // magic, epoch, image_pages, count
+  const bool complete =
+      has_magic && magic == kJournalMagic3 && read_u64(&epoch, 8) &&
+      read_u64(&image_pages, 16) && read_u64(&count, 24) &&
+      count <= static_cast<uint64_t>(
+                   (std::numeric_limits<off_t>::max() - kBody - 8) /
+                   kJournalEntryBytes) &&
+      read_u64(&trailer,
+               kBody + static_cast<off_t>(count) * kJournalEntryBytes) &&
+      trailer == magic;
   // A torn or empty journal means its checkpoint never started flushing.
   // Otherwise the journal is complete, and an epoch the caller's commit
   // record covers belongs to a *committed* checkpoint (the crash hit
@@ -162,7 +159,7 @@ Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
     ::close(fd);
     return Status::Corruption("journal image page count out of range");
   }
-  off_t off = body;
+  off_t off = kBody;
   Page img;
   for (uint64_t i = 0; i < count; i++) {
     uint64_t pid64 = 0;
@@ -182,9 +179,7 @@ Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
   ::close(fd);
   // Pages the torn flush appended past the image hold rows the image never
   // had: cut them off, so neither the file nor the allocator sees them.
-  if (v3) {
-    HARMONY_RETURN_NOT_OK(disk_->Truncate(static_cast<PageId>(image_pages)));
-  }
+  HARMONY_RETURN_NOT_OK(disk_->Truncate(static_cast<PageId>(image_pages)));
   HARMONY_RETURN_NOT_OK(disk_->Sync());
   ::unlink(journal_path_.c_str());
   if (events_ != nullptr) {

@@ -97,7 +97,8 @@ class DiskBackend : public StateBackend {
   /// the highest epoch the caller's commit record proves durable (the
   /// replica passes manifest block id + 1; 0 = no commit record): a
   /// complete journal stamped with a higher epoch is an uncommitted
-  /// checkpoint and is rolled back.
+  /// checkpoint and is rolled back. A journal in the retired v2 layout is
+  /// NotSupported, and Open then leaves every file as it found it.
   Status Open(uint64_t committed_epoch = 0);
 
   /// Optional structured event log: Open() emits a journal_recover event

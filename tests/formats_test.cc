@@ -1,10 +1,11 @@
-// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v8
+// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v9
 // record (a full header with prev_hash, or one derived from the previous
-// block's; the signature; then a column-wise varint txn section, with
-// retries stored as references, under a compression envelope) — seeded
-// round-trips at the codec's edges, derived headers, hostile hand-built
+// block's; the signature; then a column-wise txn section of varint or
+// bit-packed columns, with retries stored as references, under a
+// compression envelope) — seeded round-trips at the codec's edges, packed
+// columns at widths 0 and 64, derived headers, hostile hand-built
 // sections, headers and references, and a byte-flip sweep showing every
-// stored byte is covered by the signature or the chain — refusal of v1-v7
+// stored byte is covered by the signature or the chain — refusal of v1-v8
 // logs, and corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -114,7 +116,7 @@ TEST(Hlz, GarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- v8 record codec --
+// ------------------------------------------------------- v9 record codec --
 
 TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   TxnBatch b;
@@ -304,7 +306,7 @@ TEST(BlockCodecV6, CorruptEnvelopeRejected) {
 
 // ------------------------------------------- hostile hand-built sections --
 
-/// A v8 record payload (full header, no references) around a hand-built
+/// A v9 record payload (full header, no references) around a hand-built
 /// txn section stored raw.
 std::string RawRecord(uint64_t txn_count, const std::string& section) {
   std::string p;
@@ -318,12 +320,13 @@ std::string RawRecord(uint64_t txn_count, const std::string& section) {
   return p + section;
 }
 
-/// One txn's columns: proc, client, seq delta, time delta, retries, fee,
-/// then `n_ints`, the ints themselves (`ints` pre-encoded), and `blob_len`
-/// with `blob` bytes.
+/// One txn's section, every column in varint mode: the fixed columns' mode
+/// byte, then proc, client, seq delta, time delta, retries, fee, `n_ints`,
+/// the position columns (`ints`, pre-encoded with their mode bitmap), and
+/// `blob_len` with `blob` bytes.
 std::string OneTxnSection(uint64_t n_ints, const std::string& ints,
                           uint64_t blob_len, const std::string& blob) {
-  std::string s;
+  std::string s(1, '\0');
   for (uint64_t v : {1, 2, 2, 0, 0, 0}) codec::AppendVarint(&s, v);
   codec::AppendVarint(&s, n_ints);
   s += ints;
@@ -332,7 +335,7 @@ std::string OneTxnSection(uint64_t n_ints, const std::string& ints,
 }
 
 TEST(BlockCodecV6, HandBuiltSectionDecodes) {
-  std::string ints;
+  std::string ints(1, '\0');  // position 0 in varint mode
   codec::AppendVarint(&ints, codec::ZigzagEncode(-3));
   Block d;
   ASSERT_OK(BlockCodec::Decode(RawRecord(1, OneTxnSection(1, ints, 2, "ab")),
@@ -377,16 +380,16 @@ TEST(BlockCodecV6, HostileCountsFailBeforeAllocating) {
                   &d)
                   .IsCorruption());
   // Two txns whose blob lengths each fit but together exceed the bytes.
-  std::string two;
+  std::string two(1, '\0');
   for (uint64_t v : {1, 1, 2, 2, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2}) {
     codec::AppendVarint(&two, v);
   }
   EXPECT_TRUE(
       BlockCodec::Decode(RawRecord(2, two + "xy"), &d).IsCorruption());
   // A proc_id wider than u32.
-  std::string wide;
+  std::string wide(1, '\0');
   codec::AppendVarint(&wide, uint64_t{1} << 32);
-  wide += ok_section.substr(1);
+  wide += ok_section.substr(2);
   EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, wide), &d).IsCorruption());
 }
 
@@ -422,8 +425,11 @@ TEST(BlockCodecV6, OverlongVarintsAreCorruption) {
     EXPECT_TRUE(BlockCodec::Decode(bad + good.substr(1), &d).IsCorruption());
     // ...and as the first entry of the proc_id column.
     const std::string section = OneTxnSection(0, "", 0, "");
-    EXPECT_TRUE(BlockCodec::Decode(RawRecord(1, bad + section.substr(1)), &d)
-                    .IsCorruption());
+    EXPECT_TRUE(
+        BlockCodec::Decode(RawRecord(1, section.substr(0, 1) + bad +
+                                            section.substr(2)),
+                           &d)
+            .IsCorruption());
   }
 }
 
@@ -435,12 +441,13 @@ TEST(BlockCodecV6, TruncatedColumnIsCorruption) {
   for (int64_t v : {INT64_MIN, int64_t{300}}) {
     codec::AppendVarint(&ints, codec::ZigzagEncode(v));
   }
-  std::string section;
+  std::string section(1, '\0');  // every fixed column in varint mode
   for (uint64_t v : {3, 3, 9, 9, 40, 42, 2, 4, 0, 1, 0, 7}) {
     codec::AppendVarint(&section, v);  // proc .. fee columns, 2 txns each
   }
   codec::AppendVarint(&section, 1);  // n_ints, txn 0
   codec::AppendVarint(&section, 1);  // n_ints, txn 1
+  section += '\0';                  // position 0 in varint mode
   section += ints;
   codec::AppendVarint(&section, 2);  // blob length, txn 0
   codec::AppendVarint(&section, 3);  // blob length, txn 1
@@ -457,7 +464,181 @@ TEST(BlockCodecV6, TruncatedColumnIsCorruption) {
   }
 }
 
-/// A v8 record payload for block `id` (full header) whose raw section
+// ------------------------------------------------------- packed columns --
+
+/// Decodes `payload` and reports how its section stored its columns.
+SectionStats StatsOf(const std::string& payload,
+                     const RefWindow* window = nullptr) {
+  Block parsed;
+  SectionStats stats;
+  EXPECT_OK(BlockCodec::Validate(payload, &parsed, window, &stats));
+  return stats;
+}
+
+// Columns the encoder packs: equal values at width 0, and at width 64 a
+// fee column spanning 0..UINT64_MAX and an args.ints position holding
+// INT64_MIN and INT64_MAX; sequence numbers and fees at UINT64_MAX. Every
+// field comes back exactly under both codecs.
+TEST(BlockCodecV9, PackedColumnsRoundTripAtWidthsZeroAnd64) {
+  TxnBatch batch;
+  batch.block_id = 3;
+  batch.first_tid = 11;
+  for (size_t i = 0; i < 12; i++) {
+    TxnRequest t;
+    t.proc_id = 4;
+    t.client_id = 9;
+    t.client_seq = UINT64_MAX - i % 2;
+    t.submit_time_us = 1'000;
+    t.fee = i == 0 ? 0 : UINT64_MAX;
+    t.args.ints = {i % 2 == 0 ? INT64_MIN : INT64_MAX, 7};
+    batch.txns.push_back(std::move(t));
+  }
+  const Block b = BlockBuilder("secret").Seal(batch, 5'000);
+  for (Compression c : {Compression::kNone, Compression::kHlz}) {
+    SCOPED_TRACE(CompressionName(c));
+    const std::string payload = BlockCodec::EncodeRecord(b, c);
+    Block d;
+    ASSERT_OK(BlockCodec::Decode(payload, &d));
+    ExpectSameTxns(d.batch, b.batch);
+    EXPECT_EQ(d.header.block_hash, b.header.block_hash);
+    // Eight fixed columns and two positions; only the sequence numbers,
+    // whose per-client deltas take a byte each, stay varint.
+    const SectionStats stats = StatsOf(payload);
+    EXPECT_EQ(stats.columns, 10u);
+    EXPECT_EQ(stats.packed_columns, 9u);
+  }
+  // No txn with ints: no position columns.
+  for (TxnRequest& t : batch.txns) t.args.ints.clear();
+  const Block none = BlockBuilder("secret").Seal(batch, 5'000);
+  const std::string payload = BlockCodec::EncodeRecord(none,
+                                                       Compression::kNone);
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(payload, &d));
+  ExpectSameTxns(d.batch, none.batch);
+  EXPECT_EQ(StatsOf(payload).columns, 8u);
+}
+
+// The encoder stores each column in the mode that takes fewer bytes: a
+// one-txn block keeps every small value a one-byte varint, and a block of
+// many txns packs the columns whose values repeat.
+TEST(BlockCodecV9, EachColumnTakesTheSmallerMode) {
+  const Block one = BlockBuilder("secret").Seal(MakeBatch(1, 1, 1), 0);
+  EXPECT_EQ(StatsOf(BlockCodec::EncodeRecord(one, Compression::kNone))
+                .packed_columns,
+            0u);
+  // MakeBatch's values span a few bits per column, or none where every
+  // txn repeats them (proc_id, retries, n_ints, the last two ints).
+  const Block many = BlockBuilder("secret").Seal(MakeBatch(1, 1, 40), 0);
+  const SectionStats stats =
+      StatsOf(BlockCodec::EncodeRecord(many, Compression::kNone));
+  EXPECT_EQ(stats.columns, 11u);
+  EXPECT_EQ(stats.packed_columns, 11u);
+}
+
+/// Three txns of one client: proc_id packed from base 5 at width 2 (5, 6,
+/// 8 as offsets 0, 1, 3: `proc_bits`), the other fixed columns varint, one
+/// int each, packed from INT64_MIN at `int_width` (offsets 0, 2^64 - 1, 1).
+std::string PackedSection(uint8_t proc_width, uint8_t proc_bits,
+                          uint8_t int_modes, uint8_t int_width) {
+  std::string s(1, '\x01');  // proc_id packed, the rest varint
+  codec::AppendVarint(&s, 5);
+  codec::AppendU8(&s, proc_width);
+  codec::AppendU8(&s, proc_bits);
+  for (uint64_t v : {1, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1}) {
+    codec::AppendVarint(&s, v);  // client .. n_ints
+  }
+  codec::AppendU8(&s, int_modes);
+  codec::AppendVarint(&s, codec::ZigzagEncode(INT64_MIN));
+  codec::AppendU8(&s, int_width);
+  for (uint64_t v : {uint64_t{0}, UINT64_MAX, uint64_t{1}}) {
+    codec::AppendU64(&s, v);
+  }
+  for (int i = 0; i < 3; i++) codec::AppendVarint(&s, 0);  // blob lengths
+  return s;
+}
+
+TEST(BlockCodecV9, HandBuiltPackedSectionDecodes) {
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(RawRecord(3, PackedSection(2, 0x34, 1, 64)),
+                               &d));
+  ASSERT_EQ(d.batch.txns.size(), 3u);
+  const std::vector<uint32_t> procs = {5, 6, 8};
+  const std::vector<int64_t> ints = {INT64_MIN, INT64_MAX, INT64_MIN + 1};
+  for (size_t i = 0; i < 3; i++) {
+    EXPECT_EQ(d.batch.txns[i].proc_id, procs[i]);
+    EXPECT_EQ(d.batch.txns[i].client_seq, i + 1);
+    EXPECT_EQ(d.batch.txns[i].args.ints, std::vector<int64_t>({ints[i]}));
+  }
+}
+
+TEST(BlockCodecV9, HostilePackedColumnsAreCorruption) {
+  Block d;
+  const auto bad = [&](const std::string& section) {
+    return BlockCodec::Decode(RawRecord(3, section), &d).IsCorruption();
+  };
+  EXPECT_TRUE(bad(PackedSection(65, 0x34, 1, 64)));   // width past 64
+  EXPECT_TRUE(bad(PackedSection(2, 0x34, 1, 65)));
+  EXPECT_TRUE(bad(PackedSection(2, 0xB4, 1, 64)));    // padding bit set
+  EXPECT_TRUE(bad(PackedSection(2, 0x34, 3, 64)));    // bitmap padding set
+  // Truncated anywhere, packed bits included.
+  const std::string section = PackedSection(2, 0x34, 1, 64);
+  for (size_t cut = 0; cut < section.size(); cut++) {
+    EXPECT_TRUE(bad(section.substr(0, cut))) << cut;
+  }
+  // A proc_id column whose base plus offset passes u32.
+  std::string base;
+  codec::AppendVarint(&base, UINT32_MAX);
+  EXPECT_TRUE(bad(std::string(section).replace(1, 1, base)));
+}
+
+// Packed columns of equal values take no bytes per entry, so a section
+// cannot bound the txn or int count: the caps do, before anything is sized.
+TEST(BlockCodecV9, CountsPastTheBlockLimitsFailBeforeAllocating) {
+  // Every column packed at width 0 from base 0, n_ints from `n_ints`.
+  const auto section = [](uint64_t n_ints) {
+    std::string s(1, '\xFF');
+    for (int c = 0; c < 8; c++) {
+      codec::AppendVarint(&s, c == 6 ? n_ints : 0);
+      codec::AppendU8(&s, 0);
+      if (c == 6 && n_ints > 0) {
+        // One position column per int, each packed at width 0.
+        std::string modes((n_ints + 7) / 8, '\xFF');
+        if (n_ints % 8 != 0) {
+          modes.back() = static_cast<char>((1 << (n_ints % 8)) - 1);
+        }
+        s += modes;
+        for (uint64_t p = 0; p < n_ints; p++) s += std::string(2, '\0');
+      }
+    }
+    return s;
+  };
+  Block d;
+  ASSERT_OK(BlockCodec::Decode(RawRecord(kMaxBlockTxns, section(0)), &d));
+  EXPECT_EQ(d.batch.txns.size(), kMaxBlockTxns);
+  ASSERT_OK(BlockCodec::Decode(RawRecord(8, section(3)), &d));
+  EXPECT_EQ(d.batch.txns[7].args.ints, std::vector<int64_t>({0, 0, 0}));
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(kMaxBlockTxns + 1, section(0)), &d)
+                  .IsCorruption());
+  EXPECT_TRUE(
+      BlockCodec::Decode(RawRecord(UINT32_MAX, section(0)), &d).IsCorruption());
+  // 257 ints per txn: a few txns decode, kMaxBlockTxns of them pass
+  // kMaxBlockInts.
+  ASSERT_OK(BlockCodec::Decode(RawRecord(4, section(257)), &d));
+  EXPECT_EQ(d.batch.txns[3].args.ints.size(), 257u);
+  EXPECT_TRUE(BlockCodec::Decode(RawRecord(kMaxBlockTxns, section(257)), &d)
+                  .IsCorruption());
+  // A block_size no record could hold is refused when the instance opens.
+  TempDir dir("block-size-cap");
+  HarmonyBC::Options o;
+  o.dir = dir.path();
+  o.in_memory = true;
+  o.block_size = kMaxBlockTxns + 1;
+  auto db = HarmonyBC::Open(o);
+  ASSERT_FALSE(db.ok());
+  EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
+}
+
+/// A v9 record payload for block `id` (full header) whose raw section
 /// opens with the reference columns, flagged with `reach`.
 std::string RefRecord(BlockId id, uint64_t txn_count, uint64_t reach,
                       const std::string& section) {
@@ -741,41 +922,109 @@ TxnBatch RetryBatch(const TxnBatch& prev, BlockId id, TxnId first_tid,
   return b;
 }
 
+/// The literal columns of v5-v8 (and the whole section without
+/// references): one varint column per field over `txns`, client_seq as
+/// zigzag per-client deltas, submit times back from `order_time_us`,
+/// args.ints zigzag txn by txn, then the blob lengths and bytes.
+std::string VarintColumns(const std::vector<const TxnRequest*>& txns,
+                          uint64_t order_time_us) {
+  std::string s;
+  const auto zigzag = [&s](uint64_t v) {
+    codec::AppendVarint(&s, codec::ZigzagEncode(static_cast<int64_t>(v)));
+  };
+  for (const TxnRequest* t : txns) codec::AppendVarint(&s, t->proc_id);
+  for (const TxnRequest* t : txns) codec::AppendVarint(&s, t->client_id);
+  std::map<uint64_t, uint64_t> last_seq;
+  for (const TxnRequest* t : txns) {
+    zigzag(t->client_seq - last_seq[t->client_id]);
+    last_seq[t->client_id] = t->client_seq;
+  }
+  for (const TxnRequest* t : txns) zigzag(order_time_us - t->submit_time_us);
+  for (const TxnRequest* t : txns) codec::AppendVarint(&s, t->retries);
+  for (const TxnRequest* t : txns) codec::AppendVarint(&s, t->fee);
+  for (const TxnRequest* t : txns) {
+    codec::AppendVarint(&s, t->args.ints.size());
+  }
+  for (const TxnRequest* t : txns) {
+    for (int64_t v : t->args.ints) zigzag(static_cast<uint64_t>(v));
+  }
+  for (const TxnRequest* t : txns) {
+    codec::AppendVarint(&s, t->args.blob.size());
+  }
+  for (const TxnRequest* t : txns) s += t->args.blob;
+  return s;
+}
+
 /// A record payload in a retired layout, as the build that wrote `version`
-/// (1-7) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
+/// (1-8) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
 /// four digests, then the txns (v1 without client_id and fee, v2 without
 /// fee); v4 puts the v3 txns under a compression envelope (u8 codec + pad
 /// byte, u32 raw_len, u32 stored_len + stored bytes). v3 txns are exactly
-/// today's canonical EncodeTxn bytes. v7 is today's full-header record
-/// with the flags byte (codec and reference bits; v7 had no derived
-/// header) after the signature instead of after block_id, storing retries
-/// of `refs`' txns by reference; v6 is a v7 record without references, and
-/// v5 that record with txn_root and block_hash stored between prev_hash and
-/// the signature.
+/// today's canonical EncodeTxn bytes. v5-v8 store today's reference columns
+/// followed by VarintColumns, under HLZ unless that does not shrink it. v8
+/// is today's record around that section, deriving its header from and
+/// storing retries of `refs`' txns by reference. v7 has the flags byte
+/// (codec and reference bits; v7 had no derived header) after the
+/// signature instead of after block_id and the full header; v6 is a v7
+/// record without references, and v5 that record with txn_root and
+/// block_hash stored between prev_hash and the signature.
 std::string LegacyRecord(const Block& b, uint32_t version,
                          const RefWindow* refs = nullptr) {
   const BlockHeader& h = b.header;
   std::string out;
   if (version >= 5) {
-    const std::string v8 = BlockCodec::EncodeRecord(
-        b, Compression::kHlz, version == 7 ? refs : nullptr);
-    for (uint64_t v :
-         {h.block_id, h.first_tid, uint64_t{h.txn_count}, h.order_time_us}) {
-      codec::AppendVarint(&out, v);
+    const std::string today = BlockCodec::EncodeRecord(
+        b, Compression::kNone, version >= 7 ? refs : nullptr);
+    RecordShape shape;
+    EXPECT_TRUE(BlockCodec::Peek(today, &shape));
+    // Keep the reference columns; re-store the literal txns as varints.
+    const std::string_view stored = std::string_view(today).substr(
+        shape.section_offset);
+    codec::Reader r(stored);
+    std::vector<const TxnRequest*> literals;
+    size_t n_refs = 0;
+    for (const TxnRequest& t : b.batch.txns) {
+      uint64_t distance = 0;
+      if (shape.ref_reach > 0) EXPECT_TRUE(r.ReadVarint(&distance));
+      if (distance == 0) literals.push_back(&t);
+      if (distance != 0) n_refs++;
     }
-    std::vector<const Digest*> digests = {&h.prev_hash};
-    if (version == 5) digests.insert(digests.end(), {&h.txn_root, &h.block_hash});
-    digests.push_back(&h.signature);
-    for (const Digest* d : digests) {
-      out.append(reinterpret_cast<const char*>(d->data()), d->size());
+    for (size_t i = 0; i < n_refs; i++) {
+      uint64_t index = 0;
+      EXPECT_TRUE(r.ReadVarint(&index));
     }
-    // The reach, raw length and stored section follow the signature as in
-    // v8.
-    const std::string sig(reinterpret_cast<const char*>(h.signature.data()),
-                          h.signature.size());
-    const size_t tail = v8.find(sig, FlagsOffset(h.block_id)) + sig.size();
-    out += static_cast<char>(v8[FlagsOffset(h.block_id)] & ~kDerivedBit);
-    return out + v8.substr(tail);
+    const std::string section =
+        std::string(stored.substr(0, stored.size() - r.remaining())) +
+        VarintColumns(literals, h.order_time_us);
+    std::string compressed;
+    CompressPayload(Compression::kHlz, section, &compressed);
+    const bool hlz = compressed.size() < section.size();
+    const uint8_t codec_bits = static_cast<uint8_t>(
+        hlz ? Compression::kHlz : Compression::kNone);
+    const uint8_t flags =
+        static_cast<uint8_t>(today[FlagsOffset(h.block_id)]) | codec_bits;
+    if (version == 8) {
+      out = today.substr(0, shape.section_offset -
+                                codec::VarintSize(shape.raw_len));
+      out[FlagsOffset(h.block_id)] = static_cast<char>(flags);
+    } else {
+      for (uint64_t v : {h.block_id, h.first_tid, uint64_t{h.txn_count},
+                         h.order_time_us}) {
+        codec::AppendVarint(&out, v);
+      }
+      std::vector<const Digest*> digests = {&h.prev_hash};
+      if (version == 5) {
+        digests.insert(digests.end(), {&h.txn_root, &h.block_hash});
+      }
+      digests.push_back(&h.signature);
+      for (const Digest* d : digests) {
+        out.append(reinterpret_cast<const char*>(d->data()), d->size());
+      }
+      out += static_cast<char>(flags & ~kDerivedBit);
+      if (shape.ref_reach > 0) codec::AppendVarint(&out, shape.ref_reach);
+    }
+    codec::AppendVarint(&out, section.size());
+    return out + (hlz ? compressed : section);
   }
   codec::AppendU64(&out, h.block_id);
   codec::AppendU64(&out, h.first_tid);
@@ -810,8 +1059,8 @@ std::string LegacyRecord(const Block& b, uint32_t version,
 /// A log file as the build that wrote `version` left it: v1 files have no
 /// header at all, v2+ start with "HBCL" + version. Blocks 2.. retry two of
 /// their predecessor's txns, which v7 and later store by reference; records
-/// before v8 use LegacyRecord, v8 (and a made-up future version) today's
-/// encoder, which also derives their headers.
+/// before v9 use LegacyRecord, v9 (and a made-up future version) today's
+/// encoder. v8 and later also derive their headers.
 std::string LogFile(uint32_t version, size_t n) {
   std::string file;
   if (version >= 2) {
@@ -836,22 +1085,24 @@ std::string LogFile(uint32_t version, size_t n) {
   return file;
 }
 
-// v8 stores neither txn_root nor block_hash, derives a record's header —
-// prev_hash, first_tid and the order time — from its predecessor's, and
-// stores a retry as a reference to an earlier block's txn, so every stored
-// byte — the flags, the derived header's deltas, the reach and the
-// reference columns included — must still be covered by something a reader
-// checks. Flip every bit of every byte of a stored record that derives its
-// header from its predecessor and references it (with the record CRC
-// re-stamped, so the flip gets past the log's framing): each flip must fail
-// Decode against the predecessor's window, or decode to a block the chain
-// verifier rejects — by the whole-chain audit too.
+// v9 stores neither txn_root nor block_hash, derives a record's header —
+// prev_hash, first_tid and the order time — from its predecessor's, stores
+// a retry as a reference to an earlier block's txn, and bit-packs the
+// columns where that is smaller, so every stored byte — the flags, the
+// derived header's deltas, the reach, the reference columns and the packed
+// columns' bases, widths and bits included — must still be covered by
+// something a reader checks. Flip every bit of every byte of a stored
+// record that derives its header from its predecessor, references it and
+// packs columns (with the record CRC re-stamped, so the flip gets past the
+// log's framing): each flip must fail Decode against the predecessor's
+// window, or decode to a block the chain verifier rejects — by the
+// whole-chain audit too.
 TEST(BlockCodecV8, EveryByteOfAStoredRecordIsCovered) {
   TempDir dir("v8-flip");
   const std::string path = dir.path() + "/chain.log";
   BlockBuilder builder("secret");
   const Block b1 = builder.Seal(MakeBatch(1, 1, 6), 5'000);
-  const Block b2 = builder.Seal(RetryBatch(b1.batch, 2, 7, 3, 3), 9'000);
+  const Block b2 = builder.Seal(RetryBatch(b1.batch, 2, 7, 3, 8), 9'000);
   {
     BlockStore store(path);
     ASSERT_OK(store.Open());
@@ -877,6 +1128,8 @@ TEST(BlockCodecV8, EveryByteOfAStoredRecordIsCovered) {
   ASSERT_NE(flags & kDerivedBit, 0);
   RefWindow window;
   window.Push(b1);
+  // The fresh txns' repeated procedure, int count and ints are packed.
+  EXPECT_GE(StatsOf(stored, &window).packed_columns, 3u);
   Block intact;
   ASSERT_OK(BlockCodec::Decode(stored, &intact, &window));
   ExpectSameTxns(intact.batch, b2.batch);
@@ -954,7 +1207,7 @@ TEST(BlockStoreOldVersions, GarbageWithoutHeaderIsNotSupported) {
 
 TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
   TempDir dir("old-versions");
-  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
+  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u}) {
     SCOPED_TRACE(v);
     const std::string path = dir.path() + "/chain" + std::to_string(v);
     const std::string file = LogFile(v, 2);
@@ -973,6 +1226,18 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
       ASSERT_TRUE(r.ReadU8(&envelope));
       EXPECT_EQ(envelope, kRefsBit | static_cast<uint8_t>(Compression::kHlz));
     }
+    if (v == 8) {
+      // A genuine v8 log: its second record derives its header, stores
+      // retries by reference, and holds the varint section v8 wrote.
+      uint32_t len1 = 0, len2 = 0;
+      std::memcpy(&len1, file.data() + 8, 4);
+      std::memcpy(&len2, file.data() + 8 + 8 + len1, 4);
+      const std::string second = file.substr(8 + 8 + len1 + 4, len2);
+      const uint8_t flags = static_cast<uint8_t>(second[FlagsOffset(2)]);
+      EXPECT_EQ(flags, kDerivedBit | kRefsBit |
+                           static_cast<uint8_t>(Compression::kHlz));
+      EXPECT_NE(file.substr(8), LogFile(kLogVersion, 2).substr(8));
+    }
     WriteFile(path, file);
     BlockStore store(path);
     const Status s = store.Open();
@@ -986,12 +1251,12 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
 
 TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   // An old log cut at any byte: below the 8-byte header it is a torn fresh
-  // log (restamped v8, empty); from the header on it is refused whole, also
-  // a v6 or v7 log, whose records differ from v8's only in where the flags
-  // byte sits.
+  // log (restamped v9, empty); from the header on it is refused whole, also
+  // a v6, v7 or v8 log, whose records differ from v9's only in where the
+  // flags byte sits and in the varint layout of their literal columns.
   TempDir dir("old-prefix");
   const std::string path = dir.path() + "/chain.log";
-  for (uint32_t version : {4u, 5u, 6u, 7u}) {
+  for (uint32_t version : {4u, 5u, 6u, 7u, 8u}) {
     const std::string full = LogFile(version, 2);
     for (size_t cut = 0; cut <= full.size(); cut++) {
       SCOPED_TRACE(::testing::Message() << "v" << version << " cut " << cut);
@@ -1009,7 +1274,7 @@ TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   }
 }
 
-// Opens every byte-prefix of a v8 log: every prefix opens (a cut inside the
+// Opens every byte-prefix of a v9 log: every prefix opens (a cut inside the
 // 8-byte header is a fresh log) and exposes a (block-wise) prefix of the
 // original chain with a consistent count.
 void TruncationSweep(const std::string& dir, const std::string& full,
@@ -1130,7 +1395,7 @@ TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
   EXPECT_EQ(all.size(), good_blocks);
 }
 
-// ------------------------------------------- end-to-end v8 / old chains --
+// ------------------------------------------- end-to-end v9 / old chains --
 
 Status Increment(TxnContext& ctx, const ProcArgs& a) {
   ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
@@ -1183,7 +1448,7 @@ TEST(OldVersionChain, V6ChainReplaysAndV5StampIsRefused) {
     da = *d;
   }
   // The checkpoint predates most blocks; drop it so recovery replays the
-  // whole v8 log from genesis.
+  // whole v9 log from genesis.
   std::remove((a.path() + "/replica.ckpt").c_str());
   {
     auto db = OpenDb(a.path());

@@ -592,7 +592,9 @@ TEST(StateBackend, FailedJournalWriteFailsTheCheckpointBeforeTheFlush) {
 
 // A journal in the previous format (v2: no image page count, written by
 // builds before v3) still rolls a torn checkpoint back.
-TEST(StateBackend, V2JournalStillRollsBack) {
+// No build writes the v2 journal layout any more: a complete v2 journal
+// is refused, and the page file and the journal stay as they were.
+TEST(StateBackend, V2JournalIsNotSupported) {
   TempDir dir("journal-v2");
   const std::string tbl = dir.path() + "/s.tbl";
   std::string image;
@@ -607,6 +609,8 @@ TEST(StateBackend, V2JournalStillRollsBack) {
     ASSERT_OK(b.pool()->FlushAll());
   }
   ASSERT_EQ(image.size(), kPageSize);
+  const std::string torn = ReadFileBytes(tbl);
+  ASSERT_NE(torn, image);
   // v2: magic2 | epoch | count | (page id, pre-image) | magic2.
   const uint64_t kMagic2 = 0x4841524d4f4e5932ULL;  // "HARMONY2"
   std::string journal;
@@ -619,16 +623,17 @@ TEST(StateBackend, V2JournalStillRollsBack) {
   put64(/*page id=*/0);
   journal += image;
   put64(kMagic2);
+  const std::string journal_path = dir.path() + "/s.journal";
   {
-    std::ofstream out(dir.path() + "/s.journal", std::ios::binary);
+    std::ofstream out(journal_path, std::ios::binary);
     out << journal;
   }
   DiskBackend b(dir.path(), "s", DiskModel::RamDisk(), 64);
-  ASSERT_OK(b.Open(/*committed_epoch=*/4));
-  std::string v;
-  ASSERT_OK(b.Get(1, &v));
-  EXPECT_EQ(v, "committed");
-  EXPECT_TRUE(ReadFileBytes(tbl) == image);
+  const Status s = b.Open(/*committed_epoch=*/4);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.message().find("journal v2"), std::string::npos) << s.ToString();
+  EXPECT_TRUE(ReadFileBytes(tbl) == torn);
+  EXPECT_TRUE(ReadFileBytes(journal_path) == journal);
 }
 
 constexpr Key kImageRows = 30;

@@ -159,6 +159,105 @@ TEST(VersionedStoreRace, CommitDuringBackendReadKeepsSnapshot) {
   }
 }
 
+/// A value tagged with its key, `pad` bytes longer than the tag.
+std::string Tagged(Key k, size_t pad) {
+  return "k" + std::to_string(k) + ":" + std::string(pad, 'x');
+}
+
+/// Applies `blocks` blocks of `write_block(b)` to a VersionedStore over a
+/// disk table, pruning after each so that snapshot reads fall through to
+/// the table while its slots change, and meanwhile reads `read_key(i, s)`
+/// on another thread at the newest committed snapshot `s`. Returns the
+/// first write or read that failed, or a read that returned another key's
+/// value.
+Status ReadWhileWriting(const std::string& dir, BlockId blocks,
+                        const std::function<Status(VersionedStore&, BlockId)>&
+                            write_block,
+                        const std::function<Key(uint64_t, BlockId)>& read_key) {
+  DiskBackend disk(dir, "t", DiskModel::RamDisk(), 256);
+  HARMONY_RETURN_NOT_OK(disk.Open());
+  VersionedStore vs(&disk);
+  HARMONY_RETURN_NOT_OK(write_block(vs, 0));
+  std::atomic<BlockId> committed{0};
+  std::atomic<bool> done{false};
+  Status read_status;
+  std::thread reader([&] {
+    for (uint64_t i = 0; !done.load(); i++) {
+      const BlockId snapshot = committed.load();
+      const Key k = read_key(i, snapshot);
+      std::optional<std::string> out;
+      Status st = vs.ReadAtSnapshot(k, snapshot, &out);
+      if (st.ok() && out.has_value() &&
+          out->rfind(Tagged(k, 0), 0) != 0) {
+        st = Status::Corruption("read another key's value: " + *out);
+      }
+      if (!st.ok()) {
+        read_status = st;
+        return;
+      }
+    }
+  });
+  Status write_status;
+  for (BlockId b = 1; b <= blocks && write_status.ok(); b++) {
+    write_status = write_block(vs, b);
+    committed = b;
+    vs.Prune(b);
+  }
+  done = true;
+  reader.join();
+  HARMONY_RETURN_NOT_OK(write_status);
+  return read_status;
+}
+
+// Every write outgrows its slot, so the table relocates the record while a
+// snapshot read of the same key may be reading the old slot. The read must
+// follow the key to its new slot, never report the stale slot.
+TEST(VersionedStoreRace, DiskReadFollowsARelocatedRecord) {
+  TempDir dir("vs-relocate");
+  constexpr Key kKeys = 64;
+  ASSERT_OK(ReadWhileWriting(
+      dir.path(), 300,
+      [](VersionedStore& vs, BlockId b) {
+        for (Key k = 0; k < kKeys; k++) {
+          HARMONY_RETURN_NOT_OK(vs.ApplyWrite(k, b, Tagged(k, b)));
+        }
+        return Status::OK();
+      },
+      [](uint64_t i, BlockId) { return static_cast<Key>(i % kKeys); }));
+}
+
+// Each block erases the 64 oldest keys and inserts 64 new ones of the same
+// size, which reuse the erased slots. A snapshot read of an erased key
+// that lands on its reused slot must see the key gone (and answer from the
+// version chain), never the other key's record or a stale-slot error.
+TEST(VersionedStoreRace, DiskReadSurvivesAnErasedSlotsReuse) {
+  TempDir dir("vs-erase");
+  constexpr Key kLive = 512, kChurn = 64;
+  ASSERT_OK(ReadWhileWriting(
+      dir.path(), 300,
+      [](VersionedStore& vs, BlockId b) {
+        if (b == 0) {
+          for (Key k = 0; k < kLive; k++) {
+            HARMONY_RETURN_NOT_OK(vs.ApplyWrite(k, 0, Tagged(k, 100)));
+          }
+          return Status::OK();
+        }
+        const Key lo = (b - 1) * kChurn;
+        for (Key k = lo; k < lo + kChurn; k++) {
+          HARMONY_RETURN_NOT_OK(vs.ApplyWrite(k, b, std::nullopt));
+          const Key fresh = k + kLive;
+          HARMONY_RETURN_NOT_OK(vs.ApplyWrite(
+              fresh, b, Tagged(fresh, 100 + Tagged(k, 0).size() -
+                                          Tagged(fresh, 0).size())));
+        }
+        return Status::OK();
+      },
+      // The keys live at the snapshot that the next block erases.
+      [](uint64_t i, BlockId snapshot) {
+        return static_cast<Key>(snapshot * kChurn + i % kChurn);
+      }));
+}
+
 TEST_F(VersionedStoreTest, DiskBackedSnapshotFallback) {
   TempDir dir("vs");
   DiskBackend disk(dir.path(), "t", DiskModel::RamDisk(), 64);

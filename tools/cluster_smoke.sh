@@ -158,6 +158,13 @@ grep -q '^records=[0-9]* derived=[1-9]' "$TMP/log_stats.out" || {
   echo "FAIL: log-stats found no derived-header records" >&2
   exit 1
 }
+# Every record decodes, and its txn section is sized with its packed
+# columns counted (blocks of 25 txns of one client pack several).
+grep -qE '^section_bytes_per_txn=[0-9.]+ raw=[0-9.]+ packed_columns=[0-9.]+ \([1-9][0-9]* of [0-9]+\)' \
+  "$TMP/log_stats.out" || {
+  echo "FAIL: log-stats printed no section line with packed columns" >&2
+  exit 1
+}
 
 echo "PASS: 3-node cluster, exactly-once receipts, identical digests"
 echo "  digest $D_LEADER @ height $H_LEADER"

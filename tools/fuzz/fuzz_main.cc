@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -124,14 +125,63 @@ TxnReceipt MakeReceipt(FuzzRng& rng) {
   return r;
 }
 
+/// Txns shaped like a Smallbank block's: one procedure, client, fee and
+/// blob length, and account-id ints from a narrow range, so a record packs
+/// those columns (at width 0 where every txn repeats the value).
+struct PackableShape {
+  uint32_t proc_id;
+  uint64_t client_id;
+  uint64_t fee;
+  size_t blob_len;
+  size_t n_ints;
+  int64_t lo;
+
+  static PackableShape Draw(FuzzRng& rng) {
+    return PackableShape{static_cast<uint32_t>(rng.Index(16)),
+                         rng.Range(1, 64),
+                         rng.Index(1000),
+                         rng.Index(8),
+                         rng.Index(4),
+                         static_cast<int64_t>(rng.Range(0, 1 << 20))};
+  }
+
+  TxnRequest Txn(FuzzRng& rng) const {
+    TxnRequest t;
+    t.proc_id = proc_id;
+    t.client_id = client_id;
+    t.client_seq = rng.Range(1, 1 << 20);
+    t.submit_time_us = rng.Range(0, 1 << 30);
+    t.fee = fee;
+    for (size_t i = 0; i < n_ints; i++) {
+      t.args.ints.push_back(lo + static_cast<int64_t>(rng.Index(6000)));
+    }
+    t.args.blob = rng.Bytes(blob_len);
+    return t;
+  }
+};
+
+/// With `shape`, 4-15 txns of that shape, whose record packs at least its
+/// procedure and client columns; otherwise 1-8 txns from MakeTxn.
 Block MakeBlock(FuzzRng& rng, BlockBuilder& builder, BlockId id,
-                TxnId first_tid) {
+                TxnId first_tid, const PackableShape* shape = nullptr) {
   TxnBatch batch;
   batch.block_id = id;
   batch.first_tid = first_tid;
-  const size_t n = 1 + rng.Index(8);
-  for (size_t i = 0; i < n; i++) batch.txns.push_back(MakeTxn(rng));
+  const size_t n = shape != nullptr ? 4 + rng.Index(12) : 1 + rng.Index(8);
+  for (size_t i = 0; i < n; i++) {
+    batch.txns.push_back(shape != nullptr ? shape->Txn(rng) : MakeTxn(rng));
+  }
   return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
+}
+
+/// A PackableShape half of the time.
+std::optional<PackableShape> MaybeShape(FuzzRng& rng) {
+  if (!rng.Chance(0.5)) return std::nullopt;
+  return PackableShape::Draw(rng);
+}
+
+const PackableShape* ShapeOf(const std::optional<PackableShape>& s) {
+  return s.has_value() ? &*s : nullptr;
 }
 
 /// A block whose txns sit at the record codec's edges: extreme ints, wrapped
@@ -157,9 +207,11 @@ Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
 }
 
 /// Block `id` after `prev`, chained onto it: some of `prev`'s txns sealed
-/// again after a CC abort (retries one higher), among fresh ones — what a
-/// v8 record stores as references, under a header derived from `prev`'s.
-Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev) {
+/// again after a CC abort (retries one higher), among fresh ones (of
+/// `shape`, when given) — what a record stores as references, under a
+/// header derived from `prev`'s.
+Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev,
+                     const PackableShape* shape = nullptr) {
   TxnBatch batch;
   batch.block_id = prev.header.block_id + 1;
   batch.first_tid = prev.header.first_tid + prev.header.txn_count;
@@ -170,13 +222,13 @@ Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev) {
       t.retries++;
       batch.txns.push_back(std::move(t));
     } else {
-      batch.txns.push_back(MakeTxn(rng));
+      batch.txns.push_back(shape != nullptr ? shape->Txn(rng) : MakeTxn(rng));
     }
   }
   return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
 }
 
-/// One v8 record payload, HLZ or raw section; with `refs`, the header is
+/// One record payload, HLZ or raw section; with `refs`, the header is
 /// derived from the window's previous block and retries of the window's
 /// txns are stored as references.
 std::string EncodeRecord(FuzzRng& rng, const Block& b,
@@ -202,15 +254,17 @@ size_t FlagsOffset(BlockId id) {
 
 /// The record payloads of a freshly chained block sequence 1..n in which
 /// later blocks derive their headers from the one before and retry earlier
-/// blocks' txns, stored by reference.
+/// blocks' txns, stored by reference; half the time the fresh txns share a
+/// PackableShape.
 std::vector<std::string> BuildLogRecords(FuzzRng& rng, size_t n_blocks) {
   std::vector<std::string> records;
   BlockBuilder builder("fuzz-secret");
   RefWindow window;
   Block prev;
+  const std::optional<PackableShape> shape = MaybeShape(rng);
   for (size_t i = 0; i < n_blocks; i++) {
-    Block b = i == 0 ? MakeBlock(rng, builder, 1, 1)
-                     : MakeRetryBlock(rng, builder, prev);
+    Block b = i == 0 ? MakeBlock(rng, builder, 1, 1, ShapeOf(shape))
+                     : MakeRetryBlock(rng, builder, prev, ShapeOf(shape));
     records.push_back(EncodeRecord(rng, b, &window));
     window.Push(b);
     prev = std::move(b);
@@ -218,7 +272,7 @@ std::vector<std::string> BuildLogRecords(FuzzRng& rng, size_t n_blocks) {
   return records;
 }
 
-/// A whole block-log file: the v8 header, then `records` framed.
+/// A whole block-log file: the current header, then `records` framed.
 std::string LogFileOf(const std::vector<std::string>& records) {
   std::string file;
   codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
@@ -459,7 +513,7 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// A raw-section v8 record split at its reference fields, so a case can
+/// A raw-section record split at its reference fields, so a case can
 /// rewrite one and reassemble the rest verbatim.
 struct RefFields {
   std::string head;  ///< block_id, flags, header fields and the signature
@@ -551,10 +605,11 @@ bool BreakReference(FuzzRng& rng, const RefWindow& window, BlockId id,
   return true;
 }
 
-/// BlockCodec::Decode on v8 record payloads, ordinary, edge-valued, and
-/// retries stored as references to the previous block under a header
-/// derived from it (decoded against that block's window). Unmutated records
-/// must decode to the same txns (same TxnRoot and rebuilt block hash).
+/// BlockCodec::Decode on record payloads, ordinary, edge-valued, with
+/// packed columns, and retries stored as references to the previous block
+/// under a header derived from it (decoded against that block's window).
+/// Unmutated records must decode to the same txns (same TxnRoot and rebuilt
+/// block hash), and a block of a PackableShape must store packed columns.
 /// Whatever Decode accepts, Validate accepts with the same block id, and
 /// the other way round. A record whose reach, distance or index is
 /// rewritten out of range, or whose referenced txn's retry count would
@@ -568,9 +623,10 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   Block b;
   Block prev;
   const bool has_prev = rng.Chance(0.5);
+  const std::optional<PackableShape> shape = MaybeShape(rng);
   if (has_prev) {
-    prev = MakeBlock(rng, builder, 1 + rng.Index(1 << 20), 1);
-    b = MakeRetryBlock(rng, builder, prev);
+    prev = MakeBlock(rng, builder, 1 + rng.Index(1 << 20), 1, ShapeOf(shape));
+    b = MakeRetryBlock(rng, builder, prev, ShapeOf(shape));
     if (rng.Chance(0.1)) {
       // Decoded against a window whose earlier incarnations sit at the
       // retry ceiling, every stored reference would wrap the counter.
@@ -590,8 +646,9 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
     }
     window.Push(prev);
   } else {
-    b = rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
-                        : MakeBlock(rng, builder, 1, 1);
+    b = !shape && rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
+                                  : MakeBlock(rng, builder, 1, 1,
+                                              ShapeOf(shape));
   }
   std::string payload = EncodeRecord(rng, b, &window);
 
@@ -651,8 +708,13 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
                "valid record decoded differently");
   }
   Block parsed;
-  const Status v = BlockCodec::Validate(payload, &parsed, &window);
+  SectionStats stats;
+  const Status v = BlockCodec::Validate(payload, &parsed, &window, &stats);
   FUZZ_CHECK(v.ok() == s.ok(), "Validate and Decode disagree");
+  if (!mutated && shape && !has_prev) {
+    FUZZ_CHECK(stats.packed_columns >= 2,
+               "a block of one procedure and client packed neither column");
+  }
   if (s.ok()) {
     FUZZ_CHECK(parsed.header.block_id == d.header.block_id,
                "Validate returned another block id");
@@ -662,7 +724,7 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
 /// BlockStore::Open on whole mutated log files (exercises header/version
 /// detection, torn-tail repair, CRC validation). The invariant: whatever
 /// Open accepts, ReadAll must then parse — "opened" means every surviving
-/// record is readable. An intact file stamped with a pre-v8 version must
+/// record is readable. An intact file stamped with a pre-v9 version must
 /// be refused with NotSupported. Structural breaks with valid CRCs: a
 /// record dropped from the middle orphans its successor's derived header
 /// (Corruption), so the opened log ends before it; a record whose derived-
@@ -705,9 +767,9 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
     if (old_version && !mutated) {
-      FUZZ_CHECK(s.IsNotSupported(), "pre-v8 log not refused");
+      FUZZ_CHECK(s.IsNotSupported(), "pre-v9 log not refused");
     }
-    if (brk != Break::kNone) FUZZ_CHECK(s.ok(), "a v8 log did not open");
+    if (brk != Break::kNone) FUZZ_CHECK(s.ok(), "a v9 log did not open");
     if (s.ok()) {
       std::vector<Block> blocks;
       FUZZ_CHECK(store.ReadAll(&blocks).ok(),
@@ -774,10 +836,12 @@ void CaseReplPayload(FuzzRng& rng, Ctx& ctx) {
       // record derives its header from it and references it, and decodes
       // only against its window.
       BlockBuilder builder("fuzz-secret");
-      const Block prev = MakeBlock(
-          rng, builder, static_cast<BlockId>(rng.Range(1, 1 << 20)), 1);
+      const std::optional<PackableShape> shape = MaybeShape(rng);
+      const Block prev =
+          MakeBlock(rng, builder, static_cast<BlockId>(rng.Range(1, 1 << 20)),
+                    1, ShapeOf(shape));
       window.Push(prev);
-      blk = MakeRetryBlock(rng, builder, prev);
+      blk = MakeRetryBlock(rng, builder, prev, ShapeOf(shape));
       net::EncodeReplicate(blk.header.block_id,
                            EncodeRecord(rng, blk, &window), &payload);
       break;
@@ -1115,7 +1179,8 @@ const Target kTargets[] = {
     {"wire_payload", CaseWirePayload,
      "ERROR/METRICS/BATCH_SUBMIT/BATCH_RECEIPT payload decoders"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode on v8 records: edge values, derived headers, refs"},
+     "BlockCodec::Decode on v9 records: edge values, packed columns, "
+     "derived headers, refs"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
     {"metrics", CaseMetrics, "kOpMetrics snapshot codec round-trips"},
@@ -1207,30 +1272,37 @@ int WriteCorpus(const std::string& dir) {
   BlockBuilder hlz_builder("fuzz-secret");
   const Block hb = hlz_builder.Seal(std::move(compressible), 1000);
   const std::string hlz_record = BlockCodec::EncodeRecord(hb, Compression::kHlz);
-  entries.push_back({"block_record_v8.hex",
-                     "# one v8 record payload (full header, HLZ section)",
+  entries.push_back({"block_record_v9.hex",
+                     "# one v9 record payload (full header, HLZ section)",
                      hlz_record});
-  entries.push_back({"block_record_v8_raw.hex",
-                     "# one v8 record payload (full header, section raw)",
+  entries.push_back({"block_record_v9_raw.hex",
+                     "# one v9 record payload (full header, section raw)",
                      BlockCodec::EncodeRecord(b, Compression::kNone)});
   RefWindow window;
   window.Push(b);
   const Block rb = MakeRetryBlock(rng, builder, b);
   entries.push_back(
-      {"block_record_v8_derived.hex",
-       "# one v8 record payload whose header is derived from the raw seed's "
+      {"block_record_v9_derived.hex",
+       "# one v9 record payload whose header is derived from the raw seed's "
        "block and whose retries reference it",
        BlockCodec::EncodeRecord(rb, Compression::kNone, &window)});
+  const PackableShape shape = PackableShape::Draw(rng);
+  entries.push_back(
+      {"block_record_v9_packed.hex",
+       "# one v9 record payload (full header, section raw) of txns sharing a "
+       "procedure, client, fee and blob length: bit-packed columns",
+       BlockCodec::EncodeRecord(MakeBlock(rng, builder, 1, 1, &shape),
+                                Compression::kNone)});
 
   FuzzRng lrng(43);
-  entries.push_back({"log_v8_three_blocks.hex",
-                     "# complete v8 log file: header + 3 records, later ones "
+  entries.push_back({"log_v9_three_blocks.hex",
+                     "# complete v9 log file: header + 3 records, later ones "
                      "deriving their headers and storing retries by "
                      "reference",
                      BuildLogFile(lrng, 3)});
   FuzzRng l2rng(44);
-  entries.push_back({"log_v8_one_block.hex",
-                     "# complete v8 log file: header + 1 record",
+  entries.push_back({"log_v9_one_block.hex",
+                     "# complete v9 log file: header + 1 record",
                      BuildLogFile(l2rng, 1)});
 
   std::string hlz;
@@ -1247,13 +1319,13 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeReplJoin(join, &join_payload);
   entries.push_back(
       {"repl_join_frame.hex",
-       "# one complete REPL_JOIN frame (wire v6 header + payload)",
+       "# one complete REPL_JOIN frame (wire v7 header + payload)",
        net::EncodeFrame(net::Opcode::kOpReplJoin, join_payload)});
 
   std::string repl_payload;
   net::EncodeReplicate(hb.header.block_id, hlz_record, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + stored v8 record",
+                     "# REPLICATE payload: u64 block id + stored v9 record",
                      repl_payload});
 
   FuzzRng srng(45);

@@ -55,7 +55,9 @@
 //   Prints its records (how many store a derived header), txns, bytes per
 //   txn, and the mean bytes per record outside the txn section (framing,
 //   header, signature, envelope), over all records and split by full and
-//   derived headers. The log is never opened for writing.
+//   derived headers; then the txn section's bytes per txn, stored and
+//   before compression, and the share of its integer columns stored
+//   bit-packed. The log is never opened for writing.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -727,7 +729,9 @@ int ClusterStatusCli(const Args& args) {
 }
 
 /// Read-only block-log sizing: what each record costs outside its txn
-/// section, the figure the record header's encoding decides.
+/// section, the figure the record header's encoding decides, and what the
+/// section costs and how it stored its columns, which decoding each record
+/// in order (as the log's readers do, without digests) reports.
 int LogStatsCli(const Args& args) {
   if (args.dir.empty()) return Usage();
   const std::string path = args.dir + "/replica.chain";
@@ -737,17 +741,28 @@ int LogStatsCli(const Args& args) {
   };
   Tally full, derived;
   uint64_t txns = 0, bytes = 0, unreadable = 0;
+  uint64_t section_bytes = 0, raw_section_bytes = 0;
+  uint64_t columns = 0, packed_columns = 0;
+  RefWindow window;
   const Status s = BlockStore::ScanRecords(path, [&](std::string_view p) {
     RecordShape shape;
-    if (!BlockCodec::Peek(p, &shape)) {
+    Block b;
+    SectionStats stats;
+    if (!BlockCodec::Peek(p, &shape) ||
+        !BlockCodec::Validate(p, &b, &window, &stats).ok()) {
       unreadable++;
       return;
     }
+    window.Push(b);
     Tally& t = shape.derived ? derived : full;
     t.records++;
     t.fixed_bytes += 8 + shape.section_offset;  // u32 length + u32 CRC
     txns += shape.txn_count;
     bytes += 8 + p.size();
+    section_bytes += p.size() - shape.section_offset;
+    raw_section_bytes += shape.raw_len;
+    columns += stats.columns;
+    packed_columns += stats.packed_columns;
   });
   if (!s.ok()) {
     std::fprintf(stderr, "log-stats %s: %s\n", path.c_str(),
@@ -769,8 +784,14 @@ int LogStatsCli(const Args& args) {
               mean(full.fixed_bytes + derived.fixed_bytes, records),
               mean(full.fixed_bytes, full.records),
               mean(derived.fixed_bytes, derived.records));
+  std::printf("section_bytes_per_txn=%.2f raw=%.2f packed_columns=%.3f "
+              "(%llu of %llu)\n",
+              mean(section_bytes, txns), mean(raw_section_bytes, txns),
+              mean(packed_columns, columns),
+              static_cast<unsigned long long>(packed_columns),
+              static_cast<unsigned long long>(columns));
   if (unreadable > 0) {
-    std::fprintf(stderr, "log-stats: %llu records with an unreadable header\n",
+    std::fprintf(stderr, "log-stats: %llu records that do not decode\n",
                  static_cast<unsigned long long>(unreadable));
     return 1;
   }
