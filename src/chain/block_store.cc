@@ -83,7 +83,9 @@ Status CheckHeader(const uint32_t header[2], const std::string& path) {
 
 /// Decodes `n` consecutive records starting at `off` of `fd` (the first a
 /// safe cut, so each reference resolves in the blocks decoded before it)
-/// and keeps the blocks with id > after. Closes `fd`.
+/// and keeps the blocks with id > after, each with its stored payload in
+/// Block::record, so an Append of it elsewhere stores those bytes verbatim
+/// instead of encoding the block again. Closes `fd`.
 Status DecodeRecords(int fd, uint64_t off, size_t n, BlockId after,
                      std::vector<Block>* out) {
   RefWindow window;
@@ -101,7 +103,10 @@ Status DecodeRecords(int fd, uint64_t off, size_t n, BlockId after,
     s = BlockCodec::Decode(payload, &b, &window);
     if (!s.ok()) break;
     window.Push(b);
-    if (b.header.block_id > after) out->push_back(std::move(b));
+    if (b.header.block_id > after) {
+      b.record = std::move(payload);
+      out->push_back(std::move(b));
+    }
   }
   ::close(fd);
   return s;

@@ -64,12 +64,10 @@ Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
 
   AdmissionOptions ao;
   ao.rate_per_client_tps = options.admit_rate_per_client;
-  ao.demote_over_rate = options.demote_over_rate;
   db->admission_ = std::make_unique<AdmissionController>(ao);
 
   MempoolOptions mo;
   mo.capacity = options.mempool_capacity;
-  mo.high_fee_threshold = options.high_fee_threshold;
   db->mempool_ = std::make_unique<Mempool>(mo);
 
   // The commit callback (replica commit thread, block order) settles every
@@ -276,19 +274,11 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
     ingest(obs::kCounterIngestDuplicates, is.duplicates);
     ingest(obs::kCounterIngestRejected, is.rejected);
     ingest(obs::kCounterIngestRateLimited, is.rate_limited);
-    ingest(obs::kCounterIngestDemoted, is.demoted);
     ingest(obs::kCounterIngestBackpressured, is.backpressured);
     ingest(obs::kCounterIngestRetriesEnqueued, is.retries_enqueued);
     ingest(obs::kCounterIngestRetriesDropped, is.retries_dropped);
     ingest(obs::kCounterIngestSealedBlocks, is.sealed_blocks);
     ingest(obs::kCounterIngestSealedTxns, is.sealed_txns);
-    const auto& lanes = is.sealed_lane_txns;
-    ingest(obs::kCounterIngestSealedHigh,
-           lanes[static_cast<size_t>(IngestLane::kHigh)]);
-    ingest(obs::kCounterIngestSealedNormal,
-           lanes[static_cast<size_t>(IngestLane::kNormal)]);
-    ingest(obs::kCounterIngestSealedLow,
-           lanes[static_cast<size_t>(IngestLane::kLow)]);
     ingest(obs::kCounterIngestSealedRetry, is.sealed_retry_txns);
   }
   obs::MetricsSnapshot snap = metrics_->Snapshot();
@@ -315,12 +305,9 @@ std::vector<TxnTicket> HarmonyBC::SubmitBatchWithReceipt(
 
   // Phase 1 — per request: flow control, register, admit. Survivors are
   // compacted to the front of `reqs` for the one-pass mempool enqueue;
-  // `ticket_of[j]` maps survivor j back to its ticket, and `lanes[j]` is
-  // the lane admission chose for it.
+  // `ticket_of[j]` maps survivor j back to its ticket.
   std::vector<size_t> ticket_of;
-  std::vector<IngestLane> lanes;
   ticket_of.reserve(n);
-  lanes.reserve(n);
   size_t reached_admission = 0;
   for (size_t i = 0; i < n; i++) {
     TxnRequest& req = reqs[i];
@@ -368,15 +355,11 @@ std::vector<TxnTicket> HarmonyBC::SubmitBatchWithReceipt(
     // Rate limiting must run on the server's clock — submit_time_us is
     // caller-supplied, and a forged future timestamp would refill (or
     // permanently poison) the client's token bucket.
-    bool demote = false;
-    if (Status s = admission_->Admit(req, now, &demote); !s.ok()) {
+    if (Status s = admission_->Admit(req, now); !s.ok()) {
       completion_->Discard(req.client_id, req.client_seq);
       reject(i, req, std::move(s));
       continue;
     }
-    // Demotion overrides the fee: an over-budget client cannot buy its way
-    // back into the high lane mid-burst.
-    lanes.push_back(demote ? IngestLane::kLow : mempool_->LaneFor(req));
     if (ticket_of.size() != i) reqs[ticket_of.size()] = std::move(req);
     ticket_of.push_back(i);
   }
@@ -386,7 +369,7 @@ std::vector<TxnTicket> HarmonyBC::SubmitBatchWithReceipt(
   // Phase 2 — one capacity reservation for every survivor.
   reqs.resize(ticket_of.size());
   std::vector<Status> statuses;
-  const size_t enqueued = mempool_->AddBatch(&reqs, lanes, &statuses);
+  const size_t enqueued = mempool_->AddBatch(&reqs, &statuses);
   for (size_t j = 0; j < ticket_of.size(); j++) {
     if (statuses[j].ok()) continue;
     if (statuses[j].IsBusy()) {

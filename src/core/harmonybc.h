@@ -104,14 +104,8 @@ class HarmonyBC {
     /// sub-block_size tail (e.g. the last few retries) seals only on Sync.
     uint64_t max_block_delay_us = 0;
     size_t mempool_capacity = 1 << 16;  ///< Busy backpressure beyond this
-    /// Transactions with fee >= this ride the mempool's high-priority lane;
-    /// 0 disables fee-based prioritization.
-    uint64_t high_fee_threshold = 0;
     /// Per-client admission rate (txns/sec); 0 = unlimited.
     double admit_rate_per_client = 0;
-    /// Over-budget clients are demoted to the low lane instead of bounced
-    /// with Busy (soft rate limiting; needs admit_rate_per_client > 0).
-    bool demote_over_rate = false;
     uint32_t max_txn_retries = 50;  ///< CC-abort resubmissions per txn
     /// Session-level flow control: a submit past this many unresolved
     /// receipts on the same session resolves synchronously as a Busy

@@ -31,7 +31,7 @@ Status DccProtocol::SimulateBatch(const TxnBatch& batch, BlockId snapshot,
     out->reservations = std::make_unique<ReservationTable>();
   }
 
-  std::atomic<bool> failed{false};
+  FirstStoreError read_error;
   pool_->ParallelFor(n, [&](size_t i) {
     SimRecord& rec = out->records[i];
     rec.tid = batch.tid_of(i);
@@ -52,7 +52,8 @@ Status DccProtocol::SimulateBatch(const TxnBatch& batch, BlockId snapshot,
     TxnContext ctx(rec.tid, batch.block_id,
                    [&](Key k, std::optional<Value>* v) -> Status {
                      std::optional<std::string> raw;
-                     Status s = store_->ReadAtSnapshot(k, snapshot, &raw);
+                     Status s = read_error.Note(
+                         store_->ReadAtSnapshot(k, snapshot, &raw));
                      if (!s.ok()) return s;
                      if (raw.has_value()) {
                        v->emplace(Value::Decode(*raw));
@@ -76,7 +77,7 @@ Status DccProtocol::SimulateBatch(const TxnBatch& batch, BlockId snapshot,
       }
     }
   });
-  if (failed.load()) return Status::IOError("simulation failed");
+  HARMONY_RETURN_NOT_OK(read_error.status());
   out->sim_micros = timer.ElapsedMicros();
   return Status::OK();
 }

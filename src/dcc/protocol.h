@@ -92,6 +92,33 @@ struct SimState {
   uint64_t sim_micros = 0;
 };
 
+/// The first failure among a block's store reads, recorded by the parallel
+/// simulation workers. A failed read is a fault of this replica's storage,
+/// not a deterministic outcome of the transaction, so it fails the whole
+/// block — whatever the procedure made of it — instead of becoming a logic
+/// abort that every other replica would disagree with.
+class FirstStoreError {
+ public:
+  /// Remembers `s` if it is the first non-OK status; returns `s`.
+  Status Note(Status s) {
+    if (!s.ok()) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (first_.ok()) first_ = s;
+    }
+    return s;
+  }
+
+  /// OK, or the first failure noted.
+  Status status() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return first_;
+  }
+
+ private:
+  std::mutex mu_;
+  Status first_;
+};
+
 /// A deterministic concurrency control protocol.
 ///
 /// Execution is two-staged so the replica pipeline can overlap stages across
@@ -131,6 +158,14 @@ class DccProtocol {
            (cfg_.barrier_every != 0 && block % cfg_.barrier_every == 0);
   }
 
+  /// True for the first block after a checkpoint barrier: it must not carry
+  /// pipeline state (snapshots, inter-block dependencies) across the
+  /// barrier, so that recovery from the checkpoint is deterministic.
+  bool IsBarrierFollower(BlockId block) const {
+    return cfg_.barrier_every != 0 && block > 1 &&
+           block == LastBarrierBefore(block) + 1;
+  }
+
   virtual Status Simulate(const TxnBatch& batch) = 0;
   virtual Status Commit(const TxnBatch& batch, BlockResult* result) = 0;
 
@@ -145,7 +180,8 @@ class DccProtocol {
  protected:
   /// Runs every transaction of the batch against `snapshot`, collecting
   /// read/write sets (and, when register_reservations, filling the
-  /// reservation table). Parallel across transactions.
+  /// reservation table). Parallel across transactions. A failed store read
+  /// fails the batch with its status (see FirstStoreError).
   Status SimulateBatch(const TxnBatch& batch, BlockId snapshot,
                        bool register_reservations, SimState* out);
 
@@ -160,14 +196,6 @@ class DccProtocol {
   BlockId LastBarrierBefore(BlockId block) const {
     if (cfg_.barrier_every == 0 || block == 0) return 0;
     return ((block - 1) / cfg_.barrier_every) * cfg_.barrier_every;
-  }
-
-  /// True for the first block after a checkpoint barrier: it must not carry
-  /// pipeline state (snapshots, inter-block dependencies) across the
-  /// barrier, so that recovery from the checkpoint is deterministic.
-  bool IsBarrierFollower(BlockId block) const {
-    return cfg_.barrier_every != 0 && block > 1 &&
-           block == LastBarrierBefore(block) + 1;
   }
 
   /// Clamps a desired snapshot so it never reaches past the last barrier.

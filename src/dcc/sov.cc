@@ -20,6 +20,7 @@ Status SovProtocolBase::Simulate(const TxnBatch& batch) {
   const size_t n = batch.size();
   st.records.assign(n, SimRecord{});
 
+  FirstStoreError read_error;
   pool_->ParallelFor(n, [&](size_t i) {
     SimRecord& rec = st.records[i];
     rec.tid = batch.tid_of(i);
@@ -34,8 +35,8 @@ Status SovProtocolBase::Simulate(const TxnBatch& batch) {
                    [&](Key k, std::optional<Value>* v) -> Status {
                      std::optional<std::string> raw;
                      BlockId version = 0;
-                     Status s = store_->ReadVersionAtSnapshot(
-                         k, endorse_snapshot, &raw, &version);
+                     Status s = read_error.Note(store_->ReadVersionAtSnapshot(
+                         k, endorse_snapshot, &raw, &version));
                      if (!s.ok()) return s;
                      rec.read_versions.emplace_back(k, version);
                      if (raw.has_value()) {
@@ -62,12 +63,9 @@ Status SovProtocolBase::Simulate(const TxnBatch& batch) {
           cmd.kind() != UpdateCommand::Kind::kErase) {
         std::optional<std::string> raw;
         BlockId version = 0;
-        Status rs =
-            store_->ReadVersionAtSnapshot(key, endorse_snapshot, &raw, &version);
-        if (!rs.ok()) {
-          rec.logic_abort = true;
-          return;
-        }
+        Status rs = read_error.Note(store_->ReadVersionAtSnapshot(
+            key, endorse_snapshot, &raw, &version));
+        if (!rs.ok()) return;  // fails the block: see FirstStoreError
         // A read-modify-write update is a logical read and must be
         // validated; a blind field set only needs the physical pre-image to
         // materialize the full record (Fabric's PutState without GetState).
@@ -81,6 +79,7 @@ Status SovProtocolBase::Simulate(const TxnBatch& batch) {
     }
   });
 
+  HARMONY_RETURN_NOT_OK(read_error.status());
   st.sim_micros = timer.ElapsedMicros();
   StashSimState(batch.block_id, std::move(st));
   return Status::OK();

@@ -25,9 +25,7 @@ void AdmissionController::AllowProcedure(uint32_t proc_id) {
   procs_.insert(proc_id);
 }
 
-Status AdmissionController::Admit(const TxnRequest& req, uint64_t now_us,
-                                  bool* demote) {
-  if (demote != nullptr) *demote = false;
+Status AdmissionController::Admit(const TxnRequest& req, uint64_t now_us) {
   if (req.args.ints.size() > opts_.max_args) {
     stats_.rejected.fetch_add(1, std::memory_order_relaxed);
     return Status::InvalidArgument("too many txn arguments (" +
@@ -64,15 +62,6 @@ Status AdmissionController::Admit(const TxnRequest& req, uint64_t now_us,
       b.last_refill_us = now_us;
     }
     if (b.tokens < 1.0) {
-      if (opts_.demote_over_rate && demote != nullptr) {
-        // Soft limiting: admit, but into the low lane. The empty bucket is
-        // left to refill — demoted traffic rides for free (it only gets the
-        // low lane's weighted share), so it must not also drain tokens and
-        // push the client's paid admissions further out.
-        stats_.demoted.fetch_add(1, std::memory_order_relaxed);
-        *demote = true;
-        return Status::OK();
-      }
       stats_.rate_limited.fetch_add(1, std::memory_order_relaxed);
       return Status::Busy("client " + std::to_string(req.client_id) +
                           " over its admission rate");

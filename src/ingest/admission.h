@@ -7,7 +7,6 @@
 
 #include "common/spin_lock.h"
 #include "common/status.h"
-#include "ingest/lanes.h"
 #include "txn/procedure.h"
 
 namespace harmony {
@@ -19,11 +18,6 @@ struct AdmissionOptions {
   double rate_per_client_tps = 0;
   /// Bucket depth (max burst). 0 defaults to one second of refill.
   double burst = 0;
-  /// When a client is over its rate budget, demote the transaction to the
-  /// mempool's low-priority lane instead of bouncing it with Busy: the
-  /// client keeps making progress, but only in the low lane's weighted
-  /// share of each block. Off = classic hard rate limiting.
-  bool demote_over_rate = false;
   size_t max_args = 256;           ///< max positional ints per request
   size_t max_blob_bytes = 1 << 20; ///< max opaque payload size
 };
@@ -36,7 +30,6 @@ struct IngestStats {
   std::atomic<uint64_t> duplicates{0};     ///< dedup rejections
   std::atomic<uint64_t> rejected{0};       ///< failed validation
   std::atomic<uint64_t> rate_limited{0};   ///< token bucket empty
-  std::atomic<uint64_t> demoted{0};        ///< over budget -> low lane
   std::atomic<uint64_t> backpressured{0};  ///< mempool full -> Busy
   std::atomic<uint64_t> retries_enqueued{0};  ///< CC aborts re-admitted
   std::atomic<uint64_t> retries_dropped{0};   ///< exceeded max_txn_retries
@@ -45,10 +38,7 @@ struct IngestStats {
   std::atomic<uint64_t> size_seals{0};      ///< blocks cut because full
   std::atomic<uint64_t> deadline_seals{0};  ///< blocks cut by the deadline
   std::atomic<uint64_t> flush_seals{0};     ///< blocks cut by Sync()/Flush
-  /// Sealed txns by the lane they were drained from, indexed by IngestLane
-  /// ({high, normal, low}); the retry lane is counted separately.
-  std::atomic<uint64_t> sealed_lane_txns[kNumLanes] = {};
-  std::atomic<uint64_t> sealed_retry_txns{0};
+  std::atomic<uint64_t> sealed_retry_txns{0};  ///< drained from retry lane
 };
 
 /// Validates and rate-limits transactions before they reach the mempool.
@@ -71,13 +61,9 @@ class AdmissionController {
   /// Checks one transaction. Returns:
   ///  - OK               -> pass it to the mempool;
   ///  - InvalidArgument  -> malformed (unknown procedure, oversized args);
-  ///  - Busy             -> client over its rate limit (retry later), only
-  ///                        when demote_over_rate is off.
-  /// `now_us` is the admission clock (token refill reference). When
-  /// demote_over_rate is on and the client's bucket is empty, Admit returns
-  /// OK and sets `*demote` — the caller must route the transaction to
-  /// IngestLane::kLow (no token is consumed for a demoted transaction).
-  Status Admit(const TxnRequest& req, uint64_t now_us, bool* demote = nullptr);
+  ///  - Busy             -> client over its rate limit (retry later).
+  /// `now_us` is the admission clock (token refill reference).
+  Status Admit(const TxnRequest& req, uint64_t now_us);
 
   IngestStats* stats() { return &stats_; }
   const IngestStats& stats() const { return stats_; }

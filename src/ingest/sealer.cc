@@ -76,13 +76,13 @@ size_t BlockSealer::SealLocked(SealCause cause) {
   const uint64_t seal_start = tracing ? NowMicros() : 0;
   std::vector<TxnRequest> txns;
   txns.reserve(opts_.block_size);
-  Mempool::LaneTakeCounts lanes;
-  pool_->TakeBatch(opts_.block_size, &txns, &lanes);
+  size_t retries = 0;
+  pool_->TakeBatch(opts_.block_size, &txns, &retries);
   if (txns.empty()) return 0;
   const size_t n = txns.size();
 
   if (tracing) {
-    // One clock read covers the whole batch: stamp the lane-dequeue clock
+    // One clock read covers the whole batch: stamp the dequeue clock
     // (carried into the sealed block for commit-lag attribution) and close
     // each txn's admit -> dequeue queue-wait interval.
     const uint64_t dequeue = NowMicros();
@@ -102,12 +102,7 @@ size_t BlockSealer::SealLocked(SealCause cause) {
   if (stats_ != nullptr) {
     stats_->sealed_blocks.fetch_add(1, std::memory_order_relaxed);
     stats_->sealed_txns.fetch_add(n, std::memory_order_relaxed);
-    stats_->sealed_retry_txns.fetch_add(lanes.retry,
-                                        std::memory_order_relaxed);
-    for (size_t l = 0; l < kNumLanes; l++) {
-      stats_->sealed_lane_txns[l].fetch_add(lanes.lane[l],
-                                            std::memory_order_relaxed);
-    }
+    stats_->sealed_retry_txns.fetch_add(retries, std::memory_order_relaxed);
     switch (cause) {
       case SealCause::kSize:
         stats_->size_seals.fetch_add(1, std::memory_order_relaxed);
@@ -158,10 +153,10 @@ Status BlockSealer::Flush() {
 }
 
 void BlockSealer::Loop() {
-  // Fallback deadline anchor for a rare mempool race: a lane drain that
-  // empties a lane can zero its anchor just as a producer refills it,
+  // Fallback deadline anchor for a rare mempool race: a drain that empties
+  // the fresh rings can zero their anchor just as a producer refills them,
   // leaving buffered work whose oldest_submit_us() reads 0. Treating 0 as
-  // "now" on *every* wakeup would slide the deadline forever for a lane
+  // "now" on *every* wakeup would slide the deadline forever for a pool
   // that stays occupied below block_size; instead the first wakeup that
   // observes the condition pins the anchor here, bounding the extra wait
   // to one deadline period.
@@ -188,8 +183,8 @@ void BlockSealer::Loop() {
     }
 
     if (opts_.max_block_delay_us > 0 && depth > 0) {
-      // The oldest waiter anchors the deadline (the mempool counts each
-      // lane from when it last became non-empty).
+      // The oldest waiter anchors the deadline (the mempool counts the retry
+      // lane and the fresh rings each from when it last became non-empty).
       uint64_t oldest = pool_->oldest_submit_us();
       const uint64_t now = NowMicros();
       if (oldest == 0) {

@@ -38,9 +38,7 @@ struct SealerOptions {
 ///  - deadline: the oldest pending txn is max_block_delay_us old;
 ///  - flush:    Flush() seals everything buffered right now (Sync path).
 ///
-/// Each cut applies the mempool's weighted-drain policy: the retry lane
-/// first, then the priority lanes by their configured shares, so a block is
-/// mostly high-fee traffic but never starves the low lane (see
+/// Each cut drains the retry lane first, then the fresh rings (see
 /// Mempool::TakeBatch and docs/INGEST.md).
 ///
 /// SealBlock + delivery happen under one mutex, so block ids stay dense and

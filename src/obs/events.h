@@ -75,16 +75,12 @@ inline constexpr char kCounterIngestAdmitted[] = "ingest.admitted";
 inline constexpr char kCounterIngestDuplicates[] = "ingest.duplicates";
 inline constexpr char kCounterIngestRejected[] = "ingest.rejected";
 inline constexpr char kCounterIngestRateLimited[] = "ingest.rate_limited";
-inline constexpr char kCounterIngestDemoted[] = "ingest.demoted";
 inline constexpr char kCounterIngestBackpressured[] = "ingest.backpressured";
 inline constexpr char kCounterIngestRetriesEnqueued[] =
     "ingest.retries_enqueued";
 inline constexpr char kCounterIngestRetriesDropped[] = "ingest.retries_dropped";
 inline constexpr char kCounterIngestSealedBlocks[] = "ingest.sealed_blocks";
 inline constexpr char kCounterIngestSealedTxns[] = "ingest.sealed_txns";
-inline constexpr char kCounterIngestSealedHigh[] = "ingest.sealed_high";
-inline constexpr char kCounterIngestSealedNormal[] = "ingest.sealed_normal";
-inline constexpr char kCounterIngestSealedLow[] = "ingest.sealed_low";
 inline constexpr char kCounterIngestSealedRetry[] = "ingest.sealed_retry";
 
 // ---------------------------------------------------------------------------

@@ -301,11 +301,8 @@ Status Replica::ExecuteBlockPipelined(Block block) {
   const BlockId lag = protocol_->snapshot_lag();
   // Barrier followers additionally need the previous block fully committed
   // (their snapshot is block id-1 and they carry no pipeline state).
-  const bool barrier_follower =
-      opts_.checkpoint_every != 0 && id > 1 &&
-      (id - 1) % opts_.checkpoint_every == 0;
   const BlockId need_committed =
-      barrier_follower ? id - 1 : (id >= lag ? id - lag : 0);
+      protocol_->IsBarrierFollower(id) ? id - 1 : (id >= lag ? id - lag : 0);
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [&] {

@@ -71,10 +71,10 @@ struct TxnRequest {
   uint64_t client_seq = 0;     ///< client-assigned id; dedup key half 2
   uint64_t submit_time_us = 0; ///< set when the client hands it to ordering
   uint32_t retries = 0;        ///< times this txn was CC-aborted and requeued
-  /// Client-offered priority fee. At or above the mempool's
-  /// high_fee_threshold the transaction rides the high-priority lane;
-  /// otherwise it is ordering metadata only (carried through the codec so
-  /// replicas could meter it). No monetary semantics are enforced here.
+  /// Client-offered fee: carried through the wire, the canonical txn bytes
+  /// (TxnRoot) and the block log so replicas could meter it, but nothing
+  /// reads it. Ordering is by block position, not fee, and no monetary
+  /// semantics are enforced here.
   uint64_t fee = 0;
   /// Lifecycle stamps for txn tracing (docs/OBSERVABILITY.md). In-process
   /// only: the block codec never serializes it, decode leaves it zeroed.

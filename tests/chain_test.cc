@@ -24,7 +24,7 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
     TxnRequest t;
     t.proc_id = 7;
     t.client_seq = first_tid + i;
-    t.fee = 10 * i;  // priority fee rides the canonical txn encoding
+    t.fee = 10 * i;  // the fee rides the canonical txn encoding
     t.args.ints = {static_cast<int64_t>(i), -5, 123456789};
     t.args.blob = "blob-" + std::to_string(i);
     b.txns.push_back(std::move(t));
@@ -873,6 +873,45 @@ TEST(BlockStoreRefs, RetryFreeLogCutsAtTheIntervalStart) {
       ASSERT_OK(store.ReadAll(&got));
       ExpectChainSlice(got, chain, cut);
     }
+  }
+}
+
+// Every read path hands back each block with the payload its log stores,
+// so appending the blocks read from one log to a fresh log with the same
+// interval stores those bytes verbatim — whatever the fresh log's own
+// compression — instead of encoding each block again.
+TEST(BlockStoreRefs, ReadBlocksCarryTheirStoredRecords) {
+  constexpr uint64_t kEvery = 10;
+  const std::vector<Block> chain = RetryChain(11, 60, 0.4);
+  TempDir dir("refs-record");
+  const std::string path = dir.path() + "/chain.log";
+  BlockStore store(path, 0, Compression::kHlz, kEvery);
+  ASSERT_OK(store.Open());
+  std::vector<std::string> stored(chain.size());
+  for (size_t i = 0; i < chain.size(); i++) {
+    ASSERT_OK(store.Append(chain[i], &stored[i]));
+  }
+  std::vector<Block> got;
+  ASSERT_OK(store.ReadAll(&got));
+  ASSERT_EQ(got.size(), chain.size());
+  for (size_t i = 0; i < got.size(); i++) {
+    EXPECT_EQ(got[i].record, stored[i]) << "block " << i + 1;
+  }
+  std::vector<Block> after;
+  ASSERT_OK(store.ReadBlocksAfter(37, &after));
+  ASSERT_FALSE(after.empty());
+  EXPECT_EQ(after.front().record, stored[37]);
+  Block last;
+  ASSERT_OK(store.ReadLast(&last));
+  EXPECT_EQ(last.record, stored.back());
+
+  for (Compression c : {Compression::kHlz, Compression::kNone}) {
+    const std::string copy_path =
+        dir.path() + "/copy" + std::to_string(static_cast<int>(c)) + ".log";
+    BlockStore copy(copy_path, 0, c, kEvery);
+    ASSERT_OK(copy.Open());
+    for (const Block& b : got) ASSERT_OK(copy.Append(b));
+    EXPECT_EQ(ReadFileBytes(copy_path), ReadFileBytes(path));
   }
 }
 

@@ -24,6 +24,7 @@ namespace {
 // 7: rmw_split(key)                      read key, set key = read + 1
 // 8: put(key, v)                         insert
 // 9: erase(key)
+// 10: peek_then_set(rkey, wkey, v)       read rkey, ignore the outcome, set
 
 void RegisterTestProcs(ProcedureRegistry* reg) {
   reg->Register(1, "reads", [](TxnContext& ctx, const ProcArgs& a) {
@@ -73,7 +74,26 @@ void RegisterTestProcs(ProcedureRegistry* reg) {
     ctx.Erase(static_cast<Key>(a.at(0)));
     return Status::OK();
   });
+  reg->Register(10, "peek_then_set", [](TxnContext& ctx, const ProcArgs& a) {
+    std::optional<Value> v;
+    (void)ctx.Get(static_cast<Key>(a.at(0)), &v);
+    ctx.SetField(static_cast<Key>(a.at(1)), 0, a.at(2));
+    return Status::OK();
+  });
 }
+
+/// A memory backend whose Get of one chosen key fails with an IOError: a
+/// storage fault that only this replica sees.
+class FaultyReadBackend : public MemoryBackend {
+ public:
+  static constexpr Key kNoFault = ~Key{0};
+  Key fail_key = kNoFault;  ///< set before executing; read by the workers
+
+  Status Get(Key key, std::string* out) override {
+    if (key == fail_key) return Status::IOError("injected read fault");
+    return MemoryBackend::Get(key, out);
+  }
+};
 
 TxnRequest Req(uint32_t proc, std::vector<int64_t> ints) {
   TxnRequest r;
@@ -150,6 +170,20 @@ class Engine {
     return res;
   }
 
+  /// Executes the next block and returns its status instead of expecting OK.
+  Status TryExecute(std::vector<TxnRequest> txns) {
+    TxnBatch b;
+    b.block_id = ++last_block_;
+    b.first_tid = next_tid_;
+    next_tid_ += txns.size();
+    b.txns = std::move(txns);
+    BlockResult res;
+    return proto_->ExecuteBlock(b, &res);
+  }
+
+  /// Makes every backend read of `k` fail from now on.
+  void FailReadsOf(Key k) { backend_.fail_key = k; }
+
   /// Pipelined execution of two batches (simulate i+1 before commit i).
   std::pair<BlockResult, BlockResult> ExecutePipelined(
       std::vector<TxnRequest> first, std::vector<TxnRequest> second) {
@@ -193,7 +227,7 @@ class Engine {
   ProcedureRegistry* mutable_procs() { return &procs_; }
 
  private:
-  MemoryBackend backend_;
+  FaultyReadBackend backend_;
   std::unique_ptr<VersionedStore> store_;
   ProcedureRegistry procs_;
   std::unique_ptr<ThreadPool> pool_;
@@ -782,6 +816,29 @@ TEST_P(AllProtocolsTest, MoneyConservationUnderContention) {
     sum += bal;
   }
   EXPECT_EQ(sum, total) << DccKindName(kind) << " lost money";
+}
+
+TEST_P(AllProtocolsTest, StoreReadErrorFailsTheBlock) {
+  // A read the store fails is this replica's fault, not the transaction's:
+  // the block must fail with that status rather than commit or logic-abort
+  // (which another replica, whose read succeeds, would not do). Each case
+  // runs on a fresh engine, since a failed block leaves the engine behind.
+  const DccKind kind = GetParam();
+  const std::vector<std::vector<TxnRequest>> blocks = {
+      {Req(1, {2})},             // the procedure returns the read's error
+      {Req(10, {2, 3, 7})},      // it ignores the error and writes key 3
+      {Req(2, {2, 1})},          // an update command reads key 2's value
+      {Req(2, {1, 1}), Req(10, {2, 3, 7}), Req(1, {1})},  // one of three
+  };
+  for (size_t c = 0; c < blocks.size(); c++) {
+    Engine e(kind, {});
+    for (Key k = 1; k <= 3; k++) e.Load(k, 10);
+    e.FailReadsOf(2);
+    Status s = e.TryExecute(blocks[c]);
+    EXPECT_TRUE(s.IsIOError())
+        << DccKindName(kind) << " case " << c << ": " << s.ToString();
+    EXPECT_EQ(e.Field0(3), 10) << DccKindName(kind) << " case " << c;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, AllProtocolsTest,

@@ -25,19 +25,11 @@ TxnRequest Req(uint64_t client_id, uint64_t seq, uint32_t proc_id = 1) {
   return t;
 }
 
-TxnRequest FeeReq(uint64_t client_id, uint64_t seq, uint64_t fee) {
-  TxnRequest t = Req(client_id, seq);
-  t.fee = fee;
-  return t;
-}
-
-/// One request through Mempool::AddBatch, into `lane` or the one its fee
-/// selects.
-Status Add(Mempool& pool, TxnRequest req,
-           std::optional<IngestLane> lane = std::nullopt) {
-  std::vector<TxnRequest> one{req};
+/// One request through Mempool::AddBatch.
+Status Add(Mempool& pool, TxnRequest req) {
+  std::vector<TxnRequest> one{std::move(req)};
   std::vector<Status> st;
-  pool.AddBatch(&one, {lane.value_or(pool.LaneFor(req))}, &st);
+  pool.AddBatch(&one, &st);
   return st[0];
 }
 
@@ -239,13 +231,11 @@ TEST(Mempool, AddBatchSingleReservationAndPerTxnFailures) {
   // frees its slot back to the batch's credit, so 5 distinct requests fit
   // and the trailing two bounce on capacity.
   std::vector<TxnRequest> reqs;
-  std::vector<IngestLane> lanes;
   for (uint64_t i = 0; i < 8; i++) {
     reqs.push_back(Req(1, i == 3 ? 1 : i + 1));  // index 3 duplicates seq 1
-    lanes.push_back(IngestLane::kNormal);
   }
   std::vector<Status> st;
-  const size_t enq = pool.AddBatch(&reqs, lanes, &st);
+  const size_t enq = pool.AddBatch(&reqs, &st);
   EXPECT_EQ(enq, 5u);
   EXPECT_EQ(pool.size(), 6u);  // full, not over-reserved
   ASSERT_EQ(st.size(), 8u);
@@ -262,9 +252,8 @@ TEST(Mempool, AddBatchSingleReservationAndPerTxnFailures) {
   std::vector<TxnRequest> out;
   EXPECT_EQ(pool.TakeBatch(16, &out), 6u);
   reqs.clear();
-  lanes.assign(1, IngestLane::kNormal);
   reqs.push_back(Req(2, 50));
-  EXPECT_EQ(pool.AddBatch(&reqs, lanes, &st), 1u);
+  EXPECT_EQ(pool.AddBatch(&reqs, &st), 1u);
   EXPECT_OK(st[0]);
 }
 
@@ -315,93 +304,21 @@ TEST(Mempool, ShardRingFullIsBusyAndRollsBackDedup) {
   ASSERT_OK(Add(pool, Req(1, 5)));
 }
 
-// ------------------------------------------------------ mempool lanes -----
-
-TEST(Mempool, FeeSelectsLaneAndHighDrainsMostly) {
-  MempoolOptions mo;
-  mo.high_fee_threshold = 100;  // lane_weights default {8, 3, 1}
-  Mempool pool(mo);
-  for (uint64_t i = 1; i <= 8; i++) ASSERT_OK(Add(pool, FeeReq(1, i, 0)));
-  for (uint64_t i = 1; i <= 8; i++) ASSERT_OK(Add(pool, FeeReq(2, i, 200)));
-  EXPECT_EQ(pool.lane_size(IngestLane::kHigh), 8u);
-  EXPECT_EQ(pool.lane_size(IngestLane::kNormal), 8u);
-
-  // One block of 8 from both lanes: the weighted drain gives high its 8/11
-  // share (plus the rounding leftover) but still guarantees normal >= 1.
-  std::vector<TxnRequest> out;
-  EXPECT_EQ(pool.TakeBatch(8, &out), 8u);
-  size_t high = 0, normal = 0;
-  for (const TxnRequest& t : out) (t.fee >= 100 ? high : normal)++;
-  EXPECT_EQ(high, 6u);
-  EXPECT_EQ(normal, 2u);
-  EXPECT_GE(high, normal);  // priority order even if weights are retuned
-}
-
-TEST(Mempool, LowLaneNeverStarvesUnderSustainedHighLoad) {
-  MempoolOptions mo;
-  mo.high_fee_threshold = 100;
-  Mempool pool(mo);
-  // 10 low-lane transactions (the admission demotion path picks the low
-  // lane explicitly), then a sustained high-fee flood: every round refills
-  // the high lane to a full block before the sealer drains one block.
-  constexpr uint64_t kLow = 10;
-  for (uint64_t i = 1; i <= kLow; i++) {
-    ASSERT_OK(Add(pool, FeeReq(9, i, 0), IngestLane::kLow));
-  }
-  EXPECT_EQ(pool.lane_size(IngestLane::kLow), kLow);
-
-  uint64_t next_high_seq = 1;
-  size_t low_taken = 0;
-  size_t rounds = 0;
-  while (low_taken < kLow) {
-    ASSERT_LT(rounds++, 2 * kLow) << "low lane starved";
-    while (pool.lane_size(IngestLane::kHigh) < 8) {
-      ASSERT_OK(Add(pool, FeeReq(1, next_high_seq++, 500)));
-    }
-    std::vector<TxnRequest> out;
-    ASSERT_EQ(pool.TakeBatch(8, &out), 8u);
-    size_t low_this_round = 0;
-    for (const TxnRequest& t : out) {
-      if (t.client_id == 9) low_this_round++;
-    }
-    // Weighted floor: the non-empty low lane owns >= 1 slot of every batch.
-    EXPECT_GE(low_this_round, 1u);
-    low_taken += low_this_round;
-  }
-  EXPECT_EQ(pool.lane_size(IngestLane::kLow), 0u);
-}
-
-TEST(Mempool, RetryLaneOutranksEveryPriorityLane) {
-  MempoolOptions mo;
-  mo.high_fee_threshold = 100;
-  Mempool pool(mo);
-  ASSERT_OK(Add(pool, FeeReq(1, 1, 500)));  // high lane
-  pool.AddRetry(FeeReq(2, 7, 0));          // CC-aborted, fee irrelevant
-  std::vector<TxnRequest> out;
-  EXPECT_EQ(pool.TakeBatch(2, &out), 2u);
-  EXPECT_EQ(out[0].client_id, 2u);  // the retry still jumps the high lane
-  EXPECT_EQ(out[1].client_id, 1u);
-}
-
-TEST(Mempool, EightProducersLanesConcurrentDrain) {
-  // 8 producers spray all three lanes while a consumer drains in parallel;
-  // nothing may be lost or duplicated. TSAN-clean by design.
+TEST(Mempool, EightProducersConcurrentDrain) {
+  // 8 producers spray every shard's ring while a consumer drains in
+  // parallel; nothing may be lost or duplicated. TSAN-clean by design.
   constexpr int kProducers = 8;
   constexpr uint64_t kPerProducer = 4000;
   MempoolOptions mo;
   mo.capacity = 1 << 12;  // small enough that backpressure actually fires
   mo.shards = 8;
-  mo.high_fee_threshold = 100;
   Mempool pool(mo);
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; p++) {
     producers.emplace_back([&, p] {
       for (uint64_t i = 1; i <= kPerProducer;) {
-        TxnRequest t = FeeReq(p + 1, i, (i % 3 == 0) ? 200 : 0);
-        Status s = (i % 5 == 0)
-                       ? Add(pool, std::move(t), IngestLane::kLow)
-                       : Add(pool, std::move(t));
+        Status s = Add(pool, Req(p + 1, i));
         if (s.ok()) {
           i++;
         } else {
@@ -412,8 +329,10 @@ TEST(Mempool, EightProducersLanesConcurrentDrain) {
     });
   }
 
+  std::vector<std::vector<bool>> seen(
+      kProducers + 1, std::vector<bool>(kPerProducer + 1, false));
   std::vector<uint64_t> per_client(kProducers + 1, 0);
-  uint64_t received = 0;
+  uint64_t received = 0, duplicates = 0;
   std::vector<TxnRequest> out;
   while (received < kProducers * kPerProducer) {
     out.clear();
@@ -421,11 +340,16 @@ TEST(Mempool, EightProducersLanesConcurrentDrain) {
       std::this_thread::yield();
       continue;
     }
-    for (const TxnRequest& t : out) per_client[t.client_id]++;
+    for (const TxnRequest& t : out) {
+      if (seen[t.client_id][t.client_seq]) duplicates++;
+      seen[t.client_id][t.client_seq] = true;
+      per_client[t.client_id]++;
+    }
     received += out.size();
   }
   for (auto& t : producers) t.join();
   EXPECT_TRUE(pool.empty());
+  EXPECT_EQ(duplicates, 0u);
   for (int p = 1; p <= kProducers; p++) EXPECT_EQ(per_client[p], kPerProducer);
 }
 
@@ -473,31 +397,6 @@ TEST(Admission, FractionalRateStillAdmitsBursts) {
   EXPECT_TRUE(ac.Admit(Req(1, 2, 1), 1'000'001).IsBusy());
   // Two seconds later the fractional rate has refilled a full token.
   ASSERT_OK(ac.Admit(Req(1, 2, 1), 3'000'000));
-}
-
-TEST(Admission, DemotesInsteadOfRejectingWhenConfigured) {
-  AdmissionOptions ao;
-  ao.rate_per_client_tps = 10;
-  ao.burst = 2;
-  ao.demote_over_rate = true;
-  AdmissionController ac(ao);
-  ac.AllowProcedure(1);
-
-  const uint64_t t0 = 1'000'000;
-  bool demote = true;
-  ASSERT_OK(ac.Admit(Req(1, 1, 1), t0, &demote));
-  EXPECT_FALSE(demote);
-  ASSERT_OK(ac.Admit(Req(1, 2, 1), t0, &demote));
-  EXPECT_FALSE(demote);
-  // Bucket empty: admitted anyway, but flagged for the low lane.
-  ASSERT_OK(ac.Admit(Req(1, 3, 1), t0, &demote));
-  EXPECT_TRUE(demote);
-  EXPECT_EQ(ac.stats()->demoted.load(), 1u);
-  EXPECT_EQ(ac.stats()->rate_limited.load(), 0u);
-  // Demotion consumed no token: the next refilled token goes to a normal
-  // admission, not to paying back the demoted burst.
-  ASSERT_OK(ac.Admit(Req(1, 4, 1), t0 + 100'000, &demote));
-  EXPECT_FALSE(demote);
 }
 
 // ------------------------------------------------------------- blockstore --
@@ -796,109 +695,9 @@ TEST(HarmonyBCIngest, CcAbortsRetryThroughMempool) {
   EXPECT_EQ(total, 4000);  // transfers conserve money through retries
 }
 
-TEST(HarmonyBCIngest, LowLaneSealsUnderSustainedHighFeeFlood) {
-  // The end-to-end starvation check: one thread floods high-fee increments
-  // while a handful of normal-fee transactions is submitted behind them.
-  // The weighted drain must seal the normal-fee work while the flood is
-  // still running — not only after it stops.
-  TempDir dir("ing7");
-  HarmonyBC::Options o = FastOpts(dir.path());
-  o.block_size = 8;
-  o.high_fee_threshold = 100;
-  o.mempool_capacity = 1 << 10;  // keep the flood under real backpressure
-  auto db = HarmonyBC::Open(o);
-  ASSERT_TRUE(db.ok());
-  (*db)->RegisterProcedure(1, "inc", Increment);
-  for (Key k = 0; k < 2; k++) ASSERT_OK((*db)->Load(k, Value({0})));
-  ASSERT_OK((*db)->Recover().status());
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> flooding{true};
-  std::thread flood([&] {
-    auto flooder = (*db)->OpenSession(1);
-    while (!stop.load()) {
-      TxnRequest t;
-      t.proc_id = 1;
-      t.fee = 500;
-      t.args.ints = {0, 1};
-      if (!AdmitStatus(flooder->Submit(std::move(t))).ok()) {
-        std::this_thread::yield();
-      }
-    }
-    flooding.store(false);
-  });
-
-  // Normal-fee (lower-lane) burst from a second client, submitted while the
-  // high lane is saturated. Spin out mempool backpressure like any client.
-  constexpr int kVictims = 8;
-  auto victim = (*db)->OpenSession(2);
-  for (int i = 0; i < kVictims;) {
-    TxnRequest t;
-    t.proc_id = 1;
-    t.args.ints = {1, 1};
-    Status s = AdmitStatus(victim->Submit(std::move(t)));
-    if (s.ok()) {
-      i++;
-    } else {
-      ASSERT_TRUE(s.IsBusy()) << s.ToString();
-      std::this_thread::yield();
-    }
-  }
-
-  // All victims must commit while the flood is still live.
-  const uint64_t deadline = NowMicros() + 20'000'000;
-  std::optional<Value> v;
-  int64_t seen = 0;
-  while (NowMicros() < deadline) {
-    ASSERT_OK((*db)->Query(1, &v));
-    seen = v->field(0);
-    if (seen == kVictims) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(flooding.load()) << "flood ended before the victims committed";
-  EXPECT_EQ(seen, kVictims);
-  stop.store(true);
-  flood.join();
-  ASSERT_OK((*db)->Sync());
-  ASSERT_OK((*db)->Query(1, &v));
-  EXPECT_EQ(v->field(0), kVictims);
-}
-
-TEST(HarmonyBCIngest, OverBudgetClientDemotedButStillCommits) {
-  TempDir dir("ing8");
-  HarmonyBC::Options o = FastOpts(dir.path());
-  o.admit_rate_per_client = 5;  // tiny budget...
-  o.demote_over_rate = true;    // ...but soft: demote, don't bounce
-  auto db = HarmonyBC::Open(o);
-  ASSERT_TRUE(db.ok());
-  (*db)->RegisterProcedure(1, "inc", Increment);
-  ASSERT_OK((*db)->Load(0, Value({0})));
-  ASSERT_OK((*db)->Recover().status());
-
-  constexpr int kTxns = 30;
-  auto session = (*db)->OpenSession(7);
-  for (int i = 0; i < kTxns; i++) {
-    TxnRequest t;
-    t.proc_id = 1;
-    t.args.ints = {0, 1};
-    // Never Busy with demotion on.
-    ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
-  }
-  const IngestStats& st = (*db)->ingest_stats();
-  EXPECT_GT(st.demoted.load(), 0u);
-  EXPECT_EQ(st.rate_limited.load(), 0u);
-  EXPECT_EQ(st.admitted.load(), static_cast<uint64_t>(kTxns));
-
-  ASSERT_OK((*db)->Sync());
-  std::optional<Value> v;
-  ASSERT_OK((*db)->Query(0, &v));
-  EXPECT_EQ(v->field(0), kTxns);  // demoted work landed, just later
-}
-
-TEST(HarmonyBCIngest, PerLaneSealCountsAccountForEverySealedTxn) {
+TEST(HarmonyBCIngest, RetrySealCountMatchesSealedRetries) {
   TempDir dir("ing9");
   HarmonyBC::Options o = FastOpts(dir.path());
-  o.high_fee_threshold = 100;
   o.protocol = DccKind::kAria;  // conflicts: the retry lane sees traffic
   auto db = HarmonyBC::Open(o);
   ASSERT_TRUE(db.ok());
@@ -910,28 +709,19 @@ TEST(HarmonyBCIngest, PerLaneSealCountsAccountForEverySealedTxn) {
   for (int i = 0; i < 24; i++) {
     TxnRequest t;
     t.proc_id = 1;
-    t.fee = (i % 2 == 0) ? 500 : 0;  // half rides the high lane
     t.args.ints = {0, 1 + (i % 3), 1};
     ASSERT_OK(AdmitStatus(session->Submit(std::move(t))));
   }
   ASSERT_OK((*db)->Sync());
 
   const IngestStats& st = (*db)->ingest_stats();
-  const uint64_t high =
-      st.sealed_lane_txns[static_cast<size_t>(IngestLane::kHigh)].load();
-  const uint64_t normal =
-      st.sealed_lane_txns[static_cast<size_t>(IngestLane::kNormal)].load();
-  const uint64_t low =
-      st.sealed_lane_txns[static_cast<size_t>(IngestLane::kLow)].load();
   const uint64_t retry = st.sealed_retry_txns.load();
-  EXPECT_EQ(high, 12u);
-  EXPECT_EQ(normal, 12u);
-  EXPECT_EQ(low, 0u);
-  // Every conflict-requeued transaction re-seals through the retry lane.
+  // Every conflict-requeued transaction re-seals through the retry lane,
+  // and nothing else is counted there: the fresh submits plus the sealed
+  // retries account for every sealed transaction exactly.
   EXPECT_EQ(retry, st.retries_enqueued.load());
   EXPECT_GT(retry, 0u);
-  // The per-lane split accounts for every sealed transaction exactly.
-  EXPECT_EQ(high + normal + low + retry, st.sealed_txns.load());
+  EXPECT_EQ(st.sealed_txns.load(), 24u + retry);
 }
 
 TEST(HarmonyBCIngest, SyncBusyReportsDroppedCount) {

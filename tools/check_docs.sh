@@ -24,7 +24,10 @@
 #   - metric names in docs/OBSERVABILITY.md (txn.queue_wait_us,
 #     chain.height, ...): each must appear as a string literal under
 #     src/obs/, so the documented catalogue cannot drift from the
-#     registered instruments.
+#     registered instruments; and the reverse: every instrument name
+#     defined under src/obs/ as `constexpr char k...[] = "..."` must be
+#     named in docs/OBSERVABILITY.md, so a new instrument cannot go
+#     undocumented.
 set -u
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -114,6 +117,19 @@ if [[ -f "$obs_doc" ]]; then
       status=1
     fi
   done < <(grep -ohE '\b(txn|block|ingest|net|chain|repl|storage)\.[a-z0-9_.]+\b' "$obs_doc" | sort -u)
+
+  # The reverse: every instrument name src/obs/ defines must be a whole
+  # dotted token of the catalogue. Definitions may wrap after the '='.
+  doc_names="$(grep -ohE '\b[a-z][a-z0-9_]*(\.[a-z0-9_]+)+\b' "$obs_doc" | sort -u)"
+  while IFS= read -r name; do
+    [[ -z "$name" ]] && continue
+    if ! grep -qxF "$name" <<<"$doc_names"; then
+      echo "undocumented metric: $name (defined in src/obs/, missing from docs/OBSERVABILITY.md)" >&2
+      status=1
+    fi
+  done < <(for f in "$root"/src/obs/*; do tr '\n' ' ' <"$f"; echo; done |
+           grep -oE 'constexpr char k[A-Za-z0-9_]+\[\] =[[:space:]]*"[^"]+"' |
+           sed -E 's/.*"([^"]+)"$/\1/' | sort -u)
 fi
 
 if [[ $status -eq 0 ]]; then

@@ -270,7 +270,6 @@ int Serve(const Args& args) {
   o.checkpoint_every = 50;
   o.max_inflight_per_session = args.max_inflight;
   o.admit_rate_per_client = args.rate;
-  o.high_fee_threshold = 100;
   o.log_retain_blocks = args.retain_blocks;
   o.flush_threads = args.flush_threads;
   o.enable_tracing = true;  // feeds `harmonyd metrics` (docs/OBSERVABILITY.md)
