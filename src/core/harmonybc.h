@@ -141,7 +141,12 @@ class HarmonyBC {
     replica_->RegisterProcedure(proc_id, std::move(name), std::move(fn));
   }
 
-  /// Loads a genesis row (before the first block only).
+  /// Loads a batch of genesis rows (before the first block only; see
+  /// Replica::LoadRows).
+  Status LoadRows(const std::vector<KvRow>& rows) {
+    return replica_->LoadRows(rows);
+  }
+  /// A batch of one.
   Status Load(Key key, const Value& v) { return replica_->LoadRow(key, v); }
 
   /// Replays the persisted chain after the last checkpoint. Returns the

@@ -1,7 +1,5 @@
 #include "dcc/aria.h"
 
-#include <atomic>
-
 #include "common/clock.h"
 
 namespace harmony {
@@ -55,7 +53,9 @@ Status AriaProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
   // Parallel apply: waw aborts guarantee at most one surviving writer per
   // key, so committed write sets are disjoint.
   const BlockId base_snapshot = batch.block_id - 1;
-  std::atomic<bool> apply_failed{false};
+  // As in Harmony's apply: the first store failure fails the block with
+  // its own status, and a key whose base read failed is not written.
+  FirstStoreError apply_error;
   pool_->ParallelFor(n, [&](size_t i) {
     SimRecord& rec = records[i];
     if (rec.logic_abort || rec.cc_abort) return;
@@ -65,21 +65,20 @@ Status AriaProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
           cmd.kind() != UpdateCommand::Kind::kErase) {
         // Aria evaluates against the snapshot it executed on.
         std::optional<std::string> raw;
-        Status s = store_->ReadAtSnapshot(key, base_snapshot, &raw);
-        if (!s.ok()) {
-          apply_failed.store(true);
-          return;
+        if (!apply_error
+                 .Note(store_->ReadAtSnapshot(key, base_snapshot, &raw))
+                 .ok()) {
+          continue;
         }
         if (raw.has_value()) slot.emplace(Value::Decode(*raw));
       }
       cmd.Apply(&slot);
       std::optional<std::string> encoded;
       if (slot.has_value()) encoded.emplace(slot->Encode());
-      Status s = store_->ApplyWrite(key, batch.block_id, encoded);
-      if (!s.ok()) apply_failed.store(true);
+      apply_error.Note(store_->ApplyWrite(key, batch.block_id, encoded));
     }
   });
-  if (apply_failed.load()) return Status::IOError("aria apply failed");
+  HARMONY_RETURN_NOT_OK(apply_error.status());
 
   result->block_id = batch.block_id;
   result->outcomes.resize(n);

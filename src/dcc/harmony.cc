@@ -121,7 +121,9 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
   // Parallel over transactions; exactly one transaction claims each key and
   // applies its whole (filtered, sorted, coalesced) command list.
   const BlockId base_snapshot = batch.block_id - 1;
-  std::atomic<bool> apply_failed{false};
+  // A failed base read or write fails the block with the store's own
+  // status; a key whose base read failed is not written.
+  FirstStoreError apply_error;
   pool_->ParallelFor(n, [&](size_t i) {
     SimRecord& rec = records[i];
     if (rec.logic_abort || rec.cc_abort) return;
@@ -156,7 +158,6 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
         return a.order != b.order ? a.order < b.order : a.tid < b.tid;
       });
 
-      Status s;
       std::optional<Value> slot;
       auto read_base = [&]() -> Status {
         std::optional<std::string> raw;
@@ -170,35 +171,33 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
         for (size_t j = 1; j < items.size(); j++) merged.Coalesce(*items[j].cmd);
         if (merged.kind() != UpdateCommand::Kind::kPut &&
             merged.kind() != UpdateCommand::Kind::kErase) {
-          s = read_base();
-          if (!s.ok()) {
-            apply_failed.store(true);
-            continue;
-          }
+          if (!apply_error.Note(read_base()).ok()) continue;
         }
         merged.Apply(&slot);
       } else {
         // Ablation: apply each command separately — every command pays its
         // own record lookup (the duplicated physical work of Figure 5a).
+        bool read_failed = false;
         for (size_t j = 0; j < items.size(); j++) {
           std::optional<std::string> raw;
-          s = store_->ReadAtSnapshot(key, base_snapshot, &raw);
-          if (!s.ok()) {
-            apply_failed.store(true);
+          Status rs = apply_error.Note(
+              store_->ReadAtSnapshot(key, base_snapshot, &raw));
+          if (!rs.ok()) {
+            read_failed = true;
             break;
           }
           if (j == 0 && raw.has_value()) slot.emplace(Value::Decode(*raw));
           items[j].cmd->Apply(&slot);
         }
+        if (read_failed) continue;
       }
 
       std::optional<std::string> encoded;
       if (slot.has_value()) encoded.emplace(slot->Encode());
-      s = store_->ApplyWrite(key, batch.block_id, encoded);
-      if (!s.ok()) apply_failed.store(true);
+      apply_error.Note(store_->ApplyWrite(key, batch.block_id, encoded));
     }
   });
-  if (apply_failed.load()) return Status::IOError("apply failed");
+  HARMONY_RETURN_NOT_OK(apply_error.status());
 
   // ---- Bookkeeping for the next block's Rule 3 evaluation.
   if (cfg_.harmony_inter_block) {

@@ -74,8 +74,8 @@ Status Replica::Open() {
   return Status::OK();
 }
 
-Status Replica::LoadRow(Key key, std::string_view encoded) {
-  return backend_->Load(key, encoded);
+Status Replica::LoadRows(const std::vector<KvRow>& rows) {
+  return backend_->Load(rows);
 }
 
 void Replica::RegisterProcedure(uint32_t proc_id, std::string name,
@@ -217,9 +217,10 @@ Status Replica::InstallSnapshot(
   // reads; the replica is quiesced, so the chains carry nothing a future
   // simulation may still need.
   store_->Clear();
-  for (const auto& [k, v] : rows) {
-    HARMONY_RETURN_NOT_OK(backend_->Load(k, v));
-  }
+  std::vector<KvRow> batch;
+  batch.reserve(rows.size());
+  for (const auto& [k, v] : rows) batch.push_back({k, v});
+  HARMONY_RETURN_NOT_OK(backend_->Load(batch));
   if (block_store_->last_block_id() < base && block_store_->num_blocks() > 0) {
     // Rejoin path: local records at or below `base` describe a history the
     // snapshot replaces. Empty the log so the rebase below is legal.

@@ -7,6 +7,7 @@
 #include <queue>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "chain/block.h"
 #include "chain/block_store.h"
@@ -96,16 +97,22 @@ class Replica {
   Status Open();
 
   /// Loads initial data directly into the backend (the genesis state,
-  /// "block 0"). Must precede any SubmitBlock. Call Checkpoint() after the
-  /// last LoadRow to make genesis durable — recovery replays blocks on top
-  /// of the latest checkpoint, so an uncheckpointed genesis is lost by a
-  /// crash before the first periodic checkpoint. On the disk engine rows
-  /// append through the backend's load cursor (StateBackend::Load), which
-  /// keeps the heap's tail page pinned until the next checkpoint releases
-  /// it. `encoded` is a Value::Encode() image: a caller loading many alike
-  /// rows encodes once and patches fields in place.
-  Status LoadRow(Key key, std::string_view encoded);
-  Status LoadRow(Key key, const Value& v) { return LoadRow(key, v.Encode()); }
+  /// "block 0"): a batch of rows, each a key and a Value::Encode() image
+  /// (StateBackend::Load). Must precede any SubmitBlock. Call Checkpoint()
+  /// after the last batch to make genesis durable — recovery replays
+  /// blocks on top of the latest checkpoint, so an uncheckpointed genesis
+  /// is lost by a crash before the first periodic checkpoint. On the disk
+  /// engine a batch takes the table's locks once and appends through the
+  /// backend's load cursor, which keeps the heap's tail page pinned until
+  /// the next checkpoint releases it; the memory engine puts row by row.
+  /// Rows may share their bytes: a caller loading many alike rows encodes
+  /// one and points every row at it.
+  Status LoadRows(const std::vector<KvRow>& rows);
+  /// A batch of one.
+  Status LoadRow(Key key, const Value& v) {
+    const std::string encoded = v.Encode();
+    return LoadRows({{key, encoded}});
+  }
 
   /// Crash recovery: loads the checkpoint manifest and deterministically
   /// re-executes every logged block after it. Call after Open() and

@@ -10,7 +10,7 @@ KvTable::KvTable(DiskManager* disk, BufferPool* pool)
 
 Status KvTable::RebuildIndex() {
   std::unique_lock<std::shared_mutex> ilk(index_mu_);
-  index_.clear();
+  index_.Clear();
   std::lock_guard<std::mutex> alk(alloc_mu_);
   ReleaseLoadCursorLocked();
   free_pages_.clear();
@@ -21,7 +21,7 @@ Status KvTable::RebuildIndex() {
     HARMONY_RETURN_NOT_OK(guard.status());
     const char* d = guard->data();
     slotted::ForEach(d, [&](uint16_t slot, Key k, std::string_view) {
-      index_[k] = Rid{p, slot};
+      index_.Set(k, Rid{p, slot});
     });
     free_pages_.emplace_back(p, slotted::TotalFree(d));
   }
@@ -51,9 +51,9 @@ Status KvTable::Get(Key key, std::string* out) {
 
 Status KvTable::Lookup(Key key, Rid* rid) const {
   std::shared_lock<std::shared_mutex> lk(index_mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::NotFound();
-  *rid = it->second;
+  const Rid* found = index_.Find(key);
+  if (found == nullptr) return Status::NotFound();
+  *rid = *found;
   return Status::OK();
 }
 
@@ -62,9 +62,9 @@ Status KvTable::CheckMoved(Key key, Rid rid, PageGuard& guard) {
   // the index first, and relocation holds it exclusively throughout), so
   // an index that still names the slot must find the key there.
   std::shared_lock<std::shared_mutex> lk(index_mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return Status::NotFound();
-  if (!(it->second == rid)) return Status::OK();
+  const Rid* found = index_.Find(key);
+  if (found == nullptr) return Status::NotFound();
+  if (!(*found == rid)) return Status::OK();
   std::lock_guard<SpinLock> latch(PageLatch(rid.page));
   Key k;
   std::string_view v;
@@ -74,10 +74,15 @@ Status KvTable::CheckMoved(Key key, Rid rid, PageGuard& guard) {
   return Status::Corruption("index points at stale slot");
 }
 
-Result<Rid> KvTable::InsertRecord(Key key, std::string_view value,
-                                  bool load) {
-  const size_t need = slotted::kRecordHeader + value.size() + slotted::kSlotSize;
+Result<Rid> KvTable::InsertRecord(Key key, std::string_view value) {
   std::lock_guard<std::mutex> alk(alloc_mu_);
+  HeldLatch latch(this);
+  return InsertLocked(key, value, /*load=*/false, &latch);
+}
+
+Result<Rid> KvTable::InsertLocked(Key key, std::string_view value, bool load,
+                                  HeldLatch* latch) {
+  const size_t need = slotted::kRecordHeader + value.size() + slotted::kSlotSize;
   // Try recently allocated pages first (they have the most room). When no
   // older page can have room, try only the newest: a bulk load would
   // otherwise rescan every page for each new one.
@@ -90,14 +95,17 @@ Result<Rid> KvTable::InsertRecord(Key key, std::string_view value,
       PageGuard fetched;
       PageGuard* guard = &load_guard_;
       if (pid != load_page_) {
+        latch->Release();
         auto g = pool_->FetchPage(pid);
         HARMONY_RETURN_NOT_OK(g.status());
         fetched = std::move(*g);
         guard = &fetched;
       }
-      std::lock_guard<SpinLock> latch(PageLatch(pid));
+      latch->Hold(pid);
       const int slot = slotted::Insert(guard->data(), key, value);
       free_est = slotted::TotalFree(guard->data());
+      // Only the cursor's page stays latched: `fetched` unpins it on return.
+      if (guard == &fetched) latch->Release();
       if (slot >= 0) {
         if (attempt > 0) older_free_max_ = std::max(older_free_max_, free_est);
         // A load into the cursor's page skips the mark: the cursor marks
@@ -113,15 +121,19 @@ Result<Rid> KvTable::InsertRecord(Key key, std::string_view value,
   if (n > 0) {
     older_free_max_ = std::max(older_free_max_, free_pages_.back().second);
   }
+  latch->Release();
   const PageId pid = disk_->AllocatePage();
   auto guard = pool_->NewPage(pid);
   HARMONY_RETURN_NOT_OK(guard.status());
-  std::lock_guard<SpinLock> latch(PageLatch(pid));
+  latch->Hold(pid);
   slotted::Init(guard->data());
   const int slot = slotted::Insert(guard->data(), key, value);
+  if (slot >= 0) {
+    free_pages_.emplace_back(pid, slotted::TotalFree(guard->data()));
+  }
+  if (!load || slot < 0) latch->Release();
   if (slot < 0) return Status::InvalidArgument("record too large for a page");
   guard->MarkDirty();
-  free_pages_.emplace_back(pid, slotted::TotalFree(guard->data()));
   if (load) {
     ReleaseLoadCursorLocked();
     load_guard_ = std::move(*guard);
@@ -130,19 +142,31 @@ Result<Rid> KvTable::InsertRecord(Key key, std::string_view value,
   return Rid{pid, static_cast<uint16_t>(slot)};
 }
 
-Status KvTable::Load(Key key, std::string_view value) {
-  std::unique_lock<std::shared_mutex> lk(index_mu_);
-  auto [it, fresh] = index_.try_emplace(key);
-  if (!fresh) {
-    lk.unlock();
-    return Put(key, value);
+Status KvTable::Load(const std::vector<KvRow>& rows) {
+  std::unique_lock<std::shared_mutex> ilk(index_mu_);
+  // No rehash below, so an entry from Slot stays put until its Claim.
+  index_.Reserve(index_.size() + rows.size());
+  std::unique_lock<std::mutex> alk(alloc_mu_);
+  HeldLatch latch(this);
+  for (size_t i = 0; i < rows.size(); i++) {
+    const auto& [key, value] = rows[i];
+    FlatIndex::Entry* e = index_.Slot(key);
+    if (e->rid.valid()) {
+      // A key already present, or repeated in the batch: Put it, which
+      // takes the locks itself, then take them again for the rest.
+      latch.Release();
+      alk.unlock();
+      ilk.unlock();
+      HARMONY_RETURN_NOT_OK(Put(key, value));
+      ilk.lock();
+      index_.Reserve(index_.size() + rows.size() - i - 1);
+      alk.lock();
+      continue;
+    }
+    auto rid = InsertLocked(key, value, /*load=*/true, &latch);
+    HARMONY_RETURN_NOT_OK(rid.status());
+    index_.Claim(e, key, *rid);
   }
-  auto rid = InsertRecord(key, value, /*load=*/true);
-  if (!rid.ok()) {
-    index_.erase(it);
-    return rid.status();
-  }
-  it->second = *rid;
   return Status::OK();
 }
 
@@ -190,7 +214,7 @@ Status KvTable::Put(Key key, std::string_view value,
   auto new_rid = InsertRecord(key, value);
   HARMONY_RETURN_NOT_OK(new_rid.status());
   std::unique_lock<std::shared_mutex> lk(index_mu_);
-  index_[key] = *new_rid;
+  index_.Set(key, *new_rid);
   return Status::OK();
 }
 
@@ -205,7 +229,7 @@ Status KvTable::Relocate(Key key, std::string_view value, Rid rid,
   EraseSlot(rid, guard);
   auto new_rid = InsertRecord(key, value);
   HARMONY_RETURN_NOT_OK(new_rid.status());
-  index_[key] = *new_rid;
+  index_.Set(key, *new_rid);
   return Status::OK();
 }
 
@@ -214,10 +238,7 @@ Status KvTable::Erase(Key key, std::optional<std::string>* old_value) {
   Rid rid;
   {
     std::unique_lock<std::shared_mutex> lk(index_mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) return Status::OK();
-    rid = it->second;
-    index_.erase(it);
+    if (!index_.Erase(key, &rid)) return Status::OK();
   }
   auto guard = pool_->FetchPage(rid.page);
   HARMONY_RETURN_NOT_OK(guard.status());

@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/spin_lock.h"
 #include "common/status.h"
@@ -36,11 +37,15 @@ class StateBackend {
   virtual Status Put(Key key, std::string_view value,
                      std::optional<std::string>* old_value) = 0;
 
-  /// Bulk-load write (genesis rows, snapshot install): same result as
-  /// Put(key, value, nullptr), possibly through a cheaper append path that
-  /// Checkpoint closes.
-  virtual Status Load(Key key, std::string_view value) {
-    return Put(key, value, nullptr);
+  /// Bulk load (genesis rows, snapshot install): the rows in order, each
+  /// with the result of Put(row.key, row.value, nullptr). This default is
+  /// that loop of Puts; DiskBackend loads a batch under one take of its
+  /// locks, through an append path that Checkpoint closes.
+  virtual Status Load(const std::vector<KvRow>& rows) {
+    for (const auto& [key, value] : rows) {
+      HARMONY_RETURN_NOT_OK(Put(key, value, nullptr));
+    }
+    return Status::OK();
   }
 
   /// Deletes the key; pre-image like Put.
@@ -108,8 +113,8 @@ class DiskBackend : public StateBackend {
   Status Get(Key key, std::string* out) override;
   Status Put(Key key, std::string_view value,
              std::optional<std::string>* old_value) override;
-  Status Load(Key key, std::string_view value) override {
-    return table_->Load(key, value);
+  Status Load(const std::vector<KvRow>& rows) override {
+    return table_->Load(rows);
   }
   Status Erase(Key key, std::optional<std::string>* old_value) override;
   Status Checkpoint(uint64_t commit_epoch = 0) override;

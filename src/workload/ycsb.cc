@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "txn/txn_context.h"
 
@@ -48,12 +49,15 @@ Status YcsbTxn(TxnContext& ctx, const ProcArgs& args) {
 Status YcsbWorkload::Setup(Replica& r) {
   r.RegisterProcedure(kProcTxn, "ycsb_txn", YcsbTxn);
   // Row k is Value({k}, filler): encode once, then patch field 0, which
-  // follows the u16 field count (Value::Encode).
+  // follows the u16 field count (Value::Encode), and load it as a batch of
+  // one.
   std::string row = Value({0}, std::string(cfg_.payload_bytes, 'y')).Encode();
+  std::vector<KvRow> rows(1);
   for (uint64_t k = 0; k < cfg_.num_keys; k++) {
     const int64_t field = static_cast<int64_t>(k);
     std::memcpy(row.data() + 2, &field, sizeof(field));
-    HARMONY_RETURN_NOT_OK(r.LoadRow(MakeKey(kTable, k), row));
+    rows[0] = {MakeKey(kTable, k), row};
+    HARMONY_RETURN_NOT_OK(r.LoadRows(rows));
   }
   return Status::OK();
 }

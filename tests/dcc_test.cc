@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "common/rng.h"
@@ -82,16 +83,34 @@ void RegisterTestProcs(ProcedureRegistry* reg) {
   });
 }
 
-/// A memory backend whose Get of one chosen key fails with an IOError: a
-/// storage fault that only this replica sees.
+/// A memory backend whose Get of one chosen key fails (an IOError unless
+/// set otherwise): a storage fault that only this replica sees. It counts
+/// the writes that reach that key.
 class FaultyReadBackend : public MemoryBackend {
  public:
   static constexpr Key kNoFault = ~Key{0};
-  Key fail_key = kNoFault;  ///< set before executing; read by the workers
+  // Set before executing; read by the workers.
+  Key fail_key = kNoFault;
+  Status fault = Status::IOError("injected read fault");
+  /// Reads of fail_key left to fail; negative: every one.
+  std::atomic<int> faults_left{-1};
+  std::atomic<int> fail_key_writes{0};
 
   Status Get(Key key, std::string* out) override {
-    if (key == fail_key) return Status::IOError("injected read fault");
+    if (key == fail_key && faults_left.load() != 0) {
+      if (faults_left.load() > 0) faults_left.fetch_sub(1);
+      return fault;
+    }
     return MemoryBackend::Get(key, out);
+  }
+  Status Put(Key key, std::string_view value,
+             std::optional<std::string>* old_value) override {
+    if (key == fail_key) fail_key_writes.fetch_add(1);
+    return MemoryBackend::Put(key, value, old_value);
+  }
+  Status Erase(Key key, std::optional<std::string>* old_value) override {
+    if (key == fail_key) fail_key_writes.fetch_add(1);
+    return MemoryBackend::Erase(key, old_value);
   }
 };
 
@@ -183,6 +202,14 @@ class Engine {
 
   /// Makes every backend read of `k` fail from now on.
   void FailReadsOf(Key k) { backend_.fail_key = k; }
+  /// Makes the next backend read of `k` fail with `fault`.
+  void FailNextReadOf(Key k, Status fault) {
+    backend_.fail_key = k;
+    backend_.fault = std::move(fault);
+    backend_.faults_left = 1;
+  }
+  /// Backend writes of the key a Fail*Of call named.
+  int fail_key_writes() const { return backend_.fail_key_writes.load(); }
 
   /// Pipelined execution of two batches (simulate i+1 before commit i).
   std::pair<BlockResult, BlockResult> ExecutePipelined(
@@ -838,6 +865,37 @@ TEST_P(AllProtocolsTest, StoreReadErrorFailsTheBlock) {
     EXPECT_TRUE(s.IsIOError())
         << DccKindName(kind) << " case " << c << ": " << s.ToString();
     EXPECT_EQ(e.Field0(3), 10) << DccKindName(kind) << " case " << c;
+  }
+}
+
+// A commit-time base read that fails fails the block with the backend's
+// own status, not a generic one, and the key it was for is not written,
+// not even with the commands applied before the failure. An add command
+// reads nothing while simulating, so key 1's first read is its base read
+// at commit; the fault is one-shot, so a write that went ahead would find
+// the key readable again.
+TEST(DccStoreError, CommitKeepsTheBackendStatusAndSkipsTheKey) {
+  struct Case {
+    DccKind kind;
+    bool coalescing;
+  };
+  for (const Case c : {Case{DccKind::kHarmony, true},
+                       Case{DccKind::kHarmony, false},
+                       Case{DccKind::kAria, true},
+                       Case{DccKind::kAria, false}}) {
+    const std::string name = std::string(DccKindName(c.kind)) +
+                             (c.coalescing ? " coalescing" : " per-command");
+    DccConfig cfg;
+    cfg.harmony_update_coalescing = c.coalescing;
+    Engine e(c.kind, cfg);
+    e.Load(1, 10);
+    e.Load(2, 10);
+    e.FailNextReadOf(1, Status::Corruption("injected read fault"));
+    Status s = e.TryExecute({Req(2, {1, 5}), Req(2, {1, 7}), Req(2, {2, 3})});
+    EXPECT_TRUE(s.IsCorruption()) << name << ": " << s.ToString();
+    EXPECT_EQ(s.message(), "injected read fault") << name;
+    EXPECT_EQ(e.fail_key_writes(), 0) << name;
+    EXPECT_EQ(e.Field0(1), 10) << name;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "common/thread_pool.h"
+#include "storage/flat_index.h"
 #include "storage/kv_table.h"
 #include "storage/slotted_page.h"
 #include "storage/state_backend.h"
@@ -79,8 +80,22 @@ TEST(KvTableProperty, RandomOpsMatchStdMap) {
   Rng rng(777);
   for (int step = 0; step < 4000; step++) {
     const Key k = rng.Uniform(300);
-    const uint64_t dice = rng.Uniform(10);
-    if (dice < 5) {
+    const uint64_t dice = rng.Uniform(11);
+    if (dice == 10) {
+      // A batch load of up to 12 rows: fresh keys, present keys, repeats.
+      std::vector<std::string> values;
+      std::vector<KvRow> rows;
+      const size_t n = 1 + rng.Uniform(12);
+      values.reserve(n);
+      for (size_t i = 0; i < n; i++) {
+        const Key bk = i == 0 ? k : rng.Uniform(300);
+        values.emplace_back(1 + rng.Uniform(200),
+                            static_cast<char>('a' + bk % 26));
+        rows.push_back({bk, values.back()});
+        model[bk] = values.back();
+      }
+      ASSERT_OK(t.Load(rows));
+    } else if (dice < 5) {
       const std::string v(1 + rng.Uniform(200), static_cast<char>('A' + k % 26));
       std::optional<std::string> old;
       ASSERT_OK(t.Put(k, v, &old));
@@ -112,6 +127,53 @@ TEST(KvTableProperty, RandomOpsMatchStdMap) {
     scanned[k] = std::string(v);
   }));
   EXPECT_EQ(scanned, model);
+}
+
+TEST(FlatIndexProperty, RandomOpsMatchStdMap) {
+  // A key space a few times the table's size, so probe chains run long,
+  // wrap and cross; every op is checked against a std::map, and a full
+  // sweep runs after every rehash and at the end.
+  FlatIndex index;
+  std::map<Key, Rid> model;
+  Rng rng(4242);
+  size_t capacity = index.capacity();
+  auto sweep = [&] {
+    ASSERT_EQ(index.size(), model.size());
+    for (Key k = 0; k < 3000; k++) {
+      const Rid* got = index.Find(k);
+      const auto it = model.find(k);
+      ASSERT_EQ(got != nullptr, it != model.end()) << "key " << k;
+      if (got != nullptr) {
+        ASSERT_TRUE(*got == it->second) << "key " << k;
+      }
+    }
+  };
+  for (int step = 0; step < 40000; step++) {
+    // The live set drifts up and down, so the table grows in steps.
+    const Key span = 200 + (step / 4000 % 5) * 500;
+    const Key k = rng.Uniform(span);
+    if (rng.Chance(0.55)) {
+      const Rid rid{static_cast<PageId>(rng.Uniform(1u << 20)),
+                    static_cast<uint16_t>(step)};
+      index.Set(k, rid);
+      model[k] = rid;
+    } else {
+      Rid rid;
+      const bool erased = index.Erase(k, &rid);
+      const auto it = model.find(k);
+      ASSERT_EQ(erased, it != model.end()) << "key " << k;
+      if (erased) {
+        ASSERT_TRUE(rid == it->second);
+        model.erase(it);
+      }
+    }
+    ASSERT_LE(index.size() * 4, index.capacity() * 3);
+    if (index.capacity() != capacity) {
+      capacity = index.capacity();
+      sweep();
+    }
+  }
+  sweep();
 }
 
 TEST(KvTableProperty, SurvivesReopenAfterCheckpoint) {

@@ -4,14 +4,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/flat_index.h"
 #include "storage/kv_table.h"
 #include "storage/slotted_page.h"
 #include "storage/state_backend.h"
@@ -405,33 +409,299 @@ std::string LoadRowValue(Key k) {
   return std::string(20 + (k * 37) % 300, static_cast<char>('a' + k % 26));
 }
 
-// Loads rows [0, n) into a fresh backend under `dir`, through Load or one
-// Put at a time, and checkpoints; returns the page file.
-std::string LoadedPageFile(const std::string& dir, Key n, bool cursor) {
+using Rows = std::vector<std::pair<Key, std::string>>;
+
+// Applies `rows` in order: one Put each (batch == 0), or Load batches of
+// `batch` rows.
+void ApplyRows(DiskBackend* b, const Rows& rows, size_t batch) {
+  if (batch == 0) {
+    for (const auto& [k, v] : rows) EXPECT_OK(b->Put(k, v, nullptr));
+    return;
+  }
+  for (size_t first = 0; first < rows.size(); first += batch) {
+    std::vector<KvRow> chunk;
+    for (size_t i = first; i < std::min(first + batch, rows.size()); i++) {
+      chunk.push_back({rows[i].first, rows[i].second});
+    }
+    EXPECT_OK(b->Load(chunk));
+  }
+}
+
+// The load script: rows [0, 1000); then an Erase of the last three, one
+// of which sits on the load cursor's page; then rows [1000, 2000) with a
+// key of the first part again (it outgrows its slot and relocates) and
+// two keys of their own repeated, one shorter (in place) and one longer.
+Rows FirstRows() {
+  Rows rows;
+  for (Key k = 0; k < 1000; k++) rows.emplace_back(k, LoadRowValue(k));
+  return rows;
+}
+Rows SecondRows() {
+  Rows rows;
+  for (Key k = 1000; k < 2000; k++) rows.emplace_back(k, LoadRowValue(k));
+  rows.insert(rows.begin() + 900, {1300, std::string(350, 'R')});
+  rows.insert(rows.begin() + 500, {1200, "short"});
+  rows.insert(rows.begin() + 3, {5, std::string(400, 'L')});
+  return rows;
+}
+
+// Runs the load script into a fresh backend under `dir` (see ApplyRows)
+// and checkpoints; returns the page file.
+std::string LoadedPageFile(const std::string& dir, size_t batch) {
   DiskBackend b(dir, "s", DiskModel::RamDisk(), 16);
   EXPECT_OK(b.Open());
-  for (Key k = 0; k < n; k++) {
-    EXPECT_OK(cursor ? b.Load(k, LoadRowValue(k))
-                     : b.Put(k, LoadRowValue(k), nullptr));
-  }
+  ApplyRows(&b, FirstRows(), batch);
+  for (Key k = 997; k < 1000; k++) EXPECT_OK(b.Erase(k, nullptr));
+  ApplyRows(&b, SecondRows(), batch);
   EXPECT_OK(b.Checkpoint());
   return ReadFileBytes(dir + "/s.tbl");
 }
 
-TEST(KvTable, LoadCursorWritesThePagesPutWould) {
+TEST(KvTable, BatchLoadWritesThePagesPutWould) {
   TempDir put_dir("load-put");
-  TempDir load_dir("load-cursor");
-  const std::string by_put = LoadedPageFile(put_dir.path(), 2000, false);
-  const std::string by_load = LoadedPageFile(load_dir.path(), 2000, true);
+  const std::string by_put = LoadedPageFile(put_dir.path(), 0);
   ASSERT_GT(by_put.size(), 16 * kPageSize);  // past the pool: it grew
-  EXPECT_TRUE(by_load == by_put) << "the page files differ";
+  std::map<Key, std::string> model;
+  for (const auto& [k, v] : FirstRows()) model[k] = v;
+  for (Key k = 997; k < 1000; k++) model.erase(k);
+  for (const auto& [k, v] : SecondRows()) model[k] = v;
+  for (size_t batch : {1, 7, 2000}) {
+    TempDir load_dir("load-batch");
+    const std::string by_load = LoadedPageFile(load_dir.path(), batch);
+    EXPECT_TRUE(by_load == by_put) << "batches of " << batch
+                                   << ": the page files differ";
 
-  DiskBackend b(load_dir.path(), "s", DiskModel::RamDisk(), 16);
-  ASSERT_OK(b.Open());
-  EXPECT_EQ(b.size(), 2000u);
+    DiskBackend b(load_dir.path(), "s", DiskModel::RamDisk(), 16);
+    ASSERT_OK(b.Open());
+    std::map<Key, std::string> stored;
+    ASSERT_OK(b.ScanAll(
+        [&](Key k, std::string_view v) { stored[k] = std::string(v); }));
+    EXPECT_TRUE(stored == model) << "batches of " << batch;
+  }
+}
+
+// The first `n` keys (from 1 up) whose probe starts at `home` in a table
+// of `index`'s capacity.
+std::vector<Key> KeysHomedAt(const FlatIndex& index, size_t home, size_t n) {
+  std::vector<Key> keys;
+  for (Key k = 1; keys.size() < n; k++) {
+    if (index.HomeSlot(k) == home) keys.push_back(k);
+  }
+  return keys;
+}
+
+// Keys that share a home slot form one probe chain; erasing from its
+// middle must shift the rest back, so every later key (and a key homed
+// past the chain, whose probe the chain pushed along) is still found.
+// The chain starts at the last slot, so it wraps around to slot 0.
+TEST(FlatIndex, EraseFromTheMiddleOfACollidingProbeChain) {
+  FlatIndex index;
+  const size_t last = index.capacity() - 1;
+  const std::vector<Key> chain = KeysHomedAt(index, last, 5);
+  const std::vector<Key> next = KeysHomedAt(index, 0, 2);
+  const std::vector<Key> third = KeysHomedAt(index, 2, 1);
+  std::map<Key, Rid> model;
+  uint16_t stamp = 0;
+  auto put = [&](Key k) {
+    const Rid rid{static_cast<PageId>(k % 1000), ++stamp};
+    index.Set(k, rid);
+    model[k] = rid;
+  };
+  // Interleaved, so the chain and the keys it displaces mix.
+  put(chain[0]);
+  put(next[0]);
+  put(chain[1]);
+  put(chain[2]);
+  put(third[0]);
+  put(next[1]);
+  put(chain[3]);
+  put(chain[4]);
+  ASSERT_EQ(index.capacity(), FlatIndex::kMinCapacity);  // no growth
+  auto check = [&] {
+    ASSERT_EQ(index.size(), model.size());
+    for (Key k : chain) {
+      const Rid* got = index.Find(k);
+      ASSERT_EQ(got != nullptr, model.count(k) == 1) << "key " << k;
+      if (got != nullptr) {
+        EXPECT_TRUE(*got == model[k]) << "key " << k;
+      }
+    }
+    for (const auto& [k, rid] : model) {
+      ASSERT_NE(index.Find(k), nullptr) << "key " << k;
+      EXPECT_TRUE(*index.Find(k) == rid) << "key " << k;
+    }
+  };
+  Rid erased;
+  ASSERT_TRUE(index.Erase(chain[2], &erased));
+  EXPECT_TRUE(erased == model[chain[2]]);
+  model.erase(chain[2]);
+  check();
+  ASSERT_TRUE(index.Erase(next[0]));
+  model.erase(next[0]);
+  check();
+  EXPECT_FALSE(index.Erase(chain[2]));
+  ASSERT_TRUE(index.Erase(chain[0]));
+  model.erase(chain[0]);
+  check();
+  put(chain[2]);  // back into the chain
+  put(chain[4]);  // overwrite in place
+  check();
+  for (Key k : {chain[1], chain[3], chain[4], chain[2], next[1], third[0]}) {
+    ASSERT_TRUE(index.Erase(k));
+    model.erase(k);
+    check();
+  }
+  EXPECT_EQ(index.size(), 0u);
+}
+
+// The index grows across several rehashes while whole batches load, with
+// Put, Get and Erase between the batches.
+TEST(KvTable, IndexGrowsAcrossRehashesBetweenBatches) {
+  TempDir dir("kv-grow");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 64);
+  KvTable t(&dm, &pool);
+  std::map<Key, std::string> model;
+  Key next = 0;
+  for (int round = 0; round < 40; round++) {
+    // Batches grow, so some fit the table and some rehash it.
+    std::vector<std::string> values;
+    std::vector<KvRow> rows;
+    const size_t n = 10 + round * round;
+    values.reserve(n);
+    for (size_t i = 0; i < n; i++) {
+      const Key k = next++ * 7919;
+      values.push_back(LoadRowValue(k));
+      rows.push_back({k, values.back()});
+      model[k] = values.back();
+    }
+    ASSERT_OK(t.Load(rows));
+    const Key old = (next / 2) * 7919;
+    ASSERT_OK(t.Put(old, "put-" + std::to_string(round)));
+    model[old] = "put-" + std::to_string(round);
+    const Key gone = (next / 3) * 7919;
+    ASSERT_OK(t.Erase(gone));
+    model.erase(gone);
+    std::string v;
+    for (Key k = 0; k < next; k += 1 + next / 50) {
+      const auto it = model.find(k * 7919);
+      if (it == model.end()) {
+        EXPECT_TRUE(t.Get(k * 7919, &v).IsNotFound());
+      } else {
+        ASSERT_OK(t.Get(k * 7919, &v));
+        EXPECT_EQ(v, it->second);
+      }
+    }
+  }
+  EXPECT_EQ(t.size(), model.size());
+  for (const auto& [k, want] : model) {
+    std::string v;
+    ASSERT_OK(t.Get(k, &v));
+    EXPECT_EQ(v, want);
+  }
+}
+
+// RebuildIndex over a heap with erased slots and relocated records finds
+// every live row at its slot, on the same table and after a reopen.
+TEST(KvTable, RebuildIndexAfterErasesAndRelocations) {
+  TempDir dir("kv-rebuild");
+  std::map<Key, std::string> model;
+  auto check = [&](KvTable& t) {
+    EXPECT_EQ(t.size(), model.size());
+    std::string v;
+    for (Key k = 0; k < 1200; k++) {
+      const auto it = model.find(k);
+      if (it == model.end()) {
+        EXPECT_TRUE(t.Get(k, &v).IsNotFound()) << "key " << k;
+      } else {
+        ASSERT_OK(t.Get(k, &v));
+        EXPECT_EQ(v, it->second) << "key " << k;
+      }
+    }
+  };
+  {
+    DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+    BufferPool pool(&dm, 64);
+    KvTable t(&dm, &pool);
+    for (Key k = 0; k < 1000; k++) {
+      ASSERT_OK(t.Put(k, LoadRowValue(k)));
+      model[k] = LoadRowValue(k);
+    }
+    for (Key k = 0; k < 1000; k += 3) {
+      ASSERT_OK(t.Erase(k));
+      model.erase(k);
+    }
+    for (Key k = 1; k < 1000; k += 5) {  // longer: most relocate
+      ASSERT_OK(t.Put(k, LoadRowValue(k) + std::string(150, '+')));
+      model[k] = LoadRowValue(k) + std::string(150, '+');
+    }
+    for (Key k = 1000; k < 1200; k++) {  // fill the erased room
+      ASSERT_OK(t.Put(k, "late"));
+      model[k] = "late";
+    }
+    ASSERT_OK(t.RebuildIndex());
+    check(t);
+    ASSERT_OK(pool.FlushAll());
+    ASSERT_OK(dm.Sync());
+  }
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 64);
+  KvTable t(&dm, &pool);
+  ASSERT_OK(t.RebuildIndex());
+  check(t);
+}
+
+// Batches load new keys while other threads Get and Put keys loaded
+// before: the locks a batch holds across rows, and drops for a repeated
+// key's Put, must neither block them for good nor let them see a torn row.
+TEST(KvTable, GetAndPutRunBesideBatchLoads) {
+  TempDir dir("kv-batch-race");
+  DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
+  BufferPool pool(&dm, 64);
+  KvTable t(&dm, &pool);
+  constexpr Key kOld = 400;
+  for (Key k = 0; k < kOld; k++) ASSERT_OK(t.Put(k, LoadRowValue(k)));
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (Key th = 0; th < 3; th++) {
+    threads.emplace_back([&, th] {
+      std::string v;
+      for (int i = 0; !done.load(); i++) {
+        const Key k = (th + 3 * static_cast<Key>(i)) % kOld;
+        if (k % 3 != th) continue;  // each thread writes its own keys
+        if (i % 2 == 0) {
+          if (!t.Put(k, LoadRowValue(k)).ok()) bad.fetch_add(1);
+        } else if (!t.Get(k, &v).ok() || v != LoadRowValue(k)) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  // The first round loads fresh keys; later rounds load them again with
+  // other sizes, so rows update in place or relocate.
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; round++) {
+    for (Key first = kOld; first < kOld + 3000; first += 150) {
+      std::vector<std::string> values;
+      std::vector<KvRow> rows;
+      values.reserve(150);
+      for (Key k = first; k < first + 150; k++) {
+        values.push_back(LoadRowValue(k + round));
+        rows.push_back({k, values.back()});
+      }
+      ASSERT_OK(t.Load(rows));
+    }
+  }
+  done.store(true);
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(t.size(), kOld + 3000);
   std::string v;
-  ASSERT_OK(b.Get(1999, &v));
-  EXPECT_EQ(v, LoadRowValue(1999));
+  for (Key k = 0; k < kOld + 3000; k += 7) {
+    ASSERT_OK(t.Get(k, &v));
+    EXPECT_EQ(v, LoadRowValue(k < kOld ? k : k + kRounds - 1));
+  }
 }
 
 // A row the newest page cannot take goes to an older page with room
@@ -443,11 +713,12 @@ TEST(KvTable, LoadFillsAnOlderPageBeforeAllocating) {
   KvTable t(&dm, &pool);
   // 950-byte values take 964 bytes with key and slot: four fill a page to
   // 234 bytes free. Page 0 keeps them; page 1 also takes a 214-byte row.
-  for (Key k = 0; k < 8; k++) ASSERT_OK(t.Load(k, std::string(950, 'b')));
-  ASSERT_OK(t.Load(8, std::string(200, 'm')));
+  const std::string big(950, 'b');
+  for (Key k = 0; k < 8; k++) ASSERT_OK(t.Load({{k, big}}));
+  ASSERT_OK(t.Load({{8, std::string(200, 'm')}}));
   ASSERT_EQ(dm.num_pages(), 2u);
   // 114 bytes: too many for page 1 (20 free), enough for page 0.
-  ASSERT_OK(t.Load(9, std::string(100, 's')));
+  ASSERT_OK(t.Load({{9, std::string(100, 's')}}));
   EXPECT_EQ(dm.num_pages(), 2u);
   std::string v;
   ASSERT_OK(t.Get(9, &v));
@@ -459,10 +730,10 @@ TEST(KvTable, LoadOfAnExistingKeyUpdatesItLikePut) {
   DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
   BufferPool pool(&dm, 16);
   KvTable t(&dm, &pool);
-  ASSERT_OK(t.Load(1, "first"));
-  ASSERT_OK(t.Load(2, "two"));
-  ASSERT_OK(t.Load(1, "second"));
-  ASSERT_OK(t.Load(2, std::string(600, 'L')));  // outgrows: relocates
+  ASSERT_OK(t.Load({{1, "first"}}));
+  ASSERT_OK(t.Load({{2, "two"}}));
+  ASSERT_OK(t.Load({{1, "second"}}));
+  ASSERT_OK(t.Load({{2, std::string(600, 'L')}}));  // outgrows: relocates
   EXPECT_EQ(t.size(), 2u);
   std::string v;
   ASSERT_OK(t.Get(1, &v));
@@ -481,7 +752,8 @@ TEST(KvTable, PutGetEraseBetweenLoadsStayCorrect) {
     ASSERT_OK(b.Open());
     std::string v;
     for (Key k = 0; k < 600; k++) {
-      ASSERT_OK(b.Load(k, LoadRowValue(k)));
+      const std::string row = LoadRowValue(k);
+      ASSERT_OK(b.Load({{k, row}}));
       model[k] = LoadRowValue(k);
       if (k % 7 == 3) {
         ASSERT_OK(b.Erase(k - 2, nullptr));

@@ -290,8 +290,16 @@ int Serve(const Args& args) {
   // and one that joins late gets the leader's full state via snapshot, which
   // replaces these rows wholesale.
   if (first_boot) {
-    for (uint64_t k = 0; k < args.accounts; k++) {
-      if (Status s = (*db)->Load(k, Value({args.balance})); !s.ok()) {
+    // Every account row is alike: load batches of rows that share one
+    // encoded row, in chunks that bound the size of the row vector.
+    constexpr uint64_t kChunkRows = 1 << 16;
+    const std::string row = Value({args.balance}).Encode();
+    std::vector<KvRow> rows;
+    for (uint64_t first = 0; first < args.accounts; first += kChunkRows) {
+      rows.clear();
+      const uint64_t end = std::min(first + kChunkRows, args.accounts);
+      for (uint64_t k = first; k < end; k++) rows.push_back({k, row});
+      if (Status s = (*db)->LoadRows(rows); !s.ok()) {
         std::fprintf(stderr, "genesis: %s\n", s.ToString().c_str());
         return 1;
       }
