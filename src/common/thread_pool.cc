@@ -92,27 +92,4 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   done_cv.wait(lk, [&] { return done == chunks; });
 }
 
-void ThreadPool::ParallelShards(size_t shards,
-                                const std::function<void(size_t)>& fn) {
-  if (shards == 0) return;
-  if (in_worker_ || shards == 1 || workers_.size() == 1) {
-    for (size_t s = 0; s < shards; s++) fn(s);
-    return;
-  }
-  // Same stack-lifetime discipline as ParallelFor: increment under the
-  // mutex so no worker touches this frame after the wait can return.
-  size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  for (size_t s = 0; s < shards; s++) {
-    Submit([&, s] {
-      fn(s);
-      std::lock_guard<std::mutex> lk(done_mu);
-      if (++done == shards) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lk(done_mu);
-  done_cv.wait(lk, [&] { return done == shards; });
-}
-
 }  // namespace harmony

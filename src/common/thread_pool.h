@@ -35,11 +35,6 @@ class ThreadPool {
   /// If called from inside a pool worker, runs inline on the caller.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Runs fn(shard) for shard in [0, shards) — one task per shard — and
-  /// waits. Unlike ParallelFor, each invocation gets a stable shard index
-  /// suitable for lock-free sharded data structures.
-  void ParallelShards(size_t shards, const std::function<void(size_t)>& fn);
-
   /// Blocks until all submitted tasks have completed.
   void Wait();
 

@@ -46,7 +46,6 @@ Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
   ro.disk = options.disk;
   ro.pool_pages = options.pool_pages;
   ro.pool_stripes = options.pool_stripes;
-  ro.flush_threads = options.flush_threads;
   ro.log_retain_blocks = options.log_retain_blocks;
   ro.archive_truncated = options.archive_truncated;
   ro.threads = options.threads;

@@ -50,8 +50,7 @@ Status Replica::Open() {
         manifest_->Exists() ? manifest_->Read() + 1 : 0;
     auto disk = std::make_unique<DiskBackend>(opts_.dir, opts_.name, opts_.disk,
                                               opts_.pool_pages,
-                                              opts_.pool_stripes,
-                                              opts_.flush_threads);
+                                              opts_.pool_stripes);
     disk->SetEventLog(opts_.events);
     HARMONY_RETURN_NOT_OK(disk->Open(committed_epoch));
     backend_ = std::move(disk);

@@ -39,8 +39,8 @@ struct ReplicaOptions {
   /// Buffer-pool stripes (page table / latch shards; small pools collapse
   /// to fewer — see BufferPool).
   size_t pool_stripes = BufferPool::kDefaultStripes;
-  /// Writer threads for the checkpoint's parallel group flush (1 = serial).
-  size_t flush_threads = BufferPool::kDefaultFlushThreads;
+  /// No effect; read only by harmonybench's context line.
+  size_t flush_threads = 0;
   size_t threads = 8;             ///< execution worker threads
 
   /// Block-log retention: at each checkpoint at block B, keep at least the

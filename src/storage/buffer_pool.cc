@@ -32,11 +32,8 @@ void PageGuard::Release() {
   }
 }
 
-BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t stripes,
-                       size_t flush_threads)
-    : disk_(disk),
-      capacity_(capacity == 0 ? 1 : capacity),
-      flush_threads_(flush_threads == 0 ? 1 : flush_threads) {
+BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t stripes)
+    : disk_(disk), capacity_(capacity == 0 ? 1 : capacity) {
   // Small pools collapse to fewer stripes so each shard keeps enough frames
   // for CLOCK to have real choices (and the seed tests' exact capacity
   // semantics survive: a 2-page pool is still one stripe of 2 frames).
@@ -51,9 +48,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, size_t stripes,
     if (rem > 0) rem--;
     s->frames.reserve(s->capacity);
     stripes_.push_back(std::move(s));
-  }
-  if (flush_threads_ > 1) {
-    flush_pool_ = std::make_unique<ThreadPool>(flush_threads_);
   }
 }
 
@@ -88,9 +82,10 @@ BufferPoolStats BufferPool::Snap() const {
 }
 
 size_t BufferPool::PickVictimLocked(Stripe& s) {
-  // Room to allocate a fresh frame.
+  // Room to allocate a fresh frame. `new Frame` leaves its page bytes
+  // uninitialized: FetchPage reads over them and NewPage zeroes them.
   if (s.frames.size() < s.capacity) {
-    s.frames.push_back(new Frame());
+    s.frames.push_back(new Frame);
     return s.frames.size() - 1;
   }
   // CLOCK sweep over clean, unpinned, non-loading frames. Two full sweeps:
@@ -114,7 +109,7 @@ size_t BufferPool::PickVictimLocked(Stripe& s) {
   }
   // Every unpinned frame of this stripe is dirty: grow instead of stealing.
   s.dirty_evictions.fetch_add(1, std::memory_order_relaxed);
-  s.frames.push_back(new Frame());
+  s.frames.push_back(new Frame);
   return s.frames.size() - 1;
 }
 
@@ -211,51 +206,40 @@ Status BufferPool::FlushAll() {
   std::sort(dirty.begin(), dirty.end(), [](const Item& a, const Item& b) {
     return a.page_id < b.page_id;
   });
+  std::vector<const Page*> pages;
+  pages.reserve(dirty.size());
+  for (const Item& it : dirty) pages.push_back(&it.frame->page);
 
-  Status first_error;
-  std::mutex err_mu;
-  auto flush_range = [&](size_t lo, size_t hi) {
-    std::vector<const Page*> run;
-    for (size_t i = lo; i < hi;) {
-      size_t end = i + 1;
-      while (end < hi && dirty[end].page_id == dirty[end - 1].page_id + 1) {
-        end++;
-      }
-      run.clear();
-      for (size_t j = i; j < end; j++) run.push_back(&dirty[j].frame->page);
-      Status st = disk_->WritePages(dirty[i].page_id, run.data(), run.size());
-      // Between any two write calls the on-disk image mixes two
-      // checkpoints — the window the rollback journal exists for.
-      HARMONY_CRASH_POINT("storage.flush.mid");
-      if (!st.ok()) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (first_error.ok()) first_error = st;
-        return;
-      }
-      for (; i < end; i++) {
-        Stripe& s = *dirty[i].stripe;
-        Frame& f = *dirty[i].frame;
-        std::lock_guard<std::mutex> lk(s.mu);
-        if (f.dirty_gen == dirty[i].gen) {
-          f.dirty = false;
-          s.dirty_frames--;
-        }
+  // Admit the whole set at once, so scattered runs share the device's
+  // queue, then write each run up to the page a fault stopped at: the
+  // pages before it plus a short write's prefix, as if written one by one.
+  const DiskManager::WriteAdmission adm = disk_->AdmitWrites(dirty.size());
+  const size_t reach = adm.pages * kPageSize + adm.prefix;
+  for (size_t i = 0; i * kPageSize < reach;) {
+    size_t end = i + 1;
+    while (end < dirty.size() &&
+           dirty[end].page_id == dirty[end - 1].page_id + 1) {
+      end++;
+    }
+    Status st = disk_->WriteAdmitted(
+        dirty[i].page_id, &pages[i],
+        std::min(end * kPageSize, reach) - i * kPageSize);
+    // Between any two write calls the on-disk image mixes two
+    // checkpoints — the window the rollback journal exists for.
+    HARMONY_CRASH_POINT("storage.flush.mid");
+    HARMONY_RETURN_NOT_OK(st);
+    for (; i < std::min(end, adm.pages); i++) {
+      Stripe& s = *dirty[i].stripe;
+      Frame& f = *dirty[i].frame;
+      std::lock_guard<std::mutex> lk(s.mu);
+      if (f.dirty_gen == dirty[i].gen) {
+        f.dirty = false;
+        s.dirty_frames--;
       }
     }
-  };
-
-  const size_t workers =
-      flush_pool_ == nullptr ? 1 : std::min(flush_threads_, dirty.size());
-  if (workers <= 1) {
-    flush_range(0, dirty.size());
-  } else {
-    const size_t per = (dirty.size() + workers - 1) / workers;
-    flush_pool_->ParallelShards(workers, [&](size_t w) {
-      const size_t lo = w * per;
-      flush_range(lo, std::min(dirty.size(), lo + per));
-    });
+    i = end;
   }
-  HARMONY_RETURN_NOT_OK(first_error);
+  HARMONY_RETURN_NOT_OK(adm.status);
   flushed_pages_.fetch_add(dirty.size(), std::memory_order_relaxed);
   flushes_.fetch_add(1, std::memory_order_relaxed);
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 
@@ -68,23 +67,21 @@ struct BufferPoolStats {
 /// the last checkpoint — the precondition for deterministic logical-log
 /// replay (Section 4, "Recovery"). FlushAll() shrinks the stripes back.
 ///
-/// FlushAll() is a parallel group flush: the dirty set, sorted by page id,
-/// is split into `flush_threads` contiguous ranges, and each writer writes
-/// every run of consecutive pages in its range with one
-/// DiskManager::WritePages call. The checkpoint stall falls from O(dirty)
-/// serial writes to O(dirty / flush_threads) modelled page writes, and a
-/// freshly appended heap costs a few syscalls instead of one per page.
+/// FlushAll() is one pass over the dirty set in page order. It admits the
+/// whole set with one DiskManager::AdmitWrites, so the device's queue stays
+/// full even when the set is many short runs, then writes each run of
+/// consecutive pages with one pwritev. The checkpoint stall is about
+/// dirty / queue_depth write latencies, and a freshly appended heap costs
+/// one syscall, not one per page.
 class BufferPool {
  public:
   static constexpr size_t kDefaultStripes = 8;
-  static constexpr size_t kDefaultFlushThreads = 4;
   /// Stripes below this many frames degenerate to contention without
   /// capacity; small pools collapse to fewer stripes.
   static constexpr size_t kMinPagesPerStripe = 8;
 
   BufferPool(DiskManager* disk, size_t capacity,
-             size_t stripes = kDefaultStripes,
-             size_t flush_threads = kDefaultFlushThreads);
+             size_t stripes = kDefaultStripes);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -98,7 +95,9 @@ class BufferPool {
 
   /// Writes every dirty page to disk (checkpoint path). Pages stay cached.
   /// Safe to call concurrently with fetches; concurrent FlushAll calls
-  /// serialize against each other.
+  /// serialize against each other. A device fault at the k-th dirty page
+  /// in page order returns the error with the pages before it on disk
+  /// (plus a short write's prefix of page k) and pages k on still dirty.
   Status FlushAll();
 
   /// Page ids currently dirty in the pool (checkpoint journaling).
@@ -110,7 +109,6 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t num_stripes() const { return stripes_.size(); }
-  size_t flush_threads() const { return flush_threads_; }
   size_t num_frames() const;
 
  private:
@@ -159,10 +157,7 @@ class BufferPool {
 
   DiskManager* disk_;
   size_t capacity_;
-  size_t flush_threads_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  /// Writer pool for the parallel group flush (null when flush_threads<=1).
-  std::unique_ptr<ThreadPool> flush_pool_;
   /// Serializes whole FlushAll calls: the write phase runs without stripe
   /// latches, so two overlapping flushes could otherwise race the shrink.
   std::mutex flush_mu_;

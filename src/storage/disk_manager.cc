@@ -39,26 +39,31 @@ DiskManager::~DiskManager() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-DiskManager::IoSlot::IoSlot(DiskManager* dm) : dm_(dm) {
-  if (dm_->model_.queue_depth == 0) return;  // RAMDisk: unlimited
+DiskManager::IoSlots::IoSlots(DiskManager* dm, size_t want)
+    : dm_(dm), count_(want) {
+  const uint32_t qd = dm_->model_.queue_depth;
+  if (qd == 0) return;  // RAMDisk: unlimited
   std::unique_lock<std::mutex> lk(dm_->io_mu_);
-  dm_->io_cv_.wait(lk, [&] {
-    return dm_->inflight_io_ < dm_->model_.queue_depth;
-  });
-  dm_->inflight_io_++;
+  dm_->io_cv_.wait(lk, [&] { return dm_->inflight_io_ < qd; });
+  count_ = std::min<size_t>(want, qd - dm_->inflight_io_);
+  dm_->inflight_io_ += static_cast<uint32_t>(count_);
 }
 
-DiskManager::IoSlot::~IoSlot() {
+DiskManager::IoSlots::~IoSlots() {
   if (dm_->model_.queue_depth == 0) return;
   {
     std::lock_guard<std::mutex> lk(dm_->io_mu_);
-    dm_->inflight_io_--;
+    dm_->inflight_io_ -= static_cast<uint32_t>(count_);
   }
-  dm_->io_cv_.notify_one();
+  if (count_ == 1) {
+    dm_->io_cv_.notify_one();
+  } else {
+    dm_->io_cv_.notify_all();
+  }
 }
 
 Status DiskManager::ReadPage(PageId page_id, Page* out) {
-  IoSlot slot(this);
+  IoSlots slot(this, 1);
   if (model_.fault != nullptr) {
     HARMONY_RETURN_NOT_OK(model_.fault->OnRead());
   }
@@ -86,31 +91,41 @@ Status DiskManager::WritePage(PageId page_id, const Page& page) {
 
 Status DiskManager::WritePages(PageId first, const Page* const* pages,
                                size_t n) {
-  // Admit the pages one at a time, as n single-page writes would be; the
-  // first fault stops the run, and a short-write fault still persists a
-  // prefix of its page, modelling power-loss-like torn sectors for the
-  // journal to repair.
-  Status st;
-  size_t whole = 0;
-  size_t prefix = 0;
-  for (; whole < n; whole++) {
-    IoSlot slot(this);
+  const WriteAdmission adm = AdmitWrites(n);
+  HARMONY_RETURN_NOT_OK(
+      WriteAdmitted(first, pages, adm.pages * kPageSize + adm.prefix));
+  return adm.status;
+}
+
+DiskManager::WriteAdmission DiskManager::AdmitWrites(size_t n) {
+  // A short-write fault still persists a prefix of its page, modelling
+  // power-loss-like torn sectors for the journal to repair.
+  WriteAdmission out;
+  while (out.pages < n && out.status.ok()) {
+    IoSlots wave(this, n - out.pages);
+    size_t admitted = wave.count();
     if (model_.fault != nullptr) {
-      st = model_.fault->OnWrite(kPageSize, &prefix);
-      if (!st.ok()) break;
+      for (admitted = 0; admitted < wave.count(); admitted++) {
+        out.status = model_.fault->OnWrite(kPageSize, &out.prefix);
+        if (!out.status.ok()) break;
+      }
     }
-    SimulateDelayMicros(model_.write_latency_us);
+    if (admitted > 0) SimulateDelayMicros(model_.write_latency_us);
+    out.pages += admitted;
   }
-  if (st.ok()) prefix = 0;
-  const size_t total = whole * kPageSize + prefix;
+  return out;
+}
+
+Status DiskManager::WriteAdmitted(PageId first, const Page* const* pages,
+                                  size_t bytes) {
   const off_t base = static_cast<off_t>(first) * kPageSize;
   std::vector<iovec> iov;
-  iov.reserve(std::min<size_t>(whole + 1, IOV_MAX));
-  for (size_t done = 0; done < total;) {
+  iov.reserve(std::min<size_t>(bytes / kPageSize + 1, IOV_MAX));
+  for (size_t done = 0; done < bytes;) {
     iov.clear();
-    for (size_t at = done; at < total && iov.size() < IOV_MAX;) {
+    for (size_t at = done; at < bytes && iov.size() < IOV_MAX;) {
       const size_t in_page = at % kPageSize;
-      const size_t len = std::min(kPageSize - in_page, total - at);
+      const size_t len = std::min(kPageSize - in_page, bytes - at);
       iov.push_back(iovec{const_cast<char*>(pages[at / kPageSize]->data) +
                               in_page,
                           len});
@@ -118,14 +133,11 @@ Status DiskManager::WritePages(PageId first, const Page* const* pages,
     }
     const ssize_t w = ::pwritev(fd_, iov.data(), static_cast<int>(iov.size()),
                                 base + static_cast<off_t>(done));
-    if (w <= 0) {
-      return st.ok() ? Status::IOError(std::strerror(w < 0 ? errno : EIO))
-                     : st;
-    }
+    if (w <= 0) return Status::IOError(std::strerror(w < 0 ? errno : EIO));
     done += static_cast<size_t>(w);
   }
-  stats_.page_writes.fetch_add(whole, std::memory_order_relaxed);
-  return st;
+  stats_.page_writes.fetch_add(bytes / kPageSize, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Status DiskManager::Sync() {

@@ -27,7 +27,8 @@ struct DiskModel {
   /// saturate instead of scaling forever (Section 5.2).
   uint32_t queue_depth = 16;
   /// Optional deterministic fault injector (src/testing/fault.h): consulted
-  /// on every ReadPage/WritePage/Sync for delayed, failed, and short I/O.
+  /// on every page read, every page write and every Sync for delayed,
+  /// failed, and short I/O.
   /// Not owned; must outlive every DiskManager built from this model.
   testing::FaultInjector* fault = nullptr;
 
@@ -60,13 +61,34 @@ class DiskManager {
   Status ReadPage(PageId page_id, Page* out);
   Status WritePage(PageId page_id, const Page& page);
   /// Writes `n` consecutive pages starting at `first` (pages[i] goes to
-  /// page first + i) with pwritev, in chunks of IOV_MAX. Each page still
-  /// takes its own queue slot, device-latency charge and fault-injector
-  /// consultation, so the modelled cost and fault semantics equal n
-  /// WritePage calls: a fault at page k persists pages [0, k) (plus the
-  /// prefix of page k on a short write) and returns the error.
-  /// `page_writes` counts the whole pages written.
+  /// page first + i): AdmitWrites(n), then WriteAdmitted of what it
+  /// admitted. A fault at page k persists pages [0, k) (plus the prefix of
+  /// page k on a short write) and returns the error.
   Status WritePages(PageId first, const Page* const* pages, size_t n);
+
+  /// What AdmitWrites let through: the pages admitted before the first
+  /// fault, and that fault.
+  struct WriteAdmission {
+    size_t pages = 0;
+    /// Bytes of page `pages` a short-write fault still persists (0 for
+    /// any other fault, or none).
+    size_t prefix = 0;
+    Status status;  ///< the fault; OK when every page was admitted
+  };
+  /// Charges the device model for `n` page writes in waves. A wave takes
+  /// every free queue slot (at least one, at most the pages left; reads in
+  /// flight hold slots too, so no more than queue_depth I/Os ever are),
+  /// consults the fault injector once per page in order, sleeps one write
+  /// latency and releases its slots; queue_depth 0 is a single wave. Each
+  /// page still costs one slot, one latency charge and one fault check,
+  /// but on an idle device n pages take ceil(n / queue_depth) latencies
+  /// of wall time, not n. The first fault stops admission.
+  WriteAdmission AdmitWrites(size_t n);
+  /// Writes the first `bytes` bytes of the consecutive pages starting at
+  /// `first` (pages[i] goes to page first + i) with pwritev, in chunks of
+  /// IOV_MAX, without charging the device: the caller admitted them with
+  /// AdmitWrites. `page_writes` counts the whole pages written.
+  Status WriteAdmitted(PageId first, const Page* const* pages, size_t bytes);
   Status Sync();
 
   /// Reads a page without charging device latency or occupying a queue
@@ -96,16 +118,21 @@ class DiskManager {
   const std::string& path() const { return path_; }
 
  private:
-  /// Occupies a device queue slot for the duration of one I/O.
-  class IoSlot {
+  /// Occupies device queue slots for the duration of one wave of I/O:
+  /// waits for a free slot, then takes every free one up to `want` (all
+  /// `want` when queue_depth is 0, i.e. unlimited).
+  class IoSlots {
    public:
-    explicit IoSlot(DiskManager* dm);
-    ~IoSlot();
+    IoSlots(DiskManager* dm, size_t want);
+    ~IoSlots();
+    IoSlots(const IoSlots&) = delete;
+    IoSlots& operator=(const IoSlots&) = delete;
+    size_t count() const { return count_; }
 
    private:
     DiskManager* dm_;
+    size_t count_;
   };
-  friend class IoSlot;
 
   std::string path_;
   DiskModel model_;

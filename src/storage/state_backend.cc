@@ -36,11 +36,11 @@ bool PwriteAll(int fd, const void* buf, size_t n, off_t off) {
 
 DiskBackend::DiskBackend(const std::string& dir, const std::string& name,
                          DiskModel model, size_t pool_pages,
-                         size_t pool_stripes, size_t flush_threads)
+                         size_t pool_stripes)
     : journal_path_(dir + "/" + name + ".journal"),
       disk_(std::make_unique<DiskManager>(dir + "/" + name + ".tbl", model)),
-      pool_(std::make_unique<BufferPool>(disk_.get(), pool_pages, pool_stripes,
-                                         flush_threads)),
+      pool_(std::make_unique<BufferPool>(disk_.get(), pool_pages,
+                                         pool_stripes)),
       table_(std::make_unique<KvTable>(disk_.get(), pool_.get())) {}
 
 Status DiskBackend::Open(uint64_t committed_epoch) {

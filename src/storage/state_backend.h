@@ -90,12 +90,10 @@ class StateBackend {
 class DiskBackend : public StateBackend {
  public:
   /// Files created: <dir>/<name>.tbl and <dir>/<name>.journal.
-  /// `pool_stripes` shards the buffer pool's page table / latches;
-  /// `flush_threads` sizes the checkpoint's parallel group flush.
+  /// `pool_stripes` shards the buffer pool's page table / latches.
   DiskBackend(const std::string& dir, const std::string& name, DiskModel model,
               size_t pool_pages,
-              size_t pool_stripes = BufferPool::kDefaultStripes,
-              size_t flush_threads = BufferPool::kDefaultFlushThreads);
+              size_t pool_stripes = BufferPool::kDefaultStripes);
 
   /// Runs journal rollback if a previous checkpoint was interrupted, then
   /// rebuilds the index. Must be called before use. `committed_epoch` is

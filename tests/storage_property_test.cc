@@ -238,7 +238,7 @@ TEST(StripedPoolProperty, ConcurrentFetchFlushEvictMatchesModel) {
   constexpr size_t kOpsPerThread = 2500;
   TempDir dir("striped");
   DiskManager dm(dir.path() + "/pool.db", DiskModel::RamDisk());
-  BufferPool pool(&dm, 32, /*stripes=*/8, /*flush_threads=*/4);
+  BufferPool pool(&dm, 32, /*stripes=*/8);
   ASSERT_EQ(pool.num_stripes(), 4u);  // 32 frames / 8-per-stripe floor
 
   std::vector<uint64_t> version(kPages, 0);
@@ -327,7 +327,7 @@ TEST(StripedPoolProperty, NoStealGrowsInsteadOfWritingDirtyPages) {
   constexpr size_t kPages = 192;
   TempDir dir("nosteal");
   DiskManager dm(dir.path() + "/pool.db", DiskModel::RamDisk());
-  BufferPool pool(&dm, 32, 8, 4);
+  BufferPool pool(&dm, 32, 8);
   for (PageId p = 0; p < kPages; p++) {
     auto g = pool.NewPage(p);
     ASSERT_OK(g.status());
@@ -359,7 +359,7 @@ TEST(StripedPoolProperty, SnapNeverRegressesUnderConcurrency) {
   constexpr size_t kThreads = 6;
   TempDir dir("snapmono");
   DiskManager dm(dir.path() + "/pool.db", DiskModel::RamDisk());
-  BufferPool pool(&dm, 32, 8, 2);
+  BufferPool pool(&dm, 32, 8);
   for (PageId p = 0; p < kPages; p++) {
     auto g = pool.NewPage(p);
     ASSERT_OK(g.status());

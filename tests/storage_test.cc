@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -180,6 +181,39 @@ TEST(DiskManager, WritePagesShortWriteAtPageKPersistsThePrefix) {
   }
 }
 
+// Write waves and page reads share the device queue: rewrites of a run
+// racing three readers on a qd2 device finish, and every I/O counts once.
+TEST(DiskManager, WriteWavesShareTheQueueWithReads) {
+  constexpr size_t kPages = 64;
+  TempDir dir("disk-qd-mixed");
+  DiskManager dm(dir.path() + "/t.db", DiskModel{20, 20, 0, 2});
+  std::vector<Page> pages;
+  std::vector<const Page*> run;
+  for (size_t i = 0; i < kPages; i++) pages.push_back(RunPage(i % 26));
+  for (const Page& p : pages) run.push_back(&p);
+  ASSERT_OK(dm.WritePages(0, run.data(), kPages));
+  std::atomic<size_t> bad{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 3; t++) {
+    readers.emplace_back([&, t] {
+      Page r;
+      for (size_t i = t; i < kPages; i += 3) {
+        if (!dm.ReadPage(static_cast<PageId>(i), &r).ok() ||
+            r.data[0] != pages[i].data[0]) {
+          bad++;
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 4; round++) {
+    EXPECT_OK(dm.WritePages(0, run.data(), kPages));
+  }
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(dm.stats().page_writes.load(), 5 * kPages);
+  EXPECT_EQ(dm.stats().page_reads.load(), kPages);
+}
+
 TEST(BufferPool, HitAndMissAccounting) {
   TempDir dir("bp");
   DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
@@ -224,7 +258,7 @@ TEST(BufferPool, NoStealGrowsInsteadOfWritingDirty) {
 TEST(BufferPool, FlushAllWritesRunsOfConsecutivePages) {
   TempDir dir("bp-runs");
   DiskManager dm(dir.path() + "/t.db", DiskModel::RamDisk());
-  BufferPool pool(&dm, 64, BufferPool::kDefaultStripes, 1);
+  BufferPool pool(&dm, 64);
   for (PageId p = 0; p < 12; p++) {
     auto g = pool.NewPage(dm.AllocatePage());
     ASSERT_TRUE(g.ok());
@@ -253,6 +287,100 @@ TEST(BufferPool, FlushAllWritesRunsOfConsecutivePages) {
     const bool rewritten = p == 1 || p == 2 || p == 3 || p == 7 || p == 8 ||
                            p == 11;
     EXPECT_EQ(file[p * kPageSize + 1], rewritten ? 'x' : '\0') << p;
+  }
+}
+
+// The flush admits its whole dirty set in waves of queue_depth pages, so 64
+// scattered pages on a qd16 device take four write latencies, not one per
+// page (nor one per page per writer, as a four-writer flush paid).
+TEST(BufferPool, FlushKeepsTheDeviceQueueFull) {
+  constexpr uint64_t kWriteUs = 5000;
+  constexpr PageId kDirty = 64;
+  TempDir dir("bp-qd");
+  DiskManager dm(dir.path() + "/t.db", DiskModel{0, kWriteUs, 0, 16});
+  BufferPool pool(&dm, 2 * kDirty);
+  for (PageId p = 0; p < 2 * kDirty; p++) dm.AllocatePage();
+  for (PageId p = 0; p < 2 * kDirty; p += 2) {  // 64 runs of one page
+    auto g = pool.NewPage(p);
+    ASSERT_TRUE(g.ok());
+    g->data()[0] = 'q';
+  }
+  const uint64_t t0 = NowMicros();
+  ASSERT_OK(pool.FlushAll());
+  const uint64_t us = NowMicros() - t0;
+  EXPECT_GE(us, kDirty / 16 * kWriteUs) << "a wave skipped its latency";
+  EXPECT_LT(us, kDirty / 4 * kWriteUs) << "the queue was not kept full";
+  EXPECT_EQ(dm.stats().page_writes.load(), kDirty);
+  EXPECT_TRUE(pool.DirtyPageIds().empty());
+}
+
+// A fault at the k-th dirty page in page order leaves exactly the pages
+// before it (and a short write's prefix of page k) on disk, whatever run
+// they sit in; page k and every later page stay dirty until a flush on the
+// healed device writes them.
+TEST(BufferPool, FlushFaultStopsAtThePageInPageOrder) {
+  const std::vector<PageId> dirty = {0, 1, 2, 5, 6, 7, 8, 11, 12, 13};
+  constexpr PageId kPages = 16;
+  testing::FaultInjector::Options o;
+  o.seed = 5;  // a short write at page 7, inside the second run
+  o.short_write_prob = 0.2;
+  // The flush consults its injector once per dirty page, in page order.
+  testing::FaultInjector twin(o);
+  size_t k = 0;
+  size_t prefix = 0;
+  while (twin.OnWrite(kPageSize, &prefix).ok()) k++;
+  ASSERT_GE(k, 4u) << "pick a seed that faults past the first run";
+  ASSERT_LT(k, dirty.size()) << "pick a seed that faults inside the flush";
+
+  TempDir dir("bp-fault");
+  const std::string path = dir.path() + "/t.db";
+  Page old;
+  std::memset(old.data, '.', kPageSize);
+  {
+    DiskManager base(path, DiskModel::RamDisk());
+    for (PageId p = 0; p < kPages; p++) {
+      ASSERT_OK(base.WritePage(base.AllocatePage(), old));
+    }
+  }
+  testing::FaultInjector inj(o);
+  DiskModel model = DiskModel::RamDisk();
+  model.fault = &inj;
+  DiskManager dm(path, model);
+  BufferPool pool(&dm, 64);
+  for (PageId p : dirty) {
+    auto g = pool.NewPage(p);
+    ASSERT_TRUE(g.ok());
+    std::memset(g->data(), 'a' + static_cast<int>(p), kPageSize);
+  }
+  EXPECT_TRUE(pool.FlushAll().IsIOError());
+  EXPECT_EQ(inj.stats().short_writes.load(), 1u);
+  EXPECT_EQ(dm.stats().page_writes.load(), k);
+  std::vector<PageId> still = pool.DirtyPageIds();
+  std::sort(still.begin(), still.end());
+  EXPECT_EQ(still, std::vector<PageId>(dirty.begin() + k, dirty.end()));
+
+  std::string file = ReadFileBytes(path);
+  ASSERT_EQ(file.size(), kPages * kPageSize);
+  for (PageId p = 0; p < kPages; p++) {
+    const auto at = std::find(dirty.begin(), dirty.end(), p);
+    const size_t idx = static_cast<size_t>(at - dirty.begin());
+    const size_t fresh = idx < k ? kPageSize : idx == k ? prefix : 0;
+    const std::string want =
+        std::string(fresh, static_cast<char>('a' + p)) +
+        std::string(kPageSize - fresh, '.');
+    EXPECT_EQ(file.compare(p * kPageSize, kPageSize, want), 0) << "page " << p;
+  }
+
+  inj.Heal();
+  ASSERT_OK(pool.FlushAll());
+  EXPECT_EQ(dm.stats().page_writes.load(), dirty.size());
+  EXPECT_TRUE(pool.DirtyPageIds().empty());
+  file = ReadFileBytes(path);
+  for (PageId p : dirty) {
+    EXPECT_EQ(file.compare(p * kPageSize, kPageSize,
+                           std::string(kPageSize, static_cast<char>('a' + p))),
+              0)
+        << "page " << p;
   }
 }
 
@@ -916,13 +1044,11 @@ std::string RowValue(Key k, char tag) {
 }
 
 DiskBackend TornTestBackend(const std::string& dir) {
-  // One flush thread: the torn flush writes pages in a fixed order.
-  return DiskBackend(dir, "s", DiskModel::RamDisk(), 64,
-                     BufferPool::kDefaultStripes, 1);
+  return DiskBackend(dir, "s", DiskModel::RamDisk(), 64);
 }
 
-// Write calls a one-thread flush makes for `dirty`: one per run of
-// consecutive page ids.
+// Write calls a flush makes for `dirty`: one per run of consecutive page
+// ids, in page order.
 size_t FlushWriteCalls(std::vector<PageId> dirty) {
   std::sort(dirty.begin(), dirty.end());
   size_t runs = 0;

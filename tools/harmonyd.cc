@@ -121,7 +121,6 @@ struct Args {
   /// Block-log retention: keep at least N blocks, cut at a safe point;
   /// 0 keeps everything.
   uint64_t retain_blocks = 0;
-  size_t flush_threads = BufferPool::kDefaultFlushThreads;
   bool in_memory = false;
   bool json = false;
   bool prom = false;
@@ -143,7 +142,7 @@ int Usage() {
                "usage: harmonyd serve --dir DIR [--port N] [--bind A] "
                "[--reactors N] [--threads N] [--block-size N] [--delay-us N] "
                "[--accounts N] [--balance N] [--max-inflight N] [--rate R] "
-               "[--retain-blocks N] [--flush-threads N] [--in-memory]\n"
+               "[--retain-blocks N] [--in-memory]\n"
                "                [--leader N [--quorum-ack] | "
                "--join HOST:PORT [--node NAME]]\n"
                "       harmonyd load [--host A] [--port N] [--conns N] "
@@ -183,7 +182,6 @@ bool Parse(int argc, char** argv, Args* out) {
     else if (a == "--max-inflight") out->max_inflight = std::strtoull(next("--max-inflight"), nullptr, 10);
     else if (a == "--rate") out->rate = std::atof(next("--rate"));
     else if (a == "--retain-blocks") out->retain_blocks = std::strtoull(next("--retain-blocks"), nullptr, 10);
-    else if (a == "--flush-threads") out->flush_threads = std::strtoul(next("--flush-threads"), nullptr, 10);
     else if (a == "--in-memory") out->in_memory = true;
     else if (a == "--json") out->json = true;
     else if (a == "--prom") out->prom = true;
@@ -271,7 +269,6 @@ int Serve(const Args& args) {
   o.max_inflight_per_session = args.max_inflight;
   o.admit_rate_per_client = args.rate;
   o.log_retain_blocks = args.retain_blocks;
-  o.flush_threads = args.flush_threads;
   o.enable_tracing = true;  // feeds `harmonyd metrics` (docs/OBSERVABILITY.md)
   o.follower_mode = is_follower;
 
