@@ -1,6 +1,11 @@
 // Large-state storage bench: state far bigger than the buffer pool.
 //
-// Two tables:
+// Three tables:
+//  0. Block-log open on a 20k-block HLZ log of 25 Smallbank txns per block:
+//     BlockStore::Open (a frame walk plus a digest decode of the last
+//     interval), the bare frame walk (BlockStore::ScanRecords + Peek), and
+//     ReadAll (recovery's decode of every record). Median and range of 5
+//     runs each, on a warm page cache.
 //  1. FlushAll against the device's queue depth — the checkpoint stall
 //     claim (docs/ARCHITECTURE.md storage section): the flush admits its
 //     dirty pages in waves of queue_depth writes, so on the SSD model its
@@ -32,6 +37,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "txn/txn_context.h"
+#include "workload/smallbank.h"
 
 using namespace harmony;
 using namespace harmony::bench;
@@ -62,6 +68,85 @@ double Quantile(std::vector<double> v, double q) {
   std::sort(v.begin(), v.end());
   const size_t i = static_cast<size_t>(q * (v.size() - 1) + 0.5);
   return v[std::min(i, v.size() - 1)];
+}
+
+// ---------------------------------------------------- 0. block-log open --
+
+/// Times `fn` `runs` times and prints a row of its median and range (ms).
+template <typename Fn>
+bool TimeRow(const std::string& step, size_t runs, Fn&& fn) {
+  std::vector<double> ms;
+  for (size_t r = 0; r < runs; r++) {
+    const uint64_t t0 = NowMicros();
+    if (!fn()) return false;
+    ms.push_back(static_cast<double>(NowMicros() - t0) / 1e3);
+  }
+  PrintRow({step, Fmt(Quantile(ms, 0.5), 1),
+            Fmt(*std::min_element(ms.begin(), ms.end()), 1),
+            Fmt(*std::max_element(ms.begin(), ms.end()), 1)});
+  return true;
+}
+
+int RunLogOpenTable(size_t blocks, size_t txns_per_block) {
+  const std::string dir = FreshDir("log");
+  const std::string path = dir + "/replica.chain";
+  constexpr uint64_t kCheckpointEvery = 50;  // harmonyd's default
+  uint64_t bytes = 0;
+  {
+    BlockStore store(path, /*sync_latency_us=*/0, Compression::kHlz,
+                     kCheckpointEvery);
+    if (!store.Open().ok()) return 1;
+    SmallbankWorkload wl(SmallbankConfig{});
+    BlockBuilder builder("bench-secret");
+    TxnId tid = 1;
+    for (BlockId id = 1; id <= blocks; id++) {
+      TxnBatch batch;
+      batch.block_id = id;
+      batch.first_tid = tid;
+      for (size_t i = 0; i < txns_per_block; i++) {
+        TxnRequest t = wl.Next();
+        t.client_id = 1 + t.client_seq % 16;
+        t.submit_time_us = 1'000'000 + 40 * t.client_seq;
+        batch.txns.push_back(std::move(t));
+      }
+      tid += txns_per_block;
+      if (!store.Append(builder.Seal(std::move(batch), 1'000'000 + 1000 * id))
+               .ok()) {
+        return 1;
+      }
+    }
+    bytes = store.live_log_bytes();
+  }
+  PrintHeader("Block-log open: " + std::to_string(blocks) + " blocks x " +
+                  std::to_string(txns_per_block) + " Smallbank txns, HLZ, " +
+                  Fmt(static_cast<double>(bytes) / 1e6, 2) + " MB",
+              {"step", "median_ms", "min_ms", "max_ms"});
+  constexpr size_t kRuns = 5;
+  BlockStore reader(path, 0, Compression::kHlz, kCheckpointEvery);
+  const bool ok =
+      reader.Open().ok() &&
+      TimeRow("Open", kRuns,
+              [&] {
+                BlockStore store(path, 0, Compression::kHlz, kCheckpointEvery);
+                return store.Open().ok() && store.num_blocks() == blocks;
+              }) &&
+      TimeRow("frame walk", kRuns,
+              [&] {
+                size_t n = 0;
+                const Status s = BlockStore::ScanRecords(
+                    path, [&](std::string_view p) {
+                      BlockId id = 0;
+                      uint32_t reach = 0;
+                      n += BlockCodec::Peek(p, &id, &reach) ? 1 : 0;
+                    });
+                return s.ok() && n == blocks;
+              }) &&
+      TimeRow("ReadAll", kRuns, [&] {
+        std::vector<Block> all;
+        return reader.ReadAll(&all).ok() && all.size() == blocks;
+      });
+  std::filesystem::remove_all(dir);
+  return ok ? 0 : 1;
 }
 
 // ------------------------------------------ 1. flush against queue depth --
@@ -260,6 +345,7 @@ int main(int argc, char** argv) {
   if (accounts == 0) accounts = std::max<size_t>(10'000, ScaledTxns(10'000'000));
   if (txns == 0) txns = std::max<size_t>(2'000, ScaledTxns(20'000));
 
+  if (RunLogOpenTable(20'000, 25) != 0) return 1;
   if (RunFlushTable(std::max<size_t>(256, ScaledTxns(4096)), 12) != 0)
     return 1;
 

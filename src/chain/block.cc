@@ -681,10 +681,8 @@ Status ParsePrefix(std::string_view bytes, Prefix* p) {
 }
 
 /// Derives a derived header's first_tid, order_time_us and prev_hash from
-/// its predecessor in `window`; a full header needs nothing. With
-/// `need_hash` (Decode) the predecessor's block_hash must have been
-/// computed: deriving from a zero one would rebuild a wrong digest.
-Status ResolveHeader(const RefWindow* window, bool need_hash, Prefix* p) {
+/// its predecessor in `window`; a full header needs nothing.
+Status ResolveHeader(const RefWindow* window, Prefix* p) {
   if (!p->shape.derived) return Status::OK();
   BlockHeader& h = p->header;
   const BlockHeader* prev = window != nullptr && h.block_id > 1
@@ -693,36 +691,12 @@ Status ResolveHeader(const RefWindow* window, bool need_hash, Prefix* p) {
   if (prev == nullptr) {
     return Status::Corruption("derived header without its predecessor");
   }
-  if (need_hash && prev->block_hash == Digest{}) {
-    return Status::Corruption(
-        "derived header over a predecessor whose hash was never computed");
-  }
   // Wrapping arithmetic, as in the encoder: every value round-trips.
   h.first_tid = prev->first_tid + prev->txn_count +
                 static_cast<uint64_t>(p->tid_delta);
   h.order_time_us = prev->order_time_us + static_cast<uint64_t>(p->time_delta);
   h.prev_hash = prev->block_hash;
   return Status::OK();
-}
-
-/// Decode without the digest rebuild (`need_hash` only makes a derived
-/// header insist on a computed predecessor hash): the prefix, the resolved
-/// header, then the compression envelope over the txn section.
-Status ParseRecord(std::string_view bytes, const RefWindow* window,
-                   bool need_hash, Block* out, SectionStats* stats) {
-  Prefix p;
-  HARMONY_RETURN_NOT_OK(ParsePrefix(bytes, &p));
-  HARMONY_RETURN_NOT_OK(ResolveHeader(window, need_hash, &p));
-  out->header = p.header;
-  out->batch.block_id = out->header.block_id;
-  out->batch.first_tid = out->header.first_tid;
-  // The stored section runs through the end of the payload.
-  std::string section;
-  HARMONY_RETURN_NOT_OK(DecompressPayload(
-      p.codec, bytes.substr(p.shape.section_offset), p.shape.raw_len,
-      &section));
-  return DecodeTxnSection(section, out->header, p.shape.ref_reach, window,
-                          &out->batch, stats);
 }
 
 }  // namespace
@@ -816,17 +790,25 @@ std::string BlockCodec::EncodeRecord(const Block& b, Compression codec,
 }
 
 Status BlockCodec::Decode(std::string_view bytes, Block* out,
-                          const RefWindow* refs) {
-  HARMONY_RETURN_NOT_OK(
-      ParseRecord(bytes, refs, /*need_hash=*/true, out, nullptr));
+                          const RefWindow* refs, SectionStats* stats) {
+  // The prefix, the resolved header, then the compression envelope over the
+  // txn section, which runs through the end of the payload.
+  Prefix p;
+  HARMONY_RETURN_NOT_OK(ParsePrefix(bytes, &p));
+  HARMONY_RETURN_NOT_OK(ResolveHeader(refs, &p));
+  out->header = p.header;
+  out->batch.block_id = out->header.block_id;
+  out->batch.first_tid = out->header.first_tid;
+  std::string section;
+  HARMONY_RETURN_NOT_OK(DecompressPayload(
+      p.codec, bytes.substr(p.shape.section_offset), p.shape.raw_len,
+      &section));
+  HARMONY_RETURN_NOT_OK(DecodeTxnSection(section, out->header,
+                                         p.shape.ref_reach, refs, &out->batch,
+                                         stats));
   out->header.txn_root = TxnRoot(out->batch);
   out->header.block_hash = HashHeader(out->header);
   return Status::OK();
-}
-
-Status BlockCodec::Validate(std::string_view bytes, Block* out,
-                            const RefWindow* refs, SectionStats* stats) {
-  return ParseRecord(bytes, refs, /*need_hash=*/false, out, stats);
 }
 
 bool BlockCodec::Peek(std::string_view bytes, RecordShape* out) {

@@ -75,10 +75,7 @@ struct Block {
 /// to kMaxRefReach consecutive blocks, oldest first. A reader fills one in
 /// block order from a safe cut (docs/FORMATS.md, "References"), and
 /// BlockStore::Append keeps one for its encoder. A record with a derived
-/// header needs its predecessor's header here, and Decode its block_hash: a
-/// zero block_hash marks a header whose digests were never computed
-/// (BlockCodec::Validate leaves them zero), which Decode refuses to derive
-/// from.
+/// header needs its predecessor's header here, block_hash included.
 class RefWindow {
  public:
   /// Adds `b`'s header and txns as the newest block. A block that does not
@@ -127,7 +124,7 @@ struct RecordShape {
   }
 };
 
-/// How a decoded record stored its txn section (BlockCodec::Validate).
+/// How a decoded record stored its txn section (BlockCodec::Decode).
 struct SectionStats {
   uint32_t columns = 0;         ///< integer columns, positions included
   uint32_t packed_columns = 0;  ///< of those, stored bit-packed
@@ -171,19 +168,13 @@ class BlockCodec {
   /// kMaxBlockInts where a packed column stores no bytes per entry, before
   /// anything is sized by it; a truncated, overlong, or trailing-garbage
   /// payload, a packed column wider than 64 bits or with non-zero padding,
-  /// a derived header whose predecessor `refs` lacks or holds without its
-  /// hash, or a reference outside the window or past the reach, is
-  /// Corruption. Leaves `out->record` untouched.
+  /// a derived header whose predecessor `refs` lacks, or a reference
+  /// outside the window or past the reach, is Corruption. `stats`, when
+  /// non-null, receives how the section stored its columns. Leaves
+  /// `out->record` untouched.
   static Status Decode(std::string_view bytes, Block* out,
-                       const RefWindow* refs = nullptr);
-  /// Decode without the digest rebuild (txn_root and block_hash are left
-  /// zero, and a derived header's prev_hash is the predecessor's, computed
-  /// or not): the log's open scan needs only to know that a record parses,
-  /// and its header and txns for the next record's window. `stats`, when
-  /// non-null, receives how the section stored its columns.
-  static Status Validate(std::string_view bytes, Block* out,
-                         const RefWindow* refs = nullptr,
-                         SectionStats* stats = nullptr);
+                       const RefWindow* refs = nullptr,
+                       SectionStats* stats = nullptr);
   /// Reads a record's block id, header shape and reference reach, without
   /// a window and without decompressing anything. False on a truncated or
   /// malformed prefix.

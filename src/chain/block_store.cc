@@ -41,6 +41,23 @@ bool ReadRecordAt(int fd, off_t off, std::string* payload, size_t* rec_len) {
   return true;
 }
 
+/// The one record walk: reads the whole records of `fd` from `off` on, in
+/// order, and calls `fn(offset, payload)` for each, at most `max` of them.
+/// Stops at the first record that is short or fails its CRC, or whose `fn`
+/// returns false. Returns the offset just past the last record accepted.
+template <typename Fn>
+uint64_t WalkRecords(int fd, uint64_t off, size_t max, Fn&& fn) {
+  std::string payload;
+  size_t rec_len = 0;
+  for (size_t n = 0;
+       n < max && ReadRecordAt(fd, static_cast<off_t>(off), &payload,
+                               &rec_len) && fn(off, payload);
+       n++) {
+    off += rec_len;
+  }
+  return off;
+}
+
 /// Copies `len` bytes at `from_off` of `from` to `to_off` of `to`, in
 /// bounded chunks.
 bool CopyRange(int from, uint64_t from_off, uint64_t len, int to,
@@ -89,26 +106,25 @@ Status CheckHeader(const uint32_t header[2], const std::string& path) {
 Status DecodeRecords(int fd, uint64_t off, size_t n, BlockId after,
                      std::vector<Block>* out) {
   RefWindow window;
-  std::string payload;
-  size_t rec_len = 0;
   Status s;
-  for (size_t i = 0; i < n; i++) {
-    if (!ReadRecordAt(fd, static_cast<off_t>(off), &payload, &rec_len)) {
-      s = Status::Corruption("block log record at offset " +
-                             std::to_string(off));
-      break;
-    }
-    off += rec_len;
-    Block b;
-    s = BlockCodec::Decode(payload, &b, &window);
-    if (!s.ok()) break;
-    window.Push(b);
-    if (b.header.block_id > after) {
-      b.record = std::move(payload);
-      out->push_back(std::move(b));
-    }
-  }
+  size_t decoded = 0;
+  const uint64_t end =
+      WalkRecords(fd, off, n, [&](uint64_t, std::string& payload) {
+        Block b;
+        s = BlockCodec::Decode(payload, &b, &window);
+        if (!s.ok()) return false;
+        window.Push(b);
+        if (b.header.block_id > after) {
+          b.record = std::move(payload);
+          out->push_back(std::move(b));
+        }
+        decoded++;
+        return true;
+      });
   ::close(fd);
+  if (s.ok() && decoded < n) {
+    s = Status::Corruption("block log record at offset " + std::to_string(end));
+  }
   return s;
 }
 
@@ -166,12 +182,12 @@ Status BlockStore::ScanRecords(
   } else {
     s = CheckHeader(header, path);
   }
-  off_t off = static_cast<off_t>(kLogHeaderBytes);
-  std::string payload;
-  size_t rec_len = 0;
-  while (s.ok() && ReadRecordAt(fd, off, &payload, &rec_len)) {
-    fn(payload);
-    off += static_cast<off_t>(rec_len);
+  if (s.ok()) {
+    WalkRecords(fd, kLogHeaderBytes, SIZE_MAX,
+                [&](uint64_t, const std::string& payload) {
+                  fn(payload);
+                  return true;
+                });
   }
   ::close(fd);
   return s;
@@ -182,42 +198,47 @@ Status BlockStore::ScanAndRepair() {
   first_block_id_ = 0;
   records_.clear();
   window_.Clear();
-  off_t off = kLogHeaderBytes;
-  std::string payload;
-  size_t rec_len = 0;
-  while (ReadRecordAt(fd_, off, &payload, &rec_len)) {
-    // The log's first record is a safe cut, so decoding in order from it
-    // resolves every reference.
-    Block b;
-    BlockId id = 0;
-    uint32_t reach = 0;
-    if (!BlockCodec::Validate(payload, &b, &window_).ok() ||
-        !BlockCodec::Peek(payload, &id, &reach) ||
-        (!records_.empty() && id != last_block_id_ + 1)) {
-      break;
+  // Walk the frames only: a record whose length, CRC, prefix or block id
+  // does not follow is a torn tail. Payloads are not decoded here.
+  append_offset_ = WalkRecords(
+      fd_, kLogHeaderBytes, SIZE_MAX,
+      [&](uint64_t off, const std::string& payload) {
+        BlockId id = 0;
+        uint32_t reach = 0;
+        if (!BlockCodec::Peek(payload, &id, &reach) ||
+            (!records_.empty() && id != last_block_id_ + 1)) {
+          return false;
+        }
+        if (records_.empty()) first_block_id_ = id;
+        last_block_id_ = id;
+        records_.push_back(RecordPos{off, reach});
+        return true;
+      });
+  // Append derives the next header from the tip's block_hash: decode the
+  // last safe cut through the tip with digests (at most one interval of
+  // records), and cut the log at the first of them that does not decode.
+  // Records before that interval are left to the readers, which report a
+  // bad one as Corruption.
+  if (!records_.empty()) {
+    const BlockId from = SafeCutLocked(last_block_id_);
+    const int fd = ::dup(fd_);
+    if (fd < 0) return Status::IOError("dup block log");
+    std::vector<Block> tail;
+    if (!DecodeRecords(fd, records_[from - first_block_id_].offset,
+                       last_block_id_ + 1 - from, from - 1, &tail)
+             .ok()) {
+      const size_t keep = from - first_block_id_ + tail.size();
+      append_offset_ = records_[keep].offset;
+      records_.resize(keep);
+      last_block_id_ = keep > 0 ? first_block_id_ + keep - 1 : 0;
+      if (keep == 0) first_block_id_ = 0;
     }
-    if (records_.empty()) first_block_id_ = id;
-    last_block_id_ = id;
-    records_.push_back(RecordPos{static_cast<uint64_t>(off), reach});
-    window_.Push(b);
-    off += static_cast<off_t>(rec_len);
+    for (const Block& b : tail) window_.Push(b);
   }
-  append_offset_ = static_cast<uint64_t>(off);
   // Drop any torn tail so future appends start from a clean record boundary.
-  if (::ftruncate(fd_, off) != 0) return Status::IOError("truncate block log");
-  // The scan rebuilt no digest, but Append derives the next header from the
-  // tip's block_hash: decode the last safe cut through the tip again, with
-  // digests (at most one interval of records).
-  window_.Clear();
-  if (records_.empty()) return Status::OK();
-  const BlockId from = SafeCutLocked(last_block_id_);
-  const int fd = ::dup(fd_);
-  if (fd < 0) return Status::IOError("dup block log");
-  std::vector<Block> tail;
-  HARMONY_RETURN_NOT_OK(DecodeRecords(
-      fd, records_[from - first_block_id_].offset, last_block_id_ + 1 - from,
-      from - 1, &tail));
-  for (const Block& b : tail) window_.Push(b);
+  if (::ftruncate(fd_, static_cast<off_t>(append_offset_)) != 0) {
+    return Status::IOError("truncate block log");
+  }
   return Status::OK();
 }
 
@@ -393,11 +414,9 @@ Status BlockStore::TruncateBefore(BlockId keep_from) {
       // A crash mid-archive-append can leave a torn tail; appending after
       // it would strand everything behind the tear. Scan to the last whole
       // record and drop the rest (read-side dedup absorbs the re-archive).
-      std::string apayload;
-      size_t arec_len = 0;
-      while (ReadRecordAt(afd, aoff, &apayload, &arec_len)) {
-        aoff += static_cast<off_t>(arec_len);
-      }
+      aoff = static_cast<off_t>(
+          WalkRecords(afd, kLogHeaderBytes, SIZE_MAX,
+                      [](uint64_t, const std::string&) { return true; }));
       ok = ok && ::ftruncate(afd, aoff) == 0;
     }
     // Every dropped record starts at a safe cut of the archive too: the
@@ -449,26 +468,26 @@ Status BlockStore::ReadArchivedBlocks(std::vector<Block>* out) {
   out->clear();
   int fd = ::open((path_ + ".archive").c_str(), O_RDONLY);
   if (fd < 0) return Status::OK();  // never archived anything
-  off_t off = static_cast<off_t>(kLogHeaderBytes);
-  std::string payload;
-  size_t rec_len = 0;
   BlockId last_seen = 0;
   RefWindow window;
-  while (ReadRecordAt(fd, off, &payload, &rec_len)) {
-    off += static_cast<off_t>(rec_len);
-    // Crash-redo duplicates re-archive a prefix already present; the block
-    // ids run monotonically within each truncation batch, so a non-
-    // increasing id is a replayed record.
-    BlockId id = 0;
-    uint32_t reach = 0;
-    if (!BlockCodec::Peek(payload, &id, &reach)) break;
-    if (id <= last_seen) continue;
-    Block b;
-    if (!BlockCodec::Decode(payload, &b, &window).ok()) break;
-    last_seen = id;
-    window.Push(b);
-    out->push_back(std::move(b));
-  }
+  WalkRecords(fd, kLogHeaderBytes, SIZE_MAX,
+              [&](uint64_t, const std::string& payload) {
+                // Crash-redo duplicates re-archive a prefix already present;
+                // the block ids run monotonically within each truncation
+                // batch, so a non-increasing id is a replayed record.
+                BlockId id = 0;
+                uint32_t reach = 0;
+                if (!BlockCodec::Peek(payload, &id, &reach)) return false;
+                if (id <= last_seen) return true;
+                Block b;
+                if (!BlockCodec::Decode(payload, &b, &window).ok()) {
+                  return false;
+                }
+                last_seen = id;
+                window.Push(b);
+                out->push_back(std::move(b));
+                return true;
+              });
   ::close(fd);
   return Status::OK();
 }
@@ -519,43 +538,25 @@ Status BlockStore::ReadRecordsAfter(
     fd = fd_ >= 0 ? ::dup(fd_) : -1;
   }
   if (fd < 0) return Status::IOError("block log not open");
-  std::string payload;
-  size_t rec_len = 0;
-  Status result;
-  for (size_t i = 0; i < n; i++) {
-    if (!ReadRecordAt(fd, static_cast<off_t>(off), &payload, &rec_len)) {
-      result = Status::Corruption("block log record at offset " +
-                                  std::to_string(off));
-      break;
-    }
-    out->emplace_back(from + i, std::move(payload));
-    off += rec_len;
-  }
+  const uint64_t end =
+      WalkRecords(fd, off, n, [&](uint64_t, std::string& payload) {
+        out->emplace_back(from + out->size(), std::move(payload));
+        return true;
+      });
   ::close(fd);
-  return result;
+  if (out->size() < n) {
+    return Status::Corruption("block log record at offset " +
+                              std::to_string(end));
+  }
+  return Status::OK();
 }
 
 Status BlockStore::ReadLast(Block* out) {
-  int fd = -1;
-  uint64_t off = 0;
-  size_t n = 0;
-  BlockId last = 0;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (records_.empty()) return Status::NotFound("empty block log");
-    // An Append publishes its offset before its pwrite lands; wait until no
-    // record write is in flight so the tip we read is fully on disk.
-    order_cv_.wait(lk, [&] { return writes_in_flight_ == 0; });
-    last = last_block_id_;
-    const BlockId from = SafeCutLocked(last);
-    off = records_[from - first_block_id_].offset;
-    n = last + 1 - from;
-    fd = fd_ >= 0 ? ::dup(fd_) : -1;  // see ReadBlocksAfter: truncation-safe
-  }
-  if (fd < 0) return Status::IOError("block log not open");
+  // Appends racing this read only move the tip further: take the newest.
+  const BlockId last = last_block_id();
   std::vector<Block> tip;
-  HARMONY_RETURN_NOT_OK(DecodeRecords(fd, off, n, last - 1, &tip));
-  if (tip.empty()) return Status::Corruption("block log tip record");
+  HARMONY_RETURN_NOT_OK(ReadBlocksAfter(last > 0 ? last - 1 : 0, &tip));
+  if (tip.empty()) return Status::NotFound("empty block log");
   *out = std::move(tip.back());
   return Status::OK();
 }
@@ -573,24 +574,10 @@ BlockId CheckpointManifest::Read() const {
 }
 
 Status CheckpointManifest::Write(BlockId block_id) const {
-  const std::string tmp = path_ + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("open manifest tmp");
-  const uint32_t crc = Crc32(&block_id, 8);
-  bool ok = std::fwrite(&block_id, 8, 1, f) == 1 &&
-            std::fwrite(&crc, 4, 1, f) == 1 && std::fflush(f) == 0 &&
-            ::fsync(::fileno(f)) == 0;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    // Never rename a temp that may not hold the bytes over the good file.
-    ::unlink(tmp.c_str());
-    return Status::IOError("write manifest");
-  }
-  HARMONY_CRASH_POINT("chain.manifest.before_rename");
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::IOError("rename manifest");
-  }
-  return Status::OK();
+  std::string bytes;
+  codec::AppendU64(&bytes, block_id);
+  codec::AppendU32(&bytes, Crc32(&block_id, 8));
+  return WriteFileAtomically(path_, bytes, "chain.manifest.before_rename");
 }
 
 bool CheckpointManifest::Exists() const {
@@ -599,6 +586,26 @@ bool CheckpointManifest::Exists() const {
 
 void CheckpointManifest::RemoveStaleTemp() const {
   ::unlink((path_ + ".tmp").c_str());
+}
+
+Status WriteFileAtomically(const std::string& path, std::string_view bytes,
+                           const char* crash_point) {
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::IOError("open " + tmp);
+  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+            std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    // Never rename a temp that may not hold the bytes over the good file.
+    ::unlink(tmp.c_str());
+    return Status::IOError("write " + tmp);
+  }
+  if (crash_point != nullptr) HARMONY_CRASH_POINT(crash_point);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IOError("rename " + tmp);
+  }
+  return Status::OK();
 }
 
 }  // namespace harmony

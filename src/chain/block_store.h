@@ -65,16 +65,20 @@ class EventLog;
 /// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
-/// Torn tails (crash mid-append) are detected by CRC/length and truncated
-/// on Open(). An unrecognized magic or any other format version is an
-/// explicit NotSupported open error, never a silent truncation — treating
-/// an unknown log as one giant torn tail would wipe the chain. A record
-/// whose CRC passes but whose payload fails to decompress or parse, or
-/// whose block id does not follow its predecessor's, is Corruption on read
-/// (and a torn tail on open). Neither the open scan nor TruncateBefore
-/// rebuilds digests, except that Open decodes the last safe cut through
-/// the tip with digests once, so the next Append can derive its header
-/// from the tip's block_hash.
+/// Open walks the frames without decoding them. A record that is short,
+/// fails its CRC or its prefix (BlockCodec::Peek), or whose block id does
+/// not follow its predecessor's is a torn tail (crash mid-append) and is
+/// truncated with everything after it. Open then decodes the last safe cut
+/// through the tip with digests, so the next Append can derive its header
+/// from the tip's block_hash, and truncates at the first of those records
+/// that does not decode. A record before that last interval is never
+/// parsed on open and never truncated: if its payload does not decode it
+/// is Corruption on read (ReadAll, ReadBlocksAfter, and so
+/// Replica::Recover) — the log holds a replica's only copy of its
+/// committed inputs, so open repairs only a damaged tail. An unrecognized
+/// magic or any other format version is an explicit NotSupported open
+/// error, never a silent truncation — treating an unknown log as one giant
+/// torn tail would wipe the chain. TruncateBefore rebuilds no digest.
 class BlockStore {
  public:
   /// `sync_latency_us` is the modelled group-commit flush cost charged per
@@ -100,8 +104,9 @@ class BlockStore {
   /// the same records twice; ReadArchivedBlocks dedups by block id.
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
-  /// Opens the log and scans it, truncating a torn tail if present.
-  /// NotSupported for a file without the v9 header (see class comment).
+  /// Opens the log and walks its frames, truncating a torn tail or an
+  /// undecodable record in the last interval (see class comment).
+  /// NotSupported for a file without the v9 header.
   Status Open();
 
   /// Calls `fn` with the stored payload of each whole record of the log at
@@ -240,9 +245,6 @@ class BlockStore {
   BlockId SafeCutLocked(BlockId k) const;
   /// The oldest block a record for block `id` may reference. Requires mu_.
   BlockId RefFloorLocked(BlockId id) const;
-  /// Decodes the live records from `from` (a safe cut) through the tip,
-  /// keeping the blocks with id > after. Waits for in-flight writes.
-  Status ReadFrom(BlockId from_hint, BlockId after, std::vector<Block>* out);
 
   std::string path_;
   uint64_t sync_latency_us_;
@@ -295,5 +297,13 @@ class CheckpointManifest {
  private:
   std::string path_;
 };
+
+/// Replaces the small file at `path` with `bytes`: writes <path>.tmp,
+/// flushes and fsyncs it, then renames it over `path`, so a crash leaves the
+/// old file or the new one. A failed write removes the temp instead of
+/// renaming it. The crash point `crash_point`, when non-null, fires between
+/// the write and the rename.
+Status WriteFileAtomically(const std::string& path, std::string_view bytes,
+                           const char* crash_point = nullptr);
 
 }  // namespace harmony

@@ -1,9 +1,5 @@
 #include "net/client.h"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,44 +10,18 @@
 
 #include "chain/block.h"
 #include "common/clock.h"
+#include "net/tcp.h"
 
 namespace harmony {
 namespace net {
 
 Result<std::unique_ptr<NetClient>> NetClient::Connect(
     const NetClientOptions& opts) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Status::IOError(std::string("socket: ") + strerror(errno));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts.port);
-  if (::inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) != 1) {
-    // Not a literal address — resolve it.
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(opts.host.c_str(), nullptr, &hints, &res) != 0 ||
-        res == nullptr) {
-      ::close(fd);
-      return Status::IOError("cannot resolve " + opts.host);
-    }
-    addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
-    ::freeaddrinfo(res);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status s = Status::IOError("connect " + opts.host + ":" +
-                               std::to_string(opts.port) + ": " +
-                               strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto fd = DialTcp(opts.host, opts.port);
+  if (!fd.ok()) return fd.status();
 
   auto client = std::unique_ptr<NetClient>(new NetClient());
-  client->fd_ = fd;
+  client->fd_ = *fd;
   client->max_frame_payload_ = opts.max_frame_payload;
   client->batch_max_txns_ =
       std::min<size_t>(std::max<size_t>(1, opts.batch_max_txns),
@@ -308,18 +278,7 @@ Status NetClient::WriteFrame(Opcode op, std::string_view payload,
                              uint16_t request_id) {
   const std::string frame = EncodeFrame(op, payload, request_id);
   std::lock_guard<std::mutex> lk(write_mu_);
-  size_t off = 0;
-  while (off < frame.size()) {
-    // MSG_NOSIGNAL: a dead peer surfaces as EPIPE, not process-wide SIGPIPE.
-    const ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return SendAll(fd_, frame);
 }
 
 void NetClient::ResolveSeq(uint64_t client_seq, const TxnReceipt& receipt) {

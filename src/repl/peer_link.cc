@@ -1,40 +1,22 @@
 #include "repl/peer_link.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
+#include "net/tcp.h"
+
 namespace harmony {
 namespace repl {
 
 Result<std::unique_ptr<PeerLink>> PeerLink::Dial(const std::string& host,
                                                  uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad leader address " + host);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status s = Status::IOError("connect " + host + ":" +
-                               std::to_string(port) + ": " +
-                               std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto fd = net::DialTcp(host, port);
+  if (!fd.ok()) return fd.status();
   auto link = std::unique_ptr<PeerLink>(new PeerLink());
-  link->fd_ = fd;
+  link->fd_ = *fd;
   return link;
 }
 
@@ -47,17 +29,7 @@ Status PeerLink::Send(net::Opcode op, std::string_view payload) {
   if (closed()) return Status::IOError("link closed");
   const std::string frame = net::EncodeFrame(op, payload);
   std::lock_guard<std::mutex> lk(write_mu_);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return net::SendAll(fd_, frame);
 }
 
 Status PeerLink::Recv(net::Frame* out) {

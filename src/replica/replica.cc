@@ -156,23 +156,9 @@ std::string Replica::AnchorPath() const {
 }
 
 Status Replica::WriteAnchor(const Digest& d) const {
-  const std::string tmp = AnchorPath() + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("open anchor tmp");
-  const uint32_t crc = Crc32(d.data(), d.size());
-  bool ok = std::fwrite(d.data(), d.size(), 1, f) == 1 &&
-            std::fwrite(&crc, 4, 1, f) == 1 && std::fflush(f) == 0 &&
-            ::fsync(::fileno(f)) == 0;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    // Never rename a temp that may not hold the bytes over the good file.
-    ::unlink(tmp.c_str());
-    return Status::IOError("write anchor");
-  }
-  if (std::rename(tmp.c_str(), AnchorPath().c_str()) != 0) {
-    return Status::IOError("rename anchor");
-  }
-  return Status::OK();
+  std::string bytes(reinterpret_cast<const char*>(d.data()), d.size());
+  codec::AppendU32(&bytes, Crc32(d.data(), d.size()));
+  return WriteFileAtomically(AnchorPath(), bytes);
 }
 
 bool Replica::ReadAnchor(Digest* out) const {

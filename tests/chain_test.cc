@@ -2,6 +2,7 @@
 
 #include "chain/block.h"
 #include "chain/block_store.h"
+#include "replica/replica.h"
 #include "testing/crash_point.h"
 #include "testing/fuzz.h"
 #include "tests/test_util.h"
@@ -10,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <thread>
 
@@ -662,6 +664,122 @@ TEST(CheckpointManifest, FailedWriteKeepsThePreviousManifest) {
   EXPECT_EQ(m.Read(), 9u);
 }
 
+// ------------------------------------------------------------ open scan --
+
+/// Overwrites the stored txn section of block `id`'s record in the log at
+/// `path` with 0xFF bytes (an invalid HLZ stream) and re-stamps the
+/// record's CRC, so the damage passes the frame check and reaches the
+/// decoder.
+void BreakRecordSection(const std::string& path, BlockId id) {
+  std::string file = SlurpFile(path);
+  for (size_t off = 8; off + 4 <= file.size();) {
+    uint32_t len = 0;
+    std::memcpy(&len, file.data() + off, 4);
+    ASSERT_LE(off + 8 + len, file.size());
+    RecordShape shape;
+    ASSERT_TRUE(
+        BlockCodec::Peek(std::string_view(file).substr(off + 4, len), &shape));
+    if (shape.block_id == id) {
+      for (size_t i = shape.section_offset; i < len; i++) {
+        file[off + 4 + i] = static_cast<char>(0xFF);
+      }
+      const uint32_t crc = Crc32(std::string_view(file).substr(off + 4, len));
+      std::memcpy(file.data() + off + 4 + len, &crc, 4);
+      SpillFile(path, file);
+      return;
+    }
+    off += 8 + len;
+  }
+  FAIL() << "no record for block " << id;
+}
+
+/// Writes blocks 1..12 (16 txns each, HLZ) to a log whose intervals are
+/// 1-4, 5-8 and 9-12, so block 9 is the last safe cut.
+constexpr uint64_t kOpenEvery = 4;
+void WriteTwelveBlocks(const std::string& path) {
+  BlockStore store(path, 0, Compression::kHlz, kOpenEvery);
+  ASSERT_OK(store.Open());
+  BlockBuilder builder("secret");
+  for (BlockId i = 1; i <= 12; i++) {
+    ASSERT_OK(store.Append(builder.Seal(MakeBatch(i, 1 + (i - 1) * 16, 16), 0)));
+  }
+}
+
+// A record whose CRC holds but whose payload does not decode, before the
+// log's last interval, is a committed block gone bad, not a torn tail: Open
+// leaves the file as it is, and the readers report Corruption. Recovery
+// refuses the log instead of replaying a chain cut short.
+TEST(BlockStoreOpen, UndecodableRecordBeforeTheLastIntervalIsCorruptionOnRead) {
+  TempDir dir("open-early");
+  const std::string path = dir.path() + "/replica.chain";
+  WriteTwelveBlocks(path);
+  BreakRecordSection(path, 5);
+  const std::string before = SlurpFile(path);
+  {
+    BlockStore store(path, 0, Compression::kHlz, kOpenEvery);
+    ASSERT_OK(store.Open());
+    EXPECT_EQ(store.num_blocks(), 12u);
+    EXPECT_EQ(store.last_block_id(), 12u);
+    EXPECT_TRUE(SlurpFile(path) == before);  // not a byte cut
+    std::vector<Block> blocks;
+    EXPECT_TRUE(store.ReadAll(&blocks).IsCorruption());
+    EXPECT_TRUE(store.ReadBlocksAfter(6, &blocks).IsCorruption());
+    // The intervals after the bad record still read.
+    ASSERT_OK(store.ReadBlocksAfter(8, &blocks));
+    EXPECT_EQ(blocks.size(), 4u);
+    Block tip;
+    ASSERT_OK(store.ReadLast(&tip));
+    EXPECT_EQ(tip.header.block_id, 12u);
+  }
+  ReplicaOptions ro;
+  ro.dir = dir.path();
+  ro.disk = DiskModel::RamDisk();
+  ro.threads = 2;
+  ro.pool_pages = 64;
+  ro.checkpoint_every = kOpenEvery;
+  ro.orderer_secret = "secret";
+  Replica replica(ro);
+  ASSERT_OK(replica.Open());
+  EXPECT_TRUE(replica.Recover().status().IsCorruption());
+  EXPECT_TRUE(SlurpFile(path) == before);
+}
+
+// The same damage inside the last interval is repaired like a torn tail:
+// Open cuts the log at that record (Append derives the next header from
+// the tip it decodes there), and appends resume after it. A bad record in
+// an earlier interval stays where it is.
+TEST(BlockStoreOpen, UndecodableRecordInTheLastIntervalIsCutThere) {
+  TempDir dir("open-last");
+  const std::string path = dir.path() + "/replica.chain";
+  WriteTwelveBlocks(path);
+  std::vector<std::pair<BlockId, std::string>> records;
+  {
+    BlockStore store(path, 0, Compression::kHlz, kOpenEvery);
+    ASSERT_OK(store.Open());
+    ASSERT_OK(store.ReadRecordsAfter(0, SIZE_MAX, &records));
+  }
+  uint64_t cut = 8;  // the file offset of block 11's record
+  for (BlockId i = 1; i <= 10; i++) cut += 8 + records[i - 1].second.size();
+  BreakRecordSection(path, 2);
+  BreakRecordSection(path, 11);
+  BlockStore store(path, 0, Compression::kHlz, kOpenEvery);
+  ASSERT_OK(store.Open());
+  EXPECT_EQ(store.num_blocks(), 10u);
+  EXPECT_EQ(store.last_block_id(), 10u);
+  EXPECT_EQ(store.live_log_bytes(), cut);
+  EXPECT_EQ(SlurpFile(path).size(), cut);
+  std::vector<Block> blocks;
+  EXPECT_TRUE(store.ReadAll(&blocks).IsCorruption());
+  ASSERT_OK(store.ReadBlocksAfter(8, &blocks));
+  ASSERT_EQ(blocks.size(), 2u);
+  BlockBuilder builder("secret");
+  builder.ResumeFrom(blocks.back().header.block_hash);
+  ASSERT_OK(store.Append(builder.Seal(MakeBatch(11, 161, 16), 0)));
+  ASSERT_OK(store.ReadBlocksAfter(8, &blocks));
+  ASSERT_EQ(blocks.size(), 3u);
+  ASSERT_OK(ChainVerifier::VerifyChain(blocks, "secret"));
+}
+
 // ------------------------------------------------------------ references --
 
 /// Sealed blocks 1..n whose txns are fresh or CC retries: a sealed txn is
@@ -820,9 +938,9 @@ TEST(BlockStoreRefs, SeededChainsReadBackThroughEveryPath) {
       archived.insert(archived.end(), got.begin(), got.end());
       ExpectChainSlice(archived, chain, 1);
     }
-    // The open scan decodes the survivors in order from the first record,
-    // and the reopened store derives the next block's header from the tip
-    // (its digests rebuilt at Open) unless that block starts an interval.
+    // Open decodes the last interval of the survivors, and the reopened
+    // store derives the next block's header from the tip (its digests
+    // rebuilt at Open) unless that block starts an interval.
     const BlockId first = store.first_block_id();
     BlockStore reopened(path, 0, Compression::kHlz, every);
     ASSERT_OK(reopened.Open());

@@ -198,9 +198,6 @@ TEST(BlockCodecV6, RecordRoundTripBothCodecs) {
     ExpectSameTxns(d.batch, b.batch);
     ChainVerifier v("secret");
     EXPECT_OK(v.Verify(d));
-    Block parsed;
-    ASSERT_OK(BlockCodec::Validate(payload, &parsed));
-    ExpectSameTxns(parsed.batch, b.batch);
     BlockId id = 0;
     uint32_t reach = 7;
     ASSERT_TRUE(BlockCodec::Peek(payload, &id, &reach));
@@ -471,7 +468,7 @@ SectionStats StatsOf(const std::string& payload,
                      const RefWindow* window = nullptr) {
   Block parsed;
   SectionStats stats;
-  EXPECT_OK(BlockCodec::Validate(payload, &parsed, window, &stats));
+  EXPECT_OK(BlockCodec::Decode(payload, &parsed, window, &stats));
   return stats;
 }
 
@@ -775,14 +772,6 @@ TEST(BlockCodecV8, DerivedHeadersRoundTrip) {
       ChainVerifier v("secret");
       v.Reset(prev.header.block_hash);
       EXPECT_OK(v.Verify(d));
-      // Validate resolves the same header fields, without digests.
-      Block parsed;
-      ASSERT_OK(BlockCodec::Validate(derived, &parsed, &window));
-      EXPECT_EQ(parsed.header.first_tid, b.header.first_tid);
-      EXPECT_EQ(parsed.header.order_time_us, b.header.order_time_us);
-      EXPECT_EQ(parsed.header.prev_hash, b.header.prev_hash);
-      EXPECT_EQ(parsed.header.block_hash, Digest{});
-      ExpectSameTxns(parsed.batch, b.batch);
     }
   }
   // A first_tid that follows costs one byte, as does a zero time delta.
@@ -810,15 +799,13 @@ TEST(BlockCodecV8, FullHeaderWithoutAUsablePredecessor) {
   only_b4.Push(b4);
   RefWindow later;
   later.Push(NextBlock(b, 98, 4'000));
-  // The predecessor held, but not usable: a hash that never was computed
-  // (the open scan's Validate), or a prev_hash that names another block.
+  // The predecessor held, but not usable: a hash that never was computed,
+  // or a prev_hash that names another block.
   RefWindow hashless;
   {
-    Block parsed;
-    ASSERT_OK(BlockCodec::Validate(
-        BlockCodec::EncodeRecord(prev, Compression::kNone), &parsed));
-    ASSERT_EQ(parsed.header.block_hash, Digest{});
-    hashless.Push(parsed);
+    Block unhashed = prev;
+    unhashed.header.block_hash = Digest{};
+    hashless.Push(unhashed);
   }
   RefWindow holds_prev;
   holds_prev.Push(prev);
@@ -845,9 +832,7 @@ TEST(BlockCodecV8, FullHeaderWithoutAUsablePredecessor) {
 }
 
 // A derived header that cannot be resolved is Corruption: no window, a
-// window without the predecessor, block 1 (it has none), and a predecessor
-// whose hash was never computed — Decode must never rebuild a digest from
-// a zero hash, while Validate, which rebuilds none, accepts it.
+// window without the predecessor, and block 1 (it has none).
 TEST(BlockCodecV8, UnresolvableDerivedHeadersAreCorruption) {
   BlockBuilder builder("secret");
   const Block prev = builder.Seal(MakeBatch(5, 100, 3), 50'000);
@@ -867,15 +852,6 @@ TEST(BlockCodecV8, UnresolvableDerivedHeadersAreCorruption) {
   RefWindow ahead;  // holds blocks 6.. only
   ahead.Push(b);
   EXPECT_TRUE(BlockCodec::Decode(rec, &d, &ahead).IsCorruption());
-
-  Block parsed;
-  ASSERT_OK(BlockCodec::Validate(BlockCodec::EncodeRecord(prev,
-                                                          Compression::kNone),
-                                 &parsed));
-  RefWindow hashless;
-  hashless.Push(parsed);
-  EXPECT_TRUE(BlockCodec::Decode(rec, &d, &hashless).IsCorruption());
-  EXPECT_OK(BlockCodec::Validate(rec, &d, &hashless));
 
   // The derived flag on block 1, which has no predecessor to derive from.
   const Block one = BlockBuilder("secret").Seal(MakeBatch(1, 1, 2), 0);
@@ -1158,8 +1134,8 @@ TEST(BlockCodecV8, EveryByteOfAStoredRecordIsCovered) {
       verify_rejects++;
       if (bit != 0) continue;
       // Once per byte, the same flip through the log: re-stamp the CRC and
-      // reopen. The open scan drops a record that does not parse; one that
-      // parses must fail the whole-chain audit.
+      // reopen. The record decodes, so Open keeps it, and the whole-chain
+      // audit must fail.
       std::string file = ReadFileBytes(path);
       const size_t at = file.size() - 4 - bad.size();
       file.replace(at, bad.size(), bad);

@@ -177,9 +177,11 @@ struct FollowerNode {
     recovered_tip = tip.ok() ? *tip : 0;
   }
 
-  void Join(uint16_t leader_port, const std::string& node = "f1") {
+  void Join(uint16_t leader_port, const std::string& node = "f1",
+            const std::string& leader_host = "127.0.0.1") {
     repl::FollowerOptions fo;
     fo.node = node;
+    fo.leader_host = leader_host;
     fo.leader_port = leader_port;
     fo.reconnect_backoff_us = 20'000;
     fo.reconnect_backoff_max_us = 100'000;
@@ -405,6 +407,31 @@ TEST(Repl, LoopbackEndToEndDigestIdentical) {
   EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
   EXPECT_TRUE(follower.repl->connected());
 
+  follower.StopRepl();
+}
+
+// A follower dials its leader by name, as a NetClient does: "localhost"
+// resolves, connects and catches up to the leader's state.
+TEST(Repl, FollowerDialsTheLeaderByName) {
+  LeaderNode leader(2, repl::Durability::kLeaderOnly);
+  FollowerNode follower;
+  follower.Join(leader.port(), "f1", "localhost");
+  auto session = leader.db->OpenSession();
+  std::vector<TxnTicket> tickets;
+  for (int i = 0; i < 50; i++) {
+    tickets.push_back(session->Submit(TransferReq(i % 64, (i + 7) % 64, 1)));
+  }
+  for (const TxnTicket& t : tickets) {
+    TxnReceipt r;
+    ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
+  }
+  ASSERT_OK(leader.db->Sync());
+  const BlockId tip = leader.db->height();
+  ASSERT_GT(tip, 0u);
+  ASSERT_TRUE(WaitUntil([&] {
+    return follower.repl->last_applied() >= tip && follower.db->height() >= tip;
+  })) << "follower stalled at " << follower.repl->last_applied() << "/" << tip;
+  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
   follower.StopRepl();
 }
 

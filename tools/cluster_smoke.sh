@@ -3,13 +3,14 @@
 #
 #   tools/cluster_smoke.sh /path/to/harmonyd
 #
-# Boots a leader (--leader 3 --quorum-ack) and two followers (--join) as
-# independent processes on loopback, drives the leader with `harmonyd load`
-# (exactly-once receipt ledger: any lost or duplicated receipt fails the
-# run), waits for both followers to reach the leader's height, then shuts
-# everything down and compares the three `state_digest=` lines — the
-# replica-consistency check across real process boundaries. Last, it sizes
-# the leader's block log with `harmonyd log-stats`.
+# Boots a leader (--leader 3 --quorum-ack) and two followers (--join, one
+# by address and one by the name localhost) as independent processes on
+# loopback, drives the leader with `harmonyd load` (exactly-once receipt
+# ledger: any lost or duplicated receipt fails the run), waits for both
+# followers to reach the leader's height, then shuts everything down and
+# compares the three `state_digest=` lines — the replica-consistency check
+# across real process boundaries. Last, it sizes the leader's block log
+# with `harmonyd log-stats`.
 #
 # Registered as the cluster_smoke ctest (tier-1).
 set -euo pipefail
@@ -58,10 +59,13 @@ echo "== boot leader (:$P_LEADER) + 2 followers (:$P_F1 :$P_F2)"
 PIDS+=($!)
 wait_serving "$P_LEADER" leader
 
+# follower1 joins by address, follower2 by a host name the dial resolves.
+LEADER_HOSTS=(127.0.0.1 localhost)
 for i in 1 2; do
   port_var="P_F$i"
+  leader_host=${LEADER_HOSTS[$((i - 1))]}
   "$HARMONYD" serve --dir "$TMP/follower$i" --port "${!port_var}" \
-    --join "127.0.0.1:$P_LEADER" --node "follower$i" \
+    --join "$leader_host:$P_LEADER" --node "follower$i" \
     >"$TMP/follower$i.log" 2>&1 &
   PIDS+=($!)
 done

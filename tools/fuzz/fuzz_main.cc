@@ -255,8 +255,10 @@ size_t FlagsOffset(BlockId id) {
 /// The record payloads of a freshly chained block sequence 1..n in which
 /// later blocks derive their headers from the one before and retry earlier
 /// blocks' txns, stored by reference; half the time the fresh txns share a
-/// PackableShape.
-std::vector<std::string> BuildLogRecords(FuzzRng& rng, size_t n_blocks) {
+/// PackableShape. Every `interval`-th record starts an interval: it stores
+/// its header and txns in full, so it is a safe cut.
+std::vector<std::string> BuildLogRecords(FuzzRng& rng, size_t n_blocks,
+                                         size_t interval = SIZE_MAX) {
   std::vector<std::string> records;
   BlockBuilder builder("fuzz-secret");
   RefWindow window;
@@ -265,6 +267,7 @@ std::vector<std::string> BuildLogRecords(FuzzRng& rng, size_t n_blocks) {
   for (size_t i = 0; i < n_blocks; i++) {
     Block b = i == 0 ? MakeBlock(rng, builder, 1, 1, ShapeOf(shape))
                      : MakeRetryBlock(rng, builder, prev, ShapeOf(shape));
+    if (i % interval == 0) window.Clear();  // an interval starts here
     records.push_back(EncodeRecord(rng, b, &window));
     window.Push(b);
     prev = std::move(b);
@@ -610,13 +613,11 @@ bool BreakReference(FuzzRng& rng, const RefWindow& window, BlockId id,
 /// under a header derived from it (decoded against that block's window).
 /// Unmutated records must decode to the same txns (same TxnRoot and rebuilt
 /// block hash), and a block of a PackableShape must store packed columns.
-/// Whatever Decode accepts, Validate accepts with the same block id, and
-/// the other way round. A record whose reach, distance or index is
-/// rewritten out of range, or whose referenced txn's retry count would
-/// overflow, must be Corruption; so must a derived header whose predecessor
-/// the window lacks or holds without its hash. A record whose derived-
-/// header flag is flipped must be Corruption or decode to a block the chain
-/// verifier rejects.
+/// A record whose reach, distance or index is rewritten out of range, or
+/// whose referenced txn's retry count would overflow, must be Corruption;
+/// so must a derived header whose predecessor the window lacks. A record
+/// whose derived-header flag is flipped must be Corruption or decode to a
+/// block the chain verifier rejects.
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   BlockBuilder builder("fuzz-secret");
   RefWindow window;
@@ -678,20 +679,11 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
       FUZZ_CHECK(st.IsCorruption(), "a flipped flag failed as non-Corruption");
     }
     if (has_prev) {
-      // The predecessor dropped from the window, or held without the hash
-      // the open scan never computes.
+      // The predecessor dropped from the window.
       RefWindow dropped;
       FUZZ_CHECK(BlockCodec::Decode(payload, &d, &dropped).IsCorruption() &&
                      BlockCodec::Decode(payload, &d).IsCorruption(),
                  "a derived header without its predecessor was not Corruption");
-      Block hashless = prev;
-      hashless.header.block_hash = Digest{};
-      RefWindow unhashed;
-      unhashed.Push(hashless);
-      FUZZ_CHECK(BlockCodec::Decode(payload, &d, &unhashed).IsCorruption(),
-                 "a derived header over an unhashed predecessor decoded");
-      FUZZ_CHECK(BlockCodec::Validate(payload, &d, &unhashed).ok(),
-                 "Validate refused an unhashed predecessor");
     }
     return;
   }
@@ -700,47 +692,46 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   if (mutated) ctx.mut.Mutate(rng, &payload);
 
   Block d;
-  Status s = BlockCodec::Decode(payload, &d, &window);
+  SectionStats stats;
+  Status s = BlockCodec::Decode(payload, &d, &window, &stats);
   if (!mutated) {
     FUZZ_CHECK(s.ok(), "valid record payload rejected");
     FUZZ_CHECK(d.header.block_hash == b.header.block_hash &&
                    d.header.txn_root == b.header.txn_root,
                "valid record decoded differently");
-  }
-  Block parsed;
-  SectionStats stats;
-  const Status v = BlockCodec::Validate(payload, &parsed, &window, &stats);
-  FUZZ_CHECK(v.ok() == s.ok(), "Validate and Decode disagree");
-  if (!mutated && shape && !has_prev) {
-    FUZZ_CHECK(stats.packed_columns >= 2,
-               "a block of one procedure and client packed neither column");
-  }
-  if (s.ok()) {
-    FUZZ_CHECK(parsed.header.block_id == d.header.block_id,
-               "Validate returned another block id");
+    if (shape && !has_prev) {
+      FUZZ_CHECK(stats.packed_columns >= 2,
+                 "a block of one procedure and client packed neither column");
+    }
   }
 }
 
 /// BlockStore::Open on whole mutated log files (exercises header/version
 /// detection, torn-tail repair, CRC validation). The invariant: whatever
-/// Open accepts, ReadAll must then parse — "opened" means every surviving
-/// record is readable. An intact file stamped with a pre-v9 version must
-/// be refused with NotSupported. Structural breaks with valid CRCs: a
-/// record dropped from the middle orphans its successor's derived header
-/// (Corruption), so the opened log ends before it; a record whose derived-
-/// header flag is flipped either ends the log there or fails the audit.
+/// Open accepts, ReadAll either parses into a chain that agrees with the
+/// open scan and ReadLast, or reports Corruption — Open repairs only a
+/// torn tail, so a record broken before the last interval (a mutation can
+/// splice in a CRC-valid one, or cut the log's head) surfaces on read. An
+/// intact file must read back whole, and one stamped with a pre-v9 version
+/// must be refused with NotSupported. Structural breaks with valid CRCs,
+/// on logs of one or more intervals: a record dropped from the middle
+/// breaks the id sequence, so the opened log ends before it; a record
+/// whose derived-header flag is flipped ends the log there (in the last
+/// interval), makes ReadAll Corruption (before it), or fails the audit —
+/// it never yields a chain that passes it.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
-  std::vector<std::string> records = BuildLogRecords(rng, rng.Index(4));
+  std::vector<std::string> records =
+      BuildLogRecords(rng, rng.Index(6), 1 + rng.Index(4));
   enum class Break { kNone, kFlip, kDrop } brk = Break::kNone;
   size_t at = 0;
-  if (records.size() >= 2 && rng.Chance(0.2)) {
+  if (records.size() >= 3 && rng.Chance(0.2)) {
     if (rng.Chance(0.5)) {
       brk = Break::kFlip;
       at = rng.Index(records.size());
       records[at][FlagsOffset(at + 1)] ^= static_cast<char>(kDerivedFlag);
     } else {
       brk = Break::kDrop;
-      at = rng.Index(records.size() - 1);
+      at = 1 + rng.Index(records.size() - 2);
       records.erase(records.begin() + static_cast<ptrdiff_t>(at));
     }
   }
@@ -770,12 +761,22 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
       FUZZ_CHECK(s.IsNotSupported(), "pre-v9 log not refused");
     }
     if (brk != Break::kNone) FUZZ_CHECK(s.ok(), "a v9 log did not open");
+    std::vector<Block> blocks;
+    const Status read = s.ok() ? store.ReadAll(&blocks) : s;
     if (s.ok()) {
-      std::vector<Block> blocks;
-      FUZZ_CHECK(store.ReadAll(&blocks).ok(),
-                 "Open() accepted a log ReadAll cannot parse");
+      FUZZ_CHECK(read.ok() || read.IsCorruption(),
+                 "ReadAll on an opened log failed as non-Corruption");
+      if (!mutated && brk != Break::kFlip) {
+        FUZZ_CHECK(read.ok(), "Open() accepted a log ReadAll cannot parse");
+      }
+    }
+    if (read.ok()) {
       FUZZ_CHECK(blocks.size() == store.num_blocks(),
                  "ReadAll count disagrees with open scan");
+      if (!mutated && brk == Break::kNone) {
+        FUZZ_CHECK(blocks.size() == records.size(),
+                   "an intact log did not read back whole");
+      }
       if (brk == Break::kDrop) {
         FUZZ_CHECK(blocks.size() == at,
                    "a record whose predecessor was dropped was served");

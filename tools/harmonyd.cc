@@ -735,7 +735,7 @@ int ClusterStatusCli(const Args& args) {
 /// Read-only block-log sizing: what each record costs outside its txn
 /// section, the figure the record header's encoding decides, and what the
 /// section costs and how it stored its columns, which decoding each record
-/// in order (as the log's readers do, without digests) reports.
+/// in order (as the log's readers do) reports.
 int LogStatsCli(const Args& args) {
   if (args.dir.empty()) return Usage();
   const std::string path = args.dir + "/replica.chain";
@@ -753,7 +753,7 @@ int LogStatsCli(const Args& args) {
     Block b;
     SectionStats stats;
     if (!BlockCodec::Peek(p, &shape) ||
-        !BlockCodec::Validate(p, &b, &window, &stats).ok()) {
+        !BlockCodec::Decode(p, &b, &window, &stats).ok()) {
       unreadable++;
       return;
     }
