@@ -102,9 +102,10 @@ Status CheckHeader(const uint32_t header[2], const std::string& path) {
 /// safe cut, so each reference resolves in the blocks decoded before it)
 /// and keeps the blocks with id > after, each with its stored payload in
 /// Block::record, so an Append of it elsewhere stores those bytes verbatim
-/// instead of encoding the block again. Closes `fd`.
+/// instead of encoding the block again. Closes `fd`. A record that reads
+/// whole but does not decode sets `*undecodable`; a failed read does not.
 Status DecodeRecords(int fd, uint64_t off, size_t n, BlockId after,
-                     std::vector<Block>* out) {
+                     std::vector<Block>* out, bool* undecodable = nullptr) {
   RefWindow window;
   Status s;
   size_t decoded = 0;
@@ -112,7 +113,10 @@ Status DecodeRecords(int fd, uint64_t off, size_t n, BlockId after,
       WalkRecords(fd, off, n, [&](uint64_t, std::string& payload) {
         Block b;
         s = BlockCodec::Decode(payload, &b, &window);
-        if (!s.ok()) return false;
+        if (!s.ok()) {
+          if (undecodable != nullptr) *undecodable = true;
+          return false;
+        }
         window.Push(b);
         if (b.header.block_id > after) {
           b.record = std::move(payload);
@@ -217,16 +221,20 @@ Status BlockStore::ScanAndRepair() {
   // Append derives the next header from the tip's block_hash: decode the
   // last safe cut through the tip with digests (at most one interval of
   // records), and cut the log at the first of them that does not decode.
-  // Records before that interval are left to the readers, which report a
-  // bad one as Corruption.
+  // A failed re-read of a frame the walk just accepted is an error, not a
+  // bad record. Records before that interval are left to the readers,
+  // which report a bad one as Corruption.
   if (!records_.empty()) {
     const BlockId from = SafeCutLocked(last_block_id_);
     const int fd = ::dup(fd_);
     if (fd < 0) return Status::IOError("dup block log");
     std::vector<Block> tail;
-    if (!DecodeRecords(fd, records_[from - first_block_id_].offset,
-                       last_block_id_ + 1 - from, from - 1, &tail)
-             .ok()) {
+    bool undecodable = false;
+    const Status s =
+        DecodeRecords(fd, records_[from - first_block_id_].offset,
+                      last_block_id_ + 1 - from, from - 1, &tail, &undecodable);
+    if (!s.ok()) {
+      if (!undecodable) return s;
       const size_t keep = from - first_block_id_ + tail.size();
       append_offset_ = records_[keep].offset;
       records_.resize(keep);

@@ -68,14 +68,15 @@ class EventLog;
 /// Open walks the frames without decoding them. A record that is short,
 /// fails its CRC or its prefix (BlockCodec::Peek), or whose block id does
 /// not follow its predecessor's is a torn tail (crash mid-append) and is
-/// truncated with everything after it. Open then decodes the last safe cut
-/// through the tip with digests, so the next Append can derive its header
-/// from the tip's block_hash, and truncates at the first of those records
-/// that does not decode. A record before that last interval is never
-/// parsed on open and never truncated: if its payload does not decode it
-/// is Corruption on read (ReadAll, ReadBlocksAfter, and so
-/// Replica::Recover) — the log holds a replica's only copy of its
-/// committed inputs, so open repairs only a damaged tail. An unrecognized
+/// truncated with everything after it — wherever in the file it lies.
+/// Open then decodes the last safe cut through the tip with digests, so
+/// the next Append can derive its header from the tip's block_hash, and
+/// truncates at the first of those records that does not decode; a failed
+/// read there fails Open instead. A CRC-valid record before that last
+/// interval is never parsed on open and never truncated: if its payload
+/// does not decode it is Corruption on read (ReadAll, ReadBlocksAfter, and
+/// so Replica::Recover) — the log holds a replica's only copy of its
+/// committed inputs. An unrecognized
 /// magic or any other format version is an explicit NotSupported open
 /// error, never a silent truncation — treating an unknown log as one giant
 /// torn tail would wipe the chain. TruncateBefore rebuilds no digest.

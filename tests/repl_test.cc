@@ -376,63 +376,45 @@ TEST(ReplWire, HostileInputsRejected) {
 
 // ------------------------------------------------------------- end-to-end --
 
+// Also with the follower dialing its leader by name, as a NetClient does:
+// "localhost" resolves, connects and catches up to the leader's state.
 TEST(Repl, LoopbackEndToEndDigestIdentical) {
-  LeaderNode leader(2, repl::Durability::kLeaderOnly);
-  FollowerNode follower;
-  follower.Join(leader.port());
+  for (const char* host : {"127.0.0.1", "localhost"}) {
+    SCOPED_TRACE(host);
+    LeaderNode leader(2, repl::Durability::kLeaderOnly);
+    FollowerNode follower;
+    follower.Join(leader.port(), "f1", host);
 
-  auto session = leader.db->OpenSession();
-  std::vector<TxnTicket> tickets;
-  for (int i = 0; i < 200; i++) {
-    tickets.push_back(session->Submit(TransferReq(i % 64, (i + 1) % 64, 1)));
-  }
-  for (const TxnTicket& t : tickets) {
-    TxnReceipt r;
-    ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
-  }
-  // Receipts resolve *before* height() advances past their block (the
-  // commit thread updates last_committed after the callbacks, so Drain()
-  // implies every callback fired) — quiesce the pipeline before reading
-  // the tip or the last block would race the comparison.
-  ASSERT_OK(leader.db->Sync());
-  const BlockId tip = leader.db->height();
-  ASSERT_GT(tip, 0u);
+    auto session = leader.db->OpenSession();
+    std::vector<TxnTicket> tickets;
+    for (int i = 0; i < 200; i++) {
+      tickets.push_back(session->Submit(TransferReq(i % 64, (i + 1) % 64, 1)));
+    }
+    for (const TxnTicket& t : tickets) {
+      TxnReceipt r;
+      ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
+    }
+    // Receipts resolve *before* height() advances past their block (the
+    // commit thread updates last_committed after the callbacks, so Drain()
+    // implies every callback fired) — quiesce the pipeline before reading
+    // the tip or the last block would race the comparison.
+    ASSERT_OK(leader.db->Sync());
+    const BlockId tip = leader.db->height();
+    ASSERT_GT(tip, 0u);
 
-  // last_applied() moves in the commit callback, before the follower's
-  // height() does; wait for both before comparing heights.
-  ASSERT_TRUE(WaitUntil([&] {
-    return follower.repl->last_applied() >= tip && follower.db->height() >= tip;
-  })) << "follower stalled at " << follower.repl->last_applied() << "/" << tip;
-  EXPECT_EQ(follower.db->height(), tip);
-  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
-  EXPECT_TRUE(follower.repl->connected());
+    // last_applied() moves in the commit callback, before the follower's
+    // height() does; wait for both before comparing heights.
+    ASSERT_TRUE(WaitUntil([&] {
+      return follower.repl->last_applied() >= tip &&
+             follower.db->height() >= tip;
+    })) << "follower stalled at " << follower.repl->last_applied() << "/"
+        << tip;
+    EXPECT_EQ(follower.db->height(), tip);
+    EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
+    EXPECT_TRUE(follower.repl->connected());
 
-  follower.StopRepl();
-}
-
-// A follower dials its leader by name, as a NetClient does: "localhost"
-// resolves, connects and catches up to the leader's state.
-TEST(Repl, FollowerDialsTheLeaderByName) {
-  LeaderNode leader(2, repl::Durability::kLeaderOnly);
-  FollowerNode follower;
-  follower.Join(leader.port(), "f1", "localhost");
-  auto session = leader.db->OpenSession();
-  std::vector<TxnTicket> tickets;
-  for (int i = 0; i < 50; i++) {
-    tickets.push_back(session->Submit(TransferReq(i % 64, (i + 7) % 64, 1)));
+    follower.StopRepl();
   }
-  for (const TxnTicket& t : tickets) {
-    TxnReceipt r;
-    ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
-  }
-  ASSERT_OK(leader.db->Sync());
-  const BlockId tip = leader.db->height();
-  ASSERT_GT(tip, 0u);
-  ASSERT_TRUE(WaitUntil([&] {
-    return follower.repl->last_applied() >= tip && follower.db->height() >= tip;
-  })) << "follower stalled at " << follower.repl->last_applied() << "/" << tip;
-  EXPECT_EQ(DigestOf(leader.db.get()), DigestOf(follower.db.get()));
-  follower.StopRepl();
 }
 
 // REPLICATE ships the leader's stored record and the follower appends it

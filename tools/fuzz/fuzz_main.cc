@@ -709,32 +709,39 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
 /// BlockStore::Open on whole mutated log files (exercises header/version
 /// detection, torn-tail repair, CRC validation). The invariant: whatever
 /// Open accepts, ReadAll either parses into a chain that agrees with the
-/// open scan and ReadLast, or reports Corruption — Open repairs only a
-/// torn tail, so a record broken before the last interval (a mutation can
-/// splice in a CRC-valid one, or cut the log's head) surfaces on read. An
-/// intact file must read back whole, and one stamped with a pre-v9 version
-/// must be refused with NotSupported. Structural breaks with valid CRCs,
-/// on logs of one or more intervals: a record dropped from the middle
-/// breaks the id sequence, so the opened log ends before it; a record
-/// whose derived-header flag is flipped ends the log there (in the last
-/// interval), makes ReadAll Corruption (before it), or fails the audit —
-/// it never yields a chain that passes it.
+/// open scan, or reports Corruption — Open repairs only a torn tail, so a
+/// record broken before the last interval (a mutation can splice in a
+/// CRC-valid one, or cut the log's head) surfaces on read. ReadLast
+/// returns the opened tip or Corruption, and always the tip when the log
+/// is unmutated or ReadAll parses. An intact file must read back whole,
+/// and one stamped with a pre-v9 version must be refused with
+/// NotSupported. Structural breaks with valid CRCs, on logs of one or more
+/// intervals: a record dropped from the middle breaks the id sequence, so
+/// the opened log ends before it; with the first record dropped, a log of
+/// one-record intervals reads back from block 2, and otherwise block 2's
+/// derived header has no predecessor — Open cuts it when it lies in the
+/// last interval, else ReadAll is Corruption; a record whose derived-
+/// header flag is flipped ends the log there (in the last interval), makes
+/// ReadAll Corruption (before it), or fails the audit — it never yields a
+/// chain that passes it.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
+  const size_t interval = 1 + rng.Index(4);
   std::vector<std::string> records =
-      BuildLogRecords(rng, rng.Index(6), 1 + rng.Index(4));
+      BuildLogRecords(rng, rng.Index(6), interval);
   enum class Break { kNone, kFlip, kDrop } brk = Break::kNone;
   size_t at = 0;
-  if (records.size() >= 3 && rng.Chance(0.2)) {
+  if (records.size() >= 2 && rng.Chance(0.2)) {
     if (rng.Chance(0.5)) {
       brk = Break::kFlip;
       at = rng.Index(records.size());
       records[at][FlagsOffset(at + 1)] ^= static_cast<char>(kDerivedFlag);
     } else {
       brk = Break::kDrop;
-      at = 1 + rng.Index(records.size() - 2);
+      at = rng.Index(records.size() - 1);
       records.erase(records.begin() + static_cast<ptrdiff_t>(at));
     }
   }
+  const bool head_dropped = brk == Break::kDrop && at == 0;
   std::string file = LogFileOf(records);
   const bool old_version = brk == Break::kNone && rng.Chance(0.1);
   if (old_version) {
@@ -766,8 +773,43 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     if (s.ok()) {
       FUZZ_CHECK(read.ok() || read.IsCorruption(),
                  "ReadAll on an opened log failed as non-Corruption");
-      if (!mutated && brk != Break::kFlip) {
+      if (!mutated && brk != Break::kFlip && !head_dropped) {
         FUZZ_CHECK(read.ok(), "Open() accepted a log ReadAll cannot parse");
+      }
+      if (head_dropped) {
+        // records[0] is now block 2, an interval start only when every
+        // record is one; a later interval start keeps it out of Open's
+        // tail decode.
+        if (interval == 1) {
+          FUZZ_CHECK(read.ok() && blocks.size() == records.size() &&
+                         blocks.front().header.block_id == 2,
+                     "a log of whole records did not read back from block 2");
+        } else if (records.size() >= interval) {
+          FUZZ_CHECK(read.IsCorruption(),
+                     "an orphaned derived header before the last interval "
+                     "was not Corruption");
+        } else {
+          FUZZ_CHECK(store.num_blocks() == 0,
+                     "an orphaned derived header in the last interval was "
+                     "not cut");
+        }
+      }
+      if (store.num_blocks() > 0) {
+        Block tip;
+        const Status last = store.ReadLast(&tip);
+        FUZZ_CHECK(last.ok() || last.IsCorruption(),
+                   "ReadLast on an opened log failed as non-Corruption");
+        if (!mutated || read.ok()) {
+          FUZZ_CHECK(last.ok(), "ReadLast could not read the opened tip");
+        }
+        if (last.ok()) {
+          FUZZ_CHECK(tip.header.block_id == store.last_block_id(),
+                     "ReadLast disagrees with the open scan's tip");
+        }
+      } else {
+        Block tip;
+        FUZZ_CHECK(store.ReadLast(&tip).IsNotFound(),
+                   "ReadLast on empty log not NotFound");
       }
     }
     if (read.ok()) {
@@ -777,22 +819,13 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
         FUZZ_CHECK(blocks.size() == records.size(),
                    "an intact log did not read back whole");
       }
-      if (brk == Break::kDrop) {
+      if (brk == Break::kDrop && at > 0) {
         FUZZ_CHECK(blocks.size() == at,
                    "a record whose predecessor was dropped was served");
       }
       if (brk == Break::kFlip && blocks.size() > at) {
         FUZZ_CHECK(!ChainVerifier::VerifyChain(blocks, "fuzz-secret").ok(),
                    "a flipped derived-header flag passed the chain audit");
-      }
-      Block tip;
-      Status last = store.ReadLast(&tip);
-      if (blocks.empty()) {
-        FUZZ_CHECK(last.IsNotFound(), "ReadLast on empty log not NotFound");
-      } else {
-        FUZZ_CHECK(last.ok() && tip.header.block_id ==
-                                    blocks.back().header.block_id,
-                   "ReadLast disagrees with ReadAll tip");
       }
     }
   }
