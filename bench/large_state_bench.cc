@@ -106,7 +106,6 @@ int RunLogOpenTable(size_t blocks, size_t txns_per_block) {
       for (size_t i = 0; i < txns_per_block; i++) {
         TxnRequest t = wl.Next();
         t.client_id = 1 + t.client_seq % 16;
-        t.submit_time_us = 1'000'000 + 40 * t.client_seq;
         batch.txns.push_back(std::move(t));
       }
       tid += txns_per_block;

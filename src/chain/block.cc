@@ -11,27 +11,21 @@ void BlockCodec::EncodeTxn(const TxnRequest& t, std::string* out) {
   codec::AppendU32(out, t.proc_id);
   codec::AppendU64(out, t.client_id);
   codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU64(out, t.fee);
   codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
   for (int64_t v : t.args.ints) codec::AppendI64(out, v);
   codec::AppendBytes(out, t.args.blob);
 }
 
 size_t BlockCodec::EncodedTxnSize(const TxnRequest& t) {
-  // proc_id, client_id, client_seq, submit_time_us, retries, fee, n_ints,
-  // blob length: 4 + 8 + 8 + 8 + 4 + 8 + 4 + 4.
-  constexpr size_t kFixedBytes = 48;
+  // proc_id, client_id, client_seq, n_ints, blob length: 4 + 8 + 8 + 4 + 4.
+  constexpr size_t kFixedBytes = 28;
   return kFixedBytes + 8 * t.args.ints.size() + t.args.blob.size();
 }
 
 bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out) {
   uint32_t n_ints = 0;
   if (!r->ReadU32(&out->proc_id) || !r->ReadU64(&out->client_id) ||
-      !r->ReadU64(&out->client_seq) || !r->ReadU64(&out->submit_time_us) ||
-      !r->ReadU32(&out->retries) || !r->ReadU64(&out->fee) ||
-      !r->ReadU32(&n_ints)) {
+      !r->ReadU64(&out->client_seq) || !r->ReadU32(&n_ints)) {
     return false;
   }
   // Bound the resize by the bytes actually present: a corrupt count must
@@ -62,17 +56,11 @@ void AppendZigzag(std::string* out, int64_t v) {
   codec::AppendVarint(out, codec::ZigzagEncode(v));
 }
 
-/// True when `later` is `earlier` sealed again after a CC abort: equal
-/// canonical EncodeTxn bytes except retries == earlier's + 1.
-bool IsRetryOf(const TxnRequest& later, const TxnRequest& earlier) {
-  return earlier.retries != UINT32_MAX &&
-         later.retries == earlier.retries + 1 &&
-         later.client_id == earlier.client_id &&
-         later.client_seq == earlier.client_seq &&
-         later.proc_id == earlier.proc_id &&
-         later.submit_time_us == earlier.submit_time_us &&
-         later.fee == earlier.fee && later.args.ints == earlier.args.ints &&
-         later.args.blob == earlier.args.blob;
+/// True when `a` and `b` have equal canonical EncodeTxn bytes.
+bool SameCanonicalTxn(const TxnRequest& a, const TxnRequest& b) {
+  return a.client_id == b.client_id && a.client_seq == b.client_seq &&
+         a.proc_id == b.proc_id && a.args.ints == b.args.ints &&
+         a.args.blob == b.args.blob;
 }
 
 /// Where a stored reference points: `distance` blocks back (0 = stored in
@@ -82,40 +70,37 @@ struct TxnRef {
   uint32_t index = 0;
 };
 
-struct RetryKey {
+struct ClientKey {
   uint64_t client_id;
   uint64_t client_seq;
-  uint32_t retries;
-  bool operator==(const RetryKey& o) const {
-    return client_id == o.client_id && client_seq == o.client_seq &&
-           retries == o.retries;
+  bool operator==(const ClientKey& o) const {
+    return client_id == o.client_id && client_seq == o.client_seq;
   }
 };
 
-struct RetryKeyHash {
-  size_t operator()(const RetryKey& k) const {
+struct ClientKeyHash {
+  size_t operator()(const ClientKey& k) const {
     return std::hash<uint64_t>()(k.client_id * 0x9E3779B97F4A7C15ull ^
-                                 k.client_seq) ^
-           k.retries;
+                                 k.client_seq);
   }
 };
 
 /// The reference for each txn of `b` that repeats a txn in `window`: the
-/// newest earlier incarnation wins, so retries reach back as little as
-/// they can. Only retried txns (retries > 0) are looked up, and the scan
-/// stops once each has found its match.
+/// newest earlier txn with the same canonical bytes wins, so retries reach
+/// back as little as they can. Only retried txns (in-memory retries > 0)
+/// are looked up, and the scan stops once each has found its match.
 std::vector<TxnRef> FindRefs(const Block& b, const RefWindow& window) {
   const std::vector<TxnRequest>& txns = b.batch.txns;
   std::vector<TxnRef> refs(txns.size());
   const BlockId id = b.header.block_id;
   if (window.empty() || window.front_id() >= id) return refs;
-  // Wanted earlier incarnation -> position in `b` (the first, if a block
-  // holds the same retry twice; the other copy is stored in full).
-  std::unordered_map<RetryKey, uint32_t, RetryKeyHash> wanted;
+  // Wanted (client, seq) -> position in `b` (the first, if a block holds
+  // the same txn twice; the other copy is stored in full).
+  std::unordered_map<ClientKey, uint32_t, ClientKeyHash> wanted;
   for (uint32_t i = 0; i < txns.size(); i++) {
     const TxnRequest& t = txns[i];
     if (t.retries == 0) continue;
-    wanted.emplace(RetryKey{t.client_id, t.client_seq, t.retries - 1}, i);
+    wanted.emplace(ClientKey{t.client_id, t.client_seq}, i);
   }
   const BlockId newest = std::min(window.back_id(), id - 1);
   const BlockId oldest =
@@ -124,8 +109,10 @@ std::vector<TxnRef> FindRefs(const Block& b, const RefWindow& window) {
     const std::vector<TxnRequest>& earlier = *window.Find(src);
     for (uint32_t j = 0; j < earlier.size(); j++) {
       const TxnRequest& e = earlier[j];
-      auto it = wanted.find(RetryKey{e.client_id, e.client_seq, e.retries});
-      if (it == wanted.end() || !IsRetryOf(txns[it->second], e)) continue;
+      auto it = wanted.find(ClientKey{e.client_id, e.client_seq});
+      if (it == wanted.end() || !SameCanonicalTxn(txns[it->second], e)) {
+        continue;
+      }
       refs[it->second] = TxnRef{static_cast<uint32_t>(id - src), j};
       wanted.erase(it);
     }
@@ -141,9 +128,6 @@ enum FixedColumn {
   kProcId,
   kClientId,
   kClientSeq,
-  kSubmitTime,
-  kRetries,
-  kFee,
   kNInts,
   kBlobLen,
   kFixedColumns,
@@ -257,8 +241,8 @@ std::vector<Packing> AppendModes(const std::vector<IntColumn>& cols,
 /// bit-packed (a mode bitmap ahead of the fixed columns, another ahead of
 /// the args.ints position columns), then the blob bytes. Deltas and packed
 /// offsets use wrapping 64-bit arithmetic, so every value — including
-/// 0/UINT64_MAX sequence numbers and submit times after the order time —
-/// round-trips exactly.
+/// 0/UINT64_MAX sequence numbers and INT64_MIN/INT64_MAX ints — round-trips
+/// exactly.
 void EncodeTxnSection(const Block& b, const std::vector<TxnRef>& refs,
                       uint32_t reach, std::string* out) {
   std::vector<const TxnRequest*> txns;
@@ -282,14 +266,12 @@ void EncodeTxnSection(const Block& b, const std::vector<TxnRef>& refs,
   }
   fixed[kClientSeq].kind = ColumnKind::kSeq;
   fixed[kClientSeq].deltas = &cells[kFixedColumns * n];
-  fixed[kSubmitTime].kind = ColumnKind::kSigned;
   const auto cell = [&cells, n](int column, size_t i) -> uint64_t& {
     return cells[column * n + i];
   };
   // client_seq's varint mode stores the delta from the same client's
   // previous txn in this block (base 0), so a client's consecutive
-  // submissions cost one byte each; submit_time_us is stored as the
-  // distance back from the block's order time.
+  // submissions cost one byte each.
   std::unordered_map<uint64_t, uint64_t> last_seq;
   std::vector<size_t> per_position;  // entries of each position column
   for (size_t i = 0; i < n; i++) {
@@ -301,9 +283,6 @@ void EncodeTxnSection(const Block& b, const std::vector<TxnRef>& refs,
     cell(kFixedColumns, i) =
         codec::ZigzagEncode(static_cast<int64_t>(t->client_seq - prev));
     prev = t->client_seq;
-    cell(kSubmitTime, i) = b.header.order_time_us - t->submit_time_us;
-    cell(kRetries, i) = t->retries;
-    cell(kFee, i) = t->fee;
     cell(kNInts, i) = t->args.ints.size();
     cell(kBlobLen, i) = t->args.blob.size();
     if (t->args.ints.size() > per_position.size()) {
@@ -359,7 +338,7 @@ bool ReadZigzag(codec::Reader* r, int64_t* v) {
 }
 
 /// Resolves the reference columns: each referencing txn becomes a copy of
-/// the window txn it names with retries one higher. Appends the txns
+/// the window txn it names. Appends the txns
 /// stored in full to `literals`. Every distance must lie within `reach`,
 /// the farthest must equal it, and every target must be in `window`.
 Status DecodeRefColumns(codec::Reader* r, BlockId id, uint32_t reach,
@@ -396,10 +375,6 @@ Status DecodeRefColumns(codec::Reader* r, BlockId id, uint32_t reach,
       return Status::Corruption("reference to a txn outside the window");
     }
     t = (*src)[index];
-    if (t.retries == UINT32_MAX) {
-      return Status::Corruption("referenced txn's retry count overflows");
-    }
-    t.retries++;
   }
   return Status::OK();
 }
@@ -483,7 +458,7 @@ bool ReadModes(codec::Reader* r, size_t n, std::vector<bool>* packed) {
 /// checked against kMaxBlockInts before any txn's ints are sized: a packed
 /// column may store no bytes per entry, so only the number of position
 /// columns and the blob lengths are bounded by the bytes still unread.
-Status DecodeLiteralColumns(codec::Reader* r, const BlockHeader& h,
+Status DecodeLiteralColumns(codec::Reader* r,
                             const std::vector<TxnRequest*>& txns,
                             SectionStats* stats) {
   const auto malformed = [] {
@@ -519,18 +494,6 @@ Status DecodeLiteralColumns(codec::Reader* r, const BlockHeader& h,
     t->client_seq = prev + col[i];
     prev = t->client_seq;
   }
-  if (!read(kSubmitTime, ColumnKind::kSigned)) return malformed();
-  for (size_t i = 0; i < txns.size(); i++) {
-    txns[i]->submit_time_us = h.order_time_us - col[i];
-  }
-  if (!read(kRetries, ColumnKind::kUnsigned) || !fits_u32()) {
-    return malformed();
-  }
-  for (size_t i = 0; i < txns.size(); i++) {
-    txns[i]->retries = static_cast<uint32_t>(col[i]);
-  }
-  if (!read(kFee, ColumnKind::kUnsigned)) return malformed();
-  for (size_t i = 0; i < txns.size(); i++) txns[i]->fee = col[i];
   if (!read(kNInts, ColumnKind::kUnsigned) || !fits_u32()) {
     return malformed();
   }
@@ -609,7 +572,7 @@ Status DecodeTxnSection(std::string_view section, const BlockHeader& h,
   }
   if (stats != nullptr) *stats = SectionStats{};
   if (!txns.empty()) {
-    HARMONY_RETURN_NOT_OK(DecodeLiteralColumns(&r, h, txns, stats));
+    HARMONY_RETURN_NOT_OK(DecodeLiteralColumns(&r, txns, stats));
   }
   if (r.remaining() != 0) {
     return Status::Corruption("trailing txn-section bytes");
@@ -707,9 +670,14 @@ void RefWindow::Push(const Block& b) {
     front_id_ = b.header.block_id;
   }
   blocks_.push_back(Entry{b.header, b.batch.txns});
-  // Only the canonical fields matter to a reference; trace stamps are
-  // in-process state a decoded txn never carries.
-  for (TxnRequest& t : blocks_.back().txns) t.trace = obs::TraceClock{};
+  // Only the canonical fields matter to a reference, and a reference
+  // decodes to exactly them: drop the in-process metadata a decoded txn
+  // never carries.
+  for (TxnRequest& t : blocks_.back().txns) {
+    t.submit_time_us = 0;
+    t.retries = 0;
+    t.trace = obs::TraceClock{};
+  }
   if (blocks_.size() > kMaxRefReach) DropBefore(front_id_ + 1);
 }
 
@@ -844,6 +812,7 @@ Digest BlockCodec::HashHeader(const BlockHeader& h) {
   s.UpdateInt(h.block_id);
   s.UpdateInt(h.first_tid);
   s.UpdateInt(h.txn_count);
+  s.UpdateInt(h.order_time_us);
   s.Update(h.prev_hash.data(), h.prev_hash.size());
   s.Update(h.txn_root.data(), h.txn_root.size());
   return s.Finalize();

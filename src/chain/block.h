@@ -13,19 +13,21 @@
 namespace harmony {
 
 /// Block log format version (docs/FORMATS.md has the byte-level reference
-/// and the version history). v9 stores each block's txn section column-wise
-/// under a per-block compression envelope, every integer column either as
-/// LEB128 varints or bit-packed at the record's width over the column's
-/// smallest value, whichever is smaller, with args.ints split into one
-/// column per argument position. Of the header digests it stores only the
-/// signature, plus prev_hash when the record has no predecessor to derive
-/// it from: txn_root and block_hash are rebuilt on decode. A record whose
-/// predecessor the encoder holds stores a *derived header* (prev_hash from
-/// the predecessor's block_hash, first_tid and order_time_us as deltas from
-/// its), and a CC retry may be stored as a reference to its previous
-/// incarnation in an earlier block (see RefWindow). BlockStore reads and
-/// writes only this version and refuses v1–v8 logs with NotSupported.
-inline constexpr uint32_t kLogVersion = 9;
+/// and the version history). v10 stores each block's txn section
+/// column-wise under a per-block compression envelope, every integer column
+/// either as LEB128 varints or bit-packed at the record's width over the
+/// column's smallest value, whichever is smaller, with args.ints split into
+/// one column per argument position. It stores only what replay needs: the
+/// canonical txn fields, never the leader's ingress metadata (submit time,
+/// retry count). Of the header digests it stores only the signature, plus
+/// prev_hash when the record has no predecessor to derive it from: txn_root
+/// and block_hash are rebuilt on decode. A record whose predecessor the
+/// encoder holds stores a *derived header* (prev_hash from the
+/// predecessor's block_hash, first_tid and order_time_us as deltas from
+/// its), and a CC retry may be stored as a reference to the same canonical
+/// txn in an earlier block (see RefWindow). BlockStore reads and writes
+/// only this version and refuses v1–v9 logs with NotSupported.
+inline constexpr uint32_t kLogVersion = 10;
 
 /// Furthest back, in blocks, a record may reference; decoders keep at most
 /// this many earlier blocks.
@@ -54,7 +56,8 @@ struct BlockHeader {
   /// Digest of the serialized transactions. Derived, never stored:
   /// BlockBuilder::Seal and BlockCodec::Decode compute it from the batch.
   Digest txn_root{};
-  /// Hash over (id, tids, prev_hash, txn_root); derived like txn_root.
+  /// Hash over (id, tids, order time, prev_hash, txn_root); derived like
+  /// txn_root.
   Digest block_hash{};
   Digest signature{};          ///< orderer HMAC over block_hash
 };
@@ -134,7 +137,7 @@ struct SectionStats {
 ///  - the canonical fixed-width txn layout (EncodeTxn): the SUBMIT wire
 ///    payload and the input of TxnRoot, so chain identity and signatures
 ///    depend only on it;
-///  - the v9 log record (EncodeRecord): block id and flags, a full or
+///  - the v10 log record (EncodeRecord): block id and flags, a full or
 ///    derived header, the signature, and a column-wise txn section of
 ///    varint or bit-packed integer columns under a compression envelope —
 ///    the block log and the REPLICATE payload. Purely a storage encoding:
@@ -144,7 +147,10 @@ struct SectionStats {
 ///    so a changed byte surfaces as a signature or chain mismatch.
 class BlockCodec {
  public:
-  /// Canonical transaction layout; also the wire SUBMIT payload.
+  /// Canonical transaction layout — proc_id, client_id, client_seq and the
+  /// args, 28 fixed bytes plus the args — also a BATCH_SUBMIT entry. The
+  /// in-process TxnRequest fields (submit time, retries, trace) are not
+  /// part of it.
   static void EncodeTxn(const TxnRequest& t, std::string* out);
   /// Byte length EncodeTxn would produce for `t`, without encoding it.
   static size_t EncodedTxnSize(const TxnRequest& t);
@@ -152,16 +158,16 @@ class BlockCodec {
   /// truncated or oversized input.
   static bool DecodeTxn(codec::Reader* r, TxnRequest* out);
 
-  /// Encodes a v9 record payload, compressing the txn section with `codec`.
+  /// Encodes a v10 record payload, compressing the txn section with `codec`.
   /// Falls back to Compression::kNone per block when compression does not
   /// shrink the section. With `refs`, the header is derived from the
-  /// predecessor's when `refs` Follows it, and each txn whose canonical
-  /// bytes equal a window txn's except that `retries` is one higher is
-  /// stored as a reference to the newest such txn; the decoder must hold
-  /// the same blocks. Without, the header and every txn are stored in full.
+  /// predecessor's when `refs` Follows it, and each retried txn (in-memory
+  /// `retries` > 0) whose canonical bytes equal a window txn's is stored as
+  /// a reference to the newest such txn; the decoder must hold the same
+  /// blocks. Without, the header and every txn are stored in full.
   static std::string EncodeRecord(const Block& b, Compression codec,
                                   const RefWindow* refs = nullptr);
-  /// Parses one v9 record payload, resolving its derived header and its
+  /// Parses one v10 record payload, resolving its derived header and its
   /// references in `refs` (nullptr: the record must carry neither), and
   /// rebuilds txn_root and block_hash. Every count and length is checked
   /// against the bytes that remain, or against kMaxBlockTxns and
@@ -186,7 +192,8 @@ class BlockCodec {
   /// Digest over the serialized transaction batch.
   static Digest TxnRoot(const TxnBatch& batch);
 
-  /// Hash over the header's identity fields + txn_root + prev_hash.
+  /// Hash over the header's identity fields (order time included) +
+  /// txn_root + prev_hash.
   static Digest HashHeader(const BlockHeader& h);
 };
 

@@ -22,13 +22,13 @@ class EventLog;
 /// execution is deterministic, persisting the *inputs* is sufficient for
 /// recovery — no ARIES-style physical log.
 ///
-/// ## File format (block log v9 — docs/FORMATS.md is the authoritative
+/// ## File format (block log v10 — docs/FORMATS.md is the authoritative
 /// byte-level reference)
 ///
 /// ```
 ///   offset 0: u32 magic           = 0x4C434248 ("HBCL" read as bytes,
 ///                                   little-endian on disk)
-///   offset 4: u32 format_version  = kLogVersion (9, chain/block.h)
+///   offset 4: u32 format_version  = kLogVersion (10, chain/block.h)
 ///   offset 8: records...
 ///
 ///   record:   u32 payload_len
@@ -53,7 +53,7 @@ class EventLog;
 /// or when checkpointing is off), Append derives each record's header from
 /// the previous record's when that record is still in the log (no
 /// prev_hash; first_tid and the order time as deltas), and stores a CC
-/// retry as a reference to its previous incarnation in an earlier record.
+/// retry as a reference to the same canonical txn in an earlier record.
 /// A derived header counts as a reference of reach 1. A record is a *safe
 /// cut* when no record at or after it references a block before it: those
 /// are exactly the full-header records, the log's first record and every
@@ -61,7 +61,7 @@ class EventLog;
 /// TruncateBefore cuts only at one.
 ///
 /// ### One version
-/// Only v9 is read or written. A v1–v8 log (v1 files have no header at all)
+/// Only v10 is read or written. A v1–v9 log (v1 files have no header at all)
 /// is refused with NotSupported naming the version; there is no migration.
 ///
 /// ### Failure semantics
@@ -107,13 +107,13 @@ class BlockStore {
 
   /// Opens the log and walks its frames, truncating a torn tail or an
   /// undecodable record in the last interval (see class comment).
-  /// NotSupported for a file without the v9 header.
+  /// NotSupported for a file without the v10 header.
   Status Open();
 
   /// Calls `fn` with the stored payload of each whole record of the log at
   /// `path`, in order, reading only: nothing is repaired, and the scan ends
   /// quietly at a torn or CRC-failing tail. NotSupported for a file without
-  /// the v9 header, like Open; IOError when the file cannot be read.
+  /// the v10 header, like Open; IOError when the file cannot be read.
   static Status ScanRecords(const std::string& path,
                             const std::function<void(std::string_view)>& fn);
 

@@ -46,8 +46,8 @@ struct MempoolOptions {
 /// duplicates of themselves, and dropping them to backpressure would
 /// deadlock a Sync() that is waiting for them to commit. TakeBatch drains
 /// the retry lane first, then the fresh rings round-robin over the shards
-/// (clients resubmit aborted work before new work). Ordering never reads
-/// TxnRequest::fee: a private chain has no fee market.
+/// (clients resubmit aborted work before new work). A private chain has no
+/// fee market: the lanes alone set the order.
 ///
 /// Thread-safety: AddBatch/AddRetry from any number of producer threads, and
 /// AddRetry from the replica's commit thread, all concurrently with one

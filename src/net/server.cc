@@ -419,11 +419,6 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
       std::vector<TxnRequest> txns;
       if (!DecodeBatchSubmit(frame.payload, &txns)) return false;
       const size_t n = txns.size();
-      for (TxnRequest& req : txns) {
-        // The server's clock stamps admission and latency; a caller-supplied
-        // timestamp would skew rate limiting and receipt latency.
-        req.submit_time_us = 0;
-      }
       stats_->submits.fetch_add(n, std::memory_order_relaxed);
       stats_->batch_submits.fetch_add(1, std::memory_order_relaxed);
       conn->submitted.fetch_add(n, std::memory_order_acq_rel);

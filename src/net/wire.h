@@ -21,7 +21,7 @@ class RefWindow;
 
 namespace net {
 
-/// HarmonyBC wire protocol v6 — a versioned, length-prefixed binary frame
+/// HarmonyBC wire protocol v8 — a versioned, length-prefixed binary frame
 /// format spoken between NetClient and NetServer (docs/NET.md for the
 /// contracts, docs/FORMATS.md for the authoritative byte-level reference).
 ///
@@ -40,7 +40,9 @@ namespace net {
 /// is trusted: a corrupt or misaligned header fails the CRC instead of
 /// committing the reader to a garbage-length read. Payload encodings reuse
 /// the little-endian helpers in common/codec.h (the same codec the block
-/// log uses), and BATCH_SUBMIT entries are exactly BlockCodec::EncodeTxn.
+/// log uses), and BATCH_SUBMIT entries are exactly BlockCodec::EncodeTxn:
+/// the canonical fields only, so the server stamps each submit time
+/// itself.
 ///
 /// There is one request/reply shape per purpose. Submits are always
 /// BATCH_SUBMIT frames and receipts always BATCH_RECEIPT frames (a Busy
@@ -49,7 +51,7 @@ namespace net {
 /// request id that the reply echoes; on every other opcode a non-zero id is
 /// a protocol error.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireVersion = 7;
+inline constexpr uint8_t kWireVersion = 8;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or

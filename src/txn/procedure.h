@@ -69,15 +69,14 @@ struct TxnRequest {
   ProcArgs args;
   uint64_t client_id = 0;      ///< submitting client; dedup key half 1
   uint64_t client_seq = 0;     ///< client-assigned id; dedup key half 2
+  // Ingress metadata, in-process only like `trace`: neither the canonical
+  // txn bytes, the block log nor the wire carry it, and a decoded txn
+  // leaves it zeroed. Only the leader reads it, before sealing (mempool
+  // deadline, admission, receipt latency) and on a CC abort (requeue,
+  // receipts).
   uint64_t submit_time_us = 0; ///< set when the client hands it to ordering
   uint32_t retries = 0;        ///< times this txn was CC-aborted and requeued
-  /// Client-offered fee: carried through the wire, the canonical txn bytes
-  /// (TxnRoot) and the block log so replicas could meter it, but nothing
-  /// reads it. Ordering is by block position, not fee, and no monetary
-  /// semantics are enforced here.
-  uint64_t fee = 0;
-  /// Lifecycle stamps for txn tracing (docs/OBSERVABILITY.md). In-process
-  /// only: the block codec never serializes it, decode leaves it zeroed.
+  /// Lifecycle stamps for txn tracing (docs/OBSERVABILITY.md).
   obs::TraceClock trace;
 };
 

@@ -26,7 +26,6 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
     TxnRequest t;
     t.proc_id = 7;
     t.client_seq = first_tid + i;
-    t.fee = 10 * i;  // the fee rides the canonical txn encoding
     t.args.ints = {static_cast<int64_t>(i), -5, 123456789};
     t.args.blob = "blob-" + std::to_string(i);
     b.txns.push_back(std::move(t));
@@ -48,7 +47,7 @@ TEST(BlockCodec, RoundTrip) {
   ASSERT_EQ(d.batch.txns.size(), 5u);
   EXPECT_EQ(d.batch.txns[3].args.blob, "blob-3");
   EXPECT_EQ(d.batch.txns[3].args.ints[2], 123456789);
-  EXPECT_EQ(d.batch.txns[3].fee, 30u);
+  EXPECT_EQ(d.batch.txns[3].client_seq, 4u);
   EXPECT_EQ(BlockCodec::TxnRoot(d.batch), b.header.txn_root);
 }
 
@@ -62,37 +61,46 @@ std::string Hex(const Digest& d) {
   return s;
 }
 
+/// Block `id` (1 or 2) of the pinned identity chain: three txns, the i-th
+/// submitted at `submit_us + 250 i` and retried `retries + i` times.
+TxnBatch IdentityBatch(BlockId id, uint64_t submit_us, uint32_t retries) {
+  TxnBatch batch;
+  batch.block_id = id;
+  batch.first_tid = 1 + (id - 1) * 3;
+  for (uint32_t i = 0; i < 3; i++) {
+    TxnRequest t;
+    t.proc_id = 1 + i;
+    t.client_id = 7 + i % 2;
+    t.client_seq = 100 + i + 3 * id;
+    t.submit_time_us = submit_us + 250 * i;
+    t.retries = retries + i;
+    t.args.ints = {INT64_MIN, -1, 0, 42, INT64_MAX};
+    t.args.blob = std::string(i * 3, 'b');
+    batch.txns.push_back(t);
+  }
+  return batch;
+}
+
 // Chain identity is computed over the canonical EncodeTxn bytes, never over
-// the log record: these digests were produced by the fixed-width v4 build
-// and must not move when the storage encoding does. A decoded v7 record
-// re-derives the same txn_root.
+// the log record: these digests were produced from the 28-byte canonical
+// txn and a block hash that covers the order time (log v10; before it the
+// canonical txn also held submit_time_us, retries and fee, and the order
+// time was covered only through the stored submit times), and a standalone
+// SHA-256/HMAC over that layout reproduces them. They must not move when
+// the storage encoding does. A decoded record re-derives the same
+// txn_root.
 TEST(BlockCodec, ChainIdentityIsPinnedAcrossRecordFormats) {
   const char* kWant[2][3] = {
-      {"9f45da9accd52c625782fed817e6fc4dc0e352973ebc1e520d13cf37a0d66cb1",
-       "63ad290ad84a39e048481f7c8f73f643a5c022be7ec5fc8ca270f42f0bd37b01",
-       "e079c7e8a012028c5ef56bf29c6abf6de6ba029dab322663d6cb657e483a0181"},
-      {"79740268d09ac2bd101a56625f44290cf8c1f6f7bd5d361e6ccd975533e8ea78",
-       "7c9da05912cf3158c6d769692e445831cd296e01dadd70363d560a58f8d626f5",
-       "599fde5afd998e8335b74ce01df9d1cbd2286c9fdb25349bc3c93f19977bbb85"}};
+      {"679dbf1e2abc0d61b0d792048d855e9924061238aef22b3b07b7a4f86da20af4",
+       "27cf802139bf9509a9d3a52ac5d5c42ce50513c769dfa957a223f7caf7b3d6b4",
+       "43a451b9fc6ec35d3bd02771cada2b18a520f1ac0caa623cbf7eb3c798b70c63"},
+      {"5ecf3d5833d872c4f78f03b172c6d43bfeb56d6f054249f08ac902b7c0ef15c5",
+       "2fa48370bcc91ea46a7b6205d2c4108fdd25dd2691324404c3aa5d9f36b18313",
+       "1efd775188033a358f564f18ac821ebf3c26e9c076b5e8063be8a486c9e1588d"}};
   BlockBuilder builder("orderer-secret");
   for (BlockId id = 1; id <= 2; id++) {
     SCOPED_TRACE(id);
-    TxnBatch batch;
-    batch.block_id = id;
-    batch.first_tid = 1 + (id - 1) * 3;
-    for (uint32_t i = 0; i < 3; i++) {
-      TxnRequest t;
-      t.proc_id = 1 + i;
-      t.client_id = 7 + i % 2;
-      t.client_seq = 100 + i + 3 * id;
-      t.submit_time_us = 1'000'000 + 250 * i;
-      t.retries = i;
-      t.fee = 5 * i;
-      t.args.ints = {INT64_MIN, -1, 0, 42, INT64_MAX};
-      t.args.blob = std::string(i * 3, 'b');
-      batch.txns.push_back(t);
-    }
-    const Block b = builder.Seal(batch, 1'000'900);
+    const Block b = builder.Seal(IdentityBatch(id, 1'000'000, 0), 1'000'900);
     EXPECT_EQ(Hex(b.header.txn_root), kWant[id - 1][0]);
     EXPECT_EQ(Hex(b.header.block_hash), kWant[id - 1][1]);
     EXPECT_EQ(Hex(b.header.signature), kWant[id - 1][2]);
@@ -103,6 +111,43 @@ TEST(BlockCodec, ChainIdentityIsPinnedAcrossRecordFormats) {
       EXPECT_EQ(Hex(BlockCodec::HashHeader(d.header)), kWant[id - 1][1]);
     }
   }
+}
+
+// Submit time and retry count are the leader's in-process metadata: no
+// value of either moves txn_root, block_hash or the signature, nor the
+// stored record, and a decoded txn carries neither.
+TEST(BlockCodec, IngressMetadataLeavesChainIdentityAlone) {
+  const Block pinned =
+      BlockBuilder("orderer-secret").Seal(IdentityBatch(1, 1'000'000, 0),
+                                          1'000'900);
+  const std::string record =
+      BlockCodec::EncodeRecord(pinned, Compression::kHlz);
+  const struct {
+    uint64_t submit_us;
+    uint32_t retries;
+  } kCases[] = {{0, 0}, {1'000'900, 1}, {UINT64_MAX - 600, 7},
+                {5, UINT32_MAX - 2}};
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(::testing::Message() << c.submit_us << " " << c.retries);
+    const Block b = BlockBuilder("orderer-secret")
+                        .Seal(IdentityBatch(1, c.submit_us, c.retries),
+                              1'000'900);
+    EXPECT_EQ(b.header.txn_root, pinned.header.txn_root);
+    EXPECT_EQ(b.header.block_hash, pinned.header.block_hash);
+    EXPECT_EQ(b.header.signature, pinned.header.signature);
+    EXPECT_EQ(BlockCodec::EncodeRecord(b, Compression::kHlz), record);
+    Block d;
+    ASSERT_OK(BlockCodec::Decode(record, &d));
+    for (const TxnRequest& t : d.batch.txns) {
+      EXPECT_EQ(t.submit_time_us, 0u);
+      EXPECT_EQ(t.retries, 0u);
+    }
+  }
+  // The order time, by contrast, is under the block hash.
+  const Block later = BlockBuilder("orderer-secret")
+                          .Seal(IdentityBatch(1, 1'000'000, 0), 1'000'901);
+  EXPECT_EQ(later.header.txn_root, pinned.header.txn_root);
+  EXPECT_NE(later.header.block_hash, pinned.header.block_hash);
 }
 
 TEST(BlockCodec, DecodeRejectsTruncation) {
@@ -142,7 +187,6 @@ TEST(BlockStore, DiskBytesBelowCanonicalForSmallbankBlock) {
       t.proc_id = static_cast<uint32_t>(1 + i % 6);
       t.client_id = 1 + i % 8;
       t.client_seq = 1000 + i / 8;
-      t.submit_time_us = 5'000'000 - 300 * (i % 17);
       t.args.ints = {static_cast<int64_t>((i * 7919) % 20000),
                      static_cast<int64_t>((i * 104729) % 20000),
                      static_cast<int64_t>(1 + i % 50)};
@@ -150,7 +194,7 @@ TEST(BlockStore, DiskBytesBelowCanonicalForSmallbankBlock) {
     }
     BlockBuilder builder("secret");
     ASSERT_OK(store.Append(builder.Seal(std::move(batch), 5'000'000)));
-    EXPECT_EQ(store.appended_raw_bytes(), 100u * (48 + 3 * 8));
+    EXPECT_EQ(store.appended_raw_bytes(), 100u * (28 + 3 * 8));
     EXPECT_LT(store.appended_disk_bytes(), store.appended_raw_bytes());
   }
 }

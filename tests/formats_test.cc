@@ -1,17 +1,18 @@
-// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v9
+// Block log format coverage (docs/FORMATS.md): the HLZ codec, the v10
 // record (a full header with prev_hash, or one derived from the previous
 // block's; the signature; then a column-wise txn section of varint or
-// bit-packed columns, with retries stored as references, under a
-// compression envelope) — seeded round-trips at the codec's edges, packed
-// columns at widths 0 and 64, derived headers, hostile hand-built
-// sections, headers and references, and a byte-flip sweep showing every
-// stored byte is covered by the signature or the chain — refusal of v1-v8
-// logs, and corrupt-compressed-payload rejection.
+// bit-packed columns over the canonical txn fields, with retries stored as
+// references, under a compression envelope) — seeded round-trips at the
+// codec's edges, packed columns at widths 0 and 64, derived headers,
+// hostile hand-built sections, headers and references, and a byte-flip
+// sweep showing every stored byte is covered by the signature or the chain
+// — refusal of v1-v9 logs, and corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -116,7 +117,7 @@ TEST(Hlz, GarbageNeverCrashes) {
   }
 }
 
-// ------------------------------------------------------- v9 record codec --
+// ------------------------------------------------------ v10 record codec --
 
 TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
   TxnBatch b;
@@ -127,7 +128,6 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
     t.proc_id = 7;
     t.client_id = 40 + (i % 4);
     t.client_seq = first_tid + i;
-    t.fee = 10 * i;
     t.args.ints = {static_cast<int64_t>(i), -5, 123456789};
     t.args.blob = "blob-" + std::to_string(i);
     b.txns.push_back(std::move(t));
@@ -165,11 +165,11 @@ void ExpectSameTxns(const TxnBatch& got, const TxnBatch& want) {
     EXPECT_EQ(g.proc_id, w.proc_id);
     EXPECT_EQ(g.client_id, w.client_id);
     EXPECT_EQ(g.client_seq, w.client_seq);
-    EXPECT_EQ(g.submit_time_us, w.submit_time_us);
-    EXPECT_EQ(g.retries, w.retries);
-    EXPECT_EQ(g.fee, w.fee);
     EXPECT_EQ(g.args.ints, w.args.ints);
     EXPECT_EQ(g.args.blob, w.args.blob);
+    // The record stores no ingress metadata.
+    EXPECT_EQ(g.submit_time_us, 0u);
+    EXPECT_EQ(g.retries, 0u);
   }
 }
 
@@ -207,10 +207,11 @@ TEST(BlockCodecV6, RecordRoundTripBothCodecs) {
 }
 
 // Seeded random blocks at the codec's edges: extreme ints, sequence numbers
-// at 0 and UINT64_MAX (wrapping deltas, forwards and backwards), submit
-// times after the block's order time, empty and 4 KiB blobs, 0- and 1-txn
-// blocks, and many interleaved clients. Every field must come back exactly,
-// under both codecs.
+// at 0 and UINT64_MAX (wrapping deltas, forwards and backwards), empty and
+// 4 KiB blobs, 0- and 1-txn blocks, and many interleaved clients, with
+// ingress metadata the record must not store (submit times ahead of the
+// order time, retry counts at the u32 ceiling). Every canonical field must
+// come back exactly, under both codecs.
 TEST(BlockCodecV6, SeededRandomBlocksRoundTripAtTheEdges) {
   constexpr int64_t kEdgeInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1, 63, -64,
                                    64};
@@ -241,7 +242,6 @@ TEST(BlockCodecV6, SeededRandomBlocksRoundTripAtTheEdges) {
                                                                 -5000, 5000);
       t.retries = rng.Uniform(6) == 0 ? UINT32_MAX
                                       : static_cast<uint32_t>(rng.Uniform(4));
-      t.fee = rng.Uniform(4) == 0 ? kEdgeU64[rng.Uniform(6)] : rng.Uniform(50);
       const size_t n_ints = rng.Uniform(12);
       for (size_t k = 0; k < n_ints; k++) {
         t.args.ints.push_back(rng.Uniform(2) == 0
@@ -303,7 +303,7 @@ TEST(BlockCodecV6, CorruptEnvelopeRejected) {
 
 // ------------------------------------------- hostile hand-built sections --
 
-/// A v9 record payload (full header, no references) around a hand-built
+/// A v10 record payload (full header, no references) around a hand-built
 /// txn section stored raw.
 std::string RawRecord(uint64_t txn_count, const std::string& section) {
   std::string p;
@@ -318,13 +318,13 @@ std::string RawRecord(uint64_t txn_count, const std::string& section) {
 }
 
 /// One txn's section, every column in varint mode: the fixed columns' mode
-/// byte, then proc, client, seq delta, time delta, retries, fee, `n_ints`,
-/// the position columns (`ints`, pre-encoded with their mode bitmap), and
-/// `blob_len` with `blob` bytes.
+/// byte, then proc, client, seq delta, `n_ints`, the position columns
+/// (`ints`, pre-encoded with their mode bitmap), and `blob_len` with `blob`
+/// bytes.
 std::string OneTxnSection(uint64_t n_ints, const std::string& ints,
                           uint64_t blob_len, const std::string& blob) {
   std::string s(1, '\0');
-  for (uint64_t v : {1, 2, 2, 0, 0, 0}) codec::AppendVarint(&s, v);
+  for (uint64_t v : {1, 2, 2}) codec::AppendVarint(&s, v);
   codec::AppendVarint(&s, n_ints);
   s += ints;
   codec::AppendVarint(&s, blob_len);
@@ -342,7 +342,7 @@ TEST(BlockCodecV6, HandBuiltSectionDecodes) {
   EXPECT_EQ(t.proc_id, 1u);
   EXPECT_EQ(t.client_id, 2u);
   EXPECT_EQ(t.client_seq, 1u);  // zigzag(1) = 2, from base 0
-  EXPECT_EQ(t.submit_time_us, 1000u);
+  EXPECT_EQ(t.submit_time_us, 0u);
   EXPECT_EQ(t.args.ints, std::vector<int64_t>({-3}));
   EXPECT_EQ(t.args.blob, "ab");
 }
@@ -378,7 +378,7 @@ TEST(BlockCodecV6, HostileCountsFailBeforeAllocating) {
                   .IsCorruption());
   // Two txns whose blob lengths each fit but together exceed the bytes.
   std::string two(1, '\0');
-  for (uint64_t v : {1, 1, 2, 2, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2}) {
+  for (uint64_t v : {1, 1, 2, 2, 2, 4, 0, 0, 2, 2}) {
     codec::AppendVarint(&two, v);
   }
   EXPECT_TRUE(
@@ -439,8 +439,8 @@ TEST(BlockCodecV6, TruncatedColumnIsCorruption) {
     codec::AppendVarint(&ints, codec::ZigzagEncode(v));
   }
   std::string section(1, '\0');  // every fixed column in varint mode
-  for (uint64_t v : {3, 3, 9, 9, 40, 42, 2, 4, 0, 1, 0, 7}) {
-    codec::AppendVarint(&section, v);  // proc .. fee columns, 2 txns each
+  for (uint64_t v : {3, 3, 9, 9, 40, 42}) {
+    codec::AppendVarint(&section, v);  // proc .. seq columns, 2 txns each
   }
   codec::AppendVarint(&section, 1);  // n_ints, txn 0
   codec::AppendVarint(&section, 1);  // n_ints, txn 1
@@ -473,9 +473,9 @@ SectionStats StatsOf(const std::string& payload,
 }
 
 // Columns the encoder packs: equal values at width 0, and at width 64 a
-// fee column spanning 0..UINT64_MAX and an args.ints position holding
-// INT64_MIN and INT64_MAX; sequence numbers and fees at UINT64_MAX. Every
-// field comes back exactly under both codecs.
+// client_id column spanning 0..UINT64_MAX and an args.ints position
+// holding INT64_MIN and INT64_MAX; sequence numbers and client ids at
+// UINT64_MAX. Every field comes back exactly under both codecs.
 TEST(BlockCodecV9, PackedColumnsRoundTripAtWidthsZeroAnd64) {
   TxnBatch batch;
   batch.block_id = 3;
@@ -483,10 +483,8 @@ TEST(BlockCodecV9, PackedColumnsRoundTripAtWidthsZeroAnd64) {
   for (size_t i = 0; i < 12; i++) {
     TxnRequest t;
     t.proc_id = 4;
-    t.client_id = 9;
+    t.client_id = i == 0 ? 0 : UINT64_MAX;
     t.client_seq = UINT64_MAX - i % 2;
-    t.submit_time_us = 1'000;
-    t.fee = i == 0 ? 0 : UINT64_MAX;
     t.args.ints = {i % 2 == 0 ? INT64_MIN : INT64_MAX, 7};
     batch.txns.push_back(std::move(t));
   }
@@ -498,11 +496,11 @@ TEST(BlockCodecV9, PackedColumnsRoundTripAtWidthsZeroAnd64) {
     ASSERT_OK(BlockCodec::Decode(payload, &d));
     ExpectSameTxns(d.batch, b.batch);
     EXPECT_EQ(d.header.block_hash, b.header.block_hash);
-    // Eight fixed columns and two positions; only the sequence numbers,
+    // Five fixed columns and two positions; only the sequence numbers,
     // whose per-client deltas take a byte each, stay varint.
     const SectionStats stats = StatsOf(payload);
-    EXPECT_EQ(stats.columns, 10u);
-    EXPECT_EQ(stats.packed_columns, 9u);
+    EXPECT_EQ(stats.columns, 7u);
+    EXPECT_EQ(stats.packed_columns, 6u);
   }
   // No txn with ints: no position columns.
   for (TxnRequest& t : batch.txns) t.args.ints.clear();
@@ -512,7 +510,7 @@ TEST(BlockCodecV9, PackedColumnsRoundTripAtWidthsZeroAnd64) {
   Block d;
   ASSERT_OK(BlockCodec::Decode(payload, &d));
   ExpectSameTxns(d.batch, none.batch);
-  EXPECT_EQ(StatsOf(payload).columns, 8u);
+  EXPECT_EQ(StatsOf(payload).columns, 5u);
 }
 
 // The encoder stores each column in the mode that takes fewer bytes: a
@@ -524,12 +522,12 @@ TEST(BlockCodecV9, EachColumnTakesTheSmallerMode) {
                 .packed_columns,
             0u);
   // MakeBatch's values span a few bits per column, or none where every
-  // txn repeats them (proc_id, retries, n_ints, the last two ints).
+  // txn repeats them (proc_id, n_ints, the last two ints).
   const Block many = BlockBuilder("secret").Seal(MakeBatch(1, 1, 40), 0);
   const SectionStats stats =
       StatsOf(BlockCodec::EncodeRecord(many, Compression::kNone));
-  EXPECT_EQ(stats.columns, 11u);
-  EXPECT_EQ(stats.packed_columns, 11u);
+  EXPECT_EQ(stats.columns, 8u);
+  EXPECT_EQ(stats.packed_columns, 8u);
 }
 
 /// Three txns of one client: proc_id packed from base 5 at width 2 (5, 6,
@@ -541,8 +539,8 @@ std::string PackedSection(uint8_t proc_width, uint8_t proc_bits,
   codec::AppendVarint(&s, 5);
   codec::AppendU8(&s, proc_width);
   codec::AppendU8(&s, proc_bits);
-  for (uint64_t v : {1, 1, 1, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1}) {
-    codec::AppendVarint(&s, v);  // client .. n_ints
+  for (uint64_t v : {1, 1, 1, 2, 2, 2, 1, 1, 1}) {
+    codec::AppendVarint(&s, v);  // client, seq deltas, n_ints
   }
   codec::AppendU8(&s, int_modes);
   codec::AppendVarint(&s, codec::ZigzagEncode(INT64_MIN));
@@ -591,13 +589,14 @@ TEST(BlockCodecV9, HostilePackedColumnsAreCorruption) {
 // Packed columns of equal values take no bytes per entry, so a section
 // cannot bound the txn or int count: the caps do, before anything is sized.
 TEST(BlockCodecV9, CountsPastTheBlockLimitsFailBeforeAllocating) {
-  // Every column packed at width 0 from base 0, n_ints from `n_ints`.
+  // Every column packed at width 0 from base 0, n_ints (column 3) from
+  // `n_ints`.
   const auto section = [](uint64_t n_ints) {
-    std::string s(1, '\xFF');
-    for (int c = 0; c < 8; c++) {
-      codec::AppendVarint(&s, c == 6 ? n_ints : 0);
+    std::string s(1, '\x1F');
+    for (int c = 0; c < 5; c++) {
+      codec::AppendVarint(&s, c == 3 ? n_ints : 0);
       codec::AppendU8(&s, 0);
-      if (c == 6 && n_ints > 0) {
+      if (c == 3 && n_ints > 0) {
         // One position column per int, each packed at width 0.
         std::string modes((n_ints + 7) / 8, '\xFF');
         if (n_ints % 8 != 0) {
@@ -635,7 +634,7 @@ TEST(BlockCodecV9, CountsPastTheBlockLimitsFailBeforeAllocating) {
   EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status().ToString();
 }
 
-/// A v9 record payload for block `id` (full header) whose raw section
+/// A v10 record payload for block `id` (full header) whose raw section
 /// opens with the reference columns, flagged with `reach`.
 std::string RefRecord(BlockId id, uint64_t txn_count, uint64_t reach,
                       const std::string& section) {
@@ -662,22 +661,29 @@ std::string RefColumns(
 }
 
 TEST(BlockCodecV8, HostileReferencesAreCorruption) {
-  // Block 9 holds two txns; the second is at the retry counter's ceiling.
+  // Block 9 holds two txns. A reference decodes to exactly the canonical
+  // txn it names, whatever in-process metadata the window's copy came with.
   Block prev;
   prev.header.block_id = 9;
   prev.batch.txns.resize(2);
   prev.batch.txns[0].client_seq = 77;
   prev.batch.txns[0].retries = 4;
+  prev.batch.txns[1].client_seq = 78;
+  prev.batch.txns[1].submit_time_us = 123;
   prev.batch.txns[1].retries = UINT32_MAX;
   RefWindow window;
   window.Push(prev);
 
   Block d;
-  ASSERT_OK(BlockCodec::Decode(RefRecord(10, 1, 1, RefColumns({{1, 0}})), &d,
-                               &window));
-  ASSERT_EQ(d.batch.txns.size(), 1u);
-  EXPECT_EQ(d.batch.txns[0].client_seq, 77u);
-  EXPECT_EQ(d.batch.txns[0].retries, 5u);
+  for (uint64_t index : {0, 1}) {
+    SCOPED_TRACE(index);
+    ASSERT_OK(BlockCodec::Decode(
+        RefRecord(10, 1, 1, RefColumns({{1, index}})), &d, &window));
+    ASSERT_EQ(d.batch.txns.size(), 1u);
+    EXPECT_EQ(d.batch.txns[0].client_seq, 77 + index);
+    EXPECT_EQ(d.batch.txns[0].submit_time_us, 0u);
+    EXPECT_EQ(d.batch.txns[0].retries, 0u);
+  }
 
   const auto bad = [&](BlockId id, uint64_t count, uint64_t reach,
                        const std::string& section, const RefWindow* w) {
@@ -694,7 +700,6 @@ TEST(BlockCodecV8, HostileReferencesAreCorruption) {
   EXPECT_TRUE(bad(11, 1, 2, RefColumns({{2, 5}}), &window));  // no such txn
   EXPECT_TRUE(bad(11, 1, 1, one, &window));          // block 10 not held
   EXPECT_TRUE(bad(1, 1, 1, one, &window));           // before block 1
-  EXPECT_TRUE(bad(10, 1, 1, RefColumns({{1, 1}}), &window));  // retries wrap
   EXPECT_TRUE(bad(10, 1, 1, RefColumns({{1, uint64_t{1} << 40}}), &window));
   // A distance column shorter than the txn count, a missing index, and a
   // byte past the last column.
@@ -898,13 +903,16 @@ TxnBatch RetryBatch(const TxnBatch& prev, BlockId id, TxnId first_tid,
   return b;
 }
 
-/// The literal columns of v5-v8 (and the whole section without
+/// The literal columns of v5-v9 (and the whole section without
 /// references): one varint column per field over `txns`, client_seq as
-/// zigzag per-client deltas, submit times back from `order_time_us`,
-/// args.ints zigzag txn by txn, then the blob lengths and bytes.
+/// zigzag per-client deltas, submit times back from `order_time_us`, a fee
+/// column (0: today's txns carry no fee), then v5-v8's args.ints zigzag txn
+/// by txn, the blob lengths and bytes. v9 (`v9`) opens with the fixed
+/// columns' mode byte and stores args.ints as a mode bitmap and one column
+/// per position; every column here is in varint mode.
 std::string VarintColumns(const std::vector<const TxnRequest*>& txns,
-                          uint64_t order_time_us) {
-  std::string s;
+                          uint64_t order_time_us, bool v9 = false) {
+  std::string s(v9 ? 1 : 0, '\0');
   const auto zigzag = [&s](uint64_t v) {
     codec::AppendVarint(&s, codec::ZigzagEncode(static_cast<int64_t>(v)));
   };
@@ -917,12 +925,25 @@ std::string VarintColumns(const std::vector<const TxnRequest*>& txns,
   }
   for (const TxnRequest* t : txns) zigzag(order_time_us - t->submit_time_us);
   for (const TxnRequest* t : txns) codec::AppendVarint(&s, t->retries);
-  for (const TxnRequest* t : txns) codec::AppendVarint(&s, t->fee);
+  for (size_t i = 0; i < txns.size(); i++) codec::AppendVarint(&s, 0);
+  size_t positions = 0;
   for (const TxnRequest* t : txns) {
     codec::AppendVarint(&s, t->args.ints.size());
+    positions = std::max(positions, t->args.ints.size());
   }
-  for (const TxnRequest* t : txns) {
-    for (int64_t v : t->args.ints) zigzag(static_cast<uint64_t>(v));
+  if (v9) {
+    s.append((positions + 7) / 8, '\0');
+    for (size_t p = 0; p < positions; p++) {
+      for (const TxnRequest* t : txns) {
+        if (p < t->args.ints.size()) {
+          zigzag(static_cast<uint64_t>(t->args.ints[p]));
+        }
+      }
+    }
+  } else {
+    for (const TxnRequest* t : txns) {
+      for (int64_t v : t->args.ints) zigzag(static_cast<uint64_t>(v));
+    }
   }
   for (const TxnRequest* t : txns) {
     codec::AppendVarint(&s, t->args.blob.size());
@@ -932,14 +953,15 @@ std::string VarintColumns(const std::vector<const TxnRequest*>& txns,
 }
 
 /// A record payload in a retired layout, as the build that wrote `version`
-/// (1-8) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
+/// (1-9) laid it out. v1-v4 are fixed-width: u64/u32 header fields, the
 /// four digests, then the txns (v1 without client_id and fee, v2 without
 /// fee); v4 puts the v3 txns under a compression envelope (u8 codec + pad
-/// byte, u32 raw_len, u32 stored_len + stored bytes). v3 txns are exactly
-/// today's canonical EncodeTxn bytes. v5-v8 store today's reference columns
+/// byte, u32 raw_len, u32 stored_len + stored bytes). v3 txns are the
+/// v4-v9 canonical txn: today's EncodeTxn fields plus submit_time_us,
+/// retries and fee after client_seq. v5-v9 store today's reference columns
 /// followed by VarintColumns, under HLZ unless that does not shrink it. v8
-/// is today's record around that section, deriving its header from and
-/// storing retries of `refs`' txns by reference. v7 has the flags byte
+/// and v9 are today's record around that section, deriving their header
+/// from and storing retries of `refs`' txns by reference. v7 has the flags byte
 /// (codec and reference bits; v7 had no derived header) after the
 /// signature instead of after block_id and the full header; v6 is a v7
 /// record without references, and v5 that record with txn_root and
@@ -971,7 +993,9 @@ std::string LegacyRecord(const Block& b, uint32_t version,
     }
     const std::string section =
         std::string(stored.substr(0, stored.size() - r.remaining())) +
-        VarintColumns(literals, h.order_time_us);
+        (literals.empty() ? ""
+                          : VarintColumns(literals, h.order_time_us,
+                                          /*v9=*/version == 9));
     std::string compressed;
     CompressPayload(Compression::kHlz, section, &compressed);
     const bool hlz = compressed.size() < section.size();
@@ -979,7 +1003,7 @@ std::string LegacyRecord(const Block& b, uint32_t version,
         hlz ? Compression::kHlz : Compression::kNone);
     const uint8_t flags =
         static_cast<uint8_t>(today[FlagsOffset(h.block_id)]) | codec_bits;
-    if (version == 8) {
+    if (version >= 8) {
       out = today.substr(0, shape.section_offset -
                                 codec::VarintSize(shape.raw_len));
       out[FlagsOffset(h.block_id)] = static_cast<char>(flags);
@@ -1012,15 +1036,12 @@ std::string LegacyRecord(const Block& b, uint32_t version,
   }
   std::string section;
   for (const TxnRequest& t : b.batch.txns) {
-    if (version >= 3) {
-      BlockCodec::EncodeTxn(t, &section);
-      continue;
-    }
     codec::AppendU32(&section, t.proc_id);
-    if (version == 2) codec::AppendU64(&section, t.client_id);
+    if (version >= 2) codec::AppendU64(&section, t.client_id);
     codec::AppendU64(&section, t.client_seq);
     codec::AppendU64(&section, t.submit_time_us);
     codec::AppendU32(&section, t.retries);
+    if (version >= 3) codec::AppendU64(&section, 0);  // fee
     codec::AppendU32(&section, static_cast<uint32_t>(t.args.ints.size()));
     for (int64_t v : t.args.ints) codec::AppendI64(&section, v);
     codec::AppendBytes(&section, t.args.blob);
@@ -1035,7 +1056,7 @@ std::string LegacyRecord(const Block& b, uint32_t version,
 /// A log file as the build that wrote `version` left it: v1 files have no
 /// header at all, v2+ start with "HBCL" + version. Blocks 2.. retry two of
 /// their predecessor's txns, which v7 and later store by reference; records
-/// before v9 use LegacyRecord, v9 (and a made-up future version) today's
+/// before v10 use LegacyRecord, v10 (and a made-up future version) today's
 /// encoder. v8 and later also derive their headers.
 std::string LogFile(uint32_t version, size_t n) {
   std::string file;
@@ -1061,7 +1082,7 @@ std::string LogFile(uint32_t version, size_t n) {
   return file;
 }
 
-// v9 stores neither txn_root nor block_hash, derives a record's header —
+// v10 stores neither txn_root nor block_hash, derives a record's header —
 // prev_hash, first_tid and the order time — from its predecessor's, stores
 // a retry as a reference to an earlier block's txn, and bit-packs the
 // columns where that is smaller, so every stored byte — the flags, the
@@ -1183,7 +1204,7 @@ TEST(BlockStoreOldVersions, GarbageWithoutHeaderIsNotSupported) {
 
 TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
   TempDir dir("old-versions");
-  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 7u, 8u, 10u}) {
+  for (uint32_t v : {2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 11u}) {
     SCOPED_TRACE(v);
     const std::string path = dir.path() + "/chain" + std::to_string(v);
     const std::string file = LogFile(v, 2);
@@ -1202,9 +1223,10 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
       ASSERT_TRUE(r.ReadU8(&envelope));
       EXPECT_EQ(envelope, kRefsBit | static_cast<uint8_t>(Compression::kHlz));
     }
-    if (v == 8) {
-      // A genuine v8 log: its second record derives its header, stores
-      // retries by reference, and holds the varint section v8 wrote.
+    if (v == 8 || v == 9) {
+      // A genuine v8 or v9 log: its second record derives its header,
+      // stores retries by reference, and holds the section its version
+      // wrote (with the submit time, retry and fee columns).
       uint32_t len1 = 0, len2 = 0;
       std::memcpy(&len1, file.data() + 8, 4);
       std::memcpy(&len2, file.data() + 8 + 8 + len1, 4);
@@ -1227,12 +1249,12 @@ TEST(BlockStoreOldVersions, OtherVersionsAreNotSupportedAndUntouched) {
 
 TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   // An old log cut at any byte: below the 8-byte header it is a torn fresh
-  // log (restamped v9, empty); from the header on it is refused whole, also
-  // a v6, v7 or v8 log, whose records differ from v9's only in where the
-  // flags byte sits and in the varint layout of their literal columns.
+  // log (restamped v10, empty); from the header on it is refused whole,
+  // also a v6-v9 log, whose records differ from v10's only in where the
+  // flags byte sits and in the layout of their literal columns.
   TempDir dir("old-prefix");
   const std::string path = dir.path() + "/chain.log";
-  for (uint32_t version : {4u, 5u, 6u, 7u, 8u}) {
+  for (uint32_t version : {4u, 5u, 6u, 7u, 8u, 9u}) {
     const std::string full = LogFile(version, 2);
     for (size_t cut = 0; cut <= full.size(); cut++) {
       SCOPED_TRACE(::testing::Message() << "v" << version << " cut " << cut);
@@ -1250,7 +1272,7 @@ TEST(BlockStoreOldVersions, EveryPrefixOfV4AndV5LogIsFreshOrRefused) {
   }
 }
 
-// Opens every byte-prefix of a v9 log: every prefix opens (a cut inside the
+// Opens every byte-prefix of a v10 log: every prefix opens (a cut inside the
 // 8-byte header is a fresh log) and exposes a (block-wise) prefix of the
 // original chain with a consistent count.
 void TruncationSweep(const std::string& dir, const std::string& full,
@@ -1371,7 +1393,7 @@ TEST(BlockStoreV6, CorruptCompressedPayloadTruncatesWithoutCrash) {
   EXPECT_EQ(all.size(), good_blocks);
 }
 
-// ------------------------------------------- end-to-end v9 / old chains --
+// ------------------------------------------ end-to-end v10 / old chains --
 
 Status Increment(TxnContext& ctx, const ProcArgs& a) {
   ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
@@ -1424,7 +1446,7 @@ TEST(OldVersionChain, V6ChainReplaysAndV5StampIsRefused) {
     da = *d;
   }
   // The checkpoint predates most blocks; drop it so recovery replays the
-  // whole v9 log from genesis.
+  // whole v10 log from genesis.
   std::remove((a.path() + "/replica.ckpt").c_str());
   {
     auto db = OpenDb(a.path());

@@ -166,7 +166,10 @@ TEST(Wire, FrameRoundTripEveryClientOpcode) {
   TxnRequest req = TransferReq(3, 4, 77);
   req.client_id = 9;
   req.client_seq = 12;
-  req.fee = 500;
+  // In-process metadata the entry does not carry: the server stamps its own
+  // submit time, and a fresh submit has no retries.
+  req.submit_time_us = 500;
+  req.retries = 3;
   std::string submit_payload;
   net::EncodeBatchSubmit({req}, &submit_payload);
   // ERROR
@@ -215,7 +218,10 @@ TEST(Wire, FrameRoundTripEveryClientOpcode) {
   ASSERT_TRUE(net::DecodeBatchSubmit(submit_payload, &txns));
   ASSERT_EQ(txns.size(), 1u);
   EXPECT_EQ(txns[0].client_seq, 12u);
-  EXPECT_EQ(txns[0].fee, 500u);
+  EXPECT_EQ(txns[0].submit_time_us, 0u);
+  EXPECT_EQ(txns[0].retries, 0u);
+  // u32 count + one 28-byte canonical txn with its ints.
+  EXPECT_EQ(submit_payload.size(), 4 + 28 + 8 * req.args.ints.size());
   WireError we2;
   ASSERT_TRUE(net::DecodeError(error_payload, &we2));
   EXPECT_EQ(we2.code, Status::Code::kBusy);
@@ -299,9 +305,10 @@ TEST(Wire, OldVersionsRetiredOpcodesAndStrayRequestIdsAreCorruption) {
     Frame f;
     return reasm.Next(&f);
   };
-  // v1- to v3-stamped frames: older wire versions are refused outright
-  // (v3 is the last version before REPLICATE carried the stored record).
-  for (uint8_t version : {1, 2, 3}) {
+  // Older wire versions are refused outright: v3 is the last before
+  // REPLICATE carried the stored record, v7 the last whose BATCH_SUBMIT
+  // entries carried submit_time_us, retries and fee.
+  for (uint8_t version : {1, 2, 3, 7}) {
     const Status s = refused(RawFrame(
         version, static_cast<uint8_t>(Opcode::kOpBatchSubmit), 0, batch));
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
@@ -341,7 +348,6 @@ TEST(WireBatch, BatchFrameRoundTrip) {
     TxnRequest t = TransferReq(i, i + 1, 10 * i);
     t.client_id = 7;
     t.client_seq = 100 + i;
-    t.fee = i;
     txns.push_back(std::move(t));
   }
   std::string payload;

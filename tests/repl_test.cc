@@ -228,7 +228,6 @@ Block MakeBlock(BlockId id) {
   TxnRequest t = TransferReq(1, 2, 3);
   t.client_id = 5;
   t.client_seq = 6;
-  t.submit_time_us = 700;
   batch.txns.push_back(t);
   BlockBuilder builder(HarmonyBC::Options().orderer_secret);
   return builder.Seal(std::move(batch), 777);
@@ -419,7 +418,10 @@ TEST(Repl, LoopbackEndToEndDigestIdentical) {
 
 // REPLICATE ships the leader's stored record and the follower appends it
 // verbatim, so with no retention every node's log is the same file — also
-// on a contended chain whose records reference earlier CC retries.
+// on a contended chain whose records reference earlier CC retries. The
+// retry count is the leader's in-memory metadata, never stored: a re-sealed
+// txn's receipt still reports it, and it still marks the txn the encoder
+// stores as a reference.
 TEST(Repl, FollowerLogsAreByteIdenticalToTheLeaders) {
   LeaderNode leader(3, repl::Durability::kQuorumAck);
   // A probe peer that records every REPLICATE payload the leader ships (it
@@ -449,9 +451,9 @@ TEST(Repl, FollowerLogsAreByteIdenticalToTheLeaders) {
     // them again as retries.
     tickets.push_back(session->Submit(TransferReq(i % 2, 2 + i % 62, 1)));
   }
-  for (const TxnTicket& t : tickets) {
-    TxnReceipt r;
-    ASSERT_TRUE(t.WaitFor(kWaitUs, &r));
+  std::vector<TxnReceipt> receipts(tickets.size());
+  for (size_t i = 0; i < tickets.size(); i++) {
+    ASSERT_TRUE(tickets[i].WaitFor(kWaitUs, &receipts[i]));
   }
   ASSERT_OK(leader.db->Sync());
   const BlockId tip = leader.db->height();
@@ -468,14 +470,28 @@ TEST(Repl, FollowerLogsAreByteIdenticalToTheLeaders) {
   ASSERT_OK(store->ReadRecordsAfter(0, SIZE_MAX, &stored));
   ASSERT_EQ(stored.size(), tip);
   size_t with_refs = 0;
+  std::vector<RecordShape> shapes;
   for (const auto& [id, record] : stored) {
-    BlockId peeked = 0;
-    uint32_t reach = 0;
-    ASSERT_TRUE(BlockCodec::Peek(record, &peeked, &reach));
-    if (reach > 0) with_refs++;
+    RecordShape shape;
+    ASSERT_TRUE(BlockCodec::Peek(record, &shape));
+    if (shape.ref_reach > 0) with_refs++;
+    shapes.push_back(shape);
   }
   EXPECT_GT(with_refs, 0u) << "the contended chain stored no retry by "
                               "reference";
+  // Committed after at least one CC abort: the receipt counts the retries,
+  // and the record that sealed the txn again stores references.
+  size_t retried = 0, retried_by_ref = 0;
+  for (const TxnReceipt& r : receipts) {
+    if (r.outcome != ReceiptOutcome::kCommitted || r.retries == 0) continue;
+    retried++;
+    ASSERT_GE(r.block_id, 1u);
+    ASSERT_LE(r.block_id, tip);
+    if (shapes[r.block_id - 1].ref_reach > 0) retried_by_ref++;
+  }
+  EXPECT_GT(retried, 0u) << "no receipt reported a retry";
+  EXPECT_GT(retried_by_ref, 0u)
+      << "no retried txn's block stored a reference";
   {
     std::lock_guard<std::mutex> lk(shipped_mu);
     ASSERT_FALSE(shipped.empty());

@@ -101,9 +101,6 @@ TxnRequest MakeTxn(FuzzRng& rng) {
   t.proc_id = static_cast<uint32_t>(rng.Index(16));
   t.client_id = rng.Range(1, 64);
   t.client_seq = rng.Range(1, 1 << 20);
-  t.submit_time_us = rng.Range(0, 1 << 30);
-  t.retries = static_cast<uint32_t>(rng.Index(4));
-  t.fee = rng.Index(1000);
   const size_t n_ints = rng.Index(6);
   for (size_t i = 0; i < n_ints; i++) {
     t.args.ints.push_back(static_cast<int64_t>(rng.U64()));
@@ -125,13 +122,12 @@ TxnReceipt MakeReceipt(FuzzRng& rng) {
   return r;
 }
 
-/// Txns shaped like a Smallbank block's: one procedure, client, fee and
-/// blob length, and account-id ints from a narrow range, so a record packs
+/// Txns shaped like a Smallbank block's: one procedure, client and blob
+/// length, and account-id ints from a narrow range, so a record packs
 /// those columns (at width 0 where every txn repeats the value).
 struct PackableShape {
   uint32_t proc_id;
   uint64_t client_id;
-  uint64_t fee;
   size_t blob_len;
   size_t n_ints;
   int64_t lo;
@@ -139,7 +135,6 @@ struct PackableShape {
   static PackableShape Draw(FuzzRng& rng) {
     return PackableShape{static_cast<uint32_t>(rng.Index(16)),
                          rng.Range(1, 64),
-                         rng.Index(1000),
                          rng.Index(8),
                          rng.Index(4),
                          static_cast<int64_t>(rng.Range(0, 1 << 20))};
@@ -150,8 +145,6 @@ struct PackableShape {
     t.proc_id = proc_id;
     t.client_id = client_id;
     t.client_seq = rng.Range(1, 1 << 20);
-    t.submit_time_us = rng.Range(0, 1 << 30);
-    t.fee = fee;
     for (size_t i = 0; i < n_ints; i++) {
       t.args.ints.push_back(lo + static_cast<int64_t>(rng.Index(6000)));
     }
@@ -185,7 +178,7 @@ const PackableShape* ShapeOf(const std::optional<PackableShape>& s) {
 }
 
 /// A block whose txns sit at the record codec's edges: extreme ints, wrapped
-/// sequence deltas, submit times after the order time, empty blocks.
+/// sequence deltas, empty blocks.
 Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
   constexpr int64_t kEdgeInts[] = {INT64_MIN, INT64_MAX, 0, -1, 1, 63, -64};
   constexpr uint64_t kEdgeU64[] = {0, 1, 127, 128, UINT64_MAX};
@@ -197,8 +190,6 @@ Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
     TxnRequest t = MakeTxn(rng);
     t.client_id = rng.Index(3);
     t.client_seq = kEdgeU64[rng.Index(5)];
-    t.submit_time_us = kEdgeU64[rng.Index(5)];
-    t.fee = kEdgeU64[rng.Index(5)];
     if (rng.Chance(0.2)) t.proc_id = UINT32_MAX;
     for (int64_t& v : t.args.ints) v = kEdgeInts[rng.Index(7)];
     batch.txns.push_back(std::move(t));
@@ -207,9 +198,9 @@ Block MakeEdgeBlock(FuzzRng& rng, BlockBuilder& builder) {
 }
 
 /// Block `id` after `prev`, chained onto it: some of `prev`'s txns sealed
-/// again after a CC abort (retries one higher), among fresh ones (of
-/// `shape`, when given) — what a record stores as references, under a
-/// header derived from `prev`'s.
+/// again after a CC abort (the same canonical txn, its in-memory retries
+/// one higher), among fresh ones (of `shape`, when given) — what a record
+/// stores as references, under a header derived from `prev`'s.
 Block MakeRetryBlock(FuzzRng& rng, BlockBuilder& builder, const Block& prev,
                      const PackableShape* shape = nullptr) {
   TxnBatch batch;
@@ -608,14 +599,45 @@ bool BreakReference(FuzzRng& rng, const RefWindow& window, BlockId id,
   return true;
 }
 
+/// Encodes `b` against `window` with a raw section and checks each stored
+/// reference: the decoded txn, the window txn it names and `b`'s txn must
+/// have the same EncodeTxn bytes.
+void CheckReferencesResolve(const Block& b, const RefWindow& window) {
+  const std::string record =
+      BlockCodec::EncodeRecord(b, Compression::kNone, &window);
+  RefFields f;
+  if (!f.Parse(record)) return;  // no references stored
+  Block d;
+  FUZZ_CHECK(BlockCodec::Decode(record, &d, &window).ok(),
+             "a record with references did not decode");
+  const auto bytes = [](const TxnRequest& t) {
+    std::string out;
+    BlockCodec::EncodeTxn(t, &out);
+    return out;
+  };
+  size_t ref = 0;
+  for (size_t i = 0; i < f.distance.size(); i++) {
+    if (f.distance[i] == 0) continue;
+    const std::vector<TxnRequest>* src =
+        window.Find(b.header.block_id - f.distance[i]);
+    FUZZ_CHECK(src != nullptr && f.index[ref] < src->size(),
+               "a stored reference names no window txn");
+    const std::string target = bytes((*src)[f.index[ref++]]);
+    FUZZ_CHECK(bytes(d.batch.txns[i]) == target &&
+                   bytes(b.batch.txns[i]) == target,
+               "a reference decoded to other canonical bytes than its target");
+  }
+}
+
 /// BlockCodec::Decode on record payloads, ordinary, edge-valued, with
 /// packed columns, and retries stored as references to the previous block
 /// under a header derived from it (decoded against that block's window).
 /// Unmutated records must decode to the same txns (same TxnRoot and rebuilt
 /// block hash), and a block of a PackableShape must store packed columns.
-/// A record whose reach, distance or index is rewritten out of range, or
-/// whose referenced txn's retry count would overflow, must be Corruption;
-/// so must a derived header whose predecessor the window lacks. A record
+/// Every reference of an unmutated record must decode to a txn whose
+/// EncodeTxn bytes equal both its target's and the encoded block's txn. A
+/// record whose reach, distance or index is rewritten out of range must be
+/// Corruption; so must a derived header whose predecessor the window lacks. A record
 /// whose derived-header flag is flipped must be Corruption or decode to a
 /// block the chain verifier rejects.
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
@@ -628,23 +650,6 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   if (has_prev) {
     prev = MakeBlock(rng, builder, 1 + rng.Index(1 << 20), 1, ShapeOf(shape));
     b = MakeRetryBlock(rng, builder, prev, ShapeOf(shape));
-    if (rng.Chance(0.1)) {
-      // Decoded against a window whose earlier incarnations sit at the
-      // retry ceiling, every stored reference would wrap the counter.
-      RefWindow honest;
-      honest.Push(prev);
-      const std::string record =
-          BlockCodec::EncodeRecord(b, Compression::kNone, &honest);
-      RecordShape shape;
-      FUZZ_CHECK(BlockCodec::Peek(record, &shape), "record unreadable");
-      for (TxnRequest& t : prev.batch.txns) t.retries = UINT32_MAX;
-      window.Push(prev);
-      Block d;
-      const Status st = BlockCodec::Decode(record, &d, &window);
-      FUZZ_CHECK(shape.ref_reach == 0 ? st.ok() : st.IsCorruption(),
-                 "a reference wrapping the retry counter was not Corruption");
-      return;
-    }
     window.Push(prev);
   } else {
     b = !shape && rng.Chance(0.3) ? MakeEdgeBlock(rng, builder)
@@ -703,6 +708,7 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
       FUZZ_CHECK(stats.packed_columns >= 2,
                  "a block of one procedure and client packed neither column");
     }
+    CheckReferencesResolve(b, window);
   }
 }
 
@@ -714,7 +720,7 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
 /// CRC-valid one, or cut the log's head) surfaces on read. ReadLast
 /// returns the opened tip or Corruption, and always the tip when the log
 /// is unmutated or ReadAll parses. An intact file must read back whole,
-/// and one stamped with a pre-v9 version must be refused with
+/// and one stamped with an older version must be refused with
 /// NotSupported. Structural breaks with valid CRCs, on logs of one or more
 /// intervals: a record dropped from the middle breaks the id sequence, so
 /// the opened log ends before it; with the first record dropped, a log of
@@ -765,9 +771,9 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
     if (old_version && !mutated) {
-      FUZZ_CHECK(s.IsNotSupported(), "pre-v9 log not refused");
+      FUZZ_CHECK(s.IsNotSupported(), "an older-version log not refused");
     }
-    if (brk != Break::kNone) FUZZ_CHECK(s.ok(), "a v9 log did not open");
+    if (brk != Break::kNone) FUZZ_CHECK(s.ok(), "a current-version log did not open");
     std::vector<Block> blocks;
     const Status read = s.ok() ? store.ReadAll(&blocks) : s;
     if (s.ok()) {
@@ -1213,7 +1219,7 @@ const Target kTargets[] = {
     {"wire_payload", CaseWirePayload,
      "ERROR/METRICS/BATCH_SUBMIT/BATCH_RECEIPT payload decoders"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode on v9 records: edge values, packed columns, "
+     "BlockCodec::Decode on v10 records: edge values, packed columns, "
      "derived headers, refs"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
@@ -1306,37 +1312,37 @@ int WriteCorpus(const std::string& dir) {
   BlockBuilder hlz_builder("fuzz-secret");
   const Block hb = hlz_builder.Seal(std::move(compressible), 1000);
   const std::string hlz_record = BlockCodec::EncodeRecord(hb, Compression::kHlz);
-  entries.push_back({"block_record_v9.hex",
-                     "# one v9 record payload (full header, HLZ section)",
+  entries.push_back({"block_record_v10.hex",
+                     "# one v10 record payload (full header, HLZ section)",
                      hlz_record});
-  entries.push_back({"block_record_v9_raw.hex",
-                     "# one v9 record payload (full header, section raw)",
+  entries.push_back({"block_record_v10_raw.hex",
+                     "# one v10 record payload (full header, section raw)",
                      BlockCodec::EncodeRecord(b, Compression::kNone)});
   RefWindow window;
   window.Push(b);
   const Block rb = MakeRetryBlock(rng, builder, b);
   entries.push_back(
-      {"block_record_v9_derived.hex",
-       "# one v9 record payload whose header is derived from the raw seed's "
+      {"block_record_v10_derived.hex",
+       "# one v10 record payload whose header is derived from the raw seed's "
        "block and whose retries reference it",
        BlockCodec::EncodeRecord(rb, Compression::kNone, &window)});
   const PackableShape shape = PackableShape::Draw(rng);
   entries.push_back(
-      {"block_record_v9_packed.hex",
-       "# one v9 record payload (full header, section raw) of txns sharing a "
-       "procedure, client, fee and blob length: bit-packed columns",
+      {"block_record_v10_packed.hex",
+       "# one v10 record payload (full header, section raw) of txns sharing a "
+       "procedure, client and blob length: bit-packed columns",
        BlockCodec::EncodeRecord(MakeBlock(rng, builder, 1, 1, &shape),
                                 Compression::kNone)});
 
   FuzzRng lrng(43);
-  entries.push_back({"log_v9_three_blocks.hex",
-                     "# complete v9 log file: header + 3 records, later ones "
+  entries.push_back({"log_v10_three_blocks.hex",
+                     "# complete v10 log file: header + 3 records, later ones "
                      "deriving their headers and storing retries by "
                      "reference",
                      BuildLogFile(lrng, 3)});
   FuzzRng l2rng(44);
-  entries.push_back({"log_v9_one_block.hex",
-                     "# complete v9 log file: header + 1 record",
+  entries.push_back({"log_v10_one_block.hex",
+                     "# complete v10 log file: header + 1 record",
                      BuildLogFile(l2rng, 1)});
 
   std::string hlz;
@@ -1353,13 +1359,13 @@ int WriteCorpus(const std::string& dir) {
   net::EncodeReplJoin(join, &join_payload);
   entries.push_back(
       {"repl_join_frame.hex",
-       "# one complete REPL_JOIN frame (wire v7 header + payload)",
+       "# one complete REPL_JOIN frame (wire v8 header + payload)",
        net::EncodeFrame(net::Opcode::kOpReplJoin, join_payload)});
 
   std::string repl_payload;
   net::EncodeReplicate(hb.header.block_id, hlz_record, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + stored v9 record",
+                     "# REPLICATE payload: u64 block id + stored v10 record",
                      repl_payload});
 
   FuzzRng srng(45);
